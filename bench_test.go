@@ -167,14 +167,14 @@ func BenchmarkSimulator(b *testing.B) {
 	b.ReportMetric(float64(instr), "guest_instructions")
 }
 
-// BenchmarkSimNodes is the sharded-event-loop scalability sweep: the halo
-// ring exchange (one cell per node, nearest-neighbor traffic only) at
-// rising machine sizes, run both on the classic sequential loop (seq) and
-// sharded with SimWorkers=GOMAXPROCS (par). Both modes produce bit-identical
-// results — the equivalence matrix in internal/earthsim pins that — so the
-// sweep isolates pure event-loop cost: wall time per run plus events/sec
-// (events is deterministic and Exact-gated; events_sec is the throughput
-// metric the BENCH_pr8.json gate tracks).
+// BenchmarkSimNodes is the event-loop scalability sweep: the halo ring
+// exchange (one cell per node, nearest-neighbor traffic only) at rising
+// machine sizes, with the windows run inline (w=1) and fanned across
+// SimWorkers=GOMAXPROCS goroutines (w=GOMAXPROCS). Both modes produce
+// bit-identical results — the equivalence matrix in internal/earthsim pins
+// that — so the pair isolates what the worker pool costs or buys: wall time
+// per run plus events/sec (events is deterministic and Exact-gated;
+// events_sec is the throughput metric the BENCH_pr8.json gate tracks).
 func BenchmarkSimNodes(b *testing.B) {
 	bm := olden.Halo()
 	src := bm.Source(bm.DefaultParams)
@@ -187,7 +187,7 @@ func BenchmarkSimNodes(b *testing.B) {
 		for _, mode := range []struct {
 			name    string
 			workers int
-		}{{"seq", 0}, {"par", runtime.GOMAXPROCS(0)}} {
+		}{{"w=1", 1}, {"w=GOMAXPROCS", runtime.GOMAXPROCS(0)}} {
 			nodes, mode := nodes, mode
 			b.Run("nodes="+itoa(nodes)+"/"+mode.name, func(b *testing.B) {
 				rc := core.RunConfig{Nodes: nodes, SimWorkers: mode.workers}

@@ -74,7 +74,7 @@ func main() {
 	shards := flag.Int("shards", 0, "pipeline shards (0 = GOMAXPROCS capped at 8)")
 	queue := flag.Int("queue", 0, "job queue depth (0 = default 64)")
 	workers := flag.Int("j", 0, "analysis workers per compile (0 = default 1)")
-	simJ := flag.Int("sim-j", 0, "simulator event-loop workers per run (0 = classic sequential loop); results are identical for any value")
+	simJ := flag.Int("sim-j", 0, "goroutines running the simulator's event-loop windows per run (0 or 1 = inline); results are identical for any value")
 	nodes := flag.Int("nodes", 0, "default simulated machine size (0 = default 4)")
 	maxFuel := flag.Int64("max-fuel", 0, "per-job instruction cap (0 = default 500M, negative = unlimited)")
 	jobDeadline := flag.Duration("job-deadline", 0, "per-job host wall-clock bound (0 = default 60s)")

@@ -58,7 +58,7 @@ func main() {
 	procsFlag := flag.String("procs", "1,2,4,8,16", "processor counts for table3")
 	scale := flag.String("scale", "default", "problem scale: quick|default")
 	faultSeed := flag.Uint64("fault-seed", 1, "PRNG seed for the fault sweep")
-	simJ := flag.Int("sim-j", 0, "simulator event-loop workers per run (0 = classic sequential loop); all measurements are identical for any value")
+	simJ := flag.Int("sim-j", 0, "goroutines running the simulator's event-loop windows per run (0 or 1 = inline); all measurements are identical for any value")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON")
 	outPath := flag.String("out", "", "write the report to this file instead of stdout")
 	flag.Parse()

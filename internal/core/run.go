@@ -49,10 +49,9 @@ type RunConfig struct {
 	// it fails with an error wrapping earthsim.ErrFuelExhausted rather than
 	// hanging.
 	Fuel int64
-	// SimWorkers selects the simulator's sharded event loop (one event-loop
-	// shard per simulated node, synchronized by conservative lookahead) and
-	// bounds the goroutines driving it. 0 keeps the classic sequential loop;
-	// see earthsim.Config.SimWorkers for the determinism contract.
+	// SimWorkers bounds the goroutines that run the simulator's event-loop
+	// windows (0 or 1: inline); results are identical for every value. See
+	// earthsim.Config.SimWorkers.
 	SimWorkers int
 	// Deadline bounds host wall-clock time (0 = none); exceeding it fails
 	// with an error wrapping earthsim.ErrDeadline.

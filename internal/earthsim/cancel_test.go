@@ -9,51 +9,39 @@ import (
 	"repro/internal/threaded"
 )
 
-// TestCancelLegacy: cancelling the run context stops the sequential event
-// loop promptly with ErrCanceled — on a guest that would otherwise loop
-// forever in simulated time.
-func TestCancelLegacy(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(10*time.Millisecond, cancel)
-	m := New(loopProg(), DefaultConfig(1)).SetContext(ctx)
-	done := make(chan error, 1)
-	go func() {
-		_, err := m.Run()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("want ErrCanceled, got %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run did not stop after cancellation")
-	}
-}
-
-// TestCancelSharded: the sharded engine observes cancellation too, both at
-// the coordinator barrier and inside shard windows.
-func TestCancelSharded(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(10*time.Millisecond, cancel)
-	cfg := DefaultConfig(4)
-	cfg.SimWorkers = 2
-	m := New(loopProg(), cfg).SetContext(ctx)
-	if len(m.sh) < 2 {
-		t.Fatal("test did not select the sharded engine")
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := m.Run()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("want ErrCanceled, got %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("sharded run did not stop after cancellation")
+// TestCancel: cancelling the run context stops the event loop promptly with
+// ErrCanceled — on a guest that would otherwise loop forever in simulated
+// time — whether the windows run inline (where one node's window is
+// unbounded, so only the in-window polls can see it) or on a worker pool.
+func TestCancel(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		nodes, workers int
+	}{
+		{"inline-1node", 1, 0},
+		{"inline-4nodes", 4, 1},
+		{"pool-4nodes", 4, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(10*time.Millisecond, cancel)
+			cfg := DefaultConfig(tc.nodes)
+			cfg.SimWorkers = tc.workers
+			m := New(loopProg(), cfg).SetContext(ctx)
+			done := make(chan error, 1)
+			go func() {
+				_, err := m.Run()
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrCanceled) {
+					t.Fatalf("want ErrCanceled, got %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("run did not stop after cancellation")
+			}
+		})
 	}
 }
 

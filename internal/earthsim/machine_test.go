@@ -67,7 +67,8 @@ func TestNetFIFO(t *testing.T) {
 			Code: []threaded.Instr{{Op: threaded.OpRet, A: -1}}}},
 	}
 	prog.Main = prog.Funcs["main"]
-	m := New(prog, DefaultConfig(2)).sh[0]
+	mach := New(prog, DefaultConfig(2))
+	m := mach.sh[0]
 	src, dst := m.nodes[0], m.nodes[1]
 	// A large (slow) message sent first, then a zero-payload one.
 	g1, g2 := m.getMsg(), m.getMsg()
@@ -75,12 +76,21 @@ func TestNetFIFO(t *testing.T) {
 	g2.class, g2.stage = trace.ClassGet, 2
 	m.netSched(src, dst, 0, 100, g1)
 	m.netSched(src, dst, 1, 0, g2)
-	var order []*msg
-	for len(m.events) > 0 {
-		order = append(order, m.events.pop().g)
+	// Node 1 belongs to shard 1, so both hops wait in shard 0's outbox as
+	// mail, in send order and with strictly increasing arrival times.
+	if len(m.events) != 0 {
+		t.Errorf("cross-shard hops scheduled locally: %d events", len(m.events))
 	}
-	if len(order) != 2 || order[0] != g1 || order[1] != g2 {
-		t.Errorf("per-link FIFO violated: %v", order)
+	if len(m.outbox) != 2 || m.outbox[0].g != g1 || m.outbox[1].g != g2 {
+		t.Fatalf("per-link FIFO violated: outbox %v", m.outbox)
+	}
+	for _, o := range m.outbox {
+		if o.to != mach.sh[1] || o.node != 1 {
+			t.Errorf("mail addressed to shard %d node %d, want shard 1 node 1", o.to.id, o.node)
+		}
+	}
+	if m.outbox[0].at >= m.outbox[1].at {
+		t.Errorf("later send arrives first: %d then %d", m.outbox[0].at, m.outbox[1].at)
 	}
 }
 

@@ -1,48 +1,43 @@
 package earthsim
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/metrics"
 )
 
 // simMetrics is the shard-side accumulator behind SetMetrics: cheap
-// cumulative counters bumped from the EU/SU/network hooks, flushed at each
-// sampling boundary. In legacy mode the flush records straight into the
-// user's Sampler; in sharded mode it appends a shardSample contribution to
-// pend, and the coordinator merges contributions from every shard at the
-// next barrier (mergeSamples) — only the final Sampler.Record crosses
-// goroutines, at barrier time.
+// cumulative counters bumped from the EU/SU/network hooks of the shard's
+// node. At each sampling boundary the shard appends a shardSample
+// contribution to pend, and the coordinator merges the contributions from
+// every shard at the next barrier (mergeSamples) — only the final
+// Sampler.Record crosses goroutines, at barrier time.
 type simMetrics struct {
-	s        *metrics.Sampler
 	interval int64
 	next     int64 // next simulated-time sampling boundary
-	last     int64 // time of the most recent sample (-1 before the first)
 
-	// base maps node ids onto the busy arrays: legacy mode covers all
-	// nodes (base 0), a sharded loop covers just its own (base = shard id).
-	base   int
-	euBusy []int64 // per owned node: cumulative EU busy ns
-	suBusy []int64 // per owned node: cumulative SU busy ns
-	// suDone[i] is a FIFO of node i's SU completion times. suSched pushes in
-	// acceptance order and n.suFree is monotone, so the queue is sorted:
-	// the sample drains completions ≤ t from suHead[i] and what remains is
-	// exactly the requests accepted but not finished at t — the SU queue
-	// depth.
-	suDone [][]int64
-	suHead []int
-	links  map[uint32]*linkAgg
+	euBusy int64 // cumulative EU busy ns
+	suBusy int64 // cumulative SU busy ns
+	// suDone is a FIFO of the node's SU completion times. suSched pushes in
+	// acceptance order and n.suFree is monotone, so the queue is sorted: the
+	// sample drains completions ≤ t from suHead and what remains is exactly
+	// the requests accepted but not finished at t — the SU queue depth.
+	suDone []int64
+	suHead int
+	// links holds the node's out-links sorted by destination. A node talks
+	// to few peers, so a binary search stands in for a map and a snapshot
+	// needs no sort.
+	links []linkAgg
 
-	// pend holds boundary contributions not yet merged (sharded mode only;
-	// nil in legacy mode, where samples record directly). pendAt is the
+	// pend holds boundary contributions not yet merged. pendAt is the
 	// consumer cursor so the backing array is reused.
 	pend   []shardSample
 	pendAt int
 }
 
-// linkAgg accumulates one directed link's traffic (keyed by linkKey).
+// linkAgg accumulates the traffic of the link to dst.
 type linkAgg struct {
-	src, dst          int
+	dst               int
 	busy, msgs, words int64
 }
 
@@ -82,43 +77,28 @@ func (m *Machine) SetMetrics(s *metrics.Sampler) *Machine {
 	m.gNext = s.Interval()
 	m.gLast = -1
 	for _, sh := range m.sh {
-		n, base := len(m.nodes), 0
-		if !sh.single {
-			n, base = 1, sh.id
-		}
 		sh.ms = &simMetrics{
-			s:        s,
 			interval: s.Interval(),
 			next:     s.Interval(),
-			last:     -1,
-			base:     base,
-			euBusy:   make([]int64, n),
-			suBusy:   make([]int64, n),
-			suDone:   make([][]int64, n),
-			suHead:   make([]int, n),
-			links:    make(map[uint32]*linkAgg),
-		}
-		if !sh.single {
-			sh.ms.pend = make([]shardSample, 0, 4)
+			pend:     make([]shardSample, 0, 4),
 		}
 	}
 	return m
 }
 
-// suObserve records one SU service interval on a node (hook in suSched).
-func (ms *simMetrics) suObserve(nodeID int, busy, done int64) {
-	ms.suBusy[nodeID-ms.base] += busy
-	ms.suDone[nodeID-ms.base] = append(ms.suDone[nodeID-ms.base], done)
+// suObserve records one SU service interval (hook in suSched).
+func (ms *simMetrics) suObserve(busy, done int64) {
+	ms.suBusy += busy
+	ms.suDone = append(ms.suDone, done)
 }
 
-// linkObserve records one wire hop on a directed link (hook in netSched).
-func (ms *simMetrics) linkObserve(src, dst int, busy, words int64) {
-	key := uint32(src)<<16 | uint32(dst)
-	la := ms.links[key]
-	if la == nil {
-		la = &linkAgg{src: src, dst: dst}
-		ms.links[key] = la
+// linkObserve records one wire hop on the link to dst (hook in netSched).
+func (ms *simMetrics) linkObserve(dst int, busy, words int64) {
+	i, ok := slices.BinarySearchFunc(ms.links, dst, func(la linkAgg, dst int) int { return la.dst - dst })
+	if !ok {
+		ms.links = slices.Insert(ms.links, i, linkAgg{dst: dst})
 	}
+	la := &ms.links[i]
 	la.busy += busy
 	la.msgs++
 	la.words += words
@@ -134,110 +114,59 @@ func (m *shard) sampleTick(t int64) {
 	}
 }
 
-// drainSUQueue advances owned-node slot i's SU completion FIFO past t and
-// returns the remaining depth — the SU queue length at time t.
-func (ms *simMetrics) drainSUQueue(i int, t int64) int64 {
-	q, h := ms.suDone[i], ms.suHead[i]
+// drainSUQueue advances the SU completion FIFO past t and returns the
+// remaining depth — the SU queue length at time t.
+func (ms *simMetrics) drainSUQueue(t int64) int64 {
+	q, h := ms.suDone, ms.suHead
 	for h < len(q) && q[h] <= t {
 		h++
 	}
 	if h == len(q) {
 		q, h = q[:0], 0
-		ms.suDone[i] = q
+		ms.suDone = q
 	}
-	ms.suHead[i] = h
+	ms.suHead = h
 	return int64(len(q) - h)
 }
 
-// sortedLinks snapshots the link aggregates in key order.
-func (ms *simMetrics) sortedLinks() []metrics.LinkSample {
-	if len(ms.links) == 0 {
-		return nil
-	}
-	keys := make([]uint32, 0, len(ms.links))
-	for k := range ms.links {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]metrics.LinkSample, len(keys))
-	for i, k := range keys {
-		la := ms.links[k]
-		out[i] = metrics.LinkSample{Src: la.src, Dst: la.dst,
-			BusyNs: la.busy, Msgs: la.msgs, Words: la.words}
-	}
-	return out
-}
-
-// takeSample snapshots the shard at simulated time t: straight into the
-// sampler in legacy mode, onto the pending-contribution list otherwise.
+// takeSample snapshots the shard at simulated time t onto the
+// pending-contribution list. The slot it fills may have carried an earlier,
+// already merged boundary; its link buffer is reused.
 func (m *shard) takeSample(t int64) {
 	ms := m.ms
-	if !m.single {
-		ss := shardSample{
-			time:         t,
-			instructions: m.counts.Instructions,
-			remoteReads:  m.counts.RemoteReads,
-			remoteWrites: m.counts.RemoteWrites,
-			blkMoves:     m.counts.RemoteBlk,
-			liveFibers:   m.liveFibers,
-		}
-		if m.fstats != nil {
-			ss.retries = m.fstats.Retries
-			ss.spurious = m.fstats.SpuriousRetries
-			ss.drops = m.fstats.Drops
-			ss.dups = m.fstats.Dups
-			ss.stalls = m.fstats.Stalls
-		}
-		n := m.nodes[m.id]
-		ss.node = metrics.NodeSample{
-			EUBusyNs: ms.euBusy[0],
-			SUBusyNs: ms.suBusy[0],
-			SUQueue:  ms.drainSUQueue(0, t),
-			Ready:    int64(n.readyLen()),
-		}
-		ss.links = ms.sortedLinks()
-		ms.pend = append(ms.pend, ss)
-		ms.last = t
-		return
+	if len(ms.pend) < cap(ms.pend) {
+		ms.pend = ms.pend[:len(ms.pend)+1]
+	} else {
+		ms.pend = append(ms.pend, shardSample{})
 	}
-	sm := metrics.SimSample{
-		Time:         t,
-		Instructions: m.counts.Instructions,
-		RemoteReads:  m.counts.RemoteReads,
-		RemoteWrites: m.counts.RemoteWrites,
-		BlkMoves:     m.counts.RemoteBlk,
-		LiveFibers:   m.liveFibers,
+	ss := &ms.pend[len(ms.pend)-1]
+	links := ss.links[:0]
+	*ss = shardSample{
+		time:         t,
+		instructions: m.counts.Instructions,
+		remoteReads:  m.counts.RemoteReads,
+		remoteWrites: m.counts.RemoteWrites,
+		blkMoves:     m.counts.RemoteBlk,
+		liveFibers:   m.liveFibers,
 	}
 	if m.fstats != nil {
-		sm.Retries = m.fstats.Retries
-		sm.Spurious = m.fstats.SpuriousRetries
-		sm.Drops = m.fstats.Drops
-		sm.Dups = m.fstats.Dups
-		sm.Stalls = m.fstats.Stalls
+		ss.retries = m.fstats.Retries
+		ss.spurious = m.fstats.SpuriousRetries
+		ss.drops = m.fstats.Drops
+		ss.dups = m.fstats.Dups
+		ss.stalls = m.fstats.Stalls
 	}
-	sm.Nodes = make([]metrics.NodeSample, len(m.nodes))
-	for i, n := range m.nodes {
-		sm.Nodes[i] = metrics.NodeSample{
-			EUBusyNs: ms.euBusy[i],
-			SUBusyNs: ms.suBusy[i],
-			SUQueue:  ms.drainSUQueue(i, t),
-			Ready:    int64(n.readyLen()),
-		}
+	ss.node = metrics.NodeSample{
+		EUBusyNs: ms.euBusy,
+		SUBusyNs: ms.suBusy,
+		SUQueue:  ms.drainSUQueue(t),
+		Ready:    int64(m.nodes[m.id].readyLen()),
 	}
-	sm.Links = ms.sortedLinks()
-	ms.last = t
-	ms.s.Record(sm)
-}
-
-// flushTicksTo takes any samples due at boundaries ≤ t that the shard's own
-// event flow has not reached (its next event lies beyond them, so its
-// cumulative state at those boundaries is exactly the current state).
-// Coordinator-side, at barriers.
-func (m *shard) flushTicksTo(t int64) {
-	for m.ms.next <= t {
-		m.takeSample(m.ms.next)
-		m.ms.next += m.ms.interval
+	for _, la := range ms.links {
+		links = append(links, metrics.LinkSample{Src: m.id, Dst: la.dst,
+			BusyNs: la.busy, Msgs: la.msgs, Words: la.words})
 	}
+	ss.links = links
 }
 
 // mergeSamples combines every shard's pending contributions for boundaries
@@ -247,33 +176,7 @@ func (m *shard) flushTicksTo(t int64) {
 // settled state.
 func (m *Machine) mergeSamples(horizon int64) {
 	for m.gNext <= horizon {
-		b := m.gNext
-		sm := metrics.SimSample{Time: b, Nodes: make([]metrics.NodeSample, len(m.nodes))}
-		for _, sh := range m.sh {
-			sh.flushTicksTo(b)
-			ss := &sh.ms.pend[sh.ms.pendAt]
-			sh.ms.pendAt++
-			sm.Instructions += ss.instructions
-			sm.RemoteReads += ss.remoteReads
-			sm.RemoteWrites += ss.remoteWrites
-			sm.BlkMoves += ss.blkMoves
-			sm.LiveFibers += ss.liveFibers
-			sm.Retries += ss.retries
-			sm.Spurious += ss.spurious
-			sm.Drops += ss.drops
-			sm.Dups += ss.dups
-			sm.Stalls += ss.stalls
-			sm.Nodes[sh.id] = ss.node
-			// Shard i's out-links all carry key src=i, so appending in shard
-			// order yields the same key-sorted order the legacy loop emits.
-			sm.Links = append(sm.Links, ss.links...)
-			if sh.ms.pendAt == len(sh.ms.pend) {
-				sh.ms.pend = sh.ms.pend[:0]
-				sh.ms.pendAt = 0
-			}
-		}
-		m.gLast = b
-		m.sampler.Record(sm)
+		m.mergeOne(m.gNext, false)
 		m.gNext += m.sampler.Interval()
 	}
 }

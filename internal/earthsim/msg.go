@@ -98,7 +98,7 @@ func (m *shard) suSched(n *node, t, svc int64, g *msg) {
 	n.suFree = done
 	m.tr.SUSpan(n.id, msgLabels[g.class][g.stage-1], g.mid, t, start, done)
 	if m.ms != nil {
-		m.ms.suObserve(n.id, done-start, done)
+		m.ms.suObserve(done-start, done)
 	}
 	m.schedule(done, evSUEffect, n.id, g)
 }
@@ -143,7 +143,7 @@ func (m *shard) netSched(src, dst *node, t int64, words int, g *msg) {
 	src.netLast[dst.id] = arrive
 	m.tr.NetSpan(src.id, dst.id, msgLabels[g.class][g.stage-1], g.mid, words, t, arrive)
 	if m.ms != nil {
-		m.ms.linkObserve(src.id, dst.id, arrive-t, int64(words))
+		m.ms.linkObserve(dst.id, arrive-t, int64(words))
 	}
 	m.deliver(arrive, dst, g)
 	if dup != nil {
@@ -151,7 +151,7 @@ func (m *shard) netSched(src, dst *node, t int64, words int, g *msg) {
 		src.netLast[dst.id] = arrive
 		m.tr.NetSpan(src.id, dst.id, msgLabels[dup.class][dup.stage-1], dup.mid, words, t, arrive)
 		if m.ms != nil {
-			m.ms.linkObserve(src.id, dst.id, arrive-t, int64(words))
+			m.ms.linkObserve(dst.id, arrive-t, int64(words))
 		}
 		m.deliver(arrive, dst, dup)
 	}

@@ -1,8 +1,8 @@
 package earthsim
 
-// Sharded execution: one event-loop shard per simulated node, synchronized
-// by conservative lookahead (a barrier-synchronous variant of the classic
-// null-message protocol). The coordinator repeatedly:
+// The event loop: one shard per simulated node, synchronized by conservative
+// lookahead (a barrier-synchronous variant of the null-message protocol).
+// The coordinator repeatedly:
 //
 //  1. delivers cross-shard mail buffered during the previous round, in
 //     (sender shard id, send order) — a total order independent of how many
@@ -16,15 +16,18 @@ package earthsim
 //     additionally safe up to min(T2+L, T1+2L) — nothing can reach it
 //     earlier, neither directly from another shard (≥ T2+L) nor relayed off
 //     its own sends (≥ T1+2L);
-//  4. runs the active shards' windows on a worker pool (inline when
-//     SimWorkers is 1) and barriers.
+//  4. runs the active shards' windows — inline, or on a worker pool when
+//     SimWorkers > 1 — and barriers.
 //
 // Determinism: the bounds depend only on heap heads, mail delivery order is
 // fixed, and each window is a sequential per-shard replay — so the division
 // of windows among workers cannot alter any outcome, and the run is
 // bit-identical (Result, trace, telemetry) across SimWorkers counts.
-// Progress: the bound of the shard holding T1 strictly exceeds T1 (L ≥ 1),
-// so every round dispatches at least one event.
+// Progress: every bound is floored at T1+1, so each round dispatches at
+// least the event at T1. The floor only binds at L = 0, where the window
+// degenerates to "everything at T1": zero-latency mail then arrives at T1 or
+// later — the receiver's present, never its past — and is dispatched the
+// round after. A one-node machine has L = ∞ and runs in a single window.
 
 import (
 	"fmt"
@@ -45,11 +48,10 @@ const midMask = int64(1)<<40 - 1
 // encMid tags a shard-local trace message id with the owning shard so a
 // reference that travels with the message — into another shard's spans,
 // fault events, or completion path — can find its way back to the recorder
-// that issued it. Legacy mode keeps plain ids; 0 stays "no message" (which
-// also covers tracing disabled).
+// that issued it. 0 stays "no message" (which also covers tracing disabled).
 func (m *shard) encMid(local int64) int64 {
-	if m.single || local == 0 {
-		return local
+	if local == 0 {
+		return 0
 	}
 	return int64(m.id+1)<<40 | local
 }
@@ -59,10 +61,6 @@ func (m *shard) encMid(local int64) int64 {
 // foreignDones, applied before the trace merge at Run end — Done is a single
 // idempotent field write per message, so deferral cannot reorder anything).
 func (m *shard) msgDone(mid, t int64) {
-	if m.single {
-		m.tr.MsgDone(mid, t)
-		return
-	}
 	if mid == 0 {
 		return
 	}
@@ -73,6 +71,10 @@ func (m *shard) msgDone(mid, t int64) {
 	m.foreignDones = append(m.foreignDones, doneRec{mid: mid, at: t})
 }
 
+// pollRounds is how many coordinator rounds pass between polls of the wall
+// clock and the run context; windows poll both every 4096 events themselves.
+const pollRounds = 1024
+
 // windowJob asks a worker to run one shard's window up to bound.
 type windowJob struct {
 	s     *shard
@@ -80,9 +82,9 @@ type windowJob struct {
 }
 
 // runWindow dispatches the shard's local events strictly below bound,
-// stopping early on a trap. Mirrors one slice of the legacy loop body; the
-// global event budget and wall clock are enforced here as per-shard
-// backstops (a runaway window must not outlive the barrier checks).
+// stopping early on a trap. The global event budget and wall clock are
+// enforced here as per-shard backstops (a runaway window must not outlive
+// the barrier checks).
 func (s *shard) runWindow(bound int64) {
 	for len(s.events) > 0 && s.events[0].time < bound {
 		if s.trap != nil {
@@ -213,13 +215,18 @@ func (h *shardHeap) refresh(s *shard) {
 	}
 }
 
-// runSharded is Machine.Run for the sharded engine. The round structure —
-// barrier, T1/T2 bounds, windows, mail — is described in the package
-// comment above; this implementation keeps every machine-wide quantity
-// (head order, instruction/event/fiber totals) incrementally, touching only
-// the round's active shards and mail receivers, so coordinator overhead
-// scales with traffic rather than machine size.
-func (m *Machine) runSharded(maxEvents int64) (*Result, error) {
+// Run executes the program's main function on node 0 and simulates until
+// completion (or deadlock/trap). The round structure — barrier, T1/T2
+// bounds, windows, mail — is described in the comment at the top of this
+// file; this implementation keeps every machine-wide quantity (head order,
+// instruction/event/fiber totals) incrementally, touching only the round's
+// active shards and mail receivers, so coordinator overhead scales with
+// traffic rather than machine size.
+func (m *Machine) Run() (*Result, error) {
+	maxEvents := m.cfg.MaxEvents
+	if maxEvents == 0 {
+		maxEvents = 500_000_000
+	}
 	var deadline time.Time
 	if m.wallLimit > 0 {
 		deadline = time.Now().Add(m.wallLimit)
@@ -286,32 +293,37 @@ func (m *Machine) runSharded(maxEvents int64) (*Result, error) {
 			return m.fail(fmt.Errorf("earthsim: %w: event budget exceeded (%d events, t=%dns) — livelock?%s",
 				ErrFuelExhausted, totalEvents, t1, m.blockedReports()))
 		}
-		if m.wallLimit > 0 && time.Now().After(deadline) {
-			return m.fail(fmt.Errorf("earthsim: %w: host wall clock exceeded %s (t=%dns, %d events)",
-				ErrDeadline, m.wallLimit, t1, totalEvents))
-		}
-		if m.ctx != nil {
-			select {
-			case <-m.ctx.Done():
-				return m.fail(fmt.Errorf("earthsim: %w: %v (t=%dns, %d events)",
-					ErrCanceled, m.ctx.Err(), t1, totalEvents))
-			default:
+		// The host-side limits are polled on the first round and every
+		// pollRounds after: a round is a handful of events, so reading the
+		// clock each time would cost a tenth of a small machine's run.
+		if round%pollRounds == 1 {
+			if m.wallLimit > 0 && time.Now().After(deadline) {
+				return m.fail(fmt.Errorf("earthsim: %w: host wall clock exceeded %s (t=%dns, %d events)",
+					ErrDeadline, m.wallLimit, t1, totalEvents))
+			}
+			if m.ctx != nil {
+				select {
+				case <-m.ctx.Done():
+					return m.fail(fmt.Errorf("earthsim: %w: %v (t=%dns, %d events)",
+						ErrCanceled, m.ctx.Err(), t1, totalEvents))
+				default:
+				}
 			}
 		}
 		if m.sampler != nil {
 			m.mergeSamples(t1)
 		}
 
-		// Pop this round's active shards: argmin first (T2 is the next head
-		// once it is out), then everyone below the shared bound T1+L. The
-		// argmin's own bound may reach further — min(T2+L, T1+2L): nothing
-		// can reach it earlier, neither directly from another shard (≥ T2+L)
-		// nor relayed off its own sends (≥ T1+2L).
-		boundOthers := satAdd(t1, L)
+		// This round's bounds. near is the shared bound T1+L. far is the
+		// argmin's when it runs alone, T1+2L: nothing can reach it earlier,
+		// neither directly from another shard (≥ T2+L) nor relayed off its
+		// own sends (≥ T1+2L). Both are floored at T1+1 — see Progress above.
+		near := max(satAdd(t1, L), t1+1)
+		far := max(satAdd(satAdd(t1, L), L), near)
 
 		// Single-active fast path. The second-smallest head is the lesser
 		// root child (every other shard sits below one of them); when it
-		// clears T1+L the argmin runs alone, its bound simplifies to T1+2L
+		// clears T1+L the argmin runs alone, its bound simplifies to far
 		// (T2+L ≥ T1+2L here), and the pop/push, active-list, and sort
 		// machinery all degenerate — run the window with the shard still in
 		// the heap and re-key it in place. On nearest-neighbor workloads
@@ -323,13 +335,13 @@ func (m *Machine) runSharded(maxEvents int64) (*Result, error) {
 				t2peek = heads.a[2].head
 			}
 		}
-		if t2peek >= boundOthers {
+		if t2peek >= near {
 			s := heads.a[0]
 			s.othersInstr = totalInstr - s.counts.Instructions
 			s.barInstr = s.counts.Instructions
 			s.barEvents = s.nEvents
 			s.barLive = s.liveFibers
-			s.runWindow(satAdd(t1, 2*L))
+			s.runWindow(far)
 			totalInstr += s.counts.Instructions - s.barInstr
 			totalEvents += s.nEvents - s.barEvents
 			live += s.liveFibers - s.barLive
@@ -358,15 +370,17 @@ func (m *Machine) runSharded(maxEvents int64) (*Result, error) {
 			continue
 		}
 
+		// Pop the round's active shards: argmin first (T2 is the next head
+		// once it is out), then everyone below near.
 		amin := heads.pop()
 		t2 := int64(math.MaxInt64)
 		if heads.len() > 0 {
 			t2 = heads.a[0].head
 		}
-		boundMin := min(satAdd(t2, L), satAdd(t1, 2*L))
+		boundMin := min(max(satAdd(t2, L), near), far)
 		actives = actives[:0]
 		actives = append(actives, amin)
-		for heads.len() > 0 && heads.a[0].head < boundOthers {
+		for heads.len() > 0 && heads.a[0].head < near {
 			actives = append(actives, heads.pop())
 		}
 
@@ -382,7 +396,7 @@ func (m *Machine) runSharded(maxEvents int64) (*Result, error) {
 
 		if inline {
 			for _, s := range actives {
-				bound := boundOthers
+				bound := near
 				if s == amin {
 					bound = boundMin
 				}
@@ -390,7 +404,7 @@ func (m *Machine) runSharded(maxEvents int64) (*Result, error) {
 			}
 		} else {
 			for _, s := range actives {
-				bound := boundOthers
+				bound := near
 				if s == amin {
 					bound = boundMin
 				}
@@ -469,11 +483,12 @@ func (m *Machine) blockedReports() string {
 }
 
 // closeSamples merges every whole sampling boundary the run reached and then
-// closes the series with one sample at the end of activity, mirroring the
-// legacy loop's closing sample. Safe on every exit path; no-op without a
-// sampler.
+// closes the series with one sample at the end of activity, so short runs
+// (under one interval) still record something and the final state is always
+// visible — skipped when the last boundary sample already covers it. Safe on
+// every exit path; no-op without a sampler.
 func (m *Machine) closeSamples() {
-	if m.sampler == nil || len(m.sh) < 2 {
+	if m.sampler == nil {
 		return
 	}
 	var tmax int64
@@ -489,15 +504,23 @@ func (m *Machine) closeSamples() {
 // mergeOne builds and records the machine-wide sample at time t from one
 // per-shard contribution each. With closing set the shards snapshot their
 // final state at t; otherwise they flush any boundary ticks their own event
-// flow has not reached.
+// flow has not reached (a shard whose next event lies beyond a boundary has
+// exactly its current cumulative state there).
 func (m *Machine) mergeOne(t int64, closing bool) {
 	sm := metrics.SimSample{Time: t, Nodes: make([]metrics.NodeSample, len(m.nodes))}
+	nlinks := 0
 	for _, sh := range m.sh {
 		if closing {
 			sh.takeSample(t)
 		} else {
-			sh.flushTicksTo(t)
+			sh.sampleTick(t)
 		}
+		nlinks += len(sh.ms.pend[sh.ms.pendAt].links)
+	}
+	if nlinks > 0 {
+		sm.Links = make([]metrics.LinkSample, 0, nlinks)
+	}
+	for _, sh := range m.sh {
 		ss := &sh.ms.pend[sh.ms.pendAt]
 		sh.ms.pendAt++
 		sm.Instructions += ss.instructions
@@ -512,7 +535,7 @@ func (m *Machine) mergeOne(t int64, closing bool) {
 		sm.Stalls += ss.stalls
 		sm.Nodes[sh.id] = ss.node
 		// Shard i's out-links all carry keys with src=i, so appending in shard
-		// order yields the same key-sorted order the legacy loop emits.
+		// order keeps the machine-wide list key-sorted.
 		sm.Links = append(sm.Links, ss.links...)
 		if sh.ms.pendAt == len(sh.ms.pend) {
 			sh.ms.pend = sh.ms.pend[:0]
@@ -527,7 +550,7 @@ func (m *Machine) mergeOne(t int64, closing bool) {
 // shard order, renumbering message ids shard by shard. Deferred cross-shard
 // completions are applied to their owning recorders first.
 func (m *Machine) mergeTrace() {
-	if m.tr == nil || len(m.sh) < 2 {
+	if m.tr == nil {
 		return
 	}
 	for _, s := range m.sh {

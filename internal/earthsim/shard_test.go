@@ -1,8 +1,8 @@
 package earthsim
 
-// White-box tests for the PR 8 shard internals: selective-repeat window
+// White-box tests for the shard internals: selective-repeat window
 // accounting, the EWMA RTO estimator and its clamps, spurious-retransmit
-// scoring (with Karn's rule), the sharded-mode id encodings, and fiber
+// scoring (with Karn's rule), the shard-tagged id encodings, and fiber
 // record recycling.
 
 import (
@@ -156,36 +156,36 @@ func TestSpuriousAccountingAndKarn(t *testing.T) {
 	}
 }
 
-// TestShardIDEncodings pins the sharded-mode id spaces (and their legacy
-// identity): transaction sequences and trace message ids tag the shard in
-// bits 40+, fiber ids in bits 32+.
+// TestShardIDEncodings pins the id spaces: transaction sequences and trace
+// message ids tag the owning shard in bits 40+, fiber ids in bits 32+ — for
+// every SimWorkers value, since the worker count never changes the topology.
 func TestShardIDEncodings(t *testing.T) {
-	single := New(loopProg(), DefaultConfig(2)).sh[0]
-	if !single.single {
-		t.Fatal("SimWorkers=0 must yield the single sequential shard")
-	}
-	if single.txnSeq(9) != 9 || single.fiberID(9) != 9 || single.encMid(9) != 9 {
-		t.Error("legacy mode must keep plain ordinals")
-	}
-
-	cfg := DefaultConfig(2)
-	cfg.SimWorkers = 2
-	m := New(loopProg(), cfg)
-	if len(m.sh) != 2 || m.sh[1].single {
-		t.Fatalf("SimWorkers=2 on 2 nodes must shard: %d shards", len(m.sh))
-	}
-	s0, s1 := m.sh[0], m.sh[1]
-	if got := s1.txnSeq(5); got != 2<<40|5 {
-		t.Errorf("shard1 txnSeq(5) = %#x, want %#x", got, uint64(2<<40|5))
-	}
-	if got := s0.txnSeq(5); got != 1<<40|5 {
-		t.Errorf("shard0 txnSeq(5) = %#x, want %#x", got, uint64(1<<40|5))
-	}
-	if got := s1.fiberID(5); got != 1<<32|5 {
-		t.Errorf("shard1 fiberID(5) = %#x, want %#x", got, int64(1<<32|5))
-	}
-	if got := s1.encMid(5); got != 2<<40|5 {
-		t.Errorf("shard1 encMid(5) = %#x, want %#x", got, int64(2<<40|5))
+	for _, workers := range []int{0, 1, 2} {
+		cfg := DefaultConfig(2)
+		cfg.SimWorkers = workers
+		m := New(loopProg(), cfg)
+		if len(m.sh) != 2 {
+			t.Fatalf("SimWorkers=%d on 2 nodes: %d shards, want one per node", workers, len(m.sh))
+		}
+		s0, s1 := m.sh[0], m.sh[1]
+		if got := s1.txnSeq(5); got != 2<<40|5 {
+			t.Errorf("shard1 txnSeq(5) = %#x, want %#x", got, uint64(2<<40|5))
+		}
+		if got := s0.txnSeq(5); got != 1<<40|5 {
+			t.Errorf("shard0 txnSeq(5) = %#x, want %#x", got, uint64(1<<40|5))
+		}
+		if got := s1.fiberID(5); got != 1<<32|5 {
+			t.Errorf("shard1 fiberID(5) = %#x, want %#x", got, int64(1<<32|5))
+		}
+		if got := s0.fiberID(5); got != 5 {
+			t.Errorf("shard0 fiberID(5) = %#x, want 5", got)
+		}
+		if got := s1.encMid(5); got != 2<<40|5 {
+			t.Errorf("shard1 encMid(5) = %#x, want %#x", got, int64(2<<40|5))
+		}
+		if got := s1.encMid(0); got != 0 {
+			t.Errorf("encMid(0) = %#x, want 0 (no message)", got)
+		}
 	}
 	if got := satAdd(math.MaxInt64, 5); got != math.MaxInt64 {
 		t.Errorf("satAdd must saturate: %d", got)

@@ -73,9 +73,9 @@ func (r *Record) checksum() string {
 
 // Options tune the journal. The zero value is production-ready.
 type Options struct {
-	// SegmentBytes is the rotation threshold (default 1 MiB). Rotation
-	// compacts: live state moves to the new segment, old segments are
-	// deleted.
+	// SegmentBytes is the rotation threshold (default 1 MiB): how much may
+	// be appended behind a snapshot before the next one. Rotation compacts:
+	// live state moves to the new segment, old segments are deleted.
 	SegmentBytes int64
 	// SyncEvery bounds how many outcome records may sit unsynced before a
 	// write forces fsync (default 16). Accepted records always sync before
@@ -388,7 +388,6 @@ func (j *Journal) writeSnapshotLocked(old []string) error {
 		return err
 	}
 	w := bufio.NewWriter(f)
-	var written int64
 	emit := func(r Record) error {
 		r.Seq = j.nextSeq
 		j.nextSeq++
@@ -397,8 +396,7 @@ func (j *Journal) writeSnapshotLocked(old []string) error {
 		if err != nil {
 			return err
 		}
-		n, err := w.Write(append(line, '\n'))
-		written += int64(n)
+		_, err = w.Write(append(line, '\n'))
 		return err
 	}
 	for _, id := range j.closOrder {
@@ -442,7 +440,10 @@ func (j *Journal) writeSnapshotLocked(old []string) error {
 		d.Sync()
 		d.Close()
 	}
-	j.f, j.segs, j.written, j.lag = f, []string{name}, written, 0
+	// The snapshot's own size does not count toward the next rotation: a
+	// retained set larger than SegmentBytes would otherwise compact again on
+	// every append.
+	j.f, j.segs, j.written, j.lag = f, []string{name}, 0, 0
 	j.stats.Compactions++
 	j.stats.Syncs++
 	return nil

@@ -155,6 +155,66 @@ func TestRotationCompacts(t *testing.T) {
 	}
 }
 
+// TestRetainedSetLargerThanSegment: when the retained completion records
+// alone outgrow SegmentBytes, the snapshot must not count toward the next
+// rotation — compactions track the bytes appended since, not the number of
+// appends — and the compacted log still replays to the same state.
+func TestRetainedSetLargerThanSegment(t *testing.T) {
+	const (
+		segment = 4096
+		retain  = 64
+		n       = 200
+		// Generous bound on one job's two records (ids, 100-byte result,
+		// checksum, JSON framing); they measure ≈ 500 bytes.
+		jobBytes = 1024
+	)
+	j, _, err := Open(t.TempDir(), Options{SegmentBytes: segment, Retain: retain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := func(id string) {
+		t.Helper()
+		mustAccept(t, j, id)
+		if err := j.Completed(id, 200, []byte(`{"out":"`+strings.Repeat("x", 100)+`"}`), ""); err != nil {
+			t.Fatalf("complete %s: %v", id, err)
+		}
+	}
+	for i := 0; i < retain; i++ {
+		job(fmt.Sprintf("pre-%03d", i))
+	}
+	if fi, err := os.Stat(soleSegment(t, j.Dir())); err != nil || fi.Size() <= segment {
+		t.Fatalf("preload did not outgrow the segment limit: %v bytes, err %v", fi.Size(), err)
+	}
+	before := j.Stats().Compactions
+	for i := 0; i < n; i++ {
+		job(fmt.Sprintf("job-%03d", i))
+	}
+	mustAccept(t, j, "open-job")
+	grew := j.Stats().Compactions - before
+	if grew == 0 {
+		t.Fatalf("no compaction while appending %d jobs past a %d-byte limit", n, segment)
+	}
+	if limit := int64(n*jobBytes/segment + 1); grew > limit {
+		t.Fatalf("%d compactions for %d jobs (≤ %d bytes): want at most %d — one per %d bytes appended, not one per append",
+			grew, n, n*jobBytes, limit, segment)
+	}
+
+	j, rec := reopen(t, j)
+	defer j.Close()
+	checkConsistent(t, rec)
+	if len(rec.Pending) != 1 || rec.Pending[0].ID != "open-job" {
+		t.Fatalf("pending after reopen = %+v", rec.Pending)
+	}
+	if len(rec.Completed) != retain {
+		t.Fatalf("retained completions = %d, want Retain=%d", len(rec.Completed), retain)
+	}
+	for i := n - retain; i < n; i++ {
+		if _, ok := rec.Completed[fmt.Sprintf("job-%03d", i)]; !ok {
+			t.Fatalf("job-%03d missing from the retention window", i)
+		}
+	}
+}
+
 // corrupt helpers -----------------------------------------------------------
 
 // soleSegment returns the path of the journal's only segment file.

@@ -72,9 +72,9 @@ type Config struct {
 	MaxFuel int64
 	// JobDeadline bounds host wall-clock time per job run (default 60s).
 	JobDeadline time.Duration
-	// SimWorkers selects the simulator's sharded event loop for every job
-	// (earthsim.Config.SimWorkers; 0 = the classic sequential loop). Results
-	// are bit-identical either way, so this is purely a throughput knob.
+	// SimWorkers bounds the goroutines running each job's event-loop windows
+	// (earthsim.Config.SimWorkers; 0 or 1 = inline). Results are bit-identical
+	// for every value, so this is purely a throughput knob.
 	SimWorkers int
 	// RetryAfter is the hint returned with 429/503 responses (default 1s).
 	RetryAfter time.Duration

@@ -275,13 +275,14 @@ func (r *Recorder) MsgCount() int {
 	return len(r.msgs)
 }
 
-// Absorb appends every event of part into r: messages are renumbered to
-// follow r's existing ids, and every message reference carried by a span or
-// fault event is rewritten through mapRef (which must map part-relative
-// references onto the renumbered id space; 0 stays "no message"). The
-// sharded simulator uses this to fold per-shard recorders into the user's
-// recorder in shard order — each shard's internal order is preserved, so the
-// merged recording is deterministic for a deterministic run.
+// Absorb moves every event of part into r, leaving part empty: messages are
+// renumbered to follow r's existing ids, and every message reference carried
+// by a span or fault event is rewritten through mapRef (which must map
+// part-relative references onto the renumbered id space; 0 stays "no
+// message"). The simulator uses this to fold its per-shard recorders into
+// the user's recorder in shard order — each shard's internal order is
+// preserved, so the merged recording is deterministic for a deterministic
+// run.
 func (r *Recorder) Absorb(part *Recorder, mapRef func(int64) int64) {
 	if r == nil || part == nil {
 		return
@@ -290,22 +291,35 @@ func (r *Recorder) Absorb(part *Recorder, mapRef func(int64) int64) {
 	defer part.mu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	base := int64(len(r.msgs))
-	for _, mg := range part.msgs {
-		mg.ID += base
-		r.msgs = append(r.msgs, mg)
+	base := len(r.msgs)
+	r.msgs = take(r.msgs, part.msgs)
+	for i := base; i < len(r.msgs); i++ {
+		r.msgs[i].ID += int64(base)
 	}
-	for _, sp := range part.spans {
-		sp.MsgID = mapRef(sp.MsgID)
-		r.spans = append(r.spans, sp)
+	n := len(r.spans)
+	r.spans = take(r.spans, part.spans)
+	for i := n; i < len(r.spans); i++ {
+		r.spans[i].MsgID = mapRef(r.spans[i].MsgID)
 	}
-	for _, fe := range part.faults {
-		fe.MsgID = mapRef(fe.MsgID)
-		r.faults = append(r.faults, fe)
+	n = len(r.faults)
+	r.faults = take(r.faults, part.faults)
+	for i := n; i < len(r.faults); i++ {
+		r.faults[i].MsgID = mapRef(r.faults[i].MsgID)
 	}
+	part.msgs, part.spans, part.faults = nil, nil, nil
 	if part.horizon > r.horizon {
 		r.horizon = part.horizon
 	}
+}
+
+// take appends src to dst in one step — a long recording is hundreds of
+// megabytes, so neither element-wise growth nor a needless copy is cheap:
+// an empty dst too small to hold src adopts src's array outright.
+func take[T any](dst, src []T) []T {
+	if len(dst) == 0 && cap(dst) < len(src) {
+		return src
+	}
+	return append(dst, src...)
 }
 
 // Horizon returns the latest event timestamp recorded (ns).

@@ -61,10 +61,10 @@ go run ./cmd/benchdiff -emit < "$raw" > "$warm_out"
 echo "bench: wrote $warm_out"
 
 # Event-loop scalability sweep: the halo ring exchange at 4/64/256/1024
-# simulated nodes on both the sequential loop (seq) and the sharded engine
-# at SimWorkers=GOMAXPROCS (par). events is deterministic (Exact-gated);
-# events_sec is the throughput trajectory. scripts/check.sh diffs a short
-# rerun against this artifact.
+# simulated nodes with the windows run inline (w=1) and on a worker pool
+# (w=GOMAXPROCS). events is deterministic (Exact-gated); events_sec is the
+# throughput trajectory. scripts/check.sh diffs a short rerun against this
+# artifact.
 go test -run '^$' -bench '^BenchmarkSimNodes$' \
     -benchmem -benchtime "${BENCHTIME:-1s}" . | tee "$raw"
 go run ./cmd/benchdiff -emit < "$raw" > "$sim_out"

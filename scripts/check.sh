@@ -3,8 +3,8 @@
 # Performance is gated separately: scripts/bench.sh regenerates the
 # checked-in perf trajectory (BENCH_pr5.json, BENCH_pr6.json,
 # BENCH_pr7.json, BENCH_pr8.json) — run it after touching the compiler
-# pipeline, the simulator hot path, the compile cache, the sharded event
-# loop, or the earthd service.
+# pipeline, the simulator hot path, the compile cache, the event loop, or
+# the earthd service.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +18,11 @@ fi
 go vet ./...
 go build ./...
 go test ./...
+# The benchmark is a nested module, outside the root ./..., that compiles
+# against earthsim.Config, server.Config and a dozen other internal APIs:
+# vet and test it here so a moved API is noticed before the benchmark runs.
+go vet -C benchmark ./...
+go test -C benchmark ./...
 # The whole module must also be clean under the race detector: the compiler
 # fans per-function analysis across a worker pool, units are driven from
 # concurrent goroutines in tests, and the trace recorder and metrics
@@ -32,13 +37,14 @@ go test -race ./...
 # the fault layer. (Also part of `go test ./...` above; rerun by name so a
 # perf-pin failure is unmistakable in CI logs.)
 go test -run 'ZeroCostWhenDisabled|RegistryRunOverheadBounded' -count=1 .
-# Sharded-engine determinism pin: the {benchmark x faults x SimWorkers}
+# Event-loop determinism pin: the {benchmark x faults x SimWorkers}
 # equivalence matrix — byte-identical Visible(), trace export, and telemetry
-# series across worker counts — must hold under the race detector, where the
+# series across worker counts, and equal to the frozen
+# testdata/engine_golden.json — must hold under the race detector, where the
 # worker pool's scheduling is at its most adversarial. (Also part of
 # `go test -race ./...` above; rerun by name so a determinism failure is
 # unmistakable in CI logs.)
-go test -race -count=1 -run 'TestShardedEquivalenceMatrix|TestSharded256Nodes' ./internal/earthsim
+go test -race -count=1 -run 'TestShardedEquivalenceMatrix|TestSharded256Nodes|TestDegenerateWindows' ./internal/earthsim
 # Perf-regression smoke leg: a short benchmark run diffed against the
 # committed trajectory with benchdiff's quick thresholds (directional
 # tolerances ×4; deterministic simulated quantities like guest_instructions
