@@ -13,12 +13,15 @@
 package repro_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/metrics"
 	"repro/internal/olden"
 )
 
@@ -165,6 +168,45 @@ func BenchmarkSimulator(b *testing.B) {
 		instr = res.Counts.Instructions
 	}
 	b.ReportMetric(float64(instr), "guest_instructions")
+}
+
+// BenchmarkOldenQuick runs each of the five quick Olden programs the way
+// earthd's server.execute runs a job — 4 nodes, a reused sampler, a wall
+// deadline and a context — so the trajectory prices the whole interpreter
+// path (BenchmarkSimulator is power alone with every observer off, and power
+// is the cheapest program per guest instruction). guest_instructions and
+// events are deterministic and Exact-gated.
+func BenchmarkOldenQuick(b *testing.B) {
+	for _, bm := range olden.All() {
+		bm := bm
+		b.Run(bm.Name, func(b *testing.B) {
+			p := core.NewPipeline(core.Options{Optimize: true})
+			u, err := p.Compile(bm.Name+".ec", bm.Source(quickParams(bm)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			sampler := metrics.NewSampler(0, 0)
+			rc := core.RunConfig{Nodes: 4, Sampler: sampler,
+				Deadline: 60 * time.Second, Context: context.Background()}
+			// Prime the per-Unit threaded-code cache: allocs/op is the run's.
+			if _, err := p.Run(u, rc); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var instr, events int64
+			for i := 0; i < b.N; i++ {
+				sampler.Reset()
+				res, err := p.Run(u, rc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				instr, events = res.Counts.Instructions, res.Events
+			}
+			b.ReportMetric(float64(instr), "guest_instructions")
+			b.ReportMetric(float64(events), "events")
+		})
+	}
 }
 
 // BenchmarkSimNodes is the event-loop scalability sweep: the halo ring

@@ -41,6 +41,11 @@ func (m *shard) runEU(n *node, t int64) {
 func (m *shard) execFiber(f *fiber, t *int64) {
 	n := f.node
 	cfg := &m.cfg
+	// From here f.blocked() means "blocked by this invocation": a fiber woken
+	// twice for one wait arrives the second time still marked.
+	f.waitSlot = -1
+	rd := func(slot int) int64 { return m.operand(f, n, f.base+int64(slot)) }
+	wr := func(slot int, v int64) { n.mem[f.base+int64(slot)] = v }
 	for m.trap == nil {
 		if f.pc < 0 || f.pc >= len(f.code.Code) {
 			m.trapf("%s: pc %d out of range", f.code.Name, f.pc)
@@ -62,19 +67,6 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 		}
 		*t += cfg.InstrCost
 
-		blocked := false
-		rd := func(slot int) int64 {
-			abs := f.base + int64(slot)
-			if n.pending[abs] > 0 {
-				blocked = true
-				m.block(f, abs)
-				return 0
-			}
-			return n.mem[abs]
-		}
-		wr := func(slot int, v int64) {
-			n.mem[f.base+int64(slot)] = v
-		}
 		// Writing a slot that has a fill in flight must wait for the fill
 		// (sync-slot semantics): otherwise the late reply would clobber the
 		// newer value. Check the common destination operands up front.
@@ -129,7 +121,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 
 		case threaded.OpMove:
 			v := rd(in.B)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			wr(in.A, v)
@@ -140,7 +132,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 		case threaded.OpBin:
 			x := rd(in.B)
 			y := rd(in.C)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			v, err := binOp(in.BOp, x, y, in.Flt)
@@ -152,7 +144,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 
 		case threaded.OpUn:
 			x := rd(in.B)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			switch in.UOp {
@@ -171,14 +163,14 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 
 		case threaded.OpConvIF:
 			x := rd(in.B)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			wr(in.A, int64(math.Float64bits(float64(x))))
 
 		case threaded.OpConvFI:
 			x := rd(in.B)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			wr(in.A, int64(math.Float64frombits(uint64(x))))
@@ -189,7 +181,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 
 		case threaded.OpJmpIf:
 			v := rd(in.A)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			if v != 0 {
@@ -199,7 +191,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 
 		case threaded.OpJmpIfNot:
 			v := rd(in.A)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			if v == 0 {
@@ -209,7 +201,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 
 		case threaded.OpJmpEq:
 			v := rd(in.A)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			if v == in.Imm {
@@ -219,21 +211,21 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 
 		case threaded.OpLocalLoad:
 			v := rd(in.B + in.C)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			wr(in.A, v)
 
 		case threaded.OpLocalStore:
 			v := rd(in.A)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			wr(in.B+in.C, v)
 
 		case threaded.OpLocalLoadIdx:
 			idx := rd(in.D)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			slot := in.B + in.C + int(idx)*int(in.Imm)
@@ -242,7 +234,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 				return
 			}
 			v := rd(slot)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			wr(in.A, v)
@@ -250,7 +242,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 		case threaded.OpLocalStoreIdx:
 			idx := rd(in.D)
 			v := rd(in.A)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			slot := in.B + in.C + int(idx)*int(in.Imm)
@@ -267,7 +259,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 		case threaded.OpMemCopyLocal:
 			for i := 0; i < in.D; i++ {
 				v := rd(in.B + i)
-				if blocked {
+				if f.blocked() {
 					return
 				}
 				wr(in.A+i, v)
@@ -279,7 +271,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 
 		case threaded.OpFieldAddr:
 			p := rd(in.B)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			if p == 0 {
@@ -290,7 +282,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 
 		case threaded.OpMemLoad:
 			p := rd(in.B)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			v, ok := m.localWord(f, p, in.C)
@@ -306,7 +298,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 		case threaded.OpMemStore:
 			p := rd(in.B)
 			v := rd(in.A)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			if !m.localWordStore(f, p, in.C, v) {
@@ -319,7 +311,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 
 		case threaded.OpMemToFrame:
 			p := rd(in.B)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			for i := 0; i < in.D; i++ {
@@ -333,12 +325,12 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 
 		case threaded.OpFrameToMem:
 			p := rd(in.B)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			for i := 0; i < in.D; i++ {
 				v := rd(in.A + i)
-				if blocked {
+				if f.blocked() {
 					return
 				}
 				if !m.localWordStore(f, p, in.C+i, v) {
@@ -350,7 +342,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 		case threaded.OpMemCopyMem:
 			src := rd(in.B)
 			dst := rd(in.A)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			for i := 0; i < int(in.Imm); i++ {
@@ -366,7 +358,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 
 		case threaded.OpGet:
 			p := rd(in.B)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			if p == 0 {
@@ -386,7 +378,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 		case threaded.OpPut:
 			p := rd(in.B)
 			v := rd(in.A)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			if p == 0 {
@@ -405,7 +397,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 
 		case threaded.OpBlkGet:
 			p := rd(in.B)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			if p == 0 {
@@ -421,13 +413,13 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 
 		case threaded.OpBlkPut:
 			p := rd(in.B)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			m.scratch = m.scratch[:0]
 			for i := 0; i < in.D; i++ {
 				v := rd(in.A + i)
-				if blocked {
+				if f.blocked() {
 					return
 				}
 				m.scratch = append(m.scratch, v)
@@ -454,7 +446,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 			nodeSel := -1
 			if in.B >= 0 {
 				v := rd(in.B)
-				if blocked {
+				if f.blocked() {
 					return
 				}
 				nodeSel = int(v)
@@ -483,7 +475,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 			m.scratch = m.scratch[:0]
 			for _, s := range in.Args {
 				v := rd(s)
-				if blocked {
+				if f.blocked() {
 					return
 				}
 				m.scratch = append(m.scratch, v)
@@ -526,10 +518,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 			// The iteration captures the frame by value; outstanding fills
 			// must land first so the copy is coherent.
 			if len(f.pending) > 0 {
-				for abs := range f.pending {
-					m.block(f, abs)
-					break
-				}
+				m.block(f, f.pending[0]) // the lowest offset: deterministic
 				return
 			}
 			*t += cfg.SpawnCost + cfg.FrameCopyPerWord*int64(f.size)
@@ -551,13 +540,14 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 			val := int64(0)
 			if in.A >= 0 {
 				val = rd(in.A)
-				if blocked {
+				if f.blocked() {
 					return
 				}
 			}
 			// Drain split-phase reads targeting this frame before it can
-			// be freed or its results consumed (thread-level sync).
-			for abs := range f.pending {
+			// be freed or its results consumed (thread-level sync), lowest
+			// offset first so the wake/re-execute count is reproducible.
+			for _, abs := range f.pending {
 				if abs >= f.base && abs < f.base+int64(f.size) {
 					m.block(f, abs)
 					return
@@ -599,7 +589,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 
 		case threaded.OpBuiltin:
 			x := rd(in.B)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			fx := math.Float64frombits(uint64(x))
@@ -618,19 +608,19 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 			switch in.C {
 			case threaded.PrintInt:
 				v := rd(in.B)
-				if blocked {
+				if f.blocked() {
 					return
 				}
 				text = fmt.Sprintf("%d\n", v)
 			case threaded.PrintDouble:
 				v := rd(in.B)
-				if blocked {
+				if f.blocked() {
 					return
 				}
 				text = fmt.Sprintf("%.6f\n", math.Float64frombits(uint64(v)))
 			case threaded.PrintChar:
 				v := rd(in.B)
-				if blocked {
+				if f.blocked() {
 					return
 				}
 				text = string(rune(v))
@@ -642,7 +632,7 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 
 		case threaded.OpOwnerOf:
 			p := rd(in.B)
-			if blocked {
+			if f.blocked() {
 				return
 			}
 			if p == 0 {
@@ -663,6 +653,19 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 		}
 		f.pc++
 	}
+}
+
+// operand reads frame word abs of f (running on n) for the executing
+// instruction. A word with a fill in flight is not present: the fiber blocks
+// on it and the instruction, seeing f.blocked(), re-executes after the wake.
+// An instruction reads all its operands before testing blocked, so it can
+// come to wait on several words at once. (Kept within the inlining budget:
+// this is the interpreter's hottest path.)
+func (m *shard) operand(f *fiber, n *node, abs int64) int64 {
+	if n.pending[abs] > 0 {
+		m.block(f, abs)
+	}
+	return n.mem[abs]
 }
 
 // localWord reads mem[p+off] which must reside on the executing node.
@@ -708,21 +711,12 @@ func (m *shard) localWordStore(f *fiber, p int64, off int, v int64) bool {
 // execCallAt handles OpCallAt; returns false when the fiber suspended.
 func (m *shard) execCallAt(f *fiber, t *int64, in *threaded.Instr) bool {
 	n := f.node
-	blocked := false
-	rd := func(slot int) int64 {
-		abs := f.base + int64(slot)
-		if n.pending[abs] > 0 {
-			blocked = true
-			m.block(f, abs)
-			return 0
-		}
-		return n.mem[abs]
-	}
+	rd := func(slot int) int64 { return m.operand(f, n, f.base+int64(slot)) }
 	target := n.id
 	switch in.B {
 	case 0: // @OWNER_OF(ptr)
 		p := rd(in.C)
-		if blocked {
+		if f.blocked() {
 			return false
 		}
 		if p == 0 {
@@ -732,7 +726,7 @@ func (m *shard) execCallAt(f *fiber, t *int64, in *threaded.Instr) bool {
 		target = threaded.AddrNode(p)
 	case 1: // @ON(node)
 		v := rd(in.C)
-		if blocked {
+		if f.blocked() {
 			return false
 		}
 		target = int(v)
@@ -746,7 +740,7 @@ func (m *shard) execCallAt(f *fiber, t *int64, in *threaded.Instr) bool {
 	m.scratch = m.scratch[:0]
 	for _, s := range in.Args {
 		v := rd(s)
-		if blocked {
+		if f.blocked() {
 			return false
 		}
 		m.scratch = append(m.scratch, v)
@@ -780,7 +774,6 @@ func (m *shard) execCallAt(f *fiber, t *int64, in *threaded.Instr) bool {
 	if in.A >= 0 {
 		retSlot = f.base + int64(in.A)
 		f.addPending(retSlot)
-		n.pending[retSlot]++
 	} else {
 		f.outstanding++
 	}
@@ -792,22 +785,13 @@ func (m *shard) execCallAt(f *fiber, t *int64, in *threaded.Instr) bool {
 // when the fiber suspended.
 func (m *shard) execShared(f *fiber, t *int64, in *threaded.Instr) bool {
 	n := f.node
-	blocked := false
-	rd := func(slot int) int64 {
-		abs := f.base + int64(slot)
-		if n.pending[abs] > 0 {
-			blocked = true
-			m.block(f, abs)
-			return 0
-		}
-		return n.mem[abs]
-	}
+	rd := func(slot int) int64 { return m.operand(f, n, f.base+int64(slot)) }
 	addr := rd(in.B)
 	var val int64
 	if in.Op != threaded.OpSharedRead {
 		val = rd(in.A)
 	}
-	if blocked {
+	if f.blocked() {
 		return false
 	}
 	if addr == 0 {
@@ -844,7 +828,6 @@ func (m *shard) execShared(f *fiber, t *int64, in *threaded.Instr) bool {
 	case threaded.OpSharedRead:
 		slot := f.base + int64(in.A)
 		f.addPending(slot)
-		n.pending[slot]++
 		m.issueShared(f, *t, addr, 0, 0, slot, false, in.Site)
 	case threaded.OpSharedWrite:
 		f.outstanding++

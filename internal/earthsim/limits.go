@@ -122,7 +122,7 @@ func (m *shard) blockedReport() string {
 		switch {
 		case f.waitSlot >= 0:
 			why = fmt.Sprintf("on frame slot %d (abs %d; %d fill(s) outstanding)",
-				f.waitSlot-f.base, f.waitSlot, f.node.pending[f.waitSlot])
+				f.waitSlot-f.base, f.waitSlot, f.node.pending[f.waitSlot]&^hasWaiter)
 		case f.waitFence:
 			why = fmt.Sprintf("on a fence (%d unacked write(s)/void call(s))", f.outstanding)
 		case f.waitJoin:

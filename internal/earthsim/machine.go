@@ -17,8 +17,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/metrics"
@@ -261,8 +263,15 @@ const frameClassMax = 256
 type node struct {
 	id       int
 	maxWords int64
-	mem      []int64
-	heapTop  int64
+	// mem is the node's memory and pending its presence bits: pending[i]
+	// counts the split-phase fills outstanding for mem[i] (node-level, so
+	// fibers sharing a frame observe each other's fills), with hasWaiter set
+	// while some fiber is blocked on the word. The two grow together (ensure)
+	// over backing arrays taken from arenaPool.
+	mem     []int64
+	pending []int32
+	arena   *arena // the pool record they (and freeSmall) came from
+	heapTop int64
 	// Frame free lists, by exact size class. freeSmall is a dense table
 	// indexed by size (lazily allocated on the first free), freeBig catches
 	// sizes ≥ frameClassMax. Both recycle exact sizes only, so reuse keeps
@@ -276,11 +285,51 @@ type node struct {
 	ready   []*fiber
 	readyAt int
 	netLast []int64 // per-destination last scheduled arrival (FIFO)
-	// pending counts outstanding split-phase fills per memory word
-	// (presence bits); node-level so fibers sharing a frame observe each
-	// other's outstanding fills. waiters lists fibers blocked per word.
-	pending map[int64]int
+	// waiters lists the fibers blocked per word; consulted only for words
+	// whose pending counter carries hasWaiter.
 	waiters map[int64][]*fiber
+}
+
+// hasWaiter flags a pending counter whose word some fiber is blocked on, so
+// a fill that completes a word nobody waits for never touches node.waiters.
+// A fiber only blocks on a word with fills outstanding and the flag goes
+// when the count does, so "pending[i] > 0" is still the presence test.
+const hasWaiter = 1 << 30
+
+// arena is one node's backing arrays between runs. Invariant: every word of
+// both arrays, through their capacity, is zero while the arena is in
+// arenaPool — Run clears the prefix a run touched (len, which only ensure
+// extends) before returning it, so a machine built from the pool starts from
+// the same all-zero, all-present memory as one built from fresh arrays, and
+// no job can read another's words.
+type arena struct {
+	mem       []int64
+	pending   []int32
+	freeSmall [][]int64 // the frame free-list table, every list emptied
+}
+
+var arenaPool = sync.Pool{New: func() any { return new(arena) }}
+
+// arenaMaxWords caps the arenas the pool retains (8 MiB of memory plus 4 MiB
+// of presence counters): a job that grew a node toward MaxNodeWords must not
+// pin that much for the life of the process.
+const arenaMaxWords = 1 << 20
+
+// releaseArenas clears the nodes' memory and returns it to arenaPool; every
+// exit of Run calls it, after the last read of node state.
+func (m *Machine) releaseArenas() {
+	for _, n := range m.nodes {
+		if cap(n.mem) <= arenaMaxWords {
+			clear(n.mem)
+			clear(n.pending)
+			for i := range n.freeSmall {
+				n.freeSmall[i] = n.freeSmall[i][:0]
+			}
+			*n.arena = arena{n.mem[:0], n.pending[:0], n.freeSmall}
+			arenaPool.Put(n.arena)
+		}
+		n.mem, n.pending, n.freeSmall, n.arena = nil, nil, nil, nil
+	}
 }
 
 // ensure grows the node's memory to cover [off, off+size); it reports
@@ -290,10 +339,23 @@ func (n *node) ensure(off int64, size int) bool {
 	if n.maxWords > 0 && need > n.maxWords {
 		return false
 	}
-	for int64(len(n.mem)) < need {
-		n.mem = append(n.mem, make([]int64, max(1024, need-int64(len(n.mem))))...)
+	if have := int64(len(n.mem)); have < need {
+		size := max(need, have+1024)
+		n.mem, n.pending = growZero(n.mem, size), growZero(n.pending, size)
 	}
 	return true
+}
+
+// growZero returns a extended to size elements, the new ones zero: in place
+// when the capacity allows (an arena is zero through its capacity), else in a
+// new array of at least twice the capacity.
+func growZero[T any](a []T, size int64) []T {
+	if size <= int64(cap(a)) {
+		return a[:size]
+	}
+	b := make([]T, size, max(size, 2*int64(cap(a))))
+	copy(b, a)
+	return b
 }
 
 func (n *node) readyLen() int { return len(n.ready) - n.readyAt }
@@ -388,9 +450,10 @@ type fiber struct {
 	size  int
 	stack []frameRec
 
-	// pending counts outstanding fills per absolute offset (base+slot);
-	// allocated lazily since most fibers never issue a split-phase read.
-	pending   map[int64]int
+	// pending lists the absolute offset (base+slot) of every fill this fiber
+	// has outstanding, ascending, one entry per fill; most fibers never issue
+	// a split-phase read and the rest hold a handful.
+	pending   []int64
 	waitSlot  int64 // absolute offset blocked on (-1 none)
 	waitFence bool
 	waitJoin  bool
@@ -414,12 +477,19 @@ type fiber struct {
 	freeNext *fiber
 }
 
-// addPending registers an outstanding fill for an absolute frame offset.
+// blocked reports whether the fiber is parked on a frame word — in execFiber,
+// whether an operand read of the current instruction just blocked it.
+func (f *fiber) blocked() bool { return f.waitSlot >= 0 }
+
+// addPending registers an outstanding fill for an absolute frame offset, on
+// the fiber and on its node's presence counter.
 func (f *fiber) addPending(abs int64) {
-	if f.pending == nil {
-		f.pending = make(map[int64]int, 4)
+	i := len(f.pending)
+	for i > 0 && f.pending[i-1] > abs {
+		i--
 	}
-	f.pending[abs]++
+	f.pending = slices.Insert(f.pending, i, abs)
+	f.node.pending[abs]++
 }
 
 // ----------------------------------------------------------------- machine ---
@@ -557,10 +627,11 @@ func New(prog *threaded.Program, cfg Config) *Machine {
 		if maxWords == 0 {
 			maxWords = 16 << 20
 		}
-		n := &node{id: i, maxWords: maxWords,
+		a := arenaPool.Get().(*arena)
+		n := &node{id: i, maxWords: maxWords, mem: a.mem, pending: a.pending, freeSmall: a.freeSmall, arena: a,
 			netLast: make([]int64, cfg.Nodes),
 			ready:   make([]*fiber, 0, 16),
-			pending: make(map[int64]int), waiters: make(map[int64][]*fiber)}
+			waiters: make(map[int64][]*fiber)}
 		m.nodes = append(m.nodes, n)
 	}
 	// Global segment at the bottom of node 0, with constant initializers

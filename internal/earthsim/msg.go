@@ -2,6 +2,7 @@ package earthsim
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/threaded"
 	"repro/internal/trace"
@@ -444,10 +445,9 @@ func (m *shard) block(f *fiber, abs int64) {
 	f.waitSlot = abs
 	m.park(f)
 	n := f.node
-	for _, w := range n.waiters[abs] {
-		if w == f {
-			return
-		}
+	n.pending[abs] |= hasWaiter
+	if slices.Contains(n.waiters[abs], f) {
+		return
 	}
 	n.waiters[abs] = append(n.waiters[abs], f)
 }
@@ -455,41 +455,33 @@ func (m *shard) block(f *fiber, abs int64) {
 // fill delivers a value into a pending frame slot and, once no fills
 // remain outstanding for the word, wakes every fiber blocked on it.
 func (m *shard) fill(f *fiber, abs int64, v int64, t int64) {
-	f.node.mem[abs] = v
-	decPending(f.pending, abs)
-	if decPending(f.node.pending, abs) {
-		m.wakeWaiters(f.node, abs, t)
+	n := f.node
+	n.mem[abs] = v
+	if i, ok := slices.BinarySearch(f.pending, abs); ok {
+		f.pending = slices.Delete(f.pending, i, i+1)
+	}
+	c := n.pending[abs]
+	if c&^hasWaiter > 1 {
+		n.pending[abs] = c - 1
+		return
+	}
+	// The last fill — or a duplicate, which finds the count already zero and
+	// must leave it there.
+	n.pending[abs] = 0
+	if c&hasWaiter != 0 {
+		m.wakeWaiters(n, abs, t)
 	}
 }
 
 func (m *shard) fillBlock(f *fiber, abs int64, vals []int64, t int64) {
 	for i, v := range vals {
-		f.node.mem[abs+int64(i)] = v
-		decPending(f.pending, abs+int64(i))
-		if decPending(f.node.pending, abs+int64(i)) {
-			m.wakeWaiters(f.node, abs+int64(i), t)
-		}
+		m.fill(f, abs+int64(i), v, t)
 	}
-}
-
-// decPending decrements a pending counter, reporting whether it reached
-// zero (i.e. the word is now present).
-func decPending(m map[int64]int, abs int64) bool {
-	c := m[abs] - 1
-	if c <= 0 {
-		delete(m, abs)
-		return true
-	}
-	m[abs] = c
-	return false
 }
 
 // wakeWaiters resumes fibers blocked on a just-filled word.
 func (m *shard) wakeWaiters(n *node, abs int64, t int64) {
 	ws := n.waiters[abs]
-	if len(ws) == 0 {
-		return
-	}
 	delete(n.waiters, abs)
 	for _, f := range ws {
 		if f.done {
@@ -531,7 +523,6 @@ func (m *shard) issueGet(f *fiber, t int64, addr, abs int64, site string) {
 		return
 	}
 	f.addPending(abs)
-	src.pending[abs]++
 	m.counts.RemoteReads++
 	g := m.getMsg()
 	g.class, g.f, g.src, g.dst = trace.ClassGet, f, src, m.nodes[dstID]
@@ -581,7 +572,6 @@ func (m *shard) issueBlkGet(f *fiber, t int64, addr, abs int64, size int, site s
 	}
 	for i := 0; i < size; i++ {
 		f.addPending(abs + int64(i))
-		src.pending[abs+int64(i)]++
 	}
 	m.counts.RemoteBlk++
 	g := m.getMsg()
@@ -622,7 +612,6 @@ func (m *shard) issueBlkPut(f *fiber, t int64, addr int64, vals []int64, site st
 func (m *shard) issueAlloc(f *fiber, t int64, nodeID, size int, abs int64, site string) {
 	src := f.node
 	f.addPending(abs)
-	src.pending[abs]++
 	g := m.getMsg()
 	g.class, g.f, g.src, g.dst = trace.ClassAlloc, f, src, m.nodes[nodeID]
 	g.abs, g.size = abs, size

@@ -221,7 +221,8 @@ func (h *shardHeap) refresh(s *shard) {
 // file; this implementation keeps every machine-wide quantity (head order,
 // instruction/event/fiber totals) incrementally, touching only the round's
 // active shards and mail receivers, so coordinator overhead scales with
-// traffic rather than machine size.
+// traffic rather than machine size. A Machine is good for one Run: every exit
+// hands the nodes' memory back to arenaPool.
 func (m *Machine) Run() (*Result, error) {
 	maxEvents := m.cfg.MaxEvents
 	if maxEvents == 0 {
@@ -457,14 +458,18 @@ func (m *Machine) Run() (*Result, error) {
 
 	m.closeSamples()
 	m.mergeTrace()
+	m.releaseArenas()
 	return m.buildResult(), nil
 }
 
 // fail closes the telemetry series and folds the partial trace before
-// surfacing a run error, so observers see everything up to the failure.
+// surfacing a run error, so observers see everything up to the failure. err
+// is already built — blocked-fiber reports read the presence counters — so
+// the node arenas can go back to the pool.
 func (m *Machine) fail(err error) (*Result, error) {
 	m.closeSamples()
 	m.mergeTrace()
+	m.releaseArenas()
 	return nil, err
 }
 

@@ -27,7 +27,7 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
-    -bench '^(BenchmarkCompile|BenchmarkSimulator|BenchmarkFig10)$' \
+    -bench '^(BenchmarkCompile|BenchmarkSimulator|BenchmarkOldenQuick|BenchmarkFig10)$' \
     -benchmem -benchtime "${BENCHTIME:-1s}" . | tee "$raw"
 
 go run ./cmd/benchdiff -emit < "$raw" > "$out"

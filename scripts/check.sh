@@ -51,7 +51,7 @@ go test -race -count=1 -run 'TestShardedEquivalenceMatrix|TestSharded256Nodes|Te
 # must still match exactly).
 if [ -f BENCH_pr5.json ]; then
     go test -run '^$' \
-        -bench '^(BenchmarkCompile|BenchmarkSimulator|BenchmarkFig10)$' \
+        -bench '^(BenchmarkCompile|BenchmarkSimulator|BenchmarkOldenQuick|BenchmarkFig10)$' \
         -benchmem -benchtime 50ms . \
       | go run ./cmd/benchdiff -baseline BENCH_pr5.json -quick
 fi
