@@ -15,18 +15,17 @@ package repro_test
 import (
 	"context"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/earthsim"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/olden"
 )
-
-// quickParams keeps each simulated run in the tens of milliseconds.
-func quickParams(bm *olden.Benchmark) olden.Params { return olden.QuickParams(bm) }
 
 // BenchmarkTable1 regenerates the Table I microbenchmarks once per
 // iteration and reports the measured per-operation costs.
@@ -54,15 +53,14 @@ func BenchmarkFig10(b *testing.B) {
 			// Prime the harness's shared compile cache so allocs/op measures
 			// the warm measure-and-simulate cycle regardless of b.N: without
 			// this the cold compile amortizes across iterations and the
-			// metric depends on benchtime, which the benchdiff gate (1s
-			// artifact vs 50ms quick rerun) cannot tolerate.
-			if _, err := harness.MeasureFig10Single(bm, quickParams(bm), 4); err != nil {
+			// metric depends on benchtime.
+			if _, err := harness.MeasureFig10Single(bm, olden.QuickParams(bm), 4); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			var row harness.Fig10Row
 			for i := 0; i < b.N; i++ {
-				res, err := harness.MeasureFig10Single(bm, quickParams(bm), 4)
+				res, err := harness.MeasureFig10Single(bm, olden.QuickParams(bm), 4)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -82,10 +80,10 @@ func BenchmarkTable3(b *testing.B) {
 		bm := bm
 		for _, nodes := range []int{1, 4} {
 			nodes := nodes
-			b.Run(bm.Name+"/nodes="+itoa(nodes), func(b *testing.B) {
+			b.Run(bm.Name+"/nodes="+strconv.Itoa(nodes), func(b *testing.B) {
 				var simpleNs, optNs int64
 				for i := 0; i < b.N; i++ {
-					s, o, err := harness.RunPair(bm, quickParams(bm), nodes)
+					s, o, err := harness.RunPair(bm, olden.QuickParams(bm), nodes)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -116,8 +114,8 @@ func BenchmarkCompile(b *testing.B) {
 // BenchmarkCompileWarm measures recompiling the unchanged source against a
 // warm compile cache: the unit LRU serves the same immutable unit, so the
 // warm cost is hashing the source plus one lookup. Paired with
-// BenchmarkCompile in BENCH_pr7.json, it pins the cache contract — warm
-// recompile under 10% of cold — in the benchdiff gate.
+// BenchmarkCompile it shows the cache contract — warm recompile under 10% of
+// cold — which TestWarmRecompileUnderTenPercentOfCold enforces.
 func BenchmarkCompileWarm(b *testing.B) {
 	bm := olden.ByName("health")
 	src := bm.Source(bm.DefaultParams)
@@ -139,68 +137,74 @@ func BenchmarkCompileWarm(b *testing.B) {
 	}
 }
 
+// primedRun compiles bm at quick parameters under opt, runs it once under rc
+// so the per-Unit threaded-code cache is warm — allocs per run are then the
+// run's own, independent of b.N — and returns a closure that runs it again.
+// BenchmarkSimulator, BenchmarkOldenQuick, TestCounters and the zero-cost
+// pins all measure through it, so the test table prices exactly the runs the
+// benchmarks print.
+func primedRun(tb testing.TB, bm *olden.Benchmark, opt core.Options, rc core.RunConfig) func() *earthsim.Result {
+	tb.Helper()
+	p := core.NewPipeline(opt)
+	u, err := p.Compile(bm.Name+".ec", bm.Source(olden.QuickParams(bm)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	run := func() *earthsim.Result {
+		if rc.Sampler != nil {
+			rc.Sampler.Reset()
+		}
+		res, err := p.Run(u, rc)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return res
+	}
+	run()
+	return run
+}
+
+// simulatorRun is BenchmarkSimulator's workload: power on 4 nodes with every
+// observer off.
+func simulatorRun(tb testing.TB, opt core.Options) func() *earthsim.Result {
+	return primedRun(tb, olden.ByName("power"), opt, core.RunConfig{Nodes: 4})
+}
+
+// oldenQuickRun is BenchmarkOldenQuick's workload: bm run the way earthd's
+// server.execute runs a job — 4 nodes, a reused sampler, a wall deadline and
+// a context.
+func oldenQuickRun(tb testing.TB, bm *olden.Benchmark) func() *earthsim.Result {
+	return primedRun(tb, bm, core.Options{Optimize: true}, core.RunConfig{Nodes: 4,
+		Sampler: metrics.NewSampler(0, 0), Deadline: 60 * time.Second, Context: context.Background()})
+}
+
 // BenchmarkSimulator measures raw simulator throughput (instructions per
 // host second) on the power benchmark.
 func BenchmarkSimulator(b *testing.B) {
-	bm := olden.ByName("power")
-	src := bm.Source(quickParams(bm))
-	p := core.NewPipeline(core.Options{Optimize: true})
-	u, err := p.Compile("power.ec", src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Exclude one-shot setup from the measurement so allocs/op is
-	// independent of b.N (the quick perf gate runs at -benchtime 50ms, where
-	// the compile's ~29k allocations and the first run's threaded-code
-	// generation would otherwise dominate): prime the per-Unit code cache
-	// with one run, then reset the counters.
-	if _, err := p.Run(u, core.RunConfig{Nodes: 4}); err != nil {
-		b.Fatal(err)
-	}
+	run := simulatorRun(b, core.Options{Optimize: true})
 	b.ReportAllocs()
 	b.ResetTimer()
 	var instr int64
 	for i := 0; i < b.N; i++ {
-		res, err := p.Run(u, core.RunConfig{Nodes: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		instr = res.Counts.Instructions
+		instr = run().Counts.Instructions
 	}
 	b.ReportMetric(float64(instr), "guest_instructions")
 }
 
-// BenchmarkOldenQuick runs each of the five quick Olden programs the way
-// earthd's server.execute runs a job — 4 nodes, a reused sampler, a wall
-// deadline and a context — so the trajectory prices the whole interpreter
-// path (BenchmarkSimulator is power alone with every observer off, and power
-// is the cheapest program per guest instruction). guest_instructions and
-// events are deterministic and Exact-gated.
+// BenchmarkOldenQuick prices the whole interpreter path on each of the five
+// quick Olden programs (BenchmarkSimulator is power alone with every observer
+// off, and power is the cheapest program per guest instruction).
+// guest_instructions and events are deterministic; TestCounters pins them.
 func BenchmarkOldenQuick(b *testing.B) {
 	for _, bm := range olden.All() {
 		bm := bm
 		b.Run(bm.Name, func(b *testing.B) {
-			p := core.NewPipeline(core.Options{Optimize: true})
-			u, err := p.Compile(bm.Name+".ec", bm.Source(quickParams(bm)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			sampler := metrics.NewSampler(0, 0)
-			rc := core.RunConfig{Nodes: 4, Sampler: sampler,
-				Deadline: 60 * time.Second, Context: context.Background()}
-			// Prime the per-Unit threaded-code cache: allocs/op is the run's.
-			if _, err := p.Run(u, rc); err != nil {
-				b.Fatal(err)
-			}
+			run := oldenQuickRun(b, bm)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var instr, events int64
 			for i := 0; i < b.N; i++ {
-				sampler.Reset()
-				res, err := p.Run(u, rc)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := run()
 				instr, events = res.Counts.Instructions, res.Events
 			}
 			b.ReportMetric(float64(instr), "guest_instructions")
@@ -215,8 +219,8 @@ func BenchmarkOldenQuick(b *testing.B) {
 // SimWorkers=GOMAXPROCS goroutines (w=GOMAXPROCS). Both modes produce
 // bit-identical results — the equivalence matrix in internal/earthsim pins
 // that — so the pair isolates what the worker pool costs or buys: wall time
-// per run plus events/sec (events is deterministic and Exact-gated;
-// events_sec is the throughput metric the BENCH_pr8.json gate tracks).
+// per run plus events/sec (events is deterministic and pinned by
+// TestCounters; events_sec is the throughput metric).
 func BenchmarkSimNodes(b *testing.B) {
 	bm := olden.Halo()
 	src := bm.Source(bm.DefaultParams)
@@ -231,7 +235,7 @@ func BenchmarkSimNodes(b *testing.B) {
 			workers int
 		}{{"w=1", 1}, {"w=GOMAXPROCS", runtime.GOMAXPROCS(0)}} {
 			nodes, mode := nodes, mode
-			b.Run("nodes="+itoa(nodes)+"/"+mode.name, func(b *testing.B) {
+			b.Run("nodes="+strconv.Itoa(nodes)+"/"+mode.name, func(b *testing.B) {
 				rc := core.RunConfig{Nodes: nodes, SimWorkers: mode.workers}
 				// Prime the per-Unit threaded-code cache so allocs/op measures
 				// the simulator, not one-shot code generation.
@@ -253,11 +257,4 @@ func BenchmarkSimNodes(b *testing.B) {
 			})
 		}
 	}
-}
-
-func itoa(n int) string {
-	if n < 10 {
-		return string(rune('0' + n))
-	}
-	return itoa(n/10) + itoa(n%10)
 }

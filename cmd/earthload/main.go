@@ -10,26 +10,21 @@
 //	-addr URL     target an already-running earthd (e.g. http://localhost:8080)
 //	-selfhost     start an in-process earthd on a loopback port instead
 //	-shards N     selfhost shard count (default 4)
-//	-sweep list   selfhost shard-count sweep, e.g. "1,2,4,8": run the same
-//	              load at each count (implies -selfhost)
 //	-c N          concurrent clients (default 8)
-//	-n N          total jobs per run (default 40)
+//	-n N          total jobs (default 40)
 //	-mix names    benchmark mix, round-robin (default all five Olden)
 //	-nodes N      simulated machine size per job (default 4)
 //	-full         use the benchmarks' full default sizes instead of the
 //	              quick parameters
-//	-bench        emit Go-benchmark-formatted result lines on stdout
-//	              (BenchmarkEarthload/shards=N ... jobs/sec) for
-//	              benchdiff -emit; human-readable stats go to stderr
 //	-attrib       after the run, fetch the server's per-stage latency
 //	              histograms (/metrics.json) and print the tail-latency
 //	              attribution table — which stage dominates p99
 //	-log-format f diagnostics encoding: text or json (default text)
 //
-// The exit status is 1 if any job failed. On SIGINT the run stops issuing
-// new jobs, reports the partial throughput/latency summary for the jobs
-// that did complete, and exits 130 — an interrupted run never vanishes
-// without its numbers.
+// The report goes to stderr. The exit status is 1 if any job failed and 2 on
+// a usage error. On SIGINT the run stops issuing new jobs, reports the
+// partial throughput/latency summary for the jobs that did complete, and
+// exits 130 — an interrupted run never vanishes without its numbers.
 package main
 
 import (
@@ -58,49 +53,39 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "", "target earthd base URL (empty with -selfhost)")
-	selfhost := flag.Bool("selfhost", false, "start an in-process earthd on a loopback port")
-	shards := flag.Int("shards", 4, "selfhost shard count")
-	sweep := flag.String("sweep", "", "selfhost shard sweep, e.g. \"1,2,4,8\" (implies -selfhost)")
-	conc := flag.Int("c", 8, "concurrent clients")
-	total := flag.Int("n", 40, "total jobs per run")
-	mix := flag.String("mix", "", "comma-separated benchmark mix (default: all five Olden)")
-	nodes := flag.Int("nodes", 4, "simulated machine size per job")
-	full := flag.Bool("full", false, "use full benchmark sizes instead of quick parameters")
-	bench := flag.Bool("bench", false, "emit Go-benchmark-formatted lines for benchdiff")
-	attrib := flag.Bool("attrib", false, "print the server's per-stage tail-latency attribution after the run")
-	logFormat := flag.String("log-format", "text", "diagnostics encoding: text or json")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
 
-	log, err := obs.NewLogger(os.Stderr, *logFormat, "info")
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("earthload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "", "target earthd base URL (empty with -selfhost)")
+	selfhost := fs.Bool("selfhost", false, "start an in-process earthd on a loopback port")
+	shards := fs.Int("shards", 4, "selfhost shard count")
+	conc := fs.Int("c", 8, "concurrent clients")
+	total := fs.Int("n", 40, "total jobs")
+	mix := fs.String("mix", "", "comma-separated benchmark mix (default: all five Olden)")
+	nodes := fs.Int("nodes", 4, "simulated machine size per job")
+	full := fs.Bool("full", false, "use full benchmark sizes instead of quick parameters")
+	attrib := fs.Bool("attrib", false, "print the server's per-stage tail-latency attribution after the run")
+	logFormat := fs.String("log-format", "text", "diagnostics encoding: text or json")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	log, err := obs.NewLogger(stderr, *logFormat, "info")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "earthload:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "earthload:", err)
+		return 2
 	}
 	names := benchMix(*mix)
 	if names == nil {
 		log.Error("unknown benchmark in -mix", "mix", *mix)
-		os.Exit(2)
-	}
-	if *sweep != "" {
-		*selfhost = true
+		return 2
 	}
 	if !*selfhost && *addr == "" {
 		log.Error("need -addr URL or -selfhost")
-		os.Exit(2)
-	}
-
-	counts := []int{*shards}
-	if *sweep != "" {
-		counts = counts[:0]
-		for _, f := range strings.Split(*sweep, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n < 1 {
-				log.Error("bad -sweep entry", "entry", f)
-				os.Exit(2)
-			}
-			counts = append(counts, n)
-		}
+		return 2
 	}
 
 	// A SIGINT mid-run used to kill the process before any summary was
@@ -109,63 +94,55 @@ func main() {
 	// A second SIGINT falls through to the default handler (hard kill).
 	var interrupted atomic.Bool
 	sig := make(chan os.Signal, 1)
+	done := make(chan struct{})
+	defer close(done)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	go func() {
-		<-sig
-		interrupted.Store(true)
-		signal.Stop(sig)
-		log.Warn("interrupted — finishing in-flight jobs, reporting partial results")
+		select {
+		case <-sig:
+			interrupted.Store(true)
+			signal.Stop(sig)
+			log.Warn("interrupted — finishing in-flight jobs, reporting partial results")
+		case <-done:
+		}
 	}()
 
-	failed := false
-	for _, sc := range counts {
-		url := *addr
-		var stop func()
-		if *selfhost {
-			var err error
-			url, stop, err = selfhostServer(sc, *attrib)
-			if err != nil {
-				log.Error("selfhost start failed", "err", err)
-				os.Exit(1)
-			}
-		}
-		st := drive(url, names, *conc, *total, *nodes, !*full, &interrupted, log)
-		if *attrib {
-			// Fetch before stopping the selfhost server: the histograms live
-			// in the server's registry.
-			rows, err := fetchAttribution(url)
-			if err != nil {
-				log.Error("attribution fetch failed", "err", err)
-			} else {
-				st.attrib = rows
-			}
-		}
-		if stop != nil {
-			stop()
-		}
-		if interrupted.Load() {
-			log.Warn("partial run: interrupted before all jobs completed",
-				"completed", st.ok+st.failed, "total", *total)
-		}
-		st.report(os.Stderr, sc)
-		if *bench && !interrupted.Load() {
-			// One line per shard count in `go test -bench` format so
-			// benchdiff -emit folds the sweep into the BENCH_*.json perf
-			// trajectory. Partial runs are not comparable, so they emit
-			// nothing rather than a misleading point.
-			fmt.Printf("BenchmarkEarthload/shards=%d \t%8d\t%12.0f ns/op\t%12.2f jobs/sec\n",
-				sc, st.ok, st.meanNs(), st.jobsPerSec())
-		}
-		if st.failed > 0 {
-			failed = true
-		}
-		if interrupted.Load() {
-			os.Exit(130)
+	url := *addr
+	var stop func()
+	if *selfhost {
+		url, stop, err = selfhostServer(*shards, *attrib)
+		if err != nil {
+			log.Error("selfhost start failed", "err", err)
+			return 1
 		}
 	}
-	if failed {
-		os.Exit(1)
+	st := drive(url, names, *conc, *total, *nodes, !*full, &interrupted, log)
+	if *attrib {
+		// Fetch before stopping the selfhost server: the histograms live
+		// in the server's registry.
+		rows, err := fetchAttribution(url)
+		if err != nil {
+			log.Error("attribution fetch failed", "err", err)
+		} else {
+			st.attrib = rows
+		}
 	}
+	if stop != nil {
+		stop()
+	}
+	if interrupted.Load() {
+		log.Warn("partial run: interrupted before all jobs completed",
+			"completed", st.ok+st.failed, "total", *total)
+	}
+	st.report(stderr, *shards)
+	switch {
+	case interrupted.Load():
+		return 130
+	case st.failed > 0:
+		return 1
+	}
+	return 0
 }
 
 // benchMix resolves the -mix flag against the Olden registry (nil on an
@@ -275,17 +252,6 @@ func (s *stats) jobsPerSec() float64 {
 		return 0
 	}
 	return float64(s.ok) / s.wall.Seconds()
-}
-
-func (s *stats) meanNs() float64 {
-	if s.ok == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range s.latencies {
-		sum += d
-	}
-	return float64(sum.Nanoseconds()) / float64(s.ok)
 }
 
 func (s *stats) pct(q float64) time.Duration {

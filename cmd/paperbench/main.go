@@ -19,9 +19,9 @@
 //	-scale s       problem scale: quick | default (default "default")
 //	-fault-seed N  PRNG seed for the fault sweep (default 1)
 //	-json          emit one machine-readable JSON object instead of text
-//	-out file      write the report to file instead of stdout (used by
-//	               scripts/bench.sh to commit the fault sweep as
-//	               BENCH_fault_prN.json)
+//
+// The exit status is 0 on success, 1 if a measurement fails (or the fault
+// sweep diverges) and 2 on a usage error.
 package main
 
 import (
@@ -47,36 +47,45 @@ type jsonReport struct {
 }
 
 func main() {
-	t1 := flag.Bool("table1", false, "Table I")
-	t2 := flag.Bool("table2", false, "Table II")
-	f10 := flag.Bool("fig10", false, "Figure 10")
-	t3 := flag.Bool("table3", false, "Table III")
-	pgo := flag.Bool("pgo", false, "PGO ablation table")
-	faultSweep := flag.Bool("faultsweep", false, "fault-injection sweep over the benchmarks")
-	all := flag.Bool("all", false, "everything")
-	nodes := flag.Int("nodes", 4, "machine size for fig10, the PGO table and the fault sweep")
-	procsFlag := flag.String("procs", "1,2,4,8,16", "processor counts for table3")
-	scale := flag.String("scale", "default", "problem scale: quick|default")
-	faultSeed := flag.Uint64("fault-seed", 1, "PRNG seed for the fault sweep")
-	simJ := flag.Int("sim-j", 0, "goroutines running the simulator's event-loop windows per run (0 or 1 = inline); all measurements are identical for any value")
-	asJSON := flag.Bool("json", false, "emit machine-readable JSON")
-	outPath := flag.String("out", "", "write the report to this file instead of stdout")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var out io.Writer = os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		out = f
+func run(args []string, out, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	t1 := fs.Bool("table1", false, "Table I")
+	t2 := fs.Bool("table2", false, "Table II")
+	f10 := fs.Bool("fig10", false, "Figure 10")
+	t3 := fs.Bool("table3", false, "Table III")
+	pgo := fs.Bool("pgo", false, "PGO ablation table")
+	faultSweep := fs.Bool("faultsweep", false, "fault-injection sweep over the benchmarks")
+	all := fs.Bool("all", false, "everything")
+	nodes := fs.Int("nodes", 4, "machine size for fig10, the PGO table and the fault sweep")
+	procsFlag := fs.String("procs", "1,2,4,8,16", "processor counts for table3")
+	scale := fs.String("scale", "default", "problem scale: quick|default")
+	faultSeed := fs.Uint64("fault-seed", 1, "PRNG seed for the fault sweep")
+	simJ := fs.Int("sim-j", 0, "goroutines running the simulator's event-loop windows per run (0 or 1 = inline); all measurements are identical for any value")
+	asJSON := fs.Bool("json", false, "emit machine-readable JSON")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "paperbench:", err)
+		return 1
 	}
 
 	if !*t1 && !*t2 && !*f10 && !*t3 && !*pgo && !*faultSweep {
 		*all = true
 	}
-	params := paramsFor(*scale)
+	var params func(*olden.Benchmark) olden.Params
+	switch *scale {
+	case "default":
+		params = harness.DefaultParams
+	case "quick":
+		params = olden.QuickParams
+	default:
+		return fail(fmt.Errorf("unknown -scale %q", *scale))
+	}
 	harness.SimWorkers = *simJ
 	var rep jsonReport
 
@@ -86,7 +95,7 @@ func main() {
 	if *all || *t1 {
 		res, err := harness.MeasureTable1()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		rep.Table1 = res
 		if !*asJSON {
@@ -96,7 +105,7 @@ func main() {
 	if *all || *f10 {
 		res, err := harness.MeasureFig10(*nodes, params)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		rep.Fig10 = res
 		if !*asJSON {
@@ -109,13 +118,13 @@ func main() {
 		for _, p := range strings.Split(*procsFlag, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(p))
 			if err != nil || v < 1 {
-				fatal(fmt.Errorf("bad -procs element %q", p))
+				return fail(fmt.Errorf("bad -procs element %q", p))
 			}
 			procs = append(procs, v)
 		}
 		res, err := harness.MeasureTable3(procs, params)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		rep.Table3 = res
 		if !*asJSON {
@@ -125,7 +134,7 @@ func main() {
 	if *all || *pgo {
 		res, err := harness.MeasurePGO(*nodes, params)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		rep.PGO = res
 		if !*asJSON {
@@ -135,53 +144,22 @@ func main() {
 	if *all || *faultSweep {
 		res, err := harness.MeasureFaultSweep(*nodes, nil, *faultSeed, params)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		rep.FaultSweep = res
 		if !*asJSON {
 			fmt.Fprintln(out, res)
 		}
 		if !res.Ok() {
-			fatal(fmt.Errorf("fault sweep: a run failed or diverged (see table)"))
+			return fail(fmt.Errorf("fault sweep: a run failed or diverged (see table)"))
 		}
 	}
 	if *asJSON {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(&rep); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
-}
-
-func paramsFor(scale string) func(*olden.Benchmark) olden.Params {
-	switch scale {
-	case "default":
-		return harness.DefaultParams
-	case "quick":
-		return func(bm *olden.Benchmark) olden.Params {
-			p := bm.DefaultParams
-			switch bm.Name {
-			case "power":
-				p.Size, p.Iters = 8, 2
-			case "perimeter":
-				p.Size = 5
-			case "tsp":
-				p.Size = 64
-			case "health":
-				p.Size, p.Iters = 3, 20
-			case "voronoi":
-				p.Size = 96
-			}
-			return p
-		}
-	default:
-		fatal(fmt.Errorf("unknown -scale %q", scale))
-		return nil
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "paperbench:", err)
-	os.Exit(1)
+	return 0
 }

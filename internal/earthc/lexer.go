@@ -285,6 +285,7 @@ func (l *Lexer) charLit(p Pos) Token {
 	l.advance() // closing quote
 	if b.Len() != 1 {
 		l.errorf(p, "character literal must contain exactly one character")
+		return Token{Kind: ILLEGAL, Pos: p}
 	}
 	return Token{Kind: CHAR, Text: b.String(), Pos: p}
 }

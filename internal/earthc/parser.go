@@ -136,11 +136,22 @@ func (p *Parser) sync(stop ...Kind) {
 	}
 }
 
+// skipIfStuck drops one token when recovery from a construct that began at
+// start consumed nothing — it failed on a token sync stops at but its caller
+// does not take, such as a stray `^}` in a plain block or a `}` in a parallel
+// sequence — so the enclosing loop cannot retry the same token forever.
+func (p *Parser) skipIfStuck(start int) {
+	if p.pos == start {
+		p.next()
+	}
+}
+
 // ------------------------------------------------------------- top level ---
 
 func (p *Parser) parseFile() {
 	for !p.at(EOF) {
 		func() {
+			start := p.pos
 			defer func() {
 				if r := recover(); r != nil {
 					if _, ok := r.(bailout); !ok {
@@ -149,6 +160,7 @@ func (p *Parser) parseFile() {
 					p.sync(SEMI, RBRACE)
 					p.accept(SEMI)
 					p.accept(RBRACE)
+					p.skipIfStuck(start)
 				}
 			}()
 			p.parseTopDecl()
@@ -326,6 +338,7 @@ func (p *Parser) parseBlock() *Block {
 }
 
 func (p *Parser) parseStmtRecover() (s Stmt) {
+	start := p.pos
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(bailout); !ok {
@@ -333,6 +346,7 @@ func (p *Parser) parseStmtRecover() (s Stmt) {
 			}
 			p.sync(SEMI, RBRACE)
 			p.accept(SEMI)
+			p.skipIfStuck(start)
 			s = &Block{} // empty placeholder
 		}
 	}()

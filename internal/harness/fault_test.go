@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -10,31 +11,12 @@ import (
 	"repro/internal/trace"
 )
 
-// quickFaultParams shrinks each benchmark to the smallest size that still
-// exercises remote communication, so the fault tests stay fast under -race.
-func quickFaultParams(bm *olden.Benchmark) olden.Params {
-	p := bm.DefaultParams
-	switch bm.Name {
-	case "power":
-		p.Size, p.Iters = 8, 2
-	case "perimeter":
-		p.Size = 5
-	case "tsp":
-		p.Size = 64
-	case "health":
-		p.Size, p.Iters = 3, 20
-	case "voronoi":
-		p.Size = 96
-	}
-	return p
-}
-
 const faultTestNodes = 4
 
 func compileOlden(t *testing.T, bm *olden.Benchmark, opt core.Options) (*core.Pipeline, *core.Unit) {
 	t.Helper()
 	p := core.NewPipeline(opt)
-	u, err := p.Compile(bm.Name+".ec", bm.Source(quickFaultParams(bm)))
+	u, err := p.Compile(bm.Name+".ec", bm.Source(olden.QuickParams(bm)))
 	if err != nil {
 		t.Fatalf("%s: %v", bm.Name, err)
 	}
@@ -112,5 +94,52 @@ func TestFaultVisibleEquivalence(t *testing.T) {
 					bm.Name, seed, r.Faults)
 			}
 		}
+	}
+}
+
+// TestFaultSweepQuick runs the table `paperbench -faultsweep -scale quick`
+// prints: every (benchmark, fault spec) run completes with the fault-free
+// program-visible result, the sweep is a pure function of its arguments, and
+// each fault-free time is the no-fault `time` cell that
+// internal/earthsim/testdata/engine_golden.json froze for the same program
+// and machine size, so the two goldens cannot drift apart unnoticed.
+func TestFaultSweepQuick(t *testing.T) {
+	baseNs := map[string]int64{
+		"power":     2810629,
+		"tsp":       4003105,
+		"health":    3190080,
+		"perimeter": 6353976,
+		"voronoi":   16835396,
+	}
+	res, err := MeasureFaultSweep(faultTestNodes, nil, 1, olden.QuickParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Ok() {
+		t.Errorf("sweep not Ok:\n%s", res)
+	}
+	if got, want := len(res.Rows), len(baseNs); got != want {
+		t.Errorf("sweep has %d rows, want %d", got, want)
+	}
+	for _, row := range res.Rows {
+		if want := baseNs[row.Benchmark]; row.BaseNs != want {
+			t.Errorf("%s: BaseNs: got %d, want %d", row.Benchmark, row.BaseNs, want)
+		}
+		if got, want := len(row.Entries), len(DefaultFaultSpecs); got != want {
+			t.Errorf("%s: %d entries, want %d", row.Benchmark, got, want)
+		}
+		for _, e := range row.Entries {
+			if !e.Completed || !e.VisibleOK {
+				t.Errorf("%s under %s: completed=%v visibleOK=%v err=%q",
+					row.Benchmark, e.Spec, e.Completed, e.VisibleOK, e.Err)
+			}
+		}
+	}
+	again, err := MeasureFaultSweep(faultTestNodes, nil, 1, olden.QuickParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, again) {
+		t.Errorf("second sweep differs from the first:\n%s\n%s", res, again)
 	}
 }

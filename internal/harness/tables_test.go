@@ -1,58 +1,27 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/olden"
 )
 
-// quickParams shrinks problem sizes for fast CI runs.
-func quickParams(bm *olden.Benchmark) olden.Params {
-	p := bm.DefaultParams
-	switch bm.Name {
-	case "power":
-		p.Size, p.Iters = 8, 2
-	case "perimeter":
-		p.Size = 5
-	case "tsp":
-		p.Size = 64
-	case "health":
-		p.Size, p.Iters = 3, 20
-	case "voronoi":
-		p.Size = 96
-	}
-	return p
-}
-
 func TestTable2(t *testing.T) {
 	out := Table2()
 	t.Log("\n" + out)
 	for _, bm := range olden.All() {
-		if !containsStr(out, bm.Name) {
+		if !strings.Contains(out, bm.Name) {
 			t.Errorf("Table II missing %s", bm.Name)
 		}
 	}
-}
-
-func containsStr(s, sub string) bool {
-	return len(s) >= len(sub) && (s == sub || len(sub) == 0 ||
-		indexOf(s, sub) >= 0)
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
 }
 
 // TestFig10Shape checks the headline shape of Figure 10: the optimized
 // version issues strictly fewer communication operations on every
 // benchmark, with scalar read/write traffic falling.
 func TestFig10Shape(t *testing.T) {
-	res, err := MeasureFig10(4, quickParams)
+	res, err := MeasureFig10(4, olden.QuickParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +41,7 @@ func TestFig10Shape(t *testing.T) {
 // TestTable3Shape checks Table III's shape on a reduced grid: optimization
 // never hurts, and every benchmark shows an improvement on 4 nodes.
 func TestTable3Shape(t *testing.T) {
-	res, err := MeasureTable3([]int{1, 4}, quickParams)
+	res, err := MeasureTable3([]int{1, 4}, olden.QuickParams)
 	if err != nil {
 		t.Fatal(err)
 	}

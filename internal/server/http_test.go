@@ -334,7 +334,10 @@ func TestConcurrentScrapesDuringRuns(t *testing.T) {
 			if out.err != nil {
 				t.Errorf("job %d: %v", i, out.err)
 			}
-		case <-time.After(60 * time.Second):
+		// A hang guard, not a speed limit: under -race on two cores the four
+		// traced runs take 50 s with the host to themselves, and
+		// `go test -race ./...` gives them half of it.
+		case <-time.After(5 * time.Minute):
 			t.Fatal("jobs never finished under scrape load")
 		}
 	}

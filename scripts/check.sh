@@ -1,10 +1,5 @@
 #!/usr/bin/env bash
 # Tier-1 gate: formatting, vet, build, tests. Run before every commit.
-# Performance is gated separately: scripts/bench.sh regenerates the
-# checked-in perf trajectory (BENCH_pr5.json, BENCH_pr6.json,
-# BENCH_pr7.json, BENCH_pr8.json) — run it after touching the compiler
-# pipeline, the simulator hot path, the compile cache, the event loop, or
-# the earthd service.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,12 +26,14 @@ go test -C benchmark ./...
 # reliable-messaging tests (internal/earthsim, internal/harness) under the
 # race detector.
 go test -race ./...
-# Zero-cost pin: with telemetry disabled (no registry, no sampler) the
-# simulator must execute the identical guest schedule and allocate no more
-# per run than the BenchmarkSimulator baseline in BENCH_pr3.json; ditto for
-# the fault layer. (Also part of `go test ./...` above; rerun by name so a
-# perf-pin failure is unmistakable in CI logs.)
-go test -run 'ZeroCostWhenDisabled|RegistryRunOverheadBounded' -count=1 .
+# Counter pins: guest instructions, events, Figure 10's operation counts and
+# halo's events must equal the table in counters_test.go, and allocations per
+# run stay under its ceilings; with telemetry disabled (no registry, no
+# sampler) the simulator must execute the identical guest schedule and
+# allocate no more per run than the table's simulator row, ditto for the
+# fault layer. (Also part of `go test ./...` above; rerun by name so a moved
+# counter is unmistakable in CI logs.)
+go test -run 'TestCounters|ZeroCostWhenDisabled|RegistryRunOverheadBounded' -count=1 .
 # Event-loop determinism pin: the {benchmark x faults x SimWorkers}
 # equivalence matrix — byte-identical Visible(), trace export, and telemetry
 # series across worker counts, and equal to the frozen
@@ -45,21 +42,11 @@ go test -run 'ZeroCostWhenDisabled|RegistryRunOverheadBounded' -count=1 .
 # `go test -race ./...` above; rerun by name so a determinism failure is
 # unmistakable in CI logs.)
 go test -race -count=1 -run 'TestShardedEquivalenceMatrix|TestSharded256Nodes|TestDegenerateWindows' ./internal/earthsim
-# Perf-regression smoke leg: a short benchmark run diffed against the
-# committed trajectory with benchdiff's quick thresholds (directional
-# tolerances ×4; deterministic simulated quantities like guest_instructions
-# must still match exactly).
-if [ -f BENCH_pr5.json ]; then
-    go test -run '^$' \
-        -bench '^(BenchmarkCompile|BenchmarkSimulator|BenchmarkOldenQuick|BenchmarkFig10)$' \
-        -benchmem -benchtime 50ms . \
-      | go run ./cmd/benchdiff -baseline BENCH_pr5.json -quick
-fi
 # Compile-cache smoke leg: warm vs cold. The same source compiled twice
 # under -cache-dir must serve the second run from the disk store (the
 # compile is skipped entirely) with byte-identical output. Loopback timing
 # is not asserted here — the <10% warm/cold ratio is pinned by
-# TestWarmRecompileUnderTenPercentOfCold and the BENCH_pr7.json gate below.
+# TestWarmRecompileUnderTenPercentOfCold.
 cache_dir="$(mktemp -d)"
 cache_src="$(mktemp)"
 cold_out="$(mktemp)"
@@ -100,23 +87,6 @@ cmp -s "$cold_out" "$warm_out" || {
     exit 1
 }
 echo "cache smoke: disk hit + byte-identical warm output ok"
-# Warm/cold compile-cache gate: short rerun diffed against the committed
-# BENCH_pr7.json warm/cold sweep.
-if [ -f BENCH_pr7.json ]; then
-    go test -run '^$' -bench '^(BenchmarkCompile|BenchmarkCompileWarm)$' \
-        -benchmem -benchtime 50ms . \
-      | go run ./cmd/benchdiff -baseline BENCH_pr7.json -quick
-fi
-# Event-loop scalability gate: short BenchmarkSimNodes rerun diffed against
-# the committed BENCH_pr8.json sweep. events is deterministic and must match
-# exactly even under -quick; events_sec (Higher-is-better) gets the widened
-# quick tolerances.
-if [ -f BENCH_pr8.json ]; then
-    go test -run '^$' -bench '^BenchmarkSimNodes$' \
-        -benchmem -benchtime 1x . \
-      | go run ./cmd/benchdiff -baseline BENCH_pr8.json -quick \
-            -tol 'ns_per_op=3.0,events_sec=0.80'
-fi
 # Service smoke leg: boot a real earthd on an ephemeral port, submit one
 # good job and one malformed job over HTTP, then verify SIGTERM produces a
 # clean drain (exit 0, "drained cleanly" in the log). This exercises the
@@ -201,15 +171,6 @@ trap 'rm -f "$earthd_bin" "$earthd_log" "$chaos_bin"; rm -rf "$cache_dir" "$cach
 go build -o "$chaos_bin" ./cmd/earthchaos
 "$chaos_bin" -earthd "$earthd_bin" -n 8 -cycles 1 -seed 7
 echo "chaos smoke: kill/restart cycle ok"
-# Service throughput smoke: a short earthload sweep diffed against the
-# committed BENCH_pr6.json trajectory. Loopback jobs/sec is the noisiest
-# metric in the trajectory, so the quick tolerances are wide; the full
-# gate is scripts/bench.sh.
-if [ -f BENCH_pr6.json ]; then
-    go run ./cmd/earthload -sweep 1,2,4,8 -c 8 -n 16 -bench 2>/dev/null \
-      | go run ./cmd/benchdiff -baseline BENCH_pr6.json -quick \
-            -tol 'ns_per_op=2.0,jobs_sec=0.85'
-fi
 # Native-fuzz smoke leg: ten seconds of parser fuzzing, seeded from
 # testdata/ (including the malformed-input corpus). Catches panics the
 # hand-written corpus misses; a real finding lands in testdata/fuzz/.

@@ -1,73 +1,50 @@
 package repro_test
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/olden"
+	"repro/internal/earthsim"
+	"repro/internal/metrics"
 )
 
-// TestFaultLayerZeroCostWhenDisabled locks the "zero cost when disabled"
-// property of the fault-injection layer against the PR 3 baseline: with
-// RunConfig.Faults nil, the simulator must execute the same guest schedule
-// (instruction count unchanged) and allocate no more per run than the
-// recorded BenchmarkSimulator baseline in BENCH_pr3.json.
-func TestFaultLayerZeroCostWhenDisabled(t *testing.T) {
-	raw, err := os.ReadFile("BENCH_pr3.json")
-	if err != nil {
-		t.Skipf("no PR 3 baseline: %v", err)
-	}
-	var base struct {
-		Benchmarks []struct {
-			Name              string  `json:"name"`
-			GuestInstructions float64 `json:"guest_instructions"`
-			AllocsPerOp       float64 `json:"allocs_per_op"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatalf("BENCH_pr3.json: %v", err)
-	}
-	var wantInstr, wantAllocs float64
-	for _, b := range base.Benchmarks {
-		if b.Name == "Simulator" {
-			wantInstr, wantAllocs = b.GuestInstructions, b.AllocsPerOp
-		}
-	}
-	if wantInstr == 0 {
-		t.Fatal("BENCH_pr3.json has no Simulator entry")
-	}
+// pinSimulator runs BenchmarkSimulator's workload under opt and holds it to
+// the simulator row of the ledger in counters_test.go: the guest schedule
+// exactly, and allocations per run within slack objects of the measured
+// count — a layer that allocated per message or per event would add
+// thousands, and one that allocated per run more than slack.
+func pinSimulator(t *testing.T, what string, opt core.Options, slack int64) *earthsim.Result {
+	t.Helper()
+	run := simulatorRun(t, opt)
+	res := run()
+	checkCount(t, what, "instructions", res.Counts.Instructions, simulator.instructions)
+	checkAllocs(t, what, simulator.allocs+slack, func() { run() })
+	return res
+}
 
-	// The exact BenchmarkSimulator workload: power at quick parameters,
-	// optimized, 4 nodes, no faults.
-	bm := olden.ByName("power")
-	p := core.NewPipeline(core.Options{Optimize: true})
-	u, err := p.Compile("power.ec", bm.Source(quickParams(bm)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Run(u, core.RunConfig{Nodes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if float64(res.Counts.Instructions) != wantInstr {
-		t.Errorf("fault-free guest instruction count changed: got %d, baseline %v",
-			res.Counts.Instructions, wantInstr)
-	}
+// TestFaultLayerZeroCostWhenDisabled locks the "zero cost when disabled"
+// property of the fault-injection layer: with RunConfig.Faults nil, the
+// simulator executes the same guest schedule and allocates no more per run
+// than BenchmarkSimulator is measured to.
+func TestFaultLayerZeroCostWhenDisabled(t *testing.T) {
+	res := pinSimulator(t, "fault-free run", core.Options{Optimize: true}, 8)
 	if res.Faults != nil {
 		t.Error("fault-free run carries FaultStats")
 	}
+}
 
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := p.Run(u, core.RunConfig{Nodes: 4}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// Allow a sliver of headroom for host-runtime noise; the point is that
-	// the fault layer must not add per-message or per-event allocations
-	// (which would show up as thousands, not units).
-	if allocs > wantAllocs+8 {
-		t.Errorf("fault-free run allocates %.0f objects/op, baseline %v", allocs, wantAllocs)
-	}
+// TestMetricsZeroCostWhenDisabled locks the same property of the telemetry
+// layer: no registry and no sampler attached.
+func TestMetricsZeroCostWhenDisabled(t *testing.T) {
+	pinSimulator(t, "unmetered run", core.Options{Optimize: true}, 8)
+}
+
+// TestMetricsRegistryRunOverheadBounded: a pipeline with a registry attached
+// (but no sampler) updates a handful of counters per run. Counter lookups are
+// map reads and updates are atomics, so the steady-state budget is the
+// unmetered count plus a sliver, and the guest schedule is untouched. (The
+// first run, which registers the counters and allocates once, is
+// simulatorRun's priming run.)
+func TestMetricsRegistryRunOverheadBounded(t *testing.T) {
+	pinSimulator(t, "metered run", core.Options{Optimize: true, Metrics: metrics.NewRegistry()}, 16)
 }
