@@ -34,6 +34,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cache"
@@ -44,48 +45,60 @@ import (
 )
 
 func main() {
-	optimize := flag.Bool("O", false, "enable communication optimization")
-	dump := flag.String("dump", "simple", "what to print: simple|ast|threaded|placement")
-	fnFilter := flag.String("func", "", "restrict simple/placement dumps to one function")
-	labels := flag.Bool("labels", false, "show Si statement labels")
-	noInline := flag.Bool("no-inline", false, "disable function inlining")
-	threshold := flag.Int("threshold", 3, "blocking threshold in words")
-	report := flag.Bool("report", false, "print the selection report")
-	stats := flag.Bool("stats", false, "print per-phase compile timings and optimization counters")
-	reorder := flag.Bool("reorder", false, "reorder struct fields to cluster remote accesses")
-	profGen := flag.String("profile-gen", "", "collect a profile via an instrumented run and write it here")
-	profUse := flag.String("profile-use", "", "optimize using a previously collected profile (implies -O)")
-	nodes := flag.Int("nodes", 1, "machine size for -profile-gen")
-	workers := flag.Int("j", 0, "analysis worker count (0 = all CPUs); output is identical for any value")
-	cacheDir := flag.String("cache-dir", "", "persist compile artifacts here and serve -dump=threaded/-report from valid entries")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: earthcc [flags] file.ec")
-		flag.Usage()
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, out, stderr io.Writer) int {
+	fs := flag.NewFlagSet("earthcc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	optimize := fs.Bool("O", false, "enable communication optimization")
+	dump := fs.String("dump", "simple", "what to print: simple|ast|threaded|placement")
+	fnFilter := fs.String("func", "", "restrict simple/placement dumps to one function")
+	labels := fs.Bool("labels", false, "show Si statement labels")
+	noInline := fs.Bool("no-inline", false, "disable function inlining")
+	threshold := fs.Int("threshold", 3, "blocking threshold in words")
+	report := fs.Bool("report", false, "print the selection report")
+	stats := fs.Bool("stats", false, "print per-phase compile timings and optimization counters")
+	reorder := fs.Bool("reorder", false, "reorder struct fields to cluster remote accesses")
+	profGen := fs.String("profile-gen", "", "collect a profile via an instrumented run and write it here")
+	profUse := fs.String("profile-use", "", "optimize using a previously collected profile (implies -O)")
+	nodes := fs.Int("nodes", 1, "machine size for -profile-gen")
+	workers := fs.Int("j", 0, "analysis worker count (0 = all CPUs); output is identical for any value")
+	cacheDir := fs.String("cache-dir", "", "persist compile artifacts here and serve -dump=threaded/-report from valid entries")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	name := flag.Arg(0)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: earthcc [flags] file.ec")
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "earthcc:", err)
+		return 1
+	}
+	name := fs.Arg(0)
 	src, err := os.ReadFile(name)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	if *profGen != "" {
 		p := core.NewPipeline(core.Options{NoInline: *noInline, Workers: *workers})
 		u, err := p.Compile(name, string(src))
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		res, err := p.Run(u, core.RunConfig{Nodes: *nodes, Profile: true})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := res.Profile.WriteFile(*profGen); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "earthcc: wrote profile for %s (%d nodes) to %s\n",
+		fmt.Fprintf(stderr, "earthcc: wrote profile for %s (%d nodes) to %s\n",
 			name, *nodes, *profGen)
-		return
+		return 0
 	}
 
 	opts := core.Options{Optimize: *optimize, NoInline: *noInline, ReorderFields: *reorder,
@@ -95,7 +108,7 @@ func main() {
 	if *profUse != "" {
 		p, err := profile.ReadFile(*profUse)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		req.Profile = p
 		opts.Optimize = true
@@ -113,81 +126,76 @@ func main() {
 	if c != nil && *dump == "threaded" && !*stats && *fnFilter == "" {
 		if a, ok := c.LoadArtifact(p.CacheKey(req)); ok {
 			for _, w := range a.Warnings {
-				fmt.Fprintln(os.Stderr, "earthcc: warning:", w)
+				fmt.Fprintln(stderr, "earthcc: warning:", w)
 			}
-			fmt.Print(a.Disasm)
+			fmt.Fprint(out, a.Disasm)
 			if *report && a.Report != "" {
-				fmt.Println(a.Report)
+				fmt.Fprintln(out, a.Report)
 			}
-			fmt.Fprintln(os.Stderr, "earthcc: cache: 1 disk hit (compile skipped)")
-			return
+			fmt.Fprintln(stderr, "earthcc: cache: 1 disk hit (compile skipped)")
+			return 0
 		}
 	}
 	res, err := p.Do(req)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	u := res.Unit
 	if c != nil {
-		fmt.Fprintf(os.Stderr, "earthcc: cache: %d function(s) reused, %d recompiled\n",
-			res.FuncsReused, res.FuncsRecompiled)
+		fmt.Fprintf(stderr, "earthcc: cache: no disk hit, compiled %d function(s)\n", len(u.Simple.Funcs))
 	}
 	for _, w := range u.Warnings {
-		fmt.Fprintln(os.Stderr, "earthcc: warning:", w)
+		fmt.Fprintln(stderr, "earthcc: warning:", w)
 	}
 	wantFn := func(f *simple.Func) bool {
 		return *fnFilter == "" || f.Name == *fnFilter
 	}
 	if *fnFilter != "" && u.Simple.FuncByName(*fnFilter) == nil {
-		fmt.Fprintf(os.Stderr, "earthcc: warning: -func %q matches no function\n", *fnFilter)
+		fmt.Fprintf(stderr, "earthcc: warning: -func %q matches no function\n", *fnFilter)
 	}
 	switch *dump {
 	case "ast":
-		fmt.Print(earthc.Print(u.File))
+		fmt.Fprint(out, earthc.Print(u.File))
 	case "simple":
 		for _, f := range u.Simple.Funcs {
 			if wantFn(f) {
-				fmt.Println(simple.FuncString(f, simple.PrintOptions{Labels: *labels}))
+				fmt.Fprintln(out, simple.FuncString(f, simple.PrintOptions{Labels: *labels}))
 			}
 		}
 	case "threaded":
 		disasm, err := u.Disasm()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Print(disasm)
+		fmt.Fprint(out, disasm)
 	case "placement":
 		if u.Placement == nil {
-			fatal(fmt.Errorf("placement sets require -O"))
+			return fail(fmt.Errorf("placement sets require -O"))
 		}
 		for _, f := range u.Simple.Funcs {
 			if !wantFn(f) {
 				continue
 			}
-			fmt.Printf("=== %s ===\n", f.Name)
+			fmt.Fprintf(out, "=== %s ===\n", f.Name)
 			simple.WalkStmts(f.Body, func(s simple.Stmt) {
 				if b, ok := s.(*simple.Basic); ok {
 					if rs := u.Placement.Reads[s]; rs != nil && rs.Len() > 0 {
-						fmt.Printf("  RemoteReads(S%d)  = %s\n", b.Label, rs)
+						fmt.Fprintf(out, "  RemoteReads(S%d)  = %s\n", b.Label, rs)
 					}
 					if ws := u.Placement.Writes[s]; ws != nil && ws.Len() > 0 {
-						fmt.Printf("  RemoteWrites(S%d) = %s\n", b.Label, ws)
+						fmt.Fprintf(out, "  RemoteWrites(S%d) = %s\n", b.Label, ws)
 					}
 				}
 			})
 		}
 	default:
-		fatal(fmt.Errorf("unknown -dump mode %q", *dump))
+		return fail(fmt.Errorf("unknown -dump mode %q", *dump))
 	}
 	if *report && u.Report != nil {
-		fmt.Println(u.Report)
+		fmt.Fprintln(out, u.Report)
 	}
 	if *stats && u.Stats != nil {
-		fmt.Print(u.Stats)
+		fmt.Fprint(out, u.Stats)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "earthcc:", err)
-	os.Exit(1)
+	return 0
 }

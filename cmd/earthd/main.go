@@ -20,7 +20,6 @@
 //	-drain d          drain timeout on SIGINT/SIGTERM (default 30s)
 //	-cache-size N     shared compile cache capacity in units (default 64;
 //	                  negative disables caching)
-//	-cache-dir dir    persist compile artifacts under dir across restarts
 //	-journal-dir dir  durable job journal: accepted jobs are fsynced before
 //	                  acknowledgement; on restart unfinished jobs replay and
 //	                  completed ones answer re-submissions exactly once
@@ -80,7 +79,6 @@ func main() {
 	jobDeadline := flag.Duration("job-deadline", 0, "per-job host wall-clock bound (0 = default 60s)")
 	drain := flag.Duration("drain", 30*time.Second, "drain timeout on SIGINT/SIGTERM")
 	cacheSize := flag.Int("cache-size", 0, "compile cache capacity in units (0 = default 64, negative = disabled)")
-	cacheDir := flag.String("cache-dir", "", "persist compile artifacts here across restarts")
 	journalDir := flag.String("journal-dir", "", "durable job journal directory (empty = journaling off)")
 	wallDeadline := flag.Duration("job-wall-deadline", 0, "per-job wall-clock budget, acceptance to completion (0 = off)")
 	brownout := flag.Duration("brownout-after", 0, "shed trace-enabled jobs once measured queue wait exceeds this (0 = off)")
@@ -112,7 +110,6 @@ func main() {
 		JobDeadline:     *jobDeadline,
 		SimWorkers:      *simJ,
 		CacheSize:       *cacheSize,
-		CacheDir:        *cacheDir,
 		JournalDir:      *journalDir,
 		JobWallDeadline: *wallDeadline,
 		BrownoutAfter:   *brownout,

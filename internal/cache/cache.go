@@ -1,42 +1,32 @@
 // Package cache holds compiled artifacts across compiles so that repeated
-// and lightly-edited submissions do not pay full analysis cost. It has
-// three layers:
+// submissions do not pay full analysis cost. It has two layers:
 //
 //  1. a unit LRU: whole compiled units keyed by an options fingerprint plus
 //     the canonical source content hash (see internal/contenthash). A hit
 //     returns the same immutable *Unit, including its memoized threaded
 //     code, so a warm recompile costs one map lookup;
-//  2. per-program incremental state: for each (fingerprint, unit name) the
-//     last compile's per-function records — the transformed SIMPLE body,
-//     placement sets, selection report, and locality verdicts — keyed by a
-//     content hash of the function body plus the signatures of everything
-//     it references, and gated by a digest of the whole-program analysis
-//     facts the transformation consumed (see digest.go). An edited source
-//     re-runs the cheap front end and the whole-program analyses, then
-//     re-transforms only the functions whose hash or facts digest changed;
-//  3. an optional on-disk artifact store (disk.go) persisted across
+//  2. an optional on-disk artifact store (disk.go) persisted across
 //     process runs.
 //
-// The cache stores units as opaque `any` values: internal/core owns the
-// Unit type and imports this package, so the dependency points one way.
+// An edited source is a miss in both: it compiles cold and its unit is then
+// stored. The cache stores units as opaque `any` values: internal/core owns
+// the Unit type and imports this package, so the dependency points one way.
 package cache
 
 import (
 	"container/list"
 	"sync"
+
+	"repro/internal/contenthash"
 )
 
-// Stats are the cache's cumulative counters. All layers count here; the
+// Stats are the cache's cumulative counters. Both layers count here; the
 // pipeline additionally mirrors hit/miss/eviction counts into its metrics
 // registry so they surface in earthd's merged /metrics.
 type Stats struct {
 	Hits      int64 // unit LRU hits
 	Misses    int64 // unit LRU misses
 	Evictions int64 // units evicted by capacity pressure
-	// FuncsReused / FuncsRecompiled count per-function outcomes of
-	// incremental compiles (layer 2).
-	FuncsReused     int64
-	FuncsRecompiled int64
 	// DiskHits / DiskMisses / DiskCorrupt count artifact-store lookups;
 	// Corrupt entries (checksum or key mismatch, truncation, bad JSON) are
 	// removed and reported as misses to the caller.
@@ -53,13 +43,12 @@ type unitEntry struct {
 // Cache is a concurrency-safe compile cache. The zero value is not usable;
 // construct with New.
 type Cache struct {
-	mu     sync.Mutex
-	cap    int
-	lru    *list.List // front = most recent; values are *unitEntry
-	units  map[string]*list.Element
-	states map[string]*ProgramState
-	dir    string
-	stats  Stats
+	mu    sync.Mutex
+	cap   int
+	lru   *list.List // front = most recent; values are *unitEntry
+	units map[string]*list.Element
+	dir   string
+	stats Stats
 }
 
 // DefaultCapacity bounds the unit LRU when New is given a non-positive
@@ -75,12 +64,17 @@ func New(capacity int, dir string) *Cache {
 		capacity = DefaultCapacity
 	}
 	return &Cache{
-		cap:    capacity,
-		lru:    list.New(),
-		units:  make(map[string]*list.Element),
-		states: make(map[string]*ProgramState),
-		dir:    dir,
+		cap:   capacity,
+		lru:   list.New(),
+		units: make(map[string]*list.Element),
+		dir:   dir,
 	}
+}
+
+// UnitKey derives the unit-LRU key from the options fingerprint and the
+// canonical source hash.
+func UnitKey(fingerprint, sourceHash string) string {
+	return contenthash.Parts("unit", fingerprint, sourceHash)
 }
 
 // Dir returns the artifact-store root ("" when disabled).
@@ -142,41 +136,6 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.Len()
-}
-
-// State returns the incremental per-function state recorded under stateKey,
-// or nil. Incremental state is not LRU-bounded: one entry exists per
-// (fingerprint, unit name) pair actually compiled, and each holds exactly
-// one generation.
-func (c *Cache) State(stateKey string) *ProgramState {
-	if c == nil || stateKey == "" {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.states[stateKey]
-}
-
-// SetState replaces the incremental state recorded under stateKey.
-func (c *Cache) SetState(stateKey string, st *ProgramState) {
-	if c == nil || stateKey == "" || st == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.states[stateKey] = st
-}
-
-// CountFuncs adds an incremental compile's per-function outcome to the
-// stats.
-func (c *Cache) CountFuncs(reused, recompiled int) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats.FuncsReused += int64(reused)
-	c.stats.FuncsRecompiled += int64(recompiled)
 }
 
 // Stats returns a snapshot of the counters.

@@ -51,24 +51,6 @@ func TestStoreUnitRefresh(t *testing.T) {
 	}
 }
 
-func TestStateRoundTrip(t *testing.T) {
-	c := New(0, "")
-	if c.State("k") != nil {
-		t.Fatal("state hit on an empty cache")
-	}
-	st := &ProgramState{EnvHash: "sha256:ff", Funcs: map[string]*FuncRecord{
-		"f": {Hash: "h", Digest: "d"},
-	}}
-	c.SetState("k", st)
-	if got := c.State("k"); got != st {
-		t.Errorf("State(k) = %p, want the stored %p", got, st)
-	}
-	// States are per-key: a different fingerprint or unit name misses.
-	if c.State("k2") != nil {
-		t.Error("state leaked across keys")
-	}
-}
-
 // TestNilCacheSafe: every method must be a no-op on a nil *Cache, so a
 // pipeline without a cache needs no branches.
 func TestNilCacheSafe(t *testing.T) {
@@ -77,11 +59,9 @@ func TestNilCacheSafe(t *testing.T) {
 		t.Error("nil cache reported a hit")
 	}
 	c.StoreUnit("k", "u")
-	c.SetState("k", &ProgramState{})
-	if c.State("k") != nil || c.Len() != 0 || c.Dir() != "" {
+	if c.Len() != 0 || c.Dir() != "" {
 		t.Error("nil cache not inert")
 	}
-	c.CountFuncs(1, 2)
 	if c.Stats() != (Stats{}) {
 		t.Error("nil cache accumulated stats")
 	}
@@ -207,11 +187,5 @@ func TestKeyDerivation(t *testing.T) {
 	}
 	if UnitKey("fp", "src") != UnitKey("fp", "src") {
 		t.Error("unit keys are not deterministic")
-	}
-	if StateKey("fp", "a.ec") == StateKey("fp", "b.ec") {
-		t.Error("state keys ignore the unit name")
-	}
-	if UnitKey("fp", "x") == StateKey("fp", "x") {
-		t.Error("unit and state keys collide")
 	}
 }

@@ -59,11 +59,6 @@ type Options struct {
 	ProfileGuided bool
 }
 
-// Defaults returns the paper's configuration.
-func Defaults() Options {
-	return Options{BlockThreshold: 3, MaxBlockWaste: 4}
-}
-
 func (o Options) withDefaults() Options {
 	if o.BlockThreshold == 0 {
 		o.BlockThreshold = 3

@@ -2,7 +2,7 @@
 // by every subsystem that keys artifacts to source text: the profile
 // subsystem binds profiles to a source revision, earthd's single-flight
 // batching groups identical submissions, and the compile cache derives
-// unit and per-function keys. Centralizing the rendering ("sha256:<hex>")
+// unit keys. Centralizing the rendering ("sha256:<hex>")
 // guarantees the three can never drift — a profile collected under one
 // hash scheme is always comparable to a cache or batching key computed
 // elsewhere.
@@ -23,7 +23,7 @@ func Source(src string) string {
 // Parts hashes a sequence of strings with unambiguous framing: each part is
 // preceded by its length, so ("ab","c") and ("a","bc") produce different
 // keys. Use it wherever a key is derived from several components (options
-// fingerprint + source, function body + referenced signatures, ...).
+// fingerprint + source, ...).
 func Parts(parts ...string) string {
 	h := sha256.New()
 	var lenbuf [8]byte

@@ -49,11 +49,9 @@ type Options struct {
 	ReorderFields bool
 	// Cache, when non-nil, memoizes compiles across Do calls (see
 	// internal/cache): identical (options, profile, source) submissions
-	// return the same immutable unit, and edited sources reuse the
-	// per-function artifacts of functions whose content hash and analysis
-	// facts are unchanged. Per-request policy (bypass, no-store, no
-	// incremental reuse) rides on CompileRequest.Cache. A cache is safe to
-	// share between pipelines and goroutines.
+	// return the same immutable unit. Per-request policy (bypass, no-store)
+	// rides on CompileRequest.Cache. A cache is safe to share between
+	// pipelines and goroutines.
 	Cache *cache.Cache
 	// Workers bounds the worker pool used to fan the per-function analysis
 	// and transformation phases (points-to constraint generation, read/write
@@ -91,8 +89,7 @@ type Unit struct {
 	Locality  *locality.Result
 	Placement *placement.Result // nil unless optimizing
 	Report    *commsel.Report   // nil unless optimizing
-	// SourceHash keys profiles to this unit's source text ("" when the unit
-	// was compiled from a constructed AST rather than source).
+	// SourceHash keys profiles to this unit's source text.
 	SourceHash string
 	// Warnings are non-fatal compilation notes (e.g. a stale profile).
 	Warnings []string
@@ -194,10 +191,6 @@ func pointeeName(p *simple.Var) string {
 }
 
 // MustCompile compiles or panics; for tests and embedded benchmarks.
-//
-// Deprecated: thin wrapper over Pipeline.Do, kept for call-site brevity.
-// New code should build a CompileRequest and call Do, which also exposes
-// the cache outcome.
 func MustCompile(name, src string, opt Options) *Unit {
 	res, err := NewPipeline(opt).Do(CompileRequest{Name: name, Source: src})
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/commsel"
 	"repro/internal/earthc"
 	"repro/internal/earthsim"
@@ -22,7 +21,7 @@ import (
 )
 
 // Pipeline is the unified compile-and-run entry point: construct one from
-// Options, then call Compile / CompileAST / Run / ProfileCycle. A Pipeline
+// Options, then call Do (or Compile) / Run / ProfileCycle. A Pipeline
 // is cheap and safe to reuse across units; observability sinks
 // (Options.Stats, Options.Trace, Options.Metrics) plug in at construction
 // so every compile and run it performs feeds them, and ServeDebug exposes
@@ -41,26 +40,10 @@ func NewPipeline(opt Options) *Pipeline { return &Pipeline{opt: opt, live: &live
 // Options returns the pipeline's configuration.
 func (p *Pipeline) Options() Options { return p.opt }
 
-// Compile runs the full pipeline over EARTH-C source text.
-//
-// Deprecated: thin wrapper over Do, kept for call-site brevity. New code
-// should build a CompileRequest and call Do, which also carries the
-// profile and cache policy and exposes the cache outcome.
+// Compile runs the full pipeline over EARTH-C source text: Do without a
+// profile, cache policy or cache outcome, for call-site brevity.
 func (p *Pipeline) Compile(name, src string) (*Unit, error) {
 	res, err := p.Do(CompileRequest{Name: name, Source: src})
-	if err != nil {
-		return nil, err
-	}
-	return res.Unit, nil
-}
-
-// CompileAST runs the pipeline from a parsed (possibly programmatically
-// constructed) AST. The AST is modified in place by loop desugaring and
-// goto elimination.
-//
-// Deprecated: thin wrapper over Do with CompileRequest.AST set.
-func (p *Pipeline) CompileAST(file *earthc.File) (*Unit, error) {
-	res, err := p.Do(CompileRequest{Name: file.Name, AST: file})
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +102,7 @@ func recoverPhase(file string, phase *string, fnName func(i int) string, u **Uni
 // noFn is the fnName callback for phases that do not fan over functions.
 func noFn(int) string { return "" }
 
-func (p *Pipeline) compileAST(file *earthc.File, opt Options, prof *profile.Data, st *trace.CompileStats, inc *incCtx) (u *Unit, err error) {
+func (p *Pipeline) compileAST(file *earthc.File, opt Options, prof *profile.Data, st *trace.CompileStats) (u *Unit, err error) {
 	phase := "inline"
 	defer recoverPhase(file.Name, &phase, noFn, &u, &err)
 	t0 := time.Now()
@@ -144,21 +127,19 @@ func (p *Pipeline) compileAST(file *earthc.File, opt Options, prof *profile.Data
 		// real.
 		phase = "reorder"
 		t0 = time.Now()
-		probe, err := p.build(file, Options{}, nil, nil, nil)
+		probe, err := p.build(file, Options{}, nil, nil)
 		if err != nil {
 			return nil, err
 		}
 		reorderStructFields(file, probe)
 		st.AddPhase("reorder", time.Since(t0))
 	}
-	return p.build(file, opt, prof, st, inc)
+	return p.build(file, opt, prof, st)
 }
 
 // build runs semantic analysis through communication selection on an
-// already-restructured AST. When inc is non-nil, the placement and
-// selection phases reuse cached per-function artifacts (see incremental.go);
-// the front end and the whole-program analyses always run fresh.
-func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, st *trace.CompileStats, inc *incCtx) (u *Unit, err error) {
+// already-restructured AST.
+func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, st *trace.CompileStats) (u *Unit, err error) {
 	phase := "sema"
 	var sp *simple.Program
 	defer recoverPhase(file.Name, &phase, func(i int) string {
@@ -178,23 +159,6 @@ func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, st 
 	sp, err = lower.Program(sm)
 	if err != nil {
 		return nil, err
-	}
-	var prev *cache.ProgramState
-	if inc != nil {
-		// Under a matching environment, re-lower with the previous
-		// compile's global Var objects injected so cached bodies (which
-		// reference them) and fresh bodies reference identical globals. An
-		// environment change invalidates all incremental state.
-		inc.envHash = cache.EnvHash(sp)
-		prev = inc.c.State(inc.stateKey)
-		if prev != nil && prev.EnvHash == inc.envHash {
-			sp, err = lower.ProgramInto(sm, prev.GlobalsByName())
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			prev = nil
-		}
 	}
 	// Site IDs are assigned on the freshly-lowered SIMPLE form, before any
 	// transformation: the instrumented (unoptimized) compile and a later
@@ -249,19 +213,14 @@ func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, st 
 			fp = prof
 			sel.ProfileGuided = true
 		}
-		if inc != nil {
-			phase = "incremental"
-			p.optimizeIncremental(u, sp, fp, sel, st, inc, prev)
-		} else {
-			phase = "placement"
-			t0, b0 = time.Now(), pool.Busy()
-			u.Placement = placement.AnalyzeProfiledP(sp, u.RWSets, u.Locality, fp, pool)
-			addPhase("placement", t0, b0)
-			phase = "commsel"
-			t0, b0 = time.Now(), pool.Busy()
-			u.Report = commsel.TransformP(sp, u.Placement, u.RWSets, u.Locality, sel, pool)
-			addPhase("commsel", t0, b0)
-		}
+		phase = "placement"
+		t0, b0 = time.Now(), pool.Busy()
+		u.Placement = placement.AnalyzeProfiledP(sp, u.RWSets, u.Locality, fp, pool)
+		addPhase("placement", t0, b0)
+		phase = "commsel"
+		t0, b0 = time.Now(), pool.Busy()
+		u.Report = commsel.TransformP(sp, u.Placement, u.RWSets, u.Locality, sel, pool)
+		addPhase("commsel", t0, b0)
 		if st != nil {
 			for _, set := range u.Placement.Reads {
 				st.PlacedReadTuples += set.Len()

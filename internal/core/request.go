@@ -17,15 +17,11 @@ import (
 // CachePolicy is the per-request cache behavior. The zero value — use the
 // pipeline's cache fully — is right for almost every caller.
 type CachePolicy struct {
-	// Bypass skips the cache entirely: no lookup, no store, no incremental
-	// reuse. The compile is cold and leaves no trace in the cache.
+	// Bypass skips the cache entirely: no lookup, no store. The compile is
+	// cold and leaves no trace in the cache.
 	Bypass bool
-	// NoStore permits lookups and incremental reuse but records nothing
-	// new (a read-only probe).
+	// NoStore permits lookups but records nothing new (a read-only probe).
 	NoStore bool
-	// NoIncremental disables per-function artifact reuse; the whole-unit
-	// LRU still applies.
-	NoIncremental bool
 }
 
 // CompileRequest carries everything that defines one compile: the source,
@@ -35,18 +31,11 @@ type CachePolicy struct {
 // here, so earthd, earthcc, earthrun, and paperbench all construct jobs
 // the same way.
 type CompileRequest struct {
-	// Name labels the unit (diagnostics, dumps) and keys incremental cache
-	// state: successive compiles under the same name are treated as
-	// revisions of one program.
+	// Name labels the unit (diagnostics, dumps). It is not part of any
+	// cache key.
 	Name string
-	// Source is EARTH-C source text. Exactly one of Source and AST is
-	// consulted; AST wins when non-nil.
+	// Source is EARTH-C source text.
 	Source string
-	// AST compiles a parsed (possibly programmatically constructed) file.
-	// The AST is modified in place by inlining, loop desugaring, and goto
-	// elimination. AST compiles are never cached: there is no canonical
-	// byte form to key on.
-	AST *earthc.File
 	// Profile supplies measured execution frequencies from an instrumented
 	// run (see internal/profile): placement replaces its static ×10/÷2/÷k
 	// guesses with measured per-site factors and selection becomes
@@ -70,13 +59,11 @@ type CompileResult struct {
 	Unit *Unit
 	// Hit reports a whole-unit cache hit (no compilation happened).
 	Hit bool
-	// Key is the unit cache key ("" when the compile was uncacheable:
-	// AST input, or no cache configured).
+	// Key is the unit cache key ("" when no cache was consulted: none
+	// configured, or the request bypassed it).
 	Key string
-	// FuncsReused / FuncsRecompiled count per-function outcomes: on a unit
-	// hit every function was reused; on an incremental compile they split
-	// by whether the function's cached transform artifacts were spliced in
-	// or rebuilt; on a cold compile every function was recompiled.
+	// FuncsReused / FuncsRecompiled are the unit's function count, on a
+	// unit hit and on a compile respectively; the other is 0.
 	FuncsReused     int
 	FuncsRecompiled int
 }
@@ -104,12 +91,11 @@ func (opt Options) fingerprint(prof *profile.Data) string {
 	return contenthash.Parts(parts...)
 }
 
-// CacheKey returns the unit cache key Do would use for req ("" when the
-// request is uncacheable: AST input or no cache configured). It lets
-// artifact-level consumers (earthcc under -cache-dir) probe the disk store
-// before deciding to compile.
+// CacheKey returns the unit cache key Do would use for req ("" when no
+// cache is configured). It lets artifact-level consumers (earthcc under
+// -cache-dir) probe the disk store before deciding to compile.
 func (p *Pipeline) CacheKey(req CompileRequest) string {
-	if req.AST != nil || req.Source == "" || p.opt.Cache == nil {
+	if p.opt.Cache == nil {
 		return ""
 	}
 	srcHash := profile.HashSource(req.Source)
@@ -122,33 +108,29 @@ func (p *Pipeline) CacheKey(req CompileRequest) string {
 
 // Do runs one compile described by req, consulting and feeding the
 // pipeline's cache according to req.Cache. It is the primary compile entry
-// point; Compile, CompileAST, and MustCompile are thin wrappers.
+// point; Compile and MustCompile are thin wrappers.
 //
-// Correctness contract: a cached (unit-hit or incremental) compile yields
-// byte-identical threaded-code disassembly — and byte-identical
-// Result.Visible() on every run configuration — to a cold compile of the
-// same request.
+// Correctness contract: a unit hit yields byte-identical threaded-code
+// disassembly — and byte-identical Result.Visible() on every run
+// configuration — to a cold compile of the same request.
 func (p *Pipeline) Do(req CompileRequest) (*CompileResult, error) {
 	opt := p.opt
 	st := p.newStats()
 	res := &CompileResult{}
 	prof := req.Profile
 	var warnings []string
-	var srcHash string
 	c := opt.Cache
 	reg := opt.Metrics
-	if req.AST == nil {
-		srcHash = profile.HashSource(req.Source)
-		if prof != nil && prof.SourceHash != "" && prof.SourceHash != srcHash {
-			warnings = append(warnings,
-				"profile is stale (collected from a different source revision); falling back to static frequency heuristics")
-			prof = nil
-		}
+	srcHash := profile.HashSource(req.Source)
+	if prof != nil && prof.SourceHash != "" && prof.SourceHash != srcHash {
+		warnings = append(warnings,
+			"profile is stale (collected from a different source revision); falling back to static frequency heuristics")
+		prof = nil
 	}
 	// Unit-cache lookup comes before the parse: the key needs only the
 	// source hash and the options fingerprint, so a warm recompile costs a
 	// hash plus a map lookup.
-	if c != nil && srcHash != "" && !req.Cache.Bypass {
+	if c != nil && !req.Cache.Bypass {
 		res.Key = cache.UnitKey(opt.fingerprint(prof), srcHash)
 		if v, ok := c.LookupUnit(res.Key); ok {
 			u := v.(*Unit)
@@ -164,32 +146,18 @@ func (p *Pipeline) Do(req CompileRequest) (*CompileResult, error) {
 			return nil, fmt.Errorf("core: compile canceled: %w", err)
 		}
 	}
-	file := req.AST
-	if file == nil {
-		t0 := time.Now()
-		f, err := earthc.ParseFile(req.Name, req.Source)
-		if err != nil {
-			return nil, err
-		}
-		file = f
-		st.AddPhase("parse", time.Since(t0))
+	t0 := time.Now()
+	file, err := earthc.ParseFile(req.Name, req.Source)
+	if err != nil {
+		return nil, err
 	}
+	st.AddPhase("parse", time.Since(t0))
 	if req.Context != nil {
 		if err := req.Context.Err(); err != nil {
 			return nil, fmt.Errorf("core: compile canceled: %w", err)
 		}
 	}
-	var inc *incCtx
-	if c != nil && !req.Cache.Bypass && !req.Cache.NoIncremental &&
-		opt.Optimize && !opt.ReorderFields && req.Name != "" {
-		inc = &incCtx{
-			c:        c,
-			stateKey: cache.StateKey(opt.fingerprint(prof), req.Name),
-			res:      res,
-			noStore:  req.Cache.NoStore,
-		}
-	}
-	u, err := p.compileAST(file, opt, prof, st, inc)
+	u, err := p.compileAST(file, opt, prof, st)
 	if err != nil {
 		return nil, err
 	}
@@ -197,10 +165,8 @@ func (p *Pipeline) Do(req CompileRequest) (*CompileResult, error) {
 	u.Warnings = append(warnings, u.Warnings...)
 	p.finishCompile(u)
 	res.Unit = u
-	if inc == nil {
-		res.FuncsRecompiled = len(u.Simple.Funcs)
-	}
-	if c != nil && res.Key != "" && !req.Cache.Bypass && !req.Cache.NoStore {
+	res.FuncsRecompiled = len(u.Simple.Funcs)
+	if res.Key != "" && !req.Cache.NoStore {
 		if ev := c.StoreUnit(res.Key, u); ev > 0 {
 			reg.Counter("earth_cache_evictions_total", "Units evicted from the cache by capacity pressure.").Add(int64(ev))
 		}

@@ -40,56 +40,6 @@ func Print(f *File) string {
 	return b.String()
 }
 
-// SigString renders a function's signature (return type, name, parameter
-// types and names) in the same canonical form Print uses. Cache keys hash
-// it: a function's compiled form depends on the signatures — not the
-// bodies — of the functions it calls.
-func SigString(fn *FuncDef) string {
-	params := make([]string, len(fn.Params))
-	for i, pr := range fn.Params {
-		params[i] = declString(pr.Type, pr.Name)
-	}
-	return fmt.Sprintf("%s %s(%s)", fn.Ret, fn.Name, strings.Join(params, ", "))
-}
-
-// FuncString renders one function definition (signature plus body) in
-// Print's canonical form. The rendering is deterministic and independent of
-// the rest of the file, which makes it the per-function content-hash input
-// for the compile cache.
-func FuncString(fn *FuncDef) string {
-	var b strings.Builder
-	b.WriteString(SigString(fn))
-	b.WriteString("\n")
-	printStmt(&b, fn.Body, 0)
-	return b.String()
-}
-
-// DeclsString renders a file's struct and global declarations (everything
-// except function definitions) in Print's canonical form. The compile cache
-// hashes it as the shared environment every function compiles against.
-func DeclsString(f *File) string {
-	var b strings.Builder
-	for _, s := range f.Structs {
-		fmt.Fprintf(&b, "struct %s {\n", s.Name)
-		for _, fl := range s.Fields {
-			fmt.Fprintf(&b, "\t%s;\n", declString(fl.Type, fl.Name))
-		}
-		b.WriteString("};\n")
-	}
-	for _, g := range f.Globals {
-		if g.Shared {
-			b.WriteString("shared ")
-		}
-		b.WriteString(declString(g.Type, g.Name))
-		if g.Init != nil {
-			b.WriteString(" = ")
-			b.WriteString(ExprString(g.Init))
-		}
-		b.WriteString(";\n")
-	}
-	return b.String()
-}
-
 // declString renders "type name" in C declarator style.
 func declString(t Type, name string) string {
 	switch tt := t.(type) {
@@ -104,13 +54,6 @@ func declString(t Type, name string) string {
 	default:
 		return t.String() + " " + name
 	}
-}
-
-// StmtString renders a single statement.
-func StmtString(s Stmt) string {
-	var b strings.Builder
-	printStmt(&b, s, 0)
-	return b.String()
 }
 
 func indent(b *strings.Builder, n int) {

@@ -174,7 +174,8 @@ func poolClean(t *testing.T) (reused bool) {
 
 // TestArenaIsolation: whatever a job wrote — and however it ended — the next
 // machine built from the pool sees all-zero memory, and runs bit-identically
-// to one that never shared a process with it.
+// to one that never shared a process with it. The finished machine itself
+// refuses a second Run instead of computing on the arenas it gave back.
 func TestArenaIsolation(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -217,6 +218,10 @@ func TestArenaIsolation(t *testing.T) {
 					t.Fatalf("%s: %v", tc.name, err)
 				}
 				reused = poolClean(t) || reused
+				if res, err := tc.m.Run(); res != nil || err == nil || !strings.Contains(err.Error(), "Run called twice") {
+					t.Errorf("%s: second Run on the same Machine: got %v, %v, want a called-twice error", tc.name, res, err)
+				}
+				poolClean(t)
 				for i := 0; i < 2; i++ {
 					if got := probe(); got != ref {
 						t.Errorf("after a scribbler that %s, probe run %d differs:\n got %s\nwant %s", tc.name, i, got, ref)

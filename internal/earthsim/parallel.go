@@ -30,6 +30,7 @@ package earthsim
 // round after. A one-node machine has L = ∞ and runs in a single window.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -222,8 +223,11 @@ func (h *shardHeap) refresh(s *shard) {
 // instruction/event/fiber totals) incrementally, touching only the round's
 // active shards and mail receivers, so coordinator overhead scales with
 // traffic rather than machine size. A Machine is good for one Run: every exit
-// hands the nodes' memory back to arenaPool.
+// hands the nodes' memory back to arenaPool, and a second call is an error.
 func (m *Machine) Run() (*Result, error) {
+	if m.nodes[0].arena == nil {
+		return nil, errors.New("earthsim: Run called twice on one Machine")
+	}
 	maxEvents := m.cfg.MaxEvents
 	if maxEvents == 0 {
 		maxEvents = 500_000_000

@@ -38,19 +38,6 @@ func (r *Result) IsLocal(v *simple.Var) bool { return r.local[v] }
 // RemoteLoad reports whether a LoadRV through p is a remote operation.
 func (r *Result) RemoteLoad(p *simple.Var) bool { return !r.local[p] }
 
-// Set installs an externally established verdict for v. The compile cache
-// uses it when splicing a cached function body into a fresh program: the
-// body's variables were not part of this run's analysis, but a facts
-// digest proved their verdicts unchanged, so the cached ones are installed
-// by object.
-func (r *Result) Set(v *simple.Var, local bool) {
-	if local {
-		r.local[v] = true
-	} else {
-		delete(r.local, v)
-	}
-}
-
 // Analyze runs locality analysis.
 func Analyze(prog *simple.Program, pt *pointsto.Result) *Result {
 	return AnalyzeP(prog, pt, nil)

@@ -16,16 +16,6 @@ import (
 
 // Program lowers an entire checked program.
 func Program(prog *sema.Program) (*simple.Program, error) {
-	return ProgramInto(prog, nil)
-}
-
-// ProgramInto is Program with global variable identity injected: a global
-// whose name appears in inject reuses that Var object instead of a fresh
-// one. The compile cache uses this to splice cached function bodies — which
-// reference the previous compile's global objects — into a re-lowered
-// program; it is only sound when the caller has verified the global
-// environment is unchanged (cache.EnvHash).
-func ProgramInto(prog *sema.Program, inject map[string]*simple.Var) (*simple.Program, error) {
 	sp := &simple.Program{
 		Structs:    make(map[string]*simple.StructLayout),
 		GlobalInit: make(map[*simple.Var]int64),
@@ -46,12 +36,9 @@ func ProgramInto(prog *sema.Program, inject map[string]*simple.Var) (*simple.Pro
 	}
 	globals := make(map[*sema.Symbol]*simple.Var)
 	for _, g := range prog.Globals {
-		v := inject[g.Name]
-		if v == nil {
-			v = &simple.Var{
-				Name: g.Name, Type: g.Type, Kind: simple.VarGlobal,
-				Shared: g.Shared, Size: prog.SizeOf(g.Type),
-			}
+		v := &simple.Var{
+			Name: g.Name, Type: g.Type, Kind: simple.VarGlobal,
+			Shared: g.Shared, Size: prog.SizeOf(g.Type),
 		}
 		sp.Globals = append(sp.Globals, v)
 		globals[g] = v

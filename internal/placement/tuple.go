@@ -19,19 +19,6 @@ import (
 // than maps: cloning is a memcpy and the typical set has one element.
 type LabelSet []int
 
-// Has reports membership.
-func (s LabelSet) Has(l int) bool {
-	for _, x := range s {
-		if x == l {
-			return true
-		}
-		if x > l {
-			return false
-		}
-	}
-	return false
-}
-
 // Add inserts l, keeping the set sorted.
 func (s *LabelSet) Add(l int) {
 	i := sort.SearchInts(*s, l)

@@ -144,18 +144,6 @@ func (r *Result) Targets(p *simple.Var, off int) LocSet {
 	return out
 }
 
-// TargetRange returns the words reached by a block access of size words
-// through p starting at off.
-func (r *Result) TargetRange(p *simple.Var, off, size int) LocSet {
-	out := make(LocSet)
-	for pl := range r.VarPts[p] {
-		for i := 0; i < size; i++ {
-			out.Add(Loc{Base: pl.Base, Off: pl.Off + off + i})
-		}
-	}
-	return out
-}
-
 // ------------------------------------------------------------ constraints ---
 
 type cKind uint8

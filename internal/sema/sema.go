@@ -210,17 +210,6 @@ func Check(f *earthc.File) (*Program, error) {
 	return c.prog, nil
 }
 
-// MustCheck parses and checks, panicking on error; for tests and embedded
-// benchmark sources.
-func MustCheck(name, src string) *Program {
-	f := earthc.MustParse(name, src)
-	p, err := Check(f)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func (c *checker) errorf(pos earthc.Pos, format string, args ...any) {
 	c.errs = append(c.errs, fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...)))
 }

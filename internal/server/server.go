@@ -81,9 +81,6 @@ type Config struct {
 	// CacheSize caps the shared compile cache (units; default
 	// cache.DefaultCapacity, negative disables caching entirely).
 	CacheSize int
-	// CacheDir, when set, persists compile artifacts on disk across
-	// restarts (core cache's -cache-dir store).
-	CacheDir string
 	// JournalDir, when set, enables the crash-safety layer: every accepted
 	// job is journaled (fsynced) before its acceptance is acknowledged, and
 	// on restart unfinished jobs replay through the queue while completed
@@ -255,7 +252,7 @@ func Open(cfg Config) (*Server, error) {
 		s.logInfo = s.log.Enabled(context.Background(), slog.LevelInfo)
 	}
 	if cfg.CacheSize >= 0 {
-		s.cache = cache.New(cfg.CacheSize, cfg.CacheDir)
+		s.cache = cache.New(cfg.CacheSize, "")
 	}
 	var rec *journal.Recovery
 	if cfg.JournalDir != "" {

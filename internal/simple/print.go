@@ -38,14 +38,6 @@ func FuncString(f *Func, opt PrintOptions) string {
 	return b.String()
 }
 
-// StmtText renders one statement (no trailing newline trimming).
-func StmtText(s Stmt, opt PrintOptions) string {
-	var b strings.Builder
-	pr := &printer{opt: opt}
-	pr.stmt(&b, s, 0)
-	return b.String()
-}
-
 type printer struct{ opt PrintOptions }
 
 func (p *printer) indent(b *strings.Builder, n int) {

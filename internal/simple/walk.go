@@ -58,21 +58,3 @@ func (c Cond) Atoms() []Atom {
 	}
 	return []Atom{c.X, c.Y}
 }
-
-// RvalueAtoms returns the atoms read by an rvalue (not counting the pointer
-// of a load, which callers handle separately).
-func RvalueAtoms(r Rvalue) []Atom {
-	switch rv := r.(type) {
-	case AtomRV:
-		return []Atom{rv.A}
-	case UnaryRV:
-		return []Atom{rv.X}
-	case BinaryRV:
-		return []Atom{rv.X, rv.Y}
-	case LocalLoadRV:
-		if rv.Idx != nil {
-			return []Atom{rv.Idx}
-		}
-	}
-	return nil
-}

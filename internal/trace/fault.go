@@ -53,13 +53,3 @@ func (r *Recorder) Fault(k FaultKind, c Class, msgID int64, node, attempt int, t
 		Kind: k, Class: c, MsgID: msgID, Node: node, Attempt: attempt, Time: t,
 	})
 }
-
-// FaultEvents returns a copy of the recorded fault events (recording order).
-func (r *Recorder) FaultEvents() []FaultEvent {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]FaultEvent(nil), r.faults...)
-}

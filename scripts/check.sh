@@ -42,51 +42,6 @@ go test -run 'TestCounters|ZeroCostWhenDisabled|RegistryRunOverheadBounded' -cou
 # `go test -race ./...` above; rerun by name so a determinism failure is
 # unmistakable in CI logs.)
 go test -race -count=1 -run 'TestShardedEquivalenceMatrix|TestSharded256Nodes|TestDegenerateWindows' ./internal/earthsim
-# Compile-cache smoke leg: warm vs cold. The same source compiled twice
-# under -cache-dir must serve the second run from the disk store (the
-# compile is skipped entirely) with byte-identical output. Loopback timing
-# is not asserted here — the <10% warm/cold ratio is pinned by
-# TestWarmRecompileUnderTenPercentOfCold.
-cache_dir="$(mktemp -d)"
-cache_src="$(mktemp)"
-cold_out="$(mktemp)"
-warm_out="$(mktemp)"
-warm_log="$(mktemp)"
-trap 'rm -rf "$cache_dir" "$cache_src" "$cold_out" "$warm_out" "$warm_log"' EXIT
-cat > "$cache_src" <<'EOF'
-struct Node { int v; struct Node *next; };
-int main() {
-	Node *head;
-	Node *p;
-	int i;
-	int sum;
-	head = NULL;
-	for (i = 0; i < 10; i++) {
-		p = alloc_on(Node, 1);
-		p->v = i;
-		p->next = head;
-		head = p;
-	}
-	sum = 0;
-	p = head;
-	while (p != NULL) { sum = sum + p->v; p = p->next; }
-	print_int(sum);
-	return sum;
-}
-EOF
-go run ./cmd/earthcc -O -dump=threaded -cache-dir "$cache_dir" "$cache_src" > "$cold_out" 2>/dev/null
-go run ./cmd/earthcc -O -dump=threaded -cache-dir "$cache_dir" "$cache_src" > "$warm_out" 2> "$warm_log"
-grep -q 'disk hit' "$warm_log" || {
-    echo "cache smoke: second compile reported no cache hit:" >&2
-    cat "$warm_log" >&2
-    exit 1
-}
-cmp -s "$cold_out" "$warm_out" || {
-    echo "cache smoke: warm output differs from cold" >&2
-    diff "$cold_out" "$warm_out" >&2 || true
-    exit 1
-}
-echo "cache smoke: disk hit + byte-identical warm output ok"
 # Service smoke leg: boot a real earthd on an ephemeral port, submit one
 # good job and one malformed job over HTTP, then verify SIGTERM produces a
 # clean drain (exit 0, "drained cleanly" in the log). This exercises the
@@ -94,7 +49,7 @@ echo "cache smoke: disk hit + byte-identical warm output ok"
 # and the signal path — which no in-process test does.
 earthd_bin="$(mktemp)"
 earthd_log="$(mktemp)"
-trap 'rm -f "$earthd_bin" "$earthd_log"; rm -rf "$cache_dir" "$cache_src" "$cold_out" "$warm_out" "$warm_log"' EXIT
+trap 'rm -f "$earthd_bin" "$earthd_log"' EXIT
 go build -o "$earthd_bin" ./cmd/earthd
 "$earthd_bin" -addr 127.0.0.1:0 -shards 2 >"$earthd_log" 2>&1 &
 earthd_pid=$!
@@ -167,7 +122,7 @@ go test -race -count=1 -run 'TestCorruptionMatrix|TestJournalRecovery|TestCancel
 # replayed payload is byte-identical to a clean run — the crash-safety
 # contract, end to end through the real binary and real fsyncs.
 chaos_bin="$(mktemp)"
-trap 'rm -f "$earthd_bin" "$earthd_log" "$chaos_bin"; rm -rf "$cache_dir" "$cache_src" "$cold_out" "$warm_out" "$warm_log"' EXIT
+trap 'rm -f "$earthd_bin" "$earthd_log" "$chaos_bin"' EXIT
 go build -o "$chaos_bin" ./cmd/earthchaos
 "$chaos_bin" -earthd "$earthd_bin" -n 8 -cycles 1 -seed 7
 echo "chaos smoke: kill/restart cycle ok"
