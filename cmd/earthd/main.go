@@ -30,9 +30,9 @@
 //	                  wait exceeds d (0 = off)
 //	-obs              record per-job host-side timelines: span trees served
 //	                  by GET /jobs/{id}/timeline and /debug/jobs, per-stage
-//	                  latency histograms in /metrics (default true)
-//	-obs-recent N     completed timelines retained in the ring (default 64)
-//	-obs-slowest N    slowest timelines retained alongside it (default 16)
+//	                  latency histograms in /metrics (default true); the
+//	                  last 64 completed timelines and the 16 slowest are
+//	                  retained
 //	-slow-job d       dump the timeline of any job slower than d into the
 //	                  log (0 = off)
 //	-log-format f     structured log encoding: text or json (default text)
@@ -83,8 +83,6 @@ func main() {
 	wallDeadline := flag.Duration("job-wall-deadline", 0, "per-job wall-clock budget, acceptance to completion (0 = off)")
 	brownout := flag.Duration("brownout-after", 0, "shed trace-enabled jobs once measured queue wait exceeds this (0 = off)")
 	obsOn := flag.Bool("obs", true, "record per-job host-side timelines (GET /jobs/{id}/timeline, /debug/jobs)")
-	obsRecent := flag.Int("obs-recent", 0, "completed timelines retained in the ring (0 = default 64)")
-	obsSlowest := flag.Int("obs-slowest", 0, "slowest completed timelines retained (0 = default 16)")
 	slowJob := flag.Duration("slow-job", 0, "dump timelines of jobs slower than this into the log (0 = off)")
 	logFormat := flag.String("log-format", "text", "log encoding: text or json")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
@@ -115,8 +113,6 @@ func main() {
 		BrownoutAfter:   *brownout,
 		Obs: obs.Options{
 			Enabled: *obsOn,
-			Recent:  *obsRecent,
-			Slowest: *obsSlowest,
 			SlowJob: *slowJob,
 		},
 		Logger: log,

@@ -27,11 +27,11 @@ var oldenCounters = []struct {
 	// Measured allocations per BenchmarkOldenQuick run.
 	allocs int64
 }{
-	{"power", 257219, 483, 6464, 2672, 266},
-	{"tsp", 28947, 6193, 3298, 1534, 1114},
-	{"health", 60092, 11286, 14929, 7017, 844},
-	{"perimeter", 339749, 23528, 6493, 5897, 2573},
-	{"voronoi", 103257, 34297, 15990, 8758, 4791},
+	{"power", 257219, 483, 6464, 2672, 236},
+	{"tsp", 28947, 6193, 3298, 1534, 1072},
+	{"health", 60092, 11286, 14929, 7017, 811},
+	{"perimeter", 339749, 23528, 6493, 5897, 2509},
+	{"voronoi", 103257, 34297, 15990, 8758, 4621},
 }
 
 // haloEvents is BenchmarkSimNodes' deterministic metric: events of the halo
@@ -52,7 +52,7 @@ var haloEvents = []struct {
 var simulator = struct {
 	instructions int64
 	allocs       int64 // measured per run
-}{257219, 140}
+}{257219, 139}
 
 // Measured allocations per op of BenchmarkCompile and BenchmarkCompileWarm.
 const (

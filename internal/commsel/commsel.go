@@ -138,16 +138,10 @@ func (s shadow) storeLV() simple.Lvalue {
 	return simple.VarLV{V: s.v}
 }
 
-// Transform rewrites every function of prog in place and returns a report.
+// TransformP rewrites every function of prog in place and returns a report.
 // The placement result must have been computed on the same (un-rewritten)
-// program; rw and loc likewise.
-func Transform(prog *simple.Program, pl *placement.Result, rw *rwsets.Result,
-	loc *locality.Result, opt Options) *Report {
-	return TransformP(prog, pl, rw, loc, opt, nil)
-}
-
-// TransformP is Transform with per-function selection fanned across pool (nil
-// pool runs inline). Functions are rewritten independently: each worker
+// program; rw and loc likewise. Per-function selection is fanned across pool
+// (nil pool runs inline). Functions are rewritten independently: each worker
 // operates on a forked read/write-set view (new statements registered during
 // rewriting land in a private overlay) and a private FuncReport; forks are
 // merged back and reports appended in function order afterwards, so the

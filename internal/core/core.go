@@ -64,17 +64,12 @@ type Options struct {
 	// Stats collects per-phase compiler timings and communication
 	// optimization counters on the compiled unit (Unit.Stats).
 	Stats bool
-	// Trace, when non-nil, receives simulator events from every run the
-	// pipeline performs (see internal/trace). Tracing is purely
-	// observational: a traced run produces a bit-identical Result to an
-	// untraced one.
-	Trace *trace.Recorder
-	// Metrics, when non-nil, receives live telemetry from every compile and
+	// Metrics, when non-nil, receives telemetry from every compile and
 	// run the pipeline performs (see internal/metrics): compile counts and
 	// per-phase timing histograms, run counts, simulated-time and guest-work
 	// counters. Run-derived metrics record only simulated quantities, so for
-	// a fixed unit + RunConfig the registry contents are deterministic. Like
-	// Trace, a nil registry costs nothing.
+	// a fixed unit + RunConfig the registry contents are deterministic. A nil
+	// registry costs nothing.
 	Metrics *metrics.Registry
 }
 

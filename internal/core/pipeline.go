@@ -22,20 +22,16 @@ import (
 
 // Pipeline is the unified compile-and-run entry point: construct one from
 // Options, then call Do (or Compile) / Run / ProfileCycle. A Pipeline
-// is cheap and safe to reuse across units; observability sinks
-// (Options.Stats, Options.Trace, Options.Metrics) plug in at construction
-// so every compile and run it performs feeds them, and ServeDebug exposes
-// them over HTTP while runs are in flight.
+// is cheap and safe to reuse across units. The sinks every compile and run
+// feeds (Options.Stats, Options.Metrics) plug in at construction; the sinks
+// of one run (RunConfig.Trace, RunConfig.Sampler) ride on its RunConfig and
+// are read once Run has returned.
 type Pipeline struct {
 	opt Options
-	// live is the current-run state the debug HTTP server reads; a shared
-	// pointer (not an embedded value) so the by-value Pipeline copies made in
-	// ProfileCycle feed the same observers without tripping vet's copylocks.
-	live *liveState
 }
 
 // NewPipeline builds a pipeline from the given options.
-func NewPipeline(opt Options) *Pipeline { return &Pipeline{opt: opt, live: &liveState{}} }
+func NewPipeline(opt Options) *Pipeline { return &Pipeline{opt: opt} }
 
 // Options returns the pipeline's configuration.
 func (p *Pipeline) Options() Options { return p.opt }
@@ -240,9 +236,7 @@ func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, st 
 }
 
 // Run generates threaded code for the unit and executes it on a simulated
-// EARTH-MANNA machine, starting at main() on node 0. When the pipeline has
-// a trace recorder, the machine streams events into it; tracing is purely
-// observational and never changes the simulated outcome.
+// EARTH-MANNA machine, starting at main() on node 0.
 func (p *Pipeline) Run(u *Unit, rc RunConfig) (*earthsim.Result, error) {
 	if rc.Sequential && rc.Nodes > 1 {
 		return nil, fmt.Errorf("core: the sequential baseline uses direct local memory accesses and is only valid on 1 node (got %d)", rc.Nodes)
@@ -277,16 +271,11 @@ func (p *Pipeline) Run(u *Unit, rc RunConfig) (*earthsim.Result, error) {
 		}
 		m.SetContext(rc.Context)
 	}
-	if p.opt.Trace != nil {
-		m.SetTrace(p.opt.Trace)
+	if rc.Trace != nil {
+		m.SetTrace(rc.Trace)
 	}
 	if rc.Sampler != nil {
 		m.SetMetrics(rc.Sampler)
-	}
-	if p.live != nil {
-		rec := &runRecord{unit: u.Name, nodes: cfg.Nodes, started: time.Now(), sampler: rc.Sampler}
-		p.live.cur.Store(rec)
-		defer rec.finished.Store(true)
 	}
 	reg := p.opt.Metrics
 	reg.Counter("earth_runs_started_total", "Simulator runs started.").Inc()
@@ -324,15 +313,15 @@ func (p *Pipeline) Run(u *Unit, rc RunConfig) (*earthsim.Result, error) {
 func (p *Pipeline) ProfileCycle(name, src string, rc RunConfig) (*Unit, *profile.Data, error) {
 	gen := *p
 	gen.opt.Optimize = false
-	// The instrumented run is a measurement pass, not the run of interest:
-	// keep it out of the trace recorder.
-	gen.opt.Trace = nil
 	gres, err := gen.Do(CompileRequest{Name: name, Source: src})
 	if err != nil {
 		return nil, nil, err
 	}
 	grc := rc
 	grc.Profile = true
+	// The instrumented run is a measurement pass, not the run of interest:
+	// keep it out of the trace recorder.
+	grc.Trace = nil
 	res, err := gen.Run(gres.Unit, grc)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: instrumented run failed: %w", err)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -44,12 +43,6 @@ type CompileRequest struct {
 	Profile *profile.Data
 	// Cache is the per-request cache policy.
 	Cache CachePolicy
-	// Context, when non-nil, aborts the compile cooperatively: Do checks it
-	// between phases and fails with the context's error once cancelled.
-	// Callers sharing one compile across requests (earthd's single-flight
-	// batching) should leave this nil and cancel only their own Run — a
-	// shared compile must not die with the first client that loses interest.
-	Context context.Context
 }
 
 // CompileResult is a compile plus its cache outcome.
@@ -141,22 +134,12 @@ func (p *Pipeline) Do(req CompileRequest) (*CompileResult, error) {
 		}
 		reg.Counter("earth_cache_misses_total", "Compiles not served whole from the unit cache.").Inc()
 	}
-	if req.Context != nil {
-		if err := req.Context.Err(); err != nil {
-			return nil, fmt.Errorf("core: compile canceled: %w", err)
-		}
-	}
 	t0 := time.Now()
 	file, err := earthc.ParseFile(req.Name, req.Source)
 	if err != nil {
 		return nil, err
 	}
 	st.AddPhase("parse", time.Since(t0))
-	if req.Context != nil {
-		if err := req.Context.Err(); err != nil {
-			return nil, fmt.Errorf("core: compile canceled: %w", err)
-		}
-	}
 	u, err := p.compileAST(file, opt, prof, st)
 	if err != nil {
 		return nil, err

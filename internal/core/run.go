@@ -7,6 +7,7 @@ import (
 	"repro/internal/earthsim"
 	"repro/internal/metrics"
 	"repro/internal/threaded"
+	"repro/internal/trace"
 )
 
 // Threaded generates threaded code for the unit (Phase III of the paper's
@@ -66,12 +67,16 @@ type RunConfig struct {
 	// to the simulated transport (see earthsim.FaultConfig and
 	// earthsim.ParseFaultSpec); nil runs the idealized reliable machine.
 	Faults *earthsim.FaultConfig
+	// Trace, when non-nil, receives this run's simulator events (see
+	// internal/trace). Tracing is purely observational: a traced run produces
+	// a bit-identical Result to an untraced one. The simulator's shards
+	// record privately and fold into the recorder as Run exits, so read it
+	// after Run returns.
+	Trace *trace.Recorder
 	// Sampler, when non-nil, records a deterministic time series of simulator
 	// state (per-node EU/SU utilization, SU queue depth, per-link occupancy,
 	// fault-layer retry counts) at the sampler's fixed simulated-time
 	// interval. Sampling is purely observational; identical unit + RunConfig
-	// (including the fault seed) yields a bit-identical series. The debug
-	// HTTP server (Pipeline.ServeDebug) publishes the sampler's latest
-	// snapshot while the run is in flight.
+	// (including the fault seed) yields a bit-identical series.
 	Sampler *metrics.Sampler
 }

@@ -63,16 +63,6 @@ func ParseFile(name, src string) (*File, error) {
 	return p.file, nil
 }
 
-// MustParse parses src and panics on any error. It is intended for tests and
-// for embedded benchmark sources that are known to be valid.
-func MustParse(name, src string) *File {
-	f, err := ParseFile(name, src)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 func (p *Parser) cur() Token { return p.toks[p.pos] }
 func (p *Parser) peek() Token {
 	if p.pos+1 < len(p.toks) {

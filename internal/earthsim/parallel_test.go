@@ -36,7 +36,7 @@ func matrixRun(t *testing.T, bm *olden.Benchmark, nodes, workers int, faultSpec,
 	t.Helper()
 	rec := trace.NewRecorder(nodes)
 	sampler := metrics.NewSampler(50_000, 0)
-	p := core.NewPipeline(core.Options{Optimize: true, Trace: rec})
+	p := core.NewPipeline(core.Options{Optimize: true})
 	u, err := p.Compile(bm.Name+".ec", bm.Source(olden.QuickParams(bm)))
 	if err != nil {
 		t.Fatal(err)
@@ -54,6 +54,7 @@ func matrixRun(t *testing.T, bm *olden.Benchmark, nodes, workers int, faultSpec,
 	}
 	res, err := p.Run(u, core.RunConfig{
 		Nodes: nodes, SimWorkers: workers, Faults: faults, Sampler: sampler, Machine: machine,
+		Trace: rec,
 	})
 	if err != nil {
 		t.Fatalf("%s nodes=%d workers=%d faults=%q cost=%q: %v", bm.Name, nodes, workers, faultSpec, cost, err)

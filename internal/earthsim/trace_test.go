@@ -38,8 +38,8 @@ func TestTracingPreservesResult(t *testing.T) {
 	}
 
 	rec := trace.NewRecorder(4)
-	traced := core.NewPipeline(core.Options{Optimize: true, Trace: rec})
-	got, err := traced.Run(u, rc)
+	rc.Trace = rec
+	got, err := plain.Run(u, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +86,12 @@ func traceOnce(t *testing.T) []byte {
 	t.Helper()
 	name, src := oldenQuick()
 	rec := trace.NewRecorder(4)
-	p := core.NewPipeline(core.Options{Optimize: true, Trace: rec})
+	p := core.NewPipeline(core.Options{Optimize: true})
 	u, err := p.Compile(name, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Run(u, core.RunConfig{Nodes: 4}); err != nil {
+	if _, err := p.Run(u, core.RunConfig{Nodes: 4, Trace: rec}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -146,12 +146,12 @@ func TestTraceSummaryDeterministic(t *testing.T) {
 	runSummary := func() string {
 		name, src := oldenQuick()
 		rec := trace.NewRecorder(4)
-		p := core.NewPipeline(core.Options{Optimize: true, Trace: rec})
+		p := core.NewPipeline(core.Options{Optimize: true})
 		u, err := p.Compile(name, src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Run(u, core.RunConfig{Nodes: 4}); err != nil {
+		if _, err := p.Run(u, core.RunConfig{Nodes: 4, Trace: rec}); err != nil {
 			t.Fatal(err)
 		}
 		return rec.Summarize().String()

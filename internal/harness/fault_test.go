@@ -45,8 +45,12 @@ func TestFaultDeterminism(t *testing.T) {
 
 	run := func() (*earthsim.Result, []byte) {
 		rec := trace.NewRecorder(faultTestNodes)
-		p, u := compileOlden(t, bm, core.Options{Optimize: true, Trace: rec})
-		r := faultRun(t, p, u, fc)
+		p, u := compileOlden(t, bm, core.Options{Optimize: true})
+		r, err := p.Run(u, core.RunConfig{Nodes: faultTestNodes, Faults: fc,
+			Fuel: defaultFuel, Deadline: defaultDeadline, Trace: rec})
+		if err != nil {
+			t.Fatalf("run (faults %s): %v", fc, err)
+		}
 		var buf bytes.Buffer
 		if err := rec.WriteChrome(&buf); err != nil {
 			t.Fatal(err)

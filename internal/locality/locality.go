@@ -38,16 +38,11 @@ func (r *Result) IsLocal(v *simple.Var) bool { return r.local[v] }
 // RemoteLoad reports whether a LoadRV through p is a remote operation.
 func (r *Result) RemoteLoad(p *simple.Var) bool { return !r.local[p] }
 
-// Analyze runs locality analysis.
-func Analyze(prog *simple.Program, pt *pointsto.Result) *Result {
-	return AnalyzeP(prog, pt, nil)
-}
-
-// AnalyzeP is Analyze with per-function scanning fanned across pool (nil
-// pool runs inline). Each fixpoint pass reads the candidate set concurrently
-// and collects per-function demotion lists; demotions apply sequentially
-// between passes (Jacobi iteration). The greatest fixpoint is unique, so
-// the result is identical to the sequential (Gauss-Seidel) run.
+// AnalyzeP runs locality analysis, with per-function scanning fanned across
+// pool (nil pool runs inline). Each fixpoint pass reads the candidate set
+// concurrently and collects per-function demotion lists; demotions apply
+// sequentially between passes (Jacobi iteration). The greatest fixpoint is
+// unique, so the result is identical to the sequential (Gauss-Seidel) run.
 func AnalyzeP(prog *simple.Program, pt *pointsto.Result, pool *par.Pool) *Result {
 	res := &Result{local: make(map[*simple.Var]bool)}
 

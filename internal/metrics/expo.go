@@ -191,56 +191,3 @@ func (s *Sampler) WriteSeriesJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
 }
-
-// WritePrometheus writes the latest sample in the Prometheus text format,
-// under the earthsim_* namespace with per-node and per-link label sets.
-// Writes nothing if no sample has been recorded yet. Nil-safe.
-func (s *Sampler) WritePrometheus(w io.Writer) error {
-	sm := s.Latest()
-	if sm == nil {
-		return nil
-	}
-	scalar := func(name, help, typ string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, help, name, typ, name, v)
-	}
-	scalar("earthsim_time_ns", "Simulated time of the latest sample.", "gauge", sm.Time)
-	scalar("earthsim_instructions_total", "Guest instructions retired.", "counter", sm.Instructions)
-	scalar("earthsim_remote_reads_total", "Remote read operations issued.", "counter", sm.RemoteReads)
-	scalar("earthsim_remote_writes_total", "Remote write operations issued.", "counter", sm.RemoteWrites)
-	scalar("earthsim_blk_moves_total", "Block transfer operations issued.", "counter", sm.BlkMoves)
-	scalar("earthsim_live_fibers", "Fibers spawned and not yet finished.", "gauge", sm.LiveFibers)
-	scalar("earthsim_retries_total", "Reliable-messaging retransmissions.", "counter", sm.Retries)
-	scalar("earthsim_retries_spurious_total", "Retransmissions that were unnecessary in hindsight.", "counter", sm.Spurious)
-	scalar("earthsim_drops_total", "Messages dropped on the wire.", "counter", sm.Drops)
-	scalar("earthsim_dups_total", "Messages duplicated on the wire.", "counter", sm.Dups)
-	scalar("earthsim_stalls_total", "SU stall windows entered.", "counter", sm.Stalls)
-
-	perNode := func(name, help, typ string, get func(NodeSample) int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for i, n := range sm.Nodes {
-			fmt.Fprintf(w, "%s{node=\"%d\"} %d\n", name, i, get(n))
-		}
-	}
-	perNode("earthsim_node_eu_busy_ns", "Cumulative EU busy time per node.", "counter",
-		func(n NodeSample) int64 { return n.EUBusyNs })
-	perNode("earthsim_node_su_busy_ns", "Cumulative SU busy time per node.", "counter",
-		func(n NodeSample) int64 { return n.SUBusyNs })
-	perNode("earthsim_node_su_queue", "SU requests accepted but not yet completed.", "gauge",
-		func(n NodeSample) int64 { return n.SUQueue })
-	perNode("earthsim_node_ready_fibers", "Fibers in the node's ready queue.", "gauge",
-		func(n NodeSample) int64 { return n.Ready })
-
-	perLink := func(name, help, typ string, get func(LinkSample) int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, l := range sm.Links {
-			fmt.Fprintf(w, "%s{src=\"%d\",dst=\"%d\"} %d\n", name, l.Src, l.Dst, get(l))
-		}
-	}
-	perLink("earthsim_link_busy_ns", "Cumulative wire occupancy per directed link.", "counter",
-		func(l LinkSample) int64 { return l.BusyNs })
-	perLink("earthsim_link_msgs_total", "Messages injected per directed link.", "counter",
-		func(l LinkSample) int64 { return l.Msgs })
-	perLink("earthsim_link_words_total", "Payload words carried per directed link.", "counter",
-		func(l LinkSample) int64 { return l.Words })
-	return nil
-}

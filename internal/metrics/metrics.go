@@ -1,13 +1,12 @@
-// Package metrics is the live-telemetry substrate of the pipeline: a
+// Package metrics is the telemetry substrate of the pipeline: a
 // zero-cost-when-disabled registry of counters, gauges and power-of-two
 // histograms (reusing internal/trace's bucket scheme), plus a deterministic
 // time-series sampler the simulator feeds at fixed simulated-time intervals
 // (see Sampler and earthsim.Machine.SetMetrics).
 //
-// Where PR 2's trace subsystem is post-mortem — a full event log reduced to
-// a summary after the run — this package is the live view: cheap aggregates
-// an operator (or the debug HTTP server, core.Pipeline.ServeDebug) can read
-// while a Run is in flight, and that CI can diff across revisions.
+// Where the trace subsystem is a full event log reduced to a summary after
+// the run, this package holds cheap aggregates: earthd's scrape endpoints
+// read them while its shards run jobs, and CI can diff them across revisions.
 //
 // Two contracts carry over from the trace subsystem:
 //
@@ -18,8 +17,8 @@
 //
 //   - Determinism. The simulator feeds the sampler in event-loop order, so
 //     for identical seed + spec (faults on or off) the recorded time series —
-//     and the byte-exact Prometheus/JSON exposition of it — are identical
-//     run to run. Registry exposition is likewise byte-deterministic in the
+//     and the byte-exact JSON exposition of it — are identical run to
+//     run. Registry exposition is likewise byte-deterministic in the
 //     recorded values: names are emitted in sorted order with fixed integer
 //     formatting.
 //

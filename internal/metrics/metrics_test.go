@@ -41,17 +41,13 @@ func TestNilSinksAreNoOps(t *testing.T) {
 
 	var s *Sampler
 	s.Record(SimSample{Time: 1})
-	if s.Latest() != nil || s.Series() != nil || s.Total() != 0 || s.Interval() != 0 {
+	if s.Series() != nil || s.Total() != 0 || s.Interval() != 0 {
 		t.Fatal("nil sampler not inert")
 	}
 	s.Reset()
 	buf.Reset()
 	if err := s.WriteSeriesJSON(&buf); err != nil || buf.String() != "{}\n" {
 		t.Fatalf("nil sampler json: err=%v %q", err, buf.String())
-	}
-	buf.Reset()
-	if err := s.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
-		t.Fatalf("nil sampler prometheus: err=%v len=%d", err, buf.Len())
 	}
 }
 
@@ -220,16 +216,13 @@ func TestSamplerRing(t *testing.T) {
 			t.Fatalf("series[%d].Time = %d, want %d", i, sm.Time, want)
 		}
 	}
-	if l := s.Latest(); l == nil || l.Time != 6 {
-		t.Fatalf("latest = %+v", l)
-	}
 	s.Reset()
-	if s.Latest() != nil || len(s.Series()) != 0 || s.Total() != 0 {
+	if len(s.Series()) != 0 || s.Total() != 0 {
 		t.Fatal("reset did not clear sampler")
 	}
 	s.Record(SimSample{Time: 42})
-	if l := s.Latest(); l == nil || l.Time != 42 {
-		t.Fatal("sampler unusable after reset")
+	if got := s.Series(); len(got) != 1 || got[0].Time != 42 {
+		t.Fatalf("sampler unusable after reset: %+v", got)
 	}
 }
 
@@ -252,40 +245,6 @@ func TestSamplerSeriesJSON(t *testing.T) {
 	} {
 		if !strings.Contains(got, frag) {
 			t.Fatalf("series json missing %q:\n%s", frag, got)
-		}
-	}
-}
-
-func TestSamplerPrometheus(t *testing.T) {
-	s := NewSampler(0, 0)
-	var buf bytes.Buffer
-	if err := s.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
-		t.Fatalf("empty sampler wrote %q (err %v)", buf.String(), err)
-	}
-	s.Record(SimSample{
-		Time:         1000,
-		Instructions: 7,
-		Retries:      2,
-		Nodes:        []NodeSample{{EUBusyNs: 800, SUBusyNs: 100, SUQueue: 1, Ready: 2}, {}},
-		Links:        []LinkSample{{Src: 0, Dst: 1, BusyNs: 50, Msgs: 4, Words: 16}},
-	})
-	if err := s.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.String()
-	for _, line := range []string{
-		"earthsim_time_ns 1000",
-		"earthsim_instructions_total 7",
-		"earthsim_retries_total 2",
-		`earthsim_node_eu_busy_ns{node="0"} 800`,
-		`earthsim_node_eu_busy_ns{node="1"} 0`,
-		`earthsim_node_su_queue{node="0"} 1`,
-		`earthsim_node_ready_fibers{node="0"} 2`,
-		`earthsim_link_busy_ns{src="0",dst="1"} 50`,
-		`earthsim_link_words_total{src="0",dst="1"} 16`,
-	} {
-		if !strings.Contains(got, line+"\n") {
-			t.Fatalf("missing line %q in:\n%s", line, got)
 		}
 	}
 }
@@ -325,6 +284,9 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 }
 
+// TestSamplerConcurrentObservation: Series and Total read from another
+// goroutine while Record runs see whole samples, oldest first, and never
+// more retained than recorded — what earthd's /series.json relies on.
 func TestSamplerConcurrentObservation(t *testing.T) {
 	s := NewSampler(1, 16)
 	done := make(chan struct{})
@@ -334,18 +296,34 @@ func TestSamplerConcurrentObservation(t *testing.T) {
 			s.Record(SimSample{Time: i, Nodes: []NodeSample{{EUBusyNs: i}}})
 		}
 	}()
+	check := func() []SimSample {
+		before := s.Total()
+		series := s.Series()
+		if int64(len(series)) > s.Total() || len(series) > 16 {
+			t.Fatalf("%d samples retained, %d recorded", len(series), s.Total())
+		}
+		for i, sm := range series {
+			if sm.Nodes[0].EUBusyNs != sm.Time {
+				t.Fatalf("torn sample: %+v", sm)
+			}
+			if i > 0 && sm.Time != series[i-1].Time+1 {
+				t.Fatalf("series out of order at %d: %d after %d", i, sm.Time, series[i-1].Time)
+			}
+		}
+		if n := len(series); n > 0 && series[n-1].Time < before {
+			t.Fatalf("series ends at %d, but %d samples were recorded before it was read", series[n-1].Time, before)
+		}
+		return series
+	}
 	for {
 		select {
 		case <-done:
-			if l := s.Latest(); l == nil || l.Time != 5000 {
-				t.Fatalf("latest after writer done = %+v", l)
+			if series := check(); s.Total() != 5000 || len(series) != 16 || series[15].Time != 5000 {
+				t.Fatalf("after writer done: total %d, series %+v", s.Total(), series)
 			}
 			return
 		default:
-			if l := s.Latest(); l != nil && l.Nodes[0].EUBusyNs != l.Time {
-				t.Fatalf("torn sample: %+v", l)
-			}
-			_ = s.Series()
+			check()
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"io"
 	"runtime"
 	"sync"
 )
@@ -11,11 +10,11 @@ import (
 // deliberately kept out of the pipeline registries: process state is
 // host-dependent and changes between scrapes, while the pipeline registries
 // carry the deterministic simulated quantities the telemetry determinism
-// tests pin byte-for-byte. Both debug surfaces (earthd's /metrics and
-// `earthrun -http`) append a collector's exposition to every scrape.
+// tests pin byte-for-byte. earthd folds the collector's registry into every
+// /metrics scrape.
 //
-// A nil *ProcessCollector is a valid, disabled collector: Collect and the
-// writers are no-ops, matching the registry/sampler nil contract.
+// A nil *ProcessCollector is a valid, disabled collector: Collect is a
+// no-op, matching the registry/sampler nil contract.
 type ProcessCollector struct {
 	mu  sync.Mutex
 	reg *Registry
@@ -70,13 +69,4 @@ func (c *ProcessCollector) Registry() *Registry {
 		return nil
 	}
 	return c.reg
-}
-
-// WritePrometheus writes the last collected snapshot in the Prometheus text
-// format. Nil-safe (writes nothing).
-func (c *ProcessCollector) WritePrometheus(w io.Writer) error {
-	if c == nil {
-		return nil
-	}
-	return c.reg.WritePrometheus(w)
 }

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // NodeSample is one node's cumulative activity at a sample instant.
 type NodeSample struct {
@@ -47,8 +44,8 @@ type SimSample struct {
 
 // Sampler accumulates a bounded time series of SimSamples. The simulator
 // calls Record from its event loop (single-threaded, deterministic order);
-// observers call Latest (lock-free) or Series (copy under lock) from any
-// goroutine — this is how the debug HTTP server reads a Run in flight.
+// observers call Series and Total (copies under the lock) from any goroutine
+// — this is how earthd's /series.json reads a shard while it runs jobs.
 //
 // A nil *Sampler is a valid, disabled sampler.
 type Sampler struct {
@@ -60,8 +57,6 @@ type Sampler struct {
 	head  int // index of oldest sample when full
 	n     int // samples currently in ring
 	total int64
-
-	latest atomic.Pointer[SimSample]
 }
 
 // Default sampler parameters: one sample per 100µs of simulated time, with
@@ -92,9 +87,9 @@ func (s *Sampler) Interval() int64 {
 	return s.interval
 }
 
-// Record appends one sample, evicting the oldest when the ring is full, and
-// publishes it as Latest. The sample is stored by value; the caller may
-// reuse nothing — slices must be freshly allocated per sample. Nil-safe.
+// Record appends one sample, evicting the oldest when the ring is full. The
+// sample is stored by value; the caller may reuse nothing — slices must be
+// freshly allocated per sample. Nil-safe.
 func (s *Sampler) Record(sm SimSample) {
 	if s == nil {
 		return
@@ -109,17 +104,6 @@ func (s *Sampler) Record(sm SimSample) {
 	}
 	s.total++
 	s.mu.Unlock()
-	cp := sm
-	s.latest.Store(&cp)
-}
-
-// Latest returns the most recently recorded sample, or nil if none yet.
-// Lock-free; safe from any goroutine while Record runs.
-func (s *Sampler) Latest() *SimSample {
-	if s == nil {
-		return nil
-	}
-	return s.latest.Load()
 }
 
 // Series returns the retained samples oldest-first.
@@ -146,8 +130,7 @@ func (s *Sampler) Total() int64 {
 	return s.total
 }
 
-// Reset clears the ring and the latest pointer so the sampler can serve a
-// fresh Run.
+// Reset clears the ring so the sampler can serve a fresh Run.
 func (s *Sampler) Reset() {
 	if s == nil {
 		return
@@ -156,5 +139,4 @@ func (s *Sampler) Reset() {
 	s.ring = s.ring[:0]
 	s.head, s.n, s.total = 0, 0, 0
 	s.mu.Unlock()
-	s.latest.Store(nil)
 }

@@ -7,6 +7,8 @@ import (
 	"io"
 	"strings"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // Timeline is a point-in-time snapshot of a JobTrace: job metadata plus the
@@ -119,56 +121,26 @@ func (tl *Timeline) WriteText(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteChrome writes the timeline in the Chrome trace_event encoding used by
-// internal/trace — the JSON object form with "X" complete events and
-// fixed-point microsecond timestamps — so a job's server-side spans open in
-// Perfetto next to its simulated-time trace. The host spans become one
-// process (pid 0 "earthd") with one thread per top-level stage.
+// WriteChrome writes the timeline in the Chrome trace_event encoding of
+// internal/trace, through its writer — the JSON object form with "X"
+// complete events and fixed-point microsecond timestamps — so a job's
+// server-side spans open in Perfetto next to its simulated-time trace. The
+// host spans become one process (pid 0 "earthd") with one thread per
+// top-level stage.
 func (tl *Timeline) WriteChrome(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
-	first := true
-	emit := func(line string) {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		bw.WriteString(line)
-	}
-	emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":0,"name":"process_name","args":{"name":%s}}`, jstr("earthd job "+tl.JobID)))
-	tid := 0
+	cw := trace.NewChromeWriter(w)
+	cw.Event(`{"ph":"M","pid":0,"tid":0,"name":"process_name","args":{"name":%s}}`, trace.JSONString("earthd job "+tl.JobID))
 	var walk func(n SpanNode, tid int)
 	walk = func(n SpanNode, tid int) {
-		emit(fmt.Sprintf(`{"ph":"X","pid":0,"tid":%d,"name":%s,"cat":"host","ts":%s,"dur":%s,"args":{"open":%t}}`,
-			tid, jstr(n.Kind), micros(n.StartNs), micros(n.DurNs), n.Open))
+		cw.Event(`{"ph":"X","pid":0,"tid":%d,"name":%s,"cat":"host","ts":%s,"dur":%s,"args":{"open":%t}}`,
+			tid, trace.JSONString(n.Kind), trace.Micros(n.StartNs), trace.Micros(n.DurNs), n.Open)
 		for _, c := range n.Children {
 			walk(c, tid)
 		}
 	}
-	for _, n := range tl.Spans {
-		emit(fmt.Sprintf(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":%s}}`, tid, jstr(n.Kind)))
+	for tid, n := range tl.Spans {
+		cw.Event(`{"ph":"M","pid":0,"tid":%d,"name":"thread_name","args":{"name":%s}}`, tid, trace.JSONString(n.Kind))
 		walk(n, tid)
-		tid++
 	}
-	bw.WriteString("\n]}\n")
-	return bw.Flush()
-}
-
-// micros renders ns as fixed-point microseconds ("12.345"), matching
-// internal/trace's Chrome export.
-func micros(ns int64) string {
-	neg := ""
-	if ns < 0 {
-		neg, ns = "-", -ns
-	}
-	return fmt.Sprintf("%s%d.%03d", neg, ns/1000, ns%1000)
-}
-
-// jstr JSON-escapes a string.
-func jstr(s string) string {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return `"?"`
-	}
-	return string(b)
+	return cw.Close()
 }

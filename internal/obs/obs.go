@@ -8,7 +8,7 @@
 // explains what happened to a job on its way *through* the service: queue
 // wait, batching attach, cache lookup, compile, simulate, journal fsync,
 // respond. Those are wall-clock, host-dependent quantities, so everything
-// here lives deliberately outside the pipeline registries — the §11
+// here lives deliberately outside the pipeline registries — the DESIGN.md §8
 // byte-determinism contracts (telemetry series, trace exports) never see a
 // host timestamp, the same boundary metrics.ProcessCollector sits on.
 //

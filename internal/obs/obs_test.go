@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -215,6 +216,39 @@ func TestExportEncodings(t *testing.T) {
 	}
 	if chrome.DisplayTimeUnit != "ns" || len(chrome.TraceEvents) < 3 {
 		t.Fatalf("chrome export malformed: unit=%q events=%d", chrome.DisplayTimeUnit, len(chrome.TraceEvents))
+	}
+}
+
+// TestWriteChromeGolden pins Timeline.WriteChrome to the bytes it produced
+// while it still carried its own copy of the trace_event framing (captured
+// at commit 6ed1fe4, before the framing moved into internal/trace).
+func TestWriteChromeGolden(t *testing.T) {
+	tl := &Timeline{
+		JobID: `j-"7" é`,
+		Spans: []SpanNode{
+			{Kind: KindAccept, StartNs: 0, DurNs: 120_345, Children: []SpanNode{
+				{Kind: KindJournalAppend, StartNs: 10_007, DurNs: 85_001},
+				{Kind: KindBatchAttach, StartNs: 96_000, DurNs: 5},
+			}},
+			{Kind: KindQueueWait, StartNs: 120_345, DurNs: 999},
+			{Kind: KindCompile, StartNs: 121_344, DurNs: 4_000_000, Children: []SpanNode{
+				{Kind: KindCacheLookup, StartNs: 121_400, DurNs: 1_234, Children: []SpanNode{
+					{Kind: "compile.parse", StartNs: -1_500, DurNs: 42},
+				}},
+			}},
+			{Kind: KindSimRun, StartNs: 4_121_344, DurNs: 1_000_000_001, Open: true},
+		},
+	}
+	var got bytes.Buffer
+	if err := tl.WriteChrome(&got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/timeline_chrome.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("WriteChrome diverges from the golden:\n--- got ---\n%s--- want ---\n%s", got.Bytes(), want)
 	}
 }
 

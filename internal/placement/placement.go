@@ -46,24 +46,13 @@ type Result struct {
 	ExitWrites map[*simple.Func]*Set
 }
 
-// Analyze runs possible-placement analysis over every function using the
-// static frequency heuristics.
-func Analyze(prog *simple.Program, rw *rwsets.Result, loc *locality.Result) *Result {
-	return AnalyzeProfiled(prog, rw, loc, nil)
-}
-
-// AnalyzeProfiled is Analyze with measured frequency factors: wherever fp
-// answers for a site, its factor replaces the static constant; everywhere
-// else (fp nil, site unassigned, or no data) the static heuristics apply
-// unchanged.
-func AnalyzeProfiled(prog *simple.Program, rw *rwsets.Result, loc *locality.Result, fp FreqProvider) *Result {
-	return AnalyzeProfiledP(prog, rw, loc, fp, nil)
-}
-
-// AnalyzeProfiledP is AnalyzeProfiled with per-function analyses fanned
-// across pool (nil pool runs inline). Functions are independent — each gets
-// its own analysis state — and per-function results are merged in function
-// order, so the result is identical regardless of pool width.
+// AnalyzeProfiledP runs possible-placement analysis over every function.
+// Wherever fp answers for a site, its measured frequency factor replaces the
+// static constant; everywhere else (fp nil, site unassigned, or no data) the
+// static heuristics apply unchanged. Per-function analyses are fanned across
+// pool (nil pool runs inline). Functions are independent — each gets its own
+// analysis state — and per-function results are merged in function order, so
+// the result is identical regardless of pool width.
 func AnalyzeProfiledP(prog *simple.Program, rw *rwsets.Result, loc *locality.Result, fp FreqProvider, pool *par.Pool) *Result {
 	res := &Result{
 		Reads:      make(map[simple.Stmt]*Set),

@@ -191,13 +191,9 @@ type genOut struct {
 	addrTaken []*simple.Var
 }
 
-// Analyze runs the analysis over a SIMPLE program.
-func Analyze(prog *simple.Program) (*Result, error) {
-	return AnalyzeP(prog, nil)
-}
-
-// AnalyzeP is Analyze with constraint generation fanned across pool (nil
-// pool runs inline). The result is identical regardless of pool width.
+// AnalyzeP runs the analysis over a SIMPLE program, with constraint
+// generation fanned across pool (nil pool runs inline). The result is
+// identical regardless of pool width.
 func AnalyzeP(prog *simple.Program, pool *par.Pool) (*Result, error) {
 	r := &Result{
 		Prog:      prog,

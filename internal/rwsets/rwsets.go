@@ -172,13 +172,9 @@ type Result struct {
 	overlay map[simple.Stmt]*Effects
 }
 
-// Analyze computes read/write sets given points-to results.
-func Analyze(prog *simple.Program, pt *pointsto.Result) *Result {
-	return AnalyzeP(prog, pt, nil)
-}
-
-// AnalyzeP is Analyze with per-function work fanned across pool (nil pool
-// runs inline). The result is identical regardless of pool width.
+// AnalyzeP computes read/write sets given points-to results, with
+// per-function work fanned across pool (nil pool runs inline). The result is
+// identical regardless of pool width.
 func AnalyzeP(prog *simple.Program, pt *pointsto.Result, pool *par.Pool) *Result {
 	r := &Result{
 		PT:      pt,

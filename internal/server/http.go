@@ -352,9 +352,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(h)
 }
 
-// handleSeries serves one shard's current-run simulator time series — the
-// same deterministic sampler surface as `earthrun -http`'s /series.json,
-// per shard.
+// handleSeries serves one shard's current-run simulator time series: the
+// shard's deterministic sampler, read through its lock while the shard runs.
 func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	shardIx := 0
 	if v := r.URL.Query().Get("shard"); v != "" {

@@ -16,7 +16,7 @@ import (
 // Host-side observability glue: how the span recorder in internal/obs meets
 // the request path, and the HTTP surface that serves it. Everything here is
 // wall-clock and host-dependent, so it stays out of the shard pipeline
-// registries — the byte-deterministic telemetry (§11) never sees it.
+// registries — the byte-deterministic telemetry (DESIGN.md §8) never sees it.
 
 const stageHistHelp = "Host wall time per request-path stage (tail-latency attribution)."
 

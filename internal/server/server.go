@@ -142,13 +142,17 @@ func (c Config) withDefaults() Config {
 // shared queue into this shard's pipelines. The registry, trace recorder,
 // and sampler are per-shard so the hot path never contends across shards;
 // the recorder and sampler are reused job to job (the worker is sequential)
-// and the scrape endpoints read them concurrently through their own locks.
+// and the scrape endpoints read the registry and sampler concurrently
+// through their own locks.
 type shard struct {
 	id      int
 	reg     *metrics.Registry
 	rec     *trace.Recorder
 	sampler *metrics.Sampler
 	jobs    atomic.Int64 // jobs completed on this shard
+	// pipes are the shard's two pipelines, keyed by JobRequest.optimize: a
+	// job compiles and runs on the same one.
+	pipes map[bool]*core.Pipeline
 }
 
 // flight is one shared compile. Jobs attach at submit time (refs, guarded
@@ -269,6 +273,18 @@ func Open(cfg Config) (*Server, error) {
 			reg:     metrics.NewRegistry(),
 			rec:     trace.NewRecorder(0),
 			sampler: metrics.NewSampler(0, 0),
+			pipes:   make(map[bool]*core.Pipeline, 2),
+		}
+		for _, optimize := range []bool{false, true} {
+			sh.pipes[optimize] = core.NewPipeline(core.Options{
+				Optimize: optimize,
+				Workers:  cfg.Workers,
+				Metrics:  sh.reg,
+				Cache:    s.cache,
+				// With tracing on, keep the per-phase stats on the unit so
+				// the job's compile span gets phase children.
+				Stats: s.obs.Enabled(),
+			})
 		}
 		s.shards = append(s.shards, sh)
 		s.wg.Add(1)
@@ -583,15 +599,6 @@ func (s *Server) compileShared(sh *shard, j *job) (u *core.Unit, batched, hit bo
 	f.started = true
 	s.fmu.Unlock()
 
-	p := core.NewPipeline(core.Options{
-		Optimize: j.req.optimize(),
-		Workers:  s.cfg.Workers,
-		Metrics:  sh.reg,
-		Cache:    s.cache,
-		// With tracing on, keep the per-phase stats on the unit so the
-		// job's compile span gets phase children.
-		Stats: s.obs.Enabled(),
-	})
 	policy, jerr := j.req.cachePolicy()
 	if jerr != nil {
 		// Unreachable: Submit validated the policy before accepting the job.
@@ -599,7 +606,7 @@ func (s *Server) compileShared(sh *shard, j *job) (u *core.Unit, batched, hit bo
 		close(f.done)
 		return nil, false, false, f.err
 	}
-	res, err := p.Do(core.CompileRequest{Name: j.name, Source: j.src, Cache: policy})
+	res, err := sh.pipes[j.req.optimize()].Do(core.CompileRequest{Name: j.name, Source: j.src, Cache: policy})
 	if err == nil {
 		f.unit = res.Unit
 		f.hit = res.Hit
@@ -646,19 +653,17 @@ func (s *Server) execute(sh *shard, j *job) jobOutcome {
 	}
 	s.compileChildren(j.tr, cIx, batched, hit, u)
 
-	// Traced jobs get a pipeline carrying the shard's recorder; the worker
-	// is sequential, so Reset-per-job reuse is safe while scrapes read the
-	// recorder through its own lock.
-	runOpts := core.Options{Workers: s.cfg.Workers, Metrics: sh.reg}
+	// Traced jobs record into the shard's recorder; the worker is
+	// sequential, so Reset-per-job reuse is safe.
+	var rec *trace.Recorder
 	if req.TraceSummary {
 		sh.rec.Reset()
-		runOpts.Trace = sh.rec
+		rec = sh.rec
 	}
 	sh.sampler.Reset()
-	rp := core.NewPipeline(runOpts)
 	rIx := j.tr.Start(-1, obs.KindSimRun)
 	t0 = time.Now()
-	res, err := rp.Run(u, core.RunConfig{
+	res, err := sh.pipes[req.optimize()].Run(u, core.RunConfig{
 		Nodes:      nodes,
 		Sequential: req.Sequential,
 		Machine:    machine,
@@ -666,6 +671,7 @@ func (s *Server) execute(sh *shard, j *job) jobOutcome {
 		Fuel:       fuel,
 		Deadline:   s.cfg.JobDeadline,
 		Faults:     faults,
+		Trace:      rec,
 		Sampler:    sh.sampler,
 		// The job's own context only — never the shared compile flight's:
 		// a batched compile must not die with the first client that loses

@@ -347,6 +347,31 @@ func TestTraceSummaryPerJob(t *testing.T) {
 	}
 }
 
+// TestTracedPayloadIgnoresShardHistory: the shard reuses one recorder, so a
+// traced 2-node job must answer the same bytes whether or not an 8-node job
+// ran on the shard in between — identical requests, identical canonical
+// payloads.
+func TestTracedPayloadIgnoresShardHistory(t *testing.T) {
+	s := New(Config{Shards: 1, QueueDepth: 8})
+	defer drainServer(t, s)
+
+	var payloads []string
+	for _, nodes := range []int{2, 8, 2} {
+		r, jerr := submitWait(t, s, &JobRequest{Benchmark: "power", Quick: true, Nodes: nodes, TraceSummary: true})
+		if jerr != nil {
+			t.Fatalf("%d-node job: %v", nodes, jerr)
+		}
+		if r.Trace == nil || r.Trace.Nodes != nodes {
+			t.Errorf("%d-node job: trace digest reports %+v", nodes, r.Trace)
+		}
+		payloads = append(payloads, canonical(t, r))
+	}
+	if payloads[0] != payloads[2] {
+		t.Errorf("the same request answered %d then %d canonical bytes:\n--- first ---\n%s\n--- third ---\n%s",
+			len(payloads[0]), len(payloads[2]), payloads[0], payloads[2])
+	}
+}
+
 // TestFaultedJobDeterminism: the same faulted request twice produces
 // identical deterministic payloads, and the fault stats surface.
 func TestFaultedJobDeterminism(t *testing.T) {

@@ -14,10 +14,8 @@ import (
 // drain) on the returned channel. A second signal during the drain aborts
 // immediately with an error instead of waiting out the timeout.
 //
-// This is the graceful-shutdown helper shared by cmd/earthd (drain the job
-// queue, then stop the HTTP server) and `earthrun -http` (stop the debug
-// server): both block on the returned channel — earthd in main, earthrun in
-// a watcher goroutine — so a signal always produces an orderly drain rather
+// cmd/earthd blocks on the returned channel in main (drain the job queue,
+// then stop the HTTP server), so a signal produces an orderly drain rather
 // than the runtime's default hard kill.
 func ShutdownOnSignal(timeout time.Duration, shutdown func(context.Context) error) <-chan error {
 	sigs := make(chan os.Signal, 2)

@@ -27,52 +27,72 @@ const (
 	chromeTidMsg = 3
 )
 
+// ChromeWriter frames a trace_event JSON object: the opening, one event per
+// line with the commas between them, and the closing. It is the one copy of
+// that framing; Recorder.WriteChrome and obs.Timeline.WriteChrome (earthd's
+// host-side job timelines) both emit through it, so their files open in the
+// same viewers.
+type ChromeWriter struct {
+	bw  *bufio.Writer
+	sep string // what goes before the next event: nothing, then ",\n"
+}
+
+// NewChromeWriter starts a trace_event object on w.
+func NewChromeWriter(w io.Writer) *ChromeWriter {
+	c := &ChromeWriter{bw: bufio.NewWriter(w)}
+	c.bw.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
+	return c
+}
+
+// Event appends one event, given as a complete JSON object.
+func (c *ChromeWriter) Event(format string, args ...any) {
+	c.bw.WriteString(c.sep)
+	c.sep = ",\n"
+	fmt.Fprintf(c.bw, format, args...)
+}
+
+// Close ends the object and flushes it, returning the first write error.
+func (c *ChromeWriter) Close() error {
+	c.bw.WriteString("\n]}\n")
+	return c.bw.Flush()
+}
+
 // WriteChrome writes the recording as Chrome trace_event JSON. The recorder
-// is locked for the duration, so a live simulation pauses recording while
-// the export runs — callers serving a run in flight should write into a
-// buffer, not a slow socket.
+// is locked for the duration.
 func (r *Recorder) WriteChrome(w io.Writer) error {
 	if r != nil {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
-	first := true
-	emit := func(line string) {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		bw.WriteString(line)
-	}
+	cw := NewChromeWriter(w)
+	emit := cw.Event
 	if r != nil {
 		for node := 0; node < r.nodes; node++ {
-			emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":"node %d"}}`, node, node))
-			emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"EU"}}`, node, chromeTidEU))
-			emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"SU"}}`, node, chromeTidSU))
-			emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"NET out"}}`, node, chromeTidNet))
-			emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"messages"}}`, node, chromeTidMsg))
+			emit(`{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":"node %d"}}`, node, node)
+			emit(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"EU"}}`, node, chromeTidEU)
+			emit(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"SU"}}`, node, chromeTidSU)
+			emit(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"NET out"}}`, node, chromeTidNet)
+			emit(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"messages"}}`, node, chromeTidMsg)
 		}
 		for i := range r.spans {
 			s := &r.spans[i]
 			switch s.Unit {
 			case UnitEU:
-				emit(fmt.Sprintf(`{"ph":"X","pid":%d,"tid":%d,"name":%s,"cat":"eu","ts":%s,"dur":%s,"args":{"fiber":%d}}`,
-					s.Node, chromeTidEU, jstr(s.Name), micros(s.Start), micros(s.End-s.Start), s.Fiber))
+				emit(`{"ph":"X","pid":%d,"tid":%d,"name":%s,"cat":"eu","ts":%s,"dur":%s,"args":{"fiber":%d}}`,
+					s.Node, chromeTidEU, JSONString(s.Name), Micros(s.Start), Micros(s.End-s.Start), s.Fiber)
 			case UnitSU:
-				emit(fmt.Sprintf(`{"ph":"X","pid":%d,"tid":%d,"name":%s,"cat":"su","ts":%s,"dur":%s,"args":{"msg":%d,"queue":%d}}`,
-					s.Node, chromeTidSU, jstr(s.Name), micros(s.Start), micros(s.End-s.Start), s.MsgID, s.Queue))
+				emit(`{"ph":"X","pid":%d,"tid":%d,"name":%s,"cat":"su","ts":%s,"dur":%s,"args":{"msg":%d,"queue":%d}}`,
+					s.Node, chromeTidSU, JSONString(s.Name), Micros(s.Start), Micros(s.End-s.Start), s.MsgID, s.Queue)
 			case UnitNet:
-				emit(fmt.Sprintf(`{"ph":"X","pid":%d,"tid":%d,"name":%s,"cat":"net","ts":%s,"dur":%s,"args":{"msg":%d,"dst":%d,"words":%d}}`,
-					s.Node, chromeTidNet, jstr(s.Name), micros(s.Start), micros(s.End-s.Start), s.MsgID, s.Dst, s.Words))
+				emit(`{"ph":"X","pid":%d,"tid":%d,"name":%s,"cat":"net","ts":%s,"dur":%s,"args":{"msg":%d,"dst":%d,"words":%d}}`,
+					s.Node, chromeTidNet, JSONString(s.Name), Micros(s.Start), Micros(s.End-s.Start), s.MsgID, s.Dst, s.Words)
 			}
 		}
 		for i := range r.faults {
 			fe := &r.faults[i]
-			emit(fmt.Sprintf(`{"ph":"i","pid":%d,"tid":%d,"name":%s,"cat":"fault","ts":%s,"s":"t","args":{"msg":%d,"class":%s,"attempt":%d}}`,
-				fe.Node, chromeTidSU, jstr(fe.Kind.String()), micros(fe.Time),
-				fe.MsgID, jstr(fe.Class.String()), fe.Attempt))
+			emit(`{"ph":"i","pid":%d,"tid":%d,"name":%s,"cat":"fault","ts":%s,"s":"t","args":{"msg":%d,"class":%s,"attempt":%d}}`,
+				fe.Node, chromeTidSU, JSONString(fe.Kind.String()), Micros(fe.Time),
+				fe.MsgID, JSONString(fe.Class.String()), fe.Attempt)
 		}
 		for i := range r.msgs {
 			m := &r.msgs[i]
@@ -83,19 +103,19 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 				// event nests correctly.
 				end = r.horizon
 			}
-			emit(fmt.Sprintf(`{"ph":"b","pid":%d,"tid":%d,"cat":"msg","id":%d,"name":%s,"ts":%s,"args":{"site":%s,"src":%d,"dst":%d,"words":%d,"fiber":%d,"complete":%t}}`,
-				m.Src, chromeTidMsg, m.ID, jstr(m.Class.String()), micros(m.Issue),
-				jstr(m.Site), m.Src, m.Dst, m.Words, m.Fiber, m.Done >= 0))
-			emit(fmt.Sprintf(`{"ph":"e","pid":%d,"tid":%d,"cat":"msg","id":%d,"name":%s,"ts":%s}`,
-				m.Src, chromeTidMsg, m.ID, jstr(m.Class.String()), micros(end)))
+			emit(`{"ph":"b","pid":%d,"tid":%d,"cat":"msg","id":%d,"name":%s,"ts":%s,"args":{"site":%s,"src":%d,"dst":%d,"words":%d,"fiber":%d,"complete":%t}}`,
+				m.Src, chromeTidMsg, m.ID, JSONString(m.Class.String()), Micros(m.Issue),
+				JSONString(m.Site), m.Src, m.Dst, m.Words, m.Fiber, m.Done >= 0)
+			emit(`{"ph":"e","pid":%d,"tid":%d,"cat":"msg","id":%d,"name":%s,"ts":%s}`,
+				m.Src, chromeTidMsg, m.ID, JSONString(m.Class.String()), Micros(end))
 		}
 	}
-	bw.WriteString("\n]}\n")
-	return bw.Flush()
+	return cw.Close()
 }
 
-// micros renders simulated ns as fixed-point microseconds ("12.345").
-func micros(ns int64) string {
+// Micros renders ns as fixed-point microseconds ("12.345"), the unit of the
+// trace_event "ts" and "dur" fields.
+func Micros(ns int64) string {
 	neg := ""
 	if ns < 0 {
 		neg, ns = "-", -ns
@@ -103,8 +123,8 @@ func micros(ns int64) string {
 	return fmt.Sprintf("%s%d.%03d", neg, ns/1000, ns%1000)
 }
 
-// jstr JSON-escapes a string.
-func jstr(s string) string {
+// JSONString renders s as a JSON string literal.
+func JSONString(s string) string {
 	b, err := json.Marshal(s)
 	if err != nil {
 		return `"?"`

@@ -99,12 +99,13 @@ type Span struct {
 	Words int
 }
 
-// Recorder accumulates one run's events. The simulator is single-threaded
-// and records from its event loop only, but a Recorder is safe for
-// concurrent observation: a small internal mutex lets readers (Summarize,
-// WriteChrome, Msgs, …) run while a simulation is recording — this is how
-// the debug HTTP server serves a live trace summary mid-run. A nil
-// *Recorder is a valid, disabled sink: every method is nil-safe.
+// Recorder accumulates one run's events. The simulator's shards each record
+// into a private Recorder from their own event loop and the coordinator
+// folds those into the caller's as Run exits (see Absorb), so a recording is
+// complete — and meant to be read — once Run has returned. A small internal
+// mutex still guards every method: recordings are read (Summarize,
+// WriteChrome, Msgs, …) from goroutines other than the one that merged them.
+// A nil *Recorder is a valid, disabled sink: every method is nil-safe.
 type Recorder struct {
 	mu     sync.Mutex
 	nodes  int
@@ -138,16 +139,16 @@ func (r *Recorder) Reset() {
 	r.horizon = 0
 }
 
-// SetNodes records the machine size (called by the simulator at attach).
+// SetNodes records the machine size (called by the simulator at attach). It
+// replaces the previous size, so a recorder reused run to run describes the
+// machine of the run it holds, not the largest it ever saw.
 func (r *Recorder) SetNodes(n int) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if n > r.nodes {
-		r.nodes = n
-	}
+	r.nodes = n
 }
 
 // Nodes returns the machine size the recording was made on.

@@ -106,9 +106,28 @@ func TestResetAndSetNodes(t *testing.T) {
 	if r.Nodes() != 8 {
 		t.Errorf("SetNodes(8) → %d", r.Nodes())
 	}
-	r.SetNodes(4) // never shrinks
-	if r.Nodes() != 8 {
-		t.Errorf("SetNodes must not shrink: %d", r.Nodes())
+	// A reused recorder describes the machine attached last, not the largest.
+	r.SetNodes(4)
+	if r.Nodes() != 4 {
+		t.Errorf("SetNodes(4) after SetNodes(8) → %d", r.Nodes())
+	}
+}
+
+// TestReusedRecorderHasNoPhantomNodes: a recorder reset and attached to a
+// smaller machine exports process_name rows for that machine only.
+func TestReusedRecorderHasNoPhantomNodes(t *testing.T) {
+	r := NewRecorder(0)
+	for _, nodes := range []int{2, 8, 2} {
+		r.Reset()
+		r.SetNodes(nodes)
+		r.EUSpan(0, 1, "main", 0, 5)
+		var buf bytes.Buffer
+		if err := r.WriteChrome(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Count(buf.String(), `"name":"process_name"`); got != nodes {
+			t.Errorf("%d-node machine: export has %d process_name rows:\n%s", nodes, got, buf.String())
+		}
 	}
 }
 
@@ -219,8 +238,8 @@ func TestMicrosFixedPoint(t *testing.T) {
 		-1500: "-1.500",
 	}
 	for ns, want := range cases {
-		if got := micros(ns); got != want {
-			t.Errorf("micros(%d) = %q, want %q", ns, got, want)
+		if got := Micros(ns); got != want {
+			t.Errorf("Micros(%d) = %q, want %q", ns, got, want)
 		}
 	}
 }

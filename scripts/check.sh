@@ -19,29 +19,15 @@ go test ./...
 go vet -C benchmark ./...
 go test -C benchmark ./...
 # The whole module must also be clean under the race detector: the compiler
-# fans per-function analysis across a worker pool, units are driven from
-# concurrent goroutines in tests, and the trace recorder and metrics
-# registry are observed concurrently by the debug HTTP server — this
-# catches any accidental sharing. This leg also runs the fault-injection /
-# reliable-messaging tests (internal/earthsim, internal/harness) under the
-# race detector.
+# fans per-function analysis across a worker pool, the simulator runs its
+# windows on one, units are driven from concurrent goroutines in tests, and
+# earthd's scrape endpoints read the shard registries, samplers and live job
+# timelines while the shard workers write them — this catches any accidental
+# sharing. The counter pins (counters_test.go), the {benchmark x faults x
+# SimWorkers} equivalence matrix against testdata/engine_golden.json, the
+# timeline concurrency tests and the journal-recovery set all run here, and
+# once more without the detector in `go test ./...` above.
 go test -race ./...
-# Counter pins: guest instructions, events, Figure 10's operation counts and
-# halo's events must equal the table in counters_test.go, and allocations per
-# run stay under its ceilings; with telemetry disabled (no registry, no
-# sampler) the simulator must execute the identical guest schedule and
-# allocate no more per run than the table's simulator row, ditto for the
-# fault layer. (Also part of `go test ./...` above; rerun by name so a moved
-# counter is unmistakable in CI logs.)
-go test -run 'TestCounters|ZeroCostWhenDisabled|RegistryRunOverheadBounded' -count=1 .
-# Event-loop determinism pin: the {benchmark x faults x SimWorkers}
-# equivalence matrix — byte-identical Visible(), trace export, and telemetry
-# series across worker counts, and equal to the frozen
-# testdata/engine_golden.json — must hold under the race detector, where the
-# worker pool's scheduling is at its most adversarial. (Also part of
-# `go test -race ./...` above; rerun by name so a determinism failure is
-# unmistakable in CI logs.)
-go test -race -count=1 -run 'TestShardedEquivalenceMatrix|TestSharded256Nodes|TestDegenerateWindows' ./internal/earthsim
 # Service smoke leg: boot a real earthd on an ephemeral port, submit one
 # good job and one malformed job over HTTP, then verify SIGTERM produces a
 # clean drain (exit 0, "drained cleanly" in the log). This exercises the
@@ -105,18 +91,6 @@ grep -q 'drained cleanly' "$earthd_log" || {
     exit 1
 }
 echo "earthd smoke: 200/400/timeline/clean drain ok"
-# Timeline concurrency leg: live snapshot reads racing job execution and
-# completion filing, under the race detector, rerun by name so a data race
-# in the observability layer is unmistakable in CI logs. (Also part of
-# `go test -race ./...` above.)
-go test -race -count=1 -run 'TestTimeline' ./internal/server
-# Journal-recovery unit leg: the durability contract's unit surface —
-# corruption matrix, restart recovery, exactly-once re-submission,
-# cancellation — rerun by name under the race detector so a recovery
-# regression is unmistakable in CI logs. (Also part of `go test -race ./...`
-# above.)
-go test -race -count=1 -run 'TestCorruptionMatrix|TestJournalRecovery|TestCancel' \
-    ./internal/journal ./internal/server
 # Chaos smoke leg: one seeded SIGKILL/restart cycle against a real earthd
 # with a journal. The harness asserts zero lost accepted jobs and that every
 # replayed payload is byte-identical to a clean run — the crash-safety
