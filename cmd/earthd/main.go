@@ -1,7 +1,7 @@
 // Command earthd is the sharded compile-and-simulate daemon: it accepts
 // EARTH-C compile-and-simulate jobs over HTTP/JSON, runs them across N
-// pipeline shards with single-flight batching of identical sources, and
-// serves aggregated telemetry.
+// pipeline shards that share one content-hashed compile cache, and serves
+// aggregated telemetry.
 //
 // Usage:
 //
@@ -13,6 +13,8 @@
 //	-queue N          job queue depth; a full queue answers 429 with
 //	                  Retry-After (default 64)
 //	-j N              analysis workers per compile (default 1)
+//	-sim-j N          goroutines running each job's simulator windows (0 or
+//	                  1 = inline; results are identical for any value)
 //	-nodes N          default simulated machine size for jobs (default 4)
 //	-max-fuel N       per-job simulated instruction cap (default 500M;
 //	                  negative = unlimited)
@@ -26,8 +28,6 @@
 //	-job-wall-deadline d  per-job wall-clock budget from acceptance to
 //	                  completion (queue wait included); exceeding it aborts
 //	                  the job with 504 (0 = off)
-//	-brownout-after d shed trace-enabled jobs with 429 once measured queue
-//	                  wait exceeds d (0 = off)
 //	-obs              record per-job host-side timelines: span trees served
 //	                  by GET /jobs/{id}/timeline and /debug/jobs, per-stage
 //	                  latency histograms in /metrics (default true); the
@@ -59,6 +59,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -69,34 +70,41 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	shards := flag.Int("shards", 0, "pipeline shards (0 = GOMAXPROCS capped at 8)")
-	queue := flag.Int("queue", 0, "job queue depth (0 = default 64)")
-	workers := flag.Int("j", 0, "analysis workers per compile (0 = default 1)")
-	simJ := flag.Int("sim-j", 0, "goroutines running the simulator's event-loop windows per run (0 or 1 = inline); results are identical for any value")
-	nodes := flag.Int("nodes", 0, "default simulated machine size (0 = default 4)")
-	maxFuel := flag.Int64("max-fuel", 0, "per-job instruction cap (0 = default 500M, negative = unlimited)")
-	jobDeadline := flag.Duration("job-deadline", 0, "per-job host wall-clock bound (0 = default 60s)")
-	drain := flag.Duration("drain", 30*time.Second, "drain timeout on SIGINT/SIGTERM")
-	cacheSize := flag.Int("cache-size", 0, "compile cache capacity in units (0 = default 64, negative = disabled)")
-	journalDir := flag.String("journal-dir", "", "durable job journal directory (empty = journaling off)")
-	wallDeadline := flag.Duration("job-wall-deadline", 0, "per-job wall-clock budget, acceptance to completion (0 = off)")
-	brownout := flag.Duration("brownout-after", 0, "shed trace-enabled jobs once measured queue wait exceeds this (0 = off)")
-	obsOn := flag.Bool("obs", true, "record per-job host-side timelines (GET /jobs/{id}/timeline, /debug/jobs)")
-	slowJob := flag.Duration("slow-job", 0, "dump timelines of jobs slower than this into the log (0 = off)")
-	logFormat := flag.String("log-format", "text", "log encoding: text or json")
-	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
-	flag.Parse()
-	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: earthd [flags]")
-		flag.Usage()
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
+
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("earthd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8080", "listen address")
+	shards := fs.Int("shards", 0, "pipeline shards (0 = GOMAXPROCS capped at 8)")
+	queue := fs.Int("queue", 0, "job queue depth (0 = default 64)")
+	workers := fs.Int("j", 0, "analysis workers per compile (0 = default 1)")
+	simJ := fs.Int("sim-j", 0, "goroutines running the simulator's event-loop windows per run (0 or 1 = inline); results are identical for any value")
+	nodes := fs.Int("nodes", 0, "default simulated machine size (0 = default 4)")
+	maxFuel := fs.Int64("max-fuel", 0, "per-job instruction cap (0 = default 500M, negative = unlimited)")
+	jobDeadline := fs.Duration("job-deadline", 0, "per-job host wall-clock bound (0 = default 60s)")
+	drain := fs.Duration("drain", 30*time.Second, "drain timeout on SIGINT/SIGTERM")
+	cacheSize := fs.Int("cache-size", 0, "compile cache capacity in units (0 = default 64, negative = disabled)")
+	journalDir := fs.String("journal-dir", "", "durable job journal directory (empty = journaling off)")
+	wallDeadline := fs.Duration("job-wall-deadline", 0, "per-job wall-clock budget, acceptance to completion (0 = off)")
+	obsOn := fs.Bool("obs", true, "record per-job host-side timelines (GET /jobs/{id}/timeline, /debug/jobs)")
+	slowJob := fs.Duration("slow-job", 0, "dump timelines of jobs slower than this into the log (0 = off)")
+	logFormat := fs.String("log-format", "text", "log encoding: text or json")
+	logLevel := fs.String("log-level", "info", "log verbosity: debug, info, warn, error")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 0 {
+		fmt.Fprintln(stderr, "usage: earthd [flags]")
+		fs.Usage()
+		return 2
 	}
 
-	log, err := obs.NewLogger(os.Stderr, *logFormat, *logLevel)
+	log, err := obs.NewLogger(stderr, *logFormat, *logLevel)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "earthd:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "earthd:", err)
+		return 2
 	}
 
 	d, err := server.Open(server.Config{
@@ -110,7 +118,6 @@ func main() {
 		CacheSize:       *cacheSize,
 		JournalDir:      *journalDir,
 		JobWallDeadline: *wallDeadline,
-		BrownoutAfter:   *brownout,
 		Obs: obs.Options{
 			Enabled: *obsOn,
 			SlowJob: *slowJob,
@@ -119,12 +126,12 @@ func main() {
 	})
 	if err != nil {
 		log.Error("startup failed", "err", err)
-		os.Exit(1)
+		return 1
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Error("listen failed", "addr", *addr, "err", err)
-		os.Exit(1)
+		return 1
 	}
 	srv := &http.Server{Handler: d.Handler()}
 	cfg := d.Config()
@@ -151,11 +158,12 @@ func main() {
 
 	if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 		log.Error("serve failed", "err", err)
-		os.Exit(1)
+		return 1
 	}
 	if err := <-done; err != nil {
 		log.Error("drain failed", "err", err)
-		os.Exit(1)
+		return 1
 	}
 	log.Info("drained cleanly")
+	return 0
 }

@@ -1,11 +1,10 @@
 // Package contenthash is the one canonical content-hashing helper shared
 // by every subsystem that keys artifacts to source text: the profile
-// subsystem binds profiles to a source revision, earthd's single-flight
-// batching groups identical submissions, and the compile cache derives
-// unit keys. Centralizing the rendering ("sha256:<hex>")
-// guarantees the three can never drift — a profile collected under one
-// hash scheme is always comparable to a cache or batching key computed
-// elsewhere.
+// subsystem binds profiles to a source revision, the compile cache derives
+// unit keys, and earthd derives a job's idempotency key from its request.
+// Centralizing the rendering ("sha256:<hex>") guarantees they can never
+// drift — a profile collected under one hash scheme is always comparable to
+// a cache key computed elsewhere.
 package contenthash
 
 import (

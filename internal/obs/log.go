@@ -7,10 +7,10 @@ import (
 	"strings"
 )
 
-// Structured logging for the daemons. All three commands (earthd, earthload,
-// earthchaos) and internal/server log through *slog.Logger; this file is the
-// one place the handler wiring lives so `-log-format`/`-log-level` mean the
-// same thing everywhere.
+// Structured logging for the daemons. Both commands (earthd, earthchaos) and
+// internal/server log through *slog.Logger; this file is the one place the
+// handler wiring lives so `-log-format`/`-log-level` mean the same thing
+// everywhere.
 
 // Discard returns a logger that drops everything — the default for an
 // unconfigured Server, so library users pay for logging only when they ask

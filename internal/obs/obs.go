@@ -6,9 +6,9 @@
 // Where internal/trace and internal/metrics explain what happened *inside* a
 // simulated run (deterministic, simulated-time quantities), this package
 // explains what happened to a job on its way *through* the service: queue
-// wait, batching attach, cache lookup, compile, simulate, journal fsync,
-// respond. Those are wall-clock, host-dependent quantities, so everything
-// here lives deliberately outside the pipeline registries — the DESIGN.md §8
+// wait, cache lookup, compile, simulate, journal fsync, respond. Those are
+// wall-clock, host-dependent quantities, so everything here lives
+// deliberately outside the pipeline registries — the DESIGN.md §8
 // byte-determinism contracts (telemetry series, trace exports) never see a
 // host timestamp, the same boundary metrics.ProcessCollector sits on.
 //
@@ -34,11 +34,10 @@ import (
 // these stable names; tests, the attribution report, and operators key on
 // them.
 const (
-	KindAccept          = "accept"           // SubmitEx entry → enqueue (validation, dedup, admission)
+	KindAccept          = "accept"           // Submit entry → enqueue (validation, dedup, admission)
 	KindJournalAppend   = "journal.append"   // child of accept: fsync the acceptance record
-	KindBatchAttach     = "batch.attach"     // child of accept: join the single-flight compile
 	KindQueueWait       = "queue.wait"       // enqueue → a worker dequeues the job
-	KindCompile         = "compile"          // compileShared: cache lookup / flight wait / real compile
+	KindCompile         = "compile"          // Pipeline.Do: cache lookup, then a real compile on a miss
 	KindCacheLookup     = "cache.lookup"     // child of compile: unit-cache consultation
 	KindSimRun          = "sim.run"          // the simulator run itself
 	KindJournalComplete = "journal.complete" // the outcome record's journal append

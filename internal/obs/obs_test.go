@@ -124,7 +124,7 @@ func TestSnapshotTree(t *testing.T) {
 	tr := r.NewTrace("j-9", time.Now())
 	acc := tr.StartAt(-1, KindAccept, 0)
 	tr.AddInterval(acc, KindJournalAppend, 10, 40)
-	tr.AddInterval(acc, KindBatchAttach, 40, 50)
+	tr.AddInterval(acc, "index.lookup", 40, 50)
 	tr.End(acc)
 	q := tr.Start(-1, KindQueueWait)
 	tr.End(q)
@@ -145,7 +145,7 @@ func TestSnapshotTree(t *testing.T) {
 	if tl.Spans[0].Kind != KindAccept || len(tl.Spans[0].Children) != 2 {
 		t.Fatalf("accept span wrong: %+v", tl.Spans[0])
 	}
-	if tl.Spans[0].Children[0].Kind != KindJournalAppend || tl.Spans[0].Children[1].Kind != KindBatchAttach {
+	if tl.Spans[0].Children[0].Kind != KindJournalAppend || tl.Spans[0].Children[1].Kind != "index.lookup" {
 		t.Fatalf("accept children out of order: %+v", tl.Spans[0].Children)
 	}
 	if got := tl.Spans[2].Children[1].Kind; got != "compile.parse" {
@@ -228,7 +228,7 @@ func TestWriteChromeGolden(t *testing.T) {
 		Spans: []SpanNode{
 			{Kind: KindAccept, StartNs: 0, DurNs: 120_345, Children: []SpanNode{
 				{Kind: KindJournalAppend, StartNs: 10_007, DurNs: 85_001},
-				{Kind: KindBatchAttach, StartNs: 96_000, DurNs: 5},
+				{Kind: "index.lookup", StartNs: 96_000, DurNs: 5},
 			}},
 			{Kind: KindQueueWait, StartNs: 120_345, DurNs: 999},
 			{Kind: KindCompile, StartNs: 121_344, DurNs: 4_000_000, Children: []SpanNode{

@@ -45,8 +45,8 @@ func All() []*Benchmark {
 }
 
 // QuickParams returns parameters that keep one simulated run in the tens of
-// milliseconds of host time — the sizes the repo-root benchmarks, the load
-// generator (cmd/earthload), and service smoke tests share.
+// milliseconds of host time — the sizes the repo-root benchmarks, the
+// benchmark/ load generator, and service smoke tests share.
 func QuickParams(b *Benchmark) Params {
 	p := b.DefaultParams
 	switch b.Name {

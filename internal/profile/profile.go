@@ -86,8 +86,8 @@ func New() *Data {
 }
 
 // HashSource returns the source-revision key a profile is bound to. It is
-// the canonical contenthash.Source key, so profile bindings, earthd's
-// batching keys, and the compile cache's keys all agree byte-for-byte.
+// the canonical contenthash.Source key, so profile bindings and the compile
+// cache's keys agree byte-for-byte.
 func HashSource(src string) string {
 	return contenthash.Source(src)
 }

@@ -73,7 +73,7 @@ func dedupKey(req *JobRequest, journaled bool, auto uint64) (string, *jobError) 
 // newJob builds the queued form of one accepted submission, including its
 // cancellation context (wall deadline + explicit abort) and its host-side
 // timeline anchored at t0 (submission entry).
-func (s *Server) newJob(req *JobRequest, jid, name, src string, t0 time.Time) *job {
+func (s *Server) newJob(p prepared, jid string, t0 time.Time) *job {
 	ctx := context.Background()
 	var stopTimer context.CancelFunc
 	if s.cfg.JobWallDeadline > 0 {
@@ -81,12 +81,9 @@ func (s *Server) newJob(req *JobRequest, jid, name, src string, t0 time.Time) *j
 	}
 	cctx, cancel := context.WithCancelCause(ctx)
 	return &job{
+		prepared:  p,
 		id:        s.nextID.Add(1),
 		jid:       jid,
-		req:       req,
-		name:      name,
-		src:       src,
-		key:       compileKeyFor(req, src),
 		enq:       time.Now(),
 		ctx:       cctx,
 		cancel:    cancel,
@@ -303,7 +300,6 @@ func (s *Server) recover(rec *journal.Recovery) {
 	go func() {
 		defer s.replayWg.Done()
 		for _, j := range replay {
-			s.attach(j.key)
 			j.qIx = j.tr.Start(-1, obs.KindQueueWait)
 			s.obs.Track(j.tr)
 			s.queue <- j // blocking: the queue closes only after replayWg
@@ -320,22 +316,11 @@ func (s *Server) rebuild(r journal.Record) (*job, error) {
 	if err := json.Unmarshal(r.Req, &req); err != nil {
 		return nil, err
 	}
-	if jerr := req.validateVersion(); jerr != nil {
-		return nil, jerr
-	}
-	name, src, jerr := resolve(&req)
+	p, jerr := prepare(&req)
 	if jerr != nil {
 		return nil, jerr
 	}
-	if _, jerr := req.cachePolicy(); jerr != nil {
-		return nil, jerr
-	}
-	if _, _, jerr := runSpec(&req); jerr != nil {
-		return nil, jerr
-	}
-	j := s.newJob(&req, r.ID, name, src, time.Now())
-	j.replayed = true
-	return j, nil
+	return s.newJob(p, r.ID, time.Now()), nil
 }
 
 func (s *Server) journalRecord(kind string) {

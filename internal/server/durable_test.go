@@ -59,7 +59,7 @@ func TestJournalRecoveryServesCompleted(t *testing.T) {
 
 	s2 := openServer(t, cfg)
 	defer drainServer(t, s2)
-	sub, jerr := s2.SubmitEx(&JobRequest{ID: "job-a", Source: remoteListSrc, Nodes: 2})
+	sub, jerr := s2.Submit(&JobRequest{ID: "job-a", Source: remoteListSrc, Nodes: 2})
 	if jerr != nil {
 		t.Fatal(jerr)
 	}
@@ -103,7 +103,7 @@ func TestJournalRecoveryContentHashKey(t *testing.T) {
 
 	s2 := openServer(t, cfg)
 	defer drainServer(t, s2)
-	sub, jerr := s2.SubmitEx(&JobRequest{Source: remoteListSrc, Nodes: 2})
+	sub, jerr := s2.Submit(&JobRequest{Source: remoteListSrc, Nodes: 2})
 	if jerr != nil {
 		t.Fatal(jerr)
 	}
@@ -203,7 +203,7 @@ func TestCancelQueuedJob(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	sub, jerr := s.SubmitEx(&JobRequest{ID: "victim", Source: remoteListSrc, Nodes: 2})
+	sub, jerr := s.Submit(&JobRequest{ID: "victim", Source: remoteListSrc, Nodes: 2})
 	if jerr != nil {
 		t.Fatal(jerr)
 	}
@@ -224,7 +224,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	if jerr := s.Cancel("victim", "again"); jerr == nil || jerr.status != 409 {
 		t.Errorf("second cancel = %+v, want 409", jerr)
 	}
-	<-busy
+	<-busy.Res
 }
 
 // TestCancelRunningJobHTTP drives the full async lifecycle over HTTP:
@@ -337,11 +337,11 @@ func TestCancelRunningJobHTTP(t *testing.T) {
 func TestJobWallDeadline(t *testing.T) {
 	s := New(Config{Shards: 1, QueueDepth: 4, JobWallDeadline: 20 * time.Millisecond})
 	defer drainServer(t, s)
-	res, jerr := s.Submit(&JobRequest{Source: slowListSrc, Nodes: 2})
+	sub, jerr := s.Submit(&JobRequest{Source: slowListSrc, Nodes: 2})
 	if jerr != nil {
 		t.Fatal(jerr)
 	}
-	out := <-res
+	out := <-sub.Res
 	if out.err == nil || out.err.status != 504 {
 		t.Fatalf("outcome = %+v, want 504", out)
 	}
@@ -354,11 +354,11 @@ func TestCancelledJournaledAndRerunnable(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Shards: 1, QueueDepth: 8, JournalDir: dir, JobWallDeadline: 20 * time.Millisecond}
 	s := openServer(t, cfg)
-	res, jerr := s.Submit(&JobRequest{ID: "flaky", Source: slowListSrc, Nodes: 2})
+	sub, jerr := s.Submit(&JobRequest{ID: "flaky", Source: slowListSrc, Nodes: 2})
 	if jerr != nil {
 		t.Fatal(jerr)
 	}
-	if out := <-res; out.err == nil || out.err.status != 504 {
+	if out := <-sub.Res; out.err == nil || out.err.status != 504 {
 		t.Fatalf("outcome = %+v, want 504", out)
 	}
 	drainServer(t, s)
@@ -373,50 +373,6 @@ func TestCancelledJournaledAndRerunnable(t *testing.T) {
 	if r.Replayed {
 		t.Error("re-run was served from the cancelled record")
 	}
-}
-
-// TestBrownoutShedsTraceJobs: once measured queue wait exceeds
-// BrownoutAfter, trace-enabled jobs are shed with 429 while plain jobs are
-// still accepted.
-func TestBrownoutShedsTraceJobs(t *testing.T) {
-	s := New(Config{Shards: 1, QueueDepth: 8, BrownoutAfter: time.Nanosecond})
-	defer drainServer(t, s)
-
-	// Seed the queue-wait EWMA (any executed job has nonzero wait).
-	if _, jerr := submitWait(t, s, &JobRequest{Source: remoteListSrc, Nodes: 2}); jerr != nil {
-		t.Fatal(jerr)
-	}
-	// Occupy the worker and one queue slot so the queue is non-empty.
-	busy, jerr := s.Submit(&JobRequest{Source: slowListSrc, Nodes: 2})
-	if jerr != nil {
-		t.Fatal(jerr)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.queue) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never dequeued the busy job")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	queued, jerr := s.Submit(&JobRequest{Source: slowListSrc + "\n", Nodes: 2})
-	if jerr != nil {
-		t.Fatal(jerr)
-	}
-
-	_, jerr = s.Submit(&JobRequest{Source: remoteListSrc, Nodes: 2, TraceSummary: true})
-	if jerr == nil || jerr.status != 429 || !strings.Contains(jerr.msg, "brownout") {
-		t.Fatalf("trace job under brownout = %+v, want 429 brownout", jerr)
-	}
-	plain, jerr := s.Submit(&JobRequest{Source: remoteListSrc + "\n", Nodes: 2})
-	if jerr != nil {
-		t.Fatalf("plain job under brownout rejected: %v", jerr)
-	}
-	if got := counterValue(s, `earthd_jobs_rejected_total{reason="brownout"}`); got != 1 {
-		t.Errorf("brownout rejection counter = %d, want 1", got)
-	}
-	<-busy
-	<-queued
-	<-plain
 }
 
 // TestRetryAfterMeasured: the Retry-After hint tracks the measured drain

@@ -12,8 +12,6 @@ import (
 //
 //	POST   /jobs        submit one JobRequest, respond with its JobResult
 //	                    (or, with "async": true, 202 + the job id at once)
-//	POST   /jobs/batch  submit a JSON array of JobRequests; the response
-//	                    streams one NDJSON line per job as it completes
 //	GET    /jobs/{id}   the job's lifecycle state; terminal states carry
 //	                    the result or recorded error
 //	GET    /jobs/{id}/timeline  the job's host-side span tree
@@ -29,9 +27,9 @@ import (
 //
 // Submission status codes: 200 success; 202 accepted (async) or cancelling;
 // 400 malformed or invalid request; 422 well-formed but
-// uncompilable/unrunnable program; 429 queue full or brownout (with
-// Retry-After); 499 cancelled; 503 draining or journal failure (with
-// Retry-After); 504 wall deadline exceeded.
+// uncompilable/unrunnable program; 429 queue full (with Retry-After); 499
+// cancelled; 503 draining or journal failure (with Retry-After); 504 wall
+// deadline exceeded.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -41,7 +39,6 @@ func (s *Server) Handler() http.Handler {
 		}
 		fmt.Fprint(w, "earthd compile-and-simulate service\n\n"+
 			"POST   /jobs         submit one job (JSON; \"async\": true for 202 + poll)\n"+
-			"POST   /jobs/batch   submit an array of jobs; NDJSON results stream back\n"+
 			"GET    /jobs/{id}    job status (queued/running/done/cancelled)\n"+
 			"GET    /jobs/{id}/timeline  host-side span tree (?format=json|text|chrome)\n"+
 			"DELETE /jobs/{id}    abort a queued or running job\n"+
@@ -53,9 +50,6 @@ func (s *Server) Handler() http.Handler {
 			"GET    /series.json  per-shard simulator time series (?shard=N)\n")
 	})
 	mux.HandleFunc("/jobs", s.handleJob)
-	// POST-only: a method-less registration would conflict with the
-	// GET /jobs/{id} wildcard below (neither pattern is more specific).
-	mux.HandleFunc("POST /jobs/batch", s.handleBatch)
 	mux.HandleFunc("GET /jobs/{id}", s.handleJobStatus)
 	mux.HandleFunc("GET /jobs/{id}/timeline", s.handleTimeline)
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleJobDelete)
@@ -128,7 +122,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		s.writeJobError(w, errf(400, "bad request body: %v", err))
 		return
 	}
-	sub, jerr := s.SubmitEx(&req)
+	sub, jerr := s.Submit(&req)
 	if jerr != nil {
 		s.writeJobError(w, jerr)
 		return
@@ -216,78 +210,6 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 	}{jid, "cancelling"})
 }
 
-// handleBatch accepts a JSON array of JobRequests and streams one NDJSON
-// line per job in completion order (each line carries the submission index).
-// Jobs the queue cannot accept are reported inline as error lines; the
-// stream itself is always 200 once the array parses.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", "POST")
-		http.Error(w, "POST a JSON array of JobRequests", http.StatusMethodNotAllowed)
-		return
-	}
-	var reqs []JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields() // schema v1: unknown fields are a 400, not silently dropped
-	if err := dec.Decode(&reqs); err != nil {
-		s.reject("invalid")
-		s.writeJobError(w, errf(400, "bad request body: %v", err))
-		return
-	}
-	if len(reqs) == 0 {
-		s.writeJobError(w, errf(400, "empty batch"))
-		return
-	}
-	type line struct {
-		Index  int        `json:"index"`
-		Status int        `json:"status"`
-		Error  string     `json:"error,omitempty"`
-		Result *JobResult `json:"result,omitempty"`
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	emit := func(l line) {
-		enc.Encode(l)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
-	// Submit everything first so concurrent duplicates batch, then stream
-	// outcomes in completion order.
-	type pending struct {
-		index int
-		res   <-chan jobOutcome
-	}
-	done := make(chan line, len(reqs))
-	inFlight := 0
-	for i := range reqs {
-		res, jerr := s.Submit(&reqs[i])
-		if jerr != nil {
-			emit(line{Index: i, Status: jerr.status, Error: jerr.msg})
-			continue
-		}
-		inFlight++
-		go func(p pending) {
-			out := <-p.res
-			if out.err != nil {
-				done <- line{Index: p.index, Status: out.err.status, Error: out.err.msg}
-				return
-			}
-			done <- line{Index: p.index, Status: 200, Result: out.result}
-		}(pending{index: i, res: res})
-	}
-	for ; inFlight > 0; inFlight-- {
-		select {
-		case l := <-done:
-			emit(l)
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	type shardHealth struct {
 		Shard int   `json:"shard"`
@@ -309,8 +231,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		QueueCap  int    `json:"queue_cap"`
 		Accepted  int64  `json:"accepted"`
 		Completed int64  `json:"completed"`
-		// The measured EWMAs behind the backpressure decisions: service
-		// time drives Retry-After, queue wait drives brownout shedding.
+		// The measured EWMAs: service time drives Retry-After; queue wait is
+		// the waiting term that rises before throughput flattens.
 		SvcEwmaNs      int64          `json:"svc_ewma_ns"`
 		QueueWaitEwma  int64          `json:"queue_wait_ewma_ns"`
 		RetryAfterSecs int            `json:"retry_after_secs"`

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -106,30 +105,26 @@ func TestHTTPStatusCodes(t *testing.T) {
 }
 
 // TestHTTPUnknownFieldsRejected: schema v1 rejects fields it does not know
-// with a 400 instead of silently dropping them, on both submission
-// endpoints.
+// with a 400 instead of silently dropping them.
 func TestHTTPUnknownFieldsRejected(t *testing.T) {
 	s := New(Config{Shards: 1, QueueDepth: 8})
 	defer drainServer(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	post := func(path, body string) int {
+	post := func(body string) int {
 		t.Helper()
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	if code := post("/jobs", `{"v":1,"benchmark":"power","turbo":true}`); code != 400 {
+	if code := post(`{"v":1,"benchmark":"power","turbo":true}`); code != 400 {
 		t.Errorf("unknown field on /jobs = %d, want 400", code)
 	}
-	if code := post("/jobs/batch", `[{"benchmark":"power","priority":9}]`); code != 400 {
-		t.Errorf("unknown field on /jobs/batch = %d, want 400", code)
-	}
-	if code := post("/jobs", `{"v":2,"benchmark":"power"}`); code != 400 {
+	if code := post(`{"v":2,"benchmark":"power"}`); code != 400 {
 		t.Errorf("future schema version = %d, want 400", code)
 	}
 }
@@ -187,75 +182,8 @@ func TestHTTPBackpressureRetryAfter(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != "2" {
 		t.Errorf("Retry-After = %q, want \"2\"", got)
 	}
-	<-busy
-	<-queued
-}
-
-// TestHTTPBatchNDJSON: a batch with duplicates and one invalid entry streams
-// one line per entry; the duplicates share a single compile.
-func TestHTTPBatchNDJSON(t *testing.T) {
-	s := New(Config{Shards: 4, QueueDepth: 32})
-	defer drainServer(t, s)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	batch := []JobRequest{
-		{Source: remoteListSrc, Nodes: 2},
-		{Source: remoteListSrc, Nodes: 2},
-		{Benchmark: "nbody"}, // invalid: unknown benchmark
-		{Source: remoteListSrc, Nodes: 2},
-		{Benchmark: "perimeter", Quick: true, Nodes: 2},
-	}
-	resp := postJSON(t, ts.URL+"/jobs/batch", batch)
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("batch status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("Content-Type = %q", ct)
-	}
-
-	type line struct {
-		Index  int        `json:"index"`
-		Status int        `json:"status"`
-		Error  string     `json:"error"`
-		Result *JobResult `json:"result"`
-	}
-	seen := map[int]line{}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		var l line
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		if _, dup := seen[l.Index]; dup {
-			t.Errorf("index %d emitted twice", l.Index)
-		}
-		seen[l.Index] = l
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != len(batch) {
-		t.Fatalf("got %d lines, want %d", len(seen), len(batch))
-	}
-	for _, i := range []int{0, 1, 3, 4} {
-		if seen[i].Status != 200 || seen[i].Result == nil {
-			t.Errorf("line %d: status=%d error=%q", i, seen[i].Status, seen[i].Error)
-		}
-	}
-	if seen[2].Status != 400 || !strings.Contains(seen[2].Error, "nbody") {
-		t.Errorf("invalid line = %+v", seen[2])
-	}
-	// The three identical entries were submitted before any outcome was
-	// awaited, so they shared one compile.
-	if a, b := canonical(t, seen[0].Result), canonical(t, seen[1].Result); a != b {
-		t.Errorf("duplicate batch entries differ:\n%s\n%s", a, b)
-	}
-	if got := counterValue(s, "earthd_compiles_total"); got != 2 {
-		t.Errorf("earthd_compiles_total = %d, want 2 (triplicate + perimeter)", got)
-	}
+	<-busy.Res
+	<-queued.Res
 }
 
 // TestConcurrentScrapesDuringRuns is satellite 3: /metrics, /metrics.json,
@@ -270,17 +198,17 @@ func TestConcurrentScrapesDuringRuns(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Distinct slow sources (distinct hashes, no batching) so each worker
+	// Distinct slow sources (distinct hashes, no cache hits) so each worker
 	// takes one and every shard has a run in flight, with tracing on to
 	// exercise the recorders too.
 	outs := make([]<-chan jobOutcome, 0, shards)
 	for i := 0; i < shards; i++ {
 		src := slowListSrc + strings.Repeat("\n", i)
-		ch, jerr := s.Submit(&JobRequest{Source: src, Nodes: 2, TraceSummary: true})
+		sub, jerr := s.Submit(&JobRequest{Source: src, Nodes: 2, TraceSummary: true})
 		if jerr != nil {
 			t.Fatalf("submit %d: %v", i, jerr)
 		}
-		outs = append(outs, ch)
+		outs = append(outs, sub.Res)
 	}
 
 	paths := []string{"/metrics", "/metrics.json", "/healthz"}

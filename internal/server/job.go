@@ -39,8 +39,8 @@ type JobRequest struct {
 	// Benchmark must be set.
 	Source string `json:"source,omitempty"`
 	// Benchmark names an internal/olden program ("power", "tsp", "health",
-	// "perimeter", "voronoi"); the service expands it server-side so batching
-	// by source hash applies across clients.
+	// "perimeter", "voronoi"); the service expands it server-side, so every
+	// client naming the same benchmark shares one unit-cache entry.
 	Benchmark string `json:"benchmark,omitempty"`
 	// Size and Iters override the benchmark's problem-size parameters
 	// (0 = the benchmark's default).
@@ -102,10 +102,10 @@ func (r *JobRequest) validateVersion() *jobError {
 }
 
 // JobResult is the service's response for one completed job. Everything
-// except the submission bookkeeping (ID, Shard, Batched) and the host-side
-// latency fields (QueueNs, CompileNs, RunNs) is a deterministic function of
-// the request: identical requests produce byte-identical payloads, which is
-// what lets the service share one compile across concurrent duplicates.
+// except the submission bookkeeping (ID, JobID, Shard, Replayed) and the
+// host-side latency fields (QueueNs, CompileNs, RunNs) is a deterministic
+// function of the request: identical requests produce byte-identical
+// payloads, which is what lets the service answer them from one cached unit.
 type JobResult struct {
 	ID uint64 `json:"id"`
 	// JobID is the submission's idempotency key (client-supplied or derived
@@ -120,8 +120,9 @@ type JobResult struct {
 	SourceHash string `json:"source_hash"`
 	// Shard is the pipeline shard that executed the job.
 	Shard int `json:"shard"`
-	// Batched reports that this job's compile was shared with a concurrent
-	// identical submission (single-flight batching by source hash).
+	// Batched is always false: nothing shares a compile at submit time (the
+	// unit cache is the one mechanism that shares one). The field stays on
+	// the wire because the benchmark reads it.
 	Batched   bool                 `json:"batched"`
 	Nodes     int                  `json:"nodes"`
 	Optimized bool                 `json:"optimized"`
@@ -142,10 +143,9 @@ type JobResult struct {
 
 // CanonicalPayload renders the deterministic portion of the result: the
 // submission bookkeeping (ID, JobID, Shard, Batched, Replayed) and host-side
-// latency fields are zeroed, so identical requests — batched, cached,
-// replayed from the journal, or run cold on different servers — compare
-// byte-identical. The chaos harness and the batching tests are stated over
-// these bytes.
+// latency fields are zeroed, so identical requests — cached, replayed from
+// the journal, or run cold on different servers — compare byte-identical.
+// The chaos harness and the server tests are stated over these bytes.
 func (r *JobResult) CanonicalPayload() ([]byte, error) {
 	c := *r
 	c.ID, c.JobID, c.Shard = 0, "", 0
@@ -166,25 +166,50 @@ func errf(status int, format string, args ...any) *jobError {
 	return &jobError{status: status, msg: fmt.Sprintf(format, args...)}
 }
 
-// job is one queued unit of work: the validated request plus its resolved
-// source and the channel its worker reports on.
+// prepared is a validated request with everything parsed out of it: the
+// resolved source and unit name, the cache policy, and the run-time machine
+// and fault configuration. Submit and journal recovery both build one with
+// prepare; execute parses nothing.
+type prepared struct {
+	req     *JobRequest
+	name    string
+	src     string
+	policy  core.CachePolicy
+	machine *earthsim.Config
+	faults  *earthsim.FaultConfig
+}
+
+// prepare validates req and parses it into its queued form. Every failure
+// is a 400, detected before the job is accepted into the queue.
+func prepare(req *JobRequest) (prepared, *jobError) {
+	p := prepared{req: req}
+	var jerr *jobError
+	if jerr = req.validateVersion(); jerr != nil {
+		return p, jerr
+	}
+	if p.name, p.src, jerr = resolve(req); jerr != nil {
+		return p, jerr
+	}
+	if p.policy, jerr = req.cachePolicy(); jerr != nil {
+		return p, jerr
+	}
+	p.machine, p.faults, jerr = runSpec(req)
+	return p, jerr
+}
+
+// job is one queued unit of work: the prepared request plus the channel its
+// worker reports on.
 type job struct {
-	id   uint64
-	jid  string // submission id (idempotency key); see dedupKey
-	req  *JobRequest
-	name string
-	src  string
-	key  string // single-flight compile key (source hash + compile options)
-	enq  time.Time
+	prepared
+	id  uint64
+	jid string // submission id (idempotency key); see dedupKey
+	enq time.Time
 	// ctx carries the job's cancellation signal (DELETE, client disconnect,
 	// wall deadline) into the simulator; cancel fires it with a cause and
 	// stopTimer releases the wall-deadline timer.
 	ctx       context.Context
 	cancel    context.CancelCauseFunc
 	stopTimer context.CancelFunc
-	// replayed marks a job rebuilt from the journal on restart: it is
-	// already durably accepted, so Submit-side journaling is skipped.
-	replayed bool
 	// tr is the job's host-side span timeline (nil when tracing is off);
 	// qIx is its queue.wait span, opened at enqueue and closed by the
 	// worker that dequeues the job.

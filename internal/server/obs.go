@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // Host-side observability glue: how the span recorder in internal/obs meets
@@ -25,25 +24,20 @@ func stageHistName(kind string) string {
 }
 
 // compileChildren reconstructs the compile span's children after the fact
-// from what compileShared learned. A batched job did no local compile work
-// (it waited on another job's flight), so it gets no children; a cache hit
-// spent the whole span consulting the cache; a fresh compile gets a
-// cache.lookup residue followed by the per-phase durations from
-// trace.CompileStats, laid out sequentially from the span start (with
-// Workers > 1 phases overlap in reality, so the sequential layout is an
-// attribution, not a literal schedule).
-func (s *Server) compileChildren(tr *obs.JobTrace, cIx int, batched, hit bool, u *core.Unit) {
-	if tr == nil || cIx < 0 || batched {
+// from what Pipeline.Do reported: a cache hit spent the whole span
+// consulting the cache; a fresh compile gets a cache.lookup residue followed
+// by the per-phase durations from trace.CompileStats, laid out sequentially
+// from the span start (with Workers > 1 phases overlap in reality, so the
+// sequential layout is an attribution, not a literal schedule).
+func compileChildren(tr *obs.JobTrace, cIx int, hit bool, u *core.Unit) {
+	if tr == nil || cIx < 0 {
 		return
 	}
 	start, end := tr.Bounds(cIx)
 	if end < 0 {
 		return
 	}
-	var st *trace.CompileStats
-	if u != nil {
-		st = u.Stats
-	}
+	st := u.Stats
 	if hit || st == nil || len(st.Phases) == 0 {
 		tr.AddInterval(cIx, obs.KindCacheLookup, start, end)
 		return
@@ -162,8 +156,7 @@ func (s *Server) stageAttribution() []stageQuantiles {
 
 // handleDebugJobs serves GET /debug/jobs: the recent and slowest timeline
 // tables plus the tail-latency attribution report. ?format=json for the
-// machine-readable form (what earthload -attrib consumes via /metrics.json
-// is the same histogram data).
+// machine-readable form (the same histogram data /metrics.json exports).
 func (s *Server) handleDebugJobs(w http.ResponseWriter, r *http.Request) {
 	if !s.obs.Enabled() {
 		s.writeJobError(w, errf(404, "timelines disabled (start earthd with -obs)"))
@@ -264,8 +257,7 @@ func (s *Server) handleBuildinfo(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(resp)
 }
 
-// statusWriter captures the response status for the access log while
-// passing Flush through (the NDJSON batch stream depends on it).
+// statusWriter captures the response status for the access log.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -281,12 +273,6 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 		w.status = http.StatusOK
 	}
 	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // accessLog wraps the service mux with a structured access-log line per

@@ -164,7 +164,7 @@ func TestTimelineLiveAndCancelled(t *testing.T) {
 	// the job must outlast an HTTP round trip by a wide margin: quadruple
 	// slowListSrc's walk count.
 	verySlowSrc := strings.Replace(slowListSrc, "r < 2500", "r < 10000", 1)
-	sub, jerr := s.SubmitEx(&JobRequest{ID: "tl-live", Source: verySlowSrc, Nodes: 2})
+	sub, jerr := s.Submit(&JobRequest{ID: "tl-live", Source: verySlowSrc, Nodes: 2})
 	if jerr != nil {
 		t.Fatal(jerr)
 	}
@@ -239,7 +239,7 @@ func TestTimelineQueuedJob(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	sub, jerr := s.SubmitEx(&JobRequest{ID: "tl-queued", Source: remoteListSrc, Nodes: 2})
+	sub, jerr := s.Submit(&JobRequest{ID: "tl-queued", Source: remoteListSrc, Nodes: 2})
 	if jerr != nil {
 		t.Fatal(jerr)
 	}
@@ -254,7 +254,7 @@ func TestTimelineQueuedJob(t *testing.T) {
 	if sp, ok := spans[obs.KindQueueWait]; !ok || !sp.Open {
 		t.Errorf("queue.wait span = %+v, want open while queued", sp)
 	}
-	<-busy
+	<-busy.Res
 	<-sub.Res
 }
 
@@ -531,7 +531,7 @@ func TestBuildinfoEndpoint(t *testing.T) {
 }
 
 // TestHealthzEwma: after a completed job /healthz carries the measured
-// service-time and queue-wait EWMAs that drive Retry-After and brownout.
+// service-time EWMA that drives Retry-After and the queue-wait EWMA.
 func TestHealthzEwma(t *testing.T) {
 	s := New(obsConfig(1, 4))
 	defer drainServer(t, s)

@@ -8,16 +8,12 @@
 //     full the service answers 429 with a Retry-After hint instead of
 //     accepting unbounded work. A draining server answers 503.
 //
-//   - Single-flight batching composed with a shared compile cache.
-//     Concurrent submissions of the same source (keyed by
-//     profile.HashSource plus the compile-relevant options) share one
-//     compile: the first submission compiles, the duplicates wait on it and
-//     run the shared unit. Repeat submissions after the flight disperses
-//     are served whole from the server's content-hashed cache
-//     (internal/cache), so concurrent duplicates cost one compile and
-//     repeated duplicates cost zero. Compilation is deterministic, so
-//     identical requests produce byte-identical result payloads whether
-//     they were batched, cached, or compiled cold.
+//   - One shared compile cache. Every shard compiles through the server's
+//     content-hashed unit cache (internal/cache), keyed by the source hash
+//     plus the compile-relevant options, so a repeated program costs one
+//     hash and one map lookup; compilation is deterministic, so identical
+//     requests produce byte-identical result payloads whether they were
+//     served from the cache or compiled cold.
 //
 //   - Aggregated observability. Each shard records into its own
 //     metrics.Registry (no cross-shard contention); every /metrics scrape
@@ -46,7 +42,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
@@ -92,10 +87,6 @@ type Config struct {
 	// cancellation context and answers 504. 0 disables. Distinct from
 	// JobDeadline, which bounds only the simulator run.
 	JobWallDeadline time.Duration
-	// BrownoutAfter sheds trace-enabled jobs (the most expensive class) with
-	// 429 once the measured queue-wait EWMA exceeds this threshold, keeping
-	// latency bounded for plain jobs. 0 disables.
-	BrownoutAfter time.Duration
 	// RetainResults caps the terminal-job index serving GET /jobs/{id} and
 	// exactly-once re-submission (default 4096, oldest evicted first; also
 	// the journal's completion-retention window).
@@ -155,22 +146,6 @@ type shard struct {
 	pipes map[bool]*core.Pipeline
 }
 
-// flight is one shared compile. Jobs attach at submit time (refs, guarded
-// by Server.fmu) and the first worker to reach an attached job performs the
-// compile; the entry lives until the last attached job has executed, so the
-// batching window spans the whole queue residency of the duplicates — not
-// just the compile's own duration. Submit-time attachment is what makes the
-// guarantee deterministic: any set of identical jobs submitted while one of
-// them is still pending or running shares exactly one compile.
-type flight struct {
-	refs    int  // attached jobs not yet finished executing
-	started bool // a worker has claimed the compile
-	done    chan struct{}
-	unit    *core.Unit
-	hit     bool // the compile was served whole from the unit cache
-	err     error
-}
-
 // Server is the sharded compile-and-simulate service.
 type Server struct {
 	cfg    Config
@@ -195,9 +170,6 @@ type Server struct {
 	draining bool
 	queue    chan *job
 
-	fmu     sync.Mutex
-	flights map[string]*flight
-
 	// jr is the durability journal (nil when Config.JournalDir is empty);
 	// jmu guards the submission index (jobs + jobOrder), and replayWg
 	// tracks the restart-replay feeder so Drain can wait for it before
@@ -209,7 +181,7 @@ type Server struct {
 	replayWg sync.WaitGroup
 
 	// svcEwmaNs estimates per-job service time (drives Retry-After);
-	// waitEwmaNs estimates queue wait (drives the brownout knob).
+	// waitEwmaNs estimates queue wait (reported by /healthz).
 	svcEwmaNs  atomic.Int64
 	waitEwmaNs atomic.Int64
 
@@ -239,15 +211,14 @@ func New(cfg Config) *Server {
 func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		reg:     metrics.NewRegistry(),
-		proc:    metrics.NewProcessCollector(),
-		queue:   make(chan *job, cfg.QueueDepth),
-		flights: make(map[string]*flight),
-		jobs:    make(map[string]*jobState),
-		start:   time.Now(),
-		obs:     obs.New(cfg.Obs),
-		log:     cfg.Logger,
+		cfg:   cfg,
+		reg:   metrics.NewRegistry(),
+		proc:  metrics.NewProcessCollector(),
+		queue: make(chan *job, cfg.QueueDepth),
+		jobs:  make(map[string]*jobState),
+		start: time.Now(),
+		obs:   obs.New(cfg.Obs),
+		log:   cfg.Logger,
 	}
 	if s.log == nil {
 		s.log = obs.Discard()
@@ -315,45 +286,24 @@ type Submission struct {
 	Owner bool
 }
 
-// Submit validates req and places it on the queue, returning the channel
-// the job's outcome arrives on. A *jobError return means the job was NOT
-// accepted: 400 for validation failures, 429 when the queue is full (or
-// shed by brownout), 503 when the server is draining. Once accepted, a job
-// always produces exactly one outcome, even through a drain.
-func (s *Server) Submit(req *JobRequest) (<-chan jobOutcome, *jobError) {
-	sub, jerr := s.SubmitEx(req)
-	if jerr != nil {
-		return nil, jerr
-	}
-	return sub.Res, nil
-}
-
-// SubmitEx is Submit with the submission's identity attached. The flow:
+// Submit validates req and places it on the queue. A *jobError return means
+// the job was NOT accepted: 400 for validation failures, 429 when the queue
+// is full, 503 when the server is draining. Once accepted, a job always
+// produces exactly one outcome on Submission.Res, even through a drain. The
+// flow:
 //
 //  1. validate (400s happen before any state is touched);
 //  2. consult the index: a completed id answers from its record (journaled
 //     payloads survive restarts), an in-flight id coalesces, a cancelled id
 //     re-runs;
-//  3. backpressure: brownout (trace-enabled jobs shed first under queue
-//     latency), drain (503), queue full (429 with a measured Retry-After);
+//  3. backpressure: drain (503), queue full (429 with a measured
+//     Retry-After);
 //  4. with journaling on, fsync the acceptance record — only then is the
 //     job visible to workers and its acceptance acknowledged.
-func (s *Server) SubmitEx(req *JobRequest) (*Submission, *jobError) {
+func (s *Server) Submit(req *JobRequest) (*Submission, *jobError) {
 	t0 := time.Now() // epoch of the job's host-side timeline
-	if jerr := req.validateVersion(); jerr != nil {
-		s.reject("invalid")
-		return nil, jerr
-	}
-	name, src, jerr := resolve(req)
+	p, jerr := prepare(req)
 	if jerr != nil {
-		s.reject("invalid")
-		return nil, jerr
-	}
-	if _, jerr := req.cachePolicy(); jerr != nil {
-		s.reject("invalid")
-		return nil, jerr
-	}
-	if _, _, jerr := runSpec(req); jerr != nil {
 		s.reject("invalid")
 		return nil, jerr
 	}
@@ -387,33 +337,19 @@ func (s *Server) SubmitEx(req *JobRequest) (*Submission, *jobError) {
 	}
 	s.jmu.Unlock()
 
-	if s.cfg.BrownoutAfter > 0 && req.TraceSummary && len(s.queue) > 0 &&
-		time.Duration(s.waitEwmaNs.Load()) > s.cfg.BrownoutAfter {
-		s.reject("brownout")
-		return nil, errf(429, "brownout: queue wait %s exceeds %s; trace-enabled jobs are shed first — retry later or drop trace_summary",
-			time.Duration(s.waitEwmaNs.Load()).Round(time.Millisecond), s.cfg.BrownoutAfter)
-	}
-
-	j := s.newJob(req, jid, name, src, t0)
+	j := s.newJob(p, jid, t0)
 	// The accept span starts at the timeline epoch: it covers the
 	// validation that ran before the trace object existed.
 	accIx := j.tr.StartAt(-1, obs.KindAccept, 0)
-	// Attach to the compile flight before enqueueing so a worker can never
-	// dequeue the job ahead of its flight registration.
-	aIx := j.tr.Start(accIx, obs.KindBatchAttach)
-	s.attach(j.key)
-	j.tr.End(aIx)
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		s.release(j.key)
 		j.discard()
 		s.reject("draining")
 		return nil, errf(503, "server is draining")
 	}
 	if len(s.queue) == cap(s.queue) {
 		s.mu.Unlock()
-		s.release(j.key)
 		j.discard()
 		s.reject("queue_full")
 		return nil, errf(429, "queue full (%d jobs deep); retry later", s.cfg.QueueDepth)
@@ -430,7 +366,6 @@ func (s *Server) SubmitEx(req *JobRequest) (*Submission, *jobError) {
 		j.tr.End(jIx)
 		if err != nil {
 			s.mu.Unlock()
-			s.release(j.key)
 			j.discard()
 			s.reject("journal")
 			return nil, errf(503, "journal write failed: %v", err)
@@ -454,7 +389,7 @@ func (s *Server) SubmitEx(req *JobRequest) (*Submission, *jobError) {
 	s.accepted.Add(1)
 	s.reg.Counter("earthd_jobs_accepted_total", "Jobs accepted into the queue.").Inc()
 	if s.logDebug {
-		s.log.Debug("job accepted", "job", jid, "name", name, "queue_len", len(s.queue))
+		s.log.Debug("job accepted", "job", jid, "name", j.name, "queue_len", len(s.queue))
 	}
 	return &Submission{JobID: jid, Res: j.res, Owner: true}, nil
 }
@@ -528,97 +463,8 @@ func (s *Server) worker(sh *shard) {
 			out = s.execute(sh, j)
 			svcNs = time.Since(t0).Nanoseconds()
 		}
-		s.release(j.key)
 		s.finish(sh, j, out, svcNs)
 	}
-}
-
-// compileKey keys the single-flight table: only compile-relevant inputs
-// participate, so jobs that differ in run configuration still share a
-// compile. The cache policy participates so a "bypass" probe never
-// piggybacks on (or feeds) a cached flight.
-func compileKey(hash string, optimize bool, policy string) string {
-	return fmt.Sprintf("%s|opt=%t|cache=%s", hash, optimize, policy)
-}
-
-// compileKeyFor derives a request's single-flight key from its resolved
-// source.
-func compileKeyFor(req *JobRequest, src string) string {
-	return compileKey(profile.HashSource(src), req.optimize(), req.Cache)
-}
-
-// attach joins (creating if needed) the compile flight for key.
-func (s *Server) attach(key string) {
-	s.fmu.Lock()
-	f := s.flights[key]
-	if f == nil {
-		f = &flight{done: make(chan struct{})}
-		s.flights[key] = f
-	}
-	f.refs++
-	s.fmu.Unlock()
-}
-
-// release detaches one job from its flight, disposing the entry when the
-// last attached job is done with the unit. The flight table is single-flight
-// only; once no attached job remains, the next identical submission goes
-// back through the shared content-hashed cache (a unit hit, not a compile).
-func (s *Server) release(key string) {
-	s.fmu.Lock()
-	if f := s.flights[key]; f != nil {
-		f.refs--
-		if f.refs <= 0 {
-			delete(s.flights, key)
-		}
-	}
-	s.fmu.Unlock()
-}
-
-// compileShared resolves j's compile: the first worker to reach any job
-// attached to the flight performs it, and every other attached job waits
-// and shares the unit. batched reports whether this job shared another
-// job's compile; hit reports a unit-cache hit (meaningful only when
-// !batched). Compilation is deterministic, so the shared unit is
-// byte-identical to what a private compile would have produced.
-func (s *Server) compileShared(sh *shard, j *job) (u *core.Unit, batched, hit bool, err error) {
-	s.fmu.Lock()
-	f := s.flights[j.key]
-	if f == nil {
-		// Unreachable by construction (Submit attaches before enqueue, and
-		// the job itself still holds a ref), but fail soft rather than
-		// deadlock if the invariant is ever broken.
-		f = &flight{refs: 1, done: make(chan struct{})}
-		s.flights[j.key] = f
-	}
-	if f.started {
-		s.fmu.Unlock()
-		s.reg.Counter("earthd_batch_shared_total", "Jobs whose compile was shared with a concurrent identical submission.").Inc()
-		<-f.done
-		return f.unit, true, false, f.err
-	}
-	f.started = true
-	s.fmu.Unlock()
-
-	policy, jerr := j.req.cachePolicy()
-	if jerr != nil {
-		// Unreachable: Submit validated the policy before accepting the job.
-		f.err = jerr
-		close(f.done)
-		return nil, false, false, f.err
-	}
-	res, err := sh.pipes[j.req.optimize()].Do(core.CompileRequest{Name: j.name, Source: j.src, Cache: policy})
-	if err == nil {
-		f.unit = res.Unit
-		f.hit = res.Hit
-		if !res.Hit {
-			// Only cache misses perform work; batched duplicates and repeat
-			// submissions served from the unit cache don't compile at all.
-			s.reg.Counter("earthd_compiles_total", "Distinct compiles performed (batched duplicates and cache hits excluded).").Inc()
-		}
-	}
-	f.err = err
-	close(f.done)
-	return f.unit, false, f.hit, f.err
 }
 
 // execute runs one job on sh. Compile errors and run failures (traps,
@@ -630,10 +476,6 @@ func (s *Server) execute(sh *shard, j *job) jobOutcome {
 	ewmaUpdate(&s.waitEwmaNs, queueNs)
 
 	req := j.req
-	machine, faults, jerr := runSpec(req) // re-parse; validated at submit
-	if jerr != nil {
-		return jobOutcome{err: jerr}
-	}
 	nodes := req.Nodes
 	if nodes <= 0 {
 		nodes = s.cfg.DefaultNodes
@@ -645,13 +487,15 @@ func (s *Server) execute(sh *shard, j *job) jobOutcome {
 
 	cIx := j.tr.Start(-1, obs.KindCompile)
 	t0 := time.Now()
-	u, batched, hit, err := s.compileShared(sh, j)
+	pipe := sh.pipes[req.optimize()]
+	cres, err := pipe.Do(core.CompileRequest{Name: j.name, Source: j.src, Cache: j.policy})
 	compileNs := time.Since(t0).Nanoseconds()
 	j.tr.End(cIx)
 	if err != nil {
 		return jobOutcome{err: errf(422, "compile: %v", err)}
 	}
-	s.compileChildren(j.tr, cIx, batched, hit, u)
+	u := cres.Unit
+	compileChildren(j.tr, cIx, cres.Hit, u)
 
 	// Traced jobs record into the shard's recorder; the worker is
 	// sequential, so Reset-per-job reuse is safe.
@@ -663,20 +507,17 @@ func (s *Server) execute(sh *shard, j *job) jobOutcome {
 	sh.sampler.Reset()
 	rIx := j.tr.Start(-1, obs.KindSimRun)
 	t0 = time.Now()
-	res, err := sh.pipes[req.optimize()].Run(u, core.RunConfig{
+	res, err := pipe.Run(u, core.RunConfig{
 		Nodes:      nodes,
 		Sequential: req.Sequential,
-		Machine:    machine,
+		Machine:    j.machine,
 		SimWorkers: s.cfg.SimWorkers,
 		Fuel:       fuel,
 		Deadline:   s.cfg.JobDeadline,
-		Faults:     faults,
+		Faults:     j.faults,
 		Trace:      rec,
 		Sampler:    sh.sampler,
-		// The job's own context only — never the shared compile flight's:
-		// a batched compile must not die with the first client that loses
-		// interest, but this run serves exactly this job.
-		Context: j.ctx,
+		Context:    j.ctx,
 	})
 	runNs := time.Since(t0).Nanoseconds()
 	j.tr.End(rIx)
@@ -694,7 +535,6 @@ func (s *Server) execute(sh *shard, j *job) jobOutcome {
 		Benchmark:  req.Benchmark,
 		SourceHash: u.SourceHash,
 		Shard:      sh.id,
-		Batched:    batched,
 		Nodes:      nodes,
 		Optimized:  req.optimize(),
 		TimeNs:     res.Time,

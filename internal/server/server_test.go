@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // remoteListSrc allocates a list on node 1 and walks it from node 0 — a
@@ -105,12 +107,12 @@ func counterValue(s *Server, name string) int64 {
 // submitWait submits req and waits for its outcome.
 func submitWait(t *testing.T, s *Server, req *JobRequest) (*JobResult, *jobError) {
 	t.Helper()
-	res, jerr := s.Submit(req)
+	sub, jerr := s.Submit(req)
 	if jerr != nil {
 		return nil, jerr
 	}
 	select {
-	case out := <-res:
+	case out := <-sub.Res:
 		return out.result, out.err
 	case <-time.After(60 * time.Second):
 		t.Fatal("job outcome never arrived")
@@ -129,15 +131,14 @@ func canonical(t *testing.T, r *JobResult) string {
 	return string(b)
 }
 
-// TestBatchingSingleFlight: N identical concurrent submissions must share
-// exactly one compile (counter-verified) and produce byte-identical
-// deterministic payloads. Submit-time flight attachment makes this hold
-// regardless of how the queue interleaves with the workers: the flight
-// lives until the last attached job finishes executing, and the slow
-// source keeps the first job executing far longer than the submission
-// spread.
-func TestBatchingSingleFlight(t *testing.T) {
-	s := New(Config{Shards: 4, QueueDepth: 64})
+// TestConcurrentIdenticalColdSubmissions: N identical submissions racing
+// into a cold server share nothing but the unit cache. Each shard may miss
+// once before the first store lands, so at most Shards compiles happen;
+// every payload is byte-identical, and every job's timeline says what its
+// compile span was spent on — a real compile's phases or a cache lookup.
+func TestConcurrentIdenticalColdSubmissions(t *testing.T) {
+	cfg := obsConfig(4, 64)
+	s := New(cfg)
 	defer drainServer(t, s)
 
 	const n = 12
@@ -160,34 +161,75 @@ func TestBatchingSingleFlight(t *testing.T) {
 		return
 	}
 
-	if got := counterValue(s, "earthd_compiles_total"); got != 1 {
-		t.Errorf("earthd_compiles_total = %d, want 1 (all %d submissions batched)", got, n)
+	misses := counterValue(s, "earth_cache_misses_total")
+	if misses < 1 || misses > int64(cfg.Shards) {
+		t.Errorf("earth_cache_misses_total = %d, want 1..%d (one per shard at most)", misses, cfg.Shards)
 	}
-	if got := counterValue(s, "earthd_batch_shared_total"); got != n-1 {
-		t.Errorf("earthd_batch_shared_total = %d, want %d", got, n-1)
+	if got := counterValue(s, "earth_compiles_total"); got != misses {
+		t.Errorf("earth_compiles_total = %d, want %d (one compile per miss)", got, misses)
 	}
-	batched := 0
+	if got := counterValue(s, "earth_cache_hits_total"); got != n-misses {
+		t.Errorf("earth_cache_hits_total = %d, want %d", got, n-misses)
+	}
 	want := canonical(t, results[0])
 	for i, r := range results {
 		if r.Batched {
-			batched++
+			t.Errorf("job %d marked batched; nothing batches", i)
 		}
 		if got := canonical(t, r); got != want {
 			t.Errorf("job %d payload differs:\n got %s\nwant %s", i, got, want)
 		}
-		if r.SourceHash == "" || !strings.HasPrefix(r.SourceHash, "sha256:") {
+		if !strings.HasPrefix(r.SourceHash, "sha256:") {
 			t.Errorf("job %d: bad source hash %q", i, r.SourceHash)
 		}
-	}
-	if batched != n-1 {
-		t.Errorf("%d results marked batched, want %d", batched, n-1)
+		tr := s.obs.Lookup(r.JobID)
+		if tr == nil {
+			t.Errorf("job %d (%s): no timeline retained", i, r.JobID)
+			continue
+		}
+		c, ok := topSpans(tr.Snapshot())[obs.KindCompile]
+		if !ok || len(c.Children) == 0 {
+			t.Errorf("job %d (%s): compile span has no children: %+v", i, r.JobID, c)
+		}
 	}
 }
 
-// TestBatchingDistinctSourcesCompileSeparately: the flight key includes the
+// TestBypassJobsEachCompile: "cache":"bypass" promises a cold compile, so
+// four identical bypass jobs queued behind one another on a single shard —
+// all submitted while the first is still running — perform four compiles.
+func TestBypassJobsEachCompile(t *testing.T) {
+	s := New(Config{Shards: 1, QueueDepth: 8})
+	defer drainServer(t, s)
+
+	const n = 4
+	var subs []*Submission
+	for i := 0; i < n; i++ {
+		sub, jerr := s.Submit(&JobRequest{Source: slowListSrc, Nodes: 2, Cache: "bypass"})
+		if jerr != nil {
+			t.Fatalf("submit %d: %v", i, jerr)
+		}
+		subs = append(subs, sub)
+	}
+	if s.completed.Load() != 0 {
+		t.Fatal("the first job finished before the last was submitted; the test needs a slower program")
+	}
+	for i, sub := range subs {
+		if out := <-sub.Res; out.err != nil {
+			t.Fatalf("job %d: %v", i, out.err)
+		}
+	}
+	if got := counterValue(s, "earth_compiles_total"); got != n {
+		t.Errorf("earth_compiles_total = %d after %d bypass jobs, want %d", got, n, n)
+	}
+	if got := counterValue(s, "earth_cache_misses_total") + counterValue(s, "earth_cache_hits_total"); got != 0 {
+		t.Errorf("bypass jobs consulted the cache %d times, want 0", got)
+	}
+}
+
+// TestDistinctSourcesCompileSeparately: the unit-cache key includes the
 // source hash and the compile options, so distinct programs — or the same
 // program at different optimization settings — never share a unit.
-func TestBatchingDistinctSourcesCompileSeparately(t *testing.T) {
+func TestDistinctSourcesCompileSeparately(t *testing.T) {
 	s := New(Config{Shards: 2, QueueDepth: 16})
 	defer drainServer(t, s)
 
@@ -207,8 +249,8 @@ func TestBatchingDistinctSourcesCompileSeparately(t *testing.T) {
 		}(req)
 	}
 	wg.Wait()
-	if got := counterValue(s, "earthd_compiles_total"); got != 3 {
-		t.Errorf("earthd_compiles_total = %d, want 3 distinct compiles", got)
+	if got := counterValue(s, "earth_compiles_total"); got != 3 {
+		t.Errorf("earth_compiles_total = %d, want 3 distinct compiles", got)
 	}
 }
 
@@ -224,16 +266,16 @@ func TestDrainLosesNoAcceptedJob(t *testing.T) {
 	}
 	outs := make(chan res, n)
 	for i := 0; i < n; i++ {
-		// Mix sources so several flights and all shards are exercised.
+		// Mix sources so fast and slow jobs interleave on all shards.
 		src := remoteListSrc
 		if i%3 == 0 {
 			src = slowListSrc
 		}
-		ch, jerr := s.Submit(&JobRequest{Source: src, Nodes: 2})
+		sub, jerr := s.Submit(&JobRequest{Source: src, Nodes: 2})
 		if jerr != nil {
 			t.Fatalf("submit %d refused: %v", i, jerr)
 		}
-		go func(i int, ch <-chan jobOutcome) { outs <- res{i, <-ch} }(i, ch)
+		go func(i int, ch <-chan jobOutcome) { outs <- res{i, <-ch} }(i, sub.Res)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -296,8 +338,8 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-// TestBenchmarkJob: named Olden jobs expand server-side, so batching by
-// source hash applies across clients naming the same benchmark.
+// TestBenchmarkJob: named Olden jobs expand server-side, so every client
+// naming the same benchmark shares one unit-cache entry.
 func TestBenchmarkJob(t *testing.T) {
 	s := New(Config{Shards: 2, QueueDepth: 8})
 	defer drainServer(t, s)
@@ -434,7 +476,7 @@ func TestMergedMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"earthd_compiles_total", "earthd_queue_wait_ns", "earth_compile_ns",
+		"earth_compiles_total", "earthd_queue_wait_ns", "earth_compile_ns",
 		"process_heap_alloc_bytes", "process_gc_cycles_total",
 	} {
 		if !strings.Contains(buf.String(), want) {
@@ -499,57 +541,10 @@ func TestBackpressure429(t *testing.T) {
 	if got := counterValue(s, `earthd_jobs_rejected_total{reason="queue_full"}`); got != 1 {
 		t.Errorf("queue_full rejections = %d, want 1", got)
 	}
-	for _, ch := range []<-chan jobOutcome{busy, queued} {
-		if out := <-ch; out.err != nil {
+	for _, sub := range []*Submission{busy, queued} {
+		if out := <-sub.Res; out.err != nil {
 			t.Errorf("accepted job failed: %v", out.err)
 		}
-	}
-}
-
-// TestRejectedFlightReleased: a 429-rejected duplicate must not leave a
-// dangling ref that pins the flight entry (and its unit) forever.
-func TestRejectedFlightReleased(t *testing.T) {
-	s := New(Config{Shards: 1, QueueDepth: 1})
-	defer drainServer(t, s)
-
-	busy, jerr := s.Submit(&JobRequest{Source: slowListSrc, Nodes: 2})
-	if jerr != nil {
-		t.Fatal(jerr)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.queue) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never dequeued the busy job")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	queued, jerr := s.Submit(&JobRequest{Source: remoteListSrc, Nodes: 2})
-	if jerr != nil {
-		t.Fatal(jerr)
-	}
-	if _, jerr := s.Submit(&JobRequest{Source: remoteListSrc, Nodes: 2}); jerr == nil || jerr.status != 429 {
-		t.Fatalf("want 429, got %v", jerr)
-	}
-	<-busy
-	<-queued
-	s.fmu.Lock()
-	n := len(s.flights)
-	s.fmu.Unlock()
-	if n != 0 {
-		t.Errorf("%d flight entries leaked after all jobs completed", n)
-	}
-}
-
-func TestCompileKeyShape(t *testing.T) {
-	a := compileKey("sha256:aa", true, "")
-	b := compileKey("sha256:aa", false, "")
-	c := compileKey("sha256:bb", true, "")
-	d := compileKey("sha256:aa", true, "bypass")
-	if a == b || a == c || b == c || a == d {
-		t.Errorf("compile keys collide: %q %q %q %q", a, b, c, d)
-	}
-	if !strings.Contains(a, "sha256:aa") {
-		t.Errorf("key %q lost the hash", a)
 	}
 }
 
@@ -585,10 +580,9 @@ func TestCachePolicyValidation(t *testing.T) {
 	}
 }
 
-// TestRepeatedDuplicatesHitCache: sequential identical submissions (no
-// concurrency, so single-flight batching cannot help) must compile once and
-// serve the repeats from the shared unit cache — the counters in the merged
-// scrape prove it.
+// TestRepeatedDuplicatesHitCache: sequential identical submissions must
+// compile once and serve the repeats from the shared unit cache — the
+// counters in the merged scrape prove it.
 func TestRepeatedDuplicatesHitCache(t *testing.T) {
 	s := New(Config{Shards: 2, QueueDepth: 8})
 	defer drainServer(t, s)
@@ -602,8 +596,8 @@ func TestRepeatedDuplicatesHitCache(t *testing.T) {
 		}
 		results[i] = r
 	}
-	if got := counterValue(s, "earthd_compiles_total"); got != 1 {
-		t.Errorf("earthd_compiles_total = %d after %d identical jobs, want 1", got, n)
+	if got := counterValue(s, "earth_compiles_total"); got != 1 {
+		t.Errorf("earth_compiles_total = %d after %d identical jobs, want 1", got, n)
 	}
 	if got := counterValue(s, "earth_cache_hits_total"); got != n-1 {
 		t.Errorf("earth_cache_hits_total = %d, want %d", got, n-1)
@@ -621,8 +615,8 @@ func TestRepeatedDuplicatesHitCache(t *testing.T) {
 	if _, jerr := submitWait(t, s, &JobRequest{Source: remoteListSrc, Nodes: 4, Cache: "bypass"}); jerr != nil {
 		t.Fatal(jerr)
 	}
-	if got := counterValue(s, "earthd_compiles_total"); got != 2 {
-		t.Errorf("earthd_compiles_total = %d after bypass job, want 2", got)
+	if got := counterValue(s, "earth_compiles_total"); got != 2 {
+		t.Errorf("earth_compiles_total = %d after bypass job, want 2", got)
 	}
 }
 
@@ -637,8 +631,8 @@ func TestCacheDisabled(t *testing.T) {
 			t.Fatal(jerr)
 		}
 	}
-	if got := counterValue(s, "earthd_compiles_total"); got != 2 {
-		t.Errorf("earthd_compiles_total = %d with caching disabled, want 2", got)
+	if got := counterValue(s, "earth_compiles_total"); got != 2 {
+		t.Errorf("earth_compiles_total = %d with caching disabled, want 2", got)
 	}
 }
 
