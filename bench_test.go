@@ -24,6 +24,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/olden"
+	"repro/internal/trace"
 )
 
 // BenchmarkTable1 regenerates the Table I microbenchmarks once per
@@ -153,6 +154,7 @@ func primedRun(tb testing.TB, bm *olden.Benchmark, opt core.Options, rc core.Run
 		if rc.Sampler != nil {
 			rc.Sampler.Reset()
 		}
+		rc.Trace.Reset()
 		res, err := p.Run(u, rc)
 		if err != nil {
 			tb.Fatal(err)
@@ -179,6 +181,23 @@ func jobRun(tb testing.TB, bm *olden.Benchmark, nodes int) func() *earthsim.Resu
 func jobRunWith(tb testing.TB, bm *olden.Benchmark, nodes int, s *metrics.Sampler) func() *earthsim.Result {
 	return primedRun(tb, bm, core.Options{Optimize: true}, core.RunConfig{Nodes: nodes,
 		Sampler: s, Deadline: 60 * time.Second, Context: context.Background()})
+}
+
+// tracedMixRun runs the five quick Olden programs on 4 nodes as earthd runs
+// traced jobs on one of its shards: one sampler and one trace recorder, reset
+// before each job and reused across them all.
+func tracedMixRun(tb testing.TB) func() {
+	rc := core.RunConfig{Nodes: 4, Sampler: metrics.NewSampler(0, 0), Trace: trace.NewRecorder(0),
+		Deadline: 60 * time.Second, Context: context.Background()}
+	var runs []func() *earthsim.Result
+	for _, bm := range olden.All() {
+		runs = append(runs, primedRun(tb, bm, core.Options{Optimize: true}, rc))
+	}
+	return func() {
+		for _, run := range runs {
+			run()
+		}
+	}
 }
 
 // oldenQuickRun is BenchmarkOldenQuick's workload: bm as an earthd job on 4
@@ -219,6 +238,17 @@ func BenchmarkOldenQuick(b *testing.B) {
 			b.ReportMetric(float64(instr), "guest_instructions")
 			b.ReportMetric(float64(events), "events")
 		})
+	}
+}
+
+// BenchmarkTracedMix prices one round of tracedMixRun: the five quick Olden
+// programs traced into one reused recorder, as earthd's traced jobs are.
+func BenchmarkTracedMix(b *testing.B) {
+	run := tracedMixRun(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 

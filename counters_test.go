@@ -60,6 +60,18 @@ const (
 	haloJobAllocs = 10_130
 )
 
+// tracedMixBytes and tracedMixAllocs are the measured heap bytes and
+// allocations of one round of tracedMixRun (BenchmarkTracedMix): the five
+// quick Olden programs on 4 nodes, traced into one recorder that is reset and
+// reused, as earthd does. Every shard records straight into that recorder.
+// When each shard recorded into a fresh private one that Run then merged, a
+// round took 25.5 MB, 35 times as much. Most of the allocations left are the
+// recorder's per-node SU queue bookkeeping (SUSpan).
+const (
+	tracedMixBytes  = 734_312
+	tracedMixAllocs = 29_616
+)
+
 // simulator is BenchmarkSimulator's row: power with every observer off, so
 // its guest schedule is power's above. The zero-cost pins in
 // zero_cost_test.go hold the fault and telemetry layers to it.
@@ -157,6 +169,7 @@ func TestCounters(t *testing.T) {
 
 	haloJob := jobRun(t, halo, 128)
 	checkAllocs(t, "HaloJob", ceiling(haloJobAllocs), func() { haloJob() })
+	checkAllocs(t, "TracedMix", ceiling(tracedMixAllocs), tracedMixRun(t))
 
 	// BenchmarkCompile and BenchmarkCompileWarm: health at default size,
 	// without a cache and against a warm one.
@@ -184,5 +197,15 @@ func TestHaloJobBytes(t *testing.T) {
 	run := jobRun(t, olden.Halo(), 128)
 	if got, want := bytesPerRun(5, func() { run() }), ceiling(haloJobBytes); got > want {
 		t.Errorf("sampled 128-node halo: bytes per run: got %d, want <= %d", got, want)
+	}
+}
+
+// TestTracedMixBytes holds a round of traced quick jobs to tracedMixBytes.
+func TestTracedMixBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation under -race is not the program's")
+	}
+	if got, want := bytesPerRun(5, tracedMixRun(t)), ceiling(tracedMixBytes); got > want {
+		t.Errorf("traced quick mix: bytes per round: got %d, want <= %d", got, want)
 	}
 }

@@ -511,18 +511,12 @@ type mail struct {
 	g    *msg
 }
 
-// doneRec defers a trace MsgDone whose message was issued on another shard
-// (the recorder that owns the id); applied before trace merge at Run end.
-type doneRec struct {
-	mid int64
-	at  int64
-}
-
 // shard owns the mutable per-run state of one simulated node (shard i owns
 // node i): a local event heap, the node's EU/SU/fiber state, its side of the
-// reliable-messaging protocol, and its slice of the trace/telemetry
-// recorders. The coordinator runs the shards in conservative-lookahead
-// windows (see parallel.go).
+// reliable-messaging protocol, and its slice of the telemetry state. The
+// trace recorder and the profile are the machine's, shared by every shard.
+// The coordinator runs the shards in conservative-lookahead windows (see
+// parallel.go).
 type shard struct {
 	id int
 
@@ -555,9 +549,7 @@ type shard struct {
 	tr            *trace.Recorder // nil: tracing disabled (the common case)
 	ms            *simMetrics     // nil: live telemetry disabled (see SetMetrics)
 
-	// Cross-shard buffers.
-	outbox       []mail
-	foreignDones []doneRec
+	outbox []mail // cross-shard mail sent this window
 
 	// Coordinator bookkeeping (see Run). head caches events[0].time while
 	// the shard sits in the coordinator's head-indexed heap at position hpos
@@ -608,7 +600,7 @@ type Machine struct {
 	lookahead int64 // conservative lookahead L (see parallel.go)
 	wallLimit time.Duration
 	ctx       context.Context  // nil: cancellation disabled
-	tr        *trace.Recorder  // user-facing recorder (nil: tracing off)
+	prof      *profile.Data    // every shard's profile (nil unless prog.Profiled)
 	sampler   *metrics.Sampler // user-facing sampler (nil: telemetry off)
 	gNext     int64            // next merged sampling boundary
 	gLast     int64            // time of the last merged sample (-1 before any)
@@ -625,6 +617,9 @@ func New(prog *threaded.Program, cfg Config) *Machine {
 		cfg.Nodes = 1
 	}
 	m := &Machine{cfg: cfg, prog: prog, gLast: -1}
+	if prog.Profiled {
+		m.prof = profile.New()
+	}
 	for i := 0; i < cfg.Nodes; i++ {
 		maxWords := cfg.MaxNodeWords
 		if maxWords == 0 {
@@ -662,7 +657,7 @@ func (m *Machine) newShard(id int) *shard {
 	cfg := m.cfg
 	// A shard holds one node's events (a handful at a time); sized any
 	// larger, a 1024-node machine pays megabytes of empty queue per run.
-	s := &shard{id: id, cfg: cfg, prog: m.prog, nodes: m.nodes, peers: m.sh,
+	s := &shard{id: id, cfg: cfg, prog: m.prog, nodes: m.nodes, peers: m.sh, prof: m.prof,
 		maxFiberInstr: cfg.MaxFiberInstr,
 		events:        make(eventQ, 0, 8), scratch: make([]int64, 0, 16)}
 	if s.maxFiberInstr == 0 {
@@ -692,29 +687,20 @@ func (m *Machine) newShard(id int) *shard {
 		s.winQ = make(map[uint32][]*txn)
 		s.fstats = &FaultStats{}
 	}
-	if m.prog.Profiled {
-		s.prof = profile.New()
-	}
 	return s
 }
 
 // SetTrace attaches an event recorder to the machine (call before Run; nil
 // detaches). Tracing is purely observational: the recorder sees message
 // lifecycles and busy intervals but never alters costs or scheduling, so a
-// traced run's Result is bit-identical to an untraced one. Returns m for
+// traced run's Result is bit-identical to an untraced one. Every shard
+// records straight into r as the run goes, so message ids are in global issue
+// order and a run that traps part-way leaves what it recorded. Returns m for
 // chaining.
 func (m *Machine) SetTrace(r *trace.Recorder) *Machine {
-	m.tr = r
 	r.SetNodes(len(m.nodes))
-	// Each shard records into a private recorder whose content depends only
-	// on that shard's deterministic event sequence; the coordinator merges
-	// them in shard order after Run (see mergeTrace).
 	for _, s := range m.sh {
-		if r == nil {
-			s.tr = nil
-		} else {
-			s.tr = trace.NewRecorder(len(m.nodes))
-		}
+		s.tr = r
 	}
 	return m
 }

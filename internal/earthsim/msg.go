@@ -329,7 +329,7 @@ func (m *shard) msgService(g *msg, t int64) {
 		})
 		m.enqueueReady(g.dst, child, t)
 		if m.flt == nil {
-			m.msgDone(g.mid, t)
+			m.tr.MsgDone(g.mid, t)
 			m.putMsg(g)
 			return
 		}
@@ -340,7 +340,7 @@ func (m *shard) msgService(g *msg, t int64) {
 			m.ack(g.f, t)
 		}
 		if m.flt == nil {
-			m.msgDone(g.mid, t)
+			m.tr.MsgDone(g.mid, t)
 			m.putMsg(g)
 			return
 		}
@@ -396,7 +396,7 @@ func (m *shard) msgComplete(g *msg, t int64) {
 		// ClassRPC/ClassReply acks carry no payload: the semantic effect
 		// happened at stage 3, exactly once; completing the txn is all.
 	}
-	m.msgDone(g.mid, t)
+	m.tr.MsgDone(g.mid, t)
 	m.putMsg(g)
 }
 
@@ -527,7 +527,7 @@ func (m *shard) issueGet(f *fiber, t int64, addr, abs int64, site string) {
 	g := m.getMsg()
 	g.class, g.f, g.src, g.dst = trace.ClassGet, f, src, m.nodes[dstID]
 	g.off, g.abs = threaded.AddrOff(addr), abs
-	g.mid = m.encMid(m.tr.MsgIssue(trace.ClassGet, site, src.id, dstID, f.id, 1, t))
+	g.mid = m.tr.MsgIssue(trace.ClassGet, site, src.id, dstID, f.id, 1, t)
 	m.sendMsg(g, t, m.cfg.SUService)
 }
 
@@ -550,7 +550,7 @@ func (m *shard) issuePut(f *fiber, t int64, addr, val int64, site string) {
 	g := m.getMsg()
 	g.class, g.f, g.src, g.dst = trace.ClassPut, f, src, m.nodes[dstID]
 	g.off, g.val = threaded.AddrOff(addr), val
-	g.mid = m.encMid(m.tr.MsgIssue(trace.ClassPut, site, src.id, dstID, f.id, 1, t))
+	g.mid = m.tr.MsgIssue(trace.ClassPut, site, src.id, dstID, f.id, 1, t)
 	m.sendMsg(g, t, m.cfg.SUService)
 }
 
@@ -577,7 +577,7 @@ func (m *shard) issueBlkGet(f *fiber, t int64, addr, abs int64, size int, site s
 	g := m.getMsg()
 	g.class, g.f, g.src, g.dst = trace.ClassBlkGet, f, src, m.nodes[dstID]
 	g.off, g.abs, g.size = threaded.AddrOff(addr), abs, size
-	g.mid = m.encMid(m.tr.MsgIssue(trace.ClassBlkGet, site, src.id, dstID, f.id, size, t))
+	g.mid = m.tr.MsgIssue(trace.ClassBlkGet, site, src.id, dstID, f.id, size, t)
 	m.sendMsg(g, t, m.cfg.SUBlock)
 }
 
@@ -603,7 +603,7 @@ func (m *shard) issueBlkPut(f *fiber, t int64, addr int64, vals []int64, site st
 	g.class, g.f, g.src, g.dst = trace.ClassBlkPut, f, src, m.nodes[dstID]
 	g.off, g.size = threaded.AddrOff(addr), size
 	g.vals = append(g.vals[:0], vals...)
-	g.mid = m.encMid(m.tr.MsgIssue(trace.ClassBlkPut, site, src.id, dstID, f.id, size, t))
+	g.mid = m.tr.MsgIssue(trace.ClassBlkPut, site, src.id, dstID, f.id, size, t)
 	m.sendMsg(g, t, m.cfg.SUBlock+m.cfg.SUBlockWord*int64(size-1))
 }
 
@@ -615,7 +615,7 @@ func (m *shard) issueAlloc(f *fiber, t int64, nodeID, size int, abs int64, site 
 	g := m.getMsg()
 	g.class, g.f, g.src, g.dst = trace.ClassAlloc, f, src, m.nodes[nodeID]
 	g.abs, g.size = abs, size
-	g.mid = m.encMid(m.tr.MsgIssue(trace.ClassAlloc, site, src.id, nodeID, f.id, 1, t))
+	g.mid = m.tr.MsgIssue(trace.ClassAlloc, site, src.id, nodeID, f.id, 1, t)
 	m.sendMsg(g, t, m.cfg.SUService)
 }
 
@@ -631,7 +631,7 @@ func (m *shard) issueInvoke(f *fiber, t int64, nodeID int, fn *threaded.FnCode,
 	g.class, g.f, g.src, g.dst = trace.ClassRPC, f, src, m.nodes[nodeID]
 	g.fn, g.abs = fn, retAbs
 	g.args = append(g.args[:0], args...)
-	g.mid = m.encMid(m.tr.MsgIssue(trace.ClassRPC, site, src.id, nodeID, f.id, len(args), t))
+	g.mid = m.tr.MsgIssue(trace.ClassRPC, site, src.id, nodeID, f.id, len(args), t)
 	m.sendMsg(g, t, m.cfg.SUService)
 }
 
@@ -648,7 +648,7 @@ func (m *shard) issueShared(f *fiber, t int64, addr int64, op int, val int64,
 	g := m.getMsg()
 	g.class, g.f, g.src, g.dst = trace.ClassShared, f, src, m.nodes[dstID]
 	g.off, g.abs, g.op, g.val, g.flt = threaded.AddrOff(addr), replyAbs, op, val, flt
-	g.mid = m.encMid(m.tr.MsgIssue(trace.ClassShared, site, src.id, dstID, f.id, 1, t))
+	g.mid = m.tr.MsgIssue(trace.ClassShared, site, src.id, dstID, f.id, 1, t)
 	m.sendMsg(g, t, m.cfg.SUService)
 }
 
@@ -679,7 +679,7 @@ func (m *shard) finishFiber(f *fiber, t int64, val int64) {
 		g := m.getMsg()
 		g.class, g.f, g.src, g.dst = trace.ClassReply, f.route.rpcFiber, n, m.nodes[f.route.rpcNode]
 		g.abs, g.val = int64(f.route.rpcSlot), val
-		g.mid = m.encMid(m.tr.MsgIssue(trace.ClassReply, f.code.Name, n.id, g.dst.id, f.id, 1, t+m.cfg.EUIssue))
+		g.mid = m.tr.MsgIssue(trace.ClassReply, f.code.Name, n.id, g.dst.id, f.id, 1, t+m.cfg.EUIssue)
 		m.sendMsg(g, t+m.cfg.EUIssue, m.cfg.SUService)
 	}
 	m.recycleFiber(f)

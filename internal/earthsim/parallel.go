@@ -39,39 +39,7 @@ import (
 	"slices"
 	"strings"
 	"time"
-
-	"repro/internal/profile"
 )
-
-// midMask extracts the shard-local trace message id from an encoded id; the
-// owning shard id + 1 lives in the bits above (see encMid).
-const midMask = int64(1)<<40 - 1
-
-// encMid tags a shard-local trace message id with the owning shard so a
-// reference that travels with the message — into another shard's spans,
-// fault events, or completion path — can find its way back to the recorder
-// that issued it. 0 stays "no message" (which also covers tracing disabled).
-func (m *shard) encMid(local int64) int64 {
-	if local == 0 {
-		return 0
-	}
-	return int64(m.id+1)<<40 | local
-}
-
-// msgDone routes a message-completion trace event to the recorder that owns
-// the id: our own (decode and record now) or another shard's (defer to
-// foreignDones, applied before the trace merge at Run end — Done is a single
-// idempotent field write per message, so deferral cannot reorder anything).
-func (m *shard) msgDone(mid, t int64) {
-	if mid == 0 {
-		return
-	}
-	if int(mid>>40)-1 == m.id {
-		m.tr.MsgDone(mid&midMask, t)
-		return
-	}
-	m.foreignDones = append(m.foreignDones, doneRec{mid: mid, at: t})
-}
 
 // pollRounds is how many coordinator rounds pass between polls of the wall
 // clock and the run context; windows poll both every 4096 events themselves.
@@ -430,18 +398,16 @@ func (m *Machine) Run() (*Result, error) {
 	}
 
 	m.closeSamples()
-	m.mergeTrace()
 	m.releaseArenas()
 	return m.buildResult(), nil
 }
 
-// fail closes the telemetry series and folds the partial trace before
-// surfacing a run error, so observers see everything up to the failure. err
+// fail closes the telemetry series before surfacing a run error, so observers
+// see everything up to the failure (the trace recorder already holds it). err
 // is already built — blocked-fiber reports read the presence counters — so
 // the node arenas can go back to the pool.
 func (m *Machine) fail(err error) (*Result, error) {
 	m.closeSamples()
-	m.mergeTrace()
 	m.releaseArenas()
 	return nil, err
 }
@@ -479,35 +445,6 @@ func (m *Machine) closeSamples() {
 	}
 }
 
-// mergeTrace folds the per-shard recorders into the user's recorder, in
-// shard order, renumbering message ids shard by shard. Deferred cross-shard
-// completions are applied to their owning recorders first.
-func (m *Machine) mergeTrace() {
-	if m.tr == nil {
-		return
-	}
-	for _, s := range m.sh {
-		for _, d := range s.foreignDones {
-			k := int(d.mid>>40) - 1
-			m.sh[k].tr.MsgDone(d.mid&midMask, d.at)
-		}
-		s.foreignDones = s.foreignDones[:0]
-	}
-	off := make([]int64, len(m.sh)+1)
-	for i, s := range m.sh {
-		off[i+1] = off[i] + int64(s.tr.MsgCount())
-	}
-	mapRef := func(mid int64) int64 {
-		if mid == 0 {
-			return 0
-		}
-		return off[int(mid>>40)-1] + mid&midMask
-	}
-	for _, s := range m.sh {
-		m.tr.Absorb(s.tr, mapRef)
-	}
-}
-
 // buildResult sums the per-shard outcomes into the machine Result.
 func (m *Machine) buildResult() *Result {
 	s0 := m.sh[0]
@@ -531,13 +468,9 @@ func (m *Machine) buildResult() *Result {
 		out = append(out, s.output...)
 	}
 	res.Output = renderOutput(out)
-	if m.prog.Profiled {
-		p := profile.New()
-		for _, s := range m.sh {
-			p.Merge(s.prof)
-		}
-		p.Runs = 1
-		res.Profile = p
+	if m.prof != nil {
+		m.prof.Runs = 1
+		res.Profile = m.prof
 	}
 	if m.cfg.Faults != nil {
 		fs := &FaultStats{}

@@ -28,8 +28,8 @@ const matrixInterval = 50_000
 
 // surface is everything one execution shows the outside.
 type surface struct {
-	res           *earthsim.Result
-	trace, series string
+	res                    *earthsim.Result
+	trace, series, summary string
 }
 
 // matrixRun compiles bm at quick size and executes it once with a trace
@@ -69,7 +69,7 @@ func matrixRun(t *testing.T, bm *olden.Benchmark, nodes int, faultSpec, cost str
 	if err := sampler.WriteSeriesJSON(&se); err != nil {
 		t.Fatal(err)
 	}
-	return surface{res, tr.String(), se.String()}
+	return surface{res, tr.String(), se.String(), rec.Summarize().String()}
 }
 
 // goldenCell is one entry of testdata/engine_golden.json; the file's
@@ -83,6 +83,8 @@ type goldenCell struct {
 	Time       int64  `json:"time"`
 	Events     int64  `json:"events"`
 	Trace      string `json:"trace"`
+	Summary    string `json:"summary"`
+	Canonical  string `json:"canonical"`
 	Series     string `json:"series"`
 }
 
@@ -116,8 +118,8 @@ func (g goldenCell) checkVisible(t *testing.T, r surface) {
 	}
 }
 
-// check holds r to the whole frozen cell: Visible(), Time, Events and both
-// content hashes.
+// check holds r to the whole frozen cell: Visible(), Time, Events, the
+// recording (its export, its summary and its canonical form) and the series.
 func (g goldenCell) check(t *testing.T, r surface) {
 	t.Helper()
 	g.checkVisible(t, r)
@@ -126,6 +128,12 @@ func (g goldenCell) check(t *testing.T, r surface) {
 	}
 	if h := contenthash.Source(r.trace); h != g.Trace {
 		t.Errorf("trace export moved: %s, golden %s", h, g.Trace)
+	}
+	if h := contenthash.Source(r.summary); h != g.Summary {
+		t.Errorf("trace summary moved: %s, golden %s", h, g.Summary)
+	}
+	if h := canonicalTrace(t, r.trace); h != g.Canonical {
+		t.Errorf("recorded events moved: canonical %s, golden %s", h, g.Canonical)
 	}
 	if h := contenthash.Source(r.series); h != g.Series {
 		t.Errorf("series JSON moved: %s, golden %s", h, g.Series)

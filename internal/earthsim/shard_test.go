@@ -151,8 +151,8 @@ func TestSpuriousAccountingAndKarn(t *testing.T) {
 	}
 }
 
-// TestShardIDEncodings pins the id spaces: transaction sequences and trace
-// message ids tag the owning shard in bits 40+, fiber ids in bits 32+.
+// TestShardIDEncodings pins the id spaces: transaction sequences tag the
+// owning shard in bits 40+, fiber ids in bits 32+.
 func TestShardIDEncodings(t *testing.T) {
 	m := New(loopProg(), DefaultConfig(2))
 	if len(m.sh) != 2 {
@@ -170,12 +170,6 @@ func TestShardIDEncodings(t *testing.T) {
 	}
 	if got := s0.fiberID(5); got != 5 {
 		t.Errorf("shard0 fiberID(5) = %#x, want 5", got)
-	}
-	if got := s1.encMid(5); got != 2<<40|5 {
-		t.Errorf("shard1 encMid(5) = %#x, want %#x", got, int64(2<<40|5))
-	}
-	if got := s1.encMid(0); got != 0 {
-		t.Errorf("encMid(0) = %#x, want 0 (no message)", got)
 	}
 	if got := satAdd(math.MaxInt64, 5); got != math.MaxInt64 {
 		t.Errorf("satAdd must saturate: %d", got)

@@ -3,9 +3,11 @@ package earthsim_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/earthsim"
 	"repro/internal/olden"
 	"repro/internal/trace"
 )
@@ -159,6 +161,43 @@ func TestTraceSummaryDeterministic(t *testing.T) {
 	a, b := runSummary(), runSummary()
 	if a != b {
 		t.Error("trace summary differs across identical runs")
+	}
+}
+
+// TestTrappedRunLeavesRecording: a run that exhausts its event budget
+// half-way fails, but the recorder keeps what the shards recorded up to the
+// trap — fewer messages than the whole run, every span and fault naming a
+// recorded message — and it exports and summarizes like any other recording.
+func TestTrappedRunLeavesRecording(t *testing.T) {
+	name, src := oldenQuick()
+	p := core.NewPipeline(core.Options{Optimize: true})
+	u, err := p.Compile(name, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := trace.NewRecorder(4)
+	res, err := p.Run(u, core.RunConfig{Nodes: 4, Trace: full})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rec := trace.NewRecorder(4)
+	cfg := earthsim.DefaultConfig(4)
+	cfg.MaxEvents = res.Events / 2
+	_, err = p.Run(u, core.RunConfig{Nodes: 4, Trace: rec, Machine: &cfg})
+	if !errors.Is(err, earthsim.ErrFuelExhausted) {
+		t.Fatalf("half the events: want ErrFuelExhausted, got %v", err)
+	}
+	if got, all := len(rec.Msgs()), len(full.Msgs()); got == 0 || got >= all {
+		t.Errorf("trapped run recorded %d messages, want some but fewer than the whole run's %d", got, all)
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	canonicalTrace(t, buf.String()) // fails on a reference to an unrecorded message
+	if s := rec.Summarize(); s.Horizon == 0 || s.Horizon > full.Horizon() {
+		t.Errorf("trapped run's horizon %d, want within (0, %d]", s.Horizon, full.Horizon())
 	}
 }
 

@@ -99,13 +99,13 @@ type Span struct {
 	Words int
 }
 
-// Recorder accumulates one run's events. The simulator's shards each record
-// into a private Recorder from their own event loop and the coordinator
-// folds those into the caller's as Run exits (see Absorb), so a recording is
-// complete — and meant to be read — once Run has returned. A small internal
-// mutex still guards every method: recordings are read (Summarize,
-// WriteChrome, Msgs, …) from goroutines other than the one that merged them.
-// A nil *Recorder is a valid, disabled sink: every method is nil-safe.
+// Recorder accumulates one run's events. Every shard of the simulator records
+// straight into the caller's Recorder as the run goes, so message ids follow
+// global issue order and a run that stops early leaves everything up to the
+// stop. A small internal mutex guards every method: recordings are read
+// (Summarize, WriteChrome, Msgs, …) from goroutines other than the one that
+// ran the simulation. A nil *Recorder is a valid, disabled sink: every method
+// is nil-safe.
 type Recorder struct {
 	mu     sync.Mutex
 	nodes  int
@@ -264,63 +264,6 @@ func (r *Recorder) NetSpan(src, dst int, name string, msgID int64, words int, st
 		Unit: UnitNet, Node: src, Dst: dst, Name: name, MsgID: msgID,
 		Words: words, Start: start, End: end,
 	})
-}
-
-// MsgCount returns the number of messages recorded so far (0 for nil).
-func (r *Recorder) MsgCount() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.msgs)
-}
-
-// Absorb moves every event of part into r, leaving part empty: messages are
-// renumbered to follow r's existing ids, and every message reference carried
-// by a span or fault event is rewritten through mapRef (which must map
-// part-relative references onto the renumbered id space; 0 stays "no
-// message"). The simulator uses this to fold its per-shard recorders into
-// the user's recorder in shard order — each shard's internal order is
-// preserved, so the merged recording is deterministic for a deterministic
-// run.
-func (r *Recorder) Absorb(part *Recorder, mapRef func(int64) int64) {
-	if r == nil || part == nil {
-		return
-	}
-	part.mu.Lock()
-	defer part.mu.Unlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	base := len(r.msgs)
-	r.msgs = take(r.msgs, part.msgs)
-	for i := base; i < len(r.msgs); i++ {
-		r.msgs[i].ID += int64(base)
-	}
-	n := len(r.spans)
-	r.spans = take(r.spans, part.spans)
-	for i := n; i < len(r.spans); i++ {
-		r.spans[i].MsgID = mapRef(r.spans[i].MsgID)
-	}
-	n = len(r.faults)
-	r.faults = take(r.faults, part.faults)
-	for i := n; i < len(r.faults); i++ {
-		r.faults[i].MsgID = mapRef(r.faults[i].MsgID)
-	}
-	part.msgs, part.spans, part.faults = nil, nil, nil
-	if part.horizon > r.horizon {
-		r.horizon = part.horizon
-	}
-}
-
-// take appends src to dst in one step — a long recording is hundreds of
-// megabytes, so neither element-wise growth nor a needless copy is cheap:
-// an empty dst too small to hold src adopts src's array outright.
-func take[T any](dst, src []T) []T {
-	if len(dst) == 0 && cap(dst) < len(src) {
-		return src
-	}
-	return append(dst, src...)
 }
 
 // Horizon returns the latest event timestamp recorded (ns).
