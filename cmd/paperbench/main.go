@@ -6,13 +6,15 @@
 //	-table2    Table II: benchmark descriptions
 //	-fig10     Figure 10: dynamic communication counts, simple vs optimized
 //	-table3    Table III: execution times, speedups, improvements
-//	-pgo       PGO ablation: static-heuristic vs profile-guided optimization
+//	-ablation  every benchmark under each optimization component switched
+//	           off, profile guidance, field reordering and block thresholds
+//	           2/4/6, each build's output checked against simple
 //	-faultsweep  reliable-messaging validation: each benchmark under
 //	             increasing fault rates, checking completion and result
 //	             fidelity
 //	-all       everything (default when no flag given)
 //
-//	-nodes N       machine size for fig10, the PGO table and the fault
+//	-nodes N       machine size for fig10, the ablation and the fault
 //	               sweep (default 4)
 //	-procs list    comma-separated processor counts for table3
 //	               (default 1,2,4,8,16)
@@ -42,7 +44,7 @@ type jsonReport struct {
 	Table1     *harness.Table1Result     `json:"table1,omitempty"`
 	Fig10      *harness.Fig10Result      `json:"fig10,omitempty"`
 	Table3     *harness.Table3Result     `json:"table3,omitempty"`
-	PGO        *harness.PGOResult        `json:"pgo,omitempty"`
+	Ablation   *harness.AblationResult   `json:"ablation,omitempty"`
 	FaultSweep *harness.FaultSweepResult `json:"faultSweep,omitempty"`
 }
 
@@ -57,10 +59,10 @@ func run(args []string, out, stderr io.Writer) int {
 	t2 := fs.Bool("table2", false, "Table II")
 	f10 := fs.Bool("fig10", false, "Figure 10")
 	t3 := fs.Bool("table3", false, "Table III")
-	pgo := fs.Bool("pgo", false, "PGO ablation table")
+	ablation := fs.Bool("ablation", false, "ablation table")
 	faultSweep := fs.Bool("faultsweep", false, "fault-injection sweep over the benchmarks")
 	all := fs.Bool("all", false, "everything")
-	nodes := fs.Int("nodes", 4, "machine size for fig10, the PGO table and the fault sweep")
+	nodes := fs.Int("nodes", 4, "machine size for fig10, the ablation and the fault sweep")
 	procsFlag := fs.String("procs", "1,2,4,8,16", "processor counts for table3")
 	scale := fs.String("scale", "default", "problem scale: quick|default")
 	faultSeed := fs.Uint64("fault-seed", 1, "PRNG seed for the fault sweep")
@@ -73,7 +75,7 @@ func run(args []string, out, stderr io.Writer) int {
 		return 1
 	}
 
-	if !*t1 && !*t2 && !*f10 && !*t3 && !*pgo && !*faultSweep {
+	if !*t1 && !*t2 && !*f10 && !*t3 && !*ablation && !*faultSweep {
 		*all = true
 	}
 	var params func(*olden.Benchmark) olden.Params
@@ -129,12 +131,12 @@ func run(args []string, out, stderr io.Writer) int {
 			fmt.Fprintln(out, res)
 		}
 	}
-	if *all || *pgo {
-		res, err := harness.MeasurePGO(*nodes, params)
+	if *all || *ablation {
+		res, err := harness.MeasureAblation(*nodes, params)
 		if err != nil {
 			return fail(err)
 		}
-		rep.PGO = res
+		rep.Ablation = res
 		if !*asJSON {
 			fmt.Fprintln(out, res)
 		}

@@ -25,14 +25,17 @@ var oldenCounters = []struct {
 	// Figure 10: dynamic communication operations, simple and optimized
 	// (harness.MeasureFig10Single).
 	simpleOps, optOps int64
+	// Figure 10 operations of the profile-guided build (Pipeline.ProfileCycle
+	// on the same 4 nodes), the ablation table's PGO row.
+	pgoOps int64
 	// Measured allocations per BenchmarkOldenQuick run.
 	allocs int64
 }{
-	{"power", 257219, 483, 6464, 2672, 182},
-	{"tsp", 28947, 6193, 3298, 1534, 993},
-	{"health", 60092, 11286, 14929, 7017, 749},
-	{"perimeter", 339749, 23528, 6493, 5897, 2382},
-	{"voronoi", 103257, 34297, 15990, 8758, 4286},
+	{"power", 257219, 483, 6464, 2672, 2672, 182},
+	{"tsp", 28947, 6193, 3298, 1534, 1439, 993},
+	{"health", 60092, 11286, 14929, 7017, 7017, 749},
+	{"perimeter", 339749, 23528, 6493, 5897, 5897, 2382},
+	{"voronoi", 103257, 34297, 15990, 8758, 8500, 4286},
 }
 
 // haloEvents is BenchmarkSimNodes' deterministic metric: events of the halo
@@ -127,6 +130,10 @@ func checkCount(t *testing.T, what, column string, got, want int64) {
 }
 
 func TestCounters(t *testing.T) {
+	ablation, err := harness.MeasureAblation(4, olden.QuickParams)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range oldenCounters {
 		bm := olden.ByName(want.program)
 		if bm == nil {
@@ -144,6 +151,11 @@ func TestCounters(t *testing.T) {
 		}
 		checkCount(t, want.program, "simple_ops", row.TotalSimple, want.simpleOps)
 		checkCount(t, want.program, "opt_ops", row.OptTotal(), want.optOps)
+		if pgo := ablation.Row(want.program, "PGO"); pgo == nil {
+			t.Errorf("%s: the ablation table has no PGO row", want.program)
+		} else {
+			checkCount(t, want.program, "pgo_ops", pgo.Ops, want.pgoOps)
+		}
 	}
 	if got, want := len(olden.All()), len(oldenCounters); got != want {
 		t.Errorf("olden.All() has %d programs, the table %d", got, want)

@@ -31,14 +31,6 @@ type Options struct {
 	// together before a blocked transfer is used (the paper measured 3 on
 	// EARTH-MANNA).
 	BlockThreshold int
-	// MaxBlockWaste skips blocking when the struct is much larger than the
-	// fields actually needed: block only if structSize <=
-	// MaxBlockWaste * neededWords. 0 means "no limit".
-	MaxBlockWaste int
-	// Speculative issues remote reads without proving a dereference occurs
-	// on all paths (the paper's runtime tolerates reads of potentially
-	// invalid addresses).
-	Speculative bool
 	// NoBlocking disables blkmov selection (ablation: pipelined only).
 	NoBlocking bool
 	// NoWriteMotion leaves every remote write at its original statement
@@ -48,26 +40,19 @@ type Options struct {
 	// (ablation: redundancy elimination and pipelining across statements
 	// are lost; reads still become split-phase gets).
 	NoReadMotion bool
-	// ProfileGuided signals that the placement tuples carry *measured*
-	// frequencies (see internal/profile) rather than the static ×10/÷2/÷k
-	// guesses. Selection then also weighs expected dynamic operation
-	// counts for the pipelined-vs-blocked decision: a field group whose
-	// measured frequency sum alone reaches BlockThreshold blocks even
-	// with fewer distinct fields, since one blkmov replaces that many
-	// expected gets. The rule is strictly additive — everything that
-	// blocked statically still blocks — so it can only reduce op counts.
-	ProfileGuided bool
 }
 
 func (o Options) withDefaults() Options {
 	if o.BlockThreshold == 0 {
 		o.BlockThreshold = 3
 	}
-	if o.MaxBlockWaste == 0 {
-		o.MaxBlockWaste = 4
-	}
 	return o
 }
+
+// maxBlockWaste caps the words a blocked read may move per field it needs: a
+// group blocks only if the contiguous span from its lowest to its highest
+// needed field is at most maxBlockWaste times the number of needed fields.
+const maxBlockWaste = 4
 
 // FuncReport summarizes the transformation of one function.
 type FuncReport struct {

@@ -123,7 +123,7 @@ func (s *sel) selectReadsAt(set *placement.Set, st simple.Stmt, stack []frame) [
 			}
 			continue
 		}
-		if !s.opt.Speculative && !s.derefSafe(t.P, stack) {
+		if !s.derefSafe(t.P, stack) {
 			continue
 		}
 		if byPtr[t.P] == nil {
@@ -150,19 +150,21 @@ func (s *sel) selectReadsAt(set *placement.Set, st simple.Stmt, stack []frame) [
 		if needed > 0 {
 			span = all[needed-1].t.Off + 1 - all[0].t.Off
 		}
-		// Under profile guidance the measured frequency sum of the full
-		// candidates is the expected number of pipelined gets a block fill
-		// would replace; when that alone reaches the threshold, blocking
-		// wins even with fewer distinct fields.
+		// Under profile guidance (placement ran on measured frequencies)
+		// the frequency sum of the full candidates is the expected number
+		// of pipelined gets a block fill would replace; when that alone
+		// reaches the threshold, blocking wins even with fewer distinct
+		// fields. The rule is strictly additive: everything that blocks
+		// statically still blocks.
 		hotFreq := 0.0
 		for _, c := range group {
 			hotFreq += c.t.Freq
 		}
 		block := !s.opt.NoBlocking && layout != nil &&
 			(needed >= s.opt.BlockThreshold ||
-				(s.opt.ProfileGuided && len(group) >= 2 &&
+				(s.pl.Profiled && len(group) >= 2 &&
 					hotFreq >= float64(s.opt.BlockThreshold))) &&
-			(s.opt.MaxBlockWaste == 0 || span <= s.opt.MaxBlockWaste*needed)
+			span <= maxBlockWaste*needed
 		if block {
 			group = all
 		}

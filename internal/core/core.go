@@ -39,8 +39,6 @@ type Options struct {
 	// NoInline disables the Phase I local function inliner (it normally
 	// runs for both simple and optimized builds, as in McCAT).
 	NoInline bool
-	// Inline tunes the inliner.
-	Inline earthc.InlineOptions
 	// ReorderFields enables the paper's suggested further work: struct
 	// fields are permuted so remotely-accessed fields sit together,
 	// shrinking the contiguous span a blocked transfer must move. The

@@ -103,7 +103,7 @@ func (p *Pipeline) compileAST(file *earthc.File, opt Options, prof *profile.Data
 	defer recoverPhase(file.Name, &phase, noFn, &u, &err)
 	t0 := time.Now()
 	if !opt.NoInline {
-		earthc.InlineFunctions(file, opt.Inline)
+		earthc.InlineFunctions(file, earthc.InlineOptions{})
 	}
 	st.AddPhase("inline", time.Since(t0))
 	phase = "restructure"
@@ -203,11 +203,11 @@ func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, st 
 		}
 	}
 	if opt.Optimize {
+		// A nil *profile.Data must reach placement as a nil interface: a
+		// non-nil provider marks the placement profiled.
 		var fp placement.FreqProvider
-		sel := opt.Sel
 		if prof != nil {
 			fp = prof
-			sel.ProfileGuided = true
 		}
 		phase = "placement"
 		t0, b0 = time.Now(), pool.Busy()
@@ -215,7 +215,7 @@ func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, st 
 		addPhase("placement", t0, b0)
 		phase = "commsel"
 		t0, b0 = time.Now(), pool.Busy()
-		u.Report = commsel.TransformP(sp, u.Placement, u.RWSets, u.Locality, sel, pool)
+		u.Report = commsel.TransformP(sp, u.Placement, u.RWSets, u.Locality, opt.Sel, pool)
 		addPhase("commsel", t0, b0)
 		if st != nil {
 			for _, set := range u.Placement.Reads {

@@ -69,7 +69,6 @@ func (opt Options) fingerprint(prof *profile.Data) string {
 	parts := []string{
 		fmt.Sprintf("optimize=%t noinline=%t reorder=%t stats=%t",
 			opt.Optimize, opt.NoInline, opt.ReorderFields, opt.Stats),
-		fmt.Sprintf("inline=%+v", opt.Inline),
 		fmt.Sprintf("sel=%+v", opt.Sel),
 	}
 	if prof != nil {

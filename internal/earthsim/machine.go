@@ -126,7 +126,8 @@ type Counts struct {
 	Allocs       int64
 }
 
-// TotalRemote is the Figure 10 quantity: remote data communication ops.
+// TotalRemote counts the data communication ops whose target was on another
+// node. Figure 10 also counts the pseudo-remote Local* ones.
 func (c Counts) TotalRemote() int64 { return c.RemoteReads + c.RemoteWrites + c.RemoteBlk }
 
 // String summarizes the counters.

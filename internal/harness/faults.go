@@ -66,17 +66,12 @@ func MeasureFaultSweep(nodes int, specs []string, seed uint64, paramsFor func(*o
 	}
 	res := &FaultSweepResult{Nodes: nodes, Seed: seed}
 	for _, bm := range olden.All() {
-		src := bm.Source(paramsFor(bm))
-		p := core.NewPipeline(core.Options{Optimize: true, Cache: tableCache})
-		u, err := compileUnit(p, bm.Name+".ec", src)
+		base, u, err := measure(bm, bm.Source(paramsFor(bm)), optBuild, core.RunConfig{Nodes: nodes,
+			Fuel: defaultFuel, Deadline: defaultDeadline}, nil)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", bm.Name, err)
+			return nil, err
 		}
-		base, err := p.Run(u, core.RunConfig{Nodes: nodes,
-			Fuel: defaultFuel, Deadline: defaultDeadline})
-		if err != nil {
-			return nil, fmt.Errorf("%s fault-free: %w", bm.Name, err)
-		}
+		p := optBuild.pipeline()
 		row := FaultSweepRow{Benchmark: bm.Name, BaseNs: base.Time}
 		for _, spec := range specs {
 			fc, err := earthsim.ParseFaultSpec(spec)

@@ -14,18 +14,62 @@ import (
 // tableCache memoizes compiles across the tables' repeated
 // (benchmark × machine size) sweeps: Table III compiles each source once
 // per optimization mode instead of once per machine size. The fingerprint
-// keys on the options, so simple/optimized/stats builds never collide.
+// keys on the options, so no two builds collide.
 var tableCache = cache.New(0, "")
 
-// compileUnit is the harness's one compile path: every table builds its
-// units through the same CompileRequest surface (and shared cache) that
-// earthcc, earthrun, and earthd use.
-func compileUnit(p *core.Pipeline, name, src string) (*core.Unit, error) {
-	res, err := p.Do(core.CompileRequest{Name: name, Source: src})
-	if err != nil {
-		return nil, err
+// build is one way to compile a benchmark: its pipeline options, and whether
+// the unit comes from the two-pass profile-guided flow.
+type build struct {
+	name    string
+	opt     core.Options
+	profile bool // Pipeline.ProfileCycle: guided by a measured run under the same RunConfig
+}
+
+var (
+	simpleBuild = build{name: "simple"}
+	optBuild    = build{name: "optimized", opt: core.Options{Optimize: true}}
+)
+
+// pipeline returns b's pipeline. It compiles through tableCache, with
+// compile statistics on (they never change the unit).
+func (b build) pipeline() *core.Pipeline {
+	opt := b.opt
+	opt.Cache = tableCache
+	opt.Stats = true
+	return core.NewPipeline(opt)
+}
+
+// measure is the harness's one build runner: every table compiles, runs and
+// checks through it. It compiles src under b, runs the unit under rc, and,
+// when ref is non-nil, fails unless the run printed exactly ref's output.
+func measure(bm *olden.Benchmark, src string, b build, rc core.RunConfig, ref *earthsim.Result) (*earthsim.Result, *core.Unit, error) {
+	p := b.pipeline()
+	var u *core.Unit
+	var err error
+	if b.profile {
+		u, _, err = p.ProfileCycle(bm.Name+".ec", src, rc)
+	} else {
+		u, err = p.Compile(bm.Name+".ec", src)
 	}
-	return res.Unit, nil
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s %s: %w", bm.Name, b.name, err)
+	}
+	res, err := p.Run(u, rc)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s %s: %w", bm.Name, b.name, err)
+	}
+	if ref != nil && res.Output != ref.Output {
+		return nil, nil, fmt.Errorf("%s: %s output diverged:\nreference: %q\n%s: %q",
+			bm.Name, b.name, ref.Output, b.name, res.Output)
+	}
+	return res, u, nil
+}
+
+// runtimeOps is a run's Figure 10 operations by kind: every read, write and
+// block move issued through the EARTH runtime, whether its target turned out
+// remote or local (pseudo-remote), as both cost a runtime call.
+func runtimeOps(c earthsim.Counts) (reads, writes, blk int64) {
+	return c.RemoteReads + c.LocalReads, c.RemoteWrites + c.LocalWrites, c.RemoteBlk + c.LocalBlk
 }
 
 // Table2 renders the benchmark registry (the paper's Table II), with both
@@ -61,37 +105,19 @@ func harnessSize(bm *olden.Benchmark) string {
 // RunPair compiles and runs one benchmark in simple and optimized form on
 // the given machine size, verifying the outputs agree.
 func RunPair(bm *olden.Benchmark, params olden.Params, nodes int) (simple, opt *earthsim.Result, err error) {
-	simple, opt, _, err = runPair(bm, params, nodes, false)
+	simple, opt, _, err = runPair(bm, bm.Source(params), core.RunConfig{Nodes: nodes})
 	return simple, opt, err
 }
 
-// runPair is RunPair plus, when stats is set, the optimized build's compile
-// statistics.
-func runPair(bm *olden.Benchmark, params olden.Params, nodes int, stats bool) (simple, opt *earthsim.Result, cs *trace.CompileStats, err error) {
-	src := bm.Source(params)
-	sp := core.NewPipeline(core.Options{Cache: tableCache})
-	su, err := compileUnit(sp, bm.Name+".ec", src)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%s simple: %w", bm.Name, err)
+// runPair is RunPair on a generated source, plus the optimized unit.
+func runPair(bm *olden.Benchmark, src string, rc core.RunConfig) (simple, opt *earthsim.Result, ou *core.Unit, err error) {
+	if simple, _, err = measure(bm, src, simpleBuild, rc, nil); err != nil {
+		return nil, nil, nil, err
 	}
-	simple, err = sp.Run(su, core.RunConfig{Nodes: nodes})
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%s simple: %w", bm.Name, err)
+	if opt, ou, err = measure(bm, src, optBuild, rc, simple); err != nil {
+		return nil, nil, nil, err
 	}
-	op := core.NewPipeline(core.Options{Optimize: true, Stats: stats, Cache: tableCache})
-	ou, err := compileUnit(op, bm.Name+".ec", src)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%s optimized: %w", bm.Name, err)
-	}
-	opt, err = op.Run(ou, core.RunConfig{Nodes: nodes})
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%s optimized: %w", bm.Name, err)
-	}
-	if simple.Output != opt.Output {
-		return nil, nil, nil, fmt.Errorf("%s: optimized output diverged:\nsimple: %q\nopt:    %q",
-			bm.Name, simple.Output, opt.Output)
-	}
-	return simple, opt, ou.Stats, nil
+	return simple, opt, ou, nil
 }
 
 // -------------------------------------------------------------- Figure 10 ---
@@ -288,16 +314,10 @@ func MeasureTable3(procs []int, paramsFor func(*olden.Benchmark) olden.Params) (
 	}
 	res := &Table3Result{}
 	for _, bm := range olden.All() {
-		params := paramsFor(bm)
-		src := bm.Source(params)
-		p := core.NewPipeline(core.Options{Cache: tableCache})
-		u, err := compileUnit(p, bm.Name+".ec", src)
+		src := bm.Source(paramsFor(bm))
+		seq, _, err := measure(bm, src, simpleBuild, core.RunConfig{Nodes: 1, Sequential: true}, nil)
 		if err != nil {
 			return nil, err
-		}
-		seq, err := p.Run(u, core.RunConfig{Nodes: 1, Sequential: true})
-		if err != nil {
-			return nil, fmt.Errorf("%s sequential: %w", bm.Name, err)
 		}
 		row := Table3Row{
 			Benchmark:    bm.Name,
@@ -305,12 +325,14 @@ func MeasureTable3(procs []int, paramsFor func(*olden.Benchmark) olden.Params) (
 			PaperImpr16:  bm.PaperImprovement16,
 		}
 		for _, p := range procs {
-			simple, opt, err := RunPair(bm, params, p)
+			rc := core.RunConfig{Nodes: p}
+			simple, _, err := measure(bm, src, simpleBuild, rc, seq)
 			if err != nil {
 				return nil, err
 			}
-			if seq.Output != simple.Output {
-				return nil, fmt.Errorf("%s: sequential output diverged from parallel", bm.Name)
+			opt, _, err := measure(bm, src, optBuild, rc, simple)
+			if err != nil {
+				return nil, err
 			}
 			e := Table3Entry{
 				Procs:    p,
@@ -359,26 +381,22 @@ func DefaultParams(bm *olden.Benchmark) olden.Params { return bm.DefaultParams }
 // MeasureFig10Single measures the Figure 10 quantities for one benchmark,
 // plus the supplementary class breakdown and compile statistics.
 func MeasureFig10Single(bm *olden.Benchmark, params olden.Params, nodes int) (*Fig10Row, error) {
-	simple, opt, cs, err := runPair(bm, params, nodes, true)
+	simple, opt, ou, err := runPair(bm, bm.Source(params), core.RunConfig{Nodes: nodes})
 	if err != nil {
 		return nil, err
 	}
 	row := &Fig10Row{
 		Benchmark:    bm.Name,
-		SimpleReads:  simple.Counts.RemoteReads + simple.Counts.LocalReads,
-		SimpleWrites: simple.Counts.RemoteWrites + simple.Counts.LocalWrites,
-		SimpleBlk:    simple.Counts.RemoteBlk + simple.Counts.LocalBlk,
-		OptReads:     opt.Counts.RemoteReads + opt.Counts.LocalReads,
-		OptWrites:    opt.Counts.RemoteWrites + opt.Counts.LocalWrites,
-		OptBlk:       opt.Counts.RemoteBlk + opt.Counts.LocalBlk,
 		SimpleShared: simple.Counts.SharedOps,
 		SimpleRPC:    simple.Counts.RPCs,
 		SimpleAlloc:  simple.Counts.Allocs,
 		OptShared:    opt.Counts.SharedOps,
 		OptRPC:       opt.Counts.RPCs,
 		OptAlloc:     opt.Counts.Allocs,
-		Stats:        cs,
+		Stats:        ou.Stats,
 	}
+	row.SimpleReads, row.SimpleWrites, row.SimpleBlk = runtimeOps(simple.Counts)
+	row.OptReads, row.OptWrites, row.OptBlk = runtimeOps(opt.Counts)
 	row.TotalSimple = row.SimpleReads + row.SimpleWrites + row.SimpleBlk
 	return row, nil
 }

@@ -44,6 +44,11 @@ type Result struct {
 	EntryReads map[*simple.Func]*Set
 	// ExitWrites is the set propagated to each function's exit.
 	ExitWrites map[*simple.Func]*Set
+	// Profiled records that a FreqProvider drove the analysis, so tuple
+	// frequencies are measured wherever it answered rather than the static
+	// ×10/÷2/÷k guesses. Selection reads it to weigh frequencies when
+	// blocking.
+	Profiled bool
 }
 
 // AnalyzeProfiledP runs possible-placement analysis over every function.
@@ -59,6 +64,7 @@ func AnalyzeProfiledP(prog *simple.Program, rw *rwsets.Result, loc *locality.Res
 		Writes:     make(map[simple.Stmt]*Set),
 		EntryReads: make(map[*simple.Func]*Set),
 		ExitWrites: make(map[*simple.Func]*Set),
+		Profiled:   fp != nil,
 	}
 	n := len(prog.Funcs)
 	as := make([]*analysis, n)
