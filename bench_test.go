@@ -22,7 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/earthsim"
 	"repro/internal/harness"
-	"repro/internal/metrics"
 	"repro/internal/olden"
 	"repro/internal/trace"
 )
@@ -151,9 +150,6 @@ func primedRun(tb testing.TB, bm *olden.Benchmark, opt core.Options, rc core.Run
 		tb.Fatal(err)
 	}
 	run := func() *earthsim.Result {
-		if rc.Sampler != nil {
-			rc.Sampler.Reset()
-		}
 		rc.Trace.Reset()
 		res, err := p.Run(u, rc)
 		if err != nil {
@@ -171,23 +167,18 @@ func simulatorRun(tb testing.TB, opt core.Options) func() *earthsim.Result {
 	return primedRun(tb, olden.ByName("power"), opt, core.RunConfig{Nodes: 4})
 }
 
-// jobRun runs bm on nodes nodes the way earthd's server.execute runs a job:
-// a reused sampler, a wall deadline and a context.
+// jobRun runs bm on nodes nodes the way earthd's server.execute runs an
+// untraced job: with a wall deadline and a context.
 func jobRun(tb testing.TB, bm *olden.Benchmark, nodes int) func() *earthsim.Result {
-	return jobRunWith(tb, bm, nodes, metrics.NewSampler(0, 0))
-}
-
-// jobRunWith is jobRun with the sampler given (nil: none).
-func jobRunWith(tb testing.TB, bm *olden.Benchmark, nodes int, s *metrics.Sampler) func() *earthsim.Result {
 	return primedRun(tb, bm, core.Options{Optimize: true}, core.RunConfig{Nodes: nodes,
-		Sampler: s, Deadline: 60 * time.Second, Context: context.Background()})
+		Deadline: 60 * time.Second, Context: context.Background()})
 }
 
 // tracedMixRun runs the five quick Olden programs on 4 nodes as earthd runs
-// traced jobs on one of its shards: one sampler and one trace recorder, reset
-// before each job and reused across them all.
+// traced jobs on one of its shards: one trace recorder, reset before each job
+// and reused across them all.
 func tracedMixRun(tb testing.TB) func() {
-	rc := core.RunConfig{Nodes: 4, Sampler: metrics.NewSampler(0, 0), Trace: trace.NewRecorder(0),
+	rc := core.RunConfig{Nodes: 4, Trace: trace.NewRecorder(0),
 		Deadline: 60 * time.Second, Context: context.Background()}
 	var runs []func() *earthsim.Result
 	for _, bm := range olden.All() {
@@ -252,26 +243,14 @@ func BenchmarkTracedMix(b *testing.B) {
 	}
 }
 
-// BenchmarkHaloJob is benchmark/'s halo_sharded job, halo on 128 nodes run
-// as earthd runs it (jobRun), with its telemetry sampler and without: the
-// sampler's share of a run is 1 − nosampler/sampler in ns/op.
+// BenchmarkHaloJob is benchmark/'s halo_sharded job: halo on 128 nodes run
+// as earthd runs it (jobRun).
 func BenchmarkHaloJob(b *testing.B) {
-	for _, tc := range []struct {
-		name    string
-		sampler *metrics.Sampler
-	}{
-		{"sampler", metrics.NewSampler(0, 0)},
-		{"nosampler", nil},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			run := jobRunWith(b, olden.Halo(), 128, tc.sampler)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-		})
+	run := jobRun(b, olden.Halo(), 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 

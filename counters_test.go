@@ -28,14 +28,15 @@ var oldenCounters = []struct {
 	// Figure 10 operations of the profile-guided build (Pipeline.ProfileCycle
 	// on the same 4 nodes), the ablation table's PGO row.
 	pgoOps int64
-	// Measured allocations per BenchmarkOldenQuick run.
+	// Measured allocations per BenchmarkOldenQuick run. Each fell by 45–79
+	// (power from 182) when the telemetry sampler was deleted.
 	allocs int64
 }{
-	{"power", 257219, 483, 6464, 2672, 2672, 182},
-	{"tsp", 28947, 6193, 3298, 1534, 1439, 993},
-	{"health", 60092, 11286, 14929, 7017, 7017, 749},
-	{"perimeter", 339749, 23528, 6493, 5897, 5897, 2382},
-	{"voronoi", 103257, 34297, 15990, 8758, 8500, 4286},
+	{"power", 257219, 483, 6464, 2672, 2672, 137},
+	{"tsp", 28947, 6193, 3298, 1534, 1439, 918},
+	{"health", 60092, 11286, 14929, 7017, 7017, 678},
+	{"perimeter", 339749, 23528, 6493, 5897, 5897, 2303},
+	{"voronoi", 103257, 34297, 15990, 8758, 8500, 4207},
 }
 
 // haloEvents is BenchmarkSimNodes' deterministic metric: events of the halo
@@ -51,16 +52,13 @@ var haloEvents = []struct {
 }
 
 // haloJobBytes and haloJobAllocs are the measured heap bytes and allocations
-// of one sampled 128-node halo run set up as an earthd job (jobRun) —
-// benchmark/'s halo_sharded job and BenchmarkHaloJob/sampler. A boundary
-// records only the shards that changed, as a delta the sampler's ring keeps,
-// and every shard's sampling state comes from one slab. So the sampler adds
-// 24 allocations and 0.14 MB to the unsampled run's 10,106 and 0.54 MB. It
-// added 1,683 and 0.29 MB when every boundary snapshotted every shard into a
-// full sample, and 5.8 MB when each such sample was also freshly allocated.
+// of one 128-node halo run set up as an earthd job (jobRun) — benchmark/'s
+// halo_sharded job and BenchmarkHaloJob. They fell from 674,347 and 10,130
+// when the always-on telemetry sampler was deleted (its series' EU, SU and
+// link quantities are all in a trace recording).
 const (
-	haloJobBytes  = 674_347
-	haloJobAllocs = 10_130
+	haloJobBytes  = 537_360
+	haloJobAllocs = 10_107
 )
 
 // tracedMixBytes and tracedMixAllocs are the measured heap bytes and
@@ -68,11 +66,12 @@ const (
 // quick Olden programs on 4 nodes, traced into one recorder that is reset and
 // reused, as earthd does. Every shard records straight into that recorder.
 // When each shard recorded into a fresh private one that Run then merged, a
-// round took 25.5 MB, 35 times as much. Most of the allocations left are the
-// recorder's per-node SU queue bookkeeping (SUSpan).
+// round took 25.5 MB, 35 times as much; the sampler's deletion took the round
+// from 734,312 bytes and 29,616 allocations to these. Most of the allocations
+// left are the recorder's per-node SU queue bookkeeping (SUSpan).
 const (
-	tracedMixBytes  = 734_312
-	tracedMixAllocs = 29_616
+	tracedMixBytes  = 669_113
+	tracedMixAllocs = 29_505
 )
 
 // simulator is BenchmarkSimulator's row: power with every observer off, so
@@ -201,14 +200,14 @@ func TestCounters(t *testing.T) {
 		compile(core.NewPipeline(core.Options{Optimize: true, Cache: cache.New(0, "")})))
 }
 
-// TestHaloJobBytes holds the sampled many-node run to haloJobBytes.
+// TestHaloJobBytes holds the many-node run to haloJobBytes.
 func TestHaloJobBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation under -race is not the program's")
 	}
 	run := jobRun(t, olden.Halo(), 128)
 	if got, want := bytesPerRun(5, func() { run() }), ceiling(haloJobBytes); got > want {
-		t.Errorf("sampled 128-node halo: bytes per run: got %d, want <= %d", got, want)
+		t.Errorf("128-node halo job: bytes per run: got %d, want <= %d", got, want)
 	}
 }
 

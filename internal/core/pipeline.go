@@ -23,9 +23,9 @@ import (
 // Pipeline is the unified compile-and-run entry point: construct one from
 // Options, then call Do (or Compile) / Run / ProfileCycle. A Pipeline
 // is cheap and safe to reuse across units. The sinks every compile and run
-// feeds (Options.Stats, Options.Metrics) plug in at construction; the sinks
-// of one run (RunConfig.Trace, RunConfig.Sampler) ride on its RunConfig and
-// are read once Run has returned.
+// feeds (Options.Stats, Options.Metrics) plug in at construction; the sink
+// of one run (RunConfig.Trace) rides on its RunConfig and is read once Run
+// has returned.
 type Pipeline struct {
 	opt Options
 }
@@ -270,9 +270,6 @@ func (p *Pipeline) Run(u *Unit, rc RunConfig) (*earthsim.Result, error) {
 	}
 	if rc.Trace != nil {
 		m.SetTrace(rc.Trace)
-	}
-	if rc.Sampler != nil {
-		m.SetMetrics(rc.Sampler)
 	}
 	reg := p.opt.Metrics
 	reg.Counter("earth_runs_started_total", "Simulator runs started.").Inc()

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/earthsim"
-	"repro/internal/metrics"
 	"repro/internal/threaded"
 	"repro/internal/trace"
 )
@@ -64,15 +63,10 @@ type RunConfig struct {
 	// earthsim.ParseFaultSpec); nil runs the idealized reliable machine.
 	Faults *earthsim.FaultConfig
 	// Trace, when non-nil, receives this run's simulator events (see
-	// internal/trace). Tracing is purely observational: a traced run produces
-	// a bit-identical Result to an untraced one. The simulator's shards
-	// record privately and fold into the recorder as Run exits, so read it
-	// after Run returns.
+	// internal/trace): every EU, SU and network span, message and fault.
+	// Tracing is purely observational: a traced run produces a bit-identical
+	// Result to an untraced one. Every shard records straight into the
+	// recorder as the run goes, so a run that fails part-way leaves what it
+	// recorded up to the failure.
 	Trace *trace.Recorder
-	// Sampler, when non-nil, records a deterministic time series of simulator
-	// state (per-node EU/SU utilization, SU queue depth, per-link occupancy,
-	// fault-layer retry counts) at the sampler's fixed simulated-time
-	// interval. Sampling is purely observational; identical unit + RunConfig
-	// (including the fault seed) yields a bit-identical series.
-	Sampler *metrics.Sampler
 }

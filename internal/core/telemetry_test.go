@@ -8,31 +8,24 @@ import (
 	"repro/internal/metrics"
 )
 
-// telemetryBytes runs u once on a fresh metered pipeline and returns every
-// exposition surface concatenated: registry Prometheus + JSON, sampler
-// series JSON.
+// telemetryBytes runs u once on a fresh metered pipeline and returns both
+// registry expositions concatenated: Prometheus text, then JSON.
 func telemetryBytes(t *testing.T, u *Unit, rc RunConfig) []byte {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	s := metrics.NewSampler(10_000, 0)
-	rc.Sampler = s
 	p := NewPipeline(Options{Metrics: reg})
 	if _, err := p.Run(u, rc); err != nil {
 		t.Fatal(err)
 	}
-	if s.Total() == 0 {
-		t.Fatal("sampler recorded no samples")
-	}
 	var buf bytes.Buffer
 	reg.WritePrometheus(&buf)
 	reg.WriteJSON(&buf)
-	s.WriteSeriesJSON(&buf)
 	return buf.Bytes()
 }
 
 // TestTelemetryDeterministic: identical unit + RunConfig (same fault seed)
-// must fill a fresh registry and sampler with byte-identical expositions —
-// the PR 4 determinism invariant extended to telemetry, with faults both
+// must fill a fresh registry with byte-identical expositions — the
+// simulator's determinism invariant extended to telemetry, with faults both
 // off and on.
 func TestTelemetryDeterministic(t *testing.T) {
 	u, err := compile("det.ec", remoteListSrc, Options{Optimize: true})
@@ -59,7 +52,6 @@ func TestTelemetryDeterministic(t *testing.T) {
 				for _, want := range [][]byte{
 					[]byte("earth_fault_retries_total"),
 					[]byte("earth_fault_retries_spurious_total"),
-					[]byte(`"retries_spurious"`),
 				} {
 					if !bytes.Contains(a, want) {
 						t.Errorf("faulted run exposition missing %s", want)

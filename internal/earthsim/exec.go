@@ -20,13 +20,10 @@ func (m *shard) runEU(n *node, t int64) {
 	}
 	f := n.popReady()
 	t += m.cfg.CtxSwitch
-	if m.tr != nil || m.ms != nil {
+	if m.tr != nil {
 		start, name, fid := t, f.code.Name, f.id
 		m.execFiber(f, &t)
 		m.tr.EUSpan(n.id, fid, name, start, t)
-		if m.ms != nil {
-			m.ms.euBusy += t - start
-		}
 	} else {
 		m.execFiber(f, &t)
 	}

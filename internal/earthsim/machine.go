@@ -548,7 +548,6 @@ type shard struct {
 	scratch       []int64         // EU scratch for call arguments / block payloads
 	prof          *profile.Data   // non-nil when prog.Profiled
 	tr            *trace.Recorder // nil: tracing disabled (the common case)
-	ms            *simMetrics     // nil: live telemetry disabled (see SetMetrics)
 
 	outbox []mail // cross-shard mail sent this window
 
@@ -600,16 +599,8 @@ type Machine struct {
 	sh        []*shard
 	lookahead int64 // conservative lookahead L (see parallel.go)
 	wallLimit time.Duration
-	ctx       context.Context  // nil: cancellation disabled
-	prof      *profile.Data    // every shard's profile (nil unless prog.Profiled)
-	sampler   *metrics.Sampler // user-facing sampler (nil: telemetry off)
-	gNext     int64            // next merged sampling boundary
-	gLast     int64            // time of the last merged sample (-1 before any)
-	// touched lists the shards whose contribution may move at the next
-	// boundary: each has run a window, holds an unmerged snapshot, or has an
-	// SU completion queued (see mergeOne).
-	touched []*shard
-	delta   metrics.Delta // the sample mergeOne builds; Head keeps the running totals
+	ctx       context.Context // nil: cancellation disabled
+	prof      *profile.Data   // every shard's profile (nil unless prog.Profiled)
 }
 
 // New loads a threaded program onto a fresh machine.
@@ -617,7 +608,7 @@ func New(prog *threaded.Program, cfg Config) *Machine {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
 	}
-	m := &Machine{cfg: cfg, prog: prog, gLast: -1}
+	m := &Machine{cfg: cfg, prog: prog}
 	if prog.Profiled {
 		m.prof = profile.New()
 	}
@@ -705,6 +696,11 @@ func (m *Machine) SetTrace(r *trace.Recorder) *Machine {
 	}
 	return m
 }
+
+// SetMetrics is ignored: the trace recorder is the simulator's one observer.
+//
+// Deprecated: kept only so existing callers still compile.
+func (m *Machine) SetMetrics(*metrics.Sampler) *Machine { return m }
 
 func (m *shard) schedule(t int64, kind eventKind, nodeID int, g *msg) {
 	m.seq++

@@ -98,9 +98,6 @@ func (m *shard) suSched(n *node, t, svc int64, g *msg) {
 	done := start + svc
 	n.suFree = done
 	m.tr.SUSpan(n.id, msgLabels[g.class][g.stage-1], g.mid, t, start, done)
-	if m.ms != nil {
-		m.ms.suObserve(done-start, done, m.lastTime)
-	}
 	m.schedule(done, evSUEffect, n.id, g)
 }
 
@@ -143,17 +140,11 @@ func (m *shard) netSched(src, dst *node, t int64, words int, g *msg) {
 	}
 	src.netLast[dst.id] = arrive
 	m.tr.NetSpan(src.id, dst.id, msgLabels[g.class][g.stage-1], g.mid, words, t, arrive)
-	if m.ms != nil {
-		m.ms.linkObserve(dst.id, arrive-t, int64(words))
-	}
 	m.deliver(arrive, dst, g)
 	if dup != nil {
 		arrive++
 		src.netLast[dst.id] = arrive
 		m.tr.NetSpan(src.id, dst.id, msgLabels[dup.class][dup.stage-1], dup.mid, words, t, arrive)
-		if m.ms != nil {
-			m.ms.linkObserve(dst.id, arrive-t, int64(words))
-		}
 		m.deliver(arrive, dst, dup)
 	}
 }

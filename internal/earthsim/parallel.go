@@ -71,12 +71,6 @@ func (s *shard) runWindow(bound int64) {
 			}
 		}
 		ev := s.events.pop()
-		if ms := s.ms; ms != nil {
-			if ms.next <= ev.time {
-				s.sampleTick(ev.time)
-			}
-			ms.dirty = true
-		}
 		s.lastTime = ev.time
 		s.dispatch(ev)
 	}
@@ -263,9 +257,6 @@ func (m *Machine) Run() (*Result, error) {
 				}
 			}
 		}
-		if m.sampler != nil {
-			m.mergeSamples(t1)
-		}
 
 		// This round's bounds. near is the shared bound T1+L. far is the
 		// argmin's when it runs alone, T1+2L: nothing can reach it earlier,
@@ -295,7 +286,6 @@ func (m *Machine) Run() (*Result, error) {
 			s.barEvents = s.nEvents
 			s.barLive = s.liveFibers
 			s.runWindow(far)
-			m.touch(s)
 			totalInstr += s.counts.Instructions - s.barInstr
 			totalEvents += s.nEvents - s.barEvents
 			live += s.liveFibers - s.barLive
@@ -360,7 +350,6 @@ func (m *Machine) Run() (*Result, error) {
 		// and re-key every shard whose queue changed.
 		var trapped *shard
 		for _, s := range actives {
-			m.touch(s)
 			if s.trap != nil && (trapped == nil || s.id < trapped.id) {
 				trapped = s
 			}
@@ -397,17 +386,13 @@ func (m *Machine) Run() (*Result, error) {
 		}
 	}
 
-	m.closeSamples()
 	m.releaseArenas()
 	return m.buildResult(), nil
 }
 
-// fail closes the telemetry series before surfacing a run error, so observers
-// see everything up to the failure (the trace recorder already holds it). err
-// is already built — blocked-fiber reports read the presence counters — so
-// the node arenas can go back to the pool.
+// fail surfaces a run error. err is already built — blocked-fiber reports
+// read the presence counters — so the node arenas can go back to the pool.
 func (m *Machine) fail(err error) (*Result, error) {
-	m.closeSamples()
 	m.releaseArenas()
 	return nil, err
 }
@@ -424,25 +409,6 @@ func (m *Machine) blockedReports() string {
 		return "; no blocked fibers recorded"
 	}
 	return b.String()
-}
-
-// closeSamples merges every whole sampling boundary the run reached and then
-// closes the series with one sample at the end of activity, so short runs
-// (under one interval) still record something and the final state is always
-// visible — skipped when the last boundary sample already covers it. Safe on
-// every exit path; no-op without a sampler.
-func (m *Machine) closeSamples() {
-	if m.sampler == nil {
-		return
-	}
-	var tmax int64
-	for _, s := range m.sh {
-		tmax = max(tmax, s.lastTime)
-	}
-	m.mergeSamples(tmax)
-	if tmax > m.gLast {
-		m.mergeOne(tmax, true)
-	}
 }
 
 // buildResult sums the per-shard outcomes into the machine Result.

@@ -2,9 +2,9 @@ package earthsim_test
 
 // The golden matrix: the event loop must still compute what
 // testdata/engine_golden.json froze before the second, sequential loop was
-// deleted — not just the program-visible result, but the full observability
-// surface (Chrome trace export and telemetry series JSON), with the fault
-// layer both off and on.
+// deleted — not just the program-visible result, but the recording (its
+// Chrome trace export, summary and canonical form), with the fault layer both
+// off and on.
 
 import (
 	"bytes"
@@ -15,30 +15,23 @@ import (
 	"repro/internal/contenthash"
 	"repro/internal/core"
 	"repro/internal/earthsim"
-	"repro/internal/metrics"
 	"repro/internal/olden"
 	"repro/internal/trace"
 )
 
 const matrixFaults = "drop=0.01,dup=0.005,stall=0.02,delay=2,seed=11"
 
-// matrixInterval is the sampler interval of every golden cell that does not
-// name its own.
-const matrixInterval = 50_000
-
 // surface is everything one execution shows the outside.
 type surface struct {
-	res                    *earthsim.Result
-	trace, series, summary string
+	res            *earthsim.Result
+	trace, summary string
 }
 
 // matrixRun compiles bm at quick size and executes it once with a trace
-// recorder and a sampler taking one sample every interval ns attached. cost
-// is a ParseOverrides spec.
-func matrixRun(t *testing.T, bm *olden.Benchmark, nodes int, faultSpec, cost string, interval int64) surface {
+// recorder attached. cost is a ParseOverrides spec.
+func matrixRun(t *testing.T, bm *olden.Benchmark, nodes int, faultSpec, cost string) surface {
 	t.Helper()
 	rec := trace.NewRecorder(nodes)
-	sampler := metrics.NewSampler(interval, 0)
 	p := core.NewPipeline(core.Options{Optimize: true})
 	u, err := p.Compile(bm.Name+".ec", bm.Source(olden.QuickParams(bm)))
 	if err != nil {
@@ -55,40 +48,32 @@ func matrixRun(t *testing.T, bm *olden.Benchmark, nodes int, faultSpec, cost str
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(u, core.RunConfig{
-		Nodes: nodes, Faults: faults, Sampler: sampler, Machine: machine,
-		Trace: rec,
-	})
+	res, err := p.Run(u, core.RunConfig{Nodes: nodes, Faults: faults, Machine: machine, Trace: rec})
 	if err != nil {
 		t.Fatalf("%s nodes=%d faults=%q cost=%q: %v", bm.Name, nodes, faultSpec, cost, err)
 	}
-	var tr, se bytes.Buffer
+	var tr bytes.Buffer
 	if err := rec.WriteChrome(&tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := sampler.WriteSeriesJSON(&se); err != nil {
-		t.Fatal(err)
-	}
-	return surface{res, tr.String(), se.String(), rec.Summarize().String()}
+	return surface{res, tr.String(), rec.Summarize().String()}
 }
 
 // goldenCell is one entry of testdata/engine_golden.json; the file's
 // captured_from field says what each value was taken from.
 type goldenCell struct {
-	Program    string `json:"program"`
-	Nodes      int    `json:"nodes"`
-	Faults     string `json:"faults"`
-	IntervalNs int64  `json:"interval_ns"` // absent: matrixInterval
-	Visible    string `json:"visible"`
-	Time       int64  `json:"time"`
-	Events     int64  `json:"events"`
-	Trace      string `json:"trace"`
-	Summary    string `json:"summary"`
-	Canonical  string `json:"canonical"`
-	Series     string `json:"series"`
+	Program   string `json:"program"`
+	Nodes     int    `json:"nodes"`
+	Faults    string `json:"faults"`
+	Visible   string `json:"visible"`
+	Time      int64  `json:"time"`
+	Events    int64  `json:"events"`
+	Trace     string `json:"trace"`
+	Summary   string `json:"summary"`
+	Canonical string `json:"canonical"`
 }
 
-func golden(t *testing.T, program string, nodes int, faults string, interval int64) goldenCell {
+func golden(t *testing.T, program string, nodes int, faults string) goldenCell {
 	t.Helper()
 	b, err := os.ReadFile("testdata/engine_golden.json")
 	if err != nil {
@@ -99,14 +84,11 @@ func golden(t *testing.T, program string, nodes int, faults string, interval int
 		t.Fatal(err)
 	}
 	for _, c := range f.Cells {
-		if c.IntervalNs == 0 {
-			c.IntervalNs = matrixInterval
-		}
-		if c.Program == program && c.Nodes == nodes && c.Faults == faults && c.IntervalNs == interval {
+		if c.Program == program && c.Nodes == nodes && c.Faults == faults {
 			return c
 		}
 	}
-	t.Fatalf("engine_golden.json has no cell for %s nodes=%d faults=%q interval=%d", program, nodes, faults, interval)
+	t.Fatalf("engine_golden.json has no cell for %s nodes=%d faults=%q", program, nodes, faults)
 	return goldenCell{}
 }
 
@@ -118,8 +100,8 @@ func (g goldenCell) checkVisible(t *testing.T, r surface) {
 	}
 }
 
-// check holds r to the whole frozen cell: Visible(), Time, Events, the
-// recording (its export, its summary and its canonical form) and the series.
+// check holds r to the whole frozen cell: Visible(), Time, Events and the
+// recording (its export, its summary and its canonical form).
 func (g goldenCell) check(t *testing.T, r surface) {
 	t.Helper()
 	g.checkVisible(t, r)
@@ -135,9 +117,6 @@ func (g goldenCell) check(t *testing.T, r surface) {
 	if h := canonicalTrace(t, r.trace); h != g.Canonical {
 		t.Errorf("recorded events moved: canonical %s, golden %s", h, g.Canonical)
 	}
-	if h := contenthash.Source(r.series); h != g.Series {
-		t.Errorf("series JSON moved: %s, golden %s", h, g.Series)
-	}
 }
 
 // TestShardedEquivalenceMatrix sweeps {Olden benchmark} x {faults off/on}:
@@ -152,7 +131,7 @@ func TestShardedEquivalenceMatrix(t *testing.T) {
 			}
 			bm, faultSpec := bm, faultSpec
 			t.Run(name, func(t *testing.T) {
-				golden(t, bm.Name, nodes, faultSpec, matrixInterval).check(t, matrixRun(t, bm, nodes, faultSpec, "", matrixInterval))
+				golden(t, bm.Name, nodes, faultSpec).check(t, matrixRun(t, bm, nodes, faultSpec, ""))
 			})
 		}
 	}
@@ -162,11 +141,11 @@ func TestShardedEquivalenceMatrix(t *testing.T) {
 // the golden cell.
 func TestSharded256Nodes(t *testing.T) {
 	bm := olden.ByName("power")
-	golden(t, bm.Name, 256, "", matrixInterval).check(t, matrixRun(t, bm, 256, "", "", matrixInterval))
+	golden(t, bm.Name, 256, "").check(t, matrixRun(t, bm, 256, "", ""))
 }
 
-// TestHalo128Nodes: the halo ring on 128 nodes, where about one shard in
-// nine dispatches between two sampling boundaries, matches its golden cells.
+// TestHalo128Nodes: the halo ring on 128 nodes, the size earthd's halo jobs
+// run at, matches its golden cells with faults off and on.
 func TestHalo128Nodes(t *testing.T) {
 	bm := olden.Halo()
 	for _, faultSpec := range []string{"", matrixFaults} {
@@ -176,39 +155,9 @@ func TestHalo128Nodes(t *testing.T) {
 		}
 		faultSpec := faultSpec
 		t.Run(name, func(t *testing.T) {
-			golden(t, bm.Name, 128, faultSpec, matrixInterval).check(t, matrixRun(t, bm, 128, faultSpec, "", matrixInterval))
+			golden(t, bm.Name, 128, faultSpec).check(t, matrixRun(t, bm, 128, faultSpec, ""))
 		})
 	}
-}
-
-// TestSeriesRingWraps: sampled every 7µs, 128-node halo crosses 3,427
-// boundaries, so the sampler's 2048-slot ring wraps and 1,379 evicted slots
-// are folded into the series' base. The series JSON must still match the one
-// captured when every slot held a full sample.
-func TestSeriesRingWraps(t *testing.T) {
-	bm := olden.Halo()
-	r := matrixRun(t, bm, 128, "", "", 7_000)
-	golden(t, bm.Name, 128, "", 7_000).check(t, r)
-	var doc struct {
-		Total   int64             `json:"total"`
-		Samples []json.RawMessage `json:"samples"`
-	}
-	if err := json.Unmarshal([]byte(r.series), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Total != 3427 || len(doc.Samples) != metrics.DefaultCap {
-		t.Errorf("series holds %d of %d samples, want %d of 3427", len(doc.Samples), doc.Total, metrics.DefaultCap)
-	}
-}
-
-// TestSUCompletionOnBoundary: sampled every 500ns, faulted 4-node halo has
-// SU completions that land exactly on a boundary of a shard that dispatched
-// nothing since the boundary before, some of them on a shard that had left
-// the touched list. Only the SU queue depth moves there, and the series must
-// still show it.
-func TestSUCompletionOnBoundary(t *testing.T) {
-	bm := olden.Halo()
-	golden(t, bm.Name, 4, matrixFaults, 500).check(t, matrixRun(t, bm, 4, matrixFaults, "", 500))
 }
 
 // TestDegenerateWindows covers the two configurations that used to switch
@@ -229,7 +178,7 @@ func TestDegenerateWindows(t *testing.T) {
 		} {
 			bm, tc := bm, tc
 			t.Run(bm.Name+"/"+tc.name, func(t *testing.T) {
-				golden(t, bm.Name, tc.goldenNodes, "", matrixInterval).checkVisible(t, matrixRun(t, bm, tc.nodes, "", tc.cost, matrixInterval))
+				golden(t, bm.Name, tc.goldenNodes, "").checkVisible(t, matrixRun(t, bm, tc.nodes, "", tc.cost))
 			})
 		}
 	}

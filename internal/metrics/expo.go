@@ -170,28 +170,3 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
 }
-
-// WriteSeriesJSON writes the retained time series as a single JSON object:
-// the sampling interval plus every retained SimSample, oldest first.
-// Byte-deterministic for a deterministic series. Total and samples are read
-// in one critical section, so a document written while the simulator records
-// is consistent: len(samples) == min(total, capacity). Nil-safe (writes `{}`).
-func (s *Sampler) WriteSeriesJSON(w io.Writer) error {
-	if s == nil {
-		_, err := io.WriteString(w, "{}\n")
-		return err
-	}
-	s.mu.Lock()
-	out := struct {
-		IntervalNs int64       `json:"interval_ns"`
-		Total      int64       `json:"total"`
-		Samples    []SimSample `json:"samples"`
-	}{
-		IntervalNs: s.interval,
-		Total:      s.total,
-		Samples:    s.series(),
-	}
-	s.mu.Unlock()
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
-}

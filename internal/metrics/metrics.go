@@ -1,8 +1,8 @@
 // Package metrics is the telemetry substrate of the pipeline: a
 // zero-cost-when-disabled registry of counters, gauges and power-of-two
-// histograms (reusing internal/trace's bucket scheme), plus a deterministic
-// time-series sampler the simulator feeds at fixed simulated-time intervals
-// (see Sampler and earthsim.Machine.SetMetrics).
+// histograms (reusing internal/trace's bucket scheme). What happens inside a
+// simulated run is internal/trace's to record; this package aggregates across
+// runs and compiles.
 //
 // Where the trace subsystem is a full event log reduced to a summary after
 // the run, this package holds cheap aggregates: earthd's scrape endpoints
@@ -10,17 +10,12 @@
 //
 // Two contracts carry over from the trace subsystem:
 //
-//   - Zero cost when disabled. A nil *Registry and a nil *Sampler are valid,
-//     disabled sinks: every method is nil-safe and the simulator pays only a
-//     nil check per instrumentation point. The repo-root zero-cost test pins
-//     this against the PR 3 simulator allocation baseline.
+//   - Zero cost when disabled. A nil *Registry is a valid, disabled sink:
+//     every method is nil-safe. The repo-root zero-cost test pins a run
+//     without one to the simulator's allocation ledger.
 //
-//   - Determinism. The simulator feeds the sampler in event-loop order, so
-//     for identical seed + spec (faults on or off) the recorded time series —
-//     and the byte-exact JSON exposition of it — are identical run to
-//     run. Registry exposition is likewise byte-deterministic in the
-//     recorded values: names are emitted in sorted order with fixed integer
-//     formatting.
+//   - Determinism. Exposition is byte-deterministic in the recorded values:
+//     names are emitted in sorted order with fixed integer formatting.
 //
 // Registry values are safe for concurrent use (counters and gauges are
 // atomics; histograms take a small mutex), so one Registry can serve many
@@ -224,3 +219,19 @@ func (r *Registry) sortedHists() []*Histogram {
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
+
+// Sampler records nothing: a simulated run's EU, SU and link activity is in
+// its trace recording.
+//
+// Deprecated: ignored; kept only so existing callers still compile.
+type Sampler struct{}
+
+// NewSampler returns a Sampler, which records nothing.
+//
+// Deprecated: ignored.
+func NewSampler(int64, int) *Sampler { return &Sampler{} }
+
+// Reset does nothing.
+//
+// Deprecated: ignored.
+func (*Sampler) Reset() {}

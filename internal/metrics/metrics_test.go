@@ -2,11 +2,7 @@ package metrics
 
 import (
 	"bytes"
-	"cmp"
-	"encoding/json"
 	"fmt"
-	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -41,17 +37,6 @@ func TestNilSinksAreNoOps(t *testing.T) {
 	buf.Reset()
 	if err := r.WriteJSON(&buf); err != nil || buf.String() != "{}\n" {
 		t.Fatalf("nil registry json: err=%v %q", err, buf.String())
-	}
-
-	var s *Sampler
-	s.Record(SimSample{Time: 1})
-	if s.Series() != nil || s.Total() != 0 || s.Interval() != 0 {
-		t.Fatal("nil sampler not inert")
-	}
-	s.Reset()
-	buf.Reset()
-	if err := s.WriteSeriesJSON(&buf); err != nil || buf.String() != "{}\n" {
-		t.Fatalf("nil sampler json: err=%v %q", err, buf.String())
 	}
 }
 
@@ -171,14 +156,6 @@ func TestExpositionDeterminism(t *testing.T) {
 		for i := int64(0); i < 100; i++ {
 			h.Observe(i * i)
 		}
-		s := NewSampler(0, 0)
-		for i := int64(1); i <= 3; i++ {
-			s.Record(SimSample{
-				Time:  i * DefaultInterval,
-				Nodes: []NodeSample{{EUBusyNs: i * 10}},
-				Links: []LinkSample{{Src: 0, Dst: 1, Msgs: i}},
-			})
-		}
 		return r
 	}
 	expo := func(r *Registry) string {
@@ -197,113 +174,6 @@ func TestExpositionDeterminism(t *testing.T) {
 	}
 	if !strings.Contains(a, `"name":"a_total","value":1`) {
 		t.Fatalf("json exposition missing counter:\n%s", a)
-	}
-}
-
-func TestSamplerRing(t *testing.T) {
-	s := NewSampler(10, 4)
-	if s.Interval() != 10 {
-		t.Fatalf("interval = %d", s.Interval())
-	}
-	for i := int64(1); i <= 6; i++ {
-		s.Record(SimSample{Time: i})
-	}
-	if s.Total() != 6 {
-		t.Fatalf("total = %d, want 6", s.Total())
-	}
-	series := s.Series()
-	if len(series) != 4 {
-		t.Fatalf("len(series) = %d, want 4", len(series))
-	}
-	for i, sm := range series {
-		if want := int64(i + 3); sm.Time != want { // oldest two evicted
-			t.Fatalf("series[%d].Time = %d, want %d", i, sm.Time, want)
-		}
-	}
-	s.Reset()
-	if len(s.Series()) != 0 || s.Total() != 0 {
-		t.Fatal("reset did not clear sampler")
-	}
-	s.Record(SimSample{Time: 42})
-	if got := s.Series(); len(got) != 1 || got[0].Time != 42 {
-		t.Fatalf("sampler unusable after reset: %+v", got)
-	}
-}
-
-// TestSamplerSeriesOwnsItsSlices: Record copies a sample into its ring slot,
-// so the caller may refill one scratch sample per Record, and Series hands
-// out deep copies, so a series read earlier stays what it was while the ring
-// wraps twice and after a Reset and refill reuse the slots' storage.
-func TestSamplerSeriesOwnsItsSlices(t *testing.T) {
-	const capacity = 4
-	fill := func(sm *SimSample, i int64) {
-		sm.Time = i
-		for k := range sm.Nodes {
-			sm.Nodes[k] = NodeSample{EUBusyNs: i, Ready: int64(k)}
-		}
-		sm.Links[0] = LinkSample{Src: 0, Dst: 1, Msgs: i}
-	}
-	fresh := func() SimSample {
-		return SimSample{Nodes: make([]NodeSample, 2), Links: make([]LinkSample, 1)}
-	}
-	want := func(from int64) []SimSample {
-		var out []SimSample
-		for i := from; i < from+capacity; i++ {
-			sm := fresh()
-			fill(&sm, i)
-			out = append(out, sm)
-		}
-		return out
-	}
-	s := NewSampler(1, capacity)
-	scratch := fresh()
-	record := func(from, to int64) {
-		for i := from; i <= to; i++ {
-			fill(&scratch, i)
-			s.Record(scratch)
-		}
-	}
-	check := func(label string, got, want []SimSample) {
-		t.Helper()
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s:\n got %+v\nwant %+v", label, got, want)
-		}
-	}
-
-	record(1, capacity)
-	first := s.Series()
-	check("first read", first, want(1))
-	record(capacity+1, 3*capacity) // the ring wraps twice
-	check("first read after two wraps", first, want(1))
-	second := s.Series()
-	check("second read", second, want(2*capacity+1))
-	s.Reset()
-	record(100, 100+capacity-1)
-	check("first read after Reset and refill", first, want(1))
-	check("second read after Reset and refill", second, want(2*capacity+1))
-	check("third read", s.Series(), want(100))
-}
-
-func TestSamplerSeriesJSON(t *testing.T) {
-	s := NewSampler(100, 8)
-	s.Record(SimSample{
-		Time:         100,
-		Instructions: 50,
-		Nodes:        []NodeSample{{EUBusyNs: 90, SUQueue: 2}},
-		Links:        []LinkSample{{Src: 1, Dst: 0, Msgs: 3, Words: 12}},
-	})
-	var buf bytes.Buffer
-	if err := s.WriteSeriesJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.String()
-	for _, frag := range []string{
-		`"interval_ns":100`, `"total":1`, `"time":100`, `"instructions":50`,
-		`"eu_busy_ns":90`, `"su_queue":2`, `"src":1`, `"words":12`,
-	} {
-		if !strings.Contains(got, frag) {
-			t.Fatalf("series json missing %q:\n%s", frag, got)
-		}
 	}
 }
 
@@ -339,165 +209,5 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if s := r.Histogram("h_ns", "").Snapshot(); s.N != 8000 {
 		t.Fatalf("histogram N = %d, want 8000", s.N)
-	}
-}
-
-// TestSamplerConcurrentObservation: Series and Total read from another
-// goroutine while Record runs see whole samples, oldest first, and never
-// more retained than recorded — what earthd's /series.json relies on.
-func TestSamplerConcurrentObservation(t *testing.T) {
-	s := NewSampler(1, 16)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := int64(1); i <= 5000; i++ {
-			s.Record(SimSample{Time: i, Nodes: []NodeSample{{EUBusyNs: i}}})
-		}
-	}()
-	check := func() []SimSample {
-		before := s.Total()
-		series := s.Series()
-		if int64(len(series)) > s.Total() || len(series) > 16 {
-			t.Fatalf("%d samples retained, %d recorded", len(series), s.Total())
-		}
-		for i, sm := range series {
-			if sm.Nodes[0].EUBusyNs != sm.Time {
-				t.Fatalf("torn sample: %+v", sm)
-			}
-			if i > 0 && sm.Time != series[i-1].Time+1 {
-				t.Fatalf("series out of order at %d: %d after %d", i, sm.Time, series[i-1].Time)
-			}
-		}
-		if n := len(series); n > 0 && series[n-1].Time < before {
-			t.Fatalf("series ends at %d, but %d samples were recorded before it was read", series[n-1].Time, before)
-		}
-		return series
-	}
-	for {
-		select {
-		case <-done:
-			if series := check(); s.Total() != 5000 || len(series) != 16 || series[15].Time != 5000 {
-				t.Fatalf("after writer done: total %d, series %+v", s.Total(), series)
-			}
-			return
-		default:
-			check()
-		}
-	}
-}
-
-// TestSamplerDeltaMatchesFull: a series recorded as Deltas reads back exactly
-// as the same series recorded as full samples — across two runs on different
-// machine sizes, with the ring wrapping many times or not at all, and after a
-// Reset.
-func TestSamplerDeltaMatchesFull(t *testing.T) {
-	type step struct {
-		full  SimSample
-		delta Delta
-	}
-	var steps []step
-	rng := uint64(1)
-	next := func(n int) int {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		return int(rng>>33) % n
-	}
-	for run, nodes := range []int{5, 3} {
-		cur := SimSample{Nodes: make([]NodeSample, nodes)}
-		for i := 0; i < 40; i++ {
-			d := Delta{}
-			if i == 0 {
-				d.Start = nodes
-			}
-			cur.Time += 10
-			cur.Instructions += int64(next(100))
-			cur.LiveFibers = int64(next(4))
-			for k := next(3); k > 0; k-- {
-				id := next(nodes)
-				cur.Nodes[id].EUBusyNs += int64(1 + next(50))
-				cur.Nodes[id].Ready = int64(next(3))
-				d.Nodes = append(d.Nodes, NodeChange{id, cur.Nodes[id]})
-			}
-			for k := next(3); k > 0; k-- {
-				l := LinkSample{Src: next(nodes), Dst: next(nodes)}
-				j, ok := slices.BinarySearchFunc(cur.Links, l, linkKey)
-				if !ok {
-					cur.Links = slices.Insert(cur.Links, j, l)
-				}
-				cur.Links[j].Msgs++
-				cur.Links[j].Words += int64(run + 1)
-				d.Links = append([]LinkSample{cur.Links[j]}, d.Links...) // any order
-			}
-			d.Head = cur
-			d.Head.Nodes, d.Head.Links = nil, nil
-			full := cur
-			full.Nodes = append([]NodeSample(nil), cur.Nodes...)
-			full.Links = append([]LinkSample(nil), cur.Links...)
-			steps = append(steps, step{full, d})
-		}
-	}
-	for _, capacity := range []int{3, 64} {
-		full, delta := NewSampler(10, capacity), NewSampler(10, capacity)
-		for round := 0; round < 2; round++ {
-			for _, st := range steps {
-				full.Record(st.full)
-				delta.RecordDelta(st.delta)
-			}
-			if f, d := full.Series(), delta.Series(); !reflect.DeepEqual(f, d) {
-				t.Fatalf("capacity %d round %d: delta series differs\n full %+v\ndelta %+v", capacity, round, f, d)
-			}
-			if full.Total() != delta.Total() {
-				t.Fatalf("capacity %d: totals %d vs %d", capacity, full.Total(), delta.Total())
-			}
-			full.Reset()
-			delta.Reset()
-		}
-	}
-}
-
-// linkKey orders links by (Src, Dst), the order a full sample lists them in.
-func linkKey(a, b LinkSample) int {
-	return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
-}
-
-// TestSeriesJSONConsistentWhileRecording: a /series.json document written
-// while the simulator records is one consistent read — its total and its
-// samples come from the same instant, so len(samples) == min(total,
-// capacity) in every document.
-func TestSeriesJSONConsistentWhileRecording(t *testing.T) {
-	const capacity = 8
-	s := NewSampler(1, capacity)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := int64(1); i <= 20000; i++ {
-			s.Record(SimSample{Time: i, Nodes: []NodeSample{{EUBusyNs: i}}})
-		}
-	}()
-	for reads := 0; ; reads++ {
-		select {
-		case <-done:
-			if reads == 0 {
-				t.Fatal("no document read while recording")
-			}
-			return
-		default:
-		}
-		var buf bytes.Buffer
-		if err := s.WriteSeriesJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		var doc struct {
-			Total   int64       `json:"total"`
-			Samples []SimSample `json:"samples"`
-		}
-		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-			t.Fatal(err)
-		}
-		if want := min(doc.Total, capacity); int64(len(doc.Samples)) != want {
-			t.Fatalf("document %d: total %d with %d samples, want %d", reads, doc.Total, len(doc.Samples), want)
-		}
-		if n := len(doc.Samples); n > 0 && doc.Samples[n-1].Time != doc.Total {
-			t.Fatalf("document %d: total %d but newest sample at %d", reads, doc.Total, doc.Samples[n-1].Time)
-		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // /metrics scrape.
 //
 // A nil *ProcessCollector is a valid, disabled collector: Collect is a
-// no-op, matching the registry/sampler nil contract.
+// no-op, matching the registry's nil contract.
 type ProcessCollector struct {
 	mu  sync.Mutex
 	reg *Registry

@@ -8,8 +8,8 @@
 // wait, cache lookup, compile, simulate, journal fsync, respond. Those are
 // wall-clock, host-dependent quantities, so everything here lives
 // deliberately outside the pipeline registries — the DESIGN.md §8
-// byte-determinism contracts (telemetry series, trace exports) never see a
-// host timestamp, the same boundary metrics.ProcessCollector sits on.
+// byte-determinism contracts (registry expositions, trace exports) never see
+// a host timestamp, the same boundary metrics.ProcessCollector sits on.
 //
 // Observation never perturbs execution: recording happens outside the
 // simulator entirely (the request path around it), and reading a timeline

@@ -23,7 +23,6 @@ import (
 //	                    histograms earthd_stage_ns{stage=...} included)
 //	GET    /metrics.json  the same merged registry as JSON
 //	GET    /healthz     liveness, queue occupancy, shard + journal status
-//	GET    /series.json?shard=N  the shard's current-run simulator time series
 //
 // Submission status codes: 200 success; 202 accepted (async) or cancelling;
 // 400 malformed or invalid request; 422 well-formed but
@@ -45,8 +44,7 @@ func (s *Server) Handler() http.Handler {
 			"GET    /buildinfo    binary identity (version, VCS revision, Go) + config\n"+
 			"GET    /metrics      aggregated Prometheus exposition\n"+
 			"GET    /metrics.json aggregated registry as JSON\n"+
-			"GET    /healthz      liveness + queue + shard + journal status\n"+
-			"GET    /series.json  per-shard simulator time series (?shard=N)\n")
+			"GET    /healthz      liveness + queue + shard + journal status\n")
 	})
 	mux.HandleFunc("/jobs", s.handleJob)
 	mux.HandleFunc("GET /jobs/{id}", s.handleJobStatus)
@@ -62,7 +60,6 @@ func (s *Server) Handler() http.Handler {
 		s.MergedRegistry().WriteJSON(w)
 	})
 	mux.HandleFunc("/healthz", s.handleHealth)
-	mux.HandleFunc("/series.json", s.handleSeries)
 	return s.accessLog(mux)
 }
 
@@ -270,20 +267,4 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	json.NewEncoder(w).Encode(h)
-}
-
-// handleSeries serves one shard's current-run simulator time series: the
-// shard's deterministic sampler, read through its lock while the shard runs.
-func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
-	shardIx := 0
-	if v := r.URL.Query().Get("shard"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 || n >= len(s.shards) {
-			http.Error(w, fmt.Sprintf("shard must be in [0,%d)", len(s.shards)), http.StatusBadRequest)
-			return
-		}
-		shardIx = n
-	}
-	w.Header().Set("Content-Type", "application/json")
-	s.shards[shardIx].sampler.WriteSeriesJSON(w)
 }

@@ -78,8 +78,10 @@ func TestHTTPStatusCodes(t *testing.T) {
 	if resp := get("/nope"); resp.StatusCode != 404 {
 		t.Errorf("GET /nope = %d, want 404", resp.StatusCode)
 	}
-	if resp := get("/series.json?shard=7"); resp.StatusCode != 400 {
-		t.Errorf("bad shard = %d, want 400", resp.StatusCode)
+	// The simulator's one observer is a job's trace; there is no per-shard
+	// time series to serve.
+	if resp := get("/series.json"); resp.StatusCode != 404 {
+		t.Errorf("GET /series.json = %d, want 404", resp.StatusCode)
 	}
 
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader("{not json"))
@@ -186,11 +188,10 @@ func TestHTTPBackpressureRetryAfter(t *testing.T) {
 	<-queued.Res
 }
 
-// TestConcurrentScrapesDuringRuns is satellite 3: /metrics, /metrics.json,
-// /healthz, and every shard's /series.json are scraped concurrently while
-// jobs are in flight on all four shards. Run under -race (scripts/check.sh
-// does) this exercises scrape-vs-run synchronization on the shard
-// registries, recorders, and samplers.
+// TestConcurrentScrapesDuringRuns: /metrics, /metrics.json and /healthz are
+// scraped concurrently while traced jobs are in flight on all four shards.
+// Run under -race (scripts/check.sh does) this exercises scrape-vs-run
+// synchronization on the shard registries and recorders.
 func TestConcurrentScrapesDuringRuns(t *testing.T) {
 	const shards = 4
 	s := New(Config{Shards: shards, QueueDepth: 32})
@@ -212,9 +213,6 @@ func TestConcurrentScrapesDuringRuns(t *testing.T) {
 	}
 
 	paths := []string{"/metrics", "/metrics.json", "/healthz"}
-	for i := 0; i < shards; i++ {
-		paths = append(paths, fmt.Sprintf("/series.json?shard=%d", i))
-	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -245,8 +243,7 @@ func TestConcurrentScrapesDuringRuns(t *testing.T) {
 					errs <- fmt.Errorf("%s: status %d", path, resp.StatusCode)
 					return
 				}
-				if strings.HasSuffix(path, ".json") || path == "/healthz" ||
-					strings.Contains(path, "series.json") {
+				if strings.HasSuffix(path, ".json") || path == "/healthz" {
 					if !json.Valid(body) {
 						errs <- fmt.Errorf("%s: invalid JSON", path)
 						return
@@ -337,7 +334,7 @@ func TestIndexPage(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"/jobs", "/metrics", "/healthz", "/series.json"} {
+	for _, want := range []string{"/jobs", "/metrics", "/healthz"} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("index missing %q", want)
 		}

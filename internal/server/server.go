@@ -128,17 +128,15 @@ func (c Config) withDefaults() Config {
 }
 
 // shard is one execution lane: a dedicated worker goroutine draining the
-// shared queue into this shard's pipelines. The registry, trace recorder,
-// and sampler are per-shard so the hot path never contends across shards;
-// the recorder and sampler are reused job to job (the worker is sequential)
-// and the scrape endpoints read the registry and sampler concurrently
-// through their own locks.
+// shared queue into this shard's pipelines. The registry and trace recorder
+// are per-shard so the hot path never contends across shards; the recorder
+// is reused job to job (the worker is sequential) and the scrape endpoints
+// read the registry concurrently through its own locks.
 type shard struct {
-	id      int
-	reg     *metrics.Registry
-	rec     *trace.Recorder
-	sampler *metrics.Sampler
-	jobs    atomic.Int64 // jobs completed on this shard
+	id   int
+	reg  *metrics.Registry
+	rec  *trace.Recorder
+	jobs atomic.Int64 // jobs completed on this shard
 	// pipes are the shard's two pipelines, keyed by JobRequest.optimize: a
 	// job compiles and runs on the same one.
 	pipes map[bool]*core.Pipeline
@@ -234,11 +232,10 @@ func Open(cfg Config) (*Server, error) {
 	s.reg.Gauge("earthd_shards", "Pipeline shards serving the job queue.").Set(int64(cfg.Shards))
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{
-			id:      i,
-			reg:     metrics.NewRegistry(),
-			rec:     trace.NewRecorder(0),
-			sampler: metrics.NewSampler(0, 0),
-			pipes:   make(map[bool]*core.Pipeline, 2),
+			id:    i,
+			reg:   metrics.NewRegistry(),
+			rec:   trace.NewRecorder(0),
+			pipes: make(map[bool]*core.Pipeline, 2),
 		}
 		for _, optimize := range []bool{false, true} {
 			sh.pipes[optimize] = core.NewPipeline(core.Options{
@@ -497,7 +494,6 @@ func (s *Server) execute(sh *shard, j *job) jobOutcome {
 		sh.rec.Reset()
 		rec = sh.rec
 	}
-	sh.sampler.Reset()
 	rIx := j.tr.Start(-1, obs.KindSimRun)
 	t0 = time.Now()
 	res, err := pipe.Run(u, core.RunConfig{
@@ -508,7 +504,6 @@ func (s *Server) execute(sh *shard, j *job) jobOutcome {
 		Deadline:   s.cfg.JobDeadline,
 		Faults:     j.faults,
 		Trace:      rec,
-		Sampler:    sh.sampler,
 		Context:    j.ctx,
 	})
 	runNs := time.Since(t0).Nanoseconds()

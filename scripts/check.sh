@@ -24,7 +24,7 @@ go test -C benchmark ./...
 # The whole module must also be clean under the race detector: the compiler
 # fans per-function analysis across a worker pool, units are driven from
 # concurrent goroutines in tests, and earthd's scrape endpoints read the shard
-# registries, samplers and live job timelines while the shard workers write
+# registries and live job timelines while the shard workers write
 # them — this catches any accidental sharing. The counter pins
 # (counters_test.go; their allocation ceilings skip themselves here), the
 # {benchmark x faults} golden matrix against testdata/engine_golden.json, the

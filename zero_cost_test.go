@@ -34,17 +34,16 @@ func TestFaultLayerZeroCostWhenDisabled(t *testing.T) {
 }
 
 // TestMetricsZeroCostWhenDisabled locks the same property of the telemetry
-// layer: no registry and no sampler attached.
+// layer: no registry attached.
 func TestMetricsZeroCostWhenDisabled(t *testing.T) {
 	pinSimulator(t, "unmetered run", core.Options{Optimize: true}, 8)
 }
 
 // TestMetricsRegistryRunOverheadBounded: a pipeline with a registry attached
-// (but no sampler) updates a handful of counters per run. Counter lookups are
-// map reads and updates are atomics, so the steady-state budget is the
-// unmetered count plus a sliver, and the guest schedule is untouched. (The
-// first run, which registers the counters and allocates once, is
-// simulatorRun's priming run.)
+// updates a handful of counters per run. Counter lookups are map reads and
+// updates are atomics, so the steady-state budget is the unmetered count plus
+// a sliver, and the guest schedule is untouched. (The first run, which
+// registers the counters and allocates once, is simulatorRun's priming run.)
 func TestMetricsRegistryRunOverheadBounded(t *testing.T) {
 	pinSimulator(t, "metered run", core.Options{Optimize: true, Metrics: metrics.NewRegistry()}, 16)
 }
