@@ -97,7 +97,8 @@ func BenchmarkTable3(b *testing.B) {
 }
 
 // BenchmarkCompile measures the compiler pipeline itself (parse through
-// communication selection) on the largest benchmark source.
+// communication selection) on health's source, as earthd compiles it on a
+// cache miss.
 func BenchmarkCompile(b *testing.B) {
 	bm := olden.ByName("health")
 	src := bm.Source(bm.DefaultParams)

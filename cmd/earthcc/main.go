@@ -23,8 +23,6 @@
 //	                   profile artifact to out (no dump)
 //	-profile-use in    optimize with measured frequencies from in (implies -O)
 //	-nodes N           machine size for -profile-gen (default 1)
-//	-j N               compile with N analysis workers (0 = all CPUs); the
-//	                   output is identical for every worker count
 //	-cache-dir dir     persist compile artifacts under dir; a later
 //	                   -dump=threaded of unchanged source is served from the
 //	                   store without compiling (corrupted entries fall back
@@ -63,7 +61,6 @@ func run(args []string, out, stderr io.Writer) int {
 	profGen := fs.String("profile-gen", "", "collect a profile via an instrumented run and write it here")
 	profUse := fs.String("profile-use", "", "optimize using a previously collected profile (implies -O)")
 	nodes := fs.Int("nodes", 1, "machine size for -profile-gen")
-	workers := fs.Int("j", 0, "analysis worker count (0 = all CPUs); output is identical for any value")
 	cacheDir := fs.String("cache-dir", "", "persist compile artifacts here and serve -dump=threaded/-report from valid entries")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -84,7 +81,7 @@ func run(args []string, out, stderr io.Writer) int {
 	}
 
 	if *profGen != "" {
-		p := core.NewPipeline(core.Options{NoInline: *noInline, Workers: *workers})
+		p := core.NewPipeline(core.Options{NoInline: *noInline})
 		u, err := p.Compile(name, string(src))
 		if err != nil {
 			return fail(err)
@@ -102,7 +99,7 @@ func run(args []string, out, stderr io.Writer) int {
 	}
 
 	opts := core.Options{Optimize: *optimize, NoInline: *noInline, ReorderFields: *reorder,
-		Stats: *stats, Workers: *workers}
+		Stats: *stats}
 	opts.Sel.BlockThreshold = *threshold
 	req := core.CompileRequest{Name: name, Source: string(src)}
 	if *profUse != "" {

@@ -54,6 +54,8 @@ func TestRun(t *testing.T) {
 		{"parse error", []string{bad}, 1, "", "earthcc: " + bad + ": 2:12: expected expression"},
 		{"unknown flag", []string{"-nosuch", good}, 2, "", "flag provided but not defined: -nosuch"},
 		{"no file", nil, 2, "", "usage: earthcc [flags] file.ec"},
+		// Compilation is sequential; the worker-count flag is gone.
+		{"removed -j", []string{"-j", "2", good}, 2, "", "flag provided but not defined: -j"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.wantCode {

@@ -12,7 +12,6 @@
 //	-shards N         pipeline shards (default GOMAXPROCS, capped at 8)
 //	-queue N          job queue depth; a full queue answers 429 with
 //	                  Retry-After (default 64)
-//	-j N              analysis workers per compile (default 1)
 //	-sim-j N          accepted and ignored: the simulator runs every window
 //	                  inline
 //	-nodes N          default simulated machine size for jobs (default 4)
@@ -76,7 +75,6 @@ func run(args []string, stderr io.Writer) int {
 	addr := fs.String("addr", ":8080", "listen address")
 	shards := fs.Int("shards", 0, "pipeline shards (0 = GOMAXPROCS capped at 8)")
 	queue := fs.Int("queue", 0, "job queue depth (0 = default 64)")
-	workers := fs.Int("j", 0, "analysis workers per compile (0 = default 1)")
 	fs.Int("sim-j", 0, "ignored: the simulator runs every window inline")
 	nodes := fs.Int("nodes", 0, "default simulated machine size (0 = default 4)")
 	maxFuel := fs.Int64("max-fuel", 0, "per-job instruction cap (0 = default 500M, negative = unlimited)")
@@ -106,7 +104,6 @@ func run(args []string, stderr io.Writer) int {
 	d, err := server.Open(server.Config{
 		Shards:          *shards,
 		QueueDepth:      *queue,
-		Workers:         *workers,
 		DefaultNodes:    *nodes,
 		MaxFuel:         *maxFuel,
 		JobDeadline:     *jobDeadline,

@@ -20,6 +20,10 @@ func TestRunUsageErrors(t *testing.T) {
 		// -sim-j is ignored but still parses, so the positional argument is
 		// what fails.
 		{"ignored -sim-j", []string{"-sim-j", "2", "prog.ec"}, "usage: earthd [flags]"},
+		// Compilation is sequential; the worker-count flag is gone. (The
+		// positional argument keeps a build that still parses -j from
+		// starting a server.)
+		{"removed -j", []string{"-j", "2", "prog.ec"}, "flag provided but not defined: -j"},
 	} {
 		var stderr bytes.Buffer
 		if code := run(tc.args, &stderr); code != 2 {

@@ -29,9 +29,6 @@
 //	-fuel N           abort after N simulated EU instructions instead of
 //	                  hanging on a runaway program (0 = unlimited)
 //	-deadline d       abort after d of host wall-clock time, e.g. "30s"
-//	-j N              compile with N analysis workers (0 = all CPUs); the
-//	                  compiled code and the simulated result are identical
-//	                  for every worker count
 //
 // Fault spec keys: drop, dup, stall (probabilities in [0,1)); delay (max
 // extra hops, uniform); stallns, timeout (ns); retries; seed.
@@ -73,7 +70,6 @@ func run(args []string, out, stderr io.Writer) int {
 	faultSeed := fs.Uint64("fault-seed", 1, "PRNG seed for fault injection")
 	fuel := fs.Int64("fuel", 0, "abort after N simulated EU instructions (0 = unlimited)")
 	deadline := fs.Duration("deadline", 0, "abort after this much host wall-clock time (0 = none)")
-	workers := fs.Int("j", 0, "analysis worker count (0 = all CPUs); output is identical for any value")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -122,12 +118,12 @@ func run(args []string, out, stderr io.Writer) int {
 
 	if *compare {
 		simple, err := runOnce(name, src, stderr, runOpts{nodes: *nodes, seq: *seq, machine: machine,
-			workers: *workers, fuel: *fuel, deadline: *deadline})
+			fuel: *fuel, deadline: *deadline})
 		if err != nil {
 			return fail(err)
 		}
 		opt, err := runOnce(name, src, stderr, runOpts{optimize: true, nodes: *nodes, seq: *seq,
-			prof: prof, machine: machine, rec: rec, workers: *workers,
+			prof: prof, machine: machine, rec: rec,
 			fuel: *fuel, deadline: *deadline, faults: faults})
 		if err != nil {
 			return fail(err)
@@ -148,7 +144,7 @@ func run(args []string, out, stderr io.Writer) int {
 	r, err := runOnce(name, src, stderr, runOpts{
 		optimize: *optimize, nodes: *nodes, seq: *seq,
 		prof: prof, instrument: *profOut != "",
-		machine: machine, rec: rec, workers: *workers,
+		machine: machine, rec: rec,
 		fuel: *fuel, deadline: *deadline, faults: faults,
 	})
 	if err != nil {
@@ -226,7 +222,6 @@ type runOpts struct {
 	instrument bool             // collect a profile during the run
 	machine    *earthsim.Config // cost-model override
 	rec        *trace.Recorder  // event sink (nil = no tracing)
-	workers    int              // analysis worker count (0 = all CPUs)
 	fuel       int64            // EU instruction budget (0 = unlimited)
 	deadline   time.Duration    // host wall-clock bound (0 = none)
 	faults     *earthsim.FaultConfig
@@ -243,7 +238,7 @@ type runResult struct {
 // runOnce compiles src under ro and runs it once; compile warnings go to
 // stderr.
 func runOnce(name, src string, stderr io.Writer, ro runOpts) (*runResult, error) {
-	p := core.NewPipeline(core.Options{Optimize: ro.optimize, Workers: ro.workers})
+	p := core.NewPipeline(core.Options{Optimize: ro.optimize})
 	cres, err := p.Do(core.CompileRequest{Name: name, Source: src, Profile: ro.prof})
 	if err != nil {
 		return nil, err

@@ -76,6 +76,8 @@ func TestRun(t *testing.T) {
 		{"no file", nil, 2, nil, "usage: earthrun [flags] file.ec"},
 		// The live debug server is gone; its flag is now an unknown one.
 		{"-http", []string{"-http", ":0", src}, 2, nil, "flag provided but not defined: -http"},
+		// Compilation is sequential; the worker-count flag is gone.
+		{"-j", []string{"-j", "2", src}, 2, nil, "flag provided but not defined: -j"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.wantCode {

@@ -123,28 +123,22 @@ func (s shadow) storeLV() simple.Lvalue {
 	return simple.VarLV{V: s.v}
 }
 
-// TransformP rewrites every function of prog in place and returns a report.
-// The placement result must have been computed on the same (un-rewritten)
-// program; rw and loc likewise. Per-function selection is fanned across pool
-// (nil pool runs inline). Functions are rewritten independently: each worker
-// operates on a forked read/write-set view (new statements registered during
-// rewriting land in a private overlay) and a private FuncReport; forks are
-// merged back and reports appended in function order afterwards, so the
-// rewritten program and the report are identical to a sequential run.
-func TransformP(prog *simple.Program, pl *placement.Result, rw *rwsets.Result,
-	loc *locality.Result, opt Options, pool *par.Pool) *Report {
+// Deprecated: ignored pool; use Transform.
+func TransformP(prog *simple.Program, pl *placement.Result, rw *rwsets.Result, loc *locality.Result, opt Options, _ *par.Pool) *Report {
+	return Transform(prog, pl, rw, loc, opt)
+}
+
+// Transform rewrites every function of prog in place, in function order, and
+// returns a report. The placement result must have been computed on the same
+// (un-rewritten) program; rw and loc likewise. Statements inserted while
+// rewriting are registered in rw.
+func Transform(prog *simple.Program, pl *placement.Result, rw *rwsets.Result,
+	loc *locality.Result, opt Options) *Report {
 	opt = opt.withDefaults()
-	n := len(prog.Funcs)
-	frs := make([]*FuncReport, n)
-	forks := make([]*rwsets.Result, n)
-	pool.ForEach(n, func(i int) {
-		fn := prog.Funcs[i]
-		fork := rw
-		if pool.Workers() > 1 {
-			fork = rw.Fork()
-		}
+	rep := &Report{Funcs: make([]*FuncReport, 0, len(prog.Funcs))}
+	prog.EachFunc(func(fn *simple.Func) {
 		s := &sel{
-			prog: prog, pl: pl, rw: fork, loc: loc, opt: opt, fn: fn,
+			prog: prog, pl: pl, rw: rw, loc: loc, opt: opt, fn: fn,
 			fr:          &FuncReport{Name: fn.Name},
 			handledR:    make(map[placement.Key]map[int]bool),
 			readShadow:  make(map[int]shadow),
@@ -156,17 +150,8 @@ func TransformP(prog *simple.Program, pl *placement.Result, rw *rwsets.Result,
 		s.applyReadRewrites()
 		esc := s.writesSeq(fn.Body)
 		s.materialize(mapVals(esc), fn.Body, len(fn.Body.Stmts))
-		frs[i] = s.fr
-		if fork != rw {
-			forks[i] = fork
-		}
+		rep.Funcs = append(rep.Funcs, s.fr)
 	})
-	rep := &Report{Funcs: frs}
-	for _, fork := range forks {
-		if fork != nil {
-			rw.Merge(fork)
-		}
-	}
 	return rep
 }
 

@@ -125,7 +125,7 @@ func TestEditIsAColdCompileThenAHit(t *testing.T) {
 func TestDistinctNamesStayBounded(t *testing.T) {
 	src := olden.ByName("power").Source(olden.Params{Size: 2, Iters: 1})
 	c := cache.New(4, "")
-	p := NewPipeline(Options{Optimize: true, Workers: 1, Cache: c})
+	p := NewPipeline(Options{Optimize: true, Cache: c})
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

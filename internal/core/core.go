@@ -51,13 +51,7 @@ type Options struct {
 	// rides on CompileRequest.Cache. A cache is safe to share between
 	// pipelines and goroutines.
 	Cache *cache.Cache
-	// Workers bounds the worker pool used to fan the per-function analysis
-	// and transformation phases (points-to constraint generation, read/write
-	// sets, locality, placement, communication selection) across goroutines.
-	// 0 (or negative) means GOMAXPROCS; 1 forces a fully sequential compile.
-	// The emitted SIMPLE form, report, and statistics counters are identical
-	// for every worker count — parallel results are merged in deterministic
-	// function order.
+	// Deprecated: ignored; every compile is sequential.
 	Workers int
 	// Stats collects per-phase compiler timings and communication
 	// optimization counters on the compiled unit (Unit.Stats).

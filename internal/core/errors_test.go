@@ -3,7 +3,41 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/simple"
 )
+
+// TestRecoverPhaseNamesFunction: a panic that leaves a per-function loop
+// becomes a positioned error naming the file, the phase and the function; a
+// panic outside any such loop names the file and the phase.
+func TestRecoverPhaseNamesFunction(t *testing.T) {
+	build := func(body func()) (u *Unit, err error) {
+		phase := "rwsets"
+		u = &Unit{}
+		defer recoverPhase("x.ec", &phase, &u, &err)
+		body()
+		return u, nil
+	}
+	prog := &simple.Program{Funcs: []*simple.Func{{Name: "main"}, {Name: "f"}}}
+	for _, tc := range []struct {
+		body func()
+		want string
+	}{
+		{func() {
+			prog.EachFunc(func(f *simple.Func) {
+				if f.Name == "f" {
+					panic("boom")
+				}
+			})
+		}, "x.ec: internal error during rwsets in function f: boom"},
+		{func() { panic("boom") }, "x.ec: internal error during rwsets: boom"},
+	} {
+		u, err := build(tc.body)
+		if u != nil || err == nil || err.Error() != tc.want {
+			t.Errorf("got unit %v, error %v; want no unit and %q", u, err, tc.want)
+		}
+	}
+}
 
 func TestCompileParseError(t *testing.T) {
 	_, err := compile("bad.ec", "int main( { return 0; }", Options{})

@@ -9,7 +9,6 @@ import (
 	"repro/internal/earthsim"
 	"repro/internal/locality"
 	"repro/internal/lower"
-	"repro/internal/par"
 	"repro/internal/placement"
 	"repro/internal/pointsto"
 	"repro/internal/profile"
@@ -76,31 +75,26 @@ func (p *Pipeline) finishCompile(u *Unit) *Unit {
 }
 
 // recoverPhase converts a panic escaping a compile phase into a positioned
-// error naming the file, the phase, and — when the panic crossed the worker
-// pool as a par.WorkerPanic — the function being processed. Internal bugs
+// error naming the file, the phase, and — when the panic left a per-function
+// loop as a simple.FuncPanic — the function being processed. Internal bugs
 // on arbitrary user input thereby surface as diagnostics, not stack traces.
-func recoverPhase(file string, phase *string, fnName func(i int) string, u **Unit, err *error) {
+func recoverPhase(file string, phase *string, u **Unit, err *error) {
 	r := recover()
 	if r == nil {
 		return
 	}
 	where := ""
-	if wp, ok := r.(par.WorkerPanic); ok {
-		if name := fnName(wp.Index); name != "" {
-			where = fmt.Sprintf(" in function %s", name)
-		}
-		r = wp.Value
+	if fp, ok := r.(simple.FuncPanic); ok {
+		where = " in function " + fp.Func
+		r = fp.Value
 	}
 	*u = nil
 	*err = fmt.Errorf("%s: internal error during %s%s: %v", file, *phase, where, r)
 }
 
-// noFn is the fnName callback for phases that do not fan over functions.
-func noFn(int) string { return "" }
-
 func (p *Pipeline) compileAST(file *earthc.File, opt Options, prof *profile.Data, st *trace.CompileStats) (u *Unit, err error) {
 	phase := "inline"
-	defer recoverPhase(file.Name, &phase, noFn, &u, &err)
+	defer recoverPhase(file.Name, &phase, &u, &err)
 	t0 := time.Now()
 	if !opt.NoInline {
 		earthc.InlineFunctions(file, earthc.InlineOptions{})
@@ -137,13 +131,7 @@ func (p *Pipeline) compileAST(file *earthc.File, opt Options, prof *profile.Data
 // already-restructured AST.
 func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, st *trace.CompileStats) (u *Unit, err error) {
 	phase := "sema"
-	var sp *simple.Program
-	defer recoverPhase(file.Name, &phase, func(i int) string {
-		if sp != nil && i >= 0 && i < len(sp.Funcs) {
-			return sp.Funcs[i].Name
-		}
-		return ""
-	}, &u, &err)
+	defer recoverPhase(file.Name, &phase, &u, &err)
 	t0 := time.Now()
 	sm, err := sema.Check(file)
 	if err != nil {
@@ -152,7 +140,7 @@ func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, st 
 	st.AddPhase("sema", time.Since(t0))
 	phase = "lower"
 	t0 = time.Now()
-	sp, err = lower.Program(sm)
+	sp, err := lower.Program(sm)
 	if err != nil {
 		return nil, err
 	}
@@ -162,29 +150,21 @@ func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, st 
 	simple.AssignSites(sp)
 	st.AddPhase("lower", time.Since(t0))
 	u = &Unit{Name: file.Name, File: file, Sema: sm, Simple: sp, Stats: st}
-	// The per-function analysis chain fans out across a bounded worker pool;
-	// each phase merges its per-function results in function order, so the
-	// unit is identical for every worker count.
-	pool := par.New(opt.Workers)
-	addPhase := func(name string, t0 time.Time, busy0 time.Duration) {
-		st.AddPhaseCum(name, time.Since(t0), pool.Busy()-busy0)
-	}
 	phase = "pointsto"
 	t0 = time.Now()
-	b0 := pool.Busy()
-	u.PointsTo, err = pointsto.AnalyzeP(sp, pool)
+	u.PointsTo, err = pointsto.Analyze(sp)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", file.Name, err)
 	}
-	addPhase("pointsto", t0, b0)
+	st.AddPhase("pointsto", time.Since(t0))
 	phase = "rwsets"
-	t0, b0 = time.Now(), pool.Busy()
-	u.RWSets = rwsets.AnalyzeP(sp, u.PointsTo, pool)
-	addPhase("rwsets", t0, b0)
+	t0 = time.Now()
+	u.RWSets = rwsets.Analyze(sp, u.PointsTo)
+	st.AddPhase("rwsets", time.Since(t0))
 	phase = "locality"
-	t0, b0 = time.Now(), pool.Busy()
-	u.Locality = locality.AnalyzeP(sp, u.PointsTo, pool)
-	addPhase("locality", t0, b0)
+	t0 = time.Now()
+	u.Locality = locality.Analyze(sp, u.PointsTo)
+	st.AddPhase("locality", time.Since(t0))
 	if st != nil {
 		// Candidate remote accesses, counted before selection rewrites the
 		// SIMPLE form.
@@ -210,13 +190,13 @@ func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, st 
 			fp = prof
 		}
 		phase = "placement"
-		t0, b0 = time.Now(), pool.Busy()
-		u.Placement = placement.AnalyzeProfiledP(sp, u.RWSets, u.Locality, fp, pool)
-		addPhase("placement", t0, b0)
+		t0 = time.Now()
+		u.Placement = placement.AnalyzeProfiled(sp, u.RWSets, u.Locality, fp)
+		st.AddPhase("placement", time.Since(t0))
 		phase = "commsel"
-		t0, b0 = time.Now(), pool.Busy()
-		u.Report = commsel.TransformP(sp, u.Placement, u.RWSets, u.Locality, opt.Sel, pool)
-		addPhase("commsel", t0, b0)
+		t0 = time.Now()
+		u.Report = commsel.Transform(sp, u.Placement, u.RWSets, u.Locality, opt.Sel)
+		st.AddPhase("commsel", time.Since(t0))
 		if st != nil {
 			for _, set := range u.Placement.Reads {
 				st.PlacedReadTuples += set.Len()

@@ -62,9 +62,9 @@ type CompileResult struct {
 }
 
 // fingerprint renders the compile-relevant options plus the bound profile
-// into the cache namespace key. Workers is excluded (output is proven
-// identical for every worker count), as are the observability sinks
-// (tracing and metrics never alter the unit).
+// into the cache namespace key. The ignored Workers field and the
+// observability sinks (tracing and metrics never alter the unit) are
+// excluded.
 func (opt Options) fingerprint(prof *profile.Data) string {
 	parts := []string{
 		fmt.Sprintf("optimize=%t noinline=%t reorder=%t stats=%t",

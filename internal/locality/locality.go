@@ -38,12 +38,13 @@ func (r *Result) IsLocal(v *simple.Var) bool { return r.local[v] }
 // RemoteLoad reports whether a LoadRV through p is a remote operation.
 func (r *Result) RemoteLoad(p *simple.Var) bool { return !r.local[p] }
 
-// AnalyzeP runs locality analysis, with per-function scanning fanned across
-// pool (nil pool runs inline). Each fixpoint pass reads the candidate set
-// concurrently and collects per-function demotion lists; demotions apply
-// sequentially between passes (Jacobi iteration). The greatest fixpoint is
-// unique, so the result is identical to the sequential (Gauss-Seidel) run.
-func AnalyzeP(prog *simple.Program, pt *pointsto.Result, pool *par.Pool) *Result {
+// Deprecated: ignored pool; use Analyze.
+func AnalyzeP(prog *simple.Program, pt *pointsto.Result, _ *par.Pool) *Result {
+	return Analyze(prog, pt)
+}
+
+// Analyze runs locality analysis.
+func Analyze(prog *simple.Program, pt *pointsto.Result) *Result {
 	res := &Result{local: make(map[*simple.Var]bool)}
 
 	// Candidate set: every pointer variable starts optimistic-local except
@@ -78,36 +79,18 @@ func AnalyzeP(prog *simple.Program, pt *pointsto.Result, pool *par.Pool) *Result
 		}
 	}
 
-	// Iteratively remove candidates with a non-local source. Within a pass
-	// every function is scanned against the same candidate snapshot (no
-	// writes happen until the pass completes), so functions can scan in
-	// parallel.
-	n := len(prog.Funcs)
-	demoted := make([][]*simple.Var, n)
-	for {
-		pool.ForEach(n, func(i int) {
-			var out []*simple.Var
-			simple.WalkBasics(prog.Funcs[i].Body, func(b *simple.Basic) {
-				if v, lcl := defSource(b, candidate); v != nil && !lcl {
-					if candidate[v] && !pinned[v] {
-						out = append(out, v)
-					}
-				}
-			})
-			demoted[i] = out
-		})
-		changed := false
-		for _, ds := range demoted {
-			for _, v := range ds {
-				if candidate[v] {
+	// Remove candidates with a non-local source as they are found, until a
+	// whole pass demotes nothing.
+	for changed := true; changed; {
+		changed = false
+		prog.EachFunc(func(f *simple.Func) {
+			simple.WalkBasics(f.Body, func(b *simple.Basic) {
+				if v, lcl := defSource(b, candidate); v != nil && !lcl && candidate[v] && !pinned[v] {
 					delete(candidate, v)
 					changed = true
 				}
-			}
-		}
-		if !changed {
-			break
-		}
+			})
+		})
 	}
 	for v := range candidate {
 		res.local[v] = true

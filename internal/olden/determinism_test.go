@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/commsel"
 	"repro/internal/core"
 	"repro/internal/earthsim"
 	"repro/internal/threaded"
@@ -35,49 +34,6 @@ func disasmAll(t *testing.T, u *core.Unit) string {
 func sameResult(a, b *earthsim.Result) bool {
 	return a.Time == b.Time && a.Counts == b.Counts &&
 		a.Output == b.Output && a.MainRet == b.MainRet
-}
-
-// TestWorkerCountDeterminism is the contract behind Options.Workers: for
-// every Olden benchmark, a parallel compile (Workers=8) must produce
-// byte-identical threaded code, an identical selection report, and an
-// identical simulated result to a sequential compile (Workers=1).
-func TestWorkerCountDeterminism(t *testing.T) {
-	for _, b := range All() {
-		b := b
-		t.Run(b.Name, func(t *testing.T) {
-			src := b.Source(small(b))
-			var refCode string
-			var refTotals commsel.FuncReport
-			var refRes *earthsim.Result
-			for _, workers := range []int{1, 8} {
-				p := core.NewPipeline(core.Options{Optimize: true, Workers: workers})
-				u, err := p.Compile(b.Name+".ec", src)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				code := disasmAll(t, u)
-				totals := u.Report.Totals()
-				res, err := p.Run(u, core.RunConfig{Nodes: 4})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if workers == 1 {
-					refCode, refTotals, refRes = code, totals, res
-					continue
-				}
-				if code != refCode {
-					t.Errorf("workers=%d: threaded code differs from workers=1", workers)
-				}
-				if totals != refTotals {
-					t.Errorf("workers=%d: report totals %+v != %+v", workers, totals, refTotals)
-				}
-				if !sameResult(res, refRes) {
-					t.Errorf("workers=%d: simulated result differs: %+v != %+v",
-						workers, res, refRes)
-				}
-			}
-		})
-	}
 }
 
 // TestSharedPipelineConcurrency drives one Pipeline — and one compiled

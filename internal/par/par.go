@@ -1,128 +1,9 @@
-// Package par provides the bounded worker pool the compiler pipeline uses
-// to fan per-function analysis work across goroutines.
-//
-// The determinism contract (see DESIGN.md "Concurrency model"): parallel
-// callers may only use ForEach for work where fn(i) writes exclusively to
-// slot i of a pre-sized result slice (plus purely local state). All merging
-// into shared structures happens after ForEach returns, sequentially, in
-// deterministic (function) order. Under that discipline the result of a
-// Workers=N run is byte-identical to a Workers=1 run.
+// Package par holds deprecated names kept only so existing callers still
+// compile.
 package par
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+// Deprecated: ignored; every compile is sequential.
+type Pool struct{}
 
-// Pool is a bounded fan-out helper. A nil *Pool is valid and runs
-// everything inline (serial), so analysis packages can accept an optional
-// pool without nil checks.
-type Pool struct {
-	workers int
-	busy    atomic.Int64 // cumulative worker busy time, nanoseconds
-}
-
-// New returns a pool that runs at most workers goroutines at a time.
-// workers <= 0 means GOMAXPROCS.
-func New(workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Pool{workers: workers}
-}
-
-// Workers reports the pool's concurrency bound (1 for a nil pool).
-func (p *Pool) Workers() int {
-	if p == nil {
-		return 1
-	}
-	return p.workers
-}
-
-// Busy returns the cumulative time workers have spent executing ForEach
-// bodies since the pool was created. Comparing the growth of Busy against
-// wall-clock time around a phase gives the wall vs. cumulative split that
-// CompileStats records.
-func (p *Pool) Busy() time.Duration {
-	if p == nil {
-		return 0
-	}
-	return time.Duration(p.busy.Load())
-}
-
-// WorkerPanic wraps a panic raised inside a ForEach body, carrying the item
-// index so callers can attribute the failure to the work item (e.g. the
-// function being analyzed). ForEach re-raises it in the caller.
-type WorkerPanic struct {
-	Index int
-	Value any
-}
-
-// ForEach runs fn(i) for every i in [0, n), using at most p.Workers()
-// goroutines, and returns once all calls have completed. Iteration order is
-// unspecified when parallel; see the package comment for the determinism
-// discipline callers must follow. A panic in fn is re-raised in the caller
-// as a WorkerPanic identifying the item.
-func (p *Pool) ForEach(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if p == nil || p.workers <= 1 || n == 1 {
-		start := time.Now()
-		if p != nil {
-			defer func() { p.busy.Add(int64(time.Since(start))) }()
-		}
-		for i := 0; i < n; i++ {
-			func() {
-				defer wrapPanic(i)
-				fn(i)
-			}()
-		}
-		return
-	}
-	w := min(p.workers, n)
-	var next atomic.Int64
-	var panicked atomic.Pointer[WorkerPanic]
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			start := time.Now()
-			defer func() {
-				p.busy.Add(int64(time.Since(start)))
-				wg.Done()
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				// Recover per item (not per worker) so the panic carries the
-				// item index and one bad item doesn't strand the worker's
-				// remaining share; the first panic wins and is re-raised.
-				func() {
-					defer func() {
-						if e := recover(); e != nil {
-							panicked.CompareAndSwap(nil, &WorkerPanic{Index: i, Value: e})
-						}
-					}()
-					fn(i)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	if pv := panicked.Load(); pv != nil {
-		panic(*pv)
-	}
-}
-
-// wrapPanic converts a panic escaping fn(i) on the serial path into the
-// same WorkerPanic the parallel path raises.
-func wrapPanic(i int) {
-	if e := recover(); e != nil {
-		panic(WorkerPanic{Index: i, Value: e})
-	}
-}
+// Deprecated: ignored.
+func New(int) *Pool { return &Pool{} }

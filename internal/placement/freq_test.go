@@ -94,7 +94,7 @@ func TestFreqProviderOverridesStatics(t *testing.T) {
 		loops:    map[string]float64{loopKey: 3.5},
 		branches: map[string]float64{ifKey: 0.9},
 	}
-	res := placement.AnalyzeProfiledP(u.Simple, u.RWSets, u.Locality, fp, nil)
+	res := placement.AnalyzeProfiled(u.Simple, u.RWSets, u.Locality, fp)
 
 	var loopStmt, ifStmt simple.Stmt
 	simple.WalkStmts(f.Body, func(s simple.Stmt) {
@@ -123,8 +123,8 @@ func TestFreqProviderFallback(t *testing.T) {
 	u, f, _, _ := compileFreq(t)
 	empty := &fakeProfile{}
 	for _, res := range []*placement.Result{
-		placement.AnalyzeProfiledP(u.Simple, u.RWSets, u.Locality, empty, nil),
-		placement.AnalyzeProfiledP(u.Simple, u.RWSets, u.Locality, nil, nil),
+		placement.AnalyzeProfiled(u.Simple, u.RWSets, u.Locality, empty),
+		placement.AnalyzeProfiled(u.Simple, u.RWSets, u.Locality, nil),
 	} {
 		var loopStmt, ifStmt simple.Stmt
 		simple.WalkStmts(f.Body, func(s simple.Stmt) {
@@ -181,7 +181,7 @@ int main() { return 0; }
 	fp := &fakeProfile{switches: map[string][]float64{
 		swKey: {0.125, 0.25, 0.25, 0.375},
 	}}
-	res := placement.AnalyzeProfiledP(u.Simple, u.RWSets, u.Locality, fp, nil)
+	res := placement.AnalyzeProfiled(u.Simple, u.RWSets, u.Locality, fp)
 	first := findBasic(f, "x = 0")
 	set := res.Reads[simple.Stmt(first)]
 	// (p->a) appears in cases 0..2: 0.125+0.25+0.25 = 0.625; (p->b) in

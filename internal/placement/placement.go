@@ -18,8 +18,8 @@ const LoopFreq = 10.0
 // was never reached while profiling — in which case the analysis falls
 // back to the static heuristic for exactly that site.
 //
-// Implementations must be safe for concurrent read-only use: the pipeline
-// queries one provider from several per-function analysis goroutines.
+// Implementations must be safe for concurrent read-only use: concurrent
+// compiles may share one provider.
 type FreqProvider interface {
 	// LoopFactor is the measured expected iteration count per arrival at
 	// the loop (replaces LoopFreq).
@@ -51,14 +51,16 @@ type Result struct {
 	Profiled bool
 }
 
-// AnalyzeProfiledP runs possible-placement analysis over every function.
+// Deprecated: ignored pool; use AnalyzeProfiled.
+func AnalyzeProfiledP(prog *simple.Program, rw *rwsets.Result, loc *locality.Result, fp FreqProvider, _ *par.Pool) *Result {
+	return AnalyzeProfiled(prog, rw, loc, fp)
+}
+
+// AnalyzeProfiled runs possible-placement analysis over every function.
 // Wherever fp answers for a site, its measured frequency factor replaces the
 // static constant; everywhere else (fp nil, site unassigned, or no data) the
-// static heuristics apply unchanged. Per-function analyses are fanned across
-// pool (nil pool runs inline). Functions are independent — each gets its own
-// analysis state — and per-function results are merged in function order, so
-// the result is identical regardless of pool width.
-func AnalyzeProfiledP(prog *simple.Program, rw *rwsets.Result, loc *locality.Result, fp FreqProvider, pool *par.Pool) *Result {
+// static heuristics apply unchanged.
+func AnalyzeProfiled(prog *simple.Program, rw *rwsets.Result, loc *locality.Result, fp FreqProvider) *Result {
 	res := &Result{
 		Reads:      make(map[simple.Stmt]*Set),
 		Writes:     make(map[simple.Stmt]*Set),
@@ -66,29 +68,11 @@ func AnalyzeProfiledP(prog *simple.Program, rw *rwsets.Result, loc *locality.Res
 		ExitWrites: make(map[*simple.Func]*Set),
 		Profiled:   fp != nil,
 	}
-	n := len(prog.Funcs)
-	as := make([]*analysis, n)
-	pool.ForEach(n, func(i int) {
-		f := prog.Funcs[i]
-		a := &analysis{rw: rw, loc: loc, fp: fp, fn: f,
-			reads:  make(map[simple.Stmt]*Set),
-			writes: make(map[simple.Stmt]*Set),
-		}
-		a.entry = a.readsSeq(f.Body)
-		a.exit = a.writesSeq(f.Body)
-		as[i] = a
+	prog.EachFunc(func(f *simple.Func) {
+		a := &analysis{rw: rw, loc: loc, fp: fp, fn: f, reads: res.Reads, writes: res.Writes}
+		res.EntryReads[f] = a.readsSeq(f.Body)
+		res.ExitWrites[f] = a.writesSeq(f.Body)
 	})
-	for i, a := range as {
-		f := prog.Funcs[i]
-		res.EntryReads[f] = a.entry
-		res.ExitWrites[f] = a.exit
-		for s, set := range a.reads {
-			res.Reads[s] = set
-		}
-		for s, set := range a.writes {
-			res.Writes[s] = set
-		}
-	}
 	return res
 }
 
@@ -98,11 +82,9 @@ type analysis struct {
 	fp  FreqProvider // nil: static heuristics only
 	fn  *simple.Func // function under analysis (for site keys)
 
-	// Per-function outputs, merged into the shared Result afterwards.
+	// The Result's per-statement sets, filled as the walk goes.
 	reads  map[simple.Stmt]*Set
 	writes map[simple.Stmt]*Set
-	entry  *Set
-	exit   *Set
 
 	retMemo map[simple.Stmt]bool
 	// daMemo caches, per statement, the labels of direct loads/stores in

@@ -17,7 +17,7 @@ func analyze(t *testing.T, src, fn string) (*simple.Func, *placement.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := placement.AnalyzeProfiledP(u.Simple, u.RWSets, u.Locality, nil, nil)
+	res := placement.AnalyzeProfiled(u.Simple, u.RWSets, u.Locality, nil)
 	f := u.Simple.FuncByName(fn)
 	if f == nil {
 		t.Fatalf("no function %s", fn)

@@ -11,12 +11,10 @@
 //
 // The analysis is Andersen-style (inclusion constraints) and
 // context-insensitive across calls. It runs in two steps: constraint
-// generation walks each function body exactly once (independent per
-// function, fanned across the pipeline's worker pool), then a flat solver
-// iterates the collected constraint list to a fixpoint. Constraints are
-// merged in function order, so the solved result is identical regardless
-// of worker count — and the solver never re-walks the AST, which is where
-// the old per-pass walker spent most of its time.
+// generation walks each function body exactly once, in function order, then
+// a flat solver iterates the collected constraint list to a fixpoint. The
+// solver never re-walks the AST, which is where the old per-pass walker
+// spent most of its time.
 package pointsto
 
 import (
@@ -177,24 +175,11 @@ type constraint struct {
 	b     *simple.Basic // cBlkCopy
 }
 
-// seed is a ground fact: loc ∈ pts(v).
-type seed struct {
-	v   *simple.Var
-	loc Loc
-}
+// Deprecated: ignored pool; use Analyze.
+func AnalyzeP(prog *simple.Program, _ *par.Pool) (*Result, error) { return Analyze(prog) }
 
-// genOut is one function's generated constraint system.
-type genOut struct {
-	cons      []constraint
-	seeds     []seed
-	sites     []*AllocSite
-	addrTaken []*simple.Var
-}
-
-// AnalyzeP runs the analysis over a SIMPLE program, with constraint
-// generation fanned across pool (nil pool runs inline). The result is
-// identical regardless of pool width.
-func AnalyzeP(prog *simple.Program, pool *par.Pool) (*Result, error) {
+// Analyze runs the analysis over a SIMPLE program.
+func Analyze(prog *simple.Program) (*Result, error) {
 	r := &Result{
 		Prog:      prog,
 		VarPts:    make(map[*simple.Var]LocSet),
@@ -208,30 +193,15 @@ func AnalyzeP(prog *simple.Program, pool *par.Pool) (*Result, error) {
 		r.Returns[f] = make(LocSet)
 	}
 
-	// Generate constraints, one walk per function.
-	n := len(prog.Funcs)
-	outs := make([]genOut, n)
-	pool.ForEach(n, func(i int) {
-		g := generator{fn: prog.Funcs[i], funcs: funcs}
-		simple.WalkBasics(prog.Funcs[i].Body, g.basic)
-		outs[i] = g.out
-	})
-
-	// Merge in function order: allocation sites keep their sequential
-	// (function, walk) order, seeds and facts land before solving.
+	// Generate constraints, one walk per function. Allocation sites keep
+	// their (function, walk) order; ground facts land before solving.
 	s := solver{r: r}
-	var cons []constraint
-	for i := range outs {
-		o := &outs[i]
-		r.Sites = append(r.Sites, o.sites...)
-		for _, v := range o.addrTaken {
-			r.addrTaken[v] = true
-		}
-		for _, sd := range o.seeds {
-			s.varSet(sd.v).Add(sd.loc)
-		}
-		cons = append(cons, o.cons...)
-	}
+	g := generator{s: &s, funcs: funcs}
+	prog.EachFunc(func(f *simple.Func) {
+		g.fn = f
+		simple.WalkBasics(f.Body, g.basic)
+	})
+	cons := g.cons
 
 	// Iterate the flat constraint list to a fixpoint.
 	for pass := 0; ; pass++ {
@@ -254,16 +224,17 @@ func AnalyzeP(prog *simple.Program, pool *par.Pool) (*Result, error) {
 
 // ------------------------------------------------------------- generation ---
 
-// generator collects the constraints of one function. It only reads the
-// program (and the shared funcs index), so generators for different
-// functions can run concurrently.
+// generator collects the constraints of every function, one function (fn)
+// at a time, and records ground facts (allocation sites, address-taken
+// variables, seed points-to sets) straight into the result.
 type generator struct {
+	s     *solver
 	fn    *simple.Func
 	funcs map[string]*simple.Func
-	out   genOut
+	cons  []constraint
 }
 
-func (g *generator) emit(c constraint) { g.out.cons = append(g.out.cons, c) }
+func (g *generator) emit(c constraint) { g.cons = append(g.cons, c) }
 
 func (g *generator) copyFlow(dst *simple.Var, at simple.Atom) {
 	if v := simple.AtomVar(at); v != nil && v.IsPtr() {
@@ -277,9 +248,9 @@ func (g *generator) basic(b *simple.Basic) {
 		g.assign(b)
 	case simple.KAlloc:
 		site := &AllocSite{Fn: g.fn, B: b, Struct: b.StructName, Size: b.AllocSize}
-		g.out.sites = append(g.out.sites, site)
+		g.s.r.Sites = append(g.s.r.Sites, site)
 		if b.Dst != nil {
-			g.out.seeds = append(g.out.seeds, seed{v: b.Dst, loc: Loc{Base: site, Off: 0}})
+			g.s.varSet(b.Dst).Add(Loc{Base: site, Off: 0})
 		}
 	case simple.KCall:
 		callee := g.funcs[b.Fun]
@@ -303,7 +274,7 @@ func (g *generator) basic(b *simple.Basic) {
 		// stores q into sp's slot, valueof(&sp) reads it back.
 		if len(b.ArgVars) == 1 {
 			sv := b.ArgVars[0]
-			g.out.addrTaken = append(g.out.addrTaken, sv)
+			g.s.r.addrTaken[sv] = true
 			if len(b.Args) == 1 {
 				if v := simple.AtomVar(b.Args[0]); v != nil && v.IsPtr() {
 					g.emit(constraint{kind: cStoreFixed, loc: Loc{Base: sv, Off: 0}, src: v})
@@ -345,8 +316,8 @@ func (g *generator) assign(b *simple.Basic) {
 					loc: Loc{Base: rhs.Base, Off: rhs.Off}})
 			}
 		case simple.AddrRV:
-			g.out.addrTaken = append(g.out.addrTaken, rhs.X)
-			g.out.seeds = append(g.out.seeds, seed{v: lhs.V, loc: Loc{Base: rhs.X, Off: rhs.Off}})
+			g.s.r.addrTaken[rhs.X] = true
+			g.s.varSet(lhs.V).Add(Loc{Base: rhs.X, Off: rhs.Off})
 		case simple.FieldAddrRV:
 			g.emit(constraint{kind: cFieldAddr, dst: lhs.V, p: rhs.P, off: rhs.Off})
 		}

@@ -10,11 +10,8 @@
 // The analysis runs in three steps: (1) per-function "own" effects — the
 // body's effects with callee summaries excluded — computed once per
 // function; (2) a summary fixpoint that only merges projected summaries
-// along call edges (cheap, sequential); (3) a per-function populate pass
-// that decorates every statement with its effects using the converged
-// summaries. Steps 1 and 3 are independent per function and fan out across
-// the pipeline's worker pool; their results are merged in function order,
-// so the outcome is identical to a sequential run.
+// along call edges; (3) a per-function populate pass that decorates every
+// statement with its effects using the converged summaries.
 package rwsets
 
 import (
@@ -166,16 +163,15 @@ type Result struct {
 	// frame holds each function's own frame variables (params + locals)
 	// for O(1) summary projection.
 	frame map[*simple.Func]map[*simple.Var]bool
-	// overlay, when non-nil, receives Register()ed statements instead of
-	// Stmt: it makes a Fork()ed view race-free under parallel per-function
-	// transformation. Queries consult it before Stmt.
-	overlay map[simple.Stmt]*Effects
 }
 
-// AnalyzeP computes read/write sets given points-to results, with
-// per-function work fanned across pool (nil pool runs inline). The result is
-// identical regardless of pool width.
-func AnalyzeP(prog *simple.Program, pt *pointsto.Result, pool *par.Pool) *Result {
+// Deprecated: ignored pool; use Analyze.
+func AnalyzeP(prog *simple.Program, pt *pointsto.Result, _ *par.Pool) *Result {
+	return Analyze(prog, pt)
+}
+
+// Analyze computes read/write sets given points-to results.
+func Analyze(prog *simple.Program, pt *pointsto.Result) *Result {
 	r := &Result{
 		PT:      pt,
 		prog:    prog,
@@ -185,7 +181,6 @@ func AnalyzeP(prog *simple.Program, pt *pointsto.Result, pool *par.Pool) *Result
 		frame:   make(map[*simple.Func]map[*simple.Var]bool, len(prog.Funcs)),
 	}
 	for _, f := range prog.Funcs {
-		r.Summary[f] = newEffects()
 		r.funcs[f.Name] = f
 		fr := make(map[*simple.Var]bool, len(f.Params)+len(f.Locals))
 		for _, p := range f.Params {
@@ -197,52 +192,32 @@ func AnalyzeP(prog *simple.Program, pt *pointsto.Result, pool *par.Pool) *Result
 		r.frame[f] = fr
 	}
 
-	// Step 1: per-function own effects (callee summaries excluded),
-	// projected to caller-visible form, plus the function's callee list.
-	n := len(prog.Funcs)
-	pOwn := make([]*Effects, n)
-	callees := make([][]*simple.Func, n)
-	pool.ForEach(n, func(i int) {
-		f := prog.Funcs[i]
+	// Step 1: each summary starts as the function's own effects (callee
+	// summaries excluded), projected to caller-visible form; callees[i] is
+	// prog.Funcs[i]'s callee list.
+	callees := make([][]*simple.Func, 0, len(prog.Funcs))
+	prog.EachFunc(func(f *simple.Func) {
 		own := newEffects()
 		r.ownEffects(f.Body, own)
-		pOwn[i] = r.project(own, f)
-		callees[i] = r.calleesOf(f)
+		r.Summary[f] = r.project(own, f)
+		callees = append(callees, r.calleesOf(f))
 	})
 
 	// Step 2: summary fixpoint along call edges (call graph cycles
-	// converge). Purely a merge of small summary sets; sequential.
-	for {
-		changed := false
+	// converge). Purely a merge of small summary sets.
+	for changed := true; changed; {
+		changed = false
 		for i, f := range prog.Funcs {
-			s := r.Summary[f]
-			if s.mergeFrom(pOwn[i]) {
-				changed = true
-			}
 			for _, c := range callees[i] {
-				if r.mergeProjected(s, r.Summary[c], f) {
+				if r.mergeProjected(r.Summary[f], r.Summary[c], f) {
 					changed = true
 				}
 			}
 		}
-		if !changed {
-			break
-		}
 	}
 
-	// Step 3: populate r.Stmt with converged summaries, one map per
-	// function, merged in function order.
-	dests := make([]map[simple.Stmt]*Effects, n)
-	pool.ForEach(n, func(i int) {
-		dest := make(map[simple.Stmt]*Effects)
-		r.computeStmtInto(prog.Funcs[i].Body, dest)
-		dests[i] = dest
-	})
-	for _, dest := range dests {
-		for s, e := range dest {
-			r.Stmt[s] = e
-		}
-	}
+	// Step 3: populate r.Stmt with the converged summaries.
+	prog.EachFunc(func(f *simple.Func) { r.computeStmt(f.Body) })
 	return r
 }
 
@@ -337,9 +312,9 @@ func (r *Result) ownEffects(s simple.Stmt, eff *Effects) {
 	}
 }
 
-// computeStmtInto computes effects for s (with converged callee summaries)
-// and records them for s and every statement beneath it in dest.
-func (r *Result) computeStmtInto(s simple.Stmt, dest map[simple.Stmt]*Effects) *Effects {
+// computeStmt computes effects for s (with converged callee summaries) and
+// records them for s and every statement beneath it in r.Stmt.
+func (r *Result) computeStmt(s simple.Stmt) *Effects {
 	eff := newEffects()
 	switch st := s.(type) {
 	case *simple.Basic:
@@ -350,14 +325,14 @@ func (r *Result) computeStmtInto(s simple.Stmt, dest map[simple.Stmt]*Effects) *
 			// interference checks query sibling sequences directly.
 			seqEff := newEffects()
 			for _, c := range seq.Stmts {
-				seqEff.mergeFrom(r.computeStmtInto(c, dest))
+				seqEff.mergeFrom(r.computeStmt(c))
 			}
-			dest[seq] = seqEff
+			r.Stmt[seq] = seqEff
 			eff.mergeFrom(seqEff)
 		}
 		r.compoundReads(eff, s)
 	}
-	dest[s] = eff
+	r.Stmt[s] = eff
 	return eff
 }
 
@@ -583,22 +558,11 @@ func (r *Result) calleesOf(f *simple.Func) []*simple.Func {
 
 // --------------------------------------------------------------- queries ---
 
-// effectsOf looks a statement up in the fork overlay (if any), then the
-// shared Stmt map.
-func (r *Result) effectsOf(s simple.Stmt) *Effects {
-	if r.overlay != nil {
-		if e, ok := r.overlay[s]; ok {
-			return e
-		}
-	}
-	return r.Stmt[s]
-}
-
 // VarWritten reports whether statement s may modify the value of variable p
 // itself: a direct assignment, or — when p's address has been taken — an
 // indirect write reaching p's slot, or a call that may do the same.
 func (r *Result) VarWritten(p *simple.Var, s simple.Stmt) bool {
-	eff := r.effectsOf(s)
+	eff := r.Stmt[s]
 	if eff == nil {
 		return true // unknown statement: be conservative
 	}
@@ -621,7 +585,7 @@ func (r *Result) VarWritten(p *simple.Var, s simple.Stmt) bool {
 // paper's rules keep tuples alive across direct accesses because the
 // transformation redirects all of them to the same local copy.
 func (r *Result) AccessedViaAlias(p *simple.Var, off int, s simple.Stmt, write bool) bool {
-	eff := r.effectsOf(s)
+	eff := r.Stmt[s]
 	if eff == nil {
 		return true
 	}
@@ -648,32 +612,9 @@ func (r *Result) AccessedViaAlias(p *simple.Var, off int, s simple.Stmt, write b
 // Register computes and records the effects of a newly created basic
 // statement. The selection phase calls this for every communication
 // statement it inserts, so later queries (dereference safety, write floats)
-// see sound effects instead of falling back to "unknown". On a Fork()ed
-// view the record goes to the fork's private overlay.
+// see sound effects instead of falling back to "unknown".
 func (r *Result) Register(b *simple.Basic) {
 	eff := newEffects()
 	r.basic(eff, b, true)
-	if r.overlay != nil {
-		r.overlay[b] = eff
-	} else {
-		r.Stmt[b] = eff
-	}
-}
-
-// Fork returns a view of r that records Register()ed statements in a
-// private overlay instead of the shared Stmt map, so several forks can be
-// used from different goroutines concurrently (the shared maps are only
-// read). Merge folds a fork's overlay back into r.
-func (r *Result) Fork() *Result {
-	nr := *r
-	nr.overlay = make(map[simple.Stmt]*Effects)
-	return &nr
-}
-
-// Merge folds the Register()ed statements of a Fork()ed view back into r's
-// shared Stmt map.
-func (r *Result) Merge(fork *Result) {
-	for s, e := range fork.overlay {
-		r.Stmt[s] = e
-	}
+	r.Stmt[b] = eff
 }

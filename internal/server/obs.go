@@ -25,9 +25,8 @@ func stageHistName(kind string) string {
 // compileChildren reconstructs the compile span's children after the fact
 // from what Pipeline.Do reported: a cache hit spent the whole span
 // consulting the cache; a fresh compile gets a cache.lookup residue followed
-// by the per-phase durations from trace.CompileStats, laid out sequentially
-// from the span start (with Workers > 1 phases overlap in reality, so the
-// sequential layout is an attribution, not a literal schedule).
+// by the per-phase durations from trace.CompileStats, laid out back to back
+// from the span start, as the sequential compiler ran them.
 func compileChildren(tr *obs.JobTrace, cIx int, hit bool, u *core.Unit) {
 	start, end := tr.Bounds(cIx)
 	if end < 0 {

@@ -54,10 +54,6 @@ type Config struct {
 	// QueueDepth bounds the job queue (default 64). A full queue rejects
 	// with 429 + Retry-After.
 	QueueDepth int
-	// Workers is the per-compile analysis worker count (core.Options.Workers;
-	// default 1 — shard-level parallelism is usually the better use of cores
-	// under load).
-	Workers int
 	// DefaultNodes is the machine size for jobs that don't specify one
 	// (default 4).
 	DefaultNodes int
@@ -105,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	if c.DefaultNodes <= 0 {
 		c.DefaultNodes = 4
@@ -240,7 +233,6 @@ func Open(cfg Config) (*Server, error) {
 		for _, optimize := range []bool{false, true} {
 			sh.pipes[optimize] = core.NewPipeline(core.Options{
 				Optimize: optimize,
-				Workers:  cfg.Workers,
 				Metrics:  sh.reg,
 				Cache:    s.cache,
 				// Keep the per-phase stats on the unit so the job's compile

@@ -447,6 +447,28 @@ type StructLayout struct {
 	FieldSizes map[string]int
 }
 
+// FuncPanic is a panic raised inside an EachFunc body, re-raised with the
+// name of the function being processed so the compiler can report where an
+// internal error happened.
+type FuncPanic struct {
+	Func  string
+	Value any
+}
+
+// EachFunc calls fn on every function in program order. A panic in fn stops
+// the loop and is re-raised as a FuncPanic naming the function.
+func (p *Program) EachFunc(fn func(f *Func)) {
+	var cur *Func
+	defer func() {
+		if e := recover(); e != nil {
+			panic(FuncPanic{Func: cur.Name, Value: e})
+		}
+	}()
+	for _, cur = range p.Funcs {
+		fn(cur)
+	}
+}
+
 // FuncByName returns the function with the given name, or nil.
 func (p *Program) FuncByName(name string) *Func {
 	for _, f := range p.Funcs {

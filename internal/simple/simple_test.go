@@ -127,3 +127,34 @@ func TestFuncStringPrintsLabels(t *testing.T) {
 		t.Errorf("labels missing:\n%s", out)
 	}
 }
+
+// TestEachFuncPanicNamesFunction: a body that panics on the third function
+// re-raises the panic as a FuncPanic carrying that function's name, and no
+// later function runs.
+func TestEachFuncPanicNamesFunction(t *testing.T) {
+	p := &Program{}
+	for _, n := range []string{"a", "b", "f", "d", "e"} {
+		p.Funcs = append(p.Funcs, &Func{Name: n})
+	}
+	var ran []string
+	defer func() {
+		r := recover()
+		fp, ok := r.(FuncPanic)
+		if !ok {
+			t.Fatalf("recovered %#v, want a FuncPanic", r)
+		}
+		if fp.Func != "f" || fp.Value != "boom" {
+			t.Errorf("FuncPanic = %+v, want function f value boom", fp)
+		}
+		if got := strings.Join(ran, ","); got != "a,b,f" {
+			t.Errorf("functions run = %s, want a,b,f", got)
+		}
+	}()
+	p.EachFunc(func(f *Func) {
+		ran = append(ran, f.Name)
+		if len(ran) == 3 {
+			panic("boom")
+		}
+	})
+	t.Fatal("EachFunc returned after its body panicked")
+}

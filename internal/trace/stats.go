@@ -6,14 +6,10 @@ import (
 	"time"
 )
 
-// PhaseStat is one compiler phase's wall-clock time. For phases that fan
-// work across a worker pool, CumNs additionally records the cumulative
-// busy time summed over all workers; CumNs/Ns approximates the phase's
-// effective parallelism. Sequential phases report CumNs == Ns.
+// PhaseStat is one compiler phase's wall-clock time.
 type PhaseStat struct {
-	Name  string `json:"name"`
-	Ns    int64  `json:"ns"`
-	CumNs int64  `json:"cum_ns"`
+	Name string `json:"name"`
+	Ns   int64  `json:"ns"`
 }
 
 // CompileStats records per-phase compiler timings and the headline counters
@@ -39,19 +35,12 @@ type CompileStats struct {
 	ReadsEliminated int `json:"reads_eliminated"` // redundant ops removed by selection
 }
 
-// AddPhase appends a timed sequential phase (CumNs == Ns).
+// AddPhase appends a timed phase.
 func (s *CompileStats) AddPhase(name string, d time.Duration) {
-	s.AddPhaseCum(name, d, d)
-}
-
-// AddPhaseCum appends a timed phase with separate wall-clock and cumulative
-// (summed-over-workers) busy durations.
-func (s *CompileStats) AddPhaseCum(name string, wall, cum time.Duration) {
 	if s == nil {
 		return
 	}
-	s.Phases = append(s.Phases, PhaseStat{
-		Name: name, Ns: wall.Nanoseconds(), CumNs: cum.Nanoseconds()})
+	s.Phases = append(s.Phases, PhaseStat{Name: name, Ns: d.Nanoseconds()})
 }
 
 // TotalNs sums the phase times.
@@ -72,13 +61,8 @@ func (s *CompileStats) String() string {
 	total := s.TotalNs()
 	fmt.Fprintf(&b, "compile phases (total %.3f ms):\n", float64(total)/1e6)
 	for _, p := range s.Phases {
-		fmt.Fprintf(&b, "  %-12s %10.3f ms %5.1f%% %s",
+		fmt.Fprintf(&b, "  %-12s %10.3f ms %5.1f%% %s\n",
 			p.Name, float64(p.Ns)/1e6, pct(p.Ns, total), bar(p.Ns, total, 30))
-		if p.CumNs > p.Ns && p.Ns > 0 {
-			fmt.Fprintf(&b, " (%.3f ms cum, %.1fx)",
-				float64(p.CumNs)/1e6, float64(p.CumNs)/float64(p.Ns))
-		}
-		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "placement: %d read / %d write candidates -> %d / %d placed tuples\n",
 		s.CandidateReads, s.CandidateWrites, s.PlacedReadTuples, s.PlacedWriteTuples)

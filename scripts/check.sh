@@ -21,9 +21,9 @@ go test -run '^$' -bench . -benchtime 1x .
 # vet and test it here so a moved API is noticed before the benchmark runs.
 go vet -C benchmark ./...
 go test -C benchmark ./...
-# The whole module must also be clean under the race detector: the compiler
-# fans per-function analysis across a worker pool, units are driven from
-# concurrent goroutines in tests, and earthd's scrape endpoints read the shard
+# The whole module must also be clean under the race detector: one pipeline
+# and its compile cache serve concurrent goroutines (earthd's shards, and
+# TestSharedPipelineConcurrency), and earthd's scrape endpoints read the shard
 # registries and live job timelines while the shard workers write
 # them — this catches any accidental sharing. The counter pins
 # (counters_test.go; their allocation ceilings skip themselves here), the
