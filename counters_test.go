@@ -30,14 +30,16 @@ var oldenCounters = []struct {
 	// on the same 4 nodes), the ablation table's PGO row.
 	pgoOps int64
 	// Measured allocations per BenchmarkOldenQuick run. Each fell by 45–79
-	// (power from 182) when the telemetry sampler was deleted.
+	// (power from 182) when the telemetry sampler was deleted, and by 0–4 more
+	// when each node kept one pending EU wake-up (a shorter event queue grows
+	// fewer times).
 	allocs int64
 }{
-	{"power", 257219, 483, 6464, 2672, 2672, 137},
-	{"tsp", 28947, 6193, 3298, 1534, 1439, 918},
-	{"health", 60092, 11286, 14929, 7017, 7017, 678},
-	{"perimeter", 339749, 23528, 6493, 5897, 5897, 2303},
-	{"voronoi", 103257, 34297, 15990, 8758, 8500, 4207},
+	{"power", 257219, 309, 6464, 2672, 2672, 136},
+	{"tsp", 28947, 6157, 3298, 1534, 1439, 918},
+	{"health", 60092, 5675, 14929, 7017, 7017, 674},
+	{"perimeter", 339749, 10231, 6493, 5897, 5897, 2299},
+	{"voronoi", 103257, 34261, 15990, 8758, 8500, 4206},
 }
 
 // haloEvents is BenchmarkSimNodes' deterministic metric: events of the halo
@@ -46,10 +48,10 @@ var haloEvents = []struct {
 	nodes  int
 	events int64
 }{
-	{4, 1930},
-	{64, 32890},
-	{256, 131962},
-	{1024, 528250},
+	{4, 1527},
+	{64, 28887},
+	{256, 116439},
+	{1024, 466647},
 }
 
 // haloJobBytes and haloJobAllocs are the measured heap bytes and allocations
@@ -68,11 +70,12 @@ const (
 // reused, as earthd does. Every shard records straight into that recorder.
 // When each shard recorded into a fresh private one that Run then merged, a
 // round took 25.5 MB, 35 times as much; the sampler's deletion took the round
-// from 734,312 bytes and 29,616 allocations to these. Most of the allocations
+// from 734,312 bytes and 29,616 allocations to 669,113 and 29,505, and one
+// pending EU wake-up per node to 29,495 allocations. Most of the allocations
 // left are the recorder's per-node SU queue bookkeeping (SUSpan).
 const (
 	tracedMixBytes  = 669_113
-	tracedMixAllocs = 29_505
+	tracedMixAllocs = 29_495
 )
 
 // simulator is BenchmarkSimulator's row: power with every observer off, so
@@ -81,7 +84,7 @@ const (
 var simulator = struct {
 	instructions int64
 	allocs       int64 // measured per run
-}{257219, 137}
+}{257219, 136}
 
 // Measured allocations per op of BenchmarkCompile and BenchmarkCompileWarm.
 // A compile fell from 28,861 when the per-function worker pool was deleted

@@ -8,14 +8,16 @@ import (
 	"repro/internal/threaded"
 )
 
-// runEU is the EU event handler: when the EU is free and a fiber is ready,
-// run it until it suspends or completes.
+// runEU handles the node's one pending EU wake-up (see node.euWake): when
+// the EU is free and a fiber is ready, run it until it suspends or
+// completes, then wake again if another fiber is ready.
 func (m *shard) runEU(n *node, t int64) {
 	if t < n.euFree {
 		m.schedule(n.euFree, evEURun, n.id, nil)
 		return
 	}
 	if n.readyLen() == 0 {
+		n.euWake = false
 		return
 	}
 	f := n.popReady()
@@ -30,6 +32,8 @@ func (m *shard) runEU(n *node, t int64) {
 	n.euFree = t
 	if n.readyLen() > 0 {
 		m.schedule(t, evEURun, n.id, nil)
+	} else {
+		n.euWake = false
 	}
 }
 

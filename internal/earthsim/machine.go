@@ -145,8 +145,9 @@ type Result struct {
 	Output  string
 	MainRet int64 // main's return value (raw bits)
 	// Events counts dispatched simulator events — a host-side throughput
-	// diagnostic (events/sec in benchmarks), excluded from Visible because
-	// it follows timing (retry timers, no-op EU wake-ups), not data flow.
+	// diagnostic (events/sec in benchmarks): message hops, EU runs and retry
+	// timers. It is excluded from Visible because it follows timing, not
+	// data flow.
 	Events int64
 	// Profile carries the per-site measurements of a profiled program
 	// (prog.Profiled; see internal/profile), nil otherwise.
@@ -280,6 +281,10 @@ type node struct {
 	freeBig   map[int][]int64
 	euFree    int64
 	suFree    int64
+	// euWake is true exactly while an evEURun for this node is queued or
+	// being dispatched: a free EU takes the next ready fiber, so one pending
+	// wake-up per node is enough however many fibers became ready.
+	euWake bool
 	// ready is the EU's fiber queue, consumed from readyAt so the backing
 	// array is reused instead of reallocated on every enqueue/dequeue pair.
 	ready   []*fiber
@@ -821,7 +826,13 @@ func (m *shard) newSharedFiber(nodeID int, code *threaded.FnCode, base int64, ro
 	return f
 }
 
+// enqueueReady makes f ready on n, waking the EU at t unless a wake-up is
+// already pending: that one fires once the EU is free, and the EU takes
+// ready fibers in queue order.
 func (m *shard) enqueueReady(n *node, f *fiber, t int64) {
 	n.ready = append(n.ready, f)
-	m.schedule(t, evEURun, n.id, nil)
+	if !n.euWake {
+		n.euWake = true
+		m.schedule(t, evEURun, n.id, nil)
+	}
 }

@@ -119,19 +119,24 @@ func (g goldenCell) check(t *testing.T, r surface) {
 	}
 }
 
-// TestShardedEquivalenceMatrix sweeps {Olden benchmark} x {faults off/on}:
-// each run must match its golden cell.
+// TestShardedEquivalenceMatrix sweeps {Olden benchmark} x {faults off/on} on
+// 4 nodes, and the five Olden programs fault-free on 3 and 16 nodes: each
+// run must match its golden cell.
 func TestShardedEquivalenceMatrix(t *testing.T) {
-	const nodes = 4
+	type cell struct {
+		name   string
+		nodes  int
+		faults string
+	}
 	for _, bm := range append(olden.All(), olden.Halo()) {
-		for _, faultSpec := range []string{"", matrixFaults} {
-			name := bm.Name
-			if faultSpec != "" {
-				name += "/faults"
-			}
-			bm, faultSpec := bm, faultSpec
-			t.Run(name, func(t *testing.T) {
-				golden(t, bm.Name, nodes, faultSpec).check(t, matrixRun(t, bm, nodes, faultSpec, ""))
+		cells := []cell{{"", 4, ""}, {"/faults", 4, matrixFaults}}
+		if bm.Name != "halo" {
+			cells = append(cells, cell{"/nodes=3", 3, ""}, cell{"/nodes=16", 16, ""})
+		}
+		for _, c := range cells {
+			bm, c := bm, c
+			t.Run(bm.Name+c.name, func(t *testing.T) {
+				golden(t, bm.Name, c.nodes, c.faults).check(t, matrixRun(t, bm, c.nodes, c.faults, ""))
 			})
 		}
 	}

@@ -1,6 +1,7 @@
 package earthsim_test
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -144,6 +145,57 @@ int main() {
 		a.Counts != b.Counts {
 		t.Errorf("simulation is not deterministic: %v/%v vs %v/%v",
 			a.Time, a.MainRet, b.Time, b.MainRet)
+	}
+}
+
+// TestEUWakeups: a k-iteration forall on one node costs k+2 events — main's
+// run, one per iteration and main's resumption after the join. Fibers made
+// ready while the EU is busy share the node's one pending wake-up; a wake-up
+// per ready fiber, each re-queuing itself whenever the EU frees, costs
+// (k+2)². Time and instructions are those of the quadratic schedule: the
+// EU runs the same fibers at the same times either way.
+func TestEUWakeups(t *testing.T) {
+	const src = `
+struct C { int v; struct C *next; };
+int main() {
+	C *head;
+	C *p;
+	int i;
+	int s;
+	head = NULL;
+	for (i = 0; i < K; i++) {
+		p = alloc(C);
+		p->v = i;
+		p->next = head;
+		head = p;
+	}
+	forall (p = head; p != NULL; p = p->next) {
+		p->v = p->v + 1;
+	}
+	s = 0;
+	for (p = head; p != NULL; p = p->next) s = s + p->v;
+	return s;
+}
+`
+	for _, c := range []struct {
+		k            int64
+		time, instrs int64
+	}{
+		{16, 68_044, 468},
+		{64, 268_876, 1_812},
+		{256, 1_072_204, 7_188},
+	} {
+		res := run(t, strings.ReplaceAll(src, "K", strconv.FormatInt(c.k, 10)), 1, false)
+		if want := c.k * (c.k + 1) / 2; res.MainRet != want {
+			t.Errorf("k=%d: main returned %d, want %d", c.k, res.MainRet, want)
+		}
+		if want := c.k + 2; res.Events != want {
+			t.Errorf("k=%d: %d events, want %d", c.k, res.Events, want)
+		}
+		if res.Time != c.time || res.Counts.Instructions != c.instrs {
+			t.Errorf("k=%d: time/instructions %d/%d, want %d/%d",
+				c.k, res.Time, res.Counts.Instructions, c.time, c.instrs)
+		}
 	}
 }
 
