@@ -30,16 +30,18 @@ var oldenCounters = []struct {
 	// on the same 4 nodes), the ablation table's PGO row.
 	pgoOps int64
 	// Measured allocations per BenchmarkOldenQuick run. Each fell by 45–79
-	// (power from 182) when the telemetry sampler was deleted, and by 0–4 more
+	// (power from 182) when the telemetry sampler was deleted, by 0–4 more
 	// when each node kept one pending EU wake-up (a shorter event queue grows
-	// fewer times).
+	// fewer times), and by 35–4,002 (from 136, 918, 674, 2,299 and 4,206)
+	// when blocking on a fill started to reuse the node's emptied waiter
+	// lists.
 	allocs int64
 }{
-	{"power", 257219, 309, 6464, 2672, 2672, 136},
-	{"tsp", 28947, 6157, 3298, 1534, 1439, 918},
-	{"health", 60092, 5675, 14929, 7017, 7017, 674},
-	{"perimeter", 339749, 10231, 6493, 5897, 5897, 2299},
-	{"voronoi", 103257, 34261, 15990, 8758, 8500, 4206},
+	{"power", 257219, 309, 6464, 2672, 2672, 101},
+	{"tsp", 28947, 6157, 3298, 1534, 1439, 241},
+	{"health", 60092, 5675, 14929, 7017, 7017, 243},
+	{"perimeter", 339749, 10231, 6493, 5897, 5897, 904},
+	{"voronoi", 103257, 34261, 15990, 8758, 8500, 204},
 }
 
 // haloEvents is BenchmarkSimNodes' deterministic metric: events of the halo
@@ -58,10 +60,11 @@ var haloEvents = []struct {
 // of one 128-node halo run set up as an earthd job (jobRun) — benchmark/'s
 // halo_sharded job and BenchmarkHaloJob. They fell from 674,347 and 10,130
 // when the always-on telemetry sampler was deleted (its series' EU, SU and
-// link quantities are all in a trace recording).
+// link quantities are all in a trace recording), and from 537,360 and 10,107
+// when blocking on a fill started to reuse the node's emptied waiter lists.
 const (
-	haloJobBytes  = 537_360
-	haloJobAllocs = 10_107
+	haloJobBytes  = 480_264
+	haloJobAllocs = 2_221
 )
 
 // tracedMixBytes and tracedMixAllocs are the measured heap bytes and
@@ -71,11 +74,12 @@ const (
 // When each shard recorded into a fresh private one that Run then merged, a
 // round took 25.5 MB, 35 times as much; the sampler's deletion took the round
 // from 734,312 bytes and 29,616 allocations to 669,113 and 29,505, and one
-// pending EU wake-up per node to 29,495 allocations. Most of the allocations
-// left are the recorder's per-node SU queue bookkeeping (SUSpan).
+// pending EU wake-up per node to 29,495 allocations, and reused waiter lists
+// to 603,270 bytes and 22,955 allocations. Most of the allocations left are
+// the recorder's per-node SU queue bookkeeping (SUSpan).
 const (
-	tracedMixBytes  = 669_113
-	tracedMixAllocs = 29_495
+	tracedMixBytes  = 603_270
+	tracedMixAllocs = 22_955
 )
 
 // simulator is BenchmarkSimulator's row: power with every observer off, so
@@ -84,7 +88,7 @@ const (
 var simulator = struct {
 	instructions int64
 	allocs       int64 // measured per run
-}{257219, 136}
+}{257219, 101}
 
 // Measured allocations per op of BenchmarkCompile and BenchmarkCompileWarm.
 // A compile fell from 28,861 when the per-function worker pool was deleted

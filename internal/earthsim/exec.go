@@ -48,6 +48,10 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 	rd := func(slot int) int64 { return m.operand(f, n, f.base+int64(slot)) }
 	wr := func(slot int, v int64) { n.mem[f.base+int64(slot)] = v }
 	for m.trap == nil {
+		if uint(f.pc) < uint(len(f.code.Code)) && localOp(f.code.Code[f.pc].Op) {
+			m.execLocal(f, t)
+		}
+		// The general step: one instruction, with every check.
 		if f.pc < 0 || f.pc >= len(f.code.Code) {
 			m.trapf("%s: pc %d out of range", f.code.Name, f.pc)
 			return
@@ -656,6 +660,145 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 	}
 }
 
+// localOp reports whether execLocal runs op: the frame-local opcodes, and
+// loads and stores of the executing node's own memory.
+func localOp(op threaded.Op) bool {
+	switch op {
+	case threaded.OpLoadImm, threaded.OpMove, threaded.OpBin,
+		threaded.OpJmp, threaded.OpJmpIf, threaded.OpJmpIfNot, threaded.OpJmpEq,
+		threaded.OpLocalLoad, threaded.OpLocalStore, threaded.OpFieldAddr,
+		threaded.OpMemLoad, threaded.OpMemStore:
+		return true
+	}
+	return false
+}
+
+// execLocal runs f from f.pc in a tight loop for as long as the instructions
+// are localOp ones and can finish exactly. It stops before the first one that
+// could block, trap or need a check, and execFiber's general step then runs
+// that instruction: another opcode, a pc out of range, a word with a fill in
+// flight, a binOp error, faddr of null, a profiled mload/mstore, one through
+// a null or remote pointer or beyond the node's memory, or the instruction
+// that would reach the next limit check or the fiber's runaway limit.
+// Instructions, f.ninstr and EU time are charged once for the whole run.
+func (m *shard) execLocal(f *fiber, t *int64) {
+	n := f.node
+	code, mem, pending, base := f.code.Code, n.mem, n.pending, f.base
+	// A word at or past maxWords may already be in the slice (ensure grows
+	// it 1,024 words at a time); the general step traps on it.
+	memLimit := min(uint64(len(mem)), uint64(n.maxWords))
+	profiled := m.prof != nil
+	budget := min(m.nextLimitCheck-1-m.counts.Instructions, m.maxFiberInstr-f.ninstr)
+	pc, k, memOps := f.pc, int64(0), int64(0)
+run:
+	for ; k < budget && uint(pc) < uint(len(code)); k++ {
+		in := &code[pc]
+		switch in.Op {
+		case threaded.OpLoadImm:
+			a := base + int64(in.A)
+			if pending[a] > 0 {
+				break run
+			}
+			mem[a] = in.Imm
+		case threaded.OpMove:
+			a, b := base+int64(in.A), base+int64(in.B)
+			if pending[a]|pending[b] > 0 {
+				break run
+			}
+			mem[a] = mem[b]
+		case threaded.OpBin:
+			a, b, c := base+int64(in.A), base+int64(in.B), base+int64(in.C)
+			if pending[a]|pending[b]|pending[c] > 0 {
+				break run
+			}
+			v, err := binOp(in.BOp, mem[b], mem[c], in.Flt)
+			if err != nil {
+				break run
+			}
+			mem[a] = v
+		case threaded.OpJmp:
+			pc = in.C
+			continue
+		case threaded.OpJmpIf:
+			a := base + int64(in.A)
+			if pending[a] > 0 {
+				break run
+			}
+			if mem[a] != 0 {
+				pc = in.C
+				continue
+			}
+		case threaded.OpJmpIfNot:
+			a := base + int64(in.A)
+			if pending[a] > 0 {
+				break run
+			}
+			if mem[a] == 0 {
+				pc = in.C
+				continue
+			}
+		case threaded.OpJmpEq:
+			a := base + int64(in.A)
+			if pending[a] > 0 {
+				break run
+			}
+			if mem[a] == in.Imm {
+				pc = in.C
+				continue
+			}
+		case threaded.OpLocalLoad:
+			a, b := base+int64(in.A), base+int64(in.B+in.C)
+			if pending[a]|pending[b] > 0 {
+				break run
+			}
+			mem[a] = mem[b]
+		case threaded.OpLocalStore:
+			a, b := base+int64(in.B+in.C), base+int64(in.A)
+			if pending[a]|pending[b] > 0 {
+				break run
+			}
+			mem[a] = mem[b]
+		case threaded.OpFieldAddr:
+			a, b := base+int64(in.A), base+int64(in.B)
+			if pending[a]|pending[b] > 0 || mem[b] == 0 {
+				break run
+			}
+			mem[a] = mem[b] + int64(in.C)
+		case threaded.OpMemLoad:
+			a, b := base+int64(in.A), base+int64(in.B)
+			if profiled || pending[a]|pending[b] > 0 {
+				break run
+			}
+			p := mem[b]
+			o := threaded.AddrOff(p) + int64(in.C)
+			if threaded.AddrNode(p) != n.id || uint64(o) >= memLimit { // null is node -1
+				break run
+			}
+			mem[a] = mem[o]
+			memOps++
+		case threaded.OpMemStore:
+			a, b := base+int64(in.A), base+int64(in.B)
+			if profiled || pending[a]|pending[b] > 0 {
+				break run
+			}
+			p := mem[b]
+			o := threaded.AddrOff(p) + int64(in.C)
+			if threaded.AddrNode(p) != n.id || uint64(o) >= memLimit {
+				break run
+			}
+			mem[o] = mem[a]
+			memOps++
+		default:
+			break run
+		}
+		pc++
+	}
+	f.pc = pc
+	m.counts.Instructions += k
+	f.ninstr += k
+	*t += k*m.cfg.InstrCost + memOps*m.cfg.LocalMemCost
+}
+
 // operand reads frame word abs of f (running on n) for the executing
 // instruction. A word with a fill in flight is not present: the fiber blocks
 // on it and the instruction, seeing f.blocked(), re-executes after the wake.
@@ -721,7 +864,7 @@ func (m *shard) execCallAt(f *fiber, t *int64, in *threaded.Instr) bool {
 			return false
 		}
 		if p == 0 {
-			m.trapf("%s@%d: @OWNER_OF(NULL) slot=%d base=%d frame=%v", f.code.Name, f.pc, in.C, f.base, n.mem[f.base:f.base+int64(min(f.size, 40))])
+			m.trapf("%s@%d: @OWNER_OF(NULL)", f.code.Name, f.pc)
 			return false
 		}
 		target = threaded.AddrNode(p)

@@ -291,8 +291,10 @@ type node struct {
 	readyAt int
 	netLast []int64 // per-destination last scheduled arrival (FIFO)
 	// waiters lists the fibers blocked per word; consulted only for words
-	// whose pending counter carries hasWaiter.
-	waiters map[int64][]*fiber
+	// whose pending counter carries hasWaiter. waitFree holds the emptied
+	// lists wakeWaiters gave back, which block reuses.
+	waiters  map[int64][]*fiber
+	waitFree [][]*fiber
 }
 
 // hasWaiter flags a pending counter whose word some fiber is blocked on, so

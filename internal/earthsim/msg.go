@@ -437,10 +437,15 @@ func (m *shard) block(f *fiber, abs int64) {
 	m.park(f)
 	n := f.node
 	n.pending[abs] |= hasWaiter
-	if slices.Contains(n.waiters[abs], f) {
+	ws := n.waiters[abs]
+	if slices.Contains(ws, f) {
 		return
 	}
-	n.waiters[abs] = append(n.waiters[abs], f)
+	if ws == nil && len(n.waitFree) > 0 {
+		ws = n.waitFree[len(n.waitFree)-1]
+		n.waitFree = n.waitFree[:len(n.waitFree)-1]
+	}
+	n.waiters[abs] = append(ws, f)
 }
 
 // fill delivers a value into a pending frame slot and, once no fills
@@ -470,7 +475,8 @@ func (m *shard) fillBlock(f *fiber, abs int64, vals []int64, t int64) {
 	}
 }
 
-// wakeWaiters resumes fibers blocked on a just-filled word.
+// wakeWaiters resumes fibers blocked on a just-filled word, in the order they
+// blocked, and gives the emptied list back to node.waitFree.
 func (m *shard) wakeWaiters(n *node, abs int64, t int64) {
 	ws := n.waiters[abs]
 	delete(n.waiters, abs)
@@ -481,6 +487,8 @@ func (m *shard) wakeWaiters(n *node, abs int64, t int64) {
 		f.waitSlot = -1
 		m.enqueueReady(n, f, t)
 	}
+	clear(ws)
+	n.waitFree = append(n.waitFree, ws[:0])
 }
 
 // ack resolves one outstanding write/void-RPC and wakes a fenced fiber.

@@ -242,9 +242,10 @@ int main() {
 	return x;
 }
 `
-	err := runErr(t, src, 2)
-	if err == nil || !strings.Contains(err.Error(), "OWNER_OF(NULL)") {
-		t.Errorf("expected an @OWNER_OF(NULL) trap, got %v", err)
+	// The message is the client's: it names the site and nothing of the frame.
+	const want = "earthsim: main@2: @OWNER_OF(NULL)"
+	if err := runErr(t, src, 2); err == nil || err.Error() != want {
+		t.Errorf("got error %v, want %s", err, want)
 	}
 }
 

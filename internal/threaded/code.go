@@ -168,9 +168,7 @@ type FnCode struct {
 	NSlots int   // frame size in words
 	Params []int // parameter slot indices, in order
 	Code   []Instr
-	// FloatSlots marks slots holding doubles (for printing/debugging only;
-	// execution is untyped raw words).
-	IsArm bool // shares the spawner's frame
+	IsArm  bool // shares the spawner's frame
 }
 
 // Disasm renders the function's code.
