@@ -1,0 +1,136 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/olden"
+	"repro/internal/simple"
+)
+
+// compiledCodeGolden pins, for every (program, option set) cell, the sha256
+// of what the compiler emits: the post-selection SIMPLE text with statement
+// labels, the commsel report and the canonical threaded-code disassembly
+// (functions sorted by name). A compiler change that must not change the
+// code — a faster analysis, a leaner data structure — holds every cell; a
+// change that moves a placement or selection decision moves some.
+var compiledCodeGolden = map[string]string{
+	"power/default/O":                   "17d587e10be6bbb31bbe5d921b6f8ba35979152cdb8a3d3303c7930a983fef07",
+	"power/default/O,NoInline":          "efb036f95aeb37e0b26ff7d04e2a52a354a31925aaaca447af7482e01d39f89d",
+	"power/default/O,ReorderFields":     "860bf8bd22234423db211f080447f6d70c48733379fbb809da4c1a43612521cb",
+	"power/quick/O":                     "e6f73a4997cb79710b7d610bc32af4d10f331dec641499c8af258091cc05473c",
+	"power/quick/O,NoInline":            "3a327880e2d7319a9324978b6ac4ebb97850fbf5eb5d129e1bc4f043578d19b5",
+	"power/quick/O,ReorderFields":       "a959efef893dfd8a2ea0ccc258dbfae939aff0aa858d568eb3fee175b8d42602",
+	"tsp/default/O":                     "cf1df5e96c03a91aef0ded7e7c0886bd2702777ea9ecada347e2bb13b7ae500d",
+	"tsp/default/O,NoInline":            "11c5f57aab43bed8c5ae10746eaaa5319c97bb36e290a84b408589127b2901d0",
+	"tsp/default/O,ReorderFields":       "9222e920b440cb9fec9bb0a021eb194eb3899984307af3cec4336420ee2d9f94",
+	"tsp/quick/O":                       "e0168469f669f0eec4b6204c6391435dc172d3c8ec903b8188634b867ccf508f",
+	"tsp/quick/O,NoInline":              "912405db0ace76e13c1312dca3a0ce50378caded0728620183f1fde7764bdd50",
+	"tsp/quick/O,ReorderFields":         "42a71473d0eb8b31054d4bc52ade18905a620b43d7d7330fd09d5298b996ad41",
+	"health/default/O":                  "5f5d7280c057b1438537988d4745a72b3eceec77bac3ca19f831c0d2b518ca89",
+	"health/default/O,NoInline":         "e7a424d4abf8b72d9a575951d4171b40f69a6a018d647424f5271dd1428a5ee4",
+	"health/default/O,ReorderFields":    "203013c5f6ad752b6a62586eabc5c1b00506e5c1dc85e6397937d804fe18c55c",
+	"health/quick/O":                    "9f30ae64361c9caf4a9c64e245a1d55d7db67cc4d9a5dd6bab7b37b310901c0b",
+	"health/quick/O,NoInline":           "bd1f4e2d6f93a516d9cad3655812c314a553c615339a940604f9ba7b99f0f3b4",
+	"health/quick/O,ReorderFields":      "8495155ed7148fe368a7972ac3fdaa3cfbad6adc1ccac54c366cd5eb642a1895",
+	"perimeter/default/O":               "6a08334aca3eba3138d651a5002ad5caff3b3bff631b4050f83bfecf7a822cad",
+	"perimeter/default/O,NoInline":      "38669d76ec5e75ad871d3fe41c88609fac2094b77fc672130fed936469b27235",
+	"perimeter/default/O,ReorderFields": "ec2132d7c30ce095af6aed0f621cbf5286919a9dd2780de6d935f78f0acd18ab",
+	"perimeter/quick/O":                 "1bf2af32a3dae546686917dc5555315486299c3070c85b4d64d3793058148e5e",
+	"perimeter/quick/O,NoInline":        "354a0314997a60a8c6fe4637c650099577ae03e7d7281562c6fbd1f5af558217",
+	"perimeter/quick/O,ReorderFields":   "5eb9e697c2e96840c82f5cfe54f2a22f0c254f948629e2f91471cc72fb8f410b",
+	"voronoi/default/O":                 "55df389c7cf1029fdcb535b78e2f3b9704d1cd2b88f06810f49880b01f5206b6",
+	"voronoi/default/O,NoInline":        "1f8b1c7590a7201eb0835bde9d09b1aabb66a209d28c9e4ade2bb36d23b869cf",
+	"voronoi/default/O,ReorderFields":   "fb66908a2e180f622873e084edbb63021bc4b9c530bbe68e45d3646837346bdb",
+	"voronoi/quick/O":                   "c153e60f9bd4843a91f142695c3880b757c067c269bb4e926b5401f16cc8ea3c",
+	"voronoi/quick/O,NoInline":          "8c5bb357f94f229cd637aa015afd4f2023650e2c4f96763c5a8b37bc484ae281",
+	"voronoi/quick/O,ReorderFields":     "dddebb9075f82008b16601d6171a85305cbc0e8e7d48a5434a660d75b8e29c8d",
+	"halo/default/O":                    "6af3509076fba6e322a74e59dabc01cab2ca631b532bcc4869221ece16324a37",
+	"halo/default/O,NoInline":           "6af3509076fba6e322a74e59dabc01cab2ca631b532bcc4869221ece16324a37",
+	"halo/default/O,ReorderFields":      "f232818342f62e5abd12dc601e32843c66d5dcd4777ffe444f0edec88f8014c8",
+	"count.ec/O":                        "b51c7c51f0cb794f961b6058e5c7e2c1073f0fb3f06d39d499ee40f74711bbd3",
+	"count.ec/O,NoInline":               "a8f812abb5ea27c51675f1aa4460c680e3c836d39609d9ccbb2a8931a60edc0b",
+	"count.ec/O,ReorderFields":          "2706b4b847a6ff0cf302f1849143d48152c4da1c24c8d3b6d8920595b8b38e71",
+	"distance.ec/O":                     "97254c5796d70c410b9af184069e44cf9922f93c950a28bef7733a6b50f52ed3",
+	"distance.ec/O,NoInline":            "ad66dd3ce7d7a3df4849cc73e90c9dfe656faace2643fbfc48d6902635be0faa",
+	"distance.ec/O,ReorderFields":       "97254c5796d70c410b9af184069e44cf9922f93c950a28bef7733a6b50f52ed3",
+	"listsearch.ec/O":                   "314af9aab9a654eaa911df71efd76cde6a14bf0bd0e837f64271ab0b48dad745",
+	"listsearch.ec/O,NoInline":          "a36eba005f9fbecd12d7e5f5e955831b5b153725187ba4a034a4a5507a65d622",
+	"listsearch.ec/O,ReorderFields":     "314af9aab9a654eaa911df71efd76cde6a14bf0bd0e837f64271ab0b48dad745",
+	"scale_point.ec/O":                  "d46503bc2a93cd588d787e31a139f59b3826ff0cc7ba6773fea8ccd42d99993c",
+	"scale_point.ec/O,NoInline":         "99f0ad8daf677baf42d395138e65fd24976ae10354e982b2ea6585f520ad9e48",
+	"scale_point.ec/O,ReorderFields":    "d46503bc2a93cd588d787e31a139f59b3826ff0cc7ba6773fea8ccd42d99993c",
+}
+
+// compiledCodeHash is the hash compiledCodeGolden pins for one compiled unit.
+func compiledCodeHash(t *testing.T, u *Unit) string {
+	t.Helper()
+	disasm, err := u.Disasm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, f := range u.Simple.Funcs {
+		h.Write([]byte(simple.FuncString(f, simple.PrintOptions{Labels: true})))
+	}
+	h.Write([]byte("\x00" + u.Report.String() + "\x00" + disasm))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCompiledCodeGolden compiles every Olden program at default and quick
+// size, halo and each testdata/*.ec program under -O, -O with NoInline and -O
+// with ReorderFields, and checks the emitted code against compiledCodeGolden.
+func TestCompiledCodeGolden(t *testing.T) {
+	type source struct{ name, text string }
+	var sources []source
+	for _, bm := range olden.All() {
+		sources = append(sources,
+			source{bm.Name + "/default", bm.Source(bm.DefaultParams)},
+			source{bm.Name + "/quick", bm.Source(olden.QuickParams(bm))})
+	}
+	halo := olden.Halo()
+	sources = append(sources, source{"halo/default", halo.Source(halo.DefaultParams)})
+	files, err := filepath.Glob("../../testdata/*.ec")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata programs found: %v", err)
+	}
+	for _, f := range files {
+		text, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources = append(sources, source{filepath.Base(f), string(text)})
+	}
+	optionSets := []struct {
+		name string
+		opt  Options
+	}{
+		{"O", Options{Optimize: true}},
+		{"O,NoInline", Options{Optimize: true, NoInline: true}},
+		{"O,ReorderFields", Options{Optimize: true, ReorderFields: true}},
+	}
+	var mismatched []string
+	for _, src := range sources {
+		for _, set := range optionSets {
+			cell := src.name + "/" + set.name
+			u, err := compile(src.name+".ec", src.text, set.opt)
+			if err != nil {
+				t.Fatalf("%s: %v", cell, err)
+			}
+			got := compiledCodeHash(t, u)
+			want, ok := compiledCodeGolden[cell]
+			if !ok || got != want {
+				mismatched = append(mismatched, fmt.Sprintf("\t%q: %q,", cell, got))
+			}
+		}
+	}
+	if len(mismatched) != 0 {
+		t.Errorf("%d of %d cells differ from compiledCodeGolden; the emitted hashes are:\n%s",
+			len(mismatched), len(sources)*len(optionSets), strings.Join(mismatched, "\n"))
+	}
+}
