@@ -111,6 +111,40 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
+// tinyPrograms are compile_cold's five programs, at the sizes
+// benchmark/workloads.go gives them: sizes at which compiling, not
+// simulating, is most of a job.
+var tinyPrograms = []struct {
+	name   string
+	params olden.Params
+}{
+	{"power", olden.Params{Size: 2, Iters: 1}},
+	{"tsp", olden.Params{Size: 8}},
+	{"health", olden.Params{Size: 1, Iters: 2}},
+	{"perimeter", olden.Params{Size: 2}},
+	{"voronoi", olden.Params{Size: 8}},
+}
+
+// BenchmarkCompileTiny compiles compile_cold's five tiny programs in
+// process, one op being all five, so a compiler change can be A/B-tested
+// pinned to one CPU without earthd, HTTP or the simulator in the way.
+func BenchmarkCompileTiny(b *testing.B) {
+	srcs := make([]string, len(tinyPrograms))
+	for i, tp := range tinyPrograms {
+		srcs[i] = olden.ByName(tp.name).Source(tp.params)
+	}
+	p := core.NewPipeline(core.Options{Optimize: true})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, src := range srcs {
+			if _, err := p.Compile(tinyPrograms[j].name+".ec", src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkCompileWarm measures recompiling the unchanged source against a
 // warm compile cache: the unit LRU serves the same immutable unit, so the
 // warm cost is hashing the source plus one lookup. Paired with

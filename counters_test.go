@@ -90,11 +90,15 @@ var simulator = struct {
 	allocs       int64 // measured per run
 }{257219, 101}
 
-// Measured allocations per op of BenchmarkCompile and BenchmarkCompileWarm.
-// A compile fell from 28,861 when the per-function worker pool was deleted
-// and each phase wrote straight into its result in function order.
+// Measured allocations per op of BenchmarkCompile and BenchmarkCompileWarm,
+// and the cold compile's heap bytes. A compile fell from 28,861 allocations
+// when the per-function worker pool was deleted and each phase wrote
+// straight into its result in function order, and from 28,205 allocations
+// and 2,611,716 bytes when read/write sets became sorted arrays of interned
+// ids instead of up to four maps per statement.
 const (
-	compileAllocs     = 28205
+	compileAllocs     = 21_669
+	compileBytes      = 1_982_624
 	compileWarmAllocs = 20
 )
 
@@ -221,6 +225,25 @@ func TestHaloJobBytes(t *testing.T) {
 	run := jobRun(t, olden.Halo(), 128)
 	if got, want := bytesPerRun(5, func() { run() }), ceiling(haloJobBytes); got > want {
 		t.Errorf("128-node halo job: bytes per run: got %d, want <= %d", got, want)
+	}
+}
+
+// TestCompileBytes holds BenchmarkCompile's cold compile of health to
+// compileBytes.
+func TestCompileBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation under -race is not the program's")
+	}
+	health := olden.ByName("health")
+	src := health.Source(health.DefaultParams)
+	p := core.NewPipeline(core.Options{Optimize: true})
+	compile := func() {
+		if _, err := p.Compile("health.ec", src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := bytesPerRun(5, compile), ceiling(compileBytes); got > want {
+		t.Errorf("cold compile of health: bytes per compile: got %d, want <= %d", got, want)
 	}
 }
 

@@ -12,9 +12,17 @@
 // function; (2) a summary fixpoint that only merges projected summaries
 // along call edges; (3) a per-function populate pass that decorates every
 // statement with its effects using the converged summaries.
+//
+// Every variable, abstract location and provenance is interned once per
+// Analyze as a uint32, and a statement's effects are two sorted,
+// duplicate-free arrays of keys built from those ids (see effects), carved
+// from slabs the Result owns. A compound statement's arrays are the union of
+// its children's.
 package rwsets
 
 import (
+	"slices"
+
 	"repro/internal/par"
 	"repro/internal/pointsto"
 	"repro/internal/sema"
@@ -31,138 +39,182 @@ type Via struct {
 }
 
 // Other is the provenance for accesses not made via a simple pointer+field.
+// Its interned id is 0.
 var Other = Via{}
 
-// viaSet is a small set of provenances; almost every location is reached
-// through one or two, so a slice with linear membership beats a map.
-type viaSet []Via
-
-func (s viaSet) has(v Via) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
+// effects is what a statement (or a function summary) may do, as two
+// sorted, duplicate-free key arrays:
+//
+//   - vars holds id<<1 | write for each scalar variable read or written
+//     directly by name (frame slots and globals);
+//   - mem holds loc<<33 | write<<32 | via for each abstract memory word
+//     possibly read or written, once per provenance (via 0 is Other).
+//
+// Sorting by key puts all accesses of one (loc, write) pair in one run, so
+// "is loc written" is a binary search and "is loc written other than via v"
+// a scan of that run.
+type effects struct {
+	vars []uint32
+	mem  []uint64
 }
 
-// AccessMap records, for each abstract location, the set of provenances
-// through which the statement may access it.
-type AccessMap map[pointsto.Loc]viaSet
+const viaBits = 1<<32 - 1
 
-func (m AccessMap) add(l pointsto.Loc, v Via) bool {
-	s := m[l]
-	if s.has(v) {
-		return false
-	}
-	m[l] = append(s, v)
-	return true
-}
+// Owners recorded for variables that are in no analyzed function's frame.
+const (
+	global  = -1 // a global variable
+	noFrame = -2 // a heap word's base, or a variable created after Analyze
+)
 
-// Effects summarizes what a statement (or function) may do to memory.
-// All four maps are allocated lazily (nil means empty): most statements
-// touch only one or two of them, and an Effects is built for every
-// statement in the program.
-type Effects struct {
-	// VarReads/VarWrites are the scalar variables read/written directly by
-	// name (frame slots and globals).
-	VarReads  map[*simple.Var]bool
-	VarWrites map[*simple.Var]bool
-	// Reads/Writes are the abstract memory words possibly read/written,
-	// with provenance.
-	Reads  AccessMap
-	Writes AccessMap
-	// HasCall reports whether the statement may invoke a user function.
-	HasCall bool
-}
-
-func newEffects() *Effects { return &Effects{} }
-
-func (e *Effects) varRead(v *simple.Var) bool {
-	if e.VarReads[v] {
-		return false
-	}
-	if e.VarReads == nil {
-		e.VarReads = make(map[*simple.Var]bool, 4)
-	}
-	e.VarReads[v] = true
-	return true
-}
-
-func (e *Effects) varWrite(v *simple.Var) bool {
-	if e.VarWrites[v] {
-		return false
-	}
-	if e.VarWrites == nil {
-		e.VarWrites = make(map[*simple.Var]bool, 4)
-	}
-	e.VarWrites[v] = true
-	return true
-}
-
-func (e *Effects) addRead(l pointsto.Loc, v Via) bool {
-	if e.Reads == nil {
-		e.Reads = make(AccessMap, 4)
-	}
-	return e.Reads.add(l, v)
-}
-
-func (e *Effects) addWrite(l pointsto.Loc, v Via) bool {
-	if e.Writes == nil {
-		e.Writes = make(AccessMap, 4)
-	}
-	return e.Writes.add(l, v)
-}
-
-func (e *Effects) mergeFrom(o *Effects) bool {
-	changed := false
-	for v := range o.VarReads {
-		if e.varRead(v) {
-			changed = true
-		}
-	}
-	for v := range o.VarWrites {
-		if e.varWrite(v) {
-			changed = true
-		}
-	}
-	for l, vs := range o.Reads {
-		for _, v := range vs {
-			if e.addRead(l, v) {
-				changed = true
-			}
-		}
-	}
-	for l, vs := range o.Writes {
-		for _, v := range vs {
-			if e.addWrite(l, v) {
-				changed = true
-			}
-		}
-	}
-	if o.HasCall && !e.HasCall {
-		e.HasCall = true
-		changed = true
-	}
-	return changed
-}
-
-// Result holds the computed read/write sets for a program.
+// Result holds the computed read/write sets for a program. It is not safe
+// for concurrent use: queries intern what they look up.
 type Result struct {
-	PT   *pointsto.Result
-	prog *simple.Program
-	// Stmt maps every statement (basic and compound) to its effects.
-	Stmt map[simple.Stmt]*Effects
-	// Summary maps each function to its transitive effects (heap and
-	// global; callee-local frame effects are excluded except where
-	// reachable through pointers).
-	Summary map[*simple.Func]*Effects
-
+	pt *pointsto.Result
+	// stmt maps every statement (basic and compound) to its effects.
+	stmt map[simple.Stmt]effects
+	// summary[i] is prog.Funcs[i]'s transitive effects (heap and global;
+	// callee-local frame effects are excluded except where reachable
+	// through pointers), every access via Other.
+	summary []effects
 	// funcs indexes prog.Funcs by name (FuncByName is a linear scan).
-	funcs map[string]*simple.Func
-	// frame holds each function's own frame variables (params + locals)
-	// for O(1) summary projection.
-	frame map[*simple.Func]map[*simple.Var]bool
+	funcs map[string]int
+
+	// varID interns variables; varFn[id] is the index of the function
+	// whose frame holds the variable, or global or noFrame.
+	varID map[*simple.Var]uint32
+	varFn []int32
+	// locID interns abstract locations; locFn[id] is the owner of the
+	// location's base variable as in varFn, noFrame for a heap word.
+	locID map[pointsto.Loc]uint32
+	locFn []int32
+	// viaID interns provenances, Other as 0; targets[id] holds the ids of
+	// the words P->Off may reach (nil for Other).
+	viaID   map[Via]uint32
+	targets [][]uint32
+
+	// slab32 and slab64 back every effects array and targets slice.
+	slab32 []uint32
+	slab64 []uint64
+	// bufs are per-depth scratch builders: computeStmt at depth d builds a
+	// statement in bufs[2d] and a subsequence of it in bufs[2d+1]. tmp is
+	// ref's.
+	bufs []*builder
+	tmp  []uint32
+}
+
+// builder accumulates keys, unsorted and possibly repeated, until seal.
+type builder struct {
+	r    *Result
+	vars []uint32
+	mem  []uint64
+}
+
+func (e *builder) reset() { e.vars, e.mem = e.vars[:0], e.mem[:0] }
+
+func (e *builder) varRead(v *simple.Var)  { e.vars = append(e.vars, e.r.varOf(v)<<1) }
+func (e *builder) varWrite(v *simple.Var) { e.vars = append(e.vars, e.r.varOf(v)<<1|1) }
+
+func (e *builder) addRead(loc, via uint32) { e.mem = append(e.mem, uint64(loc)<<33|uint64(via)) }
+func (e *builder) addWrite(loc, via uint32) {
+	e.mem = append(e.mem, uint64(loc)<<33|1<<32|uint64(via))
+}
+
+// add appends another statement's effects.
+func (e *builder) add(o effects) {
+	e.vars = append(e.vars, o.vars...)
+	e.mem = append(e.mem, o.mem...)
+}
+
+// normalize sorts the keys and drops repeats.
+func (e *builder) normalize() {
+	slices.Sort(e.vars)
+	e.vars = slices.Compact(e.vars)
+	slices.Sort(e.mem)
+	e.mem = slices.Compact(e.mem)
+}
+
+// buf returns the scratch builder i, emptied.
+func (r *Result) buf(i int) *builder {
+	for len(r.bufs) <= i {
+		r.bufs = append(r.bufs, &builder{r: r})
+	}
+	e := r.bufs[i]
+	e.reset()
+	return e
+}
+
+// seal normalizes e and copies its keys into the slabs.
+func (r *Result) seal(e *builder) effects {
+	e.normalize()
+	return effects{vars: carve(&r.slab32, e.vars), mem: carve(&r.slab64, e.mem)}
+}
+
+// carve copies s to the end of *slab, starting a new slab when it does not
+// fit, and returns the copy capped so that appending to it cannot overwrite
+// a neighbour.
+func carve[T uint32 | uint64](slab *[]T, s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	if cap(*slab)-len(*slab) < len(s) {
+		*slab = make([]T, 0, max(len(s), 2*cap(*slab), 1024))
+	}
+	n := len(*slab)
+	*slab = append(*slab, s...)
+	return (*slab)[n:len(*slab):len(*slab)]
+}
+
+// varOf interns v.
+func (r *Result) varOf(v *simple.Var) uint32 {
+	if id, ok := r.varID[v]; ok {
+		return id
+	}
+	fn := int32(noFrame)
+	if v.Kind == simple.VarGlobal {
+		fn = global
+	}
+	return r.newVar(v, fn)
+}
+
+func (r *Result) newVar(v *simple.Var, fn int32) uint32 {
+	id := uint32(len(r.varFn))
+	r.varID[v] = id
+	r.varFn = append(r.varFn, fn)
+	return id
+}
+
+// loc interns the word off of base.
+func (r *Result) loc(base pointsto.Base, off int) uint32 {
+	l := pointsto.Loc{Base: base, Off: off}
+	if id, ok := r.locID[l]; ok {
+		return id
+	}
+	fn := int32(noFrame)
+	if v, ok := base.(*simple.Var); ok {
+		fn = r.varFn[r.varOf(v)]
+	}
+	id := uint32(len(r.locFn))
+	r.locID[l] = id
+	r.locFn = append(r.locFn, fn)
+	return id
+}
+
+// ref interns the provenance p->off and returns it with the words it may
+// reach; the words are looked up in p's points-to set once per (p, off).
+func (r *Result) ref(p *simple.Var, off int) (uint32, []uint32) {
+	v := Via{P: p, Off: off}
+	if id, ok := r.viaID[v]; ok {
+		return id, r.targets[id]
+	}
+	r.tmp = r.tmp[:0]
+	for pl := range r.pt.Pts(p) {
+		r.tmp = append(r.tmp, r.loc(pl.Base, pl.Off+off))
+	}
+	t := carve(&r.slab32, r.tmp)
+	id := uint32(len(r.targets))
+	r.viaID[v] = id
+	r.targets = append(r.targets, t)
+	return id, t
 }
 
 // Deprecated: ignored pool; use Analyze.
@@ -172,133 +224,113 @@ func AnalyzeP(prog *simple.Program, pt *pointsto.Result, _ *par.Pool) *Result {
 
 // Analyze computes read/write sets given points-to results.
 func Analyze(prog *simple.Program, pt *pointsto.Result) *Result {
-	r := &Result{
-		PT:      pt,
-		prog:    prog,
-		Stmt:    make(map[simple.Stmt]*Effects),
-		Summary: make(map[*simple.Func]*Effects),
-		funcs:   make(map[string]*simple.Func, len(prog.Funcs)),
-		frame:   make(map[*simple.Func]map[*simple.Var]bool, len(prog.Funcs)),
-	}
+	nstmt, nvar := 0, len(prog.Globals)
 	for _, f := range prog.Funcs {
-		r.funcs[f.Name] = f
-		fr := make(map[*simple.Var]bool, len(f.Params)+len(f.Locals))
+		nstmt += 2 * len(f.Basics)
+		nvar += len(f.Params) + len(f.Locals)
+	}
+	r := &Result{
+		pt:      pt,
+		stmt:    make(map[simple.Stmt]effects, nstmt),
+		summary: make([]effects, len(prog.Funcs)),
+		funcs:   make(map[string]int, len(prog.Funcs)),
+		varID:   make(map[*simple.Var]uint32, nvar),
+		varFn:   make([]int32, 0, nvar),
+		locID:   make(map[pointsto.Loc]uint32),
+		viaID:   map[Via]uint32{Other: 0},
+		targets: [][]uint32{nil},
+	}
+	for i, f := range prog.Funcs {
+		r.funcs[f.Name] = i
 		for _, p := range f.Params {
-			fr[p] = true
+			r.newVar(p, int32(i))
 		}
 		for _, l := range f.Locals {
-			fr[l] = true
+			r.newVar(l, int32(i))
 		}
-		r.frame[f] = fr
 	}
 
 	// Step 1: each summary starts as the function's own effects (callee
 	// summaries excluded), projected to caller-visible form; callees[i] is
 	// prog.Funcs[i]'s callee list.
-	callees := make([][]*simple.Func, 0, len(prog.Funcs))
+	callees := make([][]int, len(prog.Funcs))
+	i := 0
 	prog.EachFunc(func(f *simple.Func) {
-		own := newEffects()
+		own := r.buf(0)
 		r.ownEffects(f.Body, own)
-		r.Summary[f] = r.project(own, f)
-		callees = append(callees, r.calleesOf(f))
+		r.summary[i] = r.project(own, i)
+		callees[i] = r.calleesOf(f)
+		i++
 	})
 
 	// Step 2: summary fixpoint along call edges (call graph cycles
 	// converge). Purely a merge of small summary sets.
 	for changed := true; changed; {
 		changed = false
-		for i, f := range prog.Funcs {
-			for _, c := range callees[i] {
-				if r.mergeProjected(r.Summary[f], r.Summary[c], f) {
+		for f := range prog.Funcs {
+			for _, c := range callees[f] {
+				if r.mergeProjected(f, c) {
 					changed = true
 				}
 			}
 		}
 	}
 
-	// Step 3: populate r.Stmt with the converged summaries.
-	prog.EachFunc(func(f *simple.Func) { r.computeStmt(f.Body) })
+	// Step 3: populate r.stmt with the converged summaries.
+	prog.EachFunc(func(f *simple.Func) { r.computeStmt(f.Body, 0) })
 	return r
 }
 
-// project builds a function's caller-visible summary from its body effects:
-// frame variables of the callee are dropped (their lifetimes end), but heap
-// locations, globals, and any variable whose address escapes are kept.
-// Provenance does not survive the call boundary: the caller sees each
-// access as "via other" (an alias it cannot name).
-func (r *Result) project(eff *Effects, f *simple.Func) *Effects {
-	out := newEffects()
-	out.HasCall = true
-	fr := r.frame[f]
-	for v := range eff.VarReads {
-		if v.Kind == simple.VarGlobal {
-			out.varRead(v)
+// project builds function fn's caller-visible summary from its body
+// effects: frame variables of the callee are dropped (their lifetimes end),
+// but heap locations, globals, and any variable whose address escapes are
+// kept. Provenance does not survive the call boundary: the caller sees each
+// access as "via other" (an alias it cannot name). e holds every access
+// of the body, repeats included, so it is filtered before it is sorted.
+func (r *Result) project(e *builder, fn int) effects {
+	vars := e.vars[:0]
+	for _, k := range e.vars {
+		if r.varFn[k>>1] == global {
+			vars = append(vars, k)
 		}
 	}
-	for v := range eff.VarWrites {
-		if v.Kind == simple.VarGlobal {
-			out.varWrite(v)
+	mem := e.mem[:0]
+	for _, k := range e.mem {
+		if r.locFn[k>>33] != int32(fn) {
+			mem = append(mem, k&^viaBits)
 		}
 	}
-	for l := range eff.Reads {
-		if v, ok := l.Base.(*simple.Var); ok && fr[v] {
-			continue
-		}
-		out.addRead(l, Other)
-	}
-	for l := range eff.Writes {
-		if v, ok := l.Base.(*simple.Var); ok && fr[v] {
-			continue
-		}
-		out.addWrite(l, Other)
-	}
-	return out
+	e.vars, e.mem = vars, mem
+	return r.seal(e)
 }
 
-// mergeProjected merges callee summary src into dst, dropping locations in
-// f's own frame (a callee summary can mention them when f passed &local
-// down the call chain — those accesses die with f's frame as far as f's
-// own callers are concerned). Reports whether dst changed.
-func (r *Result) mergeProjected(dst, src *Effects, f *simple.Func) bool {
-	changed := false
-	for v := range src.VarReads {
-		if v.Kind == simple.VarGlobal && dst.varRead(v) {
-			changed = true
+// mergeProjected merges callee c's summary into caller fn's, dropping
+// locations in fn's own frame (a callee summary can mention them when fn
+// passed &local down the call chain — those accesses die with fn's frame
+// as far as fn's own callers are concerned). Reports whether fn's summary
+// changed; summaries only grow, so it did exactly when the union is longer.
+func (r *Result) mergeProjected(fn, c int) bool {
+	dst, src := r.summary[fn], r.summary[c]
+	e := r.buf(0)
+	e.add(dst)
+	e.vars = append(e.vars, src.vars...)
+	for _, k := range src.mem {
+		if r.locFn[k>>33] != int32(fn) {
+			e.mem = append(e.mem, k)
 		}
 	}
-	for v := range src.VarWrites {
-		if v.Kind == simple.VarGlobal && dst.varWrite(v) {
-			changed = true
-		}
+	e.normalize()
+	if len(e.vars) == len(dst.vars) && len(e.mem) == len(dst.mem) {
+		return false
 	}
-	fr := r.frame[f]
-	for l := range src.Reads {
-		if v, ok := l.Base.(*simple.Var); ok && fr[v] {
-			continue
-		}
-		if dst.addRead(l, Other) {
-			changed = true
-		}
-	}
-	for l := range src.Writes {
-		if v, ok := l.Base.(*simple.Var); ok && fr[v] {
-			continue
-		}
-		if dst.addWrite(l, Other) {
-			changed = true
-		}
-	}
-	if src.HasCall && !dst.HasCall {
-		dst.HasCall = true
-		changed = true
-	}
-	return changed
+	r.summary[fn] = r.seal(e)
+	return true
 }
 
 // ownEffects accumulates the effects of s and everything under it into eff,
 // excluding callee summaries (the summary fixpoint adds those along call
 // edges instead). No per-statement records are made.
-func (r *Result) ownEffects(s simple.Stmt, eff *Effects) {
+func (r *Result) ownEffects(s simple.Stmt, eff *builder) {
 	switch st := s.(type) {
 	case *simple.Basic:
 		r.basic(eff, st, false)
@@ -312,33 +344,51 @@ func (r *Result) ownEffects(s simple.Stmt, eff *Effects) {
 	}
 }
 
-// computeStmt computes effects for s (with converged callee summaries) and
-// records them for s and every statement beneath it in r.Stmt.
-func (r *Result) computeStmt(s simple.Stmt) *Effects {
-	eff := newEffects()
+// computeStmt computes effects for s (with converged callee summaries) at
+// nesting depth depth and records them for s and every statement beneath
+// it in r.stmt.
+func (r *Result) computeStmt(s simple.Stmt, depth int) effects {
+	var eff effects
 	switch st := s.(type) {
 	case *simple.Basic:
-		r.basic(eff, st, true)
+		e := r.buf(2 * depth)
+		r.basic(e, st, true)
+		eff = r.seal(e)
+	case *simple.Seq:
+		return r.computeSeq(st, depth)
 	default:
+		e := r.buf(2 * depth)
 		for _, seq := range simple.Subseqs(st) {
-			// Record effects for the subsequence itself too: parallel-arm
-			// interference checks query sibling sequences directly.
-			seqEff := newEffects()
-			for _, c := range seq.Stmts {
-				seqEff.mergeFrom(r.computeStmt(c))
-			}
-			r.Stmt[seq] = seqEff
-			eff.mergeFrom(seqEff)
+			e.add(r.computeSeq(seq, depth))
 		}
-		r.compoundReads(eff, s)
+		r.compoundReads(e, s)
+		eff = r.seal(e)
 	}
-	r.Stmt[s] = eff
+	r.stmt[s] = eff
+	return eff
+}
+
+// computeSeq computes and records the effects of a sequence at depth depth.
+// Subsequences get a record of their own: parallel-arm interference checks
+// query sibling sequences directly.
+func (r *Result) computeSeq(seq *simple.Seq, depth int) effects {
+	var eff effects
+	if len(seq.Stmts) == 1 {
+		eff = r.computeStmt(seq.Stmts[0], depth+1)
+	} else {
+		e := r.buf(2*depth + 1)
+		for _, c := range seq.Stmts {
+			e.add(r.computeStmt(c, depth+1))
+		}
+		eff = r.seal(e)
+	}
+	r.stmt[seq] = eff
 	return eff
 }
 
 // compoundReads adds the atom reads a compound statement's condition (or
 // switch tag) performs.
-func (r *Result) compoundReads(eff *Effects, s simple.Stmt) {
+func (r *Result) compoundReads(eff *builder, s simple.Stmt) {
 	switch st := s.(type) {
 	case *simple.If:
 		r.condReads(eff, st.Cond)
@@ -353,19 +403,32 @@ func (r *Result) compoundReads(eff *Effects, s simple.Stmt) {
 	}
 }
 
-func (r *Result) condReads(eff *Effects, c simple.Cond) {
-	for _, a := range c.Atoms() {
-		r.atomRead(eff, a)
+func (r *Result) condReads(eff *builder, c simple.Cond) {
+	r.atomRead(eff, c.X)
+	if c.Op != simple.TruthTest {
+		r.atomRead(eff, c.Y)
 	}
 }
 
-func (r *Result) atomRead(eff *Effects, a simple.Atom) {
+func (r *Result) atomRead(eff *builder, a simple.Atom) {
 	if v := simple.AtomVar(a); v != nil {
 		eff.varRead(v)
 	}
 }
 
-func (r *Result) basic(eff *Effects, b *simple.Basic, withSummaries bool) {
+// deref adds an Other-provenance access to each word p->off may reach.
+func (r *Result) deref(eff *builder, p *simple.Var, off int, write bool) {
+	_, ts := r.ref(p, off)
+	for _, t := range ts {
+		if write {
+			eff.addWrite(t, 0)
+		} else {
+			eff.addRead(t, 0)
+		}
+	}
+}
+
+func (r *Result) basic(eff *builder, b *simple.Basic, withSummaries bool) {
 	switch b.Kind {
 	case simple.KAssign:
 		r.rvalue(eff, b.Rhs)
@@ -380,10 +443,9 @@ func (r *Result) basic(eff *Effects, b *simple.Basic, withSummaries bool) {
 		if b.Dst != nil {
 			eff.varWrite(b.Dst)
 		}
-		eff.HasCall = true
 		if withSummaries {
-			if callee := r.funcs[b.Fun]; callee != nil {
-				eff.mergeFrom(r.Summary[callee])
+			if callee, ok := r.funcs[b.Fun]; ok {
+				eff.add(r.summary[callee])
 			}
 		}
 	case simple.KBuiltin:
@@ -396,12 +458,12 @@ func (r *Result) basic(eff *Effects, b *simple.Basic, withSummaries bool) {
 		for _, sv := range b.ArgVars {
 			switch sema.Builtin(b.BFun) {
 			case sema.BWriteTo, sema.BAddTo:
-				eff.addWrite(pointsto.Loc{Base: sv, Off: 0}, Other)
+				eff.addWrite(r.loc(sv, 0), 0)
 				if sema.Builtin(b.BFun) == sema.BAddTo {
-					eff.addRead(pointsto.Loc{Base: sv, Off: 0}, Other)
+					eff.addRead(r.loc(sv, 0), 0)
 				}
 			case sema.BValueOf:
-				eff.addRead(pointsto.Loc{Base: sv, Off: 0}, Other)
+				eff.addRead(r.loc(sv, 0), 0)
 			}
 		}
 	case simple.KAlloc:
@@ -423,26 +485,22 @@ func (r *Result) basic(eff *Effects, b *simple.Basic, withSummaries bool) {
 			// selection phase, so their accesses count as aliased ("other")
 			// accesses: tuples must not float across an overlapping one.
 			for i := 0; i < b.Size; i++ {
-				for pl := range r.PT.Pts(b.P) {
-					eff.addRead(pointsto.Loc{Base: pl.Base, Off: pl.Off + b.Off + i}, Other)
-				}
+				r.deref(eff, b.P, b.Off+i, false)
 			}
 		} else if b.Local != nil {
 			for i := 0; i < b.Size; i++ {
-				eff.addRead(pointsto.Loc{Base: b.Local, Off: b.Off + i}, Other)
+				eff.addRead(r.loc(b.Local, b.Off+i), 0)
 			}
 		}
 		// Destination range.
 		if b.P2 != nil {
 			eff.varRead(b.P2)
 			for i := 0; i < b.Size; i++ {
-				for pl := range r.PT.Pts(b.P2) {
-					eff.addWrite(pointsto.Loc{Base: pl.Base, Off: pl.Off + b.Off2 + i}, Other)
-				}
+				r.deref(eff, b.P2, b.Off2+i, true)
 			}
 		} else if b.Dst != nil {
 			for i := 0; i < b.Size; i++ {
-				eff.addWrite(pointsto.Loc{Base: b.Dst, Off: b.Off2 + i}, Other)
+				eff.addWrite(r.loc(b.Dst, b.Off2+i), 0)
 			}
 		}
 	case simple.KGetF:
@@ -452,40 +510,32 @@ func (r *Result) basic(eff *Effects, b *simple.Basic, withSummaries bool) {
 		if b.Dst != nil {
 			eff.varWrite(b.Dst)
 		}
-		for pl := range r.PT.Pts(b.P) {
-			eff.addRead(pointsto.Loc{Base: pl.Base, Off: pl.Off + b.Off}, Other)
-		}
+		r.deref(eff, b.P, b.Off, false)
 	case simple.KPutF:
 		eff.varRead(b.P)
 		if b.Val != nil {
 			r.atomRead(eff, b.Val)
 		}
 		if b.Local != nil {
-			eff.addRead(pointsto.Loc{Base: b.Local, Off: b.Off2}, Other)
+			eff.addRead(r.loc(b.Local, b.Off2), 0)
 		}
-		for pl := range r.PT.Pts(b.P) {
-			eff.addWrite(pointsto.Loc{Base: pl.Base, Off: pl.Off + b.Off}, Other)
-		}
+		r.deref(eff, b.P, b.Off, true)
 	case simple.KBlkRead:
 		eff.varRead(b.P)
 		for i := 0; i < b.Size; i++ {
-			for pl := range r.PT.Pts(b.P) {
-				eff.addRead(pointsto.Loc{Base: pl.Base, Off: pl.Off + b.Off + i}, Other)
-			}
-			eff.addWrite(pointsto.Loc{Base: b.Local, Off: i}, Other)
+			r.deref(eff, b.P, b.Off+i, false)
+			eff.addWrite(r.loc(b.Local, i), 0)
 		}
 	case simple.KBlkWrite:
 		eff.varRead(b.P)
 		for i := 0; i < b.Size; i++ {
-			for pl := range r.PT.Pts(b.P) {
-				eff.addWrite(pointsto.Loc{Base: pl.Base, Off: pl.Off + b.Off + i}, Other)
-			}
-			eff.addRead(pointsto.Loc{Base: b.Local, Off: i}, Other)
+			r.deref(eff, b.P, b.Off+i, true)
+			eff.addRead(r.loc(b.Local, i), 0)
 		}
 	}
 }
 
-func (r *Result) rvalue(eff *Effects, rv simple.Rvalue) {
+func (r *Result) rvalue(eff *builder, rv simple.Rvalue) {
 	switch x := rv.(type) {
 	case simple.AtomRV:
 		r.atomRead(eff, x.A)
@@ -496,17 +546,18 @@ func (r *Result) rvalue(eff *Effects, rv simple.Rvalue) {
 		r.atomRead(eff, x.Y)
 	case simple.LoadRV:
 		eff.varRead(x.P)
-		for pl := range r.PT.Pts(x.P) {
-			eff.addRead(pointsto.Loc{Base: pl.Base, Off: pl.Off + x.Off}, Via{P: x.P, Off: x.Off})
+		via, ts := r.ref(x.P, x.Off)
+		for _, t := range ts {
+			eff.addRead(t, via)
 		}
 	case simple.LocalLoadRV:
 		if x.Idx != nil {
 			r.atomRead(eff, x.Idx)
 			for i := 0; i < x.Base.Size; i++ {
-				eff.addRead(pointsto.Loc{Base: x.Base, Off: i}, Other)
+				eff.addRead(r.loc(x.Base, i), 0)
 			}
 		} else {
-			eff.addRead(pointsto.Loc{Base: x.Base, Off: x.Off}, Other)
+			eff.addRead(r.loc(x.Base, x.Off), 0)
 		}
 	case simple.AddrRV:
 		// No memory access; the variable's address is computed.
@@ -515,64 +566,76 @@ func (r *Result) rvalue(eff *Effects, rv simple.Rvalue) {
 	}
 }
 
-func (r *Result) lvalue(eff *Effects, lv simple.Lvalue) {
+func (r *Result) lvalue(eff *builder, lv simple.Lvalue) {
 	switch x := lv.(type) {
 	case simple.VarLV:
 		eff.varWrite(x.V)
 	case simple.StoreLV:
 		eff.varRead(x.P)
-		for pl := range r.PT.Pts(x.P) {
-			eff.addWrite(pointsto.Loc{Base: pl.Base, Off: pl.Off + x.Off}, Via{P: x.P, Off: x.Off})
+		via, ts := r.ref(x.P, x.Off)
+		for _, t := range ts {
+			eff.addWrite(t, via)
 		}
 	case simple.LocalStoreLV:
 		if x.Idx != nil {
 			r.atomRead(eff, x.Idx)
 			for i := 0; i < x.Base.Size; i++ {
-				eff.addWrite(pointsto.Loc{Base: x.Base, Off: i}, Other)
+				eff.addWrite(r.loc(x.Base, i), 0)
 			}
 		} else {
-			eff.addWrite(pointsto.Loc{Base: x.Base, Off: x.Off}, Other)
+			eff.addWrite(r.loc(x.Base, x.Off), 0)
 		}
 	}
 }
 
-func (r *Result) calleesOf(f *simple.Func) []*simple.Func {
-	var out []*simple.Func
-	var seen map[*simple.Func]bool
+// calleesOf lists the indexes of the analyzed functions f calls, once each.
+func (r *Result) calleesOf(f *simple.Func) []int {
+	var out []int
 	simple.WalkBasics(f.Body, func(b *simple.Basic) {
 		if b.Kind != simple.KCall {
 			return
 		}
-		c := r.funcs[b.Fun]
-		if c == nil || seen[c] {
-			return
+		if c, ok := r.funcs[b.Fun]; ok && !slices.Contains(out, c) {
+			out = append(out, c)
 		}
-		if seen == nil {
-			seen = make(map[*simple.Func]bool)
-		}
-		seen[c] = true
-		out = append(out, c)
 	})
 	return out
 }
 
 // --------------------------------------------------------------- queries ---
 
+// run returns where the accesses of (loc, write) start in mem, and the
+// key>>32 they all share.
+func run(mem []uint64, loc uint32, write bool) (int, uint64) {
+	hi := uint64(loc) << 1
+	if write {
+		hi |= 1
+	}
+	i, _ := slices.BinarySearch(mem, hi<<32)
+	return i, hi
+}
+
 // VarWritten reports whether statement s may modify the value of variable p
 // itself: a direct assignment, or — when p's address has been taken — an
 // indirect write reaching p's slot, or a call that may do the same.
 func (r *Result) VarWritten(p *simple.Var, s simple.Stmt) bool {
-	eff := r.Stmt[s]
-	if eff == nil {
+	eff, ok := r.stmt[s]
+	if !ok {
 		return true // unknown statement: be conservative
 	}
-	if eff.VarWrites[p] {
+	id, ok := r.varID[p]
+	if !ok {
+		return false // no statement names p, and no location has p as base
+	}
+	if _, hit := slices.BinarySearch(eff.vars, id<<1|1); hit {
 		return true
 	}
-	if r.PT.AddressTaken(p) {
+	if r.pt.AddressTaken(p) {
 		for i := 0; i < max(1, p.Size); i++ {
-			if _, hit := eff.Writes[pointsto.Loc{Base: p, Off: i}]; hit {
-				return true
+			if l, ok := r.locID[pointsto.Loc{Base: p, Off: i}]; ok {
+				if j, hi := run(eff.mem, l, true); j < len(eff.mem) && eff.mem[j]>>32 == hi {
+					return true
+				}
 			}
 		}
 	}
@@ -585,23 +648,14 @@ func (r *Result) VarWritten(p *simple.Var, s simple.Stmt) bool {
 // paper's rules keep tuples alive across direct accesses because the
 // transformation redirects all of them to the same local copy.
 func (r *Result) AccessedViaAlias(p *simple.Var, off int, s simple.Stmt, write bool) bool {
-	eff := r.Stmt[s]
-	if eff == nil {
+	eff, ok := r.stmt[s]
+	if !ok {
 		return true
 	}
-	m := eff.Reads
-	if write {
-		m = eff.Writes
-	}
-	self := Via{P: p, Off: off}
-	for pl := range r.PT.Pts(p) {
-		target := pointsto.Loc{Base: pl.Base, Off: pl.Off + off}
-		vias, hit := m[target]
-		if !hit {
-			continue
-		}
-		for _, v := range vias {
-			if v != self {
+	self, ts := r.ref(p, off)
+	for _, t := range ts {
+		for i, hi := run(eff.mem, t, write); i < len(eff.mem) && eff.mem[i]>>32 == hi; i++ {
+			if uint32(eff.mem[i]) != self {
 				return true
 			}
 		}
@@ -614,7 +668,7 @@ func (r *Result) AccessedViaAlias(p *simple.Var, off int, s simple.Stmt, write b
 // statement it inserts, so later queries (dereference safety, write floats)
 // see sound effects instead of falling back to "unknown".
 func (r *Result) Register(b *simple.Basic) {
-	eff := newEffects()
-	r.basic(eff, b, true)
-	r.Stmt[b] = eff
+	e := r.buf(0)
+	r.basic(e, b, true)
+	r.stmt[b] = r.seal(e)
 }

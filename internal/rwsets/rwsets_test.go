@@ -1,10 +1,12 @@
 package rwsets_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pointsto"
 	"repro/internal/rwsets"
 	"repro/internal/simple"
 )
@@ -150,8 +152,8 @@ int main() {
 			ifStmt = s
 		}
 	})
-	eff := rw.Stmt[ifStmt]
-	if eff == nil {
+	writes, ok := rw.Accesses(ifStmt, true)
+	if !ok {
 		t.Fatal("no effects recorded for the if statement")
 	}
 	// The if contains a direct store via p: it must not read as "aliased"
@@ -159,11 +161,7 @@ int main() {
 	if rw.AccessedViaAlias(q, 0, ifStmt, true) {
 		t.Error("direct store inside the if is not an alias for p")
 	}
-	wrote := false
-	for range eff.Writes {
-		wrote = true
-	}
-	if !wrote {
+	if len(writes) == 0 {
 		t.Error("the if's effects must include the store")
 	}
 }
@@ -182,36 +180,28 @@ int main() {
 	f := sp.FuncByName("main")
 	sv := varOf(t, sp, "main", "s")
 	w := findBasic(f, "writeto")
+	add := findBasic(f, "addto")
 	r := findBasic(f, "valueof")
 	// Shared ops are aliased ("other") accesses to the variable's slot.
-	if !rw.AccessedViaAlias(svPtrProxy(sv), 0, w, true) {
-		// The query interface wants a pointer; shared vars are accessed via
-		// their own location, so check the raw effect sets instead.
-		eff := rw.Stmt[simple.Stmt(w)]
-		found := false
-		for l := range eff.Writes {
-			if l.Base == any(sv) {
-				found = true
-			}
-		}
-		if !found {
-			t.Error("writeto must write the shared variable's location")
-		}
-	}
-	effR := rw.Stmt[simple.Stmt(r)]
-	found := false
-	for l := range effR.Reads {
-		if l.Base == any(sv) {
-			found = true
+	slot := rwsets.Access{Loc: pointsto.Loc{Base: sv, Off: 0}, Via: rwsets.Other}
+	for _, c := range []struct {
+		what  string
+		s     *simple.Basic
+		write bool
+	}{
+		{"writeto writes", w, true},
+		{"addto writes", add, true},
+		{"addto reads", add, false},
+		{"valueof reads", r, false},
+	} {
+		if got, _ := rw.Accesses(c.s, c.write); !slices.Contains(got, slot) {
+			t.Errorf("%s the shared variable's location: got %v", c.what, got)
 		}
 	}
-	if !found {
-		t.Error("valueof must read the shared variable's location")
+	if !rw.VarWritten(sv, w) {
+		t.Error("writeto writes the shared variable")
 	}
 }
-
-// svPtrProxy only exists to exercise the nil-tolerant query path.
-func svPtrProxy(v *simple.Var) *simple.Var { return v }
 
 func TestUnknownStatementIsConservative(t *testing.T) {
 	sp, rw := analyze(t, `int main() { int x; x = 1; return x; }`)
@@ -240,5 +230,129 @@ int main() {
 	// A registered get is an aliased ("other") read for p.
 	if !rw.AccessedViaAlias(p, 0, g, false) {
 		t.Error("registered get should read p->a as an 'other' access")
+	}
+}
+
+// ifIn returns the first if statement in f.
+func ifIn(f *simple.Func) simple.Stmt {
+	var out simple.Stmt
+	simple.WalkStmts(f.Body, func(s simple.Stmt) {
+		if _, ok := s.(*simple.If); ok && out == nil {
+			out = s
+		}
+	})
+	return out
+}
+
+func TestDirectAndAliasedWriteInOneIf(t *testing.T) {
+	sp, rw := analyze(t, `
+struct P { int a; };
+int g(P *p, P *q, int c) {
+	if (c) {
+		p->a = 1;
+		q->a = 2;
+	}
+	return 0;
+}
+int main() {
+	P *s;
+	s = alloc(P);
+	return g(s, s, 1);
+}
+`)
+	f := sp.FuncByName("g")
+	p := varOf(t, sp, "g", "p")
+	q := varOf(t, sp, "g", "q")
+	ifStmt := ifIn(f)
+	// One word, written once via p and once via q: the run of that word's
+	// writes holds both provenances, and each pointer sees the other's.
+	if !rw.AccessedViaAlias(p, 0, ifStmt, true) {
+		t.Error("q's store inside the if is an aliased write for p")
+	}
+	if !rw.AccessedViaAlias(q, 0, ifStmt, true) {
+		t.Error("p's store inside the if is an aliased write for q")
+	}
+	if rw.AccessedViaAlias(p, 0, findBasic(f, "p->a = 1"), true) {
+		t.Error("p's own store is direct")
+	}
+	if rw.AccessedViaAlias(p, 0, ifStmt, false) {
+		t.Error("the if reads nothing through an alias")
+	}
+	writes, _ := rw.Accesses(ifStmt, true)
+	if len(writes) != 2 || writes[0].Loc != writes[1].Loc {
+		t.Errorf("want one word written via p and via q, got %v", writes)
+	}
+}
+
+func TestRepeatedAccessIsDeduplicated(t *testing.T) {
+	sp, rw := analyze(t, `
+struct P { int a; };
+int g(P *p, int c) {
+	int x;
+	int y;
+	x = 0;
+	y = 0;
+	if (c) {
+		x = p->a;
+		y = p->a;
+		x = p->a;
+	}
+	return x + y;
+}
+int main() {
+	P *s;
+	s = alloc(P);
+	return g(s, 1);
+}
+`)
+	f := sp.FuncByName("g")
+	p := varOf(t, sp, "g", "p")
+	ifStmt := ifIn(f)
+	reads, _ := rw.Accesses(ifStmt, false)
+	if len(reads) != 1 || reads[0].Via != (rwsets.Via{P: p, Off: 0}) {
+		t.Errorf("three loads of p->a are one read via p, got %v", reads)
+	}
+	for _, write := range []bool{false, true} {
+		vars := rw.VarAccesses(ifStmt, write)
+		for i, v := range vars {
+			if slices.Contains(vars[i+1:], v) {
+				t.Errorf("write=%v: %s listed twice in %v", write, v.Name, vars)
+			}
+		}
+	}
+	if got := rw.VarAccesses(ifStmt, true); len(got) != 2 {
+		t.Errorf("the if writes x and y by name, got %v", got)
+	}
+}
+
+func TestCalleeWriteToCallerLocal(t *testing.T) {
+	sp, rw := analyze(t, `
+void set(int *q) { *q = 1; }
+int g() {
+	int x;
+	x = 0;
+	set(&x);
+	return x;
+}
+int main() {
+	int y;
+	y = g();
+	return y;
+}
+`)
+	x := varOf(t, sp, "g", "x")
+	slot := pointsto.Loc{Base: x, Off: 0}
+	written := func(s simple.Stmt) bool {
+		writes, _ := rw.Accesses(s, true)
+		return slices.ContainsFunc(writes, func(a rwsets.Access) bool { return a.Loc == slot })
+	}
+	// At the call in g, set's write through q lands on x's slot.
+	call := findBasic(sp.FuncByName("g"), "set(")
+	if !written(call) || !rw.VarWritten(x, call) {
+		t.Error("set(&x) writes x")
+	}
+	// x's frame ends with g, so g's summary, seen at main's call, drops it.
+	if written(findBasic(sp.FuncByName("main"), "g(")) {
+		t.Error("g's summary must not carry writes to its own frame")
 	}
 }
