@@ -16,8 +16,8 @@
 //	-no-inline         disable Phase I function inlining
 //	-threshold N       blocking threshold in words (default 3)
 //	-report            print the communication-selection report
-//	-stats             print per-phase compile timings and optimization
-//	                   counters
+//	-stats             print per-phase compile timings and, with -O, the
+//	                   placement and selection counts
 //	-reorder           cluster remotely-accessed struct fields (paper's §7)
 //	-profile-gen out   compile instrumented, run on -nodes, write the
 //	                   profile artifact to out (no dump)
@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -98,8 +99,7 @@ func run(args []string, out, stderr io.Writer) int {
 		return 0
 	}
 
-	opts := core.Options{Optimize: *optimize, NoInline: *noInline, ReorderFields: *reorder,
-		Stats: *stats}
+	opts := core.Options{Optimize: *optimize, NoInline: *noInline, ReorderFields: *reorder}
 	opts.Sel.BlockThreshold = *threshold
 	req := core.CompileRequest{Name: name, Source: string(src)}
 	if *profUse != "" {
@@ -191,8 +191,41 @@ func run(args []string, out, stderr io.Writer) int {
 	if *report && u.Report != nil {
 		fmt.Fprintln(out, u.Report)
 	}
-	if *stats && u.Stats != nil {
-		fmt.Fprint(out, u.Stats)
+	if *stats {
+		printStats(out, res)
 	}
 	return 0
+}
+
+// printStats renders the compile's phase spans as a timing table and, for
+// an optimized unit, the placement and selection counts it holds.
+func printStats(out io.Writer, res *core.CompileResult) {
+	var total int64
+	for _, ph := range res.Phases {
+		total += ph.End.Sub(ph.Start).Nanoseconds()
+	}
+	fmt.Fprintf(out, "compile phases (total %.3f ms):\n", float64(total)/1e6)
+	for _, ph := range res.Phases {
+		ns := ph.End.Sub(ph.Start).Nanoseconds()
+		share := 0.0
+		if total > 0 {
+			share = float64(ns) / float64(total)
+		}
+		bar := int(share * 30)
+		if ns > 0 && bar == 0 {
+			bar = 1
+		}
+		fmt.Fprintf(out, "  %-12s %10.3f ms %5.1f%% %s\n",
+			ph.Name, float64(ns)/1e6, 100*share, strings.Repeat("#", bar))
+	}
+	u := res.Unit
+	if u.Placement == nil {
+		return
+	}
+	placedR, placedW := u.Placement.PlacedTuples()
+	fmt.Fprintf(out, "placement: %d read / %d write candidates -> %d / %d placed tuples\n",
+		u.Placement.CandidateReads, u.Placement.CandidateWrites, placedR, placedW)
+	t := u.Report.Totals()
+	fmt.Fprintf(out, "selection: reads %d pipelined + %d blocked (%d redundant eliminated); writes %d pipelined + %d blocked\n",
+		t.PipelinedReads, t.BlockedReads, t.ReadsEliminated, t.PipelinedWrites, t.BlockedWrites)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -90,5 +91,50 @@ func TestCacheDirWarmVsCold(t *testing.T) {
 	}
 	if cold.Len() == 0 || !bytes.Equal(cold.Bytes(), warm.Bytes()) {
 		t.Errorf("warm output differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", cold.String(), warm.String())
+	}
+}
+
+// countSrc is the paper's Figure 1 program from the repository's testdata.
+var countSrc = filepath.Join("..", "..", "testdata", "count.ec")
+
+// TestStatsSharesCacheKey: -stats only observes the compile, so an artifact
+// stored by a -stats run serves the same command without -stats.
+func TestStatsSharesCacheKey(t *testing.T) {
+	dir := t.TempDir()
+	var out, log bytes.Buffer
+	if code := run([]string{"-O", "-stats", "-dump=threaded", "-cache-dir", dir, countSrc}, &out, &log); code != 0 {
+		t.Fatalf("-stats run: exit %d: %s", code, log.String())
+	}
+	out.Reset()
+	log.Reset()
+	if code := run([]string{"-O", "-dump=threaded", "-cache-dir", dir, countSrc}, &out, &log); code != 0 {
+		t.Fatalf("plain run: exit %d: %s", code, log.String())
+	}
+	if want := "earthcc: cache: 1 disk hit (compile skipped)\n"; log.String() != want {
+		t.Errorf("plain run after a -stats run logged %q, want %q", log.String(), want)
+	}
+}
+
+// TestStatsOutput: -O -stats prints a timing line for every phase the
+// compile ran, then the placement and selection counts of the unit.
+func TestStatsOutput(t *testing.T) {
+	var out, log bytes.Buffer
+	if code := run([]string{"-O", "-stats", "-dump=ast", countSrc}, &out, &log); code != 0 {
+		t.Fatalf("exit %d: %s", code, log.String())
+	}
+	for _, phase := range []string{"parse", "inline", "restructure", "sema", "lower",
+		"pointsto", "rwsets", "locality", "placement", "commsel"} {
+		line := regexp.MustCompile(`(?m)^  ` + phase + ` +[0-9]+\.[0-9]{3} ms +[0-9]+\.[0-9]% #*$`)
+		if !line.MatchString(out.String()) {
+			t.Errorf("no timing line for phase %s:\n%s", phase, out.String())
+		}
+	}
+	for _, want := range []string{
+		"placement: 4 read / 2 write candidates -> 6 / 7 placed tuples\n",
+		"selection: reads 4 pipelined + 0 blocked (0 redundant eliminated); writes 2 pipelined + 0 blocked\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("-stats output lacks %q:\n%s", want, out.String())
+		}
 	}
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -25,5 +27,25 @@ func TestRunUsageErrors(t *testing.T) {
 		if !strings.Contains(stderr.String(), tc.wantStderr) {
 			t.Errorf("%s: stderr lacks %q:\n%s", tc.name, tc.wantStderr, stderr.String())
 		}
+	}
+}
+
+// TestSeededCycle runs one seeded SIGKILL/restart cycle against the real
+// earthd binary with a journal. The harness fails unless every acknowledged
+// job completes exactly once with a payload byte-identical to a clean run:
+// the crash-safety contract, end to end through real fsyncs.
+func TestSeededCycle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the earthd binary and kills it mid-load")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "earthd")
+	if out, err := exec.Command("go", "build", "-o", bin, "../earthd").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	var stderr bytes.Buffer
+	args := []string{"-earthd", bin, "-dir", filepath.Join(dir, "journal"), "-n", "8", "-cycles", "1", "-seed", "7"}
+	if code := run(args, &stderr); code != 0 {
+		t.Fatalf("earthchaos %s: exit %d\n%s", strings.Join(args, " "), code, stderr.String())
 	}
 }

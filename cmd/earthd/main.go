@@ -124,8 +124,8 @@ func run(args []string, stderr io.Writer) int {
 	}
 	srv := &http.Server{Handler: d.Handler()}
 	cfg := d.Config()
-	// The bound address stays inside the message text: the boot smoke in
-	// check.sh and the chaos harness both scan for "listening on <addr>".
+	// The bound address stays inside the message text: the boot smoke test
+	// and the chaos harness both scan for "listening on <addr>".
 	build := obs.Info()
 	log.Info(fmt.Sprintf("listening on %s (%d shards, queue %d)", ln.Addr(), cfg.Shards, cfg.QueueDepth),
 		"revision", build.ShortRevision(), "go", build.GoVersion)

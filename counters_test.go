@@ -112,12 +112,18 @@ func ceiling(measured int64) int64 { return measured + measured/10 }
 var raceEnabled bool
 
 // bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes one
-// call of f allocates over runs calls, after one warm-up call. The collector
-// is off while it counts: a cycle empties the simulator's arena pool, and
-// refilling it would be charged to whichever run the cycle happened to hit.
+// call of f allocates over runs calls, after one warm-up call. Like
+// AllocsPerRun it counts with GOMAXPROCS at 1: sync.Pool keeps a private
+// slot per P, so a run that migrates to another P misses the arenas the
+// warm-up pooled and allocates them afresh, which on a loaded host added
+// about 70 KB to a round now and then. The collector is off from before the
+// warm-up until it has counted: a cycle empties the simulator's arena pool,
+// and refilling it would be charged to whichever run the cycle happened to
+// hit.
 func bytesPerRun(runs int, f func()) int64 {
-	f()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {

@@ -22,7 +22,7 @@ import (
 
 // Stats are the cache's cumulative counters. Both layers count here; the
 // pipeline additionally mirrors hit/miss/eviction counts into its metrics
-// registry so they surface in earthd's merged /metrics.
+// registry so they surface in earthd's /metrics.
 type Stats struct {
 	Hits      int64 // unit LRU hits
 	Misses    int64 // unit LRU misses

@@ -24,7 +24,6 @@ import (
 	"repro/internal/sema"
 	"repro/internal/simple"
 	"repro/internal/threaded"
-	"repro/internal/trace"
 )
 
 // Options configure compilation.
@@ -53,15 +52,16 @@ type Options struct {
 	Cache *cache.Cache
 	// Deprecated: ignored; every compile is sequential.
 	Workers int
-	// Stats collects per-phase compiler timings and communication
-	// optimization counters on the compiled unit (Unit.Stats).
+	// Deprecated: ignored; every compile records its phase spans on
+	// CompileResult.Phases.
 	Stats bool
 	// Metrics, when non-nil, receives telemetry from every compile and
 	// run the pipeline performs (see internal/metrics): compile counts and
-	// per-phase timing histograms, run counts, simulated-time and guest-work
-	// counters. Run-derived metrics record only simulated quantities, so for
-	// a fixed unit + RunConfig the registry contents are deterministic. A nil
-	// registry costs nothing.
+	// per-phase timing histograms (host time, from CompileResult.Phases),
+	// run counts, simulated-time and guest-work counters. Run-derived
+	// metrics record only simulated quantities, so for a fixed unit +
+	// RunConfig the registry contents are deterministic. A nil registry
+	// costs nothing.
 	Metrics *metrics.Registry
 }
 
@@ -80,9 +80,6 @@ type Unit struct {
 	SourceHash string
 	// Warnings are non-fatal compilation notes (e.g. a stale profile).
 	Warnings []string
-	// Stats holds per-phase timings and optimization counters; nil unless
-	// the pipeline's Stats option was on.
-	Stats *trace.CompileStats
 
 	// tcache memoizes generated threaded code per codegen option set:
 	// generation is deterministic and the program is immutable once built,

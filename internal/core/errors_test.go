@@ -12,9 +12,8 @@ import (
 // panic outside any such loop names the file and the phase.
 func TestRecoverPhaseNamesFunction(t *testing.T) {
 	build := func(body func()) (u *Unit, err error) {
-		phase := "rwsets"
 		u = &Unit{}
-		defer recoverPhase("x.ec", &phase, &u, &err)
+		defer recoverPhase("x.ec", &phaseClock{name: "rwsets"}, &u, &err)
 		body()
 		return u, nil
 	}

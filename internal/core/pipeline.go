@@ -16,15 +16,14 @@ import (
 	"repro/internal/sema"
 	"repro/internal/simple"
 	"repro/internal/threaded"
-	"repro/internal/trace"
 )
 
 // Pipeline is the unified compile-and-run entry point: construct one from
 // Options, then call Do (or Compile) / Run / ProfileCycle. A Pipeline
-// is cheap and safe to reuse across units. The sinks every compile and run
-// feeds (Options.Stats, Options.Metrics) plug in at construction; the sink
-// of one run (RunConfig.Trace) rides on its RunConfig and is read once Run
-// has returned.
+// is cheap and safe to reuse across units. The sink every compile and run
+// feeds (Options.Metrics) plugs in at construction; the sink of one run
+// (RunConfig.Trace) rides on its RunConfig and is read once Run has
+// returned, and a compile's phase spans ride on its CompileResult.
 type Pipeline struct {
 	opt Options
 }
@@ -45,40 +44,50 @@ func (p *Pipeline) Compile(name, src string) (*Unit, error) {
 	return res.Unit, nil
 }
 
-// newStats returns a stats collector when any sink wants one (Unit.Stats
-// via Options.Stats, or the metrics registry's per-phase histograms); its
-// nil-receiver methods make the disabled case free.
-func (p *Pipeline) newStats() *trace.CompileStats {
-	if !p.opt.Stats && p.opt.Metrics == nil {
-		return nil
+// observeCompile feeds a fresh compile's phase spans into the metrics
+// registry: one histogram per phase, and the compile's wall time from the
+// first phase's start to the last one's end.
+func (p *Pipeline) observeCompile(phases []Phase) {
+	reg := p.opt.Metrics
+	if reg == nil {
+		return
 	}
-	return &trace.CompileStats{}
+	reg.Counter("earth_compiles_total", "Units compiled by this pipeline.").Inc()
+	for _, ph := range phases {
+		reg.Histogram(fmt.Sprintf("earth_compile_phase_ns{phase=%q}", ph.Name),
+			"Host wall-clock time per compiler phase.").Observe(ph.End.Sub(ph.Start).Nanoseconds())
+	}
+	reg.Histogram("earth_compile_ns", "Host wall-clock time per compile.").
+		Observe(phases[len(phases)-1].End.Sub(phases[0].Start).Nanoseconds())
 }
 
-// finishCompile flushes a successful compile into the metrics registry and
-// strips the stats collector when the caller didn't ask for it (it may have
-// been allocated for the registry's benefit only).
-func (p *Pipeline) finishCompile(u *Unit) *Unit {
-	if reg := p.opt.Metrics; reg != nil && u.Stats != nil {
-		reg.Counter("earth_compiles_total", "Units compiled by this pipeline.").Inc()
-		for _, ph := range u.Stats.Phases {
-			reg.Histogram(fmt.Sprintf("earth_compile_phase_ns{phase=%q}", ph.Name),
-				"Host wall-clock time per compiler phase.").Observe(ph.Ns)
-		}
-		reg.Histogram("earth_compile_ns", "Host wall-clock time per compile.").
-			Observe(u.Stats.TotalNs())
+// phaseClock names the compile phase running now, for recoverPhase, and
+// appends each finished phase's span to *spans. A nil spans (the reorder
+// probe's nested build) names phases without recording them.
+type phaseClock struct {
+	spans *[]Phase
+	name  string
+	start time.Time
+}
+
+func (c *phaseClock) begin(name string) {
+	c.name = name
+	if c.spans != nil {
+		c.start = time.Now()
 	}
-	if !p.opt.Stats {
-		u.Stats = nil
+}
+
+func (c *phaseClock) end() {
+	if c.spans != nil {
+		*c.spans = append(*c.spans, Phase{Name: c.name, Start: c.start, End: time.Now()})
 	}
-	return u
 }
 
 // recoverPhase converts a panic escaping a compile phase into a positioned
 // error naming the file, the phase, and — when the panic left a per-function
 // loop as a simple.FuncPanic — the function being processed. Internal bugs
 // on arbitrary user input thereby surface as diagnostics, not stack traces.
-func recoverPhase(file string, phase *string, u **Unit, err *error) {
+func recoverPhase(file string, clk *phaseClock, u **Unit, err *error) {
 	r := recover()
 	if r == nil {
 		return
@@ -89,19 +98,17 @@ func recoverPhase(file string, phase *string, u **Unit, err *error) {
 		r = fp.Value
 	}
 	*u = nil
-	*err = fmt.Errorf("%s: internal error during %s%s: %v", file, *phase, where, r)
+	*err = fmt.Errorf("%s: internal error during %s%s: %v", file, clk.name, where, r)
 }
 
-func (p *Pipeline) compileAST(file *earthc.File, opt Options, prof *profile.Data, st *trace.CompileStats) (u *Unit, err error) {
-	phase := "inline"
-	defer recoverPhase(file.Name, &phase, &u, &err)
-	t0 := time.Now()
+func (p *Pipeline) compileAST(file *earthc.File, opt Options, prof *profile.Data, clk *phaseClock) (u *Unit, err error) {
+	defer recoverPhase(file.Name, clk, &u, &err)
+	clk.begin("inline")
 	if !opt.NoInline {
 		earthc.InlineFunctions(file, earthc.InlineOptions{})
 	}
-	st.AddPhase("inline", time.Since(t0))
-	phase = "restructure"
-	t0 = time.Now()
+	clk.end()
+	clk.begin("restructure")
 	for _, fn := range file.Funcs {
 		if err := earthc.DesugarLoops(fn); err != nil {
 			return nil, fmt.Errorf("%s: %w", file.Name, err)
@@ -110,36 +117,33 @@ func (p *Pipeline) compileAST(file *earthc.File, opt Options, prof *profile.Data
 			return nil, fmt.Errorf("%s: %w", file.Name, err)
 		}
 	}
-	st.AddPhase("restructure", time.Since(t0))
+	clk.end()
 	if opt.ReorderFields {
-		// Probe compile (unoptimized, unobserved) to count remote field
+		// Probe compile (unoptimized, untimed) to count remote field
 		// accesses on the original layouts, then permute and compile for
 		// real.
-		phase = "reorder"
-		t0 = time.Now()
-		probe, err := p.build(file, Options{}, nil, nil)
+		clk.begin("reorder")
+		probe, err := p.build(file, Options{}, nil, &phaseClock{})
 		if err != nil {
 			return nil, err
 		}
 		reorderStructFields(file, probe)
-		st.AddPhase("reorder", time.Since(t0))
+		clk.end()
 	}
-	return p.build(file, opt, prof, st)
+	return p.build(file, opt, prof, clk)
 }
 
 // build runs semantic analysis through communication selection on an
 // already-restructured AST.
-func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, st *trace.CompileStats) (u *Unit, err error) {
-	phase := "sema"
-	defer recoverPhase(file.Name, &phase, &u, &err)
-	t0 := time.Now()
+func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, clk *phaseClock) (u *Unit, err error) {
+	defer recoverPhase(file.Name, clk, &u, &err)
+	clk.begin("sema")
 	sm, err := sema.Check(file)
 	if err != nil {
 		return nil, err
 	}
-	st.AddPhase("sema", time.Since(t0))
-	phase = "lower"
-	t0 = time.Now()
+	clk.end()
+	clk.begin("lower")
 	sp, err := lower.Program(sm)
 	if err != nil {
 		return nil, err
@@ -148,40 +152,20 @@ func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, st 
 	// transformation: the instrumented (unoptimized) compile and a later
 	// profile-guided compile of the same source then agree on every key.
 	simple.AssignSites(sp)
-	st.AddPhase("lower", time.Since(t0))
-	u = &Unit{Name: file.Name, File: file, Sema: sm, Simple: sp, Stats: st}
-	phase = "pointsto"
-	t0 = time.Now()
+	clk.end()
+	u = &Unit{Name: file.Name, File: file, Sema: sm, Simple: sp}
+	clk.begin("pointsto")
 	u.PointsTo, err = pointsto.Analyze(sp)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", file.Name, err)
 	}
-	st.AddPhase("pointsto", time.Since(t0))
-	phase = "rwsets"
-	t0 = time.Now()
+	clk.end()
+	clk.begin("rwsets")
 	u.RWSets = rwsets.Analyze(sp, u.PointsTo)
-	st.AddPhase("rwsets", time.Since(t0))
-	phase = "locality"
-	t0 = time.Now()
+	clk.end()
+	clk.begin("locality")
 	u.Locality = locality.Analyze(sp, u.PointsTo)
-	st.AddPhase("locality", time.Since(t0))
-	if st != nil {
-		// Candidate remote accesses, counted before selection rewrites the
-		// SIMPLE form.
-		for _, fn := range sp.Funcs {
-			simple.WalkBasics(fn.Body, func(b *simple.Basic) {
-				if b.Kind != simple.KAssign {
-					return
-				}
-				if ld, ok := b.Rhs.(simple.LoadRV); ok && u.Locality.RemoteLoad(ld.P) {
-					st.CandidateReads++
-				}
-				if stv, ok := b.Lhs.(simple.StoreLV); ok && u.Locality.RemoteLoad(stv.P) {
-					st.CandidateWrites++
-				}
-			})
-		}
-	}
+	clk.end()
 	if opt.Optimize {
 		// A nil *profile.Data must reach placement as a nil interface: a
 		// non-nil provider marks the placement profiled.
@@ -189,28 +173,12 @@ func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, st 
 		if prof != nil {
 			fp = prof
 		}
-		phase = "placement"
-		t0 = time.Now()
+		clk.begin("placement")
 		u.Placement = placement.AnalyzeProfiled(sp, u.RWSets, u.Locality, fp)
-		st.AddPhase("placement", time.Since(t0))
-		phase = "commsel"
-		t0 = time.Now()
+		clk.end()
+		clk.begin("commsel")
 		u.Report = commsel.Transform(sp, u.Placement, u.RWSets, u.Locality, opt.Sel)
-		st.AddPhase("commsel", time.Since(t0))
-		if st != nil {
-			for _, set := range u.Placement.Reads {
-				st.PlacedReadTuples += set.Len()
-			}
-			for _, set := range u.Placement.Writes {
-				st.PlacedWriteTuples += set.Len()
-			}
-			t := u.Report.Totals()
-			st.PipelinedReads = t.PipelinedReads
-			st.BlockedReads = t.BlockedReads
-			st.PipelinedWrites = t.PipelinedWrites
-			st.BlockedWrites = t.BlockedWrites
-			st.ReadsEliminated = t.ReadsEliminated
-		}
+		clk.end()
 	}
 	return u, nil
 }

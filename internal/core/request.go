@@ -59,16 +59,27 @@ type CompileResult struct {
 	// unit hit and on a compile respectively; the other is 0.
 	FuncsReused     int
 	FuncsRecompiled int
+	// Phases are the compiler phases this call ran, in pipeline order, each
+	// with its measured start and end; nil on a unit hit. They belong to
+	// this call, never to the cached Unit, so a hit cannot hand back the
+	// timings of the compile that filled the cache.
+	Phases []Phase
+}
+
+// Phase is one compiler phase's span on the host clock (e.g. "sema").
+type Phase struct {
+	Name       string
+	Start, End time.Time
 }
 
 // fingerprint renders the compile-relevant options plus the bound profile
-// into the cache namespace key. The ignored Workers field and the
+// into the cache namespace key. The ignored Workers and Stats fields and the
 // observability sinks (tracing and metrics never alter the unit) are
 // excluded.
 func (opt Options) fingerprint(prof *profile.Data) string {
 	parts := []string{
-		fmt.Sprintf("optimize=%t noinline=%t reorder=%t stats=%t",
-			opt.Optimize, opt.NoInline, opt.ReorderFields, opt.Stats),
+		fmt.Sprintf("optimize=%t noinline=%t reorder=%t",
+			opt.Optimize, opt.NoInline, opt.ReorderFields),
 		fmt.Sprintf("sel=%+v", opt.Sel),
 	}
 	if prof != nil {
@@ -107,7 +118,6 @@ func (p *Pipeline) CacheKey(req CompileRequest) string {
 // configuration — to a cold compile of the same request.
 func (p *Pipeline) Do(req CompileRequest) (*CompileResult, error) {
 	opt := p.opt
-	st := p.newStats()
 	res := &CompileResult{}
 	prof := req.Profile
 	var warnings []string
@@ -133,19 +143,20 @@ func (p *Pipeline) Do(req CompileRequest) (*CompileResult, error) {
 		}
 		reg.Counter("earth_cache_misses_total", "Compiles not served whole from the unit cache.").Inc()
 	}
-	t0 := time.Now()
+	clk := &phaseClock{spans: &res.Phases}
+	clk.begin("parse")
 	file, err := earthc.ParseFile(req.Name, req.Source)
 	if err != nil {
 		return nil, err
 	}
-	st.AddPhase("parse", time.Since(t0))
-	u, err := p.compileAST(file, opt, prof, st)
+	clk.end()
+	u, err := p.compileAST(file, opt, prof, clk)
 	if err != nil {
 		return nil, err
 	}
 	u.SourceHash = srcHash
 	u.Warnings = append(warnings, u.Warnings...)
-	p.finishCompile(u)
+	p.observeCompile(res.Phases)
 	res.Unit = u
 	res.FuncsRecompiled = len(u.Simple.Funcs)
 	if res.Key != "" && !req.Cache.NoStore {

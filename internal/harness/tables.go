@@ -5,10 +5,10 @@ import (
 	"strings"
 
 	"repro/internal/cache"
+	"repro/internal/commsel"
 	"repro/internal/core"
 	"repro/internal/earthsim"
 	"repro/internal/olden"
-	"repro/internal/trace"
 )
 
 // tableCache memoizes compiles across the tables' repeated
@@ -30,12 +30,10 @@ var (
 	optBuild    = build{name: "optimized", opt: core.Options{Optimize: true}}
 )
 
-// pipeline returns b's pipeline. It compiles through tableCache, with
-// compile statistics on (they never change the unit).
+// pipeline returns b's pipeline. It compiles through tableCache.
 func (b build) pipeline() *core.Pipeline {
 	opt := b.opt
 	opt.Cache = tableCache
-	opt.Stats = true
 	return core.NewPipeline(opt)
 }
 
@@ -141,9 +139,11 @@ type Fig10Row struct {
 	OptShared    int64
 	OptRPC       int64
 	OptAlloc     int64
-	// Stats is the optimized build's compile statistics (per-phase timings
-	// plus placement/selection counters).
-	Stats *trace.CompileStats `json:",omitempty"`
+	// The optimized build's remote accesses entering placement (§4.1) and
+	// its selection totals (§4.2), read from its unit.
+	CandidateReads  int
+	CandidateWrites int
+	Selection       commsel.FuncReport
 }
 
 // OptTotal is the optimized version's total.
@@ -199,7 +199,7 @@ func (r *Fig10Result) String() string {
 			row.Normalized())
 	}
 	b.WriteString(r.classBreakdown())
-	b.WriteString(r.phaseTable())
+	b.WriteString(r.selectionTable())
 	return b.String()
 }
 
@@ -220,58 +220,17 @@ func (r *Fig10Result) classBreakdown() string {
 	return b.String()
 }
 
-// phaseTable renders per-benchmark compiler phase timings and selection
-// counters for the optimized builds (rows without stats are skipped).
-func (r *Fig10Result) phaseTable() string {
-	// Collect the union of phase names in first-seen order so columns line
-	// up even if a benchmark skips a phase.
-	var names []string
-	seen := map[string]bool{}
-	for _, row := range r.Rows {
-		if row.Stats == nil {
-			continue
-		}
-		for _, p := range row.Stats.Phases {
-			if !seen[p.Name] {
-				seen[p.Name] = true
-				names = append(names, p.Name)
-			}
-		}
-	}
-	if len(names) == 0 {
-		return ""
-	}
+// selectionTable renders the optimized builds' placement candidates and
+// selection results.
+func (r *Fig10Result) selectionTable() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "\nCompiler phase timings, optimized build (ms):\n")
-	fmt.Fprintf(&b, "%-10s", "Benchmark")
-	for _, n := range names {
-		fmt.Fprintf(&b, " %9s", n)
-	}
-	fmt.Fprintf(&b, " %9s\n", "total")
-	for _, row := range r.Rows {
-		if row.Stats == nil {
-			continue
-		}
-		byName := map[string]int64{}
-		for _, p := range row.Stats.Phases {
-			byName[p.Name] += p.Ns
-		}
-		fmt.Fprintf(&b, "%-10s", row.Benchmark)
-		for _, n := range names {
-			fmt.Fprintf(&b, " %9.3f", float64(byName[n])/1e6)
-		}
-		fmt.Fprintf(&b, " %9.3f\n", float64(row.Stats.TotalNs())/1e6)
-	}
 	fmt.Fprintf(&b, "\nSelection results, optimized build:\n")
 	fmt.Fprintf(&b, "%-10s %12s %12s | %10s %10s %10s | %10s %10s\n",
 		"Benchmark", "r.cand", "w.cand", "r.pipe", "r.blk", "r.elim", "w.pipe", "w.blk")
 	for _, row := range r.Rows {
-		if row.Stats == nil {
-			continue
-		}
-		s := row.Stats
+		s := row.Selection
 		fmt.Fprintf(&b, "%-10s %12d %12d | %10d %10d %10d | %10d %10d\n",
-			row.Benchmark, s.CandidateReads, s.CandidateWrites,
+			row.Benchmark, row.CandidateReads, row.CandidateWrites,
 			s.PipelinedReads, s.BlockedReads, s.ReadsEliminated,
 			s.PipelinedWrites, s.BlockedWrites)
 	}
@@ -379,21 +338,23 @@ func (r *Table3Result) String() string {
 func DefaultParams(bm *olden.Benchmark) olden.Params { return bm.DefaultParams }
 
 // MeasureFig10Single measures the Figure 10 quantities for one benchmark,
-// plus the supplementary class breakdown and compile statistics.
+// plus the supplementary class breakdown and selection counts.
 func MeasureFig10Single(bm *olden.Benchmark, params olden.Params, nodes int) (*Fig10Row, error) {
 	simple, opt, ou, err := runPair(bm, bm.Source(params), core.RunConfig{Nodes: nodes})
 	if err != nil {
 		return nil, err
 	}
 	row := &Fig10Row{
-		Benchmark:    bm.Name,
-		SimpleShared: simple.Counts.SharedOps,
-		SimpleRPC:    simple.Counts.RPCs,
-		SimpleAlloc:  simple.Counts.Allocs,
-		OptShared:    opt.Counts.SharedOps,
-		OptRPC:       opt.Counts.RPCs,
-		OptAlloc:     opt.Counts.Allocs,
-		Stats:        ou.Stats,
+		Benchmark:       bm.Name,
+		SimpleShared:    simple.Counts.SharedOps,
+		SimpleRPC:       simple.Counts.RPCs,
+		SimpleAlloc:     simple.Counts.Allocs,
+		OptShared:       opt.Counts.SharedOps,
+		OptRPC:          opt.Counts.RPCs,
+		OptAlloc:        opt.Counts.Allocs,
+		CandidateReads:  ou.Placement.CandidateReads,
+		CandidateWrites: ou.Placement.CandidateWrites,
+		Selection:       ou.Report.Totals(),
 	}
 	row.SimpleReads, row.SimpleWrites, row.SimpleBlk = runtimeOps(simple.Counts)
 	row.OptReads, row.OptWrites, row.OptBlk = runtimeOps(opt.Counts)

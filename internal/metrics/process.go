@@ -6,12 +6,10 @@ import (
 )
 
 // ProcessCollector snapshots Go runtime process state — goroutine count,
-// heap usage, GC activity — into its own registry at scrape time. It is
-// deliberately kept out of the pipeline registries: process state is
-// host-dependent and changes between scrapes, while the pipeline registries
-// carry the deterministic simulated quantities the telemetry determinism
-// tests pin byte-for-byte. earthd folds the collector's registry into every
-// /metrics scrape.
+// heap usage, GC activity — into a registry at scrape time. Process state is
+// host-dependent and changes between scrapes, so the collector writes into a
+// service registry (earthd's, refreshed on every /metrics scrape), never
+// into one whose contents a determinism test pins.
 //
 // A nil *ProcessCollector is a valid, disabled collector: Collect is a
 // no-op, matching the registry's nil contract.
@@ -25,14 +23,14 @@ type ProcessCollector struct {
 	lastAllocs uint64
 }
 
-// NewProcessCollector returns an empty collector; call Collect before each
-// exposition.
-func NewProcessCollector() *ProcessCollector {
-	return &ProcessCollector{reg: NewRegistry()}
+// NewProcessCollector returns a collector writing into reg; call Collect
+// before each exposition.
+func NewProcessCollector(reg *Registry) *ProcessCollector {
+	return &ProcessCollector{reg: reg}
 }
 
-// Collect refreshes the collector's registry from the runtime. Safe for
-// concurrent scrapes. Nil-safe.
+// Collect refreshes the process metrics in the collector's registry from
+// the runtime. Safe for concurrent scrapes. Nil-safe.
 func (c *ProcessCollector) Collect() {
 	if c == nil {
 		return
@@ -60,13 +58,4 @@ func (c *ProcessCollector) Collect() {
 	c.reg.Counter("process_mallocs_total", "Heap objects allocated.").
 		Add(int64(ms.Mallocs - c.lastAllocs))
 	c.lastAllocs = ms.Mallocs
-}
-
-// Registry exposes the collector's backing registry (nil for a nil
-// collector) so aggregators can fold process metrics into a merged scrape.
-func (c *ProcessCollector) Registry() *Registry {
-	if c == nil {
-		return nil
-	}
-	return c.reg
 }

@@ -6,10 +6,10 @@
 // simulated run (deterministic, simulated-time quantities), this package
 // explains what happened to a job on its way *through* the service: queue
 // wait, cache lookup, compile, simulate, journal fsync, respond. Those are
-// wall-clock, host-dependent quantities, so everything here lives
-// deliberately outside the pipeline registries — the DESIGN.md §8
-// byte-determinism contracts (registry expositions, trace exports) never see
-// a host timestamp, the same boundary metrics.ProcessCollector sits on.
+// wall-clock, host-dependent quantities, so everything here stays out of a
+// run's telemetry — the DESIGN.md §8 byte-determinism contracts (what a run
+// records into a registry, trace exports) never see a host timestamp, the
+// same boundary metrics.ProcessCollector sits on.
 //
 // Observation never perturbs execution: recording happens outside the
 // simulator entirely (the request path around it), and reading a timeline
@@ -38,7 +38,8 @@ const (
 )
 
 // CompilePhasePrefix prefixes the per-phase children of a compile span
-// (e.g. "compile.sema"), derived from trace.CompileStats.
+// (e.g. "compile.sema"): the phase spans Pipeline.Do measured, at their
+// own bounds.
 const CompilePhasePrefix = "compile."
 
 // Span is one recorded interval, relative to the trace's epoch.
@@ -71,6 +72,10 @@ func NewTrace(jobID string, epoch time.Time) *JobTrace {
 // now returns the current trace-relative timestamp.
 func (t *JobTrace) now() int64 { return time.Since(t.epoch).Nanoseconds() }
 
+// Offset converts a host time to a trace-relative timestamp, for intervals
+// measured outside the trace (a compile's phase spans).
+func (t *JobTrace) Offset(at time.Time) int64 { return at.Sub(t.epoch).Nanoseconds() }
+
 // Start opens a span of the given kind under parent (-1 for top-level) and
 // returns its index.
 func (t *JobTrace) Start(parent int, kind string) int {
@@ -102,9 +107,10 @@ func (t *JobTrace) Bounds(ix int) (startNs, endNs int64) {
 	return t.spans[ix].Start, t.spans[ix].End
 }
 
-// AddInterval records a span with explicit trace-relative bounds (used to
-// reconstruct compile-phase children from CompileStats after the compile
-// returns; endNs -1 leaves it open). Returns the span index.
+// AddInterval records a span with explicit trace-relative bounds (endNs -1
+// leaves it open): StartAt's open spans, and intervals measured elsewhere
+// and recorded once they are over, like a compile's phases. Returns the
+// span index.
 func (t *JobTrace) AddInterval(parent int, kind string, startNs, endNs int64) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()

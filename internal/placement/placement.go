@@ -44,11 +44,27 @@ type Result struct {
 	EntryReads map[*simple.Func]*Set
 	// ExitWrites is the set propagated to each function's exit.
 	ExitWrites map[*simple.Func]*Set
+	// CandidateReads / CandidateWrites count the basic statements that
+	// generate a tuple (each walk visits every basic statement once): the
+	// remote loads and stores entering placement.
+	CandidateReads, CandidateWrites int
 	// Profiled records that a FreqProvider drove the analysis, so tuple
 	// frequencies are measured wherever it answered rather than the static
 	// ×10/÷2/÷k guesses. Selection reads it to weigh frequencies when
 	// blocking.
 	Profiled bool
+}
+
+// PlacedTuples sums the tuples of every statement's RemoteReads and
+// RemoteWrites sets: the analysis's §4.1 output.
+func (r *Result) PlacedTuples() (reads, writes int) {
+	for _, set := range r.Reads {
+		reads += set.Len()
+	}
+	for _, set := range r.Writes {
+		writes += set.Len()
+	}
+	return reads, writes
 }
 
 // Deprecated: ignored pool; use AnalyzeProfiled.
@@ -69,7 +85,7 @@ func AnalyzeProfiled(prog *simple.Program, rw *rwsets.Result, loc *locality.Resu
 		Profiled:   fp != nil,
 	}
 	prog.EachFunc(func(f *simple.Func) {
-		a := &analysis{rw: rw, loc: loc, fp: fp, fn: f, reads: res.Reads, writes: res.Writes}
+		a := &analysis{rw: rw, loc: loc, fp: fp, fn: f, res: res}
 		res.EntryReads[f] = a.readsSeq(f.Body)
 		res.ExitWrites[f] = a.writesSeq(f.Body)
 	})
@@ -82,9 +98,9 @@ type analysis struct {
 	fp  FreqProvider // nil: static heuristics only
 	fn  *simple.Func // function under analysis (for site keys)
 
-	// The Result's per-statement sets, filled as the walk goes.
-	reads  map[simple.Stmt]*Set
-	writes map[simple.Stmt]*Set
+	// The Result, its per-statement sets and candidate counts filled as
+	// the walk goes.
+	res *Result
 
 	retMemo map[simple.Stmt]bool
 	// daMemo caches, per statement, the labels of direct loads/stores in
@@ -211,7 +227,7 @@ func (a *analysis) readsSeqInto(seq *simple.Seq, below *Set) *Set {
 			gen.Add(nt)
 		}
 		cur = gen
-		a.reads[s] = cur.Clone()
+		a.res.Reads[s] = cur.Clone()
 	}
 	return cur
 }
@@ -407,7 +423,7 @@ func (a *analysis) writesSeq(seq *simple.Seq) *Set {
 			gen.Add(nt)
 		}
 		cur = gen
-		a.writes[s] = cur.Clone()
+		a.res.Writes[s] = cur.Clone()
 	}
 	return cur
 }
@@ -528,6 +544,7 @@ func (a *analysis) readsBasic(b *simple.Basic) *Set {
 	if !ok || !a.loc.RemoteLoad(ld.P) {
 		return out
 	}
+	a.res.CandidateReads++
 	out.Add(&Tuple{P: ld.P, Field: ld.Field, Off: ld.Off, Freq: 1,
 		D: LabelSet{b.Label}})
 	return out
@@ -544,6 +561,7 @@ func (a *analysis) writesBasic(b *simple.Basic) *Set {
 	if !ok || !a.loc.RemoteLoad(stv.P) {
 		return out
 	}
+	a.res.CandidateWrites++
 	out.Add(&Tuple{P: stv.P, Field: stv.Field, Off: stv.Off, Freq: 1,
 		D: LabelSet{b.Label}})
 	return out

@@ -18,10 +18,11 @@ import (
 //	                    (?format=json|text|chrome), for as long as its status
 //	DELETE /jobs/{id}   request a cooperative abort of a queued/running job
 //	GET    /buildinfo   binary identity (version, VCS revision, Go version)
-//	GET    /metrics     Prometheus text: service + all shards + process,
-//	                    merged into one exposition (per-stage latency
-//	                    histograms earthd_stage_ns{stage=...} included)
-//	GET    /metrics.json  the same merged registry as JSON
+//	GET    /metrics     Prometheus text: the service's one registry —
+//	                    service, pipelines and process metrics (per-stage
+//	                    latency histograms earthd_stage_ns{stage=...}
+//	                    included)
+//	GET    /metrics.json  the same registry as JSON
 //	GET    /healthz     liveness, queue occupancy, shard + journal status
 //
 // Submission status codes: 200 success; 202 accepted (async) or cancelling;
@@ -42,8 +43,8 @@ func (s *Server) Handler() http.Handler {
 			"GET    /jobs/{id}/timeline  host-side span tree (?format=json|text|chrome)\n"+
 			"DELETE /jobs/{id}    abort a queued or running job\n"+
 			"GET    /buildinfo    binary identity (version, VCS revision, Go) + config\n"+
-			"GET    /metrics      aggregated Prometheus exposition\n"+
-			"GET    /metrics.json aggregated registry as JSON\n"+
+			"GET    /metrics      Prometheus exposition\n"+
+			"GET    /metrics.json registry as JSON\n"+
 			"GET    /healthz      liveness + queue + shard + journal status\n")
 	})
 	mux.HandleFunc("/jobs", s.handleJob)
@@ -53,11 +54,11 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /buildinfo", s.handleBuildinfo)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.MergedRegistry().WritePrometheus(w)
+		s.Scrape().WritePrometheus(w)
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		s.MergedRegistry().WriteJSON(w)
+		s.Scrape().WriteJSON(w)
 	})
 	mux.HandleFunc("/healthz", s.handleHealth)
 	return s.accessLog(mux)

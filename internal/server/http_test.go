@@ -191,7 +191,7 @@ func TestHTTPBackpressureRetryAfter(t *testing.T) {
 // TestConcurrentScrapesDuringRuns: /metrics, /metrics.json and /healthz are
 // scraped concurrently while traced jobs are in flight on all four shards.
 // Run under -race (scripts/check.sh does) this exercises scrape-vs-run
-// synchronization on the shard registries and recorders.
+// synchronization on the shared registry and the shard recorders.
 func TestConcurrentScrapesDuringRuns(t *testing.T) {
 	const shards = 4
 	s := New(Config{Shards: shards, QueueDepth: 32})
@@ -273,8 +273,8 @@ func TestConcurrentScrapesDuringRuns(t *testing.T) {
 		t.Error(err)
 	}
 
-	// After the dust settles the merged view must account for every run.
-	if got := s.MergedRegistry().Counter("earth_runs_completed_total", "").Value(); got != shards {
+	// After the dust settles the one registry must account for every run.
+	if got := s.Scrape().Counter("earth_runs_completed_total", "").Value(); got != shards {
 		t.Errorf("earth_runs_completed_total = %d, want %d", got, shards)
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 // Host-side observability glue: how the job timelines of internal/obs meet
 // the request path, and the HTTP surface that serves them. Everything here
-// is wall-clock and host-dependent, so it stays out of the shard pipeline
-// registries — the byte-deterministic telemetry (DESIGN.md §8) never sees it.
+// is wall-clock and host-dependent; no run's telemetry (DESIGN.md §8) ever
+// sees it.
 
 const stageHistHelp = "Host wall time per request-path stage (tail-latency attribution)."
 
@@ -22,37 +22,18 @@ func stageHistName(kind string) string {
 	return fmt.Sprintf("earthd_stage_ns{stage=%q}", kind)
 }
 
-// compileChildren reconstructs the compile span's children after the fact
-// from what Pipeline.Do reported: a cache hit spent the whole span
-// consulting the cache; a fresh compile gets a cache.lookup residue followed
-// by the per-phase durations from trace.CompileStats, laid out back to back
-// from the span start, as the sequential compiler ran them.
-func compileChildren(tr *obs.JobTrace, cIx int, hit bool, u *core.Unit) {
+// compileChildren records the compile span's children: each phase the
+// compile ran at its measured bounds, preceded by a cache.lookup from the
+// span's start to the first phase. A cache hit ran no phase, so its one
+// child is the lookup over the whole span.
+func compileChildren(tr *obs.JobTrace, cIx int, phases []core.Phase) {
 	start, end := tr.Bounds(cIx)
-	if end < 0 {
-		return
+	if len(phases) > 0 {
+		end = tr.Offset(phases[0].Start)
 	}
-	st := u.Stats
-	if hit || st == nil || len(st.Phases) == 0 {
-		tr.AddInterval(cIx, obs.KindCacheLookup, start, end)
-		return
-	}
-	var phaseNs int64
-	for _, p := range st.Phases {
-		phaseNs += p.Ns
-	}
-	cur := start
-	if lookup := end - start - phaseNs; lookup > 0 {
-		tr.AddInterval(cIx, obs.KindCacheLookup, cur, cur+lookup)
-		cur += lookup
-	}
-	for _, p := range st.Phases {
-		e := cur + p.Ns
-		if e > end {
-			e = end
-		}
-		tr.AddInterval(cIx, obs.CompilePhasePrefix+p.Name, cur, e)
-		cur = e
+	tr.AddInterval(cIx, obs.KindCacheLookup, start, end)
+	for _, ph := range phases {
+		tr.AddInterval(cIx, obs.CompilePhasePrefix+ph.Name, tr.Offset(ph.Start), tr.Offset(ph.End))
 	}
 }
 

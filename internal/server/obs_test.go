@@ -44,6 +44,8 @@ func topSpans(tl *obs.Timeline) map[string]obs.SpanNode {
 // TestTimelineDoneJob: a completed job's timeline is served over HTTP with
 // the full stage tree, in all three encodings, and its stage durations sum
 // (within tolerance — the gaps are scheduler handoffs) to the wall latency.
+// The compile span's children are the measured phases on a miss and the
+// lone cache lookup on a hit.
 func TestTimelineDoneJob(t *testing.T) {
 	s := New(Config{Shards: 2, QueueDepth: 8})
 	defer drainServer(t, s)
@@ -77,18 +79,39 @@ func TestTimelineDoneJob(t *testing.T) {
 			t.Errorf("span %q open=%t dur=%d after completion", want, sp.Open, sp.DurNs)
 		}
 	}
-	// Fresh compile with host tracing on: the compile span carries phase
-	// children reconstructed from CompileStats.
+	// A fresh compile: the compile span's children are the cache lookup and
+	// then every phase the compile ran, at its measured bounds — in order,
+	// without overlaps, and inside the compile span.
 	if c, ok := spans[obs.KindCompile]; ok {
-		phase := false
-		for _, ch := range c.Children {
-			if strings.HasPrefix(ch.Kind, obs.CompilePhasePrefix) {
-				phase = true
+		cur, phases := c.StartNs, 0
+		for i, ch := range c.Children {
+			switch {
+			case strings.HasPrefix(ch.Kind, obs.CompilePhasePrefix):
+				phases++
+			case i != 0 || ch.Kind != obs.KindCacheLookup:
+				t.Errorf("compile child %d is %q, want %s first and then phases", i, ch.Kind, obs.KindCacheLookup)
 			}
+			if ch.StartNs < cur || ch.DurNs < 0 {
+				t.Errorf("compile child %s [%d, +%d] starts before %d (previous child or the compile span)", ch.Kind, ch.StartNs, ch.DurNs, cur)
+			}
+			cur = ch.StartNs + ch.DurNs
 		}
-		if !phase {
+		if end := c.StartNs + c.DurNs; cur > end {
+			t.Errorf("compile children end at %d, after the compile span at %d", cur, end)
+		}
+		if phases == 0 {
 			t.Errorf("compile span has no phase children: %+v", c.Children)
 		}
+	}
+	// The same source again is a unit-cache hit: no phase ran, so the
+	// lookup is the compile span's one child.
+	if _, jerr := submitWait(t, s, &JobRequest{ID: "tl-hit", Source: remoteListSrc, Nodes: 2}); jerr != nil {
+		t.Fatal(jerr)
+	}
+	if hit, code := getTimeline(t, ts.URL, "tl-hit"); code != 200 {
+		t.Errorf("GET hit timeline = %d, want 200", code)
+	} else if ch := topSpans(hit)[obs.KindCompile].Children; len(ch) != 1 || ch[0].Kind != obs.KindCacheLookup {
+		t.Errorf("cache-hit compile children = %+v, want exactly one %s", ch, obs.KindCacheLookup)
 	}
 	// The top-level stages tile the job's wall time; only scheduler handoffs
 	// (accept→queue, dequeue→compile, …) are unattributed.
@@ -386,8 +409,8 @@ func TestTimelineConcurrentReads(t *testing.T) {
 	readers.Wait()
 }
 
-// TestScrapeHelpTypeComplete audits the full merged exposition: every sample
-// family — service, shard pipelines, process, host stages — carries a # HELP
+// TestScrapeHelpTypeComplete audits the full exposition: every sample
+// family — service, pipelines, process, host stages — carries a # HELP
 // and a # TYPE header.
 func TestScrapeHelpTypeComplete(t *testing.T) {
 	s := New(Config{Shards: 2, QueueDepth: 8})
@@ -400,7 +423,7 @@ func TestScrapeHelpTypeComplete(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := s.MergedRegistry().WritePrometheus(&buf); err != nil {
+	if err := s.Scrape().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	help := map[string]bool{}

@@ -15,10 +15,10 @@
 //     requests produce byte-identical result payloads whether they were
 //     served from the cache or compiled cold.
 //
-//   - Aggregated observability. Each shard records into its own
-//     metrics.Registry (no cross-shard contention); every /metrics scrape
-//     folds the shard registries, the service registry, and process-level
-//     runtime metrics into one exposition via metrics.Merge.
+//   - One registry. The shard workers compile and run through the
+//     server's two pipelines, which record into the service's one
+//     metrics.Registry; every /metrics scrape refreshes the queue, journal
+//     and process-level runtime gauges in that registry and exposes it.
 //
 // Drain (wired to SIGTERM in cmd/earthd) stops intake, lets the workers
 // finish every accepted job, and only then releases the HTTP server — an
@@ -47,9 +47,8 @@ import (
 
 // Config sizes the service.
 type Config struct {
-	// Shards is the number of pipeline shards, each with a dedicated worker
-	// goroutine and its own metrics registry (default GOMAXPROCS, capped at
-	// 8).
+	// Shards is the number of pipeline shards, each a dedicated worker
+	// goroutine (default GOMAXPROCS, capped at 8).
 	Shards int
 	// QueueDepth bounds the job queue (default 64). A full queue rejects
 	// with 429 + Retry-After.
@@ -121,25 +120,22 @@ func (c Config) withDefaults() Config {
 }
 
 // shard is one execution lane: a dedicated worker goroutine draining the
-// shared queue into this shard's pipelines. The registry and trace recorder
-// are per-shard so the hot path never contends across shards; the recorder
-// is reused job to job (the worker is sequential) and the scrape endpoints
-// read the registry concurrently through its own locks.
+// shared queue through the server's pipelines. The trace recorder is reused
+// job to job (the worker is sequential).
 type shard struct {
 	id   int
-	reg  *metrics.Registry
 	rec  *trace.Recorder
 	jobs atomic.Int64 // jobs completed on this shard
-	// pipes are the shard's two pipelines, keyed by JobRequest.optimize: a
-	// job compiles and runs on the same one.
-	pipes map[bool]*core.Pipeline
 }
 
 // Server is the sharded compile-and-simulate service.
 type Server struct {
-	cfg    Config
-	reg    *metrics.Registry // service-level registry
-	proc   *metrics.ProcessCollector
+	cfg  Config
+	reg  *metrics.Registry // the one registry: service, pipelines, process
+	proc *metrics.ProcessCollector
+	// pipes are the two pipelines every shard shares, keyed by
+	// JobRequest.optimize: a job compiles and runs on the same one.
+	pipes  map[bool]*core.Pipeline
 	shards []*shard
 	cache  *cache.Cache // shared across shards; nil when CacheSize < 0
 	start  time.Time
@@ -196,10 +192,12 @@ func New(cfg Config) *Server {
 // answer re-submissions from their journaled payloads.
 func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	reg := metrics.NewRegistry()
 	s := &Server{
 		cfg:   cfg,
-		reg:   metrics.NewRegistry(),
-		proc:  metrics.NewProcessCollector(),
+		reg:   reg,
+		proc:  metrics.NewProcessCollector(reg),
+		pipes: make(map[bool]*core.Pipeline, 2),
 		queue: make(chan *job, cfg.QueueDepth),
 		jobs:  make(map[string]*jobState),
 		start: time.Now(),
@@ -222,24 +220,12 @@ func Open(cfg Config) (*Server, error) {
 		}
 		s.jr, rec = jr, r
 	}
+	for _, optimize := range []bool{false, true} {
+		s.pipes[optimize] = core.NewPipeline(core.Options{Optimize: optimize, Metrics: reg, Cache: s.cache})
+	}
 	s.reg.Gauge("earthd_shards", "Pipeline shards serving the job queue.").Set(int64(cfg.Shards))
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{
-			id:    i,
-			reg:   metrics.NewRegistry(),
-			rec:   trace.NewRecorder(0),
-			pipes: make(map[bool]*core.Pipeline, 2),
-		}
-		for _, optimize := range []bool{false, true} {
-			sh.pipes[optimize] = core.NewPipeline(core.Options{
-				Optimize: optimize,
-				Metrics:  sh.reg,
-				Cache:    s.cache,
-				// Keep the per-phase stats on the unit so the job's compile
-				// span gets phase children.
-				Stats: true,
-			})
-		}
+		sh := &shard{id: i, rec: trace.NewRecorder(0)}
 		s.shards = append(s.shards, sh)
 		s.wg.Add(1)
 		go s.worker(sh)
@@ -469,7 +455,7 @@ func (s *Server) execute(sh *shard, j *job) jobOutcome {
 
 	cIx := j.tr.Start(-1, obs.KindCompile)
 	t0 := time.Now()
-	pipe := sh.pipes[req.optimize()]
+	pipe := s.pipes[req.optimize()]
 	cres, err := pipe.Do(core.CompileRequest{Name: j.name, Source: j.src, Cache: j.policy})
 	compileNs := time.Since(t0).Nanoseconds()
 	j.tr.End(cIx)
@@ -477,7 +463,7 @@ func (s *Server) execute(sh *shard, j *job) jobOutcome {
 		return jobOutcome{err: errf(422, "compile: %v", err)}
 	}
 	u := cres.Unit
-	compileChildren(j.tr, cIx, cres.Hit, u)
+	compileChildren(j.tr, cIx, cres.Phases)
 
 	// Traced jobs record into the shard's recorder; the worker is
 	// sequential, so Reset-per-job reuse is safe.
@@ -532,10 +518,9 @@ func (s *Server) execute(sh *shard, j *job) jobOutcome {
 	return jobOutcome{result: r}
 }
 
-// MergedRegistry folds the service registry, every shard registry, and the
-// latest process-metrics snapshot into one point-in-time registry — the
-// body of a /metrics scrape.
-func (s *Server) MergedRegistry() *Registry {
+// Scrape refreshes the registry's scrape-time gauges — queue depth, journal
+// state, process metrics — and returns it: the body of a /metrics scrape.
+func (s *Server) Scrape() *Registry {
 	s.reg.Gauge("earthd_queue_depth", "Jobs currently queued.").Set(int64(len(s.queue)))
 	if s.jr != nil {
 		st := s.jr.Stats()
@@ -546,12 +531,7 @@ func (s *Server) MergedRegistry() *Registry {
 		s.reg.Gauge("earthd_journal_corrupt_records", "Journal records dropped by checksum validation on open.").Set(st.CorruptRecords)
 	}
 	s.proc.Collect()
-	regs := make([]*metrics.Registry, 0, len(s.shards)+2)
-	regs = append(regs, s.reg, s.proc.Registry())
-	for _, sh := range s.shards {
-		regs = append(regs, sh.reg)
-	}
-	return metrics.Merge(regs...)
+	return s.reg
 }
 
 // Registry aliases metrics.Registry for the package's public surface.

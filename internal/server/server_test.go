@@ -99,9 +99,9 @@ func drainServer(t *testing.T, s *Server) {
 	}
 }
 
-// counterValue reads one counter from the merged scrape registry.
+// counterValue reads one counter from the scrape registry.
 func counterValue(s *Server, name string) int64 {
-	return s.MergedRegistry().Counter(name, "").Value()
+	return s.Scrape().Counter(name, "").Value()
 }
 
 // submitWait submits req and waits for its outcome.
@@ -487,8 +487,9 @@ func TestFaultedJobDeterminism(t *testing.T) {
 	}
 }
 
-// TestMergedMetrics: the scrape aggregates service counters, per-shard
-// pipeline registries, and process metrics into one exposition.
+// TestMergedMetrics: the scrape exposes service counters, the shared
+// pipelines' counters from every shard's jobs, and process metrics in one
+// registry.
 func TestMergedMetrics(t *testing.T) {
 	s := New(Config{Shards: 3, QueueDepth: 16})
 	defer drainServer(t, s)
@@ -508,9 +509,9 @@ func TestMergedMetrics(t *testing.T) {
 	}
 	wg.Wait()
 
-	m := s.MergedRegistry()
+	m := s.Scrape()
 	if got := m.Counter("earth_runs_completed_total", "").Value(); got != n {
-		t.Errorf("aggregated earth_runs_completed_total = %d, want %d (summed across shards)", got, n)
+		t.Errorf("earth_runs_completed_total = %d, want %d (every shard's runs)", got, n)
 	}
 	if got := m.Counter("earthd_jobs_completed_total", "").Value(); got != n {
 		t.Errorf("earthd_jobs_completed_total = %d, want %d", got, n)
@@ -527,7 +528,7 @@ func TestMergedMetrics(t *testing.T) {
 		"process_heap_alloc_bytes", "process_gc_cycles_total",
 	} {
 		if !strings.Contains(buf.String(), want) {
-			t.Errorf("merged exposition missing %q", want)
+			t.Errorf("exposition missing %q", want)
 		}
 	}
 }
@@ -629,7 +630,7 @@ func TestCachePolicyValidation(t *testing.T) {
 
 // TestRepeatedDuplicatesHitCache: sequential identical submissions must
 // compile once and serve the repeats from the shared unit cache — the
-// counters in the merged scrape prove it.
+// counters in the scrape prove it.
 func TestRepeatedDuplicatesHitCache(t *testing.T) {
 	s := New(Config{Shards: 2, QueueDepth: 8})
 	defer drainServer(t, s)

@@ -96,48 +96,3 @@ func TestHistSaturatesTopBucket(t *testing.T) {
 		t.Errorf("Max = %d, want %d", h.Max, huge)
 	}
 }
-
-func TestHistMerge(t *testing.T) {
-	var a, b Hist
-	for _, v := range []int64{3, 100, 4096} {
-		a.Add(v)
-	}
-	for _, v := range []int64{1, 1 << 30} {
-		b.Add(v)
-	}
-	a.Merge(&b)
-	if a.N != 5 || a.Sum != 3+100+4096+1+(1<<30) {
-		t.Errorf("merged N=%d Sum=%d", a.N, a.Sum)
-	}
-	if a.Min != 1 || a.Max != 1<<30 {
-		t.Errorf("merged Min=%d Max=%d", a.Min, a.Max)
-	}
-	var total int64
-	for _, c := range a.Buckets {
-		total += c
-	}
-	if total != 5 {
-		t.Errorf("bucket counts sum to %d, want 5", total)
-	}
-	if q := a.Quantile(1.0); q < a.Max {
-		t.Errorf("q100 %d < max %d after merge", q, a.Max)
-	}
-}
-
-func TestHistMergeEdgeCases(t *testing.T) {
-	var a Hist
-	a.Add(7)
-	before := a
-	a.Merge(nil)
-	a.Merge(&Hist{})
-	if a != before {
-		t.Error("merging nil/empty changed the histogram")
-	}
-
-	// Merging into an empty histogram copies the source exactly.
-	var empty Hist
-	empty.Merge(&before)
-	if empty != before {
-		t.Errorf("empty.Merge(x) = %+v, want %+v", empty, before)
-	}
-}

@@ -40,26 +40,6 @@ func (h *Hist) Add(v int64) {
 	h.Sum += v
 }
 
-// Merge pools o's samples into h (bucket-wise; Min/Max/Sum/N combine).
-// The metrics registry merge in internal/metrics uses it to fold per-shard
-// pipeline histograms for the earthd scrape endpoint.
-func (h *Hist) Merge(o *Hist) {
-	if o == nil || o.N == 0 {
-		return
-	}
-	for i, c := range o.Buckets {
-		h.Buckets[i] += c
-	}
-	if h.N == 0 || o.Min < h.Min {
-		h.Min = o.Min
-	}
-	if o.Max > h.Max {
-		h.Max = o.Max
-	}
-	h.N += o.N
-	h.Sum += o.Sum
-}
-
 // Mean is the average sample (0 when empty).
 func (h *Hist) Mean() int64 {
 	if h.N == 0 {

@@ -285,24 +285,3 @@ func TestSummarize(t *testing.T) {
 		t.Error("summary text is not deterministic")
 	}
 }
-
-func TestCompileStats(t *testing.T) {
-	var nilStats *CompileStats
-	nilStats.AddPhase("parse", 5) // must not panic
-	if nilStats.TotalNs() != 0 {
-		t.Error("nil CompileStats TotalNs != 0")
-	}
-	st := &CompileStats{}
-	st.AddPhase("parse", 1000)
-	st.AddPhase("sema", 2500)
-	if st.TotalNs() != 3500 {
-		t.Errorf("TotalNs = %d, want 3500", st.TotalNs())
-	}
-	if len(st.Phases) != 2 || st.Phases[0].Name != "parse" || st.Phases[1].Ns != 2500 {
-		t.Errorf("phases: %+v", st.Phases)
-	}
-	out := st.String()
-	if !strings.Contains(out, "parse") || !strings.Contains(out, "sema") {
-		t.Errorf("String() missing phases:\n%s", out)
-	}
-}
