@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/olden"
+	"repro/internal/placement"
 	"repro/internal/simple"
 )
 
@@ -65,6 +68,71 @@ var compiledCodeGolden = map[string]string{
 	"scale_point.ec/O":                  "d46503bc2a93cd588d787e31a139f59b3826ff0cc7ba6773fea8ccd42d99993c",
 	"scale_point.ec/O,NoInline":         "99f0ad8daf677baf42d395138e65fd24976ae10354e982b2ea6585f520ad9e48",
 	"scale_point.ec/O,ReorderFields":    "d46503bc2a93cd588d787e31a139f59b3826ff0cc7ba6773fea8ccd42d99993c",
+
+	// Profile-guided builds (Pipeline.ProfileCycle on 4 nodes), where the
+	// measured factors scale tuple frequencies non-uniformly.
+	"power/quick/O,PGO":     "e6f73a4997cb79710b7d610bc32af4d10f331dec641499c8af258091cc05473c",
+	"tsp/quick/O,PGO":       "7ce359f73564b3f5be3f7ccf0affc3dd4f8276a43fc51ac344c967989837e731",
+	"health/quick/O,PGO":    "9f30ae64361c9caf4a9c64e245a1d55d7db67cc4d9a5dd6bab7b37b310901c0b",
+	"perimeter/quick/O,PGO": "1bf2af32a3dae546686917dc5555315486299c3070c85b4d64d3793058148e5e",
+	"voronoi/quick/O,PGO":   "b03578783dc07e8718b31b6aa03d410664c490d4e9e754efc0dd29957688f9e6",
+}
+
+// placementSetsGolden pins, for every compiledCodeGolden cell, the sha256 of
+// the possible-placement sets the compile selected from (see
+// placementSetsHash). A change that must emit the same code from the same
+// analysis holds these too, down to the last bit of every frequency.
+var placementSetsGolden = map[string]string{
+	"power/default/O":                   "ba549aa41a5b0f29feaf59a21aca44b662f47bccd0f0324d652fc247b6cd810a",
+	"power/default/O,NoInline":          "9679113468d6a67b3ad1e04e5996522a8bec1c68252eed7bc5e561c630b82356",
+	"power/default/O,ReorderFields":     "8a8a126c63415fe2475245f2c7b32464317879433a2032207153a441625ce7c9",
+	"power/quick/O":                     "ba549aa41a5b0f29feaf59a21aca44b662f47bccd0f0324d652fc247b6cd810a",
+	"power/quick/O,NoInline":            "9679113468d6a67b3ad1e04e5996522a8bec1c68252eed7bc5e561c630b82356",
+	"power/quick/O,ReorderFields":       "8a8a126c63415fe2475245f2c7b32464317879433a2032207153a441625ce7c9",
+	"tsp/default/O":                     "6416560bc0f3b8cd5d822499594169c0ebd1f3627168cb41a12a2ad1bec3401d",
+	"tsp/default/O,NoInline":            "1539b9022a0a9a0b8cc78d757934ff3fb96d77fa9ed75b74d8907b436b7193a7",
+	"tsp/default/O,ReorderFields":       "f3df7d5a7b1c80d9d0e9e96856338500e76809594e227735c3680e9ae1fe7f85",
+	"tsp/quick/O":                       "6416560bc0f3b8cd5d822499594169c0ebd1f3627168cb41a12a2ad1bec3401d",
+	"tsp/quick/O,NoInline":              "1539b9022a0a9a0b8cc78d757934ff3fb96d77fa9ed75b74d8907b436b7193a7",
+	"tsp/quick/O,ReorderFields":         "f3df7d5a7b1c80d9d0e9e96856338500e76809594e227735c3680e9ae1fe7f85",
+	"health/default/O":                  "76bd4d33739cd22081d2499901c96eca6d0811b5d6eae467ccc80f77fa02cf82",
+	"health/default/O,NoInline":         "46395043f3be9a1838411b652fbe71b150e9d1e3e578de23e73779cc8c3cd647",
+	"health/default/O,ReorderFields":    "58bb0782af068ffbaa0aa0b681d3d92dd6b78fd7719ecaf26e79076427362c14",
+	"health/quick/O":                    "76bd4d33739cd22081d2499901c96eca6d0811b5d6eae467ccc80f77fa02cf82",
+	"health/quick/O,NoInline":           "46395043f3be9a1838411b652fbe71b150e9d1e3e578de23e73779cc8c3cd647",
+	"health/quick/O,ReorderFields":      "58bb0782af068ffbaa0aa0b681d3d92dd6b78fd7719ecaf26e79076427362c14",
+	"perimeter/default/O":               "3ccdc543f731ca947f299c8e0c3578dac781a1840e8cf52179ba16f83b7cd98e",
+	"perimeter/default/O,NoInline":      "64c0762741092d5184576fc0bb70fafd85e4639524088ea435cd1da90ea3f5a6",
+	"perimeter/default/O,ReorderFields": "c02b3bd909d5d02708b45f17795ed8abdf0bc77bf15747e68bf1391f3db349de",
+	"perimeter/quick/O":                 "3ccdc543f731ca947f299c8e0c3578dac781a1840e8cf52179ba16f83b7cd98e",
+	"perimeter/quick/O,NoInline":        "64c0762741092d5184576fc0bb70fafd85e4639524088ea435cd1da90ea3f5a6",
+	"perimeter/quick/O,ReorderFields":   "c02b3bd909d5d02708b45f17795ed8abdf0bc77bf15747e68bf1391f3db349de",
+	"voronoi/default/O":                 "d6ddf0bbed612c6f9472821af28003521bf9fc6ffff1ab906c5b541fd550b572",
+	"voronoi/default/O,NoInline":        "65d51effd49fe1500d9a077ae01c488bae8f4c97f4069bc12c30138aa798f500",
+	"voronoi/default/O,ReorderFields":   "92aa7f3165bc74bb3a98b0bd1dc638ece06b55b9819daa1240e18c125f46ae4b",
+	"voronoi/quick/O":                   "d6ddf0bbed612c6f9472821af28003521bf9fc6ffff1ab906c5b541fd550b572",
+	"voronoi/quick/O,NoInline":          "65d51effd49fe1500d9a077ae01c488bae8f4c97f4069bc12c30138aa798f500",
+	"voronoi/quick/O,ReorderFields":     "92aa7f3165bc74bb3a98b0bd1dc638ece06b55b9819daa1240e18c125f46ae4b",
+	"halo/default/O":                    "900d50258b822b9e189300f33f7d53b87ae8d3ba42cf22e1eacf49af79c03c7b",
+	"halo/default/O,NoInline":           "900d50258b822b9e189300f33f7d53b87ae8d3ba42cf22e1eacf49af79c03c7b",
+	"halo/default/O,ReorderFields":      "4763571c4906ecc305061535f92a24a57ec52a57ab4d73cb9029715732340102",
+	"count.ec/O":                        "bebc223fb4591f9a9782cf6cc90b99c379ffe29b7f8368acc490d3a42c65fde5",
+	"count.ec/O,NoInline":               "9956ea3cb42a43f760465e5509ecb6b520f4fbce0cac70de79edc3a04c1840d0",
+	"count.ec/O,ReorderFields":          "3855dcd524d5481c84b8c03743fa515d2b0b1d638059e6421ce342fe12c7efef",
+	"distance.ec/O":                     "6f9738ff2a60a6c777e83a6fae7372bc39a055f65248d32c884a1af809ade91c",
+	"distance.ec/O,NoInline":            "53fbc8884b1eb7e6c63e6c90be14d674dfe49f0670b38f3826fce6dab4161749",
+	"distance.ec/O,ReorderFields":       "6f9738ff2a60a6c777e83a6fae7372bc39a055f65248d32c884a1af809ade91c",
+	"listsearch.ec/O":                   "2c1b9133eddebe2c68916ed2a29c3a325b999886b9d45288728934a0615f0d73",
+	"listsearch.ec/O,NoInline":          "fec8df5312c751bd53ea2f4b457feb34213529703fe7516868918997f30e5269",
+	"listsearch.ec/O,ReorderFields":     "2c1b9133eddebe2c68916ed2a29c3a325b999886b9d45288728934a0615f0d73",
+	"scale_point.ec/O":                  "877b3c329ccfd48fe9811f5c62154951ca7c82be3f29655b2aa1863bea61578f",
+	"scale_point.ec/O,NoInline":         "82173d3c5849dda8e7266d01918057674c85baf492d6bc803768e8537836abfd",
+	"scale_point.ec/O,ReorderFields":    "877b3c329ccfd48fe9811f5c62154951ca7c82be3f29655b2aa1863bea61578f",
+	"power/quick/O,PGO":                 "ba549aa41a5b0f29feaf59a21aca44b662f47bccd0f0324d652fc247b6cd810a",
+	"tsp/quick/O,PGO":                   "c55c15f454b5584c7d04438f0929e736901aac541b024b3969a4d359be42109d",
+	"health/quick/O,PGO":                "92fe114f28cf0d4b9bc0f16d93720b476d1a27019f32c2e68b3db681d778af2c",
+	"perimeter/quick/O,PGO":             "b32fbd2096c75235e7d264b80e75b65f7740687c2f60c4f5b555b356219764fc",
+	"voronoi/quick/O,PGO":               "4cb0580fd72c3e4270d0c4bec2dedc0dcfec851a9211ecbca36193376443631c",
 }
 
 // compiledCodeHash is the hash compiledCodeGolden pins for one compiled unit.
@@ -82,9 +150,55 @@ func compiledCodeHash(t *testing.T, u *Unit) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// placementSetsHash hashes every statement's RemoteReads and RemoteWrites
+// set in walk order: each tuple's pointer name, offset, full-precision
+// frequency, Dlist, CrossedW and CrossedR, tuples sorted by (name, offset).
+func placementSetsHash(u *Unit) string {
+	h := sha256.New()
+	labels := func(ls []int) string {
+		parts := make([]string, len(ls))
+		for i, l := range ls {
+			parts[i] = strconv.Itoa(l)
+		}
+		return "{" + strings.Join(parts, ",") + "}"
+	}
+	writeSet := func(kind string, i int, ts []*placement.Tuple) {
+		ts = append([]*placement.Tuple(nil), ts...)
+		sort.Slice(ts, func(a, b int) bool {
+			if ts[a].P.Name != ts[b].P.Name {
+				return ts[a].P.Name < ts[b].P.Name
+			}
+			return ts[a].Off < ts[b].Off
+		})
+		fmt.Fprintf(h, "%s%d:", kind, i)
+		for _, t := range ts {
+			fmt.Fprintf(h, " (%s,%d,%s,%s,%s,%s)", t.P.Name, t.Off,
+				strconv.FormatFloat(t.Freq, 'g', -1, 64),
+				labels(t.D), labels(t.CrossedW), labels(t.CrossedR))
+		}
+		h.Write([]byte("\n"))
+	}
+	for _, f := range u.Simple.Funcs {
+		fmt.Fprintf(h, "func %s\n", f.Name)
+		i := 0
+		simple.WalkStmts(f.Body, func(s simple.Stmt) {
+			if rs, ok := u.Placement.Reads[s]; ok && rs.Len() > 0 {
+				writeSet("R", i, rs.Tuples())
+			}
+			if ws, ok := u.Placement.Writes[s]; ok && ws.Len() > 0 {
+				writeSet("W", i, ws.Tuples())
+			}
+			i++
+		})
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestCompiledCodeGolden compiles every Olden program at default and quick
 // size, halo and each testdata/*.ec program under -O, -O with NoInline and -O
-// with ReorderFields, and checks the emitted code against compiledCodeGolden.
+// with ReorderFields, plus each Olden program at quick size profile-guided on
+// 4 nodes, and checks the emitted code against compiledCodeGolden and the
+// placement sets against placementSetsGolden.
 func TestCompiledCodeGolden(t *testing.T) {
 	type source struct{ name, text string }
 	var sources []source
@@ -114,7 +228,15 @@ func TestCompiledCodeGolden(t *testing.T) {
 		{"O,NoInline", Options{Optimize: true, NoInline: true}},
 		{"O,ReorderFields", Options{Optimize: true, ReorderFields: true}},
 	}
-	var mismatched []string
+	var codeDiffs, setDiffs []string
+	check := func(cell string, u *Unit) {
+		if got := compiledCodeHash(t, u); got != compiledCodeGolden[cell] {
+			codeDiffs = append(codeDiffs, fmt.Sprintf("\t%q: %q,", cell, got))
+		}
+		if got := placementSetsHash(u); got != placementSetsGolden[cell] {
+			setDiffs = append(setDiffs, fmt.Sprintf("\t%q: %q,", cell, got))
+		}
+	}
 	for _, src := range sources {
 		for _, set := range optionSets {
 			cell := src.name + "/" + set.name
@@ -122,15 +244,26 @@ func TestCompiledCodeGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", cell, err)
 			}
-			got := compiledCodeHash(t, u)
-			want, ok := compiledCodeGolden[cell]
-			if !ok || got != want {
-				mismatched = append(mismatched, fmt.Sprintf("\t%q: %q,", cell, got))
-			}
+			check(cell, u)
 		}
 	}
-	if len(mismatched) != 0 {
+	cells := len(sources) * len(optionSets)
+	for _, bm := range olden.All() {
+		cell := bm.Name + "/quick/O,PGO"
+		u, _, err := compileWithProfile(bm.Name+".ec", bm.Source(olden.QuickParams(bm)),
+			Options{Optimize: true}, RunConfig{Nodes: 4})
+		if err != nil {
+			t.Fatalf("%s: %v", cell, err)
+		}
+		check(cell, u)
+		cells++
+	}
+	if len(codeDiffs) != 0 {
 		t.Errorf("%d of %d cells differ from compiledCodeGolden; the emitted hashes are:\n%s",
-			len(mismatched), len(sources)*len(optionSets), strings.Join(mismatched, "\n"))
+			len(codeDiffs), cells, strings.Join(codeDiffs, "\n"))
+	}
+	if len(setDiffs) != 0 {
+		t.Errorf("%d of %d cells differ from placementSetsGolden; the set hashes are:\n%s",
+			len(setDiffs), cells, strings.Join(setDiffs, "\n"))
 	}
 }
