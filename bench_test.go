@@ -125,23 +125,32 @@ var tinyPrograms = []struct {
 	{"voronoi", olden.Params{Size: 8}},
 }
 
-// BenchmarkCompileTiny compiles compile_cold's five tiny programs in
-// process, one op being all five, so a compiler change can be A/B-tested
-// pinned to one CPU without earthd, HTTP or the simulator in the way.
-func BenchmarkCompileTiny(b *testing.B) {
+// compileTinyRun returns one BenchmarkCompileTiny op: a cold compile of
+// each of compile_cold's five tiny programs, on one pipeline without a cache.
+func compileTinyRun(tb testing.TB) func() {
 	srcs := make([]string, len(tinyPrograms))
 	for i, tp := range tinyPrograms {
 		srcs[i] = olden.ByName(tp.name).Source(tp.params)
 	}
 	p := core.NewPipeline(core.Options{Optimize: true})
+	return func() {
+		for j, src := range srcs {
+			if _, err := p.Compile(tinyPrograms[j].name+".ec", src); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkCompileTiny compiles compile_cold's five tiny programs in
+// process, one op being all five, so a compiler change can be A/B-tested
+// pinned to one CPU without earthd, HTTP or the simulator in the way.
+func BenchmarkCompileTiny(b *testing.B) {
+	run := compileTinyRun(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j, src := range srcs {
-			if _, err := p.Compile(tinyPrograms[j].name+".ec", src); err != nil {
-				b.Fatal(err)
-			}
-		}
+		run()
 	}
 }
 

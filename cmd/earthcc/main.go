@@ -176,10 +176,10 @@ func run(args []string, out, stderr io.Writer) int {
 			fmt.Fprintf(out, "=== %s ===\n", f.Name)
 			simple.WalkStmts(f.Body, func(s simple.Stmt) {
 				if b, ok := s.(*simple.Basic); ok {
-					if rs := u.Placement.Reads[s]; rs != nil && rs.Len() > 0 {
+					if rs := u.Placement.Reads[s]; rs.Len() > 0 {
 						fmt.Fprintf(out, "  RemoteReads(S%d)  = %s\n", b.Label, rs)
 					}
-					if ws := u.Placement.Writes[s]; ws != nil && ws.Len() > 0 {
+					if ws := u.Placement.Writes[s]; ws.Len() > 0 {
 						fmt.Fprintf(out, "  RemoteWrites(S%d) = %s\n", b.Label, ws)
 					}
 				}

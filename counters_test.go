@@ -90,15 +90,21 @@ var simulator = struct {
 	allocs       int64 // measured per run
 }{257219, 101}
 
-// Measured allocations per op of BenchmarkCompile and BenchmarkCompileWarm,
-// and the cold compile's heap bytes. A compile fell from 28,861 allocations
-// when the per-function worker pool was deleted and each phase wrote
-// straight into its result in function order, and from 28,205 allocations
-// and 2,611,716 bytes when read/write sets became sorted arrays of interned
-// ids instead of up to four maps per statement.
+// Measured allocations per op of BenchmarkCompile, BenchmarkCompileTiny and
+// BenchmarkCompileWarm, and the cold compile's heap bytes. A compile fell
+// from 28,861 allocations when the per-function worker pool was deleted and
+// each phase wrote straight into its result in function order, and from
+// 28,205 allocations and 2,611,716 bytes when read/write sets became sorted
+// arrays of interned ids instead of up to four maps per statement. It fell
+// from 21,669 allocations and 1,982,624 bytes, and the five tiny programs
+// from 106,666 allocations, when placement's tuple sets became immutable and
+// shared instead of deep-copied at every statement, and commsel's frame
+// stack, findGoto's path and the walkers' child lists stopped being copied
+// per statement.
 const (
-	compileAllocs     = 21_669
-	compileBytes      = 1_982_624
+	compileAllocs     = 9_373
+	compileBytes      = 1_381_448
+	compileTinyAllocs = 47_578
 	compileWarmAllocs = 20
 )
 
@@ -217,6 +223,7 @@ func TestCounters(t *testing.T) {
 		}
 	}
 	checkAllocs(t, "Compile", ceiling(compileAllocs), compile(core.NewPipeline(core.Options{Optimize: true})))
+	checkAllocs(t, "CompileTiny", ceiling(compileTinyAllocs), compileTinyRun(t))
 	// AllocsPerRun's warm-up call fills the cache; a miss afterwards would
 	// blow the ceiling a thousandfold.
 	checkAllocs(t, "CompileWarm", ceiling(compileWarmAllocs),

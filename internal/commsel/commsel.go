@@ -140,13 +140,13 @@ func Transform(prog *simple.Program, pl *placement.Result, rw *rwsets.Result,
 		s := &sel{
 			prog: prog, pl: pl, rw: rw, loc: loc, opt: opt, fn: fn,
 			fr:          &FuncReport{Name: fn.Name},
-			handledR:    make(map[placement.Key]map[int]bool),
+			handledR:    make(map[int]map[int]bool),
 			readShadow:  make(map[int]shadow),
 			storeShadow: make(map[int]shadow),
 			blkClean:    make(map[*simple.Var]bool),
 			fills:       make(map[*simple.Var]fillInfo),
 		}
-		s.readsSeq(fn.Body, nil)
+		s.readsSeq(fn.Body)
 		s.applyReadRewrites()
 		esc := s.writesSeq(fn.Body)
 		s.materialize(mapVals(esc), fn.Body, len(fn.Body.Stmts))
@@ -164,9 +164,14 @@ type sel struct {
 	fn   *simple.Func
 	fr   *FuncReport
 
-	// handledR is the paper's hash table: per location key, the read labels
-	// already covered by an earlier (higher) selection.
-	handledR map[placement.Key]map[int]bool
+	// handledR is the paper's hash table: per location id (placement's
+	// Tuple.Loc), the read labels already covered by an earlier (higher)
+	// selection.
+	handledR map[int]map[int]bool
+	// stack is the read traversal's current placement stack (see frame).
+	stack []frame
+	// stored caches storedSpans.
+	stored map[*simple.Var]offSpan
 	// readShadow maps a remote-load label to the shadow that replaces it.
 	readShadow map[int]shadow
 	// storeShadow maps a remote-store label to the shadow it must update

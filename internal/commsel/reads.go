@@ -34,59 +34,65 @@ type frame struct {
 }
 
 // readsSeq performs top-down earliest-placement selection over a sequence
-// (the driving traversal of §4.2).
-func (s *sel) readsSeq(seq *simple.Seq, stack []frame) {
+// (the driving traversal of §4.2). s.stack holds the frames of the enclosing
+// constructs; each level pushes its own frame and pops it on return.
+func (s *sel) readsSeq(seq *simple.Seq) {
 	for i := 0; i < len(seq.Stmts); i++ {
 		st := seq.Stmts[i]
-		if set := s.pl.Reads[st]; set != nil && set.Len() > 0 {
-			here := append(append([]frame{}, stack...), frame{seq, i})
-			ins := s.selectReadsAt(set, st, here)
+		if set := s.pl.Reads[st]; set.Len() > 0 {
+			s.stack = append(s.stack, frame{seq, i})
+			ins := s.selectReadsAt(set, st)
+			s.stack = s.stack[:len(s.stack)-1]
 			if len(ins) > 0 {
 				insertStmts(seq, i, ins)
 				i += len(ins)
 				st = seq.Stmts[i]
 			}
 		}
-		s.descendReads(st, stack, seq, i)
+		s.descendReads(st, seq, i)
 	}
 }
 
-func (s *sel) descendReads(st simple.Stmt, stack []frame, seq *simple.Seq, i int) {
-	here := append(append([]frame{}, stack...), frame{seq, i + 1})
+func (s *sel) descendReads(st simple.Stmt, seq *simple.Seq, i int) {
 	switch c := st.(type) {
 	case *simple.Basic:
-		// nothing below
+		return // nothing below
 	case *simple.Seq:
-		s.readsSeq(c, stack)
+		s.readsSeq(c)
+		return
+	}
+	s.stack = append(s.stack, frame{seq, i + 1})
+	switch c := st.(type) {
 	case *simple.If:
-		s.readsSeq(c.Then, here)
-		s.readsSeq(c.Else, here)
+		s.readsSeq(c.Then)
+		s.readsSeq(c.Else)
 	case *simple.Switch:
 		for _, cc := range c.Cases {
-			s.readsSeq(cc.Body, here)
+			s.readsSeq(cc.Body)
 		}
 	case *simple.While:
-		s.readsSeq(c.Eval, here)
-		s.readsSeq(c.Body, here)
+		s.readsSeq(c.Eval)
+		s.readsSeq(c.Body)
 	case *simple.Do:
-		s.readsSeq(c.Body, here)
-		s.readsSeq(c.Eval, here)
+		s.readsSeq(c.Body)
+		s.readsSeq(c.Eval)
 	case *simple.Forall:
-		s.readsSeq(c.Eval, here)
-		s.readsSeq(c.Body, here)
-		s.readsSeq(c.Step, here)
+		s.readsSeq(c.Eval)
+		s.readsSeq(c.Body)
+		s.readsSeq(c.Step)
 	case *simple.Par:
 		for _, arm := range c.Arms {
-			s.readsSeq(arm, here)
+			s.readsSeq(arm)
 		}
 	}
+	s.stack = s.stack[:len(s.stack)-1]
 }
 
 // selectReadsAt implements the per-point candidate selection: take the
 // RemoteReads set valid just before st, drop already-handled accesses,
 // apply the frequency and dereference-safety criteria, then group by
 // pointer and choose pipelined gets or a blocked fill.
-func (s *sel) selectReadsAt(set *placement.Set, st simple.Stmt, stack []frame) []simple.Stmt {
+func (s *sel) selectReadsAt(set placement.Set, st simple.Stmt) []simple.Stmt {
 	type cand struct {
 		t      *placement.Tuple
 		labels []int
@@ -95,10 +101,9 @@ func (s *sel) selectReadsAt(set *placement.Set, st simple.Stmt, stack []frame) [
 	extraByPtr := make(map[*simple.Var][]cand) // sub-threshold-frequency tuples
 	var ptrs []*simple.Var
 	for _, t := range set.Tuples() {
-		key := t.Key()
 		var labels []int
 		for _, l := range t.Labels() {
-			if !s.handledR[key][l] {
+			if !s.handledR[t.Loc][l] {
 				labels = append(labels, l)
 			}
 		}
@@ -123,7 +128,7 @@ func (s *sel) selectReadsAt(set *placement.Set, st simple.Stmt, stack []frame) [
 			}
 			continue
 		}
-		if !s.derefSafe(t.P, stack) {
+		if !s.derefSafe(t.P) {
 			continue
 		}
 		if byPtr[t.P] == nil {
@@ -175,19 +180,10 @@ func (s *sel) selectReadsAt(set *placement.Set, st simple.Stmt, stack []frame) [
 			// RemoteFill (paper §4.2): extend the filled span over fields
 			// the function stores through p, so every word a delayed
 			// write-back covers is locally valid and the write can block.
-			simple.WalkBasics(s.fn.Body, func(b *simple.Basic) {
-				if b.Kind != simple.KAssign {
-					return
-				}
-				if stv, ok := b.Lhs.(simple.StoreLV); ok && stv.P == p {
-					if stv.Off < base {
-						base = stv.Off
-					}
-					if stv.Off+1 > end {
-						end = stv.Off + 1
-					}
-				}
-			})
+			if sp, ok := s.storedSpans()[p]; ok {
+				base = min(base, sp.lo)
+				end = max(end, sp.hi)
+			}
 			span = end - base
 			bcomm := s.newBComm(layout.Name, layout.Size)
 			fill := s.fn.NewBasic(simple.KBlkRead)
@@ -228,6 +224,31 @@ func (s *sel) selectReadsAt(set *placement.Set, st simple.Stmt, stack []frame) [
 	return ins
 }
 
+// offSpan is a half-open word range [lo, hi).
+type offSpan struct{ lo, hi int }
+
+// storedSpans returns, per pointer, the span of offsets the function stores
+// through it, computed on first use. Selection inserts no stores while it
+// places reads, so one walk serves every fill of the function.
+func (s *sel) storedSpans() map[*simple.Var]offSpan {
+	if s.stored == nil {
+		s.stored = make(map[*simple.Var]offSpan)
+		simple.WalkBasics(s.fn.Body, func(b *simple.Basic) {
+			if b.Kind != simple.KAssign {
+				return
+			}
+			if stv, ok := b.Lhs.(simple.StoreLV); ok {
+				sp, seen := s.stored[stv.P]
+				if !seen {
+					sp = offSpan{stv.Off, stv.Off + 1}
+				}
+				s.stored[stv.P] = offSpan{min(sp.lo, stv.Off), max(sp.hi, stv.Off+1)}
+			}
+		})
+	}
+	return s.stored
+}
+
 func containsLabel(labels []int, l int) bool {
 	for _, x := range labels {
 		if x == l {
@@ -255,11 +276,10 @@ func (s *sel) loadDst(labels []int) *simple.Var {
 // commit records a selection: hash the covered labels, bind shadows for the
 // loads, and mandate shadow updates for stores the tuple floated across.
 func (s *sel) commit(t *placement.Tuple, labels []int, sh shadow) {
-	key := t.Key()
-	hs := s.handledR[key]
+	hs := s.handledR[t.Loc]
 	if hs == nil {
 		hs = make(map[int]bool)
-		s.handledR[key] = hs
+		s.handledR[t.Loc] = hs
 	}
 	for i, l := range labels {
 		hs[l] = true
@@ -276,12 +296,12 @@ func (s *sel) commit(t *placement.Tuple, labels []int, sh shadow) {
 // --------------------------------------------------- dereference safety ---
 
 // derefSafe reports whether, starting at the placement point described by
-// the stack, the original program dereferences p on all forward paths
-// before p can change (footnote 2 of the paper: this licenses inserting an
-// early dereference).
-func (s *sel) derefSafe(p *simple.Var, stack []frame) bool {
-	for level := len(stack) - 1; level >= 0; level-- {
-		f := stack[level]
+// s.stack, the original program dereferences p on all forward paths before
+// p can change (footnote 2 of the paper: this licenses inserting an early
+// dereference).
+func (s *sel) derefSafe(p *simple.Var) bool {
+	for level := len(s.stack) - 1; level >= 0; level-- {
+		f := s.stack[level]
 		switch s.scanSeq(f.seq, f.idx, p) {
 		case scanFound:
 			return true

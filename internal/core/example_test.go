@@ -205,7 +205,7 @@ func Example_figure7() {
 		if !ok {
 			return
 		}
-		if rs := u.Placement.Reads[s]; rs != nil && rs.Len() > 0 {
+		if rs := u.Placement.Reads[s]; rs.Len() > 0 {
 			fmt.Printf("  S%-3d %-30s %s\n", b.Label, simple.BasicText(b), rs)
 		}
 	})

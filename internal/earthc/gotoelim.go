@@ -60,42 +60,46 @@ type gotoSite struct {
 // Only chains through Block, If, While, Do, For bodies are recorded; a goto
 // under ParSeq/Forall/Switch yields a path that eliminate() will reject.
 func findGoto(body *Block) *gotoSite {
-	var walk func(b *Block, prefix []pathStep) *gotoSite
-	var inStmt func(s Stmt, prefix []pathStep) *gotoSite
+	// path is the chain down to the statement being visited, one buffer
+	// for the whole walk; a found site gets its own copy, which eliminate()
+	// then edits.
+	path := make([]pathStep, 0, 8)
+	var walk func(b *Block) *gotoSite
+	var inStmt func(s Stmt) *gotoSite
 
-	inStmt = func(s Stmt, prefix []pathStep) *gotoSite {
+	inStmt = func(s Stmt) *gotoSite {
 		switch st := s.(type) {
 		case *GotoStmt:
-			return &gotoSite{path: prefix, g: st}
+			return &gotoSite{path: append([]pathStep(nil), path...), g: st}
 		case *LabeledStmt:
-			return inStmt(st.Stmt, prefix)
+			return inStmt(st.Stmt)
 		case *Block:
-			return walk(st, prefix)
+			return walk(st)
 		case *IfStmt:
-			if r := inStmt(st.Then, prefix); r != nil {
+			if r := inStmt(st.Then); r != nil {
 				return r
 			}
 			if st.Else != nil {
-				return inStmt(st.Else, prefix)
+				return inStmt(st.Else)
 			}
 		case *WhileStmt:
-			return inStmt(st.Body, prefix)
+			return inStmt(st.Body)
 		case *DoStmt:
-			return inStmt(st.Body, prefix)
+			return inStmt(st.Body)
 		case *ForStmt:
-			return inStmt(st.Body, prefix)
+			return inStmt(st.Body)
 		case *ForallStmt:
-			return inStmt(st.Body, prefix)
+			return inStmt(st.Body)
 		case *ParSeq:
 			for _, c := range st.Stmts {
-				if r := inStmt(c, prefix); r != nil {
+				if r := inStmt(c); r != nil {
 					return r
 				}
 			}
 		case *SwitchStmt:
 			for _, cc := range st.Cases {
 				for _, c := range cc.Body {
-					if r := inStmt(c, prefix); r != nil {
+					if r := inStmt(c); r != nil {
 						return r
 					}
 				}
@@ -104,16 +108,18 @@ func findGoto(body *Block) *gotoSite {
 		return nil
 	}
 
-	walk = func(b *Block, prefix []pathStep) *gotoSite {
+	walk = func(b *Block) *gotoSite {
 		for i, s := range b.Stmts {
-			step := append(append([]pathStep(nil), prefix...), pathStep{b, i})
-			if r := inStmt(s, step); r != nil {
+			path = append(path, pathStep{b, i})
+			r := inStmt(s)
+			path = path[:len(path)-1]
+			if r != nil {
 				return r
 			}
 		}
 		return nil
 	}
-	return walk(body, nil)
+	return walk(body)
 }
 
 // labelIndex finds a label declared directly in block b (possibly nested

@@ -1,6 +1,8 @@
 package placement
 
 import (
+	"sort"
+
 	"repro/internal/locality"
 	"repro/internal/par"
 	"repro/internal/rwsets"
@@ -33,17 +35,14 @@ type FreqProvider interface {
 }
 
 // Result carries the per-statement possible-placement sets for a program.
+// Its sets are immutable and share tuple records (see Set).
 type Result struct {
 	// Reads maps each statement S to RemoteReads(S): tuples placeable just
-	// before S.
-	Reads map[simple.Stmt]*Set
+	// before S. A statement with an empty set has no entry.
+	Reads map[simple.Stmt]Set
 	// Writes maps each statement S to RemoteWrites(S): tuples placeable
-	// just after S.
-	Writes map[simple.Stmt]*Set
-	// EntryReads is the set propagated to each function's entry.
-	EntryReads map[*simple.Func]*Set
-	// ExitWrites is the set propagated to each function's exit.
-	ExitWrites map[*simple.Func]*Set
+	// just after S. A statement with an empty set has no entry.
+	Writes map[simple.Stmt]Set
 	// CandidateReads / CandidateWrites count the basic statements that
 	// generate a tuple (each walk visits every basic statement once): the
 	// remote loads and stores entering placement.
@@ -78,16 +77,15 @@ func AnalyzeProfiledP(prog *simple.Program, rw *rwsets.Result, loc *locality.Res
 // static heuristics apply unchanged.
 func AnalyzeProfiled(prog *simple.Program, rw *rwsets.Result, loc *locality.Result, fp FreqProvider) *Result {
 	res := &Result{
-		Reads:      make(map[simple.Stmt]*Set),
-		Writes:     make(map[simple.Stmt]*Set),
-		EntryReads: make(map[*simple.Func]*Set),
-		ExitWrites: make(map[*simple.Func]*Set),
-		Profiled:   fp != nil,
+		Reads:    make(map[simple.Stmt]Set),
+		Writes:   make(map[simple.Stmt]Set),
+		Profiled: fp != nil,
 	}
+	locs := make(map[Key]int)
 	prog.EachFunc(func(f *simple.Func) {
-		a := &analysis{rw: rw, loc: loc, fp: fp, fn: f, res: res}
-		res.EntryReads[f] = a.readsSeq(f.Body)
-		res.ExitWrites[f] = a.writesSeq(f.Body)
+		a := &analysis{rw: rw, loc: loc, fp: fp, fn: f, res: res, locs: locs}
+		a.readsSeq(f.Body)
+		a.writesSeq(f.Body)
 	})
 	return res
 }
@@ -101,18 +99,36 @@ type analysis struct {
 	// The Result, its per-statement sets and candidate counts filled as
 	// the walk goes.
 	res *Result
+	// locs interns location ids for the whole Result: an id is assigned the
+	// first time the analysis meets a remote access to (pointer, offset).
+	locs map[Key]int
 
 	retMemo map[simple.Stmt]bool
-	// daMemo caches, per statement, the labels of direct loads/stores in
-	// its subtree grouped by (pointer, offset): the propagation loops query
-	// directAccessLabels once per surviving tuple per statement, and the
-	// uncached walk dominated the whole analysis.
+	// daMemo caches, per compound statement, the labels of direct
+	// loads/stores in its subtree by location id: the propagation loops
+	// query directAccessLabels once per surviving tuple per statement, and
+	// the uncached walk dominated the whole analysis.
 	daMemo map[simple.Stmt]*daInfo
 }
 
 type daInfo struct {
-	w map[Key][]int // (p, off) -> labels of direct stores, in walk order
-	r map[Key][]int // (p, off) -> labels of direct loads, in walk order
+	w map[int][]int // location id -> sorted labels of direct stores
+	r map[int][]int // location id -> sorted labels of direct loads
+}
+
+// remoteLoc returns the location id of p->off, interning it, when p is a
+// remote pointer; ok is false otherwise (no tuple can refer to it).
+func (a *analysis) remoteLoc(p *simple.Var, off int) (id int, ok bool) {
+	if !a.loc.RemoteLoad(p) {
+		return 0, false
+	}
+	k := Key{P: p, Off: off}
+	id, ok = a.locs[k]
+	if !ok {
+		id = len(a.locs)
+		a.locs[k] = id
+	}
+	return id, true
 }
 
 // branchFactors returns the then/else scaling of an if: measured when the
@@ -200,78 +216,139 @@ func (a *analysis) killsWrite(t *Tuple, s simple.Stmt) bool {
 // readsSeq implements collectCommReadsSeq (Figure 5): backward propagation
 // through a statement sequence, recording RemoteReads(S) for every element.
 // Returns the set valid just before the first statement.
-func (a *analysis) readsSeq(seq *simple.Seq) *Set {
-	return a.readsSeqInto(seq, NewSet())
+func (a *analysis) readsSeq(seq *simple.Seq) Set {
+	return a.readsSeqInto(seq, Set{})
 }
 
 // readsSeqInto is readsSeq with an initial set valid just after the
-// sequence's last statement (used to chain regions, e.g. forall step code
-// into the induction evaluation).
-func (a *analysis) readsSeqInto(seq *simple.Seq, below *Set) *Set {
+// sequence's last statement (used to chain regions, e.g. a loop's eval code
+// into its body, or forall step code into the induction evaluation).
+func (a *analysis) readsSeqInto(seq *simple.Seq, below Set) Set {
 	cur := below
 	for i := len(seq.Stmts) - 1; i >= 0; i-- {
 		s := seq.Stmts[i]
-		gen := a.readsStmt(s)
-		// Propagate surviving tuples from below across s.
-		for _, t := range cur.Tuples() {
-			if a.killsRead(t, s) {
-				continue
-			}
-			// Record any direct stores to the same location the tuple is
-			// floating across; the selection phase must redirect them to
-			// the tuple's local copy.
-			nt := t.clone()
-			for _, w := range a.directAccessLabels(s, t.P, t.Off, true) {
-				nt.CrossedW.Add(w)
-			}
-			gen.Add(nt)
+		// The tuples s generates, merged with those surviving from below.
+		cur = union(a.readsStmt(s), a.cross(cur, s, true))
+		if cur.Len() > 0 {
+			a.res.Reads[s] = cur
 		}
-		cur = gen
-		a.res.Reads[s] = cur.Clone()
 	}
 	return cur
 }
 
-// directAccessLabels returns the labels of basic statements in s's subtree
-// that directly access (p, off) through p itself: stores when write is true,
-// loads otherwise. The per-statement walk result is memoized.
-func (a *analysis) directAccessLabels(s simple.Stmt, p *simple.Var, off int, write bool) []int {
+// cross propagates a read set (reads true) or a write set across statement
+// s: tuples s kills drop out, and a tuple floating across direct accesses to
+// its own location records their labels (stores in CrossedW for reads,
+// loads in CrossedR for writes) — the selection phase must redirect them to
+// the tuple's local copy. Every other tuple is shared, and an unchanged set
+// is returned as is.
+func (a *analysis) cross(cur Set, s simple.Stmt, reads bool) Set {
+	kills := a.killsWrite
+	if reads {
+		kills = a.killsRead
+	}
+	var out []*Tuple // nil while nothing has changed
+	for i, t := range cur.ts {
+		nt := t
+		if kills(t, s) {
+			nt = nil
+		} else if labels := a.directAccessLabels(s, t, reads); len(labels) > 0 {
+			nt = t.withCrossed(labels, reads)
+		}
+		if out == nil {
+			if nt == t {
+				continue
+			}
+			out = make([]*Tuple, i, len(cur.ts))
+			copy(out, cur.ts[:i])
+		}
+		if nt != nil {
+			out = append(out, nt)
+		}
+	}
+	if out == nil {
+		return cur
+	}
+	return Set{ts: out}
+}
+
+// withCrossed returns t with labels added to CrossedW (stores) or CrossedR
+// (loads): t itself when it already holds them all, else a new record.
+func (t *Tuple) withCrossed(labels []int, stores bool) *Tuple {
+	w, r := t.CrossedW, t.CrossedR
+	if stores {
+		w = w.union(labels)
+	} else {
+		r = r.union(labels)
+	}
+	if len(w) == len(t.CrossedW) && len(r) == len(t.CrossedR) {
+		return t
+	}
+	nt := *t
+	nt.CrossedW, nt.CrossedR = w, r
+	return &nt
+}
+
+// directAccessLabels returns the sorted labels of basic statements in s's
+// subtree that directly access t's location through its own pointer: stores
+// when stores is true, loads otherwise. A basic statement is checked in
+// place; a compound statement's index is built once and memoized.
+func (a *analysis) directAccessLabels(s simple.Stmt, t *Tuple, stores bool) []int {
+	if b, ok := s.(*simple.Basic); ok {
+		if b.Kind != simple.KAssign {
+			return nil
+		}
+		if stores {
+			if stv, ok := b.Lhs.(simple.StoreLV); ok && stv.P == t.P && stv.Off == t.Off {
+				return []int{b.Label}
+			}
+		} else if ld, ok := b.Rhs.(simple.LoadRV); ok && ld.P == t.P && ld.Off == t.Off {
+			return []int{b.Label}
+		}
+		return nil
+	}
 	info, ok := a.daMemo[s]
 	if !ok {
 		info = &daInfo{}
+		add := func(m *map[int][]int, p *simple.Var, off, label int) {
+			if id, ok := a.remoteLoc(p, off); ok {
+				if *m == nil {
+					*m = make(map[int][]int)
+				}
+				(*m)[id] = append((*m)[id], label)
+			}
+		}
 		simple.WalkBasics(s, func(b *simple.Basic) {
 			if b.Kind != simple.KAssign {
 				return
 			}
 			if stv, okw := b.Lhs.(simple.StoreLV); okw {
-				if info.w == nil {
-					info.w = make(map[Key][]int)
-				}
-				k := Key{P: stv.P, Off: stv.Off}
-				info.w[k] = append(info.w[k], b.Label)
+				add(&info.w, stv.P, stv.Off, b.Label)
 			}
 			if ld, okr := b.Rhs.(simple.LoadRV); okr {
-				if info.r == nil {
-					info.r = make(map[Key][]int)
-				}
-				k := Key{P: ld.P, Off: ld.Off}
-				info.r[k] = append(info.r[k], b.Label)
+				add(&info.r, ld.P, ld.Off, b.Label)
 			}
 		})
+		for _, ls := range info.w {
+			sort.Ints(ls)
+		}
+		for _, ls := range info.r {
+			sort.Ints(ls)
+		}
 		if a.daMemo == nil {
 			a.daMemo = make(map[simple.Stmt]*daInfo)
 		}
 		a.daMemo[s] = info
 	}
-	if write {
-		return info.w[Key{P: p, Off: off}]
+	if stores {
+		return info.w[t.Loc]
 	}
-	return info.r[Key{P: p, Off: off}]
+	return info.r[t.Loc]
 }
 
 // readsStmt implements collectCommSet(stmt, READ): the tuples generated by
 // one statement, placeable just before it.
-func (a *analysis) readsStmt(s simple.Stmt) *Set {
+func (a *analysis) readsStmt(s simple.Stmt) Set {
 	switch st := s.(type) {
 	case *simple.Basic:
 		return a.readsBasic(st)
@@ -280,101 +357,88 @@ func (a *analysis) readsStmt(s simple.Stmt) *Set {
 	case *simple.If:
 		thenSet := a.readsSeq(st.Then)
 		elseSet := a.readsSeq(st.Else)
-		out := NewSet()
 		tf, ef := a.branchFactors(st)
-		thenSet.scale(tf)
-		elseSet.scale(ef)
-		out.AddAll(thenSet)
-		out.AddAll(elseSet)
-		return out
+		return union(thenSet.scaled(tf), elseSet.scaled(ef))
 	case *simple.Switch:
-		out := NewSet()
+		var out Set
 		if len(st.Cases) == 0 {
 			return out
 		}
 		factors := a.switchFactors(st)
 		for i, cc := range st.Cases {
-			cs := a.readsSeq(cc.Body)
-			cs.scale(factors[i])
-			out.AddAll(cs)
+			out = union(out, a.readsSeq(cc.Body).scaled(factors[i]))
 		}
 		return out
 	case *simple.While:
-		return a.readsLoop(s, st.Eval, st.Body, false)
+		// One iteration is eval;body: the set at the top of an iteration.
+		return a.hoistLoop(s, a.readsSeqInto(st.Eval, a.readsSeq(st.Body)))
 	case *simple.Do:
-		return a.readsLoop(s, st.Eval, st.Body, true)
+		// One iteration is body;eval. Do-loops use the same conservative
+		// rule as top-tested ones.
+		return a.hoistLoop(s, a.readsSeqInto(st.Body, a.readsSeq(st.Eval)))
 	case *simple.Forall:
 		return a.readsForall(st)
 	case *simple.Par:
 		// Arms execute concurrently and must not interfere on ordinary
 		// variables; a tuple moves above the Par if no *sibling* arm kills
 		// it (its own arm's kills were already applied inside readsSeq).
-		out := NewSet()
-		armSets := make([]*Set, len(st.Arms))
+		armSets := make([]Set, len(st.Arms))
 		for i, arm := range st.Arms {
 			armSets[i] = a.readsSeq(arm)
 		}
-		for i, as := range armSets {
-			for _, t := range as.Tuples() {
-				killed := false
-				for j, sib := range st.Arms {
-					if j != i && a.killsRead(t, sib) {
-						killed = true
-						break
-					}
-				}
-				if !killed {
-					out.Add(t)
+		return a.parSurvivors(st, armSets, a.killsRead)
+	}
+	return Set{}
+}
+
+// parSurvivors merges, in arm order, the tuples of each Par arm that no
+// sibling arm kills.
+func (a *analysis) parSurvivors(st *simple.Par, armSets []Set, kills func(*Tuple, simple.Stmt) bool) Set {
+	var out Set
+	for i, as := range armSets {
+		var keep []*Tuple
+		for _, t := range as.ts {
+			killed := false
+			for j, sib := range st.Arms {
+				if j != i && kills(t, sib) {
+					killed = true
+					break
 				}
 			}
+			if !killed {
+				keep = append(keep, t)
+			}
 		}
-		return out
+		out = union(out, Set{ts: keep})
 	}
-	return NewSet()
+	return out
 }
 
-// readsLoop implements collectCommSetLoop for reads: analyze the loop body
-// (condition evaluation included), then propagate out every tuple the loop
-// as a whole cannot kill, with frequency scaled by the expected iteration
-// count. Do-loops use the same conservative rule.
-func (a *analysis) readsLoop(loop simple.Stmt, eval, body *simple.Seq, isDo bool) *Set {
-	// Analyze in per-iteration execution order. For top-tested loops one
-	// iteration is eval;body — for analysis purposes the concatenation
-	// gives the set valid at the top of an iteration. Record per-statement
-	// sets by analyzing the parts separately but chaining the propagation.
-	combined := &simple.Seq{}
-	if isDo {
-		combined.Stmts = append(combined.Stmts, body.Stmts...)
-		combined.Stmts = append(combined.Stmts, eval.Stmts...)
-	} else {
-		combined.Stmts = append(combined.Stmts, eval.Stmts...)
-		combined.Stmts = append(combined.Stmts, body.Stmts...)
+// hoistLoop implements collectCommSetLoop for reads: it propagates a
+// loop-top set out of the loop. Tuples the loop can kill stay inside, the
+// rest exit with their frequency scaled by the expected iteration count. A
+// hoisted tuple's fill sits above the loop while any direct stores to the
+// same location execute every iteration — a loop-carried crossing — so
+// those store labels are recorded in CrossedW (iteration k's read must
+// observe iteration k-1's store through the shared local copy).
+func (a *analysis) hoistLoop(loop simple.Stmt, top Set) Set {
+	if top.Len() == 0 {
+		return top
 	}
-	top := a.readsSeq(combined)
-	return a.hoistLoop(loop, top)
-}
-
-// hoistLoop propagates a loop-top set out of the loop: tuples the loop can
-// kill stay inside, the rest exit with their frequency scaled by the
-// expected iteration count. A hoisted tuple's fill sits above the loop while
-// any direct stores to the same location execute every iteration — a
-// loop-carried crossing — so those store labels are recorded in CrossedW
-// (iteration k's read must observe iteration k-1's store through the shared
-// local copy).
-func (a *analysis) hoistLoop(loop simple.Stmt, top *Set) *Set {
-	out := NewSet()
-	for _, t := range top.Tuples() {
+	factor := a.loopFactor(loop)
+	out := make([]*Tuple, 0, top.Len())
+	recs := make([]Tuple, 0, top.Len())
+	for _, t := range top.ts {
 		if a.killsRead(t, loop) {
 			continue
 		}
-		nt := t.clone()
-		nt.Freq *= a.loopFactor(loop)
-		for _, w := range a.directAccessLabels(loop, t.P, t.Off, true) {
-			nt.CrossedW.Add(w)
-		}
-		out.Add(nt)
+		recs = append(recs, *t)
+		nt := &recs[len(recs)-1]
+		nt.Freq *= factor
+		nt.CrossedW = nt.CrossedW.union(a.directAccessLabels(loop, t, true))
+		out = append(out, nt)
 	}
-	return out
+	return Set{ts: out}
 }
 
 // readsForall handles parallel loops. The body is a separate parallel
@@ -384,23 +448,19 @@ func (a *analysis) hoistLoop(loop simple.Stmt, top *Set) *Set {
 // the whole construct (the fill then happens once, before any spawn, and is
 // copied into every iteration frame). Step tuples float across the spawned
 // body only if the body cannot kill them.
-func (a *analysis) readsForall(st *simple.Forall) *Set {
+func (a *analysis) readsForall(st *simple.Forall) Set {
 	bodyTop := a.readsSeq(st.Body)
 	stepTop := a.readsSeq(st.Step)
 
 	// Step tuples cross the concurrent body: body kills apply.
-	crossed := NewSet()
-	for _, t := range stepTop.Tuples() {
-		if a.killsRead(t, st.Body) {
-			continue
+	var crossed []*Tuple
+	for _, t := range stepTop.ts {
+		if !a.killsRead(t, st.Body) {
+			crossed = append(crossed, t)
 		}
-		crossed.Add(t)
 	}
-	evalTop := a.readsSeqInto(st.Eval, crossed)
-
-	top := evalTop.Clone()
-	top.AddAll(bodyTop)
-	return a.hoistLoop(st, top)
+	evalTop := a.readsSeqInto(st.Eval, Set{ts: crossed})
+	return a.hoistLoop(st, union(evalTop, bodyTop))
 }
 
 // ------------------------------------------------------- writes (downward) ---
@@ -408,59 +468,39 @@ func (a *analysis) readsForall(st *simple.Forall) *Set {
 // writesSeq implements collectCommWritesSeq (Figure 5): forward propagation
 // through a statement sequence, recording RemoteWrites(S) for every element.
 // Returns the set valid just after the last statement.
-func (a *analysis) writesSeq(seq *simple.Seq) *Set {
-	cur := NewSet()
+func (a *analysis) writesSeq(seq *simple.Seq) Set {
+	var cur Set
 	for _, s := range seq.Stmts {
-		gen := a.writesStmt(s)
-		for _, t := range cur.Tuples() {
-			if a.killsWrite(t, s) {
-				continue
-			}
-			nt := t.clone()
-			for _, rl := range a.directAccessLabels(s, t.P, t.Off, false) {
-				nt.CrossedR.Add(rl)
-			}
-			gen.Add(nt)
+		cur = union(a.writesStmt(s), a.cross(cur, s, false))
+		if cur.Len() > 0 {
+			a.res.Writes[s] = cur
 		}
-		cur = gen
-		a.res.Writes[s] = cur.Clone()
 	}
 	return cur
 }
 
 // writesStmt implements collectCommSet(stmt, WRITE).
-func (a *analysis) writesStmt(s simple.Stmt) *Set {
+func (a *analysis) writesStmt(s simple.Stmt) Set {
 	switch st := s.(type) {
 	case *simple.Basic:
 		return a.writesBasic(st)
 	case *simple.Seq:
 		return a.writesSeq(st)
 	case *simple.If:
-		thenSet := a.writesSeq(st.Then)
-		elseSet := a.writesSeq(st.Else)
-		out := NewSet()
-		tf, ef := a.branchFactors(st)
 		// Conservative: only tuples written on *all* alternatives may move
 		// below the conditional (no spurious writes).
-		for _, t := range thenSet.Tuples() {
-			if other := elseSet.Get(t.Key()); other != nil {
-				a1 := t.clone()
-				a1.Freq *= tf
-				out.Add(a1)
-				a2 := other.clone()
-				a2.Freq *= ef
-				out.Add(a2)
-			}
-		}
-		return out
+		thenSet := a.writesSeq(st.Then)
+		elseSet := a.writesSeq(st.Else)
+		tf, ef := a.branchFactors(st)
+		return meet(thenSet.scaled(tf), elseSet.scaled(ef))
 	case *simple.Switch:
+		var out Set
 		n := len(st.Cases)
-		out := NewSet()
 		if n == 0 {
 			return out
 		}
 		hasDefault := false
-		caseSets := make([]*Set, n)
+		caseSets := make([]Set, n)
 		for i, cc := range st.Cases {
 			caseSets[i] = a.writesSeq(cc.Body)
 			if cc.Vals == nil {
@@ -472,97 +512,90 @@ func (a *analysis) writesStmt(s simple.Stmt) *Set {
 			return out
 		}
 		factors := a.switchFactors(st)
-		for _, t := range caseSets[0].Tuples() {
-			inAll := true
-			for _, cs := range caseSets[1:] {
-				if cs.Get(t.Key()) == nil {
-					inAll = false
-					break
-				}
-			}
-			if !inAll {
-				continue
-			}
-			for i, cs := range caseSets {
-				ct := cs.Get(t.Key()).clone()
-				ct.Freq *= factors[i]
-				out.Add(ct)
-			}
+		out = caseSets[0].scaled(factors[0])
+		for i, cs := range caseSets[1:] {
+			out = meet(out, cs.scaled(factors[i+1]))
 		}
 		return out
-	case *simple.While, *simple.Forall:
+	case *simple.While:
 		// The paper only moves writes out of loops known to execute exactly
 		// once (executesOnce); we cannot prove that for general loops, so
 		// nothing propagates out. Still analyze the body for inner
 		// placement opportunities.
-		for _, sub := range simple.Subseqs(st) {
-			a.writesSeq(sub)
-		}
-		return NewSet()
+		a.writesSeq(st.Eval)
+		a.writesSeq(st.Body)
+		return Set{}
+	case *simple.Forall:
+		a.writesSeq(st.Eval)
+		a.writesSeq(st.Body)
+		a.writesSeq(st.Step)
+		return Set{}
 	case *simple.Do:
 		// A do loop executes at least once but possibly more; a write from
 		// the body may not move below unless the loop executes exactly
 		// once, which we cannot prove. Analyze inner parts only.
 		a.writesSeq(st.Body)
 		a.writesSeq(st.Eval)
-		return NewSet()
+		return Set{}
 	case *simple.Par:
-		out := NewSet()
-		armSets := make([]*Set, len(st.Arms))
+		armSets := make([]Set, len(st.Arms))
 		for i, arm := range st.Arms {
 			armSets[i] = a.writesSeq(arm)
 		}
-		for i, as := range armSets {
-			for _, t := range as.Tuples() {
-				killed := false
-				for j, sib := range st.Arms {
-					if j != i && a.killsWrite(t, sib) {
-						killed = true
-						break
-					}
-				}
-				if !killed {
-					out.Add(t)
-				}
-			}
-		}
-		return out
+		return a.parSurvivors(st, armSets, a.killsWrite)
 	}
-	return NewSet()
+	return Set{}
 }
 
 // ------------------------------------------------------------------ basics ---
 
+// generated is the set holding the one tuple (p->field, 1, {label}) a basic
+// statement generates. The tuple, its Dlist and the set's slice share one
+// allocation.
+func generated(p *simple.Var, field string, off, loc, label int) Set {
+	g := &struct {
+		t  Tuple
+		d  [1]int
+		ts [1]*Tuple
+	}{}
+	g.d[0] = label
+	g.t = Tuple{P: p, Field: field, Off: off, Loc: loc, Freq: 1, D: g.d[:]}
+	g.ts[0] = &g.t
+	return Set{ts: g.ts[:]}
+}
+
 // readsBasic generates the tuple for a basic statement's remote read, if
 // any (collectCommSetBasic with accessType READ).
-func (a *analysis) readsBasic(b *simple.Basic) *Set {
-	out := NewSet()
+func (a *analysis) readsBasic(b *simple.Basic) Set {
 	if b.Kind != simple.KAssign {
-		return out
+		return Set{}
 	}
 	ld, ok := b.Rhs.(simple.LoadRV)
-	if !ok || !a.loc.RemoteLoad(ld.P) {
-		return out
+	if !ok {
+		return Set{}
+	}
+	id, ok := a.remoteLoc(ld.P, ld.Off)
+	if !ok {
+		return Set{}
 	}
 	a.res.CandidateReads++
-	out.Add(&Tuple{P: ld.P, Field: ld.Field, Off: ld.Off, Freq: 1,
-		D: LabelSet{b.Label}})
-	return out
+	return generated(ld.P, ld.Field, ld.Off, id, b.Label)
 }
 
 // writesBasic generates the tuple for a basic statement's remote write, if
 // any.
-func (a *analysis) writesBasic(b *simple.Basic) *Set {
-	out := NewSet()
+func (a *analysis) writesBasic(b *simple.Basic) Set {
 	if b.Kind != simple.KAssign {
-		return out
+		return Set{}
 	}
 	stv, ok := b.Lhs.(simple.StoreLV)
-	if !ok || !a.loc.RemoteLoad(stv.P) {
-		return out
+	if !ok {
+		return Set{}
+	}
+	id, ok := a.remoteLoc(stv.P, stv.Off)
+	if !ok {
+		return Set{}
 	}
 	a.res.CandidateWrites++
-	out.Add(&Tuple{P: stv.P, Field: stv.Field, Off: stv.Off, Freq: 1,
-		D: LabelSet{b.Label}})
-	return out
+	return generated(stv.P, stv.Field, stv.Off, id, b.Label)
 }

@@ -82,10 +82,7 @@ func findBasic(f *simple.Func, fragment string) *simple.Basic {
 
 // setHas reports whether the set contains a tuple (pname->field) with the
 // given frequency (freq < 0 skips the check).
-func setHas(s *placement.Set, pname, field string, freq float64) bool {
-	if s == nil {
-		return false
-	}
+func setHas(s placement.Set, pname, field string, freq float64) bool {
 	for _, tu := range s.Tuples() {
 		if tu.P.Name == pname && tu.Field == field {
 			if freq >= 0 && tu.Freq != freq {
@@ -109,7 +106,7 @@ func TestFigure7LoopBody(t *testing.T) {
 	// statement contains p->x, p->y, p->next, t->x, t->y.
 	s9 := findBasic(f, "ax = p->x")
 	set := res.Reads[simple.Stmt(s9)]
-	if set == nil {
+	if set.Len() == 0 {
 		t.Fatal("no RemoteReads before ax = p->x")
 	}
 	for _, want := range []struct{ p, f string }{
@@ -375,10 +372,8 @@ int main() { return 0; }
 			return
 		}
 		for _, st := range fa.Body.Stmts {
-			if set := res.Reads[st]; set != nil {
-				if setHas(set, "p", "next", -1) {
-					t.Errorf("step read (p->next) leaked into the forall body: %s", set)
-				}
+			if set := res.Reads[st]; setHas(set, "p", "next", -1) {
+				t.Errorf("step read (p->next) leaked into the forall body: %s", set)
 			}
 		}
 	})

@@ -14,48 +14,65 @@ import (
 	"repro/internal/simple"
 )
 
-// LabelSet is a sorted, duplicate-free set of basic-statement labels. Tuples
-// carry several of these per propagation step, so they are slices rather
-// than maps: cloning is a memcpy and the typical set has one element.
+// LabelSet is a sorted, duplicate-free set of basic-statement labels. The
+// typical set has one element, so it is a slice rather than a map. A label
+// set inside a tuple is never edited once the tuple is in a Set: growing one
+// builds a new slice (union).
 type LabelSet []int
 
-// Add inserts l, keeping the set sorted.
-func (s *LabelSet) Add(l int) {
-	i := sort.SearchInts(*s, l)
-	if i < len(*s) && (*s)[i] == l {
-		return
+// union returns s ∪ o. When one side already holds every label of the other
+// it returns that side itself, so the result may share storage with s or o;
+// that is safe because published label sets are immutable.
+func (s LabelSet) union(o LabelSet) LabelSet {
+	if len(o) == 0 {
+		return s
 	}
-	*s = append(*s, 0)
-	copy((*s)[i+1:], (*s)[i:])
-	(*s)[i] = l
-}
-
-// AddAll inserts every label of o.
-func (s *LabelSet) AddAll(o LabelSet) {
-	for _, l := range o {
-		s.Add(l)
+	if len(s) == 0 {
+		return o
 	}
-}
-
-// Clone returns an independent copy.
-func (s LabelSet) Clone() LabelSet {
-	if s == nil {
-		return nil
+	out := make(LabelSet, 0, len(s)+len(o))
+	i, j := 0, 0
+	for i < len(s) && j < len(o) {
+		switch {
+		case s[i] < o[j]:
+			out = append(out, s[i])
+			i++
+		case s[i] > o[j]:
+			out = append(out, o[j])
+			j++
+		default:
+			out = append(out, s[i])
+			i++
+			j++
+		}
 	}
-	out := make(LabelSet, len(s))
-	copy(out, s)
+	out = append(out, s[i:]...)
+	out = append(out, o[j:]...)
+	switch len(out) {
+	case len(s):
+		return s
+	case len(o):
+		return o
+	}
 	return out
 }
 
 // Tuple is a remote communication expression (p, f, n, Dlist): pointer
 // variable, field, estimated frequency, and the set of basic-statement
 // labels whose accesses the tuple covers.
+//
+// A tuple is immutable once it is in a Set: a tuple that crosses a
+// statement unchanged is the same record on both sides, and a merge, a
+// frequency scale or a grown CrossedW/CrossedR builds a new record.
 type Tuple struct {
 	P     *simple.Var
 	Field string // display name of the field ("" for *p)
 	Off   int    // word offset; (P, Off) is the tuple's identity
-	Freq  float64
-	D     LabelSet // basic statement labels
+	// Loc is the location id of (P, Off), interned once per Result: sets
+	// are ordered by it and selection keys its bookkeeping on it.
+	Loc  int
+	Freq float64
+	D    LabelSet // basic statement labels
 	// CrossedW records, for read tuples, the labels of *direct* remote
 	// writes to the same location the tuple floated across (direct writes
 	// do not kill read tuples, per the paper, because the transformation
@@ -71,15 +88,6 @@ type Tuple struct {
 type Key struct {
 	P   *simple.Var
 	Off int
-}
-
-// Key returns the tuple's identity.
-func (t *Tuple) Key() Key { return Key{P: t.P, Off: t.Off} }
-
-// clone returns a deep copy (Dlists are mutable sets).
-func (t *Tuple) clone() *Tuple {
-	return &Tuple{P: t.P, Field: t.Field, Off: t.Off, Freq: t.Freq,
-		D: t.D.Clone(), CrossedW: t.CrossedW.Clone(), CrossedR: t.CrossedR.Clone()}
 }
 
 // Labels returns the sorted Dlist.
@@ -107,79 +115,43 @@ func strconv(f float64) string {
 	return fmt.Sprintf("%.2f", f)
 }
 
-// Set is a set of tuples keyed by location. Merging tuples for the same
-// location sums frequencies and unions Dlists, as the paper specifies for
-// moving tuples out of conditionals. The backing map is allocated lazily:
-// most statements generate no tuples at all.
-type Set struct {
-	m map[Key]*Tuple
+// merged is the tuple for one location reached along two ways, a then b:
+// frequencies sum and label sets unite, as the paper specifies for moving
+// tuples out of conditionals. The sum is a + b in that order, so a chain of
+// merges adds in the order the ways were taken.
+func merged(a, b *Tuple) *Tuple {
+	return &Tuple{P: a.P, Field: a.Field, Off: a.Off, Loc: a.Loc,
+		Freq:     a.Freq + b.Freq,
+		D:        a.D.union(b.D),
+		CrossedW: a.CrossedW.union(b.CrossedW),
+		CrossedR: a.CrossedR.union(b.CrossedR)}
 }
 
-// NewSet returns an empty tuple set.
-func NewSet() *Set { return &Set{} }
+// Set is an immutable set of tuples, one per location, ordered by location
+// id. The zero value is the empty set. Sets share tuple records, and the
+// functions that combine sets build new ones without editing their inputs,
+// so a set recorded in a Result never changes.
+type Set struct {
+	ts []*Tuple
+}
 
 // Len reports the number of tuples.
-func (s *Set) Len() int { return len(s.m) }
+func (s Set) Len() int { return len(s.ts) }
 
-// Get returns the tuple for a key, or nil.
-func (s *Set) Get(k Key) *Tuple { return s.m[k] }
+// Tuples returns the tuples in location-id order. The slice is the set's
+// own storage: callers must not modify it.
+func (s Set) Tuples() []*Tuple { return s.ts }
 
-// Add merges a tuple into the set (cloning it, so callers keep ownership).
-func (s *Set) Add(t *Tuple) {
-	if have, ok := s.m[t.Key()]; ok {
-		have.Freq += t.Freq
-		have.D.AddAll(t.D)
-		have.CrossedW.AddAll(t.CrossedW)
-		have.CrossedR.AddAll(t.CrossedR)
-		return
-	}
-	if s.m == nil {
-		s.m = make(map[Key]*Tuple, 4)
-	}
-	s.m[t.Key()] = t.clone()
-}
-
-// AddAll merges every tuple of o.
-func (s *Set) AddAll(o *Set) {
-	for _, t := range o.m {
-		s.Add(t)
-	}
-}
-
-// Remove deletes the tuple for a key.
-func (s *Set) Remove(k Key) { delete(s.m, k) }
-
-// Clone returns a deep copy.
-func (s *Set) Clone() *Set {
-	out := NewSet()
-	if len(s.m) > 0 {
-		out.m = make(map[Key]*Tuple, len(s.m))
-		for k, t := range s.m {
-			out.m[k] = t.clone()
+// String renders the set in the paper's brace notation, tuples sorted by
+// (pointer name, offset).
+func (s Set) String() string {
+	ts := append([]*Tuple(nil), s.ts...)
+	sort.Slice(ts, func(i, j int) bool {
+		if ts[i].P.Name != ts[j].P.Name {
+			return ts[i].P.Name < ts[j].P.Name
 		}
-	}
-	return out
-}
-
-// Tuples returns the tuples sorted by (pointer name, offset) for stable
-// iteration and printing.
-func (s *Set) Tuples() []*Tuple {
-	out := make([]*Tuple, 0, len(s.m))
-	for _, t := range s.m {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].P.Name != out[j].P.Name {
-			return out[i].P.Name < out[j].P.Name
-		}
-		return out[i].Off < out[j].Off
+		return ts[i].Off < ts[j].Off
 	})
-	return out
-}
-
-// String renders the set in the paper's brace notation.
-func (s *Set) String() string {
-	ts := s.Tuples()
 	parts := make([]string, len(ts))
 	for i, t := range ts {
 		parts[i] = t.String()
@@ -187,10 +159,70 @@ func (s *Set) String() string {
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
-// scale multiplies all frequencies (loop exit: x10; conditional exit: /2 or
-// /k), in place.
-func (s *Set) scale(factor float64) {
-	for _, t := range s.m {
-		t.Freq *= factor
+// union returns a ∪ b. A location in both gets merged(a's, b's) — a's
+// frequency first; every other tuple is shared. With either side empty the
+// other is returned as is.
+func union(a, b Set) Set {
+	if len(b.ts) == 0 {
+		return a
 	}
+	if len(a.ts) == 0 {
+		return b
+	}
+	out := make([]*Tuple, 0, len(a.ts)+len(b.ts))
+	i, j := 0, 0
+	for i < len(a.ts) && j < len(b.ts) {
+		ta, tb := a.ts[i], b.ts[j]
+		switch {
+		case ta.Loc < tb.Loc:
+			out = append(out, ta)
+			i++
+		case ta.Loc > tb.Loc:
+			out = append(out, tb)
+			j++
+		default:
+			out = append(out, merged(ta, tb))
+			i++
+			j++
+		}
+	}
+	out = append(out, a.ts[i:]...)
+	out = append(out, b.ts[j:]...)
+	return Set{ts: out}
+}
+
+// meet returns the locations in both a and b, each as merged(a's, b's).
+func meet(a, b Set) Set {
+	var out []*Tuple
+	i, j := 0, 0
+	for i < len(a.ts) && j < len(b.ts) {
+		ta, tb := a.ts[i], b.ts[j]
+		switch {
+		case ta.Loc < tb.Loc:
+			i++
+		case ta.Loc > tb.Loc:
+			j++
+		default:
+			out = append(out, merged(ta, tb))
+			i++
+			j++
+		}
+	}
+	return Set{ts: out}
+}
+
+// scaled returns s with every frequency multiplied by factor (loop exit:
+// x10; conditional exit: /2 or /k), in new tuple records.
+func (s Set) scaled(factor float64) Set {
+	if len(s.ts) == 0 {
+		return s
+	}
+	out := make([]*Tuple, len(s.ts))
+	recs := make([]Tuple, len(s.ts))
+	for i, t := range s.ts {
+		recs[i] = *t
+		recs[i].Freq *= factor
+		out[i] = &recs[i]
+	}
+	return Set{ts: out}
 }

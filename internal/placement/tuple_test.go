@@ -1,25 +1,33 @@
 package placement
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/simple"
 )
 
+// tup builds a tuple for p->off; with one pointer per test, the offset
+// doubles as the location id.
 func tup(p *simple.Var, off int, freq float64, labels ...int) *Tuple {
-	var d LabelSet
-	for _, l := range labels {
-		d.Add(l)
+	d := append(LabelSet(nil), labels...)
+	sort.Ints(d)
+	return &Tuple{P: p, Field: "f", Off: off, Loc: off, Freq: freq, D: d}
+}
+
+// setOf folds the tuples into a set, in order, as the analysis merges them.
+func setOf(ts ...*Tuple) Set {
+	var s Set
+	for _, t := range ts {
+		s = union(s, Set{ts: []*Tuple{t}})
 	}
-	return &Tuple{P: p, Field: "f", Off: off, Freq: freq, D: d}
+	return s
 }
 
 func TestSetMergeSumsFrequency(t *testing.T) {
 	p := &simple.Var{Name: "p"}
-	s := NewSet()
-	s.Add(tup(p, 0, 0.5, 1))
-	s.Add(tup(p, 0, 0.5, 2))
+	s := setOf(tup(p, 0, 0.5, 1), tup(p, 0, 0.5, 2))
 	ts := s.Tuples()
 	if len(ts) != 1 {
 		t.Fatalf("tuples for the same location must merge, got %d", len(ts))
@@ -34,9 +42,7 @@ func TestSetMergeSumsFrequency(t *testing.T) {
 
 func TestSetDistinctOffsetsStaySeparate(t *testing.T) {
 	p := &simple.Var{Name: "p"}
-	s := NewSet()
-	s.Add(tup(p, 0, 1, 1))
-	s.Add(tup(p, 1, 1, 2))
+	s := setOf(tup(p, 0, 1, 1), tup(p, 1, 1, 2))
 	if s.Len() != 2 {
 		t.Errorf("different offsets are different locations: got %d", s.Len())
 	}
@@ -44,23 +50,38 @@ func TestSetDistinctOffsetsStaySeparate(t *testing.T) {
 
 func TestSetAddIsIdempotentOnLabels(t *testing.T) {
 	p := &simple.Var{Name: "p"}
-	s := NewSet()
-	s.Add(tup(p, 0, 1, 3))
-	s.Add(tup(p, 0, 1, 3))
+	s := setOf(tup(p, 0, 1, 3), tup(p, 0, 1, 3))
 	ts := s.Tuples()
 	if len(ts[0].D) != 1 {
 		t.Errorf("label union must be idempotent, got %v", ts[0].Labels())
 	}
 }
 
-func TestSetCloneIsDeep(t *testing.T) {
+// TestSetOpsLeaveInputsUnchanged: union, meet and scaled build new sets and
+// records; a set already recorded keeps its tuples, frequencies and labels,
+// and a tuple only one side holds is shared, not copied.
+func TestSetOpsLeaveInputsUnchanged(t *testing.T) {
 	p := &simple.Var{Name: "p"}
-	s := NewSet()
-	s.Add(tup(p, 0, 1, 1))
-	c := s.Clone()
-	c.Add(tup(p, 0, 2, 9))
-	if s.Tuples()[0].Freq != 1 || len(s.Tuples()[0].D) != 1 {
-		t.Error("mutating the clone changed the original")
+	a0, a1 := tup(p, 0, 1, 1), tup(p, 1, 1, 2)
+	a := setOf(a0, a1)
+	b := setOf(tup(p, 0, 2, 9))
+	u := union(a, b)
+	m := meet(a, b)
+	sc := a.scaled(10)
+	if a.String() != "{(p->f, 1, {S1}), (p->f, 1, {S2})}" || a0.Freq != 1 || len(a0.D) != 1 {
+		t.Errorf("combining sets changed an input: %s", a)
+	}
+	if u.String() != "{(p->f, 3, {S1,S9}), (p->f, 1, {S2})}" {
+		t.Errorf("union: got %s", u)
+	}
+	if u.Tuples()[1] != a1 {
+		t.Error("union copied a tuple only one side holds")
+	}
+	if m.String() != "{(p->f, 3, {S1,S9})}" {
+		t.Errorf("meet: got %s", m)
+	}
+	if sc.String() != "{(p->f, 10, {S1}), (p->f, 10, {S2})}" {
+		t.Errorf("scaled: got %s", sc)
 	}
 }
 
@@ -73,17 +94,17 @@ func TestSetMergeLaws(t *testing.T) {
 		Freq  uint8
 		Label uint8
 	}
-	build := func(specs []spec) *Set {
-		s := NewSet()
+	build := func(specs []spec) Set {
+		var ts []*Tuple
 		for _, sp := range specs {
-			s.Add(tup(p, int(sp.Off%4), float64(sp.Freq%8), int(sp.Label%16)))
+			ts = append(ts, tup(p, int(sp.Off%4), float64(sp.Freq%8), int(sp.Label%16)))
 		}
-		return s
+		return setOf(ts...)
 	}
 	f := func(a, b []spec) bool {
 		ab := build(append(append([]spec{}, a...), b...))
 		ba := build(append(append([]spec{}, b...), a...))
-		return ab.String() == ba.String()
+		return ab.String() == ba.String() && union(build(a), build(b)).String() == ab.String()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -101,10 +122,11 @@ func TestTupleStringFormat(t *testing.T) {
 
 func TestScale(t *testing.T) {
 	p := &simple.Var{Name: "p"}
-	s := NewSet()
-	s.Add(tup(p, 0, 1, 1))
-	s.scale(10)
-	if s.Tuples()[0].Freq != 10 {
-		t.Errorf("scale x10 failed: %v", s.Tuples()[0].Freq)
+	s := setOf(tup(p, 0, 1, 1))
+	if got := s.scaled(10).Tuples()[0].Freq; got != 10 {
+		t.Errorf("scale x10 failed: %v", got)
+	}
+	if s.Tuples()[0].Freq != 1 {
+		t.Error("scaling changed the input set")
 	}
 }

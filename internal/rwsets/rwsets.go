@@ -335,11 +335,11 @@ func (r *Result) ownEffects(s simple.Stmt, eff *builder) {
 	case *simple.Basic:
 		r.basic(eff, st, false)
 	default:
-		for _, seq := range simple.Subseqs(st) {
+		simple.EachSubseq(st, func(seq *simple.Seq) {
 			for _, c := range seq.Stmts {
 				r.ownEffects(c, eff)
 			}
-		}
+		})
 		r.compoundReads(eff, s)
 	}
 }
@@ -358,9 +358,9 @@ func (r *Result) computeStmt(s simple.Stmt, depth int) effects {
 		return r.computeSeq(st, depth)
 	default:
 		e := r.buf(2 * depth)
-		for _, seq := range simple.Subseqs(st) {
+		simple.EachSubseq(st, func(seq *simple.Seq) {
 			e.add(r.computeSeq(seq, depth))
-		}
+		})
 		r.compoundReads(e, s)
 		eff = r.seal(e)
 	}

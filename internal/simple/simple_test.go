@@ -60,7 +60,7 @@ func TestCondString(t *testing.T) {
 	}
 }
 
-func TestSubseqsCoverage(t *testing.T) {
+func TestEachSubseqCoverage(t *testing.T) {
 	mk := func() (*Seq, *Seq, *Seq) { return &Seq{}, &Seq{}, &Seq{} }
 	a, b, c := mk()
 	cases := []struct {
@@ -77,7 +77,9 @@ func TestSubseqsCoverage(t *testing.T) {
 		{&Basic{}, 0},
 	}
 	for _, cse := range cases {
-		if got := len(Subseqs(cse.s)); got != cse.want {
+		got := 0
+		EachSubseq(cse.s, func(*Seq) { got++ })
+		if got != cse.want {
 			t.Errorf("%T: got %d subseqs, want %d", cse.s, got, cse.want)
 		}
 	}

@@ -1,29 +1,33 @@
 package simple
 
-// Subseqs returns the direct child sequences of a statement, in execution
-// order. Basic statements have none.
-func Subseqs(s Stmt) []*Seq {
+// EachSubseq calls fn on each direct child sequence of a statement, in
+// execution order. Basic statements have none.
+func EachSubseq(s Stmt, fn func(*Seq)) {
 	switch st := s.(type) {
 	case *Seq:
-		return []*Seq{st}
+		fn(st)
 	case *If:
-		return []*Seq{st.Then, st.Else}
+		fn(st.Then)
+		fn(st.Else)
 	case *Switch:
-		out := make([]*Seq, len(st.Cases))
-		for i, cc := range st.Cases {
-			out[i] = cc.Body
+		for _, cc := range st.Cases {
+			fn(cc.Body)
 		}
-		return out
 	case *While:
-		return []*Seq{st.Eval, st.Body}
+		fn(st.Eval)
+		fn(st.Body)
 	case *Do:
-		return []*Seq{st.Body, st.Eval}
+		fn(st.Body)
+		fn(st.Eval)
 	case *Forall:
-		return []*Seq{st.Eval, st.Body, st.Step}
+		fn(st.Eval)
+		fn(st.Body)
+		fn(st.Step)
 	case *Par:
-		return st.Arms
+		for _, arm := range st.Arms {
+			fn(arm)
+		}
 	}
-	return nil
 }
 
 // WalkBasics calls fn for every basic statement in the subtree, in source
@@ -33,22 +37,22 @@ func WalkBasics(s Stmt, fn func(*Basic)) {
 		fn(b)
 		return
 	}
-	for _, seq := range Subseqs(s) {
+	EachSubseq(s, func(seq *Seq) {
 		for _, c := range seq.Stmts {
 			WalkBasics(c, fn)
 		}
-	}
+	})
 }
 
 // WalkStmts calls fn for every statement (basic and compound) in the
 // subtree, parents before children.
 func WalkStmts(s Stmt, fn func(Stmt)) {
 	fn(s)
-	for _, seq := range Subseqs(s) {
+	EachSubseq(s, func(seq *Seq) {
 		for _, c := range seq.Stmts {
 			WalkStmts(c, fn)
 		}
-	}
+	})
 }
 
 // CondAtoms returns the atoms read by a condition.
