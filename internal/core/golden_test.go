@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/earthc"
 	"repro/internal/olden"
 	"repro/internal/placement"
+	"repro/internal/sema"
 	"repro/internal/simple"
 )
 
@@ -265,5 +268,212 @@ func TestCompiledCodeGolden(t *testing.T) {
 	if len(setDiffs) != 0 {
 		t.Errorf("%d of %d cells differ from placementSetsGolden; the set hashes are:\n%s",
 			len(setDiffs), cells, strings.Join(setDiffs, "\n"))
+	}
+}
+
+// semaGolden pins, for each Olden program at quick and at compile_cold's
+// tiny size, compiled plain and with ReorderFields, the sha256 of what
+// semantic analysis recorded on the checked AST (semaHash). A change to how
+// sema stores its results must hold every cell.
+var semaGolden = map[string]string{
+	"power/quick/O":                   "1b02352461192ffc0d380f0a1834aafd5c71083a503a074430166206b0b296c2",
+	"power/quick/O,ReorderFields":     "1b02352461192ffc0d380f0a1834aafd5c71083a503a074430166206b0b296c2",
+	"power/tiny/O":                    "1b02352461192ffc0d380f0a1834aafd5c71083a503a074430166206b0b296c2",
+	"power/tiny/O,ReorderFields":      "1b02352461192ffc0d380f0a1834aafd5c71083a503a074430166206b0b296c2",
+	"tsp/quick/O":                     "f766703b3896406277c70c4f04c9b76efc0719602e77728e3925c9f41020a7ea",
+	"tsp/quick/O,ReorderFields":       "f766703b3896406277c70c4f04c9b76efc0719602e77728e3925c9f41020a7ea",
+	"tsp/tiny/O":                      "f766703b3896406277c70c4f04c9b76efc0719602e77728e3925c9f41020a7ea",
+	"tsp/tiny/O,ReorderFields":        "f766703b3896406277c70c4f04c9b76efc0719602e77728e3925c9f41020a7ea",
+	"health/quick/O":                  "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
+	"health/quick/O,ReorderFields":    "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
+	"health/tiny/O":                   "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
+	"health/tiny/O,ReorderFields":     "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
+	"perimeter/quick/O":               "4fa1cd0f389f944f5620a3d86f5e90adb234bde684f0c6e841390ab70ac0c5f2",
+	"perimeter/quick/O,ReorderFields": "4fa1cd0f389f944f5620a3d86f5e90adb234bde684f0c6e841390ab70ac0c5f2",
+	"perimeter/tiny/O":                "4fa1cd0f389f944f5620a3d86f5e90adb234bde684f0c6e841390ab70ac0c5f2",
+	"perimeter/tiny/O,ReorderFields":  "4fa1cd0f389f944f5620a3d86f5e90adb234bde684f0c6e841390ab70ac0c5f2",
+	"voronoi/quick/O":                 "38470b74899948180e0b2ed639b10364d3eca893663c7e959b5ae99bee5594e5",
+	"voronoi/quick/O,ReorderFields":   "38470b74899948180e0b2ed639b10364d3eca893663c7e959b5ae99bee5594e5",
+	"voronoi/tiny/O":                  "38470b74899948180e0b2ed639b10364d3eca893663c7e959b5ae99bee5594e5",
+	"voronoi/tiny/O,ReorderFields":    "38470b74899948180e0b2ed639b10364d3eca893663c7e959b5ae99bee5594e5",
+}
+
+// semaTinyParams are compile_cold's sizes (benchmark/workloads.go).
+var semaTinyParams = map[string]olden.Params{
+	"power":     {Size: 2, Iters: 1},
+	"tsp":       {Size: 8},
+	"health":    {Size: 1, Iters: 2},
+	"perimeter": {Size: 2},
+	"voronoi":   {Size: 8},
+}
+
+// semaSym, semaDecl and semaCall read sema's resolution of one node.
+func semaSym(p *sema.Program, id *earthc.Ident) *sema.Symbol   { return p.Use[id] }
+func semaDecl(p *sema.Program, d *earthc.VarDecl) *sema.Symbol { return p.DeclSym[d] }
+func semaCall(p *sema.Program, c *earthc.Call) *sema.CallInfo  { return p.CallTarget[c] }
+
+// semaHash walks the checked file in source order and hashes every
+// expression's kind, position and type, every identifier's and
+// declaration's resolved symbol (name, kind, owning function) and every
+// call's target.
+func semaHash(u *Unit) string {
+	h := sha256.New()
+	p := u.Sema
+	sym := func(s *sema.Symbol) string {
+		if s == nil {
+			return "none"
+		}
+		return fmt.Sprintf("%s/%d/%s", s.Name, s.Kind, s.Func)
+	}
+	var expr func(e earthc.Expr)
+	var stmt func(s earthc.Stmt)
+	decl := func(d *earthc.VarDecl) {
+		fmt.Fprintf(h, "decl %s %s %s\n", d.Name, d.Pos, sym(semaDecl(p, d)))
+		if d.Init != nil {
+			expr(d.Init)
+		}
+	}
+	expr = func(e earthc.Expr) {
+		if e == nil {
+			return
+		}
+		typ := "nil"
+		if t := p.TypeOf(e); t != nil {
+			typ = t.String()
+		}
+		fmt.Fprintf(h, "%T %v %s", e, reflect.ValueOf(e).Elem().FieldByName("Pos").Interface(), typ)
+		switch x := e.(type) {
+		case *earthc.Ident:
+			fmt.Fprintf(h, " sym=%s\n", sym(semaSym(p, x)))
+		case *earthc.Call:
+			switch ci := semaCall(p, x); {
+			case ci == nil:
+				fmt.Fprintf(h, " call=none\n")
+			case ci.Func != nil:
+				fmt.Fprintf(h, " call=%s\n", ci.Func.Def.Name)
+			default:
+				fmt.Fprintf(h, " call=builtin%d\n", ci.Builtin)
+			}
+			for _, a := range x.Args {
+				expr(a)
+			}
+			if x.Place != nil {
+				expr(x.Place.Arg)
+			}
+		default:
+			h.Write([]byte("\n"))
+		}
+		switch x := e.(type) {
+		case *earthc.Unary:
+			expr(x.X)
+		case *earthc.Binary:
+			expr(x.X)
+			expr(x.Y)
+		case *earthc.Assign:
+			expr(x.Lhs)
+			expr(x.Rhs)
+		case *earthc.IncDec:
+			expr(x.X)
+		case *earthc.Member:
+			expr(x.X)
+		case *earthc.Index:
+			expr(x.X)
+			expr(x.I)
+		case *earthc.CondExpr:
+			expr(x.C)
+			expr(x.T)
+			expr(x.F)
+		}
+	}
+	stmts := func(ss []earthc.Stmt) {
+		for _, s := range ss {
+			stmt(s)
+		}
+	}
+	stmt = func(s earthc.Stmt) {
+		switch st := s.(type) {
+		case *earthc.DeclStmt:
+			decl(st.Decl)
+		case *earthc.ExprStmt:
+			expr(st.X)
+		case *earthc.Block:
+			stmts(st.Stmts)
+		case *earthc.ParSeq:
+			stmts(st.Stmts)
+		case *earthc.IfStmt:
+			expr(st.Cond)
+			stmt(st.Then)
+			stmt(st.Else)
+		case *earthc.WhileStmt:
+			expr(st.Cond)
+			stmt(st.Body)
+		case *earthc.DoStmt:
+			stmt(st.Body)
+			expr(st.Cond)
+		case *earthc.ForStmt:
+			stmt(st.Init)
+			expr(st.Cond)
+			expr(st.Post)
+			stmt(st.Body)
+		case *earthc.ForallStmt:
+			stmt(st.Init)
+			expr(st.Cond)
+			expr(st.Post)
+			stmt(st.Body)
+		case *earthc.SwitchStmt:
+			expr(st.Tag)
+			for _, cc := range st.Cases {
+				for _, v := range cc.Vals {
+					expr(v)
+				}
+				stmts(cc.Body)
+			}
+		case *earthc.ReturnStmt:
+			expr(st.X)
+		case *earthc.LabeledStmt:
+			stmt(st.Stmt)
+		}
+	}
+	for _, g := range u.File.Globals {
+		decl(g)
+	}
+	for _, fn := range u.File.Funcs {
+		fmt.Fprintf(h, "func %s\n", fn.Name)
+		stmt(fn.Body)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSemaGolden checks semaHash against semaGolden for every cell.
+func TestSemaGolden(t *testing.T) {
+	var diffs []string
+	cells := 0
+	for _, bm := range olden.All() {
+		for _, size := range []struct {
+			name   string
+			params olden.Params
+		}{{"quick", olden.QuickParams(bm)}, {"tiny", semaTinyParams[bm.Name]}} {
+			for _, set := range []struct {
+				name string
+				opt  Options
+			}{
+				{"O", Options{Optimize: true}},
+				{"O,ReorderFields", Options{Optimize: true, ReorderFields: true}},
+			} {
+				cell := bm.Name + "/" + size.name + "/" + set.name
+				u, err := compile(bm.Name+".ec", bm.Source(size.params), set.opt)
+				if err != nil {
+					t.Fatalf("%s: %v", cell, err)
+				}
+				cells++
+				if got := semaHash(u); got != semaGolden[cell] {
+					diffs = append(diffs, fmt.Sprintf("\t%q: %q,", cell, got))
+				}
+			}
+		}
+	}
+	if len(diffs) != 0 {
+		t.Errorf("%d of %d cells differ from semaGolden; the hashes are:\n%s",
+			len(diffs), cells, strings.Join(diffs, "\n"))
 	}
 }
