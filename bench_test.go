@@ -23,6 +23,7 @@ import (
 	"repro/internal/earthsim"
 	"repro/internal/harness"
 	"repro/internal/olden"
+	"repro/internal/threaded"
 	"repro/internal/trace"
 )
 
@@ -139,6 +140,40 @@ func compileTinyRun(tb testing.TB) func() {
 				tb.Fatal(err)
 			}
 		}
+	}
+}
+
+// coldJobRun returns one BenchmarkColdJob op: what compile_cold's jobs
+// compile, each of the five tiny programs compiled cache-bypassing and then
+// code-generated for its run, as earthd does before simulating.
+func coldJobRun(tb testing.TB) func() {
+	srcs := make([]string, len(tinyPrograms))
+	for i, tp := range tinyPrograms {
+		srcs[i] = olden.ByName(tp.name).Source(tp.params)
+	}
+	p := core.NewPipeline(core.Options{Optimize: true})
+	return func() {
+		for j, src := range srcs {
+			res, err := p.Do(core.CompileRequest{Name: tinyPrograms[j].name + ".ec", Source: src,
+				Cache: core.CachePolicy{Bypass: true}})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if _, err := res.Unit.Threaded(threaded.Options{}); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkColdJob is compile_cold's compile stage in process: one op
+// compiles and code-generates each of the five tiny programs.
+func BenchmarkColdJob(b *testing.B) {
+	run := coldJobRun(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 

@@ -90,21 +90,31 @@ var simulator = struct {
 	allocs       int64 // measured per run
 }{257219, 101}
 
-// Measured allocations per op of BenchmarkCompile, BenchmarkCompileTiny and
-// BenchmarkCompileWarm, and the cold compile's heap bytes. A compile fell
-// from 28,861 allocations when the per-function worker pool was deleted and
-// each phase wrote straight into its result in function order, and from
-// 28,205 allocations and 2,611,716 bytes when read/write sets became sorted
-// arrays of interned ids instead of up to four maps per statement. It fell
-// from 21,669 allocations and 1,982,624 bytes, and the five tiny programs
-// from 106,666 allocations, when placement's tuple sets became immutable and
-// shared instead of deep-copied at every statement, and commsel's frame
-// stack, findGoto's path and the walkers' child lists stopped being copied
-// per statement.
+// Measured allocations per op of BenchmarkCompile, BenchmarkCompileTiny,
+// BenchmarkColdJob and BenchmarkCompileWarm, and the heap bytes of the cold
+// compile and of the cold job. A compile fell from 28,861 allocations when
+// the per-function worker pool was deleted and each phase wrote straight
+// into its result in function order, and from 28,205 allocations and
+// 2,611,716 bytes when read/write sets became sorted arrays of interned ids
+// instead of up to four maps per statement. It fell from 21,669
+// allocations and 1,982,624 bytes, and the five tiny programs from 106,666
+// allocations, when placement's tuple sets became immutable and shared
+// instead of deep-copied at every statement, and commsel's frame stack,
+// findGoto's path and the walkers' child lists stopped being copied per
+// statement. It fell from 9,373 allocations and 1,381,448 bytes, the tiny
+// programs from 47,578 allocations, and the cold job from 53,121
+// allocations and 8,503,832 bytes, when sema recorded its results on the
+// AST instead of in four per-node maps, lowering and code generation
+// indexed slices by symbol and variable ids, site keys were built only
+// for the instructions that carry one, the token slice was sized from the
+// source, and each function's code was copied out once at its final
+// length instead of doubling.
 const (
-	compileAllocs     = 9_373
-	compileBytes      = 1_381_448
-	compileTinyAllocs = 47_578
+	compileAllocs     = 9_113
+	compileBytes      = 1_043_192
+	compileTinyAllocs = 45_831
+	coldJobAllocs     = 46_861
+	coldJobBytes      = 5_646_904
 	compileWarmAllocs = 20
 )
 
@@ -224,6 +234,7 @@ func TestCounters(t *testing.T) {
 	}
 	checkAllocs(t, "Compile", ceiling(compileAllocs), compile(core.NewPipeline(core.Options{Optimize: true})))
 	checkAllocs(t, "CompileTiny", ceiling(compileTinyAllocs), compileTinyRun(t))
+	checkAllocs(t, "ColdJob", ceiling(coldJobAllocs), coldJobRun(t))
 	// AllocsPerRun's warm-up call fills the cache; a miss afterwards would
 	// blow the ceiling a thousandfold.
 	checkAllocs(t, "CompileWarm", ceiling(compileWarmAllocs),
@@ -257,6 +268,17 @@ func TestCompileBytes(t *testing.T) {
 	}
 	if got, want := bytesPerRun(5, compile), ceiling(compileBytes); got > want {
 		t.Errorf("cold compile of health: bytes per compile: got %d, want <= %d", got, want)
+	}
+}
+
+// TestColdJobBytes holds BenchmarkColdJob's compile and code generation of
+// the five tiny programs to coldJobBytes.
+func TestColdJobBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation under -race is not the program's")
+	}
+	if got, want := bytesPerRun(5, coldJobRun(t)), ceiling(coldJobBytes); got > want {
+		t.Errorf("cold job of the tiny programs: bytes per run: got %d, want <= %d", got, want)
 	}
 }
 

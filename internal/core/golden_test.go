@@ -307,11 +307,6 @@ var semaTinyParams = map[string]olden.Params{
 	"voronoi":   {Size: 8},
 }
 
-// semaSym, semaDecl and semaCall read sema's resolution of one node.
-func semaSym(p *sema.Program, id *earthc.Ident) *sema.Symbol   { return p.Use[id] }
-func semaDecl(p *sema.Program, d *earthc.VarDecl) *sema.Symbol { return p.DeclSym[d] }
-func semaCall(p *sema.Program, c *earthc.Call) *sema.CallInfo  { return p.CallTarget[c] }
-
 // semaHash walks the checked file in source order and hashes every
 // expression's kind, position and type, every identifier's and
 // declaration's resolved symbol (name, kind, owning function) and every
@@ -328,7 +323,7 @@ func semaHash(u *Unit) string {
 	var expr func(e earthc.Expr)
 	var stmt func(s earthc.Stmt)
 	decl := func(d *earthc.VarDecl) {
-		fmt.Fprintf(h, "decl %s %s %s\n", d.Name, d.Pos, sym(semaDecl(p, d)))
+		fmt.Fprintf(h, "decl %s %s %s\n", d.Name, d.Pos, sym(p.DeclOf(d)))
 		if d.Init != nil {
 			expr(d.Init)
 		}
@@ -344,9 +339,9 @@ func semaHash(u *Unit) string {
 		fmt.Fprintf(h, "%T %v %s", e, reflect.ValueOf(e).Elem().FieldByName("Pos").Interface(), typ)
 		switch x := e.(type) {
 		case *earthc.Ident:
-			fmt.Fprintf(h, " sym=%s\n", sym(semaSym(p, x)))
+			fmt.Fprintf(h, " sym=%s\n", sym(p.SymOf(x)))
 		case *earthc.Call:
-			switch ci := semaCall(p, x); {
+			switch ci := p.CallOf(x); {
 			case ci == nil:
 				fmt.Fprintf(h, " call=none\n")
 			case ci.Func != nil:

@@ -176,6 +176,9 @@ type VarDecl struct {
 	Shared bool // declared with the shared qualifier
 	Init   Expr // optional initializer
 	Pos    Pos
+	// Sym is the declared symbol, set by semantic analysis: a 1-based index
+	// into the checking sema.Program's symbol table, 0 when not declared.
+	Sym int
 }
 
 // ------------------------------------------------------------ statements ---
@@ -306,23 +309,44 @@ func (*LabeledStmt) stmtNode()  {}
 
 // ----------------------------------------------------------- expressions ---
 
-// Expr is the interface implemented by all expression nodes.
-type Expr interface{ exprNode() }
+// Expr is the interface implemented by all expression nodes. Every node
+// embeds Typed, which carries the type semantic analysis assigned to it.
+type Expr interface {
+	exprNode()
+	CheckedType() Type
+	SetCheckedType(Type)
+}
+
+// Typed is embedded in every expression node and holds the type sema.Check
+// assigned to the node: nil before checking, or where the node failed to
+// check. Check overwrites it on every node it visits, so a File may be
+// checked again after a transformation (see core's ReorderFields).
+type Typed struct{ typ Type }
+
+// CheckedType returns the type recorded on the node.
+func (t *Typed) CheckedType() Type { return t.typ }
+
+// SetCheckedType records the node's type. Semantic analysis sets it on the
+// nodes it checks, lowering on the nodes it synthesizes.
+func (t *Typed) SetCheckedType(ty Type) { t.typ = ty }
 
 // IntLit is an integer literal.
 type IntLit struct {
+	Typed
 	Val int64
 	Pos Pos
 }
 
 // FloatLit is a floating-point literal.
 type FloatLit struct {
+	Typed
 	Val float64
 	Pos Pos
 }
 
 // CharLit is a character literal (value of the single character).
 type CharLit struct {
+	Typed
 	Val byte
 	Pos Pos
 }
@@ -330,17 +354,25 @@ type CharLit struct {
 // StringLit is a string literal; only valid as an argument to print
 // intrinsics.
 type StringLit struct {
+	Typed
 	Val string
 	Pos Pos
 }
 
 // NullLit is the NULL pointer constant.
-type NullLit struct{ Pos Pos }
+type NullLit struct {
+	Typed
+	Pos Pos
+}
 
 // Ident is a variable or function reference.
 type Ident struct {
+	Typed
 	Name string
 	Pos  Pos
+	// Sym is the resolved symbol, set by semantic analysis: a 1-based index
+	// into the checking sema.Program's symbol table, 0 when unresolved.
+	Sym int
 }
 
 // UnOp is a unary operator.
@@ -361,6 +393,7 @@ func (op UnOp) String() string {
 
 // Unary is a unary operation.
 type Unary struct {
+	Typed
 	Op  UnOp
 	X   Expr
 	Pos Pos
@@ -398,6 +431,7 @@ func (op BinOp) String() string {
 
 // Binary is a binary operation.
 type Binary struct {
+	Typed
 	Op   BinOp
 	X, Y Expr
 	Pos  Pos
@@ -406,6 +440,7 @@ type Binary struct {
 // Assign is an assignment; Op is the compound operator (Add for +=, etc.)
 // or -1 for plain assignment.
 type Assign struct {
+	Typed
 	Op  BinOp // -1 for plain =
 	Lhs Expr
 	Rhs Expr
@@ -417,6 +452,7 @@ const PlainAssign BinOp = -1
 
 // IncDec is ++ or -- in prefix or postfix position.
 type IncDec struct {
+	Typed
 	X      Expr
 	Decr   bool
 	Prefix bool
@@ -442,14 +478,19 @@ type Placement struct {
 
 // Call is a function call, possibly with a placement annotation.
 type Call struct {
+	Typed
 	Fun   string
 	Args  []Expr
 	Place *Placement // nil for ordinary local-node calls
 	Pos   Pos
+	// Target is the call's resolution, set by semantic analysis: a 1-based
+	// index into the checking sema.Program's call table, 0 when unresolved.
+	Target int
 }
 
 // Member is field access: X.Name or X->Name (Arrow).
 type Member struct {
+	Typed
 	X     Expr
 	Name  string
 	Arrow bool
@@ -458,18 +499,21 @@ type Member struct {
 
 // Index is array indexing X[I].
 type Index struct {
+	Typed
 	X, I Expr
 	Pos  Pos
 }
 
 // SizeofExpr is sizeof(type), in words (see sema for layout).
 type SizeofExpr struct {
+	Typed
 	T   Type
 	Pos Pos
 }
 
 // CondExpr is the ternary operator c ? t : f.
 type CondExpr struct {
+	Typed
 	C, T, F Expr
 	Pos     Pos
 }

@@ -323,7 +323,10 @@ func (l *Lexer) stringLit(p Pos) Token {
 // EOF, plus any lexical errors.
 func Tokenize(src string) ([]Token, []error) {
 	l := NewLexer(src)
-	var toks []Token
+	// EARTH-C source runs 3.3 to 5.2 bytes per token (the Olden programs
+	// and testdata/), so a third of the length holds every token of
+	// ordinary source in one allocation; denser input grows from there.
+	toks := make([]Token, 0, len(src)/3+1)
 	for {
 		t := l.Next()
 		toks = append(toks, t)

@@ -36,7 +36,7 @@ func joinPath(a, b string) string {
 func (lw *lowerer) resolveAccess(seq *simple.Seq, e earthc.Expr) (access, bool) {
 	switch x := e.(type) {
 	case *earthc.Ident:
-		sym := lw.prog.Use[x]
+		sym := lw.prog.SymOf(x)
 		if sym == nil {
 			return access{}, false
 		}
@@ -191,13 +191,12 @@ func (lw *lowerer) lowerAssign(seq *simple.Seq, x *earthc.Assign) simple.Atom {
 	if x.Op != earthc.PlainAssign {
 		rhs = &earthc.Binary{Op: x.Op, X: x.Lhs, Y: x.Rhs, Pos: x.Pos}
 		// Give the synthesized node a type so downstream promotion works.
-		lt := lw.prog.TypeOf(x.Lhs)
-		lw.prog.ExprType[rhs] = lt
+		rhs.SetCheckedType(lw.prog.TypeOf(x.Lhs))
 	}
 
 	switch lhs := x.Lhs.(type) {
 	case *earthc.Ident:
-		sym := lw.prog.Use[lhs]
+		sym := lw.prog.SymOf(lhs)
 		if sym == nil {
 			return simple.IntAtom{}
 		}
@@ -289,13 +288,13 @@ func (lw *lowerer) exprStmt(seq *simple.Seq, e earthc.Expr) {
 		lw.lowerAssign(seq, x)
 	case *earthc.IncDec:
 		one := &earthc.IntLit{Val: 1}
-		lw.prog.ExprType[one] = lw.prog.TypeOf(x.X)
+		one.SetCheckedType(lw.prog.TypeOf(x.X))
 		op := earthc.Add
 		if x.Decr {
 			op = earthc.Sub
 		}
 		as := &earthc.Assign{Op: op, Lhs: x.X, Rhs: one, Pos: x.Pos}
-		lw.prog.ExprType[as] = lw.prog.TypeOf(x.X)
+		as.SetCheckedType(lw.prog.TypeOf(x.X))
 		lw.lowerAssign(seq, as)
 	case *earthc.Call:
 		lw.lowerCall(seq, x, false)
@@ -323,7 +322,7 @@ func (lw *lowerer) atom(seq *simple.Seq, e earthc.Expr) simple.Atom {
 	case *earthc.SizeofExpr:
 		return simple.IntAtom{Val: int64(lw.prog.SizeOf(x.T))}
 	case *earthc.Ident:
-		sym := lw.prog.Use[x]
+		sym := lw.prog.SymOf(x)
 		if sym == nil {
 			return simple.IntAtom{}
 		}
@@ -490,7 +489,7 @@ func negateCond(c simple.Cond) simple.Cond {
 // lowerCall lowers a function or intrinsic call; wantValue selects whether a
 // destination temp is produced.
 func (lw *lowerer) lowerCall(seq *simple.Seq, x *earthc.Call, wantValue bool) simple.Atom {
-	info := lw.prog.CallTarget[x]
+	info := lw.prog.CallOf(x)
 	if info == nil {
 		return simple.IntAtom{}
 	}
@@ -624,7 +623,7 @@ func (lw *lowerer) sharedVarOf(e earthc.Expr) *simple.Var {
 	if !ok {
 		return nil
 	}
-	sym := lw.prog.Use[id]
+	sym := lw.prog.SymOf(id)
 	if sym == nil {
 		return nil
 	}

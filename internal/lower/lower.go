@@ -8,6 +8,7 @@ package lower
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/earthc"
 	"repro/internal/sema"
@@ -34,24 +35,26 @@ func Program(prog *sema.Program) (*simple.Program, error) {
 		}
 		sp.Structs[name] = lay
 	}
-	globals := make(map[*sema.Symbol]*simple.Var)
-	for _, g := range prog.Globals {
+	// vars maps each symbol, by ID, to its SIMPLE variable: globals up
+	// front, parameters and locals as each function declares them.
+	vars := make([]*simple.Var, len(prog.Syms))
+	for i, g := range prog.Globals {
 		v := &simple.Var{
 			Name: g.Name, Type: g.Type, Kind: simple.VarGlobal,
-			Shared: g.Shared, Size: prog.SizeOf(g.Type),
+			Shared: g.Shared, Size: prog.SizeOf(g.Type), ID: i,
 		}
 		sp.Globals = append(sp.Globals, v)
-		globals[g] = v
+		vars[g.ID] = v
 	}
 	for _, gd := range prog.File.Globals {
 		if gd.Init == nil {
 			continue
 		}
-		sym := prog.DeclSym[gd]
-		v := globals[sym]
-		if v == nil {
+		sym := prog.DeclOf(gd)
+		if sym == nil {
 			continue
 		}
+		v := vars[sym.ID]
 		bits, ok := constBits(gd.Init)
 		if !ok {
 			return nil, fmt.Errorf("lower: global %s: initializer must be a constant", gd.Name)
@@ -60,8 +63,7 @@ func Program(prog *sema.Program) (*simple.Program, error) {
 	}
 	for _, fd := range prog.File.Funcs {
 		fi := prog.Funcs[fd.Name]
-		lw := &lowerer{prog: prog, sp: sp, globals: globals,
-			syms: make(map[*sema.Symbol]*simple.Var), used: make(map[string]bool)}
+		lw := &lowerer{prog: prog, sp: sp, vars: vars, used: make(map[string]bool)}
 		fn, err := lw.fun(fi)
 		if err != nil {
 			return nil, err
@@ -72,14 +74,15 @@ func Program(prog *sema.Program) (*simple.Program, error) {
 }
 
 type lowerer struct {
-	prog    *sema.Program
-	sp      *simple.Program
-	globals map[*sema.Symbol]*simple.Var
-	fn      *simple.Func
-	syms    map[*sema.Symbol]*simple.Var
-	used    map[string]bool
-	ntemp   int
-	err     error
+	prog *sema.Program
+	sp   *simple.Program
+	// vars is indexed by sema.Symbol.ID and shared by every function's
+	// lowerer: a parameter or local symbol belongs to one function.
+	vars  []*simple.Var
+	fn    *simple.Func
+	used  map[string]bool
+	ntemp int
+	err   error
 }
 
 func (lw *lowerer) errorf(pos earthc.Pos, format string, args ...any) {
@@ -95,7 +98,7 @@ func (lw *lowerer) uniqueName(name string) string {
 		return name
 	}
 	for i := 2; ; i++ {
-		n := fmt.Sprintf("%s_%d", name, i)
+		n := name + "_" + strconv.Itoa(i)
 		if !lw.used[n] {
 			lw.used[n] = true
 			return n
@@ -106,7 +109,7 @@ func (lw *lowerer) uniqueName(name string) string {
 func (lw *lowerer) newTemp(t earthc.Type) *simple.Var {
 	lw.ntemp++
 	v := &simple.Var{
-		Name: fmt.Sprintf("temp%d", lw.ntemp), Type: t,
+		Name: "temp" + strconv.Itoa(lw.ntemp), Type: t,
 		Kind: simple.VarTemp, Size: lw.prog.SizeOf(t),
 	}
 	lw.used[v.Name] = true
@@ -114,10 +117,7 @@ func (lw *lowerer) newTemp(t earthc.Type) *simple.Var {
 }
 
 func (lw *lowerer) varFor(sym *sema.Symbol) *simple.Var {
-	if sym.Kind == sema.SymGlobal {
-		return lw.globals[sym]
-	}
-	if v, ok := lw.syms[sym]; ok {
+	if v := lw.vars[sym.ID]; v != nil || sym.Kind == sema.SymGlobal {
 		return v
 	}
 	kind := simple.VarLocal
@@ -128,7 +128,7 @@ func (lw *lowerer) varFor(sym *sema.Symbol) *simple.Var {
 		Name: lw.uniqueName(sym.Name), Type: sym.Type, Kind: kind,
 		Shared: sym.Shared, Size: lw.prog.SizeOf(sym.Type),
 	}
-	lw.syms[sym] = v
+	lw.vars[sym.ID] = v
 	if kind == simple.VarLocal {
 		lw.fn.AddLocal(v)
 	}
@@ -138,12 +138,10 @@ func (lw *lowerer) varFor(sym *sema.Symbol) *simple.Var {
 func (lw *lowerer) fun(fi *sema.FuncInfo) (*simple.Func, error) {
 	lw.fn = &simple.Func{Name: fi.Def.Name, Ret: fi.Ret}
 	for _, p := range fi.Params {
-		v := &simple.Var{
+		lw.vars[p.ID] = lw.fn.AddParam(&simple.Var{
 			Name: lw.uniqueName(p.Name), Type: p.Type, Kind: simple.VarParam,
 			Size: lw.prog.SizeOf(p.Type),
-		}
-		lw.syms[p] = v
-		lw.fn.Params = append(lw.fn.Params, v)
+		})
 	}
 	body := &simple.Seq{}
 	lw.stmt(body, fi.Def.Body)
@@ -172,7 +170,7 @@ func (lw *lowerer) stmt(seq *simple.Seq, s earthc.Stmt) {
 	}
 	switch st := s.(type) {
 	case *earthc.DeclStmt:
-		sym := lw.prog.DeclSym[st.Decl]
+		sym := lw.prog.DeclOf(st.Decl)
 		if sym == nil {
 			return
 		}

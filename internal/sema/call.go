@@ -4,11 +4,18 @@ import (
 	"repro/internal/earthc"
 )
 
+// call records a call site's resolution and returns the reference the Call
+// node carries.
+func (c *checker) call(ci CallInfo) int {
+	c.prog.Calls = append(c.prog.Calls, ci)
+	return len(c.prog.Calls)
+}
+
 // callType resolves and checks a call site: either an intrinsic or a user
 // function, possibly with a placement annotation.
 func (c *checker) callType(x *earthc.Call) earthc.Type {
 	if b := BuiltinByName(x.Fun); b != NotBuiltin {
-		c.prog.CallTarget[x] = &CallInfo{Builtin: b}
+		x.Target = c.call(CallInfo{Builtin: b})
 		if x.Place != nil {
 			c.errorf(x.Pos, "placement annotations are not valid on intrinsic %s", x.Fun)
 		}
@@ -17,12 +24,13 @@ func (c *checker) callType(x *earthc.Call) earthc.Type {
 	fi := c.prog.Funcs[x.Fun]
 	if fi == nil {
 		c.errorf(x.Pos, "call to undefined function %s", x.Fun)
+		x.Target = 0
 		for _, a := range x.Args {
 			c.checkExpr(a)
 		}
 		return nil
 	}
-	c.prog.CallTarget[x] = &CallInfo{Func: fi}
+	x.Target = c.call(CallInfo{Func: fi})
 	if len(x.Args) != len(fi.Params) {
 		c.errorf(x.Pos, "%s expects %d arguments, got %d", x.Fun, len(fi.Params), len(x.Args))
 	}
@@ -78,7 +86,8 @@ func (c *checker) builtinType(b Builtin, x *earthc.Call) earthc.Type {
 		// The struct-name argument is not an expression; give it the struct
 		// type for the record but do not resolve it as a variable.
 		sref := &earthc.StructRef{Name: id.Name}
-		c.prog.ExprType[x.Args[0]] = sref
+		id.SetCheckedType(sref)
+		id.Sym = 0
 		if b == BAllocOn {
 			nt := c.checkExpr(x.Args[1])
 			c.requireInt(x.Pos, nt, "alloc_on node")
@@ -140,7 +149,7 @@ func (c *checker) builtinType(b Builtin, x *earthc.Call) earthc.Type {
 			if _, ok := x.Args[0].(*earthc.StringLit); !ok {
 				c.errorf(x.Pos, "print_str requires a string literal")
 			} else {
-				c.prog.ExprType[x.Args[0]] = tInt // placeholder; carried as literal
+				x.Args[0].SetCheckedType(tInt) // placeholder; carried as literal
 			}
 		}
 		return tVoid
@@ -190,7 +199,7 @@ func (c *checker) checkSharedPtrArg(call *earthc.Call, a earthc.Expr) earthc.Typ
 	c.inSharedIntrinsic = true
 	t := c.checkExpr(a)
 	c.inSharedIntrinsic = false
-	sym := c.prog.Use[id]
+	sym := c.prog.SymOf(id)
 	if sym == nil {
 		return nil
 	}

@@ -34,6 +34,9 @@ type Symbol struct {
 	Shared bool
 	Pos    earthc.Pos
 	Func   string // owning function name, "" for globals
+	// ID is the symbol's index in its Program's Syms: dense over every
+	// global, parameter and local the program declares.
+	ID int
 }
 
 // IsLocalPtr reports whether the symbol is a pointer declared with the
@@ -121,18 +124,47 @@ type Program struct {
 	Globals      []*Symbol
 	GlobalByName map[string]*Symbol
 
-	// ExprType maps every expression node to its type.
-	ExprType map[earthc.Expr]earthc.Type
-	// Use maps identifier uses to their symbols.
-	Use map[*earthc.Ident]*Symbol
-	// DeclSym maps declarations to their symbols.
-	DeclSym map[*earthc.VarDecl]*Symbol
-	// CallTarget maps call sites to their resolution.
-	CallTarget map[*earthc.Call]*CallInfo
+	// Syms holds every symbol the program declares, indexed by Symbol.ID.
+	// Check records its results on the AST itself: each expression's type
+	// (earthc.Typed), and 1-based indexes into Syms and Calls on
+	// identifiers, declarations and calls. TypeOf, SymOf, DeclOf and CallOf
+	// read them back.
+	Syms []*Symbol
+	// Calls holds the resolution of every checked call site.
+	Calls []CallInfo
 }
 
 // TypeOf returns the checked type of e (nil if unknown).
-func (p *Program) TypeOf(e earthc.Expr) earthc.Type { return p.ExprType[e] }
+func (p *Program) TypeOf(e earthc.Expr) earthc.Type { return e.CheckedType() }
+
+// SymOf returns the symbol an identifier use resolved to, or nil.
+func (p *Program) SymOf(id *earthc.Ident) *Symbol { return p.sym(id.Sym) }
+
+// DeclOf returns the symbol a declaration declared, or nil.
+func (p *Program) DeclOf(d *earthc.VarDecl) *Symbol { return p.sym(d.Sym) }
+
+func (p *Program) sym(ref int) *Symbol {
+	if ref == 0 {
+		return nil
+	}
+	return p.Syms[ref-1]
+}
+
+// CallOf returns the resolution of a call site, or nil.
+func (p *Program) CallOf(c *earthc.Call) *CallInfo {
+	if c.Target == 0 {
+		return nil
+	}
+	return &p.Calls[c.Target-1]
+}
+
+// newSym registers sym in the symbol table and returns its 1-based
+// reference, the form AST nodes carry.
+func (p *Program) newSym(sym *Symbol) int {
+	sym.ID = len(p.Syms)
+	p.Syms = append(p.Syms, sym)
+	return sym.ID + 1
+}
 
 // StructOf returns the StructInfo for a type that is struct or
 // pointer-to-struct, or nil.
@@ -172,7 +204,10 @@ type checker struct {
 	errs []error
 
 	curFunc *FuncInfo
-	scopes  []map[string]*Symbol
+	// scope is the stack of visible local symbols, innermost last; marks
+	// holds the stack height at each open block's start.
+	scope []*Symbol
+	marks []int
 	// inSharedIntrinsic is set while checking &sv arguments of
 	// writeto/addto/valueof, where naming a shared variable is legal.
 	inSharedIntrinsic bool
@@ -185,10 +220,6 @@ func Check(f *earthc.File) (*Program, error) {
 		Structs:      make(map[string]*StructInfo),
 		Funcs:        make(map[string]*FuncInfo),
 		GlobalByName: make(map[string]*Symbol),
-		ExprType:     make(map[earthc.Expr]earthc.Type),
-		Use:          make(map[*earthc.Ident]*Symbol),
-		DeclSym:      make(map[*earthc.VarDecl]*Symbol),
-		CallTarget:   make(map[*earthc.Call]*CallInfo),
 	}}
 	c.collectStructs()
 	c.collectFuncs()
@@ -293,11 +324,12 @@ func (c *checker) collectFuncs() {
 		if BuiltinByName(fn.Name) != NotBuiltin {
 			c.errorf(fn.Pos, "function %s shadows an intrinsic", fn.Name)
 		}
-		fi := &FuncInfo{Def: fn, Ret: fn.Ret}
-		for _, p := range fn.Params {
-			fi.Params = append(fi.Params, &Symbol{
+		fi := &FuncInfo{Def: fn, Ret: fn.Ret, Params: make([]*Symbol, len(fn.Params))}
+		for i, p := range fn.Params {
+			fi.Params[i] = &Symbol{
 				Name: p.Name, Type: p.Type, Kind: SymParam, Pos: p.Pos, Func: fn.Name,
-			})
+			}
+			c.prog.newSym(fi.Params[i])
 		}
 		c.prog.Funcs[fn.Name] = fi
 	}
@@ -308,14 +340,15 @@ func (c *checker) checkGlobals() {
 		if !c.validVarType(g.Type) {
 			c.errorf(g.Pos, "invalid type for global %s", g.Name)
 		}
-		sym := &Symbol{Name: g.Name, Type: g.Type, Kind: SymGlobal, Shared: g.Shared, Pos: g.Pos}
 		if _, dup := c.prog.GlobalByName[g.Name]; dup {
 			c.errorf(g.Pos, "duplicate global %s", g.Name)
+			g.Sym = 0
 			continue
 		}
+		sym := &Symbol{Name: g.Name, Type: g.Type, Kind: SymGlobal, Shared: g.Shared, Pos: g.Pos}
 		c.prog.Globals = append(c.prog.Globals, sym)
 		c.prog.GlobalByName[g.Name] = sym
-		c.prog.DeclSym[g] = sym
+		g.Sym = c.prog.newSym(sym)
 		if g.Init != nil {
 			t := c.checkExpr(g.Init)
 			c.requireAssignable(g.Pos, g.Type, t)
@@ -339,21 +372,31 @@ func (c *checker) validVarType(t earthc.Type) bool {
 
 // ----------------------------------------------------------------- scopes ---
 
-func (c *checker) pushScope() { c.scopes = append(c.scopes, make(map[string]*Symbol)) }
-func (c *checker) popScope()  { c.scopes = c.scopes[:len(c.scopes)-1] }
+func (c *checker) pushScope() { c.marks = append(c.marks, len(c.scope)) }
 
-func (c *checker) declare(sym *Symbol) {
-	top := c.scopes[len(c.scopes)-1]
-	if _, dup := top[sym.Name]; dup {
-		c.errorf(sym.Pos, "redeclaration of %s", sym.Name)
-	}
-	top[sym.Name] = sym
+func (c *checker) popScope() {
+	n := len(c.marks) - 1
+	c.scope = c.scope[:c.marks[n]]
+	c.marks = c.marks[:n]
 }
 
+// declare makes sym visible in the innermost block. A redeclaration in the
+// same block is an error; the new symbol then shadows the old one.
+func (c *checker) declare(sym *Symbol) {
+	for i := len(c.scope) - 1; i >= c.marks[len(c.marks)-1]; i-- {
+		if c.scope[i].Name == sym.Name {
+			c.errorf(sym.Pos, "redeclaration of %s", sym.Name)
+			break
+		}
+	}
+	c.scope = append(c.scope, sym)
+}
+
+// lookup resolves a name to the innermost visible local, else a global.
 func (c *checker) lookup(name string) *Symbol {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if s, ok := c.scopes[i][name]; ok {
-			return s
+	for i := len(c.scope) - 1; i >= 0; i-- {
+		if c.scope[i].Name == name {
+			return c.scope[i]
 		}
 	}
 	return c.prog.GlobalByName[name]
@@ -388,7 +431,7 @@ func (c *checker) checkStmt(s earthc.Stmt) {
 		sym := &Symbol{Name: d.Name, Type: d.Type, Kind: SymLocal,
 			Shared: d.Shared, Pos: d.Pos, Func: c.curFunc.Def.Name}
 		c.declare(sym)
-		c.prog.DeclSym[d] = sym
+		d.Sym = c.prog.newSym(sym)
 		c.curFunc.Locals = append(c.curFunc.Locals, sym)
 		if d.Init != nil {
 			if d.Shared {
@@ -588,9 +631,7 @@ var nullType earthc.Type = &earthc.PtrType{Elem: tVoid}
 
 func (c *checker) checkExpr(e earthc.Expr) earthc.Type {
 	t := c.exprType(e)
-	if t != nil {
-		c.prog.ExprType[e] = t
-	}
+	e.SetCheckedType(t)
 	return t
 }
 
@@ -611,9 +652,10 @@ func (c *checker) exprType(e earthc.Expr) earthc.Type {
 		sym := c.lookup(x.Name)
 		if sym == nil {
 			c.errorf(x.Pos, "undeclared identifier %s", x.Name)
+			x.Sym = 0
 			return nil
 		}
-		c.prog.Use[x] = sym
+		x.Sym = sym.ID + 1
 		if sym.Shared && !c.inSharedIntrinsic {
 			c.errorf(x.Pos, "shared variable %s must be accessed via writeto/addto/valueof", x.Name)
 		}
@@ -717,7 +759,7 @@ func (c *checker) unaryType(x *earthc.Unary) earthc.Type {
 		// Valid on variables and fields; shared variables especially.
 		switch inner := x.X.(type) {
 		case *earthc.Ident:
-			sym := c.prog.Use[inner]
+			sym := c.prog.SymOf(inner)
 			if sym != nil {
 				return &earthc.PtrType{Elem: sym.Type}
 			}
@@ -831,13 +873,8 @@ func (c *checker) memberType(x *earthc.Member) earthc.Type {
 func (c *checker) checkLvalue(e earthc.Expr) earthc.Type {
 	switch x := e.(type) {
 	case *earthc.Ident:
-		t := c.checkExpr(x)
-		sym := c.prog.Use[x]
-		if sym != nil && sym.Shared {
-			// Error already reported by checkExpr.
-			return t
-		}
-		return t
+		// A shared variable here is already reported by checkExpr.
+		return c.checkExpr(x)
 	case *earthc.Member, *earthc.Index:
 		return c.checkExpr(e)
 	case *earthc.Unary:

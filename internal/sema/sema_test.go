@@ -1,6 +1,7 @@
 package sema
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -349,4 +350,68 @@ int main() {
 	return 0;
 }
 `, "compound assignment")
+}
+
+// TestScopeResolution pins name resolution through the scope stack: an
+// inner block's declaration shadows the outer one until the block closes,
+// sibling blocks may reuse a name, a body block may shadow a parameter, and
+// names not declared locally fall to the globals.
+func TestScopeResolution(t *testing.T) {
+	f, err := earthc.ParseFile("t.ec", `
+int g;
+int f(int x) {
+	int r;
+	r = x;
+	{ int x; x = 1; r = x; }
+	{ double x; x = 2.0; }
+	r = x + g;
+	return r;
+}
+int main() { return f(1); }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Check(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every use of x, in source order, and the kind and type it resolves to.
+	var got []string
+	var expr func(e earthc.Expr)
+	expr = func(e earthc.Expr) {
+		switch x := e.(type) {
+		case *earthc.Ident:
+			if s := p.SymOf(x); s != nil && s.Name == "x" {
+				got = append(got, fmt.Sprintf("%d:%s", s.Kind, s.Type))
+			}
+		case *earthc.Assign:
+			expr(x.Lhs)
+			expr(x.Rhs)
+		case *earthc.Binary:
+			expr(x.X)
+			expr(x.Y)
+		}
+	}
+	var stmt func(s earthc.Stmt)
+	stmt = func(s earthc.Stmt) {
+		switch st := s.(type) {
+		case *earthc.Block:
+			for _, c := range st.Stmts {
+				stmt(c)
+			}
+		case *earthc.ExprStmt:
+			expr(st.X)
+		}
+	}
+	stmt(f.Funcs[0].Body)
+	want := []string{"1:int", "2:int", "2:int", "2:double", "1:int"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("uses of x resolve to %v, want %v", got, want)
+	}
+	for i, s := range p.Syms {
+		if s.ID != i {
+			t.Errorf("Syms[%d] has ID %d", i, s.ID)
+		}
+	}
 }

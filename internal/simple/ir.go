@@ -38,6 +38,10 @@ type Var struct {
 	Kind   VarKind
 	Shared bool
 	Size   int // words occupied in the frame (or global segment)
+	// ID numbers the variable densely: a function's parameters and then
+	// its locals are 0..n-1 in the order Func.AddParam and Func.AddLocal
+	// registered them, and a global is its index in Program.Globals.
+	ID int
 }
 
 // IsPtr reports whether the variable has pointer type.
@@ -419,10 +423,39 @@ func (f *Func) NewBasic(k BasicKind) *Basic {
 	return b
 }
 
-// AddLocal registers a new local/temporary variable.
+// AddParam registers the next parameter and gives it its ID. Every
+// parameter is registered before the first local.
+func (f *Func) AddParam(v *Var) *Var {
+	if len(f.Locals) > 0 {
+		panic("simple: AddParam after AddLocal in " + f.Name)
+	}
+	v.ID = len(f.Params)
+	f.Params = append(f.Params, v)
+	return v
+}
+
+// AddLocal registers a new local/temporary variable and gives it its ID.
 func (f *Func) AddLocal(v *Var) *Var {
+	v.ID = len(f.Params) + len(f.Locals)
 	f.Locals = append(f.Locals, v)
 	return v
+}
+
+// NumVars is the number of parameters and locals, one more than the
+// largest ID among them.
+func (f *Func) NumVars() int { return len(f.Params) + len(f.Locals) }
+
+// VarByID returns the parameter or local with the given ID, or nil.
+func (f *Func) VarByID(id int) *Var {
+	switch {
+	case id < 0:
+		return nil
+	case id < len(f.Params):
+		return f.Params[id]
+	case id < f.NumVars():
+		return f.Locals[id-len(f.Params)]
+	}
+	return nil
 }
 
 // Program is a whole program in SIMPLE form.

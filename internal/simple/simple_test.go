@@ -105,7 +105,7 @@ func TestWalkBasicsOrder(t *testing.T) {
 func TestFuncVarByName(t *testing.T) {
 	f := &Func{Name: "f"}
 	p := tv("p")
-	f.Params = append(f.Params, p)
+	f.AddParam(p)
 	l := f.AddLocal(tv("l"))
 	if f.VarByName("p") != p || f.VarByName("l") != l {
 		t.Error("VarByName lookup failed")
@@ -159,4 +159,24 @@ func TestEachFuncPanicNamesFunction(t *testing.T) {
 		}
 	})
 	t.Fatal("EachFunc returned after its body panicked")
+}
+
+func TestFuncVarIDs(t *testing.T) {
+	f := &Func{Name: "f"}
+	a, b := f.AddParam(tv("a")), f.AddParam(tv("b"))
+	x, y := f.AddLocal(tv("x")), f.AddLocal(tv("y"))
+	for id, v := range []*Var{a, b, x, y} {
+		if v.ID != id || f.VarByID(id) != v {
+			t.Errorf("%s: ID %d, VarByID(%d) = %v", v.Name, v.ID, id, f.VarByID(id))
+		}
+	}
+	if f.NumVars() != 4 || f.VarByID(4) != nil || f.VarByID(-1) != nil {
+		t.Errorf("NumVars %d, VarByID(4) %v, VarByID(-1) %v", f.NumVars(), f.VarByID(4), f.VarByID(-1))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AddParam after AddLocal must panic")
+		}
+	}()
+	f.AddParam(tv("c"))
 }

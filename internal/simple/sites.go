@@ -1,6 +1,6 @@
 package simple
 
-import "fmt"
+import "strconv"
 
 // AssignSites gives every compound statement a stable site ID used as the
 // profiling key (see internal/profile): per function, compounds are
@@ -62,11 +62,11 @@ func CompoundSiteKey(fn string, site int) string {
 	if site == 0 {
 		return ""
 	}
-	return fmt.Sprintf("%s:C%d", fn, site)
+	return fn + ":C" + strconv.Itoa(site)
 }
 
 // BasicSiteKey is the profile key of a basic statement (keyed by its Si
 // label).
 func BasicSiteKey(fn string, label int) string {
-	return fmt.Sprintf("%s:S%d", fn, label)
+	return fn + ":S" + strconv.Itoa(label)
 }

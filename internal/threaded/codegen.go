@@ -3,6 +3,8 @@ package threaded
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/earthc"
 	"repro/internal/locality"
@@ -44,17 +46,17 @@ func init() {
 // Generate compiles a SIMPLE program to threaded code. loc may be nil (all
 // pointers treated as possibly remote).
 func Generate(prog *simple.Program, loc *locality.Result, opt Options) (*Program, error) {
-	g := &gen{prog: prog, loc: loc, opt: opt,
-		globalOff: make(map[*simple.Var]int),
+	g := &gen{prog: prog, loc: loc, opt: opt, label: -1,
+		globalOff: make([]int, len(prog.Globals)),
 		out: &Program{
 			Funcs:         make(map[string]*FnCode),
 			GlobalSlot:    make(map[string]int),
 			SharedGlobals: make(map[string]bool),
 			Profiled:      opt.Profile,
 		}}
-	for _, gv := range prog.Globals {
+	for i, gv := range prog.Globals {
 		g.out.GlobalSlot[gv.Name] = g.out.GlobalWords
-		g.globalOff[gv] = g.out.GlobalWords
+		g.globalOff[i] = g.out.GlobalWords
 		if bits, ok := prog.GlobalInit[gv]; ok {
 			g.out.GlobalInit = append(g.out.GlobalInit,
 				[2]int64{int64(g.out.GlobalWords), bits})
@@ -68,6 +70,12 @@ func Generate(prog *simple.Program, loc *locality.Result, opt Options) (*Program
 	for _, f := range prog.Funcs {
 		g.out.Funcs[f.Name] = &FnCode{Name: f.Name}
 	}
+	spare := spareCode.Get().(*[][]Instr)
+	g.spare = *spare
+	defer func() {
+		*spare = g.spare
+		spareCode.Put(spare)
+	}()
 	for _, f := range prog.Funcs {
 		if err := g.fun(f); err != nil {
 			return nil, err
@@ -85,17 +93,25 @@ type gen struct {
 	loc  *locality.Result
 	opt  Options
 	out  *Program
-	// globalOff maps global variables to their word offsets in the global
-	// segment (resident on node 0).
-	globalOff map[*simple.Var]int
+	// globalOff holds each global's word offset in the global segment
+	// (resident on node 0), indexed by its Var.ID.
+	globalOff []int
 
-	fn    *simple.Func
-	fc    *FnCode
-	slots map[*simple.Var]int
-	// curSite is the profiling site key of the basic statement being
-	// compiled (set only under opt.Profile); remote-access instructions
-	// emitted for it carry the key so the simulator can attribute ops.
+	fn *simple.Func
+	fc *FnCode
+	// slots holds the frame slot of each of fn's variables, indexed by
+	// Var.ID.
+	slots []int
+	// label is the Si label of the basic statement being compiled (-1
+	// between statements), and curSite its profiling site key, built by
+	// site on first use: remote-access instructions emitted for the
+	// statement carry the key so the simulator can attribute ops.
+	label   int
 	curSite string
+	// spare holds emptied code buffers: each function and fiber body is
+	// generated into one, then copied out at its final length (see open
+	// and close).
+	spare [][]Instr
 	// family collects the fiber bodies (forall iterations, parallel arms)
 	// created while compiling the current function; they share the
 	// function's frame layout, so their NSlots are unified to the final
@@ -117,19 +133,41 @@ func (g *gen) errorf(format string, args ...any) {
 	}
 }
 
+// spareCode recycles gen.spare between Generate calls.
+var spareCode = sync.Pool{New: func() any { return new([][]Instr) }}
+
+// open starts fc's code in a spare buffer when there is one.
+func (g *gen) open(fc *FnCode) {
+	if n := len(g.spare); n > 0 {
+		fc.Code = g.spare[n-1]
+		g.spare = g.spare[:n-1]
+	}
+}
+
+// close copies fc's finished code out at its final length and keeps the
+// buffer it was generated into for the next function.
+func (g *gen) close(fc *FnCode) {
+	buf := fc.Code
+	fc.Code = make([]Instr, len(buf))
+	copy(fc.Code, buf)
+	clear(buf)
+	g.spare = append(g.spare, buf[:0])
+}
+
 func (g *gen) fun(f *simple.Func) error {
 	g.fn = f
 	g.fc = g.out.Funcs[f.Name]
-	g.slots = make(map[*simple.Var]int)
+	g.open(g.fc)
+	g.slots = slices.Grow(g.slots[:0], f.NumVars())[:f.NumVars()]
 	n := 0
 	for _, p := range f.Params {
-		g.slots[p] = n
+		g.slots[p.ID] = n
 		g.fc.Params = append(g.fc.Params, n)
 		n += max(1, p.Size)
 	}
 	var sharedLocals []*simple.Var
 	for _, l := range f.Locals {
-		g.slots[l] = n
+		g.slots[l.ID] = n
 		if l.Shared {
 			// Shared locals live in node heap storage so that fibers
 			// holding frame copies (forall iterations) still reach the one
@@ -142,12 +180,13 @@ func (g *gen) fun(f *simple.Func) error {
 	}
 	g.fc.NSlots = n
 	for _, l := range sharedLocals {
-		g.emit(g.fc, Instr{Op: OpAlloc, A: g.slots[l], B: -1, C: max(1, l.Size)})
+		g.emit(g.fc, Instr{Op: OpAlloc, A: g.slots[l.ID], B: -1, C: max(1, l.Size)})
 	}
 	g.family = nil
 	g.seq(g.fc, f.Body)
 	// Implicit return at end.
 	g.emit(g.fc, Instr{Op: OpRet, A: -1})
+	g.close(g.fc)
 	// Spawned bodies share this function's frame layout; unify sizes so
 	// frame copies and aliases cover the whole final frame.
 	for _, child := range g.family {
@@ -170,16 +209,15 @@ func (g *gen) scratch() int {
 
 // slot returns the frame slot of a variable; globals have no slot.
 func (g *gen) slot(v *simple.Var) int {
-	if s, ok := g.slots[v]; ok {
-		return s
+	if g.fn.VarByID(v.ID) == v {
+		return g.slots[v.ID]
 	}
 	g.errorf("variable %s has no frame slot (global used as ordinary operand?)", v.Name)
 	return 0
 }
 
 func (g *gen) isGlobal(v *simple.Var) bool {
-	_, ok := g.globalOff[v]
-	return ok
+	return v.Kind == simple.VarGlobal && v.ID < len(g.prog.Globals) && g.prog.Globals[v.ID] == v
 }
 
 // atom materializes an atom into a frame slot of fc.
@@ -210,7 +248,7 @@ func (g *gen) atom(fc *FnCode, a simple.Atom) int {
 // globalAddr emits code producing the global segment address of v.
 func (g *gen) globalAddr(fc *FnCode, v *simple.Var) int {
 	s := g.scratch()
-	g.emit(fc, Instr{Op: OpLoadImm, A: s, Imm: GlobalAddress(g.globalOff[v])})
+	g.emit(fc, Instr{Op: OpLoadImm, A: s, Imm: GlobalAddress(g.globalOff[v.ID])})
 	return s
 }
 

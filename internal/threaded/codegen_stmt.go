@@ -159,9 +159,11 @@ func (g *gen) forall(fc *FnCode, c *simple.Forall) {
 	g.family = append(g.family, body)
 	saved := g.fc
 	g.fc = body
+	g.open(body)
 	body.NSlots = saved.NSlots // shares the frame layout (copied at spawn)
 	g.seq(body, c.Body)
 	g.emit(body, Instr{Op: OpRet, A: -1})
+	g.close(body)
 	// Body codegen may have allocated scratch past the parent's count; the
 	// parent frame must be at least that large so the copy covers it.
 	if body.NSlots > saved.NSlots {
@@ -203,9 +205,11 @@ func (g *gen) par(fc *FnCode, c *simple.Par) {
 		g.family = append(g.family, af)
 		saved := g.fc
 		g.fc = af
+		g.open(af)
 		af.NSlots = saved.NSlots
 		g.seq(af, arm)
 		g.emit(af, Instr{Op: OpRet, A: -1})
+		g.close(af)
 		if af.NSlots > saved.NSlots {
 			saved.NSlots = af.NSlots
 		}
@@ -240,8 +244,8 @@ func (g *gen) basic(fc *FnCode, b *simple.Basic) {
 	// Remote-access instructions emitted for this statement report under
 	// its Si label; profile keys (internal/profile) and trace attribution
 	// (internal/trace) share the same site namespace.
-	g.curSite = simple.BasicSiteKey(g.fn.Name, b.Label)
-	defer func() { g.curSite = "" }()
+	g.label, g.curSite = b.Label, ""
+	defer func() { g.label, g.curSite = -1, "" }()
 	switch b.Kind {
 	case simple.KAssign:
 		g.assign(fc, b)
@@ -255,7 +259,7 @@ func (g *gen) basic(fc *FnCode, b *simple.Basic) {
 			node = g.atom(fc, b.Node)
 		}
 		dst := g.dstSlot(fc, b.Dst)
-		g.emit(fc, Instr{Op: OpAlloc, A: dst, B: node, C: b.AllocSize, Site: g.curSite})
+		g.emit(fc, Instr{Op: OpAlloc, A: dst, B: node, C: b.AllocSize, Site: g.site()})
 	case simple.KReturn:
 		val := -1
 		if b.Val != nil {
@@ -268,9 +272,9 @@ func (g *gen) basic(fc *FnCode, b *simple.Basic) {
 		dst := g.dstSlot(fc, b.Dst)
 		p := g.slot(b.P)
 		if g.remotePtr(b.P) {
-			g.emit(fc, Instr{Op: OpGet, A: dst, B: p, C: b.Off, Site: g.curSite})
+			g.emit(fc, Instr{Op: OpGet, A: dst, B: p, C: b.Off, Site: g.site()})
 		} else {
-			g.emit(fc, Instr{Op: OpMemLoad, A: dst, B: p, C: b.Off, Site: g.curSite})
+			g.emit(fc, Instr{Op: OpMemLoad, A: dst, B: p, C: b.Off, Site: g.site()})
 		}
 	case simple.KPutF:
 		var val int
@@ -282,9 +286,9 @@ func (g *gen) basic(fc *FnCode, b *simple.Basic) {
 		}
 		p := g.slot(b.P)
 		if g.remotePtr(b.P) {
-			g.emit(fc, Instr{Op: OpPut, A: val, B: p, C: b.Off, Site: g.curSite})
+			g.emit(fc, Instr{Op: OpPut, A: val, B: p, C: b.Off, Site: g.site()})
 		} else {
-			g.emit(fc, Instr{Op: OpMemStore, A: val, B: p, C: b.Off, Site: g.curSite})
+			g.emit(fc, Instr{Op: OpMemStore, A: val, B: p, C: b.Off, Site: g.site()})
 		}
 	case simple.KBlkRead:
 		// The buffer slot is offset by the span base so buffer field
@@ -292,7 +296,7 @@ func (g *gen) basic(fc *FnCode, b *simple.Basic) {
 		p := g.slot(b.P)
 		local := g.slot(b.Local) + b.Off
 		if g.remotePtr(b.P) {
-			g.emit(fc, Instr{Op: OpBlkGet, A: local, B: p, C: b.Off, D: b.Size, Site: g.curSite})
+			g.emit(fc, Instr{Op: OpBlkGet, A: local, B: p, C: b.Off, D: b.Size, Site: g.site()})
 		} else {
 			g.emit(fc, Instr{Op: OpMemToFrame, A: local, B: p, C: b.Off, D: b.Size})
 		}
@@ -300,13 +304,22 @@ func (g *gen) basic(fc *FnCode, b *simple.Basic) {
 		p := g.slot(b.P)
 		local := g.slot(b.Local) + b.Off
 		if g.remotePtr(b.P) {
-			g.emit(fc, Instr{Op: OpBlkPut, A: local, B: p, C: b.Off, D: b.Size, Site: g.curSite})
+			g.emit(fc, Instr{Op: OpBlkPut, A: local, B: p, C: b.Off, D: b.Size, Site: g.site()})
 		} else {
 			g.emit(fc, Instr{Op: OpFrameToMem, A: local, B: p, C: b.Off, D: b.Size})
 		}
 	default:
 		g.errorf("cannot generate basic kind %d", b.Kind)
 	}
+}
+
+// site returns the profiling site key of the basic statement being compiled
+// ("" between statements), building it on first use.
+func (g *gen) site() string {
+	if g.curSite == "" && g.label >= 0 {
+		g.curSite = simple.BasicSiteKey(g.fn.Name, g.label)
+	}
+	return g.curSite
 }
 
 // dstSlot returns the slot for a destination variable (creating a scratch
@@ -342,9 +355,9 @@ func (g *gen) assign(fc *FnCode, b *simple.Basic) {
 		val := g.rvalue(fc, b.Rhs, nil)
 		p := g.slot(lhs.P)
 		if g.remotePtr(lhs.P) {
-			g.emit(fc, Instr{Op: OpPut, A: val, B: p, C: lhs.Off, Site: g.curSite})
+			g.emit(fc, Instr{Op: OpPut, A: val, B: p, C: lhs.Off, Site: g.site()})
 		} else {
-			g.emit(fc, Instr{Op: OpMemStore, A: val, B: p, C: lhs.Off, Site: g.curSite})
+			g.emit(fc, Instr{Op: OpMemStore, A: val, B: p, C: lhs.Off, Site: g.site()})
 		}
 	case simple.LocalStoreLV:
 		val := g.rvalue(fc, b.Rhs, nil)
@@ -403,9 +416,9 @@ func (g *gen) rvalueInto(fc *FnCode, rv simple.Rvalue, slot int, dstVar *simple.
 		d := dst()
 		p := g.slot(x.P)
 		if g.remotePtr(x.P) {
-			g.emit(fc, Instr{Op: OpGet, A: d, B: p, C: x.Off, Site: g.curSite})
+			g.emit(fc, Instr{Op: OpGet, A: d, B: p, C: x.Off, Site: g.site()})
 		} else {
-			g.emit(fc, Instr{Op: OpMemLoad, A: d, B: p, C: x.Off, Site: g.curSite})
+			g.emit(fc, Instr{Op: OpMemLoad, A: d, B: p, C: x.Off, Site: g.site()})
 		}
 		return d
 	case simple.LocalLoadRV:
@@ -423,7 +436,7 @@ func (g *gen) rvalueInto(fc *FnCode, rv simple.Rvalue, slot int, dstVar *simple.
 		d := dst()
 		if g.isGlobal(x.X) {
 			g.emit(fc, Instr{Op: OpLoadImm, A: d,
-				Imm: GlobalAddress(g.globalOff[x.X] + x.Off)})
+				Imm: GlobalAddress(g.globalOff[x.X.ID] + x.Off)})
 		} else {
 			g.emit(fc, Instr{Op: OpAddrLocal, A: d, B: g.slot(x.X), C: x.Off})
 		}
@@ -444,14 +457,14 @@ func (g *gen) blkCopy(fc *FnCode, b *simple.Basic) {
 	case b.P != nil && b.Dst != nil: // memory -> frame
 		p := g.slot(b.P)
 		if g.remotePtr(b.P) {
-			g.emit(fc, Instr{Op: OpBlkGet, A: g.slot(b.Dst) + b.Off2, B: p, C: b.Off, D: b.Size, Site: g.curSite})
+			g.emit(fc, Instr{Op: OpBlkGet, A: g.slot(b.Dst) + b.Off2, B: p, C: b.Off, D: b.Size, Site: g.site()})
 		} else {
 			g.emit(fc, Instr{Op: OpMemToFrame, A: g.slot(b.Dst) + b.Off2, B: p, C: b.Off, D: b.Size})
 		}
 	case b.Local != nil && b.P2 != nil: // frame -> memory
 		p := g.slot(b.P2)
 		if g.remotePtr(b.P2) {
-			g.emit(fc, Instr{Op: OpBlkPut, A: g.slot(b.Local) + b.Off, B: p, C: b.Off2, D: b.Size, Site: g.curSite})
+			g.emit(fc, Instr{Op: OpBlkPut, A: g.slot(b.Local) + b.Off, B: p, C: b.Off2, D: b.Size, Site: g.site()})
 		} else {
 			g.emit(fc, Instr{Op: OpFrameToMem, A: g.slot(b.Local) + b.Off, B: p, C: b.Off2, D: b.Size})
 		}
@@ -486,7 +499,7 @@ func (g *gen) call(fc *FnCode, b *simple.Basic) {
 		g.emit(fc, Instr{Op: OpCall, A: dst, Fn: callee, Args: args})
 		return
 	}
-	in := Instr{Op: OpCallAt, A: dst, Fn: callee, Args: args, Site: g.curSite}
+	in := Instr{Op: OpCallAt, A: dst, Fn: callee, Args: args, Site: g.site()}
 	switch b.Place.Kind {
 	case earthc.PlaceOwnerOf:
 		in.B = 0
@@ -516,12 +529,12 @@ func (g *gen) builtin(fc *FnCode, b *simple.Basic) {
 		switch bi {
 		case sema.BWriteTo:
 			val := g.atom(fc, b.Args[0])
-			g.emit(fc, Instr{Op: OpSharedWrite, A: val, B: addr, Site: g.curSite})
+			g.emit(fc, Instr{Op: OpSharedWrite, A: val, B: addr, Site: g.site()})
 		case sema.BAddTo:
 			val := g.atom(fc, b.Args[0])
-			g.emit(fc, Instr{Op: OpSharedAdd, A: val, B: addr, Flt: isDoubleVar(sv), Site: g.curSite})
+			g.emit(fc, Instr{Op: OpSharedAdd, A: val, B: addr, Flt: isDoubleVar(sv), Site: g.site()})
 		case sema.BValueOf:
-			g.emit(fc, Instr{Op: OpSharedRead, A: g.dstSlot(fc, b.Dst), B: addr, Site: g.curSite})
+			g.emit(fc, Instr{Op: OpSharedRead, A: g.dstSlot(fc, b.Dst), B: addr, Site: g.site()})
 		}
 	case sema.BSqrt:
 		g.emit(fc, Instr{Op: OpBuiltin, A: g.dstSlot(fc, b.Dst),
