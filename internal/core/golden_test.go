@@ -473,3 +473,130 @@ func TestSemaGolden(t *testing.T) {
 			len(diffs), cells, strings.Join(diffs, "\n"))
 	}
 }
+
+// restructureGolden pins, for each Olden program and halo at default, quick
+// and tiny size and for each testdata/*.ec program, inlined and with
+// NoInline, the sha256 of earthc.Print after the McCAT Phase I restructuring
+// (InlineFunctions, then DesugarLoops and EliminateGotos on every function).
+// A change to how the front end walks the AST must hold every cell.
+var restructureGolden = map[string]string{
+	"power/default/inline":       "91371caa679f0224d66a21263d4fded22740d2c3b0332866b64ecb9559589fca",
+	"power/default/NoInline":     "2a76e0ef90f361511511a1b1f80ae513c50bade7f966c1888bee568a4aa354ed",
+	"power/quick/inline":         "65c8bdd3e60fec0e6cbb6fc4adbb97b4865f70d7fc8e4d26fb6c06f711907ada",
+	"power/quick/NoInline":       "6a5ae9fa62cece882db18425874efead2ed9b2ca0058418b58a140d5018ed004",
+	"power/tiny/inline":          "8f08724d4416400737ebc71025537632ad4271d881e21b9a1cad16370d27b915",
+	"power/tiny/NoInline":        "4eab4cb90afea730ef941ace790abafbf9bbae3567399d6f104f31668b5868a9",
+	"tsp/default/inline":         "f587727bc8c76d2045f136941277c5894a6b960f156678eae582bd043bd9d9f0",
+	"tsp/default/NoInline":       "d781ad3b4d62c755be2c7787a4bf8113f848fe41e887bbd996fe181d822af9dd",
+	"tsp/quick/inline":           "51f2a521a1255930c9a5be92be1b599984c1bad1d64b76a9aeb40e363015e720",
+	"tsp/quick/NoInline":         "721bb472c6e6c36c95f48e6fbff2d61e5b0053f2cc36dac0d02d974532493d6e",
+	"tsp/tiny/inline":            "e427f04ddbcaba5e8b495f2cce9a56491ec5d05ab0aafad1f7393b31ad983341",
+	"tsp/tiny/NoInline":          "8ac13a001f70cfa0b74754cd9edb083d1f59a5beefc260fd26c4888b1cddbe3d",
+	"health/default/inline":      "42ea595ec7622f2948d38fec2efa7822d9fbae9f24d4f1deee1a2953b7dd787e",
+	"health/default/NoInline":    "8a4f08476542c8b550e3429231dc41531e33c35c719c8dbd6318597f9094fe08",
+	"health/quick/inline":        "1a5a84b58050d0df75350660b2a0d9a61ee0d15d2f870aeb1c80f0bf038fbee4",
+	"health/quick/NoInline":      "fd138dd3f75227cd95a1478773a0311416ca276c304ab483c64c85bce6d9bfcf",
+	"health/tiny/inline":         "091c3b94bb624d59f3109132c5be3110d3b5e61b3be252a874c339fc1cd3801d",
+	"health/tiny/NoInline":       "2ecd12d769380075ec88f4bc8d720ccfb0c19c22803e69e111e4861ed7465037",
+	"perimeter/default/inline":   "1f7431fd2c498a29f1624ccb1cac3d4145f86c760a669c212eda4d58ae3ad8b4",
+	"perimeter/default/NoInline": "ae07f5a44b13cad01e7a14e6aad52b71235179ea790f93d0b531e8ea6e2097b1",
+	"perimeter/quick/inline":     "3d9e29054d43c55146a58be3cc2ee71c180856ebd1ecd16c2b6204830a156538",
+	"perimeter/quick/NoInline":   "ce479486d3c467e2025bd2132e0745b02515142ec63d124e367e3d8f5f926c29",
+	"perimeter/tiny/inline":      "901d4e1007ac1fa90f887f52619871798a776ea943132eee38649fbde3695c39",
+	"perimeter/tiny/NoInline":    "e23562dc06b71090355e0eab1e7f6f26e46ea3ab879b799911a1dd5a113e8121",
+	"voronoi/default/inline":     "d2b56f247185270dc9db9f2582ce06e431d1a91d558477751a42aa8fad3fb8c0",
+	"voronoi/default/NoInline":   "102fb81b26c2df7e605e909f5e51b698ef435092bde6ba3f2155c4f96d8cbc1d",
+	"voronoi/quick/inline":       "73d755a0c002569f75b646a5701e347b6297c97e179377aefa518833f25ab4a0",
+	"voronoi/quick/NoInline":     "b024e5c54c684ad9542b3c3920f98091a83e61c8311d1b5edf71a693a31beb80",
+	"voronoi/tiny/inline":        "40486b86a9b03ba55fd66974a2f9039deee61ffd6e690a142ac5a5aebd8721b8",
+	"voronoi/tiny/NoInline":      "b8e47e0e1143064216e6380a5f942b50db5b41b2001693a3d0bb391507c4afa1",
+	"halo/default/inline":        "8270e1610193c469a76df072f8f23ec1908e8bcd57caa2095c9806b96ee1eac9",
+	"halo/default/NoInline":      "8270e1610193c469a76df072f8f23ec1908e8bcd57caa2095c9806b96ee1eac9",
+	"halo/quick/inline":          "8270e1610193c469a76df072f8f23ec1908e8bcd57caa2095c9806b96ee1eac9",
+	"halo/quick/NoInline":        "8270e1610193c469a76df072f8f23ec1908e8bcd57caa2095c9806b96ee1eac9",
+	"halo/tiny/inline":           "56a13a1e416e18bb2180d47d5842bdda3468c0e39ab00474ed0a66358028ee7e",
+	"halo/tiny/NoInline":         "56a13a1e416e18bb2180d47d5842bdda3468c0e39ab00474ed0a66358028ee7e",
+	"count.ec/inline":            "bb52680168ed55bf7bb05b72076607967a299649b693187576ddb5260cf08c1e",
+	"count.ec/NoInline":          "b3e4514581411a5b4cc896163e443052ab8ba814e28a97f69e19a6b07d5b876f",
+	"distance.ec/inline":         "4bba32dbd9163dfbddc1e548726737d3ac6d8983951f849a0f1682a068c1fa42",
+	"distance.ec/NoInline":       "ef9dc9af4d117cbbbc81c3f8e184c20fdd308884c3f039fbae9ea11115db5fb3",
+	"listsearch.ec/inline":       "2e0f659ca9c054069ccb8390970ac212c2a056d1044563c1f7bc0086422da7e7",
+	"listsearch.ec/NoInline":     "bd7173c1bad18164e5339f4497baeedd07bf8c02ae875e849bbfd8b1dae591d2",
+	"scale_point.ec/inline":      "97491abbc591fdef408f90c1457ccc978e35ee192eda297ea97010098fd8b7aa",
+	"scale_point.ec/NoInline":    "34e47156a72c9a8864ca40574a7127cfb0d2ff706c42364249570a405f81c76f",
+}
+
+// restructureTinyParams are compile_cold's sizes (semaTinyParams) and halo
+// at Size 2.
+func restructureTinyParams(name string) olden.Params {
+	if p, ok := semaTinyParams[name]; ok {
+		return p
+	}
+	return olden.Params{Size: 2, Iters: 1}
+}
+
+// restructuredText parses src and runs the front end's restructuring passes
+// as Pipeline.compileAST does, returning the printed result.
+func restructuredText(name, src string, inline bool) (string, error) {
+	file, err := earthc.ParseFile(name, src)
+	if err != nil {
+		return "", err
+	}
+	if inline {
+		earthc.InlineFunctions(file, earthc.InlineOptions{})
+	}
+	for _, fn := range file.Funcs {
+		if err := earthc.DesugarLoops(fn); err != nil {
+			return "", err
+		}
+		if err := earthc.EliminateGotos(fn); err != nil {
+			return "", err
+		}
+	}
+	return earthc.Print(file), nil
+}
+
+// TestRestructureGolden checks the restructured AST of every cell against
+// restructureGolden.
+func TestRestructureGolden(t *testing.T) {
+	type source struct{ name, text string }
+	var sources []source
+	for _, bm := range append(olden.All(), olden.Halo()) {
+		sources = append(sources,
+			source{bm.Name + "/default", bm.Source(bm.DefaultParams)},
+			source{bm.Name + "/quick", bm.Source(olden.QuickParams(bm))},
+			source{bm.Name + "/tiny", bm.Source(restructureTinyParams(bm.Name))})
+	}
+	files, err := filepath.Glob("../../testdata/*.ec")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata programs found: %v", err)
+	}
+	for _, f := range files {
+		text, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources = append(sources, source{filepath.Base(f), string(text)})
+	}
+	var diffs []string
+	for _, src := range sources {
+		for _, inline := range []bool{true, false} {
+			cell := src.name + "/inline"
+			if !inline {
+				cell = src.name + "/NoInline"
+			}
+			text, err := restructuredText(src.name+".ec", src.text, inline)
+			if err != nil {
+				t.Fatalf("%s: %v", cell, err)
+			}
+			sum := sha256.Sum256([]byte(text))
+			if got := hex.EncodeToString(sum[:]); got != restructureGolden[cell] {
+				diffs = append(diffs, fmt.Sprintf("\t%q: %q,", cell, got))
+			}
+		}
+	}
+	if len(diffs) != 0 {
+		t.Errorf("%d of %d cells differ from restructureGolden; the hashes are:\n%s",
+			len(diffs), 2*len(sources), strings.Join(diffs, "\n"))
+	}
+}
