@@ -25,9 +25,8 @@ func DesugarLoops(fn *FuncDef) error {
 }
 
 type desugar struct {
-	fn  *FuncDef
-	n   int
-	err error
+	fn *FuncDef
+	n  int
 }
 
 func (d *desugar) fresh(kind string) string {
@@ -39,50 +38,6 @@ func (d *desugar) fresh(kind string) string {
 // there is no enclosing loop).
 func (d *desugar) stmt(s Stmt, brk, cont string) (Stmt, error) {
 	switch st := s.(type) {
-	case nil:
-		return nil, nil
-	case *Block:
-		for i, c := range st.Stmts {
-			nc, err := d.stmt(c, brk, cont)
-			if err != nil {
-				return nil, err
-			}
-			st.Stmts[i] = nc
-		}
-		return st, nil
-	case *ParSeq:
-		for i, c := range st.Stmts {
-			// Parallel arms may contain their own loops, but may not break
-			// out of an enclosing loop.
-			nc, err := d.stmt(c, "", "")
-			if err != nil {
-				return nil, err
-			}
-			st.Stmts[i] = nc
-		}
-		return st, nil
-	case *IfStmt:
-		var err error
-		if st.Then, err = d.stmt(st.Then, brk, cont); err != nil {
-			return nil, err
-		}
-		if st.Else != nil {
-			if st.Else, err = d.stmt(st.Else, brk, cont); err != nil {
-				return nil, err
-			}
-		}
-		return st, nil
-	case *SwitchStmt:
-		for _, cc := range st.Cases {
-			for i, c := range cc.Body {
-				nc, err := d.stmt(c, brk, cont)
-				if err != nil {
-					return nil, err
-				}
-				cc.Body[i] = nc
-			}
-		}
-		return st, nil
 	case *WhileStmt:
 		return d.loop(st, &st.Body, nil)
 	case *DoStmt:
@@ -108,22 +63,14 @@ func (d *desugar) stmt(s Stmt, brk, cont string) (Stmt, error) {
 		blk.Stmts = append(blk.Stmts, rewritten)
 		return blk, nil
 	case *ForallStmt:
+		// Loops nested in the body are still rewritten below.
 		if usesBreakContinue(st.Body) {
 			return nil, fmt.Errorf("%s: break/continue inside forall is not supported", d.fn.Name)
 		}
-		nb, err := d.stmt(st.Body, "", "")
-		if err != nil {
-			return nil, err
-		}
-		st.Body = nb
-		return st, nil
-	case *LabeledStmt:
-		ns, err := d.stmt(st.Stmt, brk, cont)
-		if err != nil {
-			return nil, err
-		}
-		st.Stmt = ns
-		return st, nil
+	case *ParSeq:
+		// Parallel arms may contain their own loops, but may not break
+		// out of an enclosing loop.
+		brk, cont = "", ""
 	case *BreakStmt:
 		if brk == "" {
 			return nil, fmt.Errorf("%s: break outside a loop", d.fn.Name)
@@ -134,9 +81,14 @@ func (d *desugar) stmt(s Stmt, brk, cont string) (Stmt, error) {
 			return nil, fmt.Errorf("%s: continue outside a loop", d.fn.Name)
 		}
 		return &GotoStmt{Label: cont, Pos: st.Pos}, nil
-	default:
-		return s, nil
 	}
+	var err error
+	childStmts(s, func(p *Stmt) {
+		if err == nil {
+			*p, err = d.stmt(*p, brk, cont)
+		}
+	})
+	return s, err
 }
 
 // loop rewrites a while/do loop body, introducing labels only when needed.
@@ -157,13 +109,11 @@ func (d *desugar) loop(loopStmt Stmt, bodyp *Stmt, post Expr) (Stmt, error) {
 		return nil, err
 	}
 	body := ensureBlock(nb)
-	if cont != "" && (needCont || post != nil) {
-		if needCont {
-			body.Stmts = append(body.Stmts, &LabeledStmt{Label: cont, Stmt: &Block{}})
-		}
-		if post != nil {
-			body.Stmts = append(body.Stmts, &ExprStmt{X: post})
-		}
+	if needCont {
+		body.Stmts = append(body.Stmts, &LabeledStmt{Label: cont, Stmt: &Block{}})
+	}
+	if post != nil {
+		body.Stmts = append(body.Stmts, &ExprStmt{X: post})
 	}
 	*bodyp = body
 	if needBrk {
@@ -181,79 +131,29 @@ func usesBreak(s Stmt) bool    { return scanBC(s, true) }
 func usesContinue(s Stmt) bool { return scanBC(s, false) }
 
 func scanBC(s Stmt, wantBreak bool) bool {
-	switch st := s.(type) {
-	case *BreakStmt:
-		return wantBreak
-	case *ContinueStmt:
-		return !wantBreak
-	case *Block:
-		for _, c := range st.Stmts {
-			if scanBC(c, wantBreak) {
-				return true
-			}
+	found := false
+	inspect(s, func(s Stmt) bool {
+		switch s.(type) {
+		case *BreakStmt:
+			found = found || wantBreak
+		case *ContinueStmt:
+			found = found || !wantBreak
+		case *WhileStmt, *DoStmt, *ForStmt, *ForallStmt, *ParSeq:
+			return false
 		}
-	case *IfStmt:
-		if scanBC(st.Then, wantBreak) {
-			return true
-		}
-		if st.Else != nil {
-			return scanBC(st.Else, wantBreak)
-		}
-	case *SwitchStmt:
-		for _, cc := range st.Cases {
-			for _, c := range cc.Body {
-				if scanBC(c, wantBreak) {
-					return true
-				}
-			}
-		}
-	case *LabeledStmt:
-		return scanBC(st.Stmt, wantBreak)
-	}
-	return false
+		return !found
+	})
+	return found
 }
 
 // usesBreakContinue reports whether any break/continue occurs anywhere in
 // the subtree, including nested loops.
 func usesBreakContinue(s Stmt) bool {
-	found := false
-	var walk func(Stmt)
-	walk = func(s Stmt) {
-		if found || s == nil {
-			return
-		}
-		switch st := s.(type) {
+	return anyStmt(s, func(s Stmt) bool {
+		switch s.(type) {
 		case *BreakStmt, *ContinueStmt:
-			found = true
-		case *Block:
-			for _, c := range st.Stmts {
-				walk(c)
-			}
-		case *ParSeq:
-			for _, c := range st.Stmts {
-				walk(c)
-			}
-		case *IfStmt:
-			walk(st.Then)
-			walk(st.Else)
-		case *WhileStmt:
-			walk(st.Body)
-		case *DoStmt:
-			walk(st.Body)
-		case *ForStmt:
-			walk(st.Body)
-		case *ForallStmt:
-			walk(st.Body)
-		case *SwitchStmt:
-			for _, cc := range st.Cases {
-				for _, c := range cc.Body {
-					walk(c)
-				}
-			}
-		case *LabeledStmt:
-			walk(st.Stmt)
+			return true
 		}
-	}
-	walk(s)
-	return found
+		return false
+	})
 }

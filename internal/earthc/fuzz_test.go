@@ -7,9 +7,11 @@ import (
 )
 
 // FuzzParse asserts the parser's total-function contract: any byte string
-// either parses or returns an error — no panics, no hangs. Seeds come from
-// the malformed corpus plus the repo's example programs so the fuzzer starts
-// from both sides of the grammar.
+// either parses or returns an error — no panics, no hangs. A file that parses
+// then goes through the restructuring passes (InlineFunctions, DesugarLoops,
+// EliminateGotos), which may reject it but must not panic either. Seeds come
+// from the malformed corpus plus the repo's example programs so the fuzzer
+// starts from both sides of the grammar.
 func FuzzParse(f *testing.F) {
 	for _, dir := range []string{
 		filepath.Join("testdata", "malformed"),
@@ -26,8 +28,17 @@ func FuzzParse(f *testing.F) {
 	f.Add("struct s { int x; }; int main() { struct s *p; return p->x; }")
 	f.Fuzz(func(t *testing.T, src string) {
 		file, err := ParseFile("fuzz.ec", src)
-		if err == nil && file == nil {
+		if err != nil {
+			return
+		}
+		if file == nil {
 			t.Fatal("nil file with nil error")
+		}
+		InlineFunctions(file, InlineOptions{})
+		for _, fn := range file.Funcs {
+			if DesugarLoops(fn) == nil {
+				EliminateGotos(fn)
+			}
 		}
 	})
 }

@@ -49,69 +49,45 @@ type pathStep struct {
 	index int
 }
 
-// gotoSite describes a located goto: the chain of blocks containing it and
-// the goto node itself.
+// gotoSite describes a located goto: the chain of blocks containing it, the
+// goto node itself and the statement slot that holds it.
 type gotoSite struct {
 	path []pathStep // outermost first; path[len-1].block directly contains the goto-bearing stmt
 	g    *GotoStmt
+	slot *Stmt
 }
 
 // findGoto locates the first goto in the body, returning its block chain.
-// Only chains through Block, If, While, Do, For bodies are recorded; a goto
-// under ParSeq/Forall/Switch yields a path that eliminate() will reject.
+// Only blocks are recorded on the chain; a goto under ParSeq/Forall/Switch
+// yields a path that eliminate() will reject.
 func findGoto(body *Block) *gotoSite {
 	// path is the chain down to the statement being visited, one buffer
 	// for the whole walk; a found site gets its own copy, which eliminate()
 	// then edits.
 	path := make([]pathStep, 0, 8)
 	var walk func(b *Block) *gotoSite
-	var inStmt func(s Stmt) *gotoSite
+	var inStmt func(p *Stmt) *gotoSite
 
-	inStmt = func(s Stmt) *gotoSite {
-		switch st := s.(type) {
+	inStmt = func(p *Stmt) *gotoSite {
+		switch st := (*p).(type) {
 		case *GotoStmt:
-			return &gotoSite{path: append([]pathStep(nil), path...), g: st}
-		case *LabeledStmt:
-			return inStmt(st.Stmt)
+			return &gotoSite{path: append([]pathStep(nil), path...), g: st, slot: p}
 		case *Block:
 			return walk(st)
-		case *IfStmt:
-			if r := inStmt(st.Then); r != nil {
-				return r
-			}
-			if st.Else != nil {
-				return inStmt(st.Else)
-			}
-		case *WhileStmt:
-			return inStmt(st.Body)
-		case *DoStmt:
-			return inStmt(st.Body)
-		case *ForStmt:
-			return inStmt(st.Body)
-		case *ForallStmt:
-			return inStmt(st.Body)
-		case *ParSeq:
-			for _, c := range st.Stmts {
-				if r := inStmt(c); r != nil {
-					return r
-				}
-			}
-		case *SwitchStmt:
-			for _, cc := range st.Cases {
-				for _, c := range cc.Body {
-					if r := inStmt(c); r != nil {
-						return r
-					}
-				}
-			}
 		}
-		return nil
+		var r *gotoSite
+		childStmts(*p, func(c *Stmt) {
+			if r == nil {
+				r = inStmt(c)
+			}
+		})
+		return r
 	}
 
 	walk = func(b *Block) *gotoSite {
-		for i, s := range b.Stmts {
+		for i := range b.Stmts {
 			path = append(path, pathStep{b, i})
-			r := inStmt(s)
+			r := inStmt(&b.Stmts[i])
 			path = path[:len(path)-1]
 			if r != nil {
 				return r
@@ -138,137 +114,6 @@ func labelIndex(b *Block, label string) int {
 		}
 	}
 	return -1
-}
-
-// containsGoto reports whether the subtree still references g.
-func containsGoto(s Stmt, g *GotoStmt) bool {
-	found := false
-	var walk func(Stmt)
-	walk = func(s Stmt) {
-		if found || s == nil {
-			return
-		}
-		switch st := s.(type) {
-		case *GotoStmt:
-			if st == g {
-				found = true
-			}
-		case *LabeledStmt:
-			walk(st.Stmt)
-		case *Block:
-			for _, c := range st.Stmts {
-				walk(c)
-			}
-		case *ParSeq:
-			for _, c := range st.Stmts {
-				walk(c)
-			}
-		case *IfStmt:
-			walk(st.Then)
-			walk(st.Else)
-		case *WhileStmt:
-			walk(st.Body)
-		case *DoStmt:
-			walk(st.Body)
-		case *ForStmt:
-			walk(st.Body)
-		case *ForallStmt:
-			walk(st.Body)
-		case *SwitchStmt:
-			for _, cc := range st.Cases {
-				for _, c := range cc.Body {
-					walk(c)
-				}
-			}
-		}
-	}
-	walk(s)
-	return found
-}
-
-// replaceGoto substitutes the goto node with a replacement statement,
-// in place. Reports whether the substitution happened.
-func replaceGoto(s Stmt, g *GotoStmt, repl Stmt) bool {
-	switch st := s.(type) {
-	case *LabeledStmt:
-		if st.Stmt == Stmt(g) {
-			st.Stmt = repl
-			return true
-		}
-		return replaceGoto(st.Stmt, g, repl)
-	case *Block:
-		for i, c := range st.Stmts {
-			if c == Stmt(g) {
-				st.Stmts[i] = repl
-				return true
-			}
-			if replaceGoto(c, g, repl) {
-				return true
-			}
-		}
-	case *ParSeq:
-		for i, c := range st.Stmts {
-			if c == Stmt(g) {
-				st.Stmts[i] = repl
-				return true
-			}
-			if replaceGoto(c, g, repl) {
-				return true
-			}
-		}
-	case *IfStmt:
-		if st.Then == Stmt(g) {
-			st.Then = repl
-			return true
-		}
-		if replaceGoto(st.Then, g, repl) {
-			return true
-		}
-		if st.Else == Stmt(g) {
-			st.Else = repl
-			return true
-		}
-		if st.Else != nil {
-			return replaceGoto(st.Else, g, repl)
-		}
-	case *WhileStmt:
-		if st.Body == Stmt(g) {
-			st.Body = repl
-			return true
-		}
-		return replaceGoto(st.Body, g, repl)
-	case *DoStmt:
-		if st.Body == Stmt(g) {
-			st.Body = repl
-			return true
-		}
-		return replaceGoto(st.Body, g, repl)
-	case *ForStmt:
-		if st.Body == Stmt(g) {
-			st.Body = repl
-			return true
-		}
-		return replaceGoto(st.Body, g, repl)
-	case *ForallStmt:
-		if st.Body == Stmt(g) {
-			st.Body = repl
-			return true
-		}
-		return replaceGoto(st.Body, g, repl)
-	case *SwitchStmt:
-		for _, cc := range st.Cases {
-			for i, c := range cc.Body {
-				if c == Stmt(g) {
-					cc.Body[i] = repl
-					return true
-				}
-				if replaceGoto(c, g, repl) {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 func flagRef(name string) *Ident { return &Ident{Name: name} }
@@ -305,17 +150,19 @@ func (ge *gotoElim) eliminate(site *gotoSite) error {
 		return fmt.Errorf("%s: unsupported goto %s: label not found in an enclosing statement sequence (inward jumps are not supported)", ge.fn.Name, label)
 	}
 	// Check the chain between goto and target crosses only supported
-	// constructs (if/loops/blocks). We detect unsupported crossings by
-	// inspecting the actual child statement at each step.
+	// constructs (if/loops/blocks): the child statement at each step holds
+	// the goto.
 	for d := targetDepth; d < len(site.path); d++ {
 		step := site.path[d]
-		child := step.block.Stmts[step.index]
-		if err := checkCrossable(child, site.g); err != nil {
+		if err := checkCrossable(step.block.Stmts[step.index]); err != nil {
 			return fmt.Errorf("%s: goto %s: %v", ge.fn.Name, label, err)
 		}
 	}
 
 	flag := fmt.Sprintf("goto_%s_%d", label, ge.n)
+	// Replace the goto itself with flag = 1, before the flag's declaration
+	// below moves the function body's statements to a new slice.
+	*site.slot = setFlag(flag, 1)
 	// Declare the flag at the top of the function body.
 	decl := &DeclStmt{Decl: &VarDecl{Name: flag, Type: &PrimType{Kind: Int}, Init: &IntLit{Val: 0}}}
 	ge.fn.Body.Stmts = append([]Stmt{decl}, ge.fn.Body.Stmts...)
@@ -329,11 +176,6 @@ func (ge *gotoElim) eliminate(site *gotoSite) error {
 	if targetDepth >= 0 && site.path[targetDepth].block == ge.fn.Body {
 		// targetIdx also shifts (labelIndex computed before insert).
 		targetIdx++
-	}
-
-	// Replace the goto itself with flag = 1.
-	if !replaceGoto(ge.fn.Body, site.g, setFlag(flag, 1)) {
-		return fmt.Errorf("%s: internal error: goto %s not found for replacement", ge.fn.Name, label)
 	}
 
 	// Propagate outward: at each level from innermost containing block up to
@@ -355,39 +197,82 @@ func (ge *gotoElim) eliminate(site *gotoSite) error {
 	tb := site.path[targetDepth].block
 	gi := site.path[targetDepth].index
 	if targetIdx > gi {
-		// Forward jump: guard statements between the goto carrier and the
-		// label, then clear the flag at the label.
-		for i := gi + 1; i < targetIdx; i++ {
-			tb.Stmts[i] = &IfStmt{Cond: notFlag(flag), Then: ensureBlock(tb.Stmts[i])}
+		// Forward jump: guard each statement between the goto carrier and
+		// the label, then clear the flag at the label. A declaration stays
+		// at this level, in scope of its later uses, and only its
+		// initializer is guarded.
+		out := make([]Stmt, 0, len(tb.Stmts)+1)
+		out = append(out, tb.Stmts[:gi+1]...)
+		for _, s := range tb.Stmts[gi+1 : targetIdx] {
+			if d, rest := splitDecl(s); d != nil {
+				if out = append(out, d); rest == nil {
+					continue
+				}
+				s = rest
+			}
+			out = append(out, &IfStmt{Cond: notFlag(flag), Then: ensureBlock(s)})
 		}
-		tb.Stmts = insertStmt(tb.Stmts, targetIdx, setFlag(flag, 0))
+		out = append(out, setFlag(flag, 0))
+		tb.Stmts = append(out, tb.Stmts[targetIdx:]...)
 	} else {
 		// Backward jump: wrap [label .. goto carrier] in do { flag=0; ... }
-		// while (flag).
-		span := append([]Stmt{setFlag(flag, 0)}, tb.Stmts[targetIdx:gi+1]...)
+		// while (flag). A declaration in the span moves just before the
+		// loop, still at this level, and its initializer stays in the loop.
+		var decls []Stmt
+		span := []Stmt{setFlag(flag, 0)}
+		for _, s := range tb.Stmts[targetIdx : gi+1] {
+			if d, rest := splitDecl(s); d != nil {
+				if decls = append(decls, d); rest == nil {
+					continue
+				}
+				s = rest
+			}
+			span = append(span, s)
+		}
 		loop := &DoStmt{Body: &Block{Stmts: span}, Cond: flagSet(flag)}
-		rest := append([]Stmt{}, tb.Stmts[gi+1:]...)
-		tb.Stmts = append(tb.Stmts[:targetIdx], append([]Stmt{Stmt(loop)}, rest...)...)
+		rest := append(append(decls, loop), tb.Stmts[gi+1:]...)
+		tb.Stmts = append(tb.Stmts[:targetIdx], rest...)
 	}
 	return nil
 }
 
-// checkCrossable verifies the goto does not sit under a construct we cannot
-// jump out of (parallel sequence, forall, switch).
-func checkCrossable(s Stmt, g *GotoStmt) error {
-	switch st := s.(type) {
+// splitDecl separates the declaration s makes, directly or under labels,
+// from the rest of s, for a caller that moves the rest into a nested block:
+// the declaration, without its initializer, stays in scope of its later
+// uses, and the rest assigns the initializer. It returns a nil declaration
+// when s declares nothing, and a nil rest when nothing is left.
+func splitDecl(s Stmt) (*DeclStmt, Stmt) {
+	slot := &s
+	for ls, ok := (*slot).(*LabeledStmt); ok; ls, ok = (*slot).(*LabeledStmt) {
+		slot = &ls.Stmt
+	}
+	ds, ok := (*slot).(*DeclStmt)
+	if !ok {
+		return nil, s
+	}
+	switch d := ds.Decl; {
+	case d.Init != nil:
+		*slot = &ExprStmt{X: &Assign{Op: PlainAssign, Lhs: &Ident{Name: d.Name, Pos: d.Pos},
+			Rhs: d.Init, Pos: d.Pos}, Pos: d.Pos}
+		d.Init = nil
+	case slot == &s:
+		return ds, nil
+	default:
+		*slot = &Block{}
+	}
+	return ds, s
+}
+
+// checkCrossable rejects a statement on a goto's chain that the goto cannot
+// jump out of: a parallel sequence, a forall or a switch.
+func checkCrossable(s Stmt) error {
+	switch s.(type) {
 	case *ParSeq:
-		if containsGoto(st, g) {
-			return fmt.Errorf("goto crossing a parallel sequence is not supported")
-		}
+		return fmt.Errorf("goto crossing a parallel sequence is not supported")
 	case *ForallStmt:
-		if containsGoto(st.Body, g) {
-			return fmt.Errorf("goto leaving a forall loop is not supported")
-		}
+		return fmt.Errorf("goto leaving a forall loop is not supported")
 	case *SwitchStmt:
-		if containsGoto(st, g) {
-			return fmt.Errorf("goto leaving a switch is not supported")
-		}
+		return fmt.Errorf("goto leaving a switch is not supported")
 	}
 	return nil
 }
@@ -427,86 +312,13 @@ func ensureBlock(s Stmt) *Block {
 	return &Block{Stmts: []Stmt{s}}
 }
 
-func insertStmt(ss []Stmt, i int, s Stmt) []Stmt {
-	out := make([]Stmt, 0, len(ss)+1)
-	out = append(out, ss[:i]...)
-	out = append(out, s)
-	out = append(out, ss[i:]...)
-	return out
-}
-
 // stripLabels removes all remaining LabeledStmt wrappers (their gotos are
 // gone).
 func stripLabels(s Stmt) {
-	switch st := s.(type) {
-	case *Block:
-		for i, c := range st.Stmts {
-			for {
-				ls, ok := c.(*LabeledStmt)
-				if !ok {
-					break
-				}
-				c = ls.Stmt
-				st.Stmts[i] = c
-			}
-			stripLabels(st.Stmts[i])
+	childStmts(s, func(p *Stmt) {
+		for ls, ok := (*p).(*LabeledStmt); ok; ls, ok = (*p).(*LabeledStmt) {
+			*p = ls.Stmt
 		}
-	case *ParSeq:
-		for i, c := range st.Stmts {
-			for {
-				ls, ok := c.(*LabeledStmt)
-				if !ok {
-					break
-				}
-				c = ls.Stmt
-				st.Stmts[i] = c
-			}
-			stripLabels(st.Stmts[i])
-		}
-	case *IfStmt:
-		if ls, ok := st.Then.(*LabeledStmt); ok {
-			st.Then = ls.Stmt
-		}
-		stripLabels(st.Then)
-		if st.Else != nil {
-			if ls, ok := st.Else.(*LabeledStmt); ok {
-				st.Else = ls.Stmt
-			}
-			stripLabels(st.Else)
-		}
-	case *WhileStmt:
-		if ls, ok := st.Body.(*LabeledStmt); ok {
-			st.Body = ls.Stmt
-		}
-		stripLabels(st.Body)
-	case *DoStmt:
-		if ls, ok := st.Body.(*LabeledStmt); ok {
-			st.Body = ls.Stmt
-		}
-		stripLabels(st.Body)
-	case *ForStmt:
-		if ls, ok := st.Body.(*LabeledStmt); ok {
-			st.Body = ls.Stmt
-		}
-		stripLabels(st.Body)
-	case *ForallStmt:
-		if ls, ok := st.Body.(*LabeledStmt); ok {
-			st.Body = ls.Stmt
-		}
-		stripLabels(st.Body)
-	case *SwitchStmt:
-		for _, cc := range st.Cases {
-			for i, c := range cc.Body {
-				for {
-					ls, ok := c.(*LabeledStmt)
-					if !ok {
-						break
-					}
-					c = ls.Stmt
-					cc.Body[i] = c
-				}
-				stripLabels(cc.Body[i])
-			}
-		}
-	}
+		stripLabels(*p)
+	})
 }

@@ -1,6 +1,9 @@
 package earthc
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Local function inlining, one of the McCAT Phase I transformations the
 // paper's compiler runs before communication analysis. Inlining is what
@@ -11,9 +14,11 @@ import "fmt"
 //
 // A call is inlined when the callee is small, non-recursive, has no
 // placement annotation at the call site (placed calls are migration points
-// and must stay calls), and its returns can be restructured as forward
-// jumps (returns nested inside switch statements or parallel constructs
-// are left alone; the goto eliminator cannot lift those).
+// and must stay calls), its returns can be restructured as forward jumps
+// (returns nested inside switch statements or parallel constructs are left
+// alone; the goto eliminator cannot lift those), and the caller declares no
+// name the callee uses without declaring (the caller's variable would
+// capture the callee's use).
 
 // InlineOptions tune the inliner.
 type InlineOptions struct {
@@ -40,14 +45,9 @@ func InlineFunctions(f *File, opt InlineOptions) {
 		changed := false
 		for _, fn := range f.Funcs {
 			inl.cur = fn
-			body := inl.stmts(fn.Body.Stmts)
-			if inl.changed {
-				changed = true
-				fn.Body.Stmts = body
-				inl.changed = false
-			} else {
-				fn.Body.Stmts = body
-			}
+			fn.Body.Stmts = inl.stmts(fn.Body.Stmts)
+			changed = changed || inl.changed
+			inl.changed = false
 		}
 		if !changed {
 			break
@@ -56,12 +56,19 @@ func InlineFunctions(f *File, opt InlineOptions) {
 }
 
 type inliner struct {
-	file     *File
-	opt      InlineOptions
-	eligible map[string]*FuncDef
-	cur      *FuncDef
-	n        int
-	changed  bool
+	file      *File
+	opt       InlineOptions
+	eligible  map[string]*FuncDef
+	addressed []addressedVar // this round's address-taken variables
+	cur       *FuncDef
+	n         int
+	changed   bool
+}
+
+// addressedVar records that fn takes the address of its variable name.
+type addressedVar struct {
+	fn   *FuncDef
+	name string
 }
 
 func (inl *inliner) fresh(kind string) string {
@@ -72,11 +79,21 @@ func (inl *inliner) fresh(kind string) string {
 // computeEligible decides which functions may be inlined this round.
 func (inl *inliner) computeEligible() {
 	inl.eligible = make(map[string]*FuncDef)
+	inl.addressed = inl.addressed[:0]
 	// Direct call edges for recursion detection.
 	calls := make(map[string]map[string]bool)
 	for _, fn := range inl.file.Funcs {
 		set := make(map[string]bool)
-		walkCalls(fn.Body, func(c *Call) { set[c.Fun] = true })
+		walkExprs(fn.Body, func(e Expr) {
+			switch x := e.(type) {
+			case *Call:
+				set[x.Fun] = true
+			case *Unary:
+				if name := addressedName(x); name != "" {
+					inl.addressed = append(inl.addressed, addressedVar{fn, name})
+				}
+			}
+		})
 		calls[fn.Name] = set
 	}
 	reaches := func(from, to string) bool {
@@ -139,11 +156,9 @@ func (inl *inliner) stmt(s Stmt) []Stmt {
 			st.Decl.Init = inl.extract(&pre, st.Decl.Init)
 			if c, ok := st.Decl.Init.(*Call); ok && inl.inlinableCall(c) {
 				st.Decl.Init = nil
-				exp := inl.expand(c, &Ident{Name: st.Decl.Name}, st.Decl.Type)
-				return append(append(pre, s), exp...)
+				return append(append(pre, s), inl.expand(c, &Ident{Name: st.Decl.Name})...)
 			}
 		}
-		return append(pre, s)
 	case *ExprStmt:
 		switch x := st.X.(type) {
 		case *Call:
@@ -151,84 +166,16 @@ func (inl *inliner) stmt(s Stmt) []Stmt {
 				x.Args[i] = inl.extract(&pre, x.Args[i])
 			}
 			if inl.inlinableCall(x) {
-				exp := inl.expand(x, nil, nil)
-				return append(pre, exp...)
+				return append(pre, inl.expand(x, nil)...)
 			}
-			return append(pre, s)
 		case *Assign:
-			if x.Op == PlainAssign {
-				x.Rhs = inl.extract(&pre, x.Rhs)
-				if c, ok := x.Rhs.(*Call); ok && inl.inlinableCall(c) {
-					exp := inl.expand(c, x.Lhs, inl.eligible[c.Fun].Ret)
-					return append(pre, exp...)
-				}
-				return append(pre, s)
-			}
 			x.Rhs = inl.extract(&pre, x.Rhs)
-			return append(pre, s)
+			if c, ok := x.Rhs.(*Call); ok && x.Op == PlainAssign && inl.inlinableCall(c) {
+				return append(pre, inl.expand(c, x.Lhs)...)
+			}
 		default:
 			st.X = inl.extract(&pre, st.X)
-			return append(pre, s)
 		}
-	case *Block:
-		st.Stmts = inl.stmts(st.Stmts)
-		return []Stmt{st}
-	case *ParSeq:
-		for i, c := range st.Stmts {
-			// Arms stay single statements; wrap multi-statement expansions.
-			r := inl.stmt(c)
-			if len(r) == 1 {
-				st.Stmts[i] = r[0]
-			} else {
-				st.Stmts[i] = &Block{Stmts: r}
-			}
-		}
-		return []Stmt{st}
-	case *IfStmt:
-		st.Cond = inl.extract(&pre, st.Cond)
-		st.Then = inl.wrap(st.Then)
-		if st.Else != nil {
-			st.Else = inl.wrap(st.Else)
-		}
-		return append(pre, s)
-	case *WhileStmt:
-		// Loop conditions re-evaluate each iteration: no extraction.
-		st.Body = inl.wrap(st.Body)
-		return []Stmt{st}
-	case *DoStmt:
-		st.Body = inl.wrap(st.Body)
-		return []Stmt{st}
-	case *ForStmt:
-		if st.Init != nil {
-			r := inl.stmt(st.Init)
-			if len(r) == 1 {
-				st.Init = r[0]
-			} else {
-				// Extraction in a for-init hoists above the loop.
-				pre = append(pre, r[:len(r)-1]...)
-				st.Init = r[len(r)-1]
-			}
-		}
-		st.Body = inl.wrap(st.Body)
-		return append(pre, s)
-	case *ForallStmt:
-		if st.Init != nil {
-			r := inl.stmt(st.Init)
-			if len(r) == 1 {
-				st.Init = r[0]
-			} else {
-				pre = append(pre, r[:len(r)-1]...)
-				st.Init = r[len(r)-1]
-			}
-		}
-		st.Body = inl.wrap(st.Body)
-		return append(pre, s)
-	case *SwitchStmt:
-		st.Tag = inl.extract(&pre, st.Tag)
-		for _, cc := range st.Cases {
-			cc.Body = inl.stmts(cc.Body)
-		}
-		return append(pre, s)
 	case *ReturnStmt:
 		if st.X != nil {
 			st.X = inl.extract(&pre, st.X)
@@ -236,31 +183,53 @@ func (inl *inliner) stmt(s Stmt) []Stmt {
 				callee := inl.eligible[c.Fun]
 				tmp := inl.fresh("inl")
 				pre = append(pre, &DeclStmt{Decl: &VarDecl{Name: tmp, Type: callee.Ret}})
-				pre = append(pre, inl.expand(c, &Ident{Name: tmp}, nil)...)
+				pre = append(pre, inl.expand(c, &Ident{Name: tmp})...)
 				st.X = &Ident{Name: tmp}
 			}
 		}
-		return append(pre, s)
-	case *LabeledStmt:
-		r := inl.stmt(st.Stmt)
-		if len(r) == 1 {
-			st.Stmt = r[0]
-			return []Stmt{st}
+	case *Block:
+		st.Stmts = inl.stmts(st.Stmts)
+	case *SwitchStmt:
+		st.Tag = inl.extract(&pre, st.Tag)
+		for _, cc := range st.Cases {
+			cc.Body = inl.stmts(cc.Body)
 		}
-		st.Stmt = &Block{Stmts: r}
-		return []Stmt{st}
-	default:
-		return []Stmt{s}
+	case *ForStmt:
+		pre = inl.loopInit(pre, &st.Init)
+		inl.wrap(&st.Body)
+	case *ForallStmt:
+		pre = inl.loopInit(pre, &st.Init)
+		inl.wrap(&st.Body)
+	case *IfStmt:
+		st.Cond = inl.extract(&pre, st.Cond)
+		childStmts(st, inl.wrap)
+	case *ParSeq, *WhileStmt, *DoStmt, *LabeledStmt:
+		// Loop conditions re-evaluate each iteration: no extraction.
+		childStmts(st, inl.wrap)
+	}
+	return append(pre, s)
+}
+
+// wrap rewrites the statement in slot p, which must stay one statement (a
+// parallel arm, an if arm, a loop body, a labeled statement): a
+// multi-statement result is boxed in a block.
+func (inl *inliner) wrap(p *Stmt) {
+	if r := inl.stmt(*p); len(r) == 1 {
+		*p = r[0]
+	} else {
+		*p = &Block{Stmts: r}
 	}
 }
 
-// wrap rewrites a nested statement, boxing multi-statement results.
-func (inl *inliner) wrap(s Stmt) Stmt {
-	r := inl.stmt(s)
-	if len(r) == 1 {
-		return r[0]
+// loopInit rewrites a for or forall init, hoisting the statements its
+// extraction produces above the loop.
+func (inl *inliner) loopInit(pre []Stmt, init *Stmt) []Stmt {
+	if *init == nil {
+		return pre
 	}
-	return &Block{Stmts: r}
+	r := inl.stmt(*init)
+	*init = r[len(r)-1]
+	return append(pre, r[:len(r)-1]...)
 }
 
 // extract hoists inlinable calls out of safe subexpression positions into
@@ -280,7 +249,7 @@ func (inl *inliner) extract(pre *[]Stmt, e Expr) Expr {
 			}
 			tmp := inl.fresh("inl")
 			*pre = append(*pre, &DeclStmt{Decl: &VarDecl{Name: tmp, Type: callee.Ret}})
-			*pre = append(*pre, inl.expand(x, &Ident{Name: tmp}, nil)...)
+			*pre = append(*pre, inl.expand(x, &Ident{Name: tmp})...)
 			return &Ident{Name: tmp}
 		}
 		return e
@@ -318,32 +287,58 @@ func (inl *inliner) inlinableCall(c *Call) bool {
 		return false
 	}
 	callee, ok := inl.eligible[c.Fun]
-	if !ok || callee == inl.cur {
+	if !ok || callee == inl.cur || len(c.Args) != len(callee.Params) {
 		return false
 	}
-	return len(c.Args) == len(callee.Params)
+	// A caller declaration of a name the callee uses but does not declare
+	// would capture the callee's use.
+	for _, name := range inl.freeNames(callee) {
+		if declares(inl.cur, name) {
+			return false
+		}
+	}
+	return true
+}
+
+// substitutable reports whether a read-only parameter may be bound to the
+// argument variable name itself rather than to a copy: the name must not be
+// a file-level global, which the callee may write, nor have its address
+// taken by the caller, as the callee may write it through a pointer.
+func (inl *inliner) substitutable(name string) bool {
+	for _, g := range inl.file.Globals {
+		if g.Name == name {
+			return false
+		}
+	}
+	for _, a := range inl.addressed {
+		if a.fn == inl.cur && a.name == name {
+			return false
+		}
+	}
+	return true
 }
 
 // expand builds the inline expansion of call c, assigning the return value
-// to dst (may be nil for void/dropped results). declDst, when non-nil, is
-// unused here but documents the destination's declared type at DeclStmt
-// sites.
-func (inl *inliner) expand(c *Call, dst Expr, declDst Type) []Stmt {
+// to dst (may be nil for void/dropped results).
+func (inl *inliner) expand(c *Call, dst Expr) []Stmt {
 	callee := inl.eligible[c.Fun]
 	inl.changed = true
 	rename := make(map[string]string)
-	// Read-only parameters bound to plain variables are substituted
-	// directly (no copy): this keeps the callee's accesses on the caller's
+	blk := &Block{}
+	// Read-only parameters bound to a caller's local variable are
+	// substituted directly (no copy): this keeps the callee's accesses on the caller's
 	// pointer, so the communication optimizer sees one base variable and
 	// can merge and block them (the paper's Figure 11(b) relies on this).
-	substituted := make(map[string]bool)
 	for i, p := range callee.Params {
-		if id, ok := c.Args[i].(*Ident); ok && !paramAssigned(callee.Body, p.Name) {
+		if id, ok := c.Args[i].(*Ident); ok && inl.substitutable(id.Name) &&
+			!paramAssigned(callee.Body, p.Name) {
 			rename[p.Name] = id.Name
-			substituted[p.Name] = true
 			continue
 		}
 		rename[p.Name] = inl.fresh("arg")
+		blk.Stmts = append(blk.Stmts, &DeclStmt{Decl: &VarDecl{
+			Name: rename[p.Name], Type: p.Type, Init: c.Args[i],
+		}})
 	}
 	collectDecls(callee.Body, func(d *VarDecl) {
 		if _, dup := rename[d.Name]; !dup {
@@ -352,15 +347,6 @@ func (inl *inliner) expand(c *Call, dst Expr, declDst Type) []Stmt {
 	})
 	done := inl.fresh("done")
 
-	blk := &Block{}
-	for i, p := range callee.Params {
-		if substituted[p.Name] {
-			continue
-		}
-		blk.Stmts = append(blk.Stmts, &DeclStmt{Decl: &VarDecl{
-			Name: rename[p.Name], Type: p.Type, Init: c.Args[i],
-		}})
-	}
 	body := CloneStmt(callee.Body, rename).(*Block)
 	replaceReturns(body, dst, done)
 	// A single trailing return needs no jump: strip "goto done" when it is
@@ -376,42 +362,22 @@ func (inl *inliner) expand(c *Call, dst Expr, declDst Type) []Stmt {
 
 // replaceReturns rewrites each return in the inlined body as an assignment
 // to dst (when present) followed by a jump to the done label.
-func replaceReturns(s Stmt, dst Expr, done string) {
-	rewrite := func(rs *ReturnStmt) Stmt {
+func replaceReturns(b *Block, dst Expr, done string) {
+	var walk func(*Stmt)
+	walk = func(p *Stmt) {
+		rs, ok := (*p).(*ReturnStmt)
+		if !ok {
+			childStmts(*p, walk)
+			return
+		}
 		var out []Stmt
 		if rs.X != nil && dst != nil {
 			out = append(out, &ExprStmt{X: &Assign{Op: PlainAssign,
 				Lhs: CloneExpr(dst, nil), Rhs: rs.X}})
 		}
-		out = append(out, &GotoStmt{Label: done})
-		return &Block{Stmts: out}
+		*p = &Block{Stmts: append(out, &GotoStmt{Label: done})}
 	}
-	var walk func(Stmt) Stmt
-	walk = func(s Stmt) Stmt {
-		switch st := s.(type) {
-		case *ReturnStmt:
-			return rewrite(st)
-		case *Block:
-			for i, c := range st.Stmts {
-				st.Stmts[i] = walk(c)
-			}
-		case *IfStmt:
-			st.Then = walk(st.Then)
-			if st.Else != nil {
-				st.Else = walk(st.Else)
-			}
-		case *WhileStmt:
-			st.Body = walk(st.Body)
-		case *DoStmt:
-			st.Body = walk(st.Body)
-		case *ForStmt:
-			st.Body = walk(st.Body)
-		case *LabeledStmt:
-			st.Stmt = walk(st.Stmt)
-		}
-		return s
-	}
-	walk(s)
+	childStmts(b, walk)
 }
 
 // stripTrailingGoto removes a goto to the given label when it is the last
@@ -433,325 +399,52 @@ func stripTrailingGoto(b *Block, label string) {
 
 // usesGoto reports whether any goto targeting label remains in the subtree.
 func usesGoto(s Stmt, label string) bool {
-	found := false
-	var walk func(Stmt)
-	walk = func(s Stmt) {
-		if found || s == nil {
-			return
-		}
-		switch st := s.(type) {
-		case *GotoStmt:
-			if st.Label == label {
-				found = true
-			}
-		case *Block:
-			for _, c := range st.Stmts {
-				walk(c)
-			}
-		case *ParSeq:
-			for _, c := range st.Stmts {
-				walk(c)
-			}
-		case *IfStmt:
-			walk(st.Then)
-			walk(st.Else)
-		case *WhileStmt:
-			walk(st.Body)
-		case *DoStmt:
-			walk(st.Body)
-		case *ForStmt:
-			walk(st.Body)
-		case *ForallStmt:
-			walk(st.Body)
-		case *SwitchStmt:
-			for _, cc := range st.Cases {
-				for _, c := range cc.Body {
-					walk(c)
-				}
-			}
-		case *LabeledStmt:
-			walk(st.Stmt)
-		}
-	}
-	walk(s)
-	return found
+	return anyStmt(s, func(s Stmt) bool {
+		g, ok := s.(*GotoStmt)
+		return ok && g.Label == label
+	})
 }
 
 // ------------------------------------------------------------- inspection ---
 
+// stmtCount is a callee's size for InlineOptions.MaxStmts: every statement
+// node, loop inits included.
 func stmtCount(s Stmt) int {
 	n := 0
-	var walk func(Stmt)
-	walk = func(s Stmt) {
-		if s == nil {
-			return
-		}
-		n++
-		switch st := s.(type) {
-		case *Block:
-			for _, c := range st.Stmts {
-				walk(c)
-			}
-		case *ParSeq:
-			for _, c := range st.Stmts {
-				walk(c)
-			}
-		case *IfStmt:
-			walk(st.Then)
-			walk(st.Else)
-		case *WhileStmt:
-			walk(st.Body)
-		case *DoStmt:
-			walk(st.Body)
-		case *ForStmt:
-			walk(st.Init)
-			walk(st.Body)
-		case *ForallStmt:
-			walk(st.Init)
-			walk(st.Body)
-		case *SwitchStmt:
-			for _, cc := range st.Cases {
-				for _, c := range cc.Body {
-					walk(c)
-				}
-			}
-		case *LabeledStmt:
-			walk(st.Stmt)
-		}
-	}
-	walk(s)
+	inspect(s, func(Stmt) bool { n++; return true })
 	return n
 }
 
 // hasHardReturns reports returns nested where the goto eliminator cannot
 // lift a forward jump out (switch cases, parallel constructs).
 func hasHardReturns(s Stmt) bool {
-	found := false
-	var walk func(Stmt, bool)
-	walk = func(s Stmt, hard bool) {
-		if s == nil || found {
-			return
+	return anyStmt(s, func(s Stmt) bool {
+		switch s.(type) {
+		case *ParSeq, *ForallStmt, *SwitchStmt:
+			return anyStmt(s, func(s Stmt) bool { _, ok := s.(*ReturnStmt); return ok })
 		}
-		switch st := s.(type) {
-		case *ReturnStmt:
-			if hard {
-				found = true
-			}
-		case *Block:
-			for _, c := range st.Stmts {
-				walk(c, hard)
-			}
-		case *ParSeq:
-			for _, c := range st.Stmts {
-				walk(c, true)
-			}
-		case *IfStmt:
-			walk(st.Then, hard)
-			walk(st.Else, hard)
-		case *WhileStmt:
-			walk(st.Body, hard)
-		case *DoStmt:
-			walk(st.Body, hard)
-		case *ForStmt:
-			walk(st.Body, hard)
-		case *ForallStmt:
-			walk(st.Body, true)
-		case *SwitchStmt:
-			for _, cc := range st.Cases {
-				for _, c := range cc.Body {
-					walk(c, true)
-				}
-			}
-		case *LabeledStmt:
-			walk(st.Stmt, hard)
-		}
-	}
-	walk(s, false)
-	return found
+		return false
+	})
 }
 
 func hasGotos(s Stmt) bool {
-	found := false
-	var walk func(Stmt)
-	walk = func(s Stmt) {
-		if s == nil || found {
-			return
-		}
-		switch st := s.(type) {
+	return anyStmt(s, func(s Stmt) bool {
+		switch s.(type) {
 		case *GotoStmt, *LabeledStmt:
-			found = true
-		case *Block:
-			for _, c := range st.Stmts {
-				walk(c)
-			}
-		case *ParSeq:
-			for _, c := range st.Stmts {
-				walk(c)
-			}
-		case *IfStmt:
-			walk(st.Then)
-			walk(st.Else)
-		case *WhileStmt:
-			walk(st.Body)
-		case *DoStmt:
-			walk(st.Body)
-		case *ForStmt:
-			walk(st.Body)
-		case *ForallStmt:
-			walk(st.Body)
-		case *SwitchStmt:
-			for _, cc := range st.Cases {
-				for _, c := range cc.Body {
-					walk(c)
-				}
-			}
+			return true
 		}
-	}
-	walk(s)
-	return found
-}
-
-// walkCalls visits every call in a subtree (statements and expressions).
-func walkCalls(s Stmt, fn func(*Call)) {
-	var ws func(Stmt)
-	var we func(Expr)
-	we = func(e Expr) {
-		switch x := e.(type) {
-		case *Call:
-			fn(x)
-			for _, a := range x.Args {
-				we(a)
-			}
-			if x.Place != nil {
-				we(x.Place.Arg)
-			}
-		case *Unary:
-			we(x.X)
-		case *Binary:
-			we(x.X)
-			we(x.Y)
-		case *Assign:
-			we(x.Lhs)
-			we(x.Rhs)
-		case *IncDec:
-			we(x.X)
-		case *Member:
-			we(x.X)
-		case *Index:
-			we(x.X)
-			we(x.I)
-		case *CondExpr:
-			we(x.C)
-			we(x.T)
-			we(x.F)
-		}
-	}
-	ws = func(s Stmt) {
-		switch st := s.(type) {
-		case nil:
-		case *DeclStmt:
-			if st.Decl.Init != nil {
-				we(st.Decl.Init)
-			}
-		case *ExprStmt:
-			we(st.X)
-		case *Block:
-			for _, c := range st.Stmts {
-				ws(c)
-			}
-		case *ParSeq:
-			for _, c := range st.Stmts {
-				ws(c)
-			}
-		case *IfStmt:
-			we(st.Cond)
-			ws(st.Then)
-			ws(st.Else)
-		case *WhileStmt:
-			we(st.Cond)
-			ws(st.Body)
-		case *DoStmt:
-			ws(st.Body)
-			we(st.Cond)
-		case *ForStmt:
-			ws(st.Init)
-			if st.Cond != nil {
-				we(st.Cond)
-			}
-			if st.Post != nil {
-				we(st.Post)
-			}
-			ws(st.Body)
-		case *ForallStmt:
-			ws(st.Init)
-			if st.Cond != nil {
-				we(st.Cond)
-			}
-			if st.Post != nil {
-				we(st.Post)
-			}
-			ws(st.Body)
-		case *SwitchStmt:
-			we(st.Tag)
-			for _, cc := range st.Cases {
-				for _, v := range cc.Vals {
-					we(v)
-				}
-				for _, c := range cc.Body {
-					ws(c)
-				}
-			}
-		case *ReturnStmt:
-			if st.X != nil {
-				we(st.X)
-			}
-		case *LabeledStmt:
-			ws(st.Stmt)
-		}
-	}
-	ws(s)
+		return false
+	})
 }
 
 // collectDecls visits every variable declaration in a subtree.
 func collectDecls(s Stmt, fn func(*VarDecl)) {
-	var walk func(Stmt)
-	walk = func(s Stmt) {
-		switch st := s.(type) {
-		case nil:
-		case *DeclStmt:
-			fn(st.Decl)
-		case *Block:
-			for _, c := range st.Stmts {
-				walk(c)
-			}
-		case *ParSeq:
-			for _, c := range st.Stmts {
-				walk(c)
-			}
-		case *IfStmt:
-			walk(st.Then)
-			walk(st.Else)
-		case *WhileStmt:
-			walk(st.Body)
-		case *DoStmt:
-			walk(st.Body)
-		case *ForStmt:
-			walk(st.Init)
-			walk(st.Body)
-		case *ForallStmt:
-			walk(st.Init)
-			walk(st.Body)
-		case *SwitchStmt:
-			for _, cc := range st.Cases {
-				for _, c := range cc.Body {
-					walk(c)
-				}
-			}
-		case *LabeledStmt:
-			walk(st.Stmt)
+	inspect(s, func(s Stmt) bool {
+		if d, ok := s.(*DeclStmt); ok {
+			fn(d.Decl)
 		}
-	}
-	walk(s)
+		return true
+	})
 }
 
 // paramAssigned reports whether the callee's body may modify the named
@@ -779,94 +472,58 @@ func paramAssigned(body Stmt, name string) bool {
 	return found
 }
 
-// walkExprs visits every expression node in a statement subtree.
-func walkExprs(s Stmt, fn func(Expr)) {
-	var we func(Expr)
-	we = func(e Expr) {
-		if e == nil {
-			return
+// freeNames returns the variable names fn uses but does not declare
+// (globals, or names declared nowhere), or nil. A struct name, which only
+// alloc's first argument holds, names a type, not a variable.
+func (inl *inliner) freeNames(fn *FuncDef) []string {
+	var buf [32]string
+	declared := buf[:0]
+	for _, p := range fn.Params {
+		declared = append(declared, p.Name)
+	}
+	collectDecls(fn.Body, func(d *VarDecl) { declared = append(declared, d.Name) })
+	var free []string
+	walkExprs(fn.Body, func(e Expr) {
+		id, ok := e.(*Ident)
+		if ok && !slices.Contains(declared, id.Name) && !slices.Contains(free, id.Name) &&
+			inl.file.StructByName(id.Name) == nil {
+			free = append(free, id.Name)
 		}
-		fn(e)
-		switch x := e.(type) {
-		case *Unary:
-			we(x.X)
-		case *Binary:
-			we(x.X)
-			we(x.Y)
-		case *Assign:
-			we(x.Lhs)
-			we(x.Rhs)
-		case *IncDec:
-			we(x.X)
-		case *Call:
-			for _, a := range x.Args {
-				we(a)
-			}
-			if x.Place != nil {
-				we(x.Place.Arg)
-			}
-		case *Member:
-			we(x.X)
-		case *Index:
-			we(x.X)
-			we(x.I)
-		case *CondExpr:
-			we(x.C)
-			we(x.T)
-			we(x.F)
+	})
+	return free
+}
+
+// declares reports whether fn has a parameter or a local named name.
+func declares(fn *FuncDef, name string) bool {
+	for _, p := range fn.Params {
+		if p.Name == name {
+			return true
 		}
 	}
-	var ws func(Stmt)
-	ws = func(s Stmt) {
-		switch st := s.(type) {
-		case nil:
-		case *DeclStmt:
-			we(st.Decl.Init)
-		case *ExprStmt:
-			we(st.X)
-		case *Block:
-			for _, c := range st.Stmts {
-				ws(c)
-			}
-		case *ParSeq:
-			for _, c := range st.Stmts {
-				ws(c)
-			}
-		case *IfStmt:
-			we(st.Cond)
-			ws(st.Then)
-			ws(st.Else)
-		case *WhileStmt:
-			we(st.Cond)
-			ws(st.Body)
-		case *DoStmt:
-			ws(st.Body)
-			we(st.Cond)
-		case *ForStmt:
-			ws(st.Init)
-			we(st.Cond)
-			we(st.Post)
-			ws(st.Body)
-		case *ForallStmt:
-			ws(st.Init)
-			we(st.Cond)
-			we(st.Post)
-			ws(st.Body)
-		case *SwitchStmt:
-			we(st.Tag)
-			for _, cc := range st.Cases {
-				for _, v := range cc.Vals {
-					we(v)
-				}
-				for _, c := range cc.Body {
-					ws(c)
-				}
-			}
-		case *ReturnStmt:
-			we(st.X)
-		case *LabeledStmt:
-			ws(st.Stmt)
+	return anyStmt(fn.Body, func(s Stmt) bool {
+		d, ok := s.(*DeclStmt)
+		return ok && d.Decl.Name == name
+	})
+}
+
+// addressedName returns the variable whose address u takes, whole or
+// through a field or element of it, or "".
+func addressedName(u *Unary) string {
+	if u.Op != Addr {
+		return ""
+	}
+	x := u.X
+	for {
+		if m, ok := x.(*Member); ok && !m.Arrow {
+			x = m.X
+		} else if ix, ok := x.(*Index); ok {
+			x = ix.X
+		} else {
+			break
 		}
 	}
-	ws(s)
+	if id, ok := x.(*Ident); ok {
+		return id.Name
+	}
+	return ""
 }

@@ -87,6 +87,21 @@ out:
 	assertNoGotos(t, f)
 }
 
+// Labels stacked on the body of an if are all stripped, as they are inside
+// a block; the program prints 1.
+func TestStackedLabelsAsBody(t *testing.T) {
+	f := restructure(t, `
+int main() {
+	int x;
+	x = 0;
+	if (x == 0) A: B: x = 1;
+	print_int(x);
+	return x;
+}
+`)
+	assertNoGotos(t, f)
+}
+
 func TestGotoInwardRejected(t *testing.T) {
 	f, err := ParseFile("t.ec", `
 int main() {
