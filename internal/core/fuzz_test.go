@@ -64,19 +64,18 @@ func (g *progGen) line(format string, args ...any) {
 // stmts emits n random statements; ptr names the current cursor variable
 // (a possibly-remote list node), anchor a loop-invariant node.
 func (g *progGen) stmts(n int, ptr, anchor string, ints []string, nested int) {
-	fields := []string{"a", "b", "c"}
+	fields := []string{"a", "b", "c", "d", "e"}
+	field := func() string { return fields[g.r.Intn(len(fields))] }
 	for i := 0; i < n; i++ {
 		names := append([]string{}, ints...)
-		names = append(names,
-			ptr+"->"+fields[g.r.Intn(3)],
-			anchor+"->"+fields[g.r.Intn(3)])
-		switch g.r.Intn(8) {
+		names = append(names, ptr+"->"+field(), anchor+"->"+field())
+		switch g.r.Intn(9) {
 		case 0, 1:
 			g.line("%s = %s;", ints[g.r.Intn(len(ints))], g.intExpr(2, names))
 		case 2:
-			g.line("%s->%s = %s;", ptr, fields[g.r.Intn(3)], g.intExpr(2, names))
+			g.line("%s->%s = %s;", ptr, field(), g.intExpr(2, names))
 		case 3:
-			g.line("%s->%s = %s;", anchor, fields[g.r.Intn(3)], g.intExpr(2, names))
+			g.line("%s->%s = %s;", anchor, field(), g.intExpr(2, names))
 		case 4:
 			if nested > 0 {
 				g.line("if (%s) {", g.cond(names))
@@ -94,10 +93,28 @@ func (g *progGen) stmts(n int, ptr, anchor string, ints []string, nested int) {
 				g.line("%s = %s;", ints[g.r.Intn(len(ints))], g.intExpr(1, names))
 			}
 		case 5:
+			if nested > 0 {
+				// Every case implicitly breaks; the default is optional.
+				g.line("switch (%s %% 3) {", g.intExpr(1, names))
+				for c, label := range []string{"case 0:", "case 1: case -1:", "default:"} {
+					if c > 0 && g.r.Intn(3) == 0 {
+						continue
+					}
+					g.line("%s {", label)
+					g.depth++
+					g.stmts(1+g.r.Intn(3), ptr, anchor, ints, nested-1)
+					g.depth--
+					g.line("}")
+				}
+				g.line("}")
+			} else {
+				g.line("%s->%s = %s;", ptr, field(), g.intExpr(1, names))
+			}
+		case 6:
 			// Struct copy through a local buffer.
 			g.line("tmp = *%s;", g.pick(ptr, anchor))
 			g.line("%s = tmp.a + tmp.b;", ints[g.r.Intn(len(ints))])
-		case 6:
+		case 7:
 			g.line("%s->c = %s->a + %s->b;", ptr, ptr, ptr)
 		default:
 			g.line("%s = helper(%s, %s);", ints[g.r.Intn(len(ints))],
@@ -113,6 +130,8 @@ func generateProgram(seed int64) string {
 	g.line(`	int a;`)
 	g.line(`	int b;`)
 	g.line(`	int c;`)
+	g.line(`	int d;`)
+	g.line(`	int e;`)
 	g.line(`	struct N *next;`)
 	g.line(`};`)
 	g.line(``)
@@ -164,12 +183,14 @@ func generateProgram(seed int64) string {
 	g.line(`p->a = i * 3 + 1;`)
 	g.line(`p->b = i * i - 4;`)
 	g.line(`p->c = 0;`)
+	g.line(`p->d = i + 7;`)
+	g.line(`p->e = 2 * i - 9;`)
 	g.line(`p->next = head;`)
 	g.line(`head = p;`)
 	g.depth--
 	g.line(`}`)
 	g.line(`t = alloc_on(N, num_nodes() - 1);`)
-	g.line(`t->a = 11; t->b = 13; t->c = 17; t->next = NULL;`)
+	g.line(`t->a = 11; t->b = 13; t->c = 17; t->d = 19; t->e = 23; t->next = NULL;`)
 	g.line(`r = work(head, t);`)
 	g.line(`sum = r;`)
 	// Optionally exercise the parallel constructs: a forall reduction over
@@ -195,11 +216,11 @@ func generateProgram(seed int64) string {
 	g.line(`p = head;`)
 	g.line(`while (p != NULL) {`)
 	g.depth++
-	g.line(`sum = sum + p->a + 2 * p->b + 3 * p->c;`)
+	g.line(`sum = sum + p->a + 2 * p->b + 3 * p->c + 5 * p->d + 7 * p->e;`)
 	g.line(`p = p->next;`)
 	g.depth--
 	g.line(`}`)
-	g.line(`sum = sum + t->a + 2 * t->b + 3 * t->c;`)
+	g.line(`sum = sum + t->a + 2 * t->b + 3 * t->c + 5 * t->d + 7 * t->e;`)
 	g.line(`print_int(sum);`)
 	g.line(`return sum;`)
 	g.depth--
