@@ -11,8 +11,13 @@
 // redirects *every* direct access in the region to it: early reads fill it,
 // intermediate stores update it (and the remote write-back is delayed when
 // that enables blocking), and intermediate reads consume it. The placement
-// analysis' CrossedW/CrossedR sets identify exactly which accesses belong
-// to a region, which keeps the aggressive float rules of the paper sound.
+// analysis' CrossedW sets name the stores a hoisted read floated across,
+// which must update its shadow.
+//
+// A blocked write-back also sends the words between the written fields, so
+// it is legal only where RemoteFill holds: the write walk follows, along
+// every path of the statement tree, which bcomm buffers still mirror the
+// words they were filled from, and blocks only through one that does.
 package commsel
 
 import (
@@ -143,11 +148,10 @@ func Transform(prog *simple.Program, pl *placement.Result, rw *rwsets.Result,
 			handledR:    make(map[int]map[int]bool),
 			readShadow:  make(map[int]shadow),
 			storeShadow: make(map[int]shadow),
-			blkClean:    make(map[*simple.Var]bool),
-			fills:       make(map[*simple.Var]fillInfo),
 		}
 		s.readsSeq(fn.Body)
 		s.applyReadRewrites()
+		s.clean = make([]bool, len(s.fills))
 		esc := s.writesSeq(fn.Body)
 		s.materialize(mapVals(esc), fn.Body, len(fn.Body.Stmts))
 		rep.Funcs = append(rep.Funcs, s.fr)
@@ -177,14 +181,16 @@ type sel struct {
 	// storeShadow maps a remote-store label to the shadow it must update
 	// (mandated when a selected read floated across the store).
 	storeShadow map[int]shadow
-	// blkClean tracks, per bcomm buffer, whether its contents still mirror
-	// the remote struct (no aliased writes since the fill); a blocked
-	// write-back is only legal while clean.
-	blkClean map[*simple.Var]bool
-	// fills records, per bcomm buffer, the pointer and size it was filled
-	// from.
-	fills   map[*simple.Var]fillInfo
-	retMemo map[simple.Stmt]bool
+	// fills lists the bcomm buffers' block reads in the order the read
+	// pass inserted them.
+	fills []bcommFill
+	// clean is the write walk's state, parallel to fills: whether the
+	// buffer mirrors its remote span on every path to the current
+	// statement. A blocked write-back is only legal while clean.
+	clean []bool
+	// inPar counts the {^ ^} arms around the current statement; no
+	// write-back inside one blocks.
+	inPar int
 
 	ncomm  int
 	nbcomm int

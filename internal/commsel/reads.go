@@ -192,7 +192,7 @@ func (s *sel) selectReadsAt(set placement.Set, st simple.Stmt) []simple.Stmt {
 			fill.Off = base
 			fill.Size = span
 			s.rw.Register(fill)
-			s.fills[bcomm] = fillInfo{p: p, off: base, size: span}
+			s.fills = append(s.fills, bcommFill{buf: bcomm, p: p, off: base, size: span})
 			ins = append(ins, fill)
 			s.fr.BlockedReads++
 			for _, c := range group {

@@ -2,6 +2,7 @@ package commsel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/earthc"
@@ -26,14 +27,18 @@ type wfloat struct {
 // writesSeq walks a sequence in execution order, floating remote writes
 // downward. Returns the floats still alive at the end of the sequence
 // (the caller decides whether they may escape the enclosing construct).
+// s.clean follows the walk: on entry it holds the buffers valid on every
+// path to the sequence, on return those valid on every path through it.
 func (s *sel) writesSeq(seq *simple.Seq) map[placement.Key]*wfloat {
 	active := make(map[placement.Key]*wfloat)
 	for i := 0; i < len(seq.Stmts); i++ {
 		st := seq.Stmts[i]
-		// 1. Stop floats the next statement kills.
+		// 1. Stop floats the next statement kills. None may float past a
+		// possible return: its store would be skipped on that path.
+		ret := len(active) > 0 && simple.HasReturn(st)
 		var stopped []*wfloat
 		for key, f := range active {
-			if s.killsFloat(f, st) {
+			if ret || s.killsFloat(f, st) {
 				stopped = append(stopped, f)
 				delete(active, key)
 			}
@@ -58,52 +63,50 @@ func (s *sel) writesSeq(seq *simple.Seq) map[placement.Key]*wfloat {
 			} else if f := s.genFloat(c); f != nil {
 				s.mergeFloat(active, f)
 			}
-			s.noteBasicForClean(c)
+			// A fill makes its buffer valid; any other statement may
+			// make buffers stale.
+			s.invalidate(c)
+			if c.Kind == simple.KBlkRead {
+				s.clean[s.fillOf(c.Local)] = true
+			}
 		case *simple.Seq:
 			inner := s.writesSeq(c)
 			for _, f := range inner {
 				s.mergeFloat(active, f)
 			}
 		case *simple.If:
-			tF := s.writesSeq(c.Then)
-			eF := s.writesSeq(c.Else)
-			// Each unmerged float materializes in its own call, so walk the
-			// maps in sorted key order to keep the emitted statement order
-			// independent of map iteration.
-			for _, key := range sortedFloatKeys(tF) {
-				ft := tF[key]
-				fe, ok := eF[key]
-				if ok && shadowsCompatible(ft.sh, fe.sh) {
-					// Written on both alternatives: the write may move
-					// below the conditional (the paper's intersection
-					// rule).
-					delete(eF, key)
-					merged := mergeTwo(ft, fe)
-					merged.moved = true
-					s.mergeFloat(active, merged)
-					continue
-				}
-				s.materialize([]*wfloat{ft}, c.Then, len(c.Then.Stmts))
-			}
-			for _, key := range sortedFloatKeys(eF) {
-				s.materialize([]*wfloat{eF[key]}, c.Else, len(c.Else.Stmts))
-			}
+			s.alternatives([]*simple.Seq{c.Then, c.Else}, true, active)
 		case *simple.Switch:
-			s.switchWrites(c, active)
-		case *simple.While:
-			s.flushSub(c.Eval)
-			s.flushSub(c.Body)
-		case *simple.Do:
-			s.flushSub(c.Body)
-			s.flushSub(c.Eval)
-		case *simple.Forall:
-			s.flushSub(c.Eval)
-			s.flushSub(c.Body)
-			s.flushSub(c.Step)
-		case *simple.Par:
-			for _, arm := range c.Arms {
-				s.flushSub(arm)
+			arms := make([]*simple.Seq, len(c.Cases))
+			exhaustive := false
+			for i, cc := range c.Cases {
+				arms[i] = cc.Body
+				exhaustive = exhaustive || cc.Vals == nil
 			}
+			s.alternatives(arms, exhaustive, active)
+		case *simple.While, *simple.Do, *simple.Forall:
+			// Any iteration may follow any other, so the head drops every
+			// buffer the loop can invalidate, and the exit may follow no
+			// iteration at all.
+			s.invalidate(c)
+			head := slices.Clone(s.clean)
+			simple.EachSubseq(c, s.flushSub)
+			meet(s.clean, head)
+		case *simple.Par:
+			// Each arm starts from the state before the construct, but
+			// runs beside its siblings, which may write any word of a
+			// buffer between its fill and a write-back: inside an arm no
+			// write-back blocks.
+			pre := slices.Clone(s.clean)
+			out := slices.Clone(s.clean)
+			s.inPar++
+			for _, arm := range c.Arms {
+				copy(s.clean, pre)
+				s.flushSub(arm)
+				meet(out, s.clean)
+			}
+			s.inPar--
+			copy(s.clean, out)
 		}
 	}
 	return active
@@ -116,66 +119,60 @@ func (s *sel) flushSub(seq *simple.Seq) {
 	s.materialize(mapVals(esc), seq, len(seq.Stmts))
 }
 
-// switchWrites applies the all-alternatives intersection rule to a switch.
-func (s *sel) switchWrites(c *simple.Switch, active map[placement.Key]*wfloat) {
-	caseFloats := make([]map[placement.Key]*wfloat, len(c.Cases))
-	hasDefault := false
-	for i, cc := range c.Cases {
-		caseFloats[i] = s.writesSeq(cc.Body)
-		if cc.Vals == nil {
-			hasDefault = true
+// alternatives applies the paper's intersection rule to the arms of an if
+// or a switch, of which at most one runs (exactly one when exhaustive).
+// Each arm is walked from the validity state before the construct. A float
+// alive at the end of every arm of an exhaustive construct, with one
+// shadow, moves below it; every other float is written back at the end of
+// its arm, in that arm's state. Afterwards a buffer is clean only if it is
+// clean on every path.
+func (s *sel) alternatives(arms []*simple.Seq, exhaustive bool, active map[placement.Key]*wfloat) {
+	n := len(s.clean)
+	pre := slices.Clone(s.clean)
+	// Each arm's floats and end state; an if's fit on the stack.
+	var fbuf [2]map[placement.Key]*wfloat
+	var ebuf [32]bool
+	floats, ends := fbuf[:0], ebuf[:0]
+	for _, arm := range arms {
+		copy(s.clean, pre)
+		floats = append(floats, s.writesSeq(arm))
+		ends = append(ends, s.clean...)
+	}
+	out := pre // a construct that is not exhaustive may run no arm
+	if exhaustive {
+		for i := range out {
+			out[i] = true
 		}
-	}
-	if len(c.Cases) == 0 {
-		return
-	}
-	for key, f0 := range caseFloats[0] {
-		inAll := hasDefault
-		var group []*wfloat
-		if inAll {
-			group = append(group, f0)
-			for _, cf := range caseFloats[1:] {
-				f, ok := cf[key]
-				if !ok || !shadowsCompatible(f0.sh, f.sh) {
-					inAll = false
-					break
+	next:
+		for key, f0 := range floats[0] {
+			for _, fl := range floats[1:] {
+				if f, ok := fl[key]; !ok || !shadowsCompatible(f0.sh, f.sh) {
+					continue next
 				}
-				group = append(group, f)
 			}
-		}
-		if inAll {
-			merged := group[0]
-			for _, f := range group[1:] {
-				merged = mergeTwo(merged, f)
+			for _, fl := range floats[1:] {
+				mergeTwo(f0, fl[key])
 			}
-			merged.moved = true
-			for i := range caseFloats {
-				delete(caseFloats[i], key)
+			f0.moved = true
+			for _, fl := range floats {
+				delete(fl, key)
 			}
-			s.mergeFloat(active, merged)
+			s.mergeFloat(active, f0)
 		}
 	}
-	for i, cf := range caseFloats {
-		if len(cf) > 0 {
-			s.materialize(mapVals(cf), c.Cases[i].Body, len(c.Cases[i].Body.Stmts))
-		}
+	for i, arm := range arms {
+		copy(s.clean, ends[i*n:(i+1)*n])
+		s.materialize(mapVals(floats[i]), arm, len(arm.Stmts))
+		meet(out, s.clean)
 	}
+	copy(s.clean, out)
 }
 
-// sortedFloatKeys returns m's keys ordered by (pointer name, offset), fixing
-// the order of per-float materialize calls regardless of map iteration.
-func sortedFloatKeys(m map[placement.Key]*wfloat) []placement.Key {
-	keys := make([]placement.Key, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// meet clears in dst every buffer not clean in src.
+func meet(dst, src []bool) {
+	for i := range dst {
+		dst[i] = dst[i] && src[i]
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].P.Name != keys[j].P.Name {
-			return keys[i].P.Name < keys[j].P.Name
-		}
-		return keys[i].Off < keys[j].Off
-	})
-	return keys
 }
 
 func mapVals(m map[placement.Key]*wfloat) []*wfloat {
@@ -230,10 +227,10 @@ func (s *sel) genFloat(b *simple.Basic) *wfloat {
 		// several buffers qualify, take the lowest-named one so the choice
 		// does not depend on map iteration order.
 		var best *simple.Var
-		for bc, fi := range s.fills {
-			if fi.p == stv.P && stv.Off >= fi.off && stv.Off < fi.off+fi.size && s.blkClean[bc] {
-				if best == nil || bc.Name < best.Name {
-					best = bc
+		for i, fi := range s.fills {
+			if s.clean[i] && fi.p == stv.P && stv.Off >= fi.off && stv.Off < fi.off+fi.size {
+				if best == nil || fi.buf.Name < best.Name {
+					best = fi.buf
 				}
 			}
 		}
@@ -287,80 +284,58 @@ func (s *sel) pinWrite(b *simple.Basic, seq *simple.Seq, i int) int {
 	return 1
 }
 
-// noteBasicForClean maintains the per-bcomm cleanliness flags: a bcomm
-// buffer mirrors the remote struct from its fill until an aliased write or
-// an unshadowed direct store to the same object occurs.
-func (s *sel) noteBasicForClean(b *simple.Basic) {
-	switch b.Kind {
-	case simple.KBlkRead:
-		s.blkClean[b.Local] = true
-	case simple.KAssign:
-		stv, ok := b.Lhs.(simple.StoreLV)
-		if !ok || !s.loc.RemoteLoad(stv.P) {
-			return
-		}
-		sh := s.storeShadow[b.Label]
-		// A direct store that does not update a bcomm makes any bcomm of
-		// the same pointer stale for write-back purposes.
-		for bc := range s.blkClean {
-			if sh.valid() && sh.blk && sh.v == bc {
-				continue
-			}
-			if s.bcommMayCover(bc, stv.P) {
-				s.blkClean[bc] = false
-			}
-		}
-	}
-	// Aliased writes through any route invalidate overlapping bcomms.
-	for bc, clean := range s.blkClean {
-		if !clean {
-			continue
-		}
-		p, size := s.bcommSource(bc)
-		if p == nil {
-			continue
-		}
-		if b.Kind == simple.KAssign {
-			if stv, ok := b.Lhs.(simple.StoreLV); ok && stv.P == p {
-				continue // handled above (direct store path)
-			}
-		}
-		if s.aliasedWriteAnyField(p, size, b) {
-			s.blkClean[bc] = false
-		}
-	}
-}
-
-// bcommFill records which pointer each bcomm was filled from; maintained at
-// fill insertion time via fillInfo. off/size delimit the filled span.
-type fillInfo struct {
+// bcommFill is one bcomm buffer's block read: the buffer, and the span of *p
+// it was filled from.
+type bcommFill struct {
+	buf  *simple.Var
 	p    *simple.Var
 	off  int
 	size int
 }
 
-func (s *sel) bcommSource(bc *simple.Var) (*simple.Var, int) {
-	fi, ok := s.fills[bc]
-	if !ok {
-		return nil, 0
+// fillOf returns the index in s.fills of buffer bc's fill.
+func (s *sel) fillOf(bc *simple.Var) int {
+	for i, fi := range s.fills {
+		if fi.buf == bc {
+			return i
+		}
 	}
-	return fi.p, fi.size
+	panic("commsel: no fill for " + bc.Name)
 }
 
-func (s *sel) bcommMayCover(bc *simple.Var, p *simple.Var) bool {
-	fi, ok := s.fills[bc]
-	return ok && fi.p == p
+// invalidate clears every buffer that executing st may leave out of step
+// with the remote words it was filled from, so that a blocked write-back
+// of it would send a stale word (the paper's RemoteFill condition fails):
+// st may rebind the fill's pointer, write a word of the span through an
+// alias, or store through the pointer into a shadow other than the buffer.
+// A store that no shadow has claimed yet does not count: genFloat binds it
+// to the buffer whenever the buffer is clean there. Applied to a loop, the
+// rwsets effects of the compound cover every iteration.
+func (s *sel) invalidate(st simple.Stmt) {
+	for i, fi := range s.fills {
+		if s.clean[i] && s.invalidates(fi, st) {
+			s.clean[i] = false
+		}
+	}
 }
 
-// aliasedWriteAnyField reports whether statement st may write any word of
-// *p's pointee through an alias.
-func (s *sel) aliasedWriteAnyField(p *simple.Var, size int, st simple.Stmt) bool {
-	for off := 0; off < size; off++ {
-		if s.rw.AccessedViaAlias(p, off, st, true) {
+func (s *sel) invalidates(fi bcommFill, st simple.Stmt) bool {
+	if s.rw.VarWritten(fi.p, st) {
+		return true
+	}
+	for off := fi.off; off < fi.off+fi.size; off++ {
+		if s.rw.AccessedViaAlias(fi.p, off, st, true) {
 			return true
 		}
 	}
-	return false
+	stale := false
+	simple.WalkBasics(st, func(b *simple.Basic) {
+		if stv, ok := b.Lhs.(simple.StoreLV); ok && b.Kind == simple.KAssign && stv.P == fi.p {
+			sh := s.storeShadow[b.Label]
+			stale = stale || sh.valid() && !(sh.blk && sh.v == fi.buf)
+		}
+	})
+	return stale
 }
 
 // killsFloat reports whether the float must be materialized before st.
@@ -372,30 +347,10 @@ func (s *sel) killsFloat(f *wfloat, st simple.Stmt) bool {
 		s.rw.AccessedViaAlias(f.p, f.off, st, false) {
 		return true
 	}
-	if s.containsReturn(st) {
-		return true
-	}
 	// Direct reads of the same location must consume our shadow; anything
 	// else (a foreign shadow, an inserted get/fill, a block copy) would
 	// observe the stale remote value.
 	return s.foreignAccess(f, st)
-}
-
-func (s *sel) containsReturn(st simple.Stmt) bool {
-	if s.retMemo == nil {
-		s.retMemo = make(map[simple.Stmt]bool)
-	}
-	if v, ok := s.retMemo[st]; ok {
-		return v
-	}
-	found := false
-	simple.WalkBasics(st, func(b *simple.Basic) {
-		if b.Kind == simple.KReturn {
-			found = true
-		}
-	})
-	s.retMemo[st] = found
-	return found
 }
 
 // foreignAccess scans st's current subtree (including statements inserted by
@@ -497,7 +452,7 @@ func (s *sel) materialize(floats []*wfloat, seq *simple.Seq, idx int) int {
 			f.sh = shadow{v: s.newCommForStore(f), field: f.field}
 		}
 		s.rewriteStores(f)
-		if f.sh.blk && s.blkClean[f.sh.v] {
+		if f.sh.blk && s.clean[s.fillOf(f.sh.v)] {
 			byBComm[f.sh.v] = append(byBComm[f.sh.v], f)
 		} else {
 			rest = append(rest, f)
@@ -513,7 +468,7 @@ func (s *sel) materialize(floats []*wfloat, seq *simple.Seq, idx int) int {
 		group := byBComm[bc]
 		// The blocked write-back covers the contiguous span of the written
 		// fields; every word in it is fresh (filled, then updated by the
-		// redirected stores, with no aliased writes since — blkClean).
+		// redirected stores, and invalidated on no path since: clean).
 		wmin, wmax := group[0].off, group[0].off
 		for _, f := range group {
 			if f.off < wmin {
@@ -523,9 +478,9 @@ func (s *sel) materialize(floats []*wfloat, seq *simple.Seq, idx int) int {
 				wmax = f.off
 			}
 		}
-		fi := s.fills[bc]
+		fi := s.fills[s.fillOf(bc)]
 		spanOK := wmin >= fi.off && wmax < fi.off+fi.size
-		if spanOK && len(group) >= s.opt.BlockThreshold && !s.opt.NoBlocking {
+		if spanOK && len(group) >= s.opt.BlockThreshold && !s.opt.NoBlocking && s.inPar == 0 {
 			blk := s.fn.NewBasic(simple.KBlkWrite)
 			blk.P = group[0].p
 			blk.Local = bc

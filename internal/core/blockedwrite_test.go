@@ -47,11 +47,10 @@ int main() {
 `
 
 // blockedWritePrograms each once compiled to a blocked write-back that
-// sent a word no path to it had filled: a fill in a branch not taken, in
-// another switch case, before a loop that stores the word through an
-// alias, from a struct the pointer no longer points to, in a loop that
-// ran no iteration, or before a parallel arm that stores the word
-// licensed it.
+// sent a word stale on some path to it: the fill sat in a branch not
+// taken, in another switch case or in a loop that ran no iteration, or
+// after the fill a loop stored the word through an alias or rebound the
+// pointer, or a parallel arm stored the word beside the write-back.
 var blockedWritePrograms = []struct{ name, f, call, want string }{
 	// The fill that would cover b happens only inside the if.
 	{"if", `

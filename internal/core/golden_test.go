@@ -75,10 +75,10 @@ var compiledCodeGolden = map[string]string{
 	// Profile-guided builds (Pipeline.ProfileCycle on 4 nodes), where the
 	// measured factors scale tuple frequencies non-uniformly.
 	"power/quick/O,PGO":     "e6f73a4997cb79710b7d610bc32af4d10f331dec641499c8af258091cc05473c",
-	"tsp/quick/O,PGO":       "7ce359f73564b3f5be3f7ccf0affc3dd4f8276a43fc51ac344c967989837e731",
+	"tsp/quick/O,PGO":       "1d70cabe031ba6b9c9706371da783550a7be266638dddfb8e896058ddc5d5241",
 	"health/quick/O,PGO":    "9f30ae64361c9caf4a9c64e245a1d55d7db67cc4d9a5dd6bab7b37b310901c0b",
 	"perimeter/quick/O,PGO": "1bf2af32a3dae546686917dc5555315486299c3070c85b4d64d3793058148e5e",
-	"voronoi/quick/O,PGO":   "b03578783dc07e8718b31b6aa03d410664c490d4e9e754efc0dd29957688f9e6",
+	"voronoi/quick/O,PGO":   "e45049e96cec697412a949b84d23b1154f4245f68959b2f28c2dccb5bb8c8007",
 }
 
 // placementSetsGolden pins, for every compiledCodeGolden cell, the sha256 of
@@ -132,7 +132,7 @@ var placementSetsGolden = map[string]string{
 	"scale_point.ec/O,NoInline":         "82173d3c5849dda8e7266d01918057674c85baf492d6bc803768e8537836abfd",
 	"scale_point.ec/O,ReorderFields":    "877b3c329ccfd48fe9811f5c62154951ca7c82be3f29655b2aa1863bea61578f",
 	"power/quick/O,PGO":                 "ba549aa41a5b0f29feaf59a21aca44b662f47bccd0f0324d652fc247b6cd810a",
-	"tsp/quick/O,PGO":                   "c55c15f454b5584c7d04438f0929e736901aac541b024b3969a4d359be42109d",
+	"tsp/quick/O,PGO":                   "53252a999aa87742b08a5e8053e0b534bfab78fedde6fb6a908f8b1297d3021f",
 	"health/quick/O,PGO":                "92fe114f28cf0d4b9bc0f16d93720b476d1a27019f32c2e68b3db681d778af2c",
 	"perimeter/quick/O,PGO":             "b32fbd2096c75235e7d264b80e75b65f7740687c2f60c4f5b555b356219764fc",
 	"voronoi/quick/O,PGO":               "4cb0580fd72c3e4270d0c4bec2dedc0dcfec851a9211ecbca36193376443631c",

@@ -9,9 +9,9 @@ import (
 	"repro/internal/olden"
 )
 
-// restructureBugPrograms are programs the McCAT Phase I passes (inlining,
-// loop desugaring, goto elimination) once compiled wrongly or rejected, each
-// with the output C gives it.
+// restructureBugPrograms are programs the parser or the McCAT Phase I
+// passes (inlining, loop desugaring, goto elimination) once compiled wrongly
+// or rejected, each with the output C gives it.
 var restructureBugPrograms = []struct{ name, src, want string }{
 	// Labels stacked on the body of an if are all stripped.
 	{"stacked_labels", `
@@ -120,6 +120,67 @@ int main() {
 	return 0;
 }
 `, "1\n"},
+	// Both names of a declaration with two declarators stay in scope.
+	{"two_declarators", `
+int main() {
+	int a, b;
+	a = 3;
+	b = 4;
+	print_int(a + b);
+	return 0;
+}
+`, "7\n"},
+	// An inlined callee's local renames only the uses it binds: the global
+	// it shadows in a nested block is read after the block.
+	{"nested_shadow", `
+int g;
+
+int f(int p) {
+	int r;
+	r = p;
+	{
+		int g;
+		g = 4;
+		r = r + g;
+	}
+	return r + g;
+}
+
+int main() {
+	g = 100;
+	print_int(f(1));
+	return 0;
+}
+`, "105\n"},
+	// The global read after the nested block is free in the callee, so a
+	// caller local of its name would capture it.
+	{"nested_shadow_captured", `
+int g;
+
+int setg(int v) {
+	g = v;
+	return 0;
+}
+
+int f(int p) {
+	int r;
+	r = p;
+	{
+		int g;
+		g = 4;
+		r = r + g;
+	}
+	return r + g;
+}
+
+int main() {
+	int g;
+	setg(100);
+	g = 7;
+	print_int(f(1) + g);
+	return 0;
+}
+`, "112\n"},
 }
 
 // TestInlineDifferential checks that inlining changes no program's output

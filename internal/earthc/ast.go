@@ -199,6 +199,9 @@ type ExprStmt struct {
 type Block struct {
 	Stmts []Stmt
 	Pos   Pos
+	// decls marks the Block parseDeclStmt makes of a declaration with
+	// several declarators (see appendStmt).
+	decls bool
 }
 
 // ParSeq is an EARTH-C parallel statement sequence {^ s1; s2; ... ^}: the

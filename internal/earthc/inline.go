@@ -347,7 +347,16 @@ func (inl *inliner) expand(c *Call, dst Expr) []Stmt {
 	})
 	done := inl.fresh("done")
 
-	body := CloneStmt(callee.Body, rename).(*Block)
+	// A declaration's new name replaces its name where it binds; a
+	// parameter's, where no declaration of the callee does. Any other name
+	// is the callee's global.
+	body := CloneStmt(callee.Body).(*Block)
+	walkIdents(body, func(id *Ident, d *VarDecl) {
+		if d != nil || isParam(callee, id.Name) {
+			id.Name = renamed(id.Name, rename)
+		}
+	})
+	collectDecls(body, func(d *VarDecl) { d.Name = renamed(d.Name, rename) })
 	replaceReturns(body, dst, done)
 	// A single trailing return needs no jump: strip "goto done" when it is
 	// the last statement (the common single-exit case then produces no
@@ -358,6 +367,13 @@ func (inl *inliner) expand(c *Call, dst Expr) []Stmt {
 		blk.Stmts = append(blk.Stmts, &LabeledStmt{Label: done, Stmt: &Block{}})
 	}
 	return []Stmt{blk}
+}
+
+func renamed(name string, rename map[string]string) string {
+	if n, ok := rename[name]; ok {
+		return n
+	}
+	return name
 }
 
 // replaceReturns rewrites each return in the inlined body as an assignment
@@ -373,7 +389,7 @@ func replaceReturns(b *Block, dst Expr, done string) {
 		var out []Stmt
 		if rs.X != nil && dst != nil {
 			out = append(out, &ExprStmt{X: &Assign{Op: PlainAssign,
-				Lhs: CloneExpr(dst, nil), Rhs: rs.X}})
+				Lhs: CloneExpr(dst), Rhs: rs.X}})
 		}
 		*p = &Block{Stmts: append(out, &GotoStmt{Label: done})}
 	}
@@ -472,20 +488,14 @@ func paramAssigned(body Stmt, name string) bool {
 	return found
 }
 
-// freeNames returns the variable names fn uses but does not declare
-// (globals, or names declared nowhere), or nil. A struct name, which only
-// alloc's first argument holds, names a type, not a variable.
+// freeNames returns the variable names fn uses where neither a parameter
+// nor a declaration of fn binds them (globals, or names declared nowhere),
+// or nil. A struct name, which only alloc's first argument holds, names a
+// type, not a variable.
 func (inl *inliner) freeNames(fn *FuncDef) []string {
-	var buf [32]string
-	declared := buf[:0]
-	for _, p := range fn.Params {
-		declared = append(declared, p.Name)
-	}
-	collectDecls(fn.Body, func(d *VarDecl) { declared = append(declared, d.Name) })
 	var free []string
-	walkExprs(fn.Body, func(e Expr) {
-		id, ok := e.(*Ident)
-		if ok && !slices.Contains(declared, id.Name) && !slices.Contains(free, id.Name) &&
+	walkIdents(fn.Body, func(id *Ident, d *VarDecl) {
+		if d == nil && !isParam(fn, id.Name) && !slices.Contains(free, id.Name) &&
 			inl.file.StructByName(id.Name) == nil {
 			free = append(free, id.Name)
 		}
@@ -493,14 +503,14 @@ func (inl *inliner) freeNames(fn *FuncDef) []string {
 	return free
 }
 
+// isParam reports whether fn has a parameter named name.
+func isParam(fn *FuncDef, name string) bool {
+	return slices.ContainsFunc(fn.Params, func(p *Param) bool { return p.Name == name })
+}
+
 // declares reports whether fn has a parameter or a local named name.
 func declares(fn *FuncDef, name string) bool {
-	for _, p := range fn.Params {
-		if p.Name == name {
-			return true
-		}
-	}
-	return anyStmt(fn.Body, func(s Stmt) bool {
+	return isParam(fn, name) || anyStmt(fn.Body, func(s Stmt) bool {
 		d, ok := s.(*DeclStmt)
 		return ok && d.Decl.Name == name
 	})

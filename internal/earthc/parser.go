@@ -321,10 +321,20 @@ func (p *Parser) parseBlock() *Block {
 	pos := p.expect(LBRACE).Pos
 	b := &Block{Pos: pos}
 	for !p.at(RBRACE) && !p.at(EOF) {
-		b.Stmts = append(b.Stmts, p.parseStmtRecover())
+		b.Stmts = appendStmt(b.Stmts, p.parseStmtRecover())
 	}
 	p.expect(RBRACE)
 	return b
+}
+
+// appendStmt appends s to a statement list. The declarations of a
+// declaration with several declarators are spliced in, so their names stay
+// in scope for the rest of the list.
+func appendStmt(list []Stmt, s Stmt) []Stmt {
+	if b, ok := s.(*Block); ok && b.decls {
+		return append(list, b.Stmts...)
+	}
+	return append(list, s)
 }
 
 func (p *Parser) parseStmtRecover() (s Stmt) {
@@ -353,7 +363,7 @@ func (p *Parser) parseStmt() Stmt {
 		pos := p.next().Pos
 		ps := &ParSeq{Pos: pos}
 		for !p.at(RPARSEQ) && !p.at(EOF) {
-			ps.Stmts = append(ps.Stmts, p.parseStmtRecover())
+			ps.Stmts = appendStmt(ps.Stmts, p.parseStmtRecover())
 		}
 		p.expect(RPARSEQ)
 		return ps
@@ -463,7 +473,7 @@ func (p *Parser) parseStmt() Stmt {
 }
 
 // parseDeclStmt parses a declaration statement; multiple declarators are
-// split into a Block of DeclStmts.
+// split into a Block of DeclStmts, which a statement list splices in.
 func (p *Parser) parseDeclStmt() Stmt {
 	shared := p.accept(KwShared)
 	base := p.parseTypeSpec()
@@ -485,7 +495,7 @@ func (p *Parser) parseDeclStmt() Stmt {
 	if len(decls) == 1 {
 		return decls[0]
 	}
-	return &Block{Stmts: decls}
+	return &Block{Stmts: decls, decls: true}
 }
 
 func (p *Parser) parseSwitch() Stmt {
@@ -518,7 +528,7 @@ func (p *Parser) parseSwitch() Stmt {
 			if _, isBreak := s.(*BreakStmt); isBreak {
 				continue
 			}
-			cc.Body = append(cc.Body, s)
+			cc.Body = appendStmt(cc.Body, s)
 		}
 		sw.Cases = append(sw.Cases, cc)
 	}

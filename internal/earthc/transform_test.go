@@ -340,16 +340,10 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig := f.FuncByName("main").Body
-	clone := CloneStmt(orig, map[string]string{"x": "y"}).(*Block)
+	clone := CloneStmt(orig).(*Block)
 	before := Print(f)
 	clone.Stmts[0].(*DeclStmt).Decl.Name = "zzz"
 	if Print(f) != before {
 		t.Error("mutating the clone changed the original")
-	}
-	// Renaming applied.
-	var b strings.Builder
-	printStmt(&b, clone, 0)
-	if !strings.Contains(b.String(), "y = 1 + 2") && !strings.Contains(b.String(), "y = 1 + 2") {
-		t.Logf("clone: %s", b.String())
 	}
 }

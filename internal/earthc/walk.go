@@ -2,7 +2,8 @@ package earthc
 
 // The one description of which statements hold which, shared by the
 // restructuring passes (inline.go, desugar.go, gotoelim.go). childStmts
-// knows the tree's shape; inspect and walkExprs walk a subtree on top of it.
+// knows the tree's shape; inspect and walkExprs walk a subtree on top of it,
+// and walkIdents resolves names within one.
 // Passes with real per-kind logic (the inliner's rewriter, the loop cases of
 // DesugarLoops, CloneStmt and Print) keep their own switches.
 
@@ -69,73 +70,163 @@ func anyStmt(s Stmt, pred func(Stmt) bool) bool {
 	return found
 }
 
+// eachExpr calls fn on e and on every expression nested in it, each before
+// its operands.
+func eachExpr(e Expr, fn func(Expr)) {
+	if e == nil {
+		return
+	}
+	fn(e)
+	switch x := e.(type) {
+	case *Unary:
+		eachExpr(x.X, fn)
+	case *Binary:
+		eachExpr(x.X, fn)
+		eachExpr(x.Y, fn)
+	case *Assign:
+		eachExpr(x.Lhs, fn)
+		eachExpr(x.Rhs, fn)
+	case *IncDec:
+		eachExpr(x.X, fn)
+	case *Call:
+		for _, a := range x.Args {
+			eachExpr(a, fn)
+		}
+		if x.Place != nil {
+			eachExpr(x.Place.Arg, fn)
+		}
+	case *Member:
+		eachExpr(x.X, fn)
+	case *Index:
+		eachExpr(x.X, fn)
+		eachExpr(x.I, fn)
+	case *CondExpr:
+		eachExpr(x.C, fn)
+		eachExpr(x.T, fn)
+		eachExpr(x.F, fn)
+	}
+}
+
 // walkExprs calls fn on every expression in the subtree s, each before its
 // operands: initializers, conditions, loop posts, switch tags and case
 // values, returned values and everything nested in them.
 func walkExprs(s Stmt, fn func(Expr)) {
-	var expr func(Expr)
-	expr = func(e Expr) {
-		if e == nil {
-			return
-		}
-		fn(e)
-		switch x := e.(type) {
-		case *Unary:
-			expr(x.X)
-		case *Binary:
-			expr(x.X)
-			expr(x.Y)
-		case *Assign:
-			expr(x.Lhs)
-			expr(x.Rhs)
-		case *IncDec:
-			expr(x.X)
-		case *Call:
-			for _, a := range x.Args {
-				expr(a)
-			}
-			if x.Place != nil {
-				expr(x.Place.Arg)
-			}
-		case *Member:
-			expr(x.X)
-		case *Index:
-			expr(x.X)
-			expr(x.I)
-		case *CondExpr:
-			expr(x.C)
-			expr(x.T)
-			expr(x.F)
-		}
-	}
 	inspect(s, func(s Stmt) bool {
 		switch st := s.(type) {
 		case *DeclStmt:
-			expr(st.Decl.Init)
+			eachExpr(st.Decl.Init, fn)
 		case *ExprStmt:
-			expr(st.X)
+			eachExpr(st.X, fn)
 		case *IfStmt:
-			expr(st.Cond)
+			eachExpr(st.Cond, fn)
 		case *WhileStmt:
-			expr(st.Cond)
+			eachExpr(st.Cond, fn)
 		case *DoStmt:
-			expr(st.Cond)
+			eachExpr(st.Cond, fn)
 		case *ForStmt:
-			expr(st.Cond)
-			expr(st.Post)
+			eachExpr(st.Cond, fn)
+			eachExpr(st.Post, fn)
 		case *ForallStmt:
-			expr(st.Cond)
-			expr(st.Post)
+			eachExpr(st.Cond, fn)
+			eachExpr(st.Post, fn)
 		case *SwitchStmt:
-			expr(st.Tag)
+			eachExpr(st.Tag, fn)
 			for _, cc := range st.Cases {
 				for _, v := range cc.Vals {
-					expr(v)
+					eachExpr(v, fn)
 				}
 			}
 		case *ReturnStmt:
-			expr(st.X)
+			eachExpr(st.X, fn)
 		}
 		return true
 	})
+}
+
+// walkIdents calls fn on every identifier in the subtree s, in source
+// order, with the declaration in s that binds it, or nil when it is free in
+// s. Names are scoped as sema scopes them: a declaration binds from itself,
+// its initializer included, to the end of the enclosing block, parallel
+// sequence, switch case or for statement.
+func walkIdents(s Stmt, fn func(*Ident, *VarDecl)) {
+	w := identWalker{fn: fn}
+	w.stmt(s)
+}
+
+type identWalker struct {
+	scope []*VarDecl // declarations in scope, innermost last
+	fn    func(*Ident, *VarDecl)
+}
+
+func (w *identWalker) expr(e Expr) {
+	eachExpr(e, func(e Expr) {
+		if id, ok := e.(*Ident); ok {
+			var d *VarDecl
+			for i := len(w.scope) - 1; i >= 0 && d == nil; i-- {
+				if w.scope[i].Name == id.Name {
+					d = w.scope[i]
+				}
+			}
+			w.fn(id, d)
+		}
+	})
+}
+
+// list walks a statement list that opens a scope.
+func (w *identWalker) list(ss []Stmt) {
+	mark := len(w.scope)
+	for _, c := range ss {
+		w.stmt(c)
+	}
+	w.scope = w.scope[:mark]
+}
+
+// loop walks a for or forall statement, whose init opens a scope.
+func (w *identWalker) loop(init Stmt, cond, post Expr, body Stmt) {
+	mark := len(w.scope)
+	w.stmt(init)
+	w.expr(cond)
+	w.expr(post)
+	w.stmt(body)
+	w.scope = w.scope[:mark]
+}
+
+func (w *identWalker) stmt(s Stmt) {
+	switch st := s.(type) {
+	case *DeclStmt:
+		w.scope = append(w.scope, st.Decl)
+		w.expr(st.Decl.Init)
+	case *ExprStmt:
+		w.expr(st.X)
+	case *Block:
+		w.list(st.Stmts)
+	case *ParSeq:
+		w.list(st.Stmts)
+	case *IfStmt:
+		w.expr(st.Cond)
+		w.stmt(st.Then)
+		w.stmt(st.Else)
+	case *WhileStmt:
+		w.expr(st.Cond)
+		w.stmt(st.Body)
+	case *DoStmt:
+		w.stmt(st.Body)
+		w.expr(st.Cond)
+	case *ForStmt:
+		w.loop(st.Init, st.Cond, st.Post, st.Body)
+	case *ForallStmt:
+		w.loop(st.Init, st.Cond, st.Post, st.Body)
+	case *SwitchStmt:
+		w.expr(st.Tag)
+		for _, cc := range st.Cases {
+			for _, v := range cc.Vals {
+				w.expr(v)
+			}
+			w.list(cc.Body)
+		}
+	case *ReturnStmt:
+		w.expr(st.X)
+	case *LabeledStmt:
+		w.stmt(st.Stmt)
+	}
 }

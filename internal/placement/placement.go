@@ -103,7 +103,6 @@ type analysis struct {
 	// first time the analysis meets a remote access to (pointer, offset).
 	locs map[Key]int
 
-	retMemo map[simple.Stmt]bool
 	// daMemo caches, per compound statement, the labels of direct
 	// loads/stores in its subtree by location id: the propagation loops
 	// query directAccessLabels once per surviving tuple per statement, and
@@ -171,26 +170,6 @@ func (a *analysis) loopFactor(loop simple.Stmt) float64 {
 	return LoopFreq
 }
 
-// containsReturn reports whether the statement subtree can return from the
-// function. A delayed remote write must never float past a possible return
-// (the store would be skipped on that path), so returns kill write tuples.
-func (a *analysis) containsReturn(s simple.Stmt) bool {
-	if a.retMemo == nil {
-		a.retMemo = make(map[simple.Stmt]bool)
-	}
-	if v, ok := a.retMemo[s]; ok {
-		return v
-	}
-	found := false
-	simple.WalkBasics(s, func(b *simple.Basic) {
-		if b.Kind == simple.KReturn {
-			found = true
-		}
-	})
-	a.retMemo[s] = found
-	return found
-}
-
 // ------------------------------------------------------------------ kills ---
 
 // killsRead reports whether statement s kills a read tuple: the base
@@ -203,9 +182,11 @@ func (a *analysis) killsRead(t *Tuple, s simple.Stmt) bool {
 
 // killsWrite reports whether statement s kills a write tuple: as for reads,
 // plus aliased *reads* (a delayed write must not float below a read that
-// expects the new value through another name).
+// expects the new value through another name), plus a possible return (a
+// delayed write must never float past one: the store would be skipped on
+// that path).
 func (a *analysis) killsWrite(t *Tuple, s simple.Stmt) bool {
-	return a.containsReturn(s) ||
+	return simple.HasReturn(s) ||
 		a.rw.VarWritten(t.P, s) ||
 		a.rw.AccessedViaAlias(t.P, t.Off, s, true) ||
 		a.rw.AccessedViaAlias(t.P, t.Off, s, false)

@@ -62,3 +62,17 @@ func (c Cond) Atoms() []Atom {
 	}
 	return []Atom{c.X, c.Y}
 }
+
+// HasReturn reports whether the subtree holds a return statement.
+func HasReturn(s Stmt) bool {
+	if b, ok := s.(*Basic); ok {
+		return b.Kind == KReturn
+	}
+	found := false
+	EachSubseq(s, func(seq *Seq) {
+		for _, c := range seq.Stmts {
+			found = found || HasReturn(c)
+		}
+	})
+	return found
+}

@@ -150,7 +150,7 @@ func (g *gen) forall(fc *FnCode, c *simple.Forall) {
 		fc.Code[jEnd].C = len(fc.Code)
 		return
 	}
-	if g.hasReturn(c.Body) {
+	if simple.HasReturn(c.Body) {
 		g.errorf("return inside a forall body is not supported")
 		return
 	}
@@ -196,7 +196,7 @@ func (g *gen) par(fc *FnCode, c *simple.Par) {
 	}
 	var armFns []*FnCode
 	for i, arm := range c.Arms {
-		if g.hasReturnSeq(arm) {
+		if simple.HasReturn(arm) {
 			g.errorf("return inside a parallel sequence arm is not supported")
 			return
 		}
@@ -224,18 +224,6 @@ func (g *gen) par(fc *FnCode, c *simple.Par) {
 		g.emit(fc, Instr{Op: OpSpawnArm, Fn: af})
 	}
 	g.emit(fc, Instr{Op: OpJoin})
-}
-
-func (g *gen) hasReturn(s *simple.Seq) bool { return g.hasReturnSeq(s) }
-
-func (g *gen) hasReturnSeq(s *simple.Seq) bool {
-	found := false
-	simple.WalkBasics(s, func(b *simple.Basic) {
-		if b.Kind == simple.KReturn {
-			found = true
-		}
-	})
-	return found
 }
 
 // ------------------------------------------------------------------ basics ---
