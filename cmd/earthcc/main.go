@@ -18,7 +18,6 @@
 //	-report            print the communication-selection report
 //	-stats             print per-phase compile timings and, with -O, the
 //	                   placement and selection counts
-//	-reorder           cluster remotely-accessed struct fields (paper's §7)
 //	-profile-gen out   compile instrumented, run on -nodes, write the
 //	                   profile artifact to out (no dump)
 //	-profile-use in    optimize with measured frequencies from in (implies -O)
@@ -58,7 +57,6 @@ func run(args []string, out, stderr io.Writer) int {
 	threshold := fs.Int("threshold", 3, "blocking threshold in words")
 	report := fs.Bool("report", false, "print the selection report")
 	stats := fs.Bool("stats", false, "print per-phase compile timings and optimization counters")
-	reorder := fs.Bool("reorder", false, "reorder struct fields to cluster remote accesses")
 	profGen := fs.String("profile-gen", "", "collect a profile via an instrumented run and write it here")
 	profUse := fs.String("profile-use", "", "optimize using a previously collected profile (implies -O)")
 	nodes := fs.Int("nodes", 1, "machine size for -profile-gen")
@@ -99,7 +97,7 @@ func run(args []string, out, stderr io.Writer) int {
 		return 0
 	}
 
-	opts := core.Options{Optimize: *optimize, NoInline: *noInline, ReorderFields: *reorder}
+	opts := core.Options{Optimize: *optimize, NoInline: *noInline}
 	opts.Sel.BlockThreshold = *threshold
 	req := core.CompileRequest{Name: name, Source: string(src)}
 	if *profUse != "" {

@@ -123,7 +123,7 @@ func TestStatsOutput(t *testing.T) {
 		t.Fatalf("exit %d: %s", code, log.String())
 	}
 	for _, phase := range []string{"parse", "inline", "restructure", "sema", "lower",
-		"pointsto", "rwsets", "locality", "placement", "commsel"} {
+		"locality", "layout", "pointsto", "rwsets", "placement", "commsel"} {
 		line := regexp.MustCompile(`(?m)^  ` + phase + ` +[0-9]+\.[0-9]{3} ms +[0-9]+\.[0-9]% #*$`)
 		if !line.MatchString(out.String()) {
 			t.Errorf("no timing line for phase %s:\n%s", phase, out.String())

@@ -7,8 +7,9 @@
 //	-fig10     Figure 10: dynamic communication counts, simple vs optimized
 //	-table3    Table III: execution times, speedups, improvements
 //	-ablation  every benchmark under each optimization component switched
-//	           off, profile guidance, field reordering and block thresholds
-//	           2/4/6, each build's output checked against simple
+//	           off, profile guidance, the declared layout (no field
+//	           clustering) and block thresholds 2/4/6, each build's output
+//	           checked against simple
 //	-faultsweep  reliable-messaging validation: each benchmark under
 //	             increasing fault rates, checking completion and result
 //	             fidelity

@@ -37,11 +37,15 @@ var oldenCounters = []struct {
 	// lists.
 	allocs int64
 }{
+	// When optimized builds began clustering blocked structs' hot fields,
+	// health's instructions and events moved from 60,092 and 5,675,
+	// perimeter's events from 10,231 and voronoi's instructions and events
+	// from 103,257 and 34,261; every operation count held.
 	{"power", 257219, 309, 6464, 2672, 2672, 101},
 	{"tsp", 28947, 6157, 3298, 1534, 1439, 241},
-	{"health", 60092, 5675, 14929, 7017, 7017, 243},
-	{"perimeter", 339749, 10231, 6493, 5897, 5897, 904},
-	{"voronoi", 103257, 34261, 15990, 8758, 8500, 204},
+	{"health", 60116, 5699, 14929, 7017, 7017, 243},
+	{"perimeter", 339749, 10192, 6493, 5897, 5897, 904},
+	{"voronoi", 102332, 33336, 15990, 8758, 8500, 204},
 }
 
 // haloEvents is BenchmarkSimNodes' deterministic metric: events of the halo
@@ -74,12 +78,13 @@ const (
 // When each shard recorded into a fresh private one that Run then merged, a
 // round took 25.5 MB, 35 times as much; the sampler's deletion took the round
 // from 734,312 bytes and 29,616 allocations to 669,113 and 29,505, and one
-// pending EU wake-up per node to 29,495 allocations, and reused waiter lists
-// to 603,270 bytes and 22,955 allocations. Most of the allocations left are
-// the recorder's per-node SU queue bookkeeping (SUSpan).
+// pending EU wake-up per node to 29,495 allocations, reused waiter lists to
+// 603,270 bytes and 22,955 allocations, and a ring per node for the
+// recorder's SU queue bookkeeping (SUSpan), which had re-sliced and appended
+// to a slice per node, to 214,532 bytes and 1,676 allocations.
 const (
-	tracedMixBytes  = 603_270
-	tracedMixAllocs = 22_955
+	tracedMixBytes  = 214_532
+	tracedMixAllocs = 1_676
 )
 
 // simulator is BenchmarkSimulator's row: power with every observer off, so

@@ -47,12 +47,19 @@ type Options struct {
 	NoReadMotion bool
 }
 
+// DefaultBlockThreshold is BlockThreshold's zero value: the paper's 3.
+const DefaultBlockThreshold = 3
+
 func (o Options) withDefaults() Options {
 	if o.BlockThreshold == 0 {
-		o.BlockThreshold = 3
+		o.BlockThreshold = DefaultBlockThreshold
 	}
 	return o
 }
+
+// Threshold is the block threshold selection applies: BlockThreshold, or
+// DefaultBlockThreshold when that is zero.
+func (o Options) Threshold() int { return o.withDefaults().BlockThreshold }
 
 // maxBlockWaste caps the words a blocked read may move per field it needs: a
 // group blocks only if the contiguous span from its lowest to its highest

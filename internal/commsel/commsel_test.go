@@ -266,8 +266,9 @@ int main() { return 0; }
 
 // TestBlockWasteCap: widely scattered fields make the fill span too wasteful
 // to block (over 4 words per needed field), while the same number of
-// contiguous fields blocks fine (the motivation for the field-reordering
-// extension).
+// contiguous fields blocks fine (the motivation for field clustering). The
+// scattered struct is compiled in its declared layout: an optimized build
+// would otherwise cluster its three hot fields.
 func TestBlockWasteCap(t *testing.T) {
 	scattered := `
 struct Big {
@@ -280,7 +281,10 @@ struct Big {
 int g(Big *p) { return p->a + p->b + p->c; }
 int main() { return 0; }
 `
-	u := optimized(t, scattered, commsel.Options{})
+	u, err := core.NewPipeline(core.Options{Optimize: true, NoInline: true, DeclaredLayout: true}).Compile("t.ec", scattered)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := fnText(u, "g")
 	if strings.Contains(out, "blkmov") {
 		t.Errorf("a 17-word span for 3 fields exceeds the waste bound:\n%s", out)

@@ -149,7 +149,7 @@ func (s *sel) selectReadsAt(set placement.Set, st simple.Stmt) []simple.Stmt {
 		needed := len(all)
 		// The fill moves only the contiguous span covering the needed
 		// fields (reading spurious fields inside the span is safe); field
-		// reordering (core.Options.ReorderFields) clusters hot fields to
+		// clustering (internal/layout) moves hot fields together to
 		// shrink this span — the paper's suggested further work.
 		span := 0
 		if needed > 0 {

@@ -323,10 +323,8 @@ func (s *sel) invalidates(fi bcommFill, st simple.Stmt) bool {
 	if s.rw.VarWritten(fi.p, st) {
 		return true
 	}
-	for off := fi.off; off < fi.off+fi.size; off++ {
-		if s.rw.AccessedViaAlias(fi.p, off, st, true) {
-			return true
-		}
+	if s.rw.SpanAccessedViaAlias(fi.p, fi.off, fi.size, st, true) {
+		return true
 	}
 	stale := false
 	simple.WalkBasics(st, func(b *simple.Basic) {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/olden"
+	"repro/internal/profile"
 )
 
 // A three-function program for the cache tests.
@@ -248,5 +249,38 @@ func TestDiskArtifactLifecycle(t *testing.T) {
 	}
 	if a2, ok := c2.LoadArtifact(key); !ok || a2.Disasm != d {
 		t.Error("recompile did not re-store a valid artifact")
+	}
+}
+
+// TestOlderEpochArtifactMisses: an artifact a compiler of the previous
+// epoch stored for the same options and source is not found under this
+// compiler's key, so -cache-dir never serves code this compiler would not
+// emit.
+func TestOlderEpochArtifactMisses(t *testing.T) {
+	src := incHeader + incBuildV1 + incSumV1 + incMain
+	c := cache.New(0, t.TempDir())
+	opt := incOpts(c)
+	p := NewPipeline(opt)
+	req := CompileRequest{Name: "epoch.ec", Source: src}
+	old := cache.UnitKey(opt.fingerprintAt(compilerEpoch-1, nil), profile.HashSource(src))
+	if err := c.StoreArtifact(old, &cache.Artifact{Name: req.Name, Disasm: "older compiler's code"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.LoadArtifact(old); !ok {
+		t.Fatal("the previous epoch's artifact did not store")
+	}
+	key := p.CacheKey(req)
+	if key == old {
+		t.Fatal("the previous epoch and this one share a cache key")
+	}
+	if _, ok := c.LoadArtifact(key); ok {
+		t.Fatal("this compiler's key found the previous epoch's artifact")
+	}
+	r, err := p.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Hit {
+		t.Error("the compile hit the cache")
 	}
 }

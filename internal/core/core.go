@@ -9,7 +9,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/cache"
@@ -38,12 +37,11 @@ type Options struct {
 	// NoInline disables the Phase I local function inliner (it normally
 	// runs for both simple and optimized builds, as in McCAT).
 	NoInline bool
-	// ReorderFields enables the paper's suggested further work: struct
-	// fields are permuted so remotely-accessed fields sit together,
-	// shrinking the contiguous span a blocked transfer must move. The
-	// program is compiled once to collect access counts, then recompiled
-	// with the permuted layouts.
-	ReorderFields bool
+	// DeclaredLayout keeps every struct in declaration order in an
+	// optimized build: the paper's build, and the ablation's control for
+	// field clustering. Without it an optimized build clusters the hot
+	// fields of blocked structs (internal/layout).
+	DeclaredLayout bool
 	// Cache, when non-nil, memoizes compiles across Do calls (see
 	// internal/cache): identical (options, profile, source) submissions
 	// return the same immutable unit. Per-request policy (bypass, no-store)
@@ -91,88 +89,6 @@ type Unit struct {
 
 // Profiles implement placement.FreqProvider directly.
 var _ placement.FreqProvider = (*profile.Data)(nil)
-
-// reorderStructFields permutes each struct's fields so the most frequently
-// remotely-accessed ones are contiguous at the front (stable by original
-// order on ties). Returns whether any definition changed.
-func reorderStructFields(file *earthc.File, u *Unit) bool {
-	// Count remote accesses per (struct, top-level field).
-	counts := make(map[string]map[string]int)
-	bump := func(p *simple.Var, off int) {
-		if !u.Locality.RemoteLoad(p) {
-			return
-		}
-		layout := u.Simple.Structs[pointeeName(p)]
-		if layout == nil {
-			return
-		}
-		// Find the top-level field containing the word offset.
-		for _, fname := range layout.Fields {
-			fo := layout.Offsets[fname]
-			if off >= fo && off < fo+layout.FieldSizes[fname] {
-				m := counts[layout.Name]
-				if m == nil {
-					m = make(map[string]int)
-					counts[layout.Name] = m
-				}
-				m[fname]++
-				return
-			}
-		}
-	}
-	for _, fn := range u.Simple.Funcs {
-		simple.WalkBasics(fn.Body, func(b *simple.Basic) {
-			if b.Kind != simple.KAssign {
-				return
-			}
-			if ld, ok := b.Rhs.(simple.LoadRV); ok {
-				bump(ld.P, ld.Off)
-			}
-			if stv, ok := b.Lhs.(simple.StoreLV); ok {
-				bump(stv.P, stv.Off)
-			}
-		})
-	}
-	changed := false
-	for _, def := range file.Structs {
-		m := counts[def.Name]
-		if len(m) == 0 {
-			continue
-		}
-		orig := make([]*earthc.Field, len(def.Fields))
-		copy(orig, def.Fields)
-		pos := make(map[*earthc.Field]int, len(def.Fields))
-		for i, f := range def.Fields {
-			pos[f] = i
-		}
-		sort.SliceStable(def.Fields, func(i, j int) bool {
-			ci, cj := m[def.Fields[i].Name], m[def.Fields[j].Name]
-			if ci != cj {
-				return ci > cj
-			}
-			return pos[def.Fields[i]] < pos[def.Fields[j]]
-		})
-		for i := range def.Fields {
-			if def.Fields[i] != orig[i] {
-				changed = true
-				break
-			}
-		}
-	}
-	return changed
-}
-
-func pointeeName(p *simple.Var) string {
-	pt, ok := p.Type.(*earthc.PtrType)
-	if !ok {
-		return ""
-	}
-	sr, ok := pt.Elem.(*earthc.StructRef)
-	if !ok {
-		return ""
-	}
-	return sr.Name
-}
 
 // MustCompile compiles or panics; for tests and embedded benchmarks.
 func MustCompile(name, src string, opt Options) *Unit {

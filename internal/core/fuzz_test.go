@@ -247,8 +247,8 @@ func TestOptimizerSemanticsFuzz(t *testing.T) {
 			first := true
 			check := func(label string, optimize bool, nodes int, sequential bool) {
 				opts := Options{Optimize: optimize}
-				if label == "optimized/reordered" {
-					opts.ReorderFields = true
+				if label == "optimized/declared" {
+					opts.DeclaredLayout = true
 				}
 				u, err := compile("fuzz.ec", src, opts)
 				if err != nil {
@@ -273,7 +273,7 @@ func TestOptimizerSemanticsFuzz(t *testing.T) {
 			check("simple/3", false, 3, false)
 			check("optimized/1", true, 1, false)
 			check("optimized/3", true, 3, false)
-			check("optimized/reordered", true, 3, false)
+			check("optimized/declared", true, 3, false)
 		})
 	}
 }

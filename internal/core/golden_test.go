@@ -26,59 +26,59 @@ import (
 // code — a faster analysis, a leaner data structure — holds every cell; a
 // change that moves a placement or selection decision moves some.
 var compiledCodeGolden = map[string]string{
-	"power/default/O":                   "17d587e10be6bbb31bbe5d921b6f8ba35979152cdb8a3d3303c7930a983fef07",
-	"power/default/O,NoInline":          "efb036f95aeb37e0b26ff7d04e2a52a354a31925aaaca447af7482e01d39f89d",
-	"power/default/O,ReorderFields":     "860bf8bd22234423db211f080447f6d70c48733379fbb809da4c1a43612521cb",
-	"power/quick/O":                     "e6f73a4997cb79710b7d610bc32af4d10f331dec641499c8af258091cc05473c",
-	"power/quick/O,NoInline":            "3a327880e2d7319a9324978b6ac4ebb97850fbf5eb5d129e1bc4f043578d19b5",
-	"power/quick/O,ReorderFields":       "a959efef893dfd8a2ea0ccc258dbfae939aff0aa858d568eb3fee175b8d42602",
-	"tsp/default/O":                     "cf1df5e96c03a91aef0ded7e7c0886bd2702777ea9ecada347e2bb13b7ae500d",
-	"tsp/default/O,NoInline":            "11c5f57aab43bed8c5ae10746eaaa5319c97bb36e290a84b408589127b2901d0",
-	"tsp/default/O,ReorderFields":       "9222e920b440cb9fec9bb0a021eb194eb3899984307af3cec4336420ee2d9f94",
-	"tsp/quick/O":                       "e0168469f669f0eec4b6204c6391435dc172d3c8ec903b8188634b867ccf508f",
-	"tsp/quick/O,NoInline":              "912405db0ace76e13c1312dca3a0ce50378caded0728620183f1fde7764bdd50",
-	"tsp/quick/O,ReorderFields":         "42a71473d0eb8b31054d4bc52ade18905a620b43d7d7330fd09d5298b996ad41",
-	"health/default/O":                  "5f5d7280c057b1438537988d4745a72b3eceec77bac3ca19f831c0d2b518ca89",
-	"health/default/O,NoInline":         "e7a424d4abf8b72d9a575951d4171b40f69a6a018d647424f5271dd1428a5ee4",
-	"health/default/O,ReorderFields":    "203013c5f6ad752b6a62586eabc5c1b00506e5c1dc85e6397937d804fe18c55c",
-	"health/quick/O":                    "9f30ae64361c9caf4a9c64e245a1d55d7db67cc4d9a5dd6bab7b37b310901c0b",
-	"health/quick/O,NoInline":           "bd1f4e2d6f93a516d9cad3655812c314a553c615339a940604f9ba7b99f0f3b4",
-	"health/quick/O,ReorderFields":      "8495155ed7148fe368a7972ac3fdaa3cfbad6adc1ccac54c366cd5eb642a1895",
-	"perimeter/default/O":               "6a08334aca3eba3138d651a5002ad5caff3b3bff631b4050f83bfecf7a822cad",
-	"perimeter/default/O,NoInline":      "38669d76ec5e75ad871d3fe41c88609fac2094b77fc672130fed936469b27235",
-	"perimeter/default/O,ReorderFields": "ec2132d7c30ce095af6aed0f621cbf5286919a9dd2780de6d935f78f0acd18ab",
-	"perimeter/quick/O":                 "1bf2af32a3dae546686917dc5555315486299c3070c85b4d64d3793058148e5e",
-	"perimeter/quick/O,NoInline":        "354a0314997a60a8c6fe4637c650099577ae03e7d7281562c6fbd1f5af558217",
-	"perimeter/quick/O,ReorderFields":   "5eb9e697c2e96840c82f5cfe54f2a22f0c254f948629e2f91471cc72fb8f410b",
-	"voronoi/default/O":                 "55df389c7cf1029fdcb535b78e2f3b9704d1cd2b88f06810f49880b01f5206b6",
-	"voronoi/default/O,NoInline":        "1f8b1c7590a7201eb0835bde9d09b1aabb66a209d28c9e4ade2bb36d23b869cf",
-	"voronoi/default/O,ReorderFields":   "fb66908a2e180f622873e084edbb63021bc4b9c530bbe68e45d3646837346bdb",
-	"voronoi/quick/O":                   "c153e60f9bd4843a91f142695c3880b757c067c269bb4e926b5401f16cc8ea3c",
-	"voronoi/quick/O,NoInline":          "8c5bb357f94f229cd637aa015afd4f2023650e2c4f96763c5a8b37bc484ae281",
-	"voronoi/quick/O,ReorderFields":     "dddebb9075f82008b16601d6171a85305cbc0e8e7d48a5434a660d75b8e29c8d",
-	"halo/default/O":                    "6af3509076fba6e322a74e59dabc01cab2ca631b532bcc4869221ece16324a37",
-	"halo/default/O,NoInline":           "6af3509076fba6e322a74e59dabc01cab2ca631b532bcc4869221ece16324a37",
-	"halo/default/O,ReorderFields":      "f232818342f62e5abd12dc601e32843c66d5dcd4777ffe444f0edec88f8014c8",
-	"count.ec/O":                        "b51c7c51f0cb794f961b6058e5c7e2c1073f0fb3f06d39d499ee40f74711bbd3",
-	"count.ec/O,NoInline":               "a8f812abb5ea27c51675f1aa4460c680e3c836d39609d9ccbb2a8931a60edc0b",
-	"count.ec/O,ReorderFields":          "2706b4b847a6ff0cf302f1849143d48152c4da1c24c8d3b6d8920595b8b38e71",
-	"distance.ec/O":                     "97254c5796d70c410b9af184069e44cf9922f93c950a28bef7733a6b50f52ed3",
-	"distance.ec/O,NoInline":            "ad66dd3ce7d7a3df4849cc73e90c9dfe656faace2643fbfc48d6902635be0faa",
-	"distance.ec/O,ReorderFields":       "97254c5796d70c410b9af184069e44cf9922f93c950a28bef7733a6b50f52ed3",
-	"listsearch.ec/O":                   "314af9aab9a654eaa911df71efd76cde6a14bf0bd0e837f64271ab0b48dad745",
-	"listsearch.ec/O,NoInline":          "a36eba005f9fbecd12d7e5f5e955831b5b153725187ba4a034a4a5507a65d622",
-	"listsearch.ec/O,ReorderFields":     "314af9aab9a654eaa911df71efd76cde6a14bf0bd0e837f64271ab0b48dad745",
-	"scale_point.ec/O":                  "d46503bc2a93cd588d787e31a139f59b3826ff0cc7ba6773fea8ccd42d99993c",
-	"scale_point.ec/O,NoInline":         "99f0ad8daf677baf42d395138e65fd24976ae10354e982b2ea6585f520ad9e48",
-	"scale_point.ec/O,ReorderFields":    "d46503bc2a93cd588d787e31a139f59b3826ff0cc7ba6773fea8ccd42d99993c",
+	"power/default/O":                    "860bf8bd22234423db211f080447f6d70c48733379fbb809da4c1a43612521cb",
+	"power/default/O,NoInline":           "66981595ff73df312499a85b29738c51016d4062fe647d1ddea67a148f0edefd",
+	"power/default/O,DeclaredLayout":     "17d587e10be6bbb31bbe5d921b6f8ba35979152cdb8a3d3303c7930a983fef07",
+	"power/quick/O":                      "a959efef893dfd8a2ea0ccc258dbfae939aff0aa858d568eb3fee175b8d42602",
+	"power/quick/O,NoInline":             "13865afe86527e1cb6b684b700c9c3179ae629471e356dcd137d637a7bba744a",
+	"power/quick/O,DeclaredLayout":       "e6f73a4997cb79710b7d610bc32af4d10f331dec641499c8af258091cc05473c",
+	"tsp/default/O":                      "9222e920b440cb9fec9bb0a021eb194eb3899984307af3cec4336420ee2d9f94",
+	"tsp/default/O,NoInline":             "11c5f57aab43bed8c5ae10746eaaa5319c97bb36e290a84b408589127b2901d0",
+	"tsp/default/O,DeclaredLayout":       "cf1df5e96c03a91aef0ded7e7c0886bd2702777ea9ecada347e2bb13b7ae500d",
+	"tsp/quick/O":                        "42a71473d0eb8b31054d4bc52ade18905a620b43d7d7330fd09d5298b996ad41",
+	"tsp/quick/O,NoInline":               "912405db0ace76e13c1312dca3a0ce50378caded0728620183f1fde7764bdd50",
+	"tsp/quick/O,DeclaredLayout":         "e0168469f669f0eec4b6204c6391435dc172d3c8ec903b8188634b867ccf508f",
+	"health/default/O":                   "203013c5f6ad752b6a62586eabc5c1b00506e5c1dc85e6397937d804fe18c55c",
+	"health/default/O,NoInline":          "90a712d2c888f2efa0023d22a6a791a5a68226516a175d2f743ec02d1a151d1c",
+	"health/default/O,DeclaredLayout":    "5f5d7280c057b1438537988d4745a72b3eceec77bac3ca19f831c0d2b518ca89",
+	"health/quick/O":                     "8495155ed7148fe368a7972ac3fdaa3cfbad6adc1ccac54c366cd5eb642a1895",
+	"health/quick/O,NoInline":            "7e4c1713d34ad8169e4247be81cadacebe184b6a7a0c0125ba5ff41a86c1f25b",
+	"health/quick/O,DeclaredLayout":      "9f30ae64361c9caf4a9c64e245a1d55d7db67cc4d9a5dd6bab7b37b310901c0b",
+	"perimeter/default/O":                "ec2132d7c30ce095af6aed0f621cbf5286919a9dd2780de6d935f78f0acd18ab",
+	"perimeter/default/O,NoInline":       "a7e0eee9de4763183a6b181b395a4b7b3ad8ee2b196a47e947361abce01cb45a",
+	"perimeter/default/O,DeclaredLayout": "6a08334aca3eba3138d651a5002ad5caff3b3bff631b4050f83bfecf7a822cad",
+	"perimeter/quick/O":                  "5eb9e697c2e96840c82f5cfe54f2a22f0c254f948629e2f91471cc72fb8f410b",
+	"perimeter/quick/O,NoInline":         "7366468c6484cbd26f2b4b70610989e1f65096189db9fb0dde98d633bba73ba3",
+	"perimeter/quick/O,DeclaredLayout":   "1bf2af32a3dae546686917dc5555315486299c3070c85b4d64d3793058148e5e",
+	"voronoi/default/O":                  "fb66908a2e180f622873e084edbb63021bc4b9c530bbe68e45d3646837346bdb",
+	"voronoi/default/O,NoInline":         "9932274d030ca1a010e73bc9b813f72bd0f9b65f753a8f8d53e475a094c42778",
+	"voronoi/default/O,DeclaredLayout":   "55df389c7cf1029fdcb535b78e2f3b9704d1cd2b88f06810f49880b01f5206b6",
+	"voronoi/quick/O":                    "dddebb9075f82008b16601d6171a85305cbc0e8e7d48a5434a660d75b8e29c8d",
+	"voronoi/quick/O,NoInline":           "6821d8908e8f341a3b9ad8a9c19714440f725bae43aa290b79c9a42084475cf5",
+	"voronoi/quick/O,DeclaredLayout":     "c153e60f9bd4843a91f142695c3880b757c067c269bb4e926b5401f16cc8ea3c",
+	"halo/default/O":                     "6af3509076fba6e322a74e59dabc01cab2ca631b532bcc4869221ece16324a37",
+	"halo/default/O,NoInline":            "6af3509076fba6e322a74e59dabc01cab2ca631b532bcc4869221ece16324a37",
+	"halo/default/O,DeclaredLayout":      "6af3509076fba6e322a74e59dabc01cab2ca631b532bcc4869221ece16324a37",
+	"count.ec/O":                         "b51c7c51f0cb794f961b6058e5c7e2c1073f0fb3f06d39d499ee40f74711bbd3",
+	"count.ec/O,NoInline":                "a8f812abb5ea27c51675f1aa4460c680e3c836d39609d9ccbb2a8931a60edc0b",
+	"count.ec/O,DeclaredLayout":          "b51c7c51f0cb794f961b6058e5c7e2c1073f0fb3f06d39d499ee40f74711bbd3",
+	"distance.ec/O":                      "97254c5796d70c410b9af184069e44cf9922f93c950a28bef7733a6b50f52ed3",
+	"distance.ec/O,NoInline":             "ad66dd3ce7d7a3df4849cc73e90c9dfe656faace2643fbfc48d6902635be0faa",
+	"distance.ec/O,DeclaredLayout":       "97254c5796d70c410b9af184069e44cf9922f93c950a28bef7733a6b50f52ed3",
+	"listsearch.ec/O":                    "314af9aab9a654eaa911df71efd76cde6a14bf0bd0e837f64271ab0b48dad745",
+	"listsearch.ec/O,NoInline":           "a36eba005f9fbecd12d7e5f5e955831b5b153725187ba4a034a4a5507a65d622",
+	"listsearch.ec/O,DeclaredLayout":     "314af9aab9a654eaa911df71efd76cde6a14bf0bd0e837f64271ab0b48dad745",
+	"scale_point.ec/O":                   "d46503bc2a93cd588d787e31a139f59b3826ff0cc7ba6773fea8ccd42d99993c",
+	"scale_point.ec/O,NoInline":          "99f0ad8daf677baf42d395138e65fd24976ae10354e982b2ea6585f520ad9e48",
+	"scale_point.ec/O,DeclaredLayout":    "d46503bc2a93cd588d787e31a139f59b3826ff0cc7ba6773fea8ccd42d99993c",
 
 	// Profile-guided builds (Pipeline.ProfileCycle on 4 nodes), where the
 	// measured factors scale tuple frequencies non-uniformly.
-	"power/quick/O,PGO":     "e6f73a4997cb79710b7d610bc32af4d10f331dec641499c8af258091cc05473c",
-	"tsp/quick/O,PGO":       "1d70cabe031ba6b9c9706371da783550a7be266638dddfb8e896058ddc5d5241",
-	"health/quick/O,PGO":    "9f30ae64361c9caf4a9c64e245a1d55d7db67cc4d9a5dd6bab7b37b310901c0b",
-	"perimeter/quick/O,PGO": "1bf2af32a3dae546686917dc5555315486299c3070c85b4d64d3793058148e5e",
-	"voronoi/quick/O,PGO":   "e45049e96cec697412a949b84d23b1154f4245f68959b2f28c2dccb5bb8c8007",
+	"power/quick/O,PGO":     "a959efef893dfd8a2ea0ccc258dbfae939aff0aa858d568eb3fee175b8d42602",
+	"tsp/quick/O,PGO":       "55dc7bb54b83a5c6d12a70d941e41ab155d98ab158bc7726d84e3e076127d4fa",
+	"health/quick/O,PGO":    "8495155ed7148fe368a7972ac3fdaa3cfbad6adc1ccac54c366cd5eb642a1895",
+	"perimeter/quick/O,PGO": "5eb9e697c2e96840c82f5cfe54f2a22f0c254f948629e2f91471cc72fb8f410b",
+	"voronoi/quick/O,PGO":   "3d5e0eb97d826a224938defeaa579d0eb204a50bbd6aa25cf8d9362454d43b9b",
 }
 
 // placementSetsGolden pins, for every compiledCodeGolden cell, the sha256 of
@@ -86,56 +86,56 @@ var compiledCodeGolden = map[string]string{
 // placementSetsHash). A change that must emit the same code from the same
 // analysis holds these too, down to the last bit of every frequency.
 var placementSetsGolden = map[string]string{
-	"power/default/O":                   "ba549aa41a5b0f29feaf59a21aca44b662f47bccd0f0324d652fc247b6cd810a",
-	"power/default/O,NoInline":          "9679113468d6a67b3ad1e04e5996522a8bec1c68252eed7bc5e561c630b82356",
-	"power/default/O,ReorderFields":     "8a8a126c63415fe2475245f2c7b32464317879433a2032207153a441625ce7c9",
-	"power/quick/O":                     "ba549aa41a5b0f29feaf59a21aca44b662f47bccd0f0324d652fc247b6cd810a",
-	"power/quick/O,NoInline":            "9679113468d6a67b3ad1e04e5996522a8bec1c68252eed7bc5e561c630b82356",
-	"power/quick/O,ReorderFields":       "8a8a126c63415fe2475245f2c7b32464317879433a2032207153a441625ce7c9",
-	"tsp/default/O":                     "6416560bc0f3b8cd5d822499594169c0ebd1f3627168cb41a12a2ad1bec3401d",
-	"tsp/default/O,NoInline":            "1539b9022a0a9a0b8cc78d757934ff3fb96d77fa9ed75b74d8907b436b7193a7",
-	"tsp/default/O,ReorderFields":       "f3df7d5a7b1c80d9d0e9e96856338500e76809594e227735c3680e9ae1fe7f85",
-	"tsp/quick/O":                       "6416560bc0f3b8cd5d822499594169c0ebd1f3627168cb41a12a2ad1bec3401d",
-	"tsp/quick/O,NoInline":              "1539b9022a0a9a0b8cc78d757934ff3fb96d77fa9ed75b74d8907b436b7193a7",
-	"tsp/quick/O,ReorderFields":         "f3df7d5a7b1c80d9d0e9e96856338500e76809594e227735c3680e9ae1fe7f85",
-	"health/default/O":                  "76bd4d33739cd22081d2499901c96eca6d0811b5d6eae467ccc80f77fa02cf82",
-	"health/default/O,NoInline":         "46395043f3be9a1838411b652fbe71b150e9d1e3e578de23e73779cc8c3cd647",
-	"health/default/O,ReorderFields":    "58bb0782af068ffbaa0aa0b681d3d92dd6b78fd7719ecaf26e79076427362c14",
-	"health/quick/O":                    "76bd4d33739cd22081d2499901c96eca6d0811b5d6eae467ccc80f77fa02cf82",
-	"health/quick/O,NoInline":           "46395043f3be9a1838411b652fbe71b150e9d1e3e578de23e73779cc8c3cd647",
-	"health/quick/O,ReorderFields":      "58bb0782af068ffbaa0aa0b681d3d92dd6b78fd7719ecaf26e79076427362c14",
-	"perimeter/default/O":               "3ccdc543f731ca947f299c8e0c3578dac781a1840e8cf52179ba16f83b7cd98e",
-	"perimeter/default/O,NoInline":      "64c0762741092d5184576fc0bb70fafd85e4639524088ea435cd1da90ea3f5a6",
-	"perimeter/default/O,ReorderFields": "c02b3bd909d5d02708b45f17795ed8abdf0bc77bf15747e68bf1391f3db349de",
-	"perimeter/quick/O":                 "3ccdc543f731ca947f299c8e0c3578dac781a1840e8cf52179ba16f83b7cd98e",
-	"perimeter/quick/O,NoInline":        "64c0762741092d5184576fc0bb70fafd85e4639524088ea435cd1da90ea3f5a6",
-	"perimeter/quick/O,ReorderFields":   "c02b3bd909d5d02708b45f17795ed8abdf0bc77bf15747e68bf1391f3db349de",
-	"voronoi/default/O":                 "d6ddf0bbed612c6f9472821af28003521bf9fc6ffff1ab906c5b541fd550b572",
-	"voronoi/default/O,NoInline":        "65d51effd49fe1500d9a077ae01c488bae8f4c97f4069bc12c30138aa798f500",
-	"voronoi/default/O,ReorderFields":   "92aa7f3165bc74bb3a98b0bd1dc638ece06b55b9819daa1240e18c125f46ae4b",
-	"voronoi/quick/O":                   "d6ddf0bbed612c6f9472821af28003521bf9fc6ffff1ab906c5b541fd550b572",
-	"voronoi/quick/O,NoInline":          "65d51effd49fe1500d9a077ae01c488bae8f4c97f4069bc12c30138aa798f500",
-	"voronoi/quick/O,ReorderFields":     "92aa7f3165bc74bb3a98b0bd1dc638ece06b55b9819daa1240e18c125f46ae4b",
-	"halo/default/O":                    "900d50258b822b9e189300f33f7d53b87ae8d3ba42cf22e1eacf49af79c03c7b",
-	"halo/default/O,NoInline":           "900d50258b822b9e189300f33f7d53b87ae8d3ba42cf22e1eacf49af79c03c7b",
-	"halo/default/O,ReorderFields":      "4763571c4906ecc305061535f92a24a57ec52a57ab4d73cb9029715732340102",
-	"count.ec/O":                        "bebc223fb4591f9a9782cf6cc90b99c379ffe29b7f8368acc490d3a42c65fde5",
-	"count.ec/O,NoInline":               "9956ea3cb42a43f760465e5509ecb6b520f4fbce0cac70de79edc3a04c1840d0",
-	"count.ec/O,ReorderFields":          "3855dcd524d5481c84b8c03743fa515d2b0b1d638059e6421ce342fe12c7efef",
-	"distance.ec/O":                     "6f9738ff2a60a6c777e83a6fae7372bc39a055f65248d32c884a1af809ade91c",
-	"distance.ec/O,NoInline":            "53fbc8884b1eb7e6c63e6c90be14d674dfe49f0670b38f3826fce6dab4161749",
-	"distance.ec/O,ReorderFields":       "6f9738ff2a60a6c777e83a6fae7372bc39a055f65248d32c884a1af809ade91c",
-	"listsearch.ec/O":                   "2c1b9133eddebe2c68916ed2a29c3a325b999886b9d45288728934a0615f0d73",
-	"listsearch.ec/O,NoInline":          "fec8df5312c751bd53ea2f4b457feb34213529703fe7516868918997f30e5269",
-	"listsearch.ec/O,ReorderFields":     "2c1b9133eddebe2c68916ed2a29c3a325b999886b9d45288728934a0615f0d73",
-	"scale_point.ec/O":                  "877b3c329ccfd48fe9811f5c62154951ca7c82be3f29655b2aa1863bea61578f",
-	"scale_point.ec/O,NoInline":         "82173d3c5849dda8e7266d01918057674c85baf492d6bc803768e8537836abfd",
-	"scale_point.ec/O,ReorderFields":    "877b3c329ccfd48fe9811f5c62154951ca7c82be3f29655b2aa1863bea61578f",
-	"power/quick/O,PGO":                 "ba549aa41a5b0f29feaf59a21aca44b662f47bccd0f0324d652fc247b6cd810a",
-	"tsp/quick/O,PGO":                   "53252a999aa87742b08a5e8053e0b534bfab78fedde6fb6a908f8b1297d3021f",
-	"health/quick/O,PGO":                "92fe114f28cf0d4b9bc0f16d93720b476d1a27019f32c2e68b3db681d778af2c",
-	"perimeter/quick/O,PGO":             "b32fbd2096c75235e7d264b80e75b65f7740687c2f60c4f5b555b356219764fc",
-	"voronoi/quick/O,PGO":               "4cb0580fd72c3e4270d0c4bec2dedc0dcfec851a9211ecbca36193376443631c",
+	"power/default/O":                    "8a8a126c63415fe2475245f2c7b32464317879433a2032207153a441625ce7c9",
+	"power/default/O,NoInline":           "248ee2cebcd033b5aadc3a57c0031f3fd6a6bfb7e093245063969d462365a369",
+	"power/default/O,DeclaredLayout":     "ba549aa41a5b0f29feaf59a21aca44b662f47bccd0f0324d652fc247b6cd810a",
+	"power/quick/O":                      "8a8a126c63415fe2475245f2c7b32464317879433a2032207153a441625ce7c9",
+	"power/quick/O,NoInline":             "248ee2cebcd033b5aadc3a57c0031f3fd6a6bfb7e093245063969d462365a369",
+	"power/quick/O,DeclaredLayout":       "ba549aa41a5b0f29feaf59a21aca44b662f47bccd0f0324d652fc247b6cd810a",
+	"tsp/default/O":                      "f3df7d5a7b1c80d9d0e9e96856338500e76809594e227735c3680e9ae1fe7f85",
+	"tsp/default/O,NoInline":             "1539b9022a0a9a0b8cc78d757934ff3fb96d77fa9ed75b74d8907b436b7193a7",
+	"tsp/default/O,DeclaredLayout":       "6416560bc0f3b8cd5d822499594169c0ebd1f3627168cb41a12a2ad1bec3401d",
+	"tsp/quick/O":                        "f3df7d5a7b1c80d9d0e9e96856338500e76809594e227735c3680e9ae1fe7f85",
+	"tsp/quick/O,NoInline":               "1539b9022a0a9a0b8cc78d757934ff3fb96d77fa9ed75b74d8907b436b7193a7",
+	"tsp/quick/O,DeclaredLayout":         "6416560bc0f3b8cd5d822499594169c0ebd1f3627168cb41a12a2ad1bec3401d",
+	"health/default/O":                   "58bb0782af068ffbaa0aa0b681d3d92dd6b78fd7719ecaf26e79076427362c14",
+	"health/default/O,NoInline":          "61c4de0ca3d7541d51ea50db1c4df5e44e285b0e1c29ff6db8f6c2bdc571727d",
+	"health/default/O,DeclaredLayout":    "76bd4d33739cd22081d2499901c96eca6d0811b5d6eae467ccc80f77fa02cf82",
+	"health/quick/O":                     "58bb0782af068ffbaa0aa0b681d3d92dd6b78fd7719ecaf26e79076427362c14",
+	"health/quick/O,NoInline":            "61c4de0ca3d7541d51ea50db1c4df5e44e285b0e1c29ff6db8f6c2bdc571727d",
+	"health/quick/O,DeclaredLayout":      "76bd4d33739cd22081d2499901c96eca6d0811b5d6eae467ccc80f77fa02cf82",
+	"perimeter/default/O":                "c02b3bd909d5d02708b45f17795ed8abdf0bc77bf15747e68bf1391f3db349de",
+	"perimeter/default/O,NoInline":       "236d4d467c18727bf7b94afdd91e623532e998482c4bd8c4238a5586880387f2",
+	"perimeter/default/O,DeclaredLayout": "3ccdc543f731ca947f299c8e0c3578dac781a1840e8cf52179ba16f83b7cd98e",
+	"perimeter/quick/O":                  "c02b3bd909d5d02708b45f17795ed8abdf0bc77bf15747e68bf1391f3db349de",
+	"perimeter/quick/O,NoInline":         "236d4d467c18727bf7b94afdd91e623532e998482c4bd8c4238a5586880387f2",
+	"perimeter/quick/O,DeclaredLayout":   "3ccdc543f731ca947f299c8e0c3578dac781a1840e8cf52179ba16f83b7cd98e",
+	"voronoi/default/O":                  "92aa7f3165bc74bb3a98b0bd1dc638ece06b55b9819daa1240e18c125f46ae4b",
+	"voronoi/default/O,NoInline":         "38ea79dc3955678794da867f25a50cfaec74e61a5f5d463e5849ff8b95b227bd",
+	"voronoi/default/O,DeclaredLayout":   "d6ddf0bbed612c6f9472821af28003521bf9fc6ffff1ab906c5b541fd550b572",
+	"voronoi/quick/O":                    "92aa7f3165bc74bb3a98b0bd1dc638ece06b55b9819daa1240e18c125f46ae4b",
+	"voronoi/quick/O,NoInline":           "38ea79dc3955678794da867f25a50cfaec74e61a5f5d463e5849ff8b95b227bd",
+	"voronoi/quick/O,DeclaredLayout":     "d6ddf0bbed612c6f9472821af28003521bf9fc6ffff1ab906c5b541fd550b572",
+	"halo/default/O":                     "900d50258b822b9e189300f33f7d53b87ae8d3ba42cf22e1eacf49af79c03c7b",
+	"halo/default/O,NoInline":            "900d50258b822b9e189300f33f7d53b87ae8d3ba42cf22e1eacf49af79c03c7b",
+	"halo/default/O,DeclaredLayout":      "900d50258b822b9e189300f33f7d53b87ae8d3ba42cf22e1eacf49af79c03c7b",
+	"count.ec/O":                         "bebc223fb4591f9a9782cf6cc90b99c379ffe29b7f8368acc490d3a42c65fde5",
+	"count.ec/O,NoInline":                "9956ea3cb42a43f760465e5509ecb6b520f4fbce0cac70de79edc3a04c1840d0",
+	"count.ec/O,DeclaredLayout":          "bebc223fb4591f9a9782cf6cc90b99c379ffe29b7f8368acc490d3a42c65fde5",
+	"distance.ec/O":                      "6f9738ff2a60a6c777e83a6fae7372bc39a055f65248d32c884a1af809ade91c",
+	"distance.ec/O,NoInline":             "53fbc8884b1eb7e6c63e6c90be14d674dfe49f0670b38f3826fce6dab4161749",
+	"distance.ec/O,DeclaredLayout":       "6f9738ff2a60a6c777e83a6fae7372bc39a055f65248d32c884a1af809ade91c",
+	"listsearch.ec/O":                    "2c1b9133eddebe2c68916ed2a29c3a325b999886b9d45288728934a0615f0d73",
+	"listsearch.ec/O,NoInline":           "fec8df5312c751bd53ea2f4b457feb34213529703fe7516868918997f30e5269",
+	"listsearch.ec/O,DeclaredLayout":     "2c1b9133eddebe2c68916ed2a29c3a325b999886b9d45288728934a0615f0d73",
+	"scale_point.ec/O":                   "877b3c329ccfd48fe9811f5c62154951ca7c82be3f29655b2aa1863bea61578f",
+	"scale_point.ec/O,NoInline":          "82173d3c5849dda8e7266d01918057674c85baf492d6bc803768e8537836abfd",
+	"scale_point.ec/O,DeclaredLayout":    "877b3c329ccfd48fe9811f5c62154951ca7c82be3f29655b2aa1863bea61578f",
+	"power/quick/O,PGO":                  "8a8a126c63415fe2475245f2c7b32464317879433a2032207153a441625ce7c9",
+	"tsp/quick/O,PGO":                    "d05754e86c21c4a363649050ac4585fd4f9c31422848425c1adf78bd84dfe217",
+	"health/quick/O,PGO":                 "35b7ec21c9496b128bbba97e0fcf6f855f12d5db5ad74e69e9eb2342fe095cea",
+	"perimeter/quick/O,PGO":              "694db5af2f118b826529f35737547adaf6782284ede64002946c2f15b34590ef",
+	"voronoi/quick/O,PGO":                "5d139fd25c19028d518ffa54965c8fa9ae19e5ab99ebe30fee06ab9876ab5fd9",
 }
 
 // compiledCodeHash is the hash compiledCodeGolden pins for one compiled unit.
@@ -199,7 +199,7 @@ func placementSetsHash(u *Unit) string {
 
 // TestCompiledCodeGolden compiles every Olden program at default and quick
 // size, halo and each testdata/*.ec program under -O, -O with NoInline and -O
-// with ReorderFields, plus each Olden program at quick size profile-guided on
+// with DeclaredLayout, plus each Olden program at quick size profile-guided on
 // 4 nodes, and checks the emitted code against compiledCodeGolden and the
 // placement sets against placementSetsGolden.
 func TestCompiledCodeGolden(t *testing.T) {
@@ -229,7 +229,7 @@ func TestCompiledCodeGolden(t *testing.T) {
 	}{
 		{"O", Options{Optimize: true}},
 		{"O,NoInline", Options{Optimize: true, NoInline: true}},
-		{"O,ReorderFields", Options{Optimize: true, ReorderFields: true}},
+		{"O,DeclaredLayout", Options{Optimize: true, DeclaredLayout: true}},
 	}
 	var codeDiffs, setDiffs []string
 	check := func(cell string, u *Unit) {
@@ -271,32 +271,80 @@ func TestCompiledCodeGolden(t *testing.T) {
 	}
 }
 
+// epochPins pairs each compiler epoch with goldenTablesHash as that epoch
+// left compiledCodeGolden and placementSetsGolden, oldest first. A change
+// that re-pins a cell bumps compilerEpoch and appends a pair, so a cache
+// directory filled before it misses; a pair, once appended, never changes.
+var epochPins = []struct {
+	epoch  int
+	tables string
+}{
+	{1, "59a60746d21e08f3fcfdd18a13a0a71221aa395ba60b5d345da5057883fd985d"},
+	{2, "ff2c2d69bb741d98067dfca0b4b2c4eeb4a88bc69060de55d7f2118c86ea2106"},
+}
+
+// goldenTablesHash hashes both golden tables, keys in sorted order.
+func goldenTablesHash() string {
+	h := sha256.New()
+	for _, tbl := range []struct {
+		name string
+		m    map[string]string
+	}{{"compiledCodeGolden", compiledCodeGolden}, {"placementSetsGolden", placementSetsGolden}} {
+		fmt.Fprintf(h, "%s\n", tbl.name)
+		keys := make([]string, 0, len(tbl.m))
+		for k := range tbl.m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(h, "%s=%s\n", k, tbl.m[k])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCompilerEpoch: the golden tables are the ones the current epoch was
+// pinned with. Re-pinning a cell without a new epoch fails here.
+func TestCompilerEpoch(t *testing.T) {
+	last := epochPins[len(epochPins)-1]
+	if got := goldenTablesHash(); last.epoch != compilerEpoch || last.tables != got {
+		t.Errorf("compilerEpoch is %d and the golden tables hash to %s; the last pin is epoch %d with %s: "+
+			"a change that moves compiled code bumps compilerEpoch and appends {%d, %q} to epochPins",
+			compilerEpoch, got, last.epoch, last.tables, compilerEpoch+1, got)
+	}
+	for i := 1; i < len(epochPins); i++ {
+		if epochPins[i].epoch != epochPins[i-1].epoch+1 || epochPins[i].tables == epochPins[i-1].tables {
+			t.Errorf("epochPins[%d] = %v does not follow %v with a new epoch and new tables", i, epochPins[i], epochPins[i-1])
+		}
+	}
+}
+
 // semaGolden pins, for each Olden program at quick and at compile_cold's
-// tiny size, compiled plain and with ReorderFields, the sha256 of what
+// tiny size, compiled clustered and with DeclaredLayout, the sha256 of what
 // semantic analysis recorded on the checked AST (semaHash). A change to how
 // sema stores its results must hold every cell. Literal values are not
 // hashed, so a program's sizes and builds share one hash.
 var semaGolden = map[string]string{
-	"power/quick/O":                   "1b02352461192ffc0d380f0a1834aafd5c71083a503a074430166206b0b296c2",
-	"power/quick/O,ReorderFields":     "1b02352461192ffc0d380f0a1834aafd5c71083a503a074430166206b0b296c2",
-	"power/tiny/O":                    "1b02352461192ffc0d380f0a1834aafd5c71083a503a074430166206b0b296c2",
-	"power/tiny/O,ReorderFields":      "1b02352461192ffc0d380f0a1834aafd5c71083a503a074430166206b0b296c2",
-	"tsp/quick/O":                     "f766703b3896406277c70c4f04c9b76efc0719602e77728e3925c9f41020a7ea",
-	"tsp/quick/O,ReorderFields":       "f766703b3896406277c70c4f04c9b76efc0719602e77728e3925c9f41020a7ea",
-	"tsp/tiny/O":                      "f766703b3896406277c70c4f04c9b76efc0719602e77728e3925c9f41020a7ea",
-	"tsp/tiny/O,ReorderFields":        "f766703b3896406277c70c4f04c9b76efc0719602e77728e3925c9f41020a7ea",
-	"health/quick/O":                  "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
-	"health/quick/O,ReorderFields":    "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
-	"health/tiny/O":                   "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
-	"health/tiny/O,ReorderFields":     "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
-	"perimeter/quick/O":               "4fa1cd0f389f944f5620a3d86f5e90adb234bde684f0c6e841390ab70ac0c5f2",
-	"perimeter/quick/O,ReorderFields": "4fa1cd0f389f944f5620a3d86f5e90adb234bde684f0c6e841390ab70ac0c5f2",
-	"perimeter/tiny/O":                "4fa1cd0f389f944f5620a3d86f5e90adb234bde684f0c6e841390ab70ac0c5f2",
-	"perimeter/tiny/O,ReorderFields":  "4fa1cd0f389f944f5620a3d86f5e90adb234bde684f0c6e841390ab70ac0c5f2",
-	"voronoi/quick/O":                 "38470b74899948180e0b2ed639b10364d3eca893663c7e959b5ae99bee5594e5",
-	"voronoi/quick/O,ReorderFields":   "38470b74899948180e0b2ed639b10364d3eca893663c7e959b5ae99bee5594e5",
-	"voronoi/tiny/O":                  "38470b74899948180e0b2ed639b10364d3eca893663c7e959b5ae99bee5594e5",
-	"voronoi/tiny/O,ReorderFields":    "38470b74899948180e0b2ed639b10364d3eca893663c7e959b5ae99bee5594e5",
+	"power/quick/O":                    "1b02352461192ffc0d380f0a1834aafd5c71083a503a074430166206b0b296c2",
+	"power/quick/O,DeclaredLayout":     "1b02352461192ffc0d380f0a1834aafd5c71083a503a074430166206b0b296c2",
+	"power/tiny/O":                     "1b02352461192ffc0d380f0a1834aafd5c71083a503a074430166206b0b296c2",
+	"power/tiny/O,DeclaredLayout":      "1b02352461192ffc0d380f0a1834aafd5c71083a503a074430166206b0b296c2",
+	"tsp/quick/O":                      "f766703b3896406277c70c4f04c9b76efc0719602e77728e3925c9f41020a7ea",
+	"tsp/quick/O,DeclaredLayout":       "f766703b3896406277c70c4f04c9b76efc0719602e77728e3925c9f41020a7ea",
+	"tsp/tiny/O":                       "f766703b3896406277c70c4f04c9b76efc0719602e77728e3925c9f41020a7ea",
+	"tsp/tiny/O,DeclaredLayout":        "f766703b3896406277c70c4f04c9b76efc0719602e77728e3925c9f41020a7ea",
+	"health/quick/O":                   "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
+	"health/quick/O,DeclaredLayout":    "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
+	"health/tiny/O":                    "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
+	"health/tiny/O,DeclaredLayout":     "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
+	"perimeter/quick/O":                "4fa1cd0f389f944f5620a3d86f5e90adb234bde684f0c6e841390ab70ac0c5f2",
+	"perimeter/quick/O,DeclaredLayout": "4fa1cd0f389f944f5620a3d86f5e90adb234bde684f0c6e841390ab70ac0c5f2",
+	"perimeter/tiny/O":                 "4fa1cd0f389f944f5620a3d86f5e90adb234bde684f0c6e841390ab70ac0c5f2",
+	"perimeter/tiny/O,DeclaredLayout":  "4fa1cd0f389f944f5620a3d86f5e90adb234bde684f0c6e841390ab70ac0c5f2",
+	"voronoi/quick/O":                  "38470b74899948180e0b2ed639b10364d3eca893663c7e959b5ae99bee5594e5",
+	"voronoi/quick/O,DeclaredLayout":   "38470b74899948180e0b2ed639b10364d3eca893663c7e959b5ae99bee5594e5",
+	"voronoi/tiny/O":                   "38470b74899948180e0b2ed639b10364d3eca893663c7e959b5ae99bee5594e5",
+	"voronoi/tiny/O,DeclaredLayout":    "38470b74899948180e0b2ed639b10364d3eca893663c7e959b5ae99bee5594e5",
 }
 
 // semaTinyParams are compile_cold's sizes (benchmark/workloads.go).
@@ -454,7 +502,7 @@ func TestSemaGolden(t *testing.T) {
 				opt  Options
 			}{
 				{"O", Options{Optimize: true}},
-				{"O,ReorderFields", Options{Optimize: true, ReorderFields: true}},
+				{"O,DeclaredLayout", Options{Optimize: true, DeclaredLayout: true}},
 			} {
 				cell := bm.Name + "/" + size.name + "/" + set.name
 				u, err := compile(bm.Name+".ec", bm.Source(size.params), set.opt)
@@ -536,7 +584,7 @@ func restructureTinyParams(name string) olden.Params {
 }
 
 // restructuredText parses src and runs the front end's restructuring passes
-// as Pipeline.compileAST does, returning the printed result.
+// as Pipeline.build does, returning the printed result.
 func restructuredText(name, src string, inline bool) (string, error) {
 	file, err := earthc.ParseFile(name, src)
 	if err != nil {

@@ -13,18 +13,19 @@ import (
 // interval of its Do call; a hit ran no phase and records none, so it never
 // hands back the timings of the compile that filled the cache.
 func TestCompilePhaseSpans(t *testing.T) {
-	analyses := []string{"sema", "lower", "pointsto", "rwsets", "locality"}
+	front := []string{"parse", "inline", "restructure", "sema", "lower", "locality"}
+	analyses := []string{"pointsto", "rwsets"}
 	for _, tc := range []struct {
 		name string
 		opt  Options
 		want []string
 	}{
 		{"simple", Options{},
-			slices.Concat([]string{"parse", "inline", "restructure"}, analyses)},
+			slices.Concat(front, analyses)},
 		{"optimized", Options{Optimize: true},
-			slices.Concat([]string{"parse", "inline", "restructure"}, analyses, []string{"placement", "commsel"})},
-		{"reorder", Options{Optimize: true, ReorderFields: true},
-			slices.Concat([]string{"parse", "inline", "restructure", "reorder"}, analyses, []string{"placement", "commsel"})},
+			slices.Concat(front, []string{"layout"}, analyses, []string{"placement", "commsel"})},
+		{"declared-layout", Options{Optimize: true, DeclaredLayout: true},
+			slices.Concat(front, analyses, []string{"placement", "commsel"})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := tc.opt

@@ -7,6 +7,7 @@ import (
 	"repro/internal/commsel"
 	"repro/internal/earthc"
 	"repro/internal/earthsim"
+	"repro/internal/layout"
 	"repro/internal/locality"
 	"repro/internal/lower"
 	"repro/internal/placement"
@@ -62,8 +63,7 @@ func (p *Pipeline) observeCompile(phases []Phase) {
 }
 
 // phaseClock names the compile phase running now, for recoverPhase, and
-// appends each finished phase's span to *spans. A nil spans (the reorder
-// probe's nested build) names phases without recording them.
+// appends each finished phase's span to *spans.
 type phaseClock struct {
 	spans *[]Phase
 	name  string
@@ -72,15 +72,11 @@ type phaseClock struct {
 
 func (c *phaseClock) begin(name string) {
 	c.name = name
-	if c.spans != nil {
-		c.start = time.Now()
-	}
+	c.start = time.Now()
 }
 
 func (c *phaseClock) end() {
-	if c.spans != nil {
-		*c.spans = append(*c.spans, Phase{Name: c.name, Start: c.start, End: time.Now()})
-	}
+	*c.spans = append(*c.spans, Phase{Name: c.name, Start: c.start, End: time.Now()})
 }
 
 // recoverPhase converts a panic escaping a compile phase into a positioned
@@ -101,7 +97,10 @@ func recoverPhase(file string, clk *phaseClock, u **Unit, err *error) {
 	*err = fmt.Errorf("%s: internal error during %s%s: %v", file, clk.name, where, r)
 }
 
-func (p *Pipeline) compileAST(file *earthc.File, opt Options, prof *profile.Data, clk *phaseClock) (u *Unit, err error) {
+// build compiles a parsed file: McCAT Phase I restructuring, semantic
+// analysis, lowering and the analyses, and under opt.Optimize the field
+// layout, placement and selection.
+func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, clk *phaseClock) (u *Unit, err error) {
 	defer recoverPhase(file.Name, clk, &u, &err)
 	clk.begin("inline")
 	if !opt.NoInline {
@@ -118,25 +117,10 @@ func (p *Pipeline) compileAST(file *earthc.File, opt Options, prof *profile.Data
 		}
 	}
 	clk.end()
-	if opt.ReorderFields {
-		// Probe compile (unoptimized, untimed) to count remote field
-		// accesses on the original layouts, then permute and compile for
-		// real.
-		clk.begin("reorder")
-		probe, err := p.build(file, Options{}, nil, &phaseClock{})
-		if err != nil {
-			return nil, err
-		}
-		reorderStructFields(file, probe)
-		clk.end()
-	}
-	return p.build(file, opt, prof, clk)
-}
-
-// build runs semantic analysis through communication selection on an
-// already-restructured AST.
-func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, clk *phaseClock) (u *Unit, err error) {
-	defer recoverPhase(file.Name, clk, &u, &err)
+	// Each phase below runs once. Locality needs no points-to result, so
+	// it runs on the declared layout straight after lowering, an optimized
+	// build then lays its structs out on its verdicts, and points-to,
+	// read/write sets, placement and selection see only the final layout.
 	clk.begin("sema")
 	sm, err := sema.Check(file)
 	if err != nil {
@@ -144,7 +128,7 @@ func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, clk
 	}
 	clk.end()
 	clk.begin("lower")
-	sp, err := lower.Program(sm)
+	sp, err := lower.Declared(sm)
 	if err != nil {
 		return nil, err
 	}
@@ -154,6 +138,14 @@ func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, clk
 	simple.AssignSites(sp)
 	clk.end()
 	u = &Unit{Name: file.Name, File: file, Sema: sm, Simple: sp}
+	clk.begin("locality")
+	u.Locality = locality.Analyze(sp)
+	clk.end()
+	if opt.Optimize && !opt.DeclaredLayout {
+		clk.begin("layout")
+		layout.Cluster(sp, u.Locality, opt.Sel.Threshold())
+		clk.end()
+	}
 	clk.begin("pointsto")
 	u.PointsTo, err = pointsto.Analyze(sp)
 	if err != nil {
@@ -162,9 +154,6 @@ func (p *Pipeline) build(file *earthc.File, opt Options, prof *profile.Data, clk
 	clk.end()
 	clk.begin("rwsets")
 	u.RWSets = rwsets.Analyze(sp, u.PointsTo)
-	clk.end()
-	clk.begin("locality")
-	u.Locality = locality.Analyze(sp, u.PointsTo)
 	clk.end()
 	if opt.Optimize {
 		// A nil *profile.Data must reach placement as a nil interface: a

@@ -1,15 +1,20 @@
 package core
 
 import (
+	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/olden"
 	"repro/internal/simple"
 )
 
 // reorderSrc scatters the three hot fields across a wide struct, so a
 // blocked fetch of the needed span would be too wasteful without
-// reordering.
+// reordering. consume reads all three through one pointer, the shape that
+// makes field clustering re-lay a struct out.
 const reorderSrc = `
 struct Rec {
 	int hot1;
@@ -40,14 +45,16 @@ int main() {
 }
 `
 
-// TestReorderFieldsClustersHotFields: the extension moves the three hot
-// fields to offsets 0..2, turning a 13-word span into a 3-word block.
+// TestReorderFieldsClustersHotFields: an optimized build moves the three
+// hot fields, which consume reads through one pointer, to offsets 0..2,
+// turning a 13-word span into a 3-word block; the declared-layout build
+// keeps the span and cannot block it.
 func TestReorderFieldsClustersHotFields(t *testing.T) {
-	plain, err := compile("r.ec", reorderSrc, Options{Optimize: true})
+	plain, err := compile("r.ec", reorderSrc, Options{Optimize: true, DeclaredLayout: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reordered, err := compile("r.ec", reorderSrc, Options{Optimize: true, ReorderFields: true})
+	reordered, err := compile("r.ec", reorderSrc, Options{Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,6 +64,9 @@ func TestReorderFieldsClustersHotFields(t *testing.T) {
 		if lay.Offsets[hot] > 2 {
 			t.Errorf("%s should be clustered at the front, offset %d", hot, lay.Offsets[hot])
 		}
+	}
+	if got := plain.Simple.Structs["Rec"].Offsets["hot3"]; got != 12 {
+		t.Errorf("declared layout: hot3 at offset %d, want 12", got)
 	}
 
 	// Without reordering the span is too wasteful to block; with it the
@@ -96,9 +106,8 @@ func TestReorderFieldsClustersHotFields(t *testing.T) {
 		pres.Time, pres.Counts, rres.Time, rres.Counts)
 }
 
-// TestReorderFieldsSemanticsOnBenchmark: reordering must not change any
-// benchmark's output (health exercises nested structs, which reordering
-// moves as units).
+// TestReorderFieldsIdempotentWhenAligned: a struct whose hot fields already
+// lead keeps its layout and its result.
 func TestReorderFieldsIdempotentWhenAligned(t *testing.T) {
 	src := `
 struct P { int a; int b; };
@@ -110,9 +119,12 @@ int main() {
 	return p->a + p->b;
 }
 `
-	u, err := compile("r.ec", src, Options{Optimize: true, ReorderFields: true})
+	u, err := compile("r.ec", src, Options{Optimize: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if lay := u.Simple.Structs["P"]; lay.Offsets["a"] != 0 || lay.Offsets["b"] != 1 {
+		t.Errorf("P laid out as %v, want declared", lay.Offsets)
 	}
 	res, err := runUnit(u, RunConfig{Nodes: 1})
 	if err != nil {
@@ -120,5 +132,34 @@ int main() {
 	}
 	if res.MainRet != 3 {
 		t.Errorf("got %d want 3", res.MainRet)
+	}
+}
+
+// TestClusterKeepsUnblockedStructs: a struct that no function reads or
+// writes in the shape of a blocked transfer keeps its declared offsets in
+// an optimized build, though some of its fields are accessed remotely more
+// often than others: halo's Cell and count.ec's Node.
+func TestClusterKeepsUnblockedStructs(t *testing.T) {
+	count, err := os.ReadFile("../../testdata/count.ec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	halo := olden.Halo()
+	for _, tc := range []struct{ name, src, structName string }{
+		{"halo.ec", halo.Source(halo.DefaultParams), "Cell"},
+		{"count.ec", string(count), "Node"},
+	} {
+		declared, err := compile(tc.name, tc.src, Options{Optimize: true, DeclaredLayout: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clustered, err := compile(tc.name, tc.src, Options{Optimize: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := declared.Simple.Structs[tc.structName], clustered.Simple.Structs[tc.structName]
+		if !reflect.DeepEqual(got.Offsets, want.Offsets) || !slices.Equal(got.Fields, want.Fields) {
+			t.Errorf("%s: %s laid out as %v, want the declared %v", tc.name, tc.structName, got.Offsets, want.Offsets)
+		}
 	}
 }

@@ -72,14 +72,28 @@ type Phase struct {
 	Start, End time.Time
 }
 
-// fingerprint renders the compile-relevant options plus the bound profile
-// into the cache namespace key. The ignored Workers and Stats fields and the
-// observability sinks (tracing and metrics never alter the unit) are
-// excluded.
+// compilerEpoch numbers the compiler's output generations. A change that
+// moves the code some option set compiles to (any TestCompiledCodeGolden
+// cell) bumps it, so that a cache directory an older compiler filled misses
+// instead of serving that compiler's code; TestCompilerEpoch pins it to the
+// golden tables. Epoch 2 clustered blocked structs' hot fields in every
+// optimized build.
+const compilerEpoch = 2
+
+// fingerprint renders the compiler epoch, the compile-relevant options and
+// the bound profile into the cache namespace key. The ignored Workers and
+// Stats fields and the observability sinks (tracing and metrics never alter
+// the unit) are excluded.
 func (opt Options) fingerprint(prof *profile.Data) string {
+	return opt.fingerprintAt(compilerEpoch, prof)
+}
+
+// fingerprintAt is fingerprint as the compiler of the given epoch renders it.
+func (opt Options) fingerprintAt(epoch int, prof *profile.Data) string {
 	parts := []string{
-		fmt.Sprintf("optimize=%t noinline=%t reorder=%t",
-			opt.Optimize, opt.NoInline, opt.ReorderFields),
+		fmt.Sprintf("epoch=%d", epoch),
+		fmt.Sprintf("optimize=%t noinline=%t declared=%t",
+			opt.Optimize, opt.NoInline, opt.DeclaredLayout),
 		fmt.Sprintf("sel=%+v", opt.Sel),
 	}
 	if prof != nil {
@@ -150,7 +164,7 @@ func (p *Pipeline) Do(req CompileRequest) (*CompileResult, error) {
 		return nil, err
 	}
 	clk.end()
-	u, err := p.compileAST(file, opt, prof, clk)
+	u, err := p.build(file, opt, prof, clk)
 	if err != nil {
 		return nil, err
 	}

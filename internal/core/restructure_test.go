@@ -181,6 +181,26 @@ int main() {
 	return 0;
 }
 `, "112\n"},
+	// A backward goto's span uses the outer x before it declares an inner
+	// one; hoisting the inner declaration before the loop must not capture
+	// that use.
+	{"backward_goto_shadow", `
+int main() {
+	int x;
+	int i;
+	x = 5;
+	i = 0;
+	{
+	L:
+		print_int(x);
+		int x;
+		x = 7;
+		i = i + 1;
+		if (i < 3) goto L;
+	}
+	return 0;
+}
+`, "5\n5\n5\n"},
 }
 
 // TestInlineDifferential checks that inlining changes no program's output

@@ -323,7 +323,7 @@ type Expr interface {
 // Typed is embedded in every expression node and holds the type sema.Check
 // assigned to the node: nil before checking, or where the node failed to
 // check. Check overwrites it on every node it visits, so a File may be
-// checked again after a transformation (see core's ReorderFields).
+// checked again after a transformation.
 type Typed struct{ typ Type }
 
 // CheckedType returns the type recorded on the node.

@@ -218,6 +218,14 @@ func (ge *gotoElim) eliminate(site *gotoSite) error {
 		// Backward jump: wrap [label .. goto carrier] in do { flag=0; ... }
 		// while (flag). A declaration in the span moves just before the
 		// loop, still at this level, and its initializer stays in the loop.
+		// Moved up, it would capture a use of its name earlier in the span
+		// that refers to an outer declaration, so such a declaration is
+		// renamed first, together with the uses it binds.
+		for k, s := range tb.Stmts[targetIdx : gi+1] {
+			if d := declIn(s); d != nil && usesFree(tb.Stmts[targetIdx:targetIdx+k], d.Name) {
+				renameDecl(tb.Stmts[targetIdx+k:], d, "__"+d.Name+"_"+flag)
+			}
+		}
 		var decls []Stmt
 		span := []Stmt{setFlag(flag, 0)}
 		for _, s := range tb.Stmts[targetIdx : gi+1] {
@@ -261,6 +269,37 @@ func splitDecl(s Stmt) (*DeclStmt, Stmt) {
 		*slot = &Block{}
 	}
 	return ds, s
+}
+
+// declIn returns the declaration s makes, directly or under labels, or nil.
+func declIn(s Stmt) *VarDecl {
+	for ls, ok := s.(*LabeledStmt); ok; ls, ok = s.(*LabeledStmt) {
+		s = ls.Stmt
+	}
+	if ds, ok := s.(*DeclStmt); ok {
+		return ds.Decl
+	}
+	return nil
+}
+
+// usesFree reports whether the statements use name where no declaration
+// among them binds it.
+func usesFree(ss []Stmt, name string) bool {
+	found := false
+	walkIdents(&Block{Stmts: ss}, func(id *Ident, d *VarDecl) {
+		found = found || d == nil && id.Name == name
+	})
+	return found
+}
+
+// renameDecl renames d, which ss[0] declares, and every use in ss it binds.
+func renameDecl(ss []Stmt, d *VarDecl, name string) {
+	walkIdents(&Block{Stmts: ss}, func(id *Ident, b *VarDecl) {
+		if b == d {
+			id.Name = name
+		}
+	})
+	d.Name = name
 }
 
 // checkCrossable rejects a statement on a goto's chain that the goto cannot

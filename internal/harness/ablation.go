@@ -11,14 +11,15 @@ import (
 )
 
 // ablationBuilds are the ablation table's rows for every program, in print
-// order: the simple reference, the full optimization, its profile-guided and
-// field-reordering variants, each optimization component switched off, and
-// the block threshold swept around the paper's 3.
+// order: the simple reference, the full optimization, its profile-guided
+// variant, each optimization component switched off (the declared layout is
+// the paper's build, without field clustering), and the block threshold
+// swept around the paper's 3.
 var ablationBuilds = []build{
 	simpleBuild,
 	optBuild,
 	{name: "PGO", opt: core.Options{Optimize: true}, profile: true},
-	{name: "field reordering", opt: core.Options{Optimize: true, ReorderFields: true}},
+	{name: "declared layout", opt: core.Options{Optimize: true, DeclaredLayout: true}},
 	{name: "no blocking", opt: core.Options{Optimize: true, Sel: commsel.Options{NoBlocking: true}}},
 	{name: "no write motion", opt: core.Options{Optimize: true, Sel: commsel.Options{NoWriteMotion: true}}},
 	{name: "no read motion", opt: core.Options{Optimize: true, Sel: commsel.Options{NoReadMotion: true}}},

@@ -110,10 +110,10 @@ func TestFaultVisibleEquivalence(t *testing.T) {
 func TestFaultSweepQuick(t *testing.T) {
 	baseNs := map[string]int64{
 		"power":     2810629,
-		"tsp":       4003105,
-		"health":    3190080,
-		"perimeter": 6353976,
-		"voronoi":   16835396,
+		"tsp":       3831626,
+		"health":    3169679,
+		"perimeter": 6340450,
+		"voronoi":   15804387,
 	}
 	res, err := MeasureFaultSweep(faultTestNodes, nil, 1, olden.QuickParams)
 	if err != nil {

@@ -38,14 +38,19 @@ func (r *Result) IsLocal(v *simple.Var) bool { return r.local[v] }
 // RemoteLoad reports whether a LoadRV through p is a remote operation.
 func (r *Result) RemoteLoad(p *simple.Var) bool { return !r.local[p] }
 
-// Deprecated: ignored pool; use Analyze.
-func AnalyzeP(prog *simple.Program, pt *pointsto.Result, _ *par.Pool) *Result {
-	return Analyze(prog, pt)
+// Deprecated: ignored points-to result and pool; use Analyze.
+func AnalyzeP(prog *simple.Program, _ *pointsto.Result, _ *par.Pool) *Result {
+	return Analyze(prog)
 }
 
-// Analyze runs locality analysis.
-func Analyze(prog *simple.Program, pt *pointsto.Result) *Result {
+// Analyze runs locality analysis. It needs no points-to result: the only
+// aliasing fact it uses is which variables have their address taken, and
+// that is a scan of the program's &v operands (see addressTaken), the same
+// set points-to records. It can therefore run before points-to, on the
+// declared struct layout, and its verdicts hold for any field layout.
+func Analyze(prog *simple.Program) *Result {
 	res := &Result{local: make(map[*simple.Var]bool)}
+	taken := addressTaken(prog)
 
 	// Candidate set: every pointer variable starts optimistic-local except
 	// unqualified parameters and globals; qualified pointers are pinned
@@ -66,7 +71,7 @@ func Analyze(prog *simple.Program, pt *pointsto.Result) *Result {
 			if v.Kind == simple.VarParam {
 				continue // callers may pass remote pointers
 			}
-			if pt.AddressTaken(v) {
+			if taken[v] {
 				continue // may be overwritten through an alias
 			}
 			candidate[v] = true
@@ -96,6 +101,28 @@ func Analyze(prog *simple.Program, pt *pointsto.Result) *Result {
 		res.local[v] = true
 	}
 	return res
+}
+
+// addressTaken returns the variables whose storage a pointer can reach: the
+// operand of every &v (AddrRV) and every variable a shared-memory builtin
+// takes by reference (ArgVars).
+func addressTaken(prog *simple.Program) map[*simple.Var]bool {
+	taken := make(map[*simple.Var]bool)
+	for _, f := range prog.Funcs {
+		simple.WalkBasics(f.Body, func(b *simple.Basic) {
+			switch b.Kind {
+			case simple.KAssign:
+				if a, ok := b.Rhs.(simple.AddrRV); ok {
+					taken[a.X] = true
+				}
+			case simple.KBuiltin:
+				for _, v := range b.ArgVars {
+					taken[v] = true
+				}
+			}
+		})
+	}
+	return taken
 }
 
 // defSource inspects a basic statement for a definition of a pointer

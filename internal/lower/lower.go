@@ -10,13 +10,32 @@ import (
 	"math"
 	"strconv"
 
+	"repro/internal/commsel"
 	"repro/internal/earthc"
+	"repro/internal/layout"
+	"repro/internal/locality"
 	"repro/internal/sema"
 	"repro/internal/simple"
 )
 
-// Program lowers an entire checked program.
+// Program lowers an entire checked program as an optimized build lays it
+// out: Declared, then layout.Cluster at the paper's block threshold on the
+// program's own locality verdicts. core.Pipeline runs those steps itself, so
+// that one locality analysis serves the layout and the rest of the compile
+// and its options apply; Program keeps the optimized build's lowering one
+// call for callers that compile phase by phase.
 func Program(prog *sema.Program) (*simple.Program, error) {
+	sp, err := Declared(prog)
+	if err != nil {
+		return nil, err
+	}
+	layout.Cluster(sp, locality.Analyze(sp), commsel.DefaultBlockThreshold)
+	return sp, nil
+}
+
+// Declared lowers an entire checked program, every struct laid out in
+// declaration order.
+func Declared(prog *sema.Program) (*simple.Program, error) {
 	sp := &simple.Program{
 		Structs:    make(map[string]*simple.StructLayout),
 		GlobalInit: make(map[*simple.Var]int64),
@@ -27,11 +46,13 @@ func Program(prog *sema.Program) (*simple.Program, error) {
 			Size:       si.Size,
 			Offsets:    make(map[string]int),
 			FieldSizes: make(map[string]int),
+			FieldTypes: make(map[string]earthc.Type),
 		}
 		for _, f := range si.Def.Fields {
 			lay.Offsets[f.Name] = si.Offsets[f.Name]
 			lay.Fields = append(lay.Fields, f.Name)
 			lay.FieldSizes[f.Name] = prog.SizeOf(f.Type)
+			lay.FieldTypes[f.Name] = f.Type
 		}
 		sp.Structs[name] = lay
 	}

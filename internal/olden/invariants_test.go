@@ -71,31 +71,6 @@ func TestLabelsStayConsistent(t *testing.T) {
 	}
 }
 
-// TestReorderFieldsOnBenchmarks: the field-reordering extension must
-// preserve every benchmark's output.
-func TestReorderFieldsOnBenchmarks(t *testing.T) {
-	for _, b := range All() {
-		src := b.Source(small(b))
-		plain, err := pipelineRun(b.Name+".ec", src, true, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
-		}
-		p := core.NewPipeline(core.Options{Optimize: true, ReorderFields: true})
-		u, err := p.Compile(b.Name+".ec", src)
-		if err != nil {
-			t.Fatalf("%s reorder: %v", b.Name, err)
-		}
-		res, err := p.Run(u, core.RunConfig{Nodes: 2})
-		if err != nil {
-			t.Fatalf("%s reorder run: %v", b.Name, err)
-		}
-		if res.Output != plain.Output {
-			t.Errorf("%s: field reordering changed output: %q vs %q",
-				b.Name, res.Output, plain.Output)
-		}
-	}
-}
-
 // TestBenchmarkReportsNonTrivial: the optimizer must actually do something
 // on every benchmark (communication statements inserted, loads redirected).
 func TestBenchmarkReportsNonTrivial(t *testing.T) {

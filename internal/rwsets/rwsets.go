@@ -648,15 +648,26 @@ func (r *Result) VarWritten(p *simple.Var, s simple.Stmt) bool {
 // paper's rules keep tuples alive across direct accesses because the
 // transformation redirects all of them to the same local copy.
 func (r *Result) AccessedViaAlias(p *simple.Var, off int, s simple.Stmt, write bool) bool {
+	return r.SpanAccessedViaAlias(p, off, 1, s, write)
+}
+
+// SpanAccessedViaAlias is AccessedViaAlias for any of the size words p->off
+// .. p->off+size-1, with one lookup of s.
+func (r *Result) SpanAccessedViaAlias(p *simple.Var, off, size int, s simple.Stmt, write bool) bool {
 	eff, ok := r.stmt[s]
 	if !ok {
 		return true
 	}
-	self, ts := r.ref(p, off)
-	for _, t := range ts {
-		for i, hi := run(eff.mem, t, write); i < len(eff.mem) && eff.mem[i]>>32 == hi; i++ {
-			if uint32(eff.mem[i]) != self {
-				return true
+	if len(eff.mem) == 0 {
+		return false
+	}
+	for w := off; w < off+size; w++ {
+		self, ts := r.ref(p, w)
+		for _, t := range ts {
+			for i, hi := run(eff.mem, t, write); i < len(eff.mem) && eff.mem[i]>>32 == hi; i++ {
+				if uint32(eff.mem[i]) != self {
+					return true
+				}
 			}
 		}
 	}

@@ -101,6 +101,44 @@ int main() {
 	}
 }
 
+// TestSpanAccessedViaAlias: the span query answers for any word of the
+// span, and only for words of it.
+func TestSpanAccessedViaAlias(t *testing.T) {
+	sp, rw := analyze(t, `
+struct P { int a; int b; int c; int d; };
+int g(P *p, P *q) {
+	q->c = 3;
+	return p->a;
+}
+int main() {
+	P *s;
+	s = alloc(P);
+	return g(s, s);
+}
+`)
+	f := sp.FuncByName("g")
+	p := varOf(t, sp, "g", "p")
+	store := findBasic(f, "q->c = 3")
+	for _, tc := range []struct {
+		off, size int
+		want      bool
+	}{{0, 2, false}, {0, 3, true}, {2, 1, true}, {1, 3, true}, {3, 1, false}} {
+		if got := rw.SpanAccessedViaAlias(p, tc.off, tc.size, store, true); got != tc.want {
+			t.Errorf("p->%d..%d written through q: got %t, want %t", tc.off, tc.off+tc.size-1, got, tc.want)
+		}
+		any := false
+		for w := tc.off; w < tc.off+tc.size; w++ {
+			any = any || rw.AccessedViaAlias(p, w, store, true)
+		}
+		if any != tc.want {
+			t.Errorf("p->%d..%d: the per-word queries answer %t", tc.off, tc.off+tc.size-1, any)
+		}
+	}
+	if rw.SpanAccessedViaAlias(p, 0, 4, store, false) {
+		t.Error("q->c = 3 reads no word of p's span")
+	}
+}
+
 func TestCallSummaryPropagates(t *testing.T) {
 	sp, rw := analyze(t, `
 struct P { int a; };

@@ -475,9 +475,13 @@ type StructLayout struct {
 	Name    string
 	Size    int
 	Offsets map[string]int
-	Fields  []string // declaration order
+	// Fields lists the top-level fields in memory order: declaration order
+	// unless the struct's fields were clustered (internal/layout).
+	Fields []string
 	// FieldSizes holds each top-level field's size in words.
 	FieldSizes map[string]int
+	// FieldTypes holds each top-level field's type.
+	FieldTypes map[string]earthc.Type
 }
 
 // FuncPanic is a panic raised inside an EachFunc body, re-raised with the

@@ -113,16 +113,16 @@ type Recorder struct {
 	spans  []Span
 	faults []FaultEvent
 	// suPend tracks, per node, the completion times of SU tasks scheduled
-	// but not yet finished. The SU is serial and FIFO, so the slice is
-	// monotone and can be drained from the front (O(1) amortized).
-	suPend map[int][]int64
+	// but not yet finished. The SU is serial and FIFO, so each node's times
+	// are monotone and drain from the front of its ring.
+	suPend []suRing
 	// horizon is the latest event time seen (the summary's denominator).
 	horizon int64
 }
 
 // NewRecorder returns an empty recorder for a machine of the given size.
 func NewRecorder(nodes int) *Recorder {
-	return &Recorder{nodes: nodes, suPend: make(map[int][]int64)}
+	return &Recorder{nodes: nodes}
 }
 
 // Reset clears all recorded events, keeping the node count.
@@ -135,7 +135,9 @@ func (r *Recorder) Reset() {
 	r.msgs = r.msgs[:0]
 	r.spans = r.spans[:0]
 	r.faults = r.faults[:0]
-	r.suPend = make(map[int][]int64)
+	for i := range r.suPend {
+		r.suPend[i].head, r.suPend[i].n = 0, 0
+	}
 	r.horizon = 0
 }
 
@@ -240,16 +242,38 @@ func (r *Recorder) SUSpan(node int, name string, msgID int64, enq, start, end in
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.bump(end)
-	pend := r.suPend[node]
-	for len(pend) > 0 && pend[0] <= enq {
-		pend = pend[1:]
+	if node >= len(r.suPend) {
+		r.suPend = append(r.suPend, make([]suRing, node+1-len(r.suPend))...)
 	}
-	pend = append(pend, end)
-	r.suPend[node] = pend
 	r.spans = append(r.spans, Span{
 		Unit: UnitSU, Node: node, Name: name, MsgID: msgID,
-		Enq: enq, Start: start, End: end, Queue: len(pend),
+		Enq: enq, Start: start, End: end, Queue: r.suPend[node].push(enq, end),
 	})
+}
+
+// suRing is one node's pending SU completion times in FIFO order: n of
+// them, the oldest at buf[head], wrapping around buf.
+type suRing struct {
+	buf     []int64
+	head, n int
+}
+
+// push drops the times at or before enq, appends end and returns how many
+// tasks are pending, the new one included.
+func (q *suRing) push(enq, end int64) int {
+	for q.n > 0 && q.buf[q.head] <= enq {
+		q.head, q.n = (q.head+1)%len(q.buf), q.n-1
+	}
+	if q.n == len(q.buf) {
+		buf := make([]int64, max(8, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			buf[i] = q.buf[(q.head+i)%len(q.buf)]
+		}
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = end
+	q.n++
+	return q.n
 }
 
 // NetSpan records the src→dst link carrying a message for [start, end).
