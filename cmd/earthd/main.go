@@ -12,8 +12,7 @@
 //	-shards N         pipeline shards (default GOMAXPROCS, capped at 8)
 //	-queue N          job queue depth; a full queue answers 429 with
 //	                  Retry-After (default 64)
-//	-sim-j N          accepted and ignored: the simulator runs every window
-//	                  inline
+//	-sim-j N          accepted and ignored: the simulator has one event loop
 //	-nodes N          default simulated machine size for jobs (default 4)
 //	-max-fuel N       per-job simulated instruction cap (default 500M;
 //	                  negative = unlimited)
@@ -75,7 +74,7 @@ func run(args []string, stderr io.Writer) int {
 	addr := fs.String("addr", ":8080", "listen address")
 	shards := fs.Int("shards", 0, "pipeline shards (0 = GOMAXPROCS capped at 8)")
 	queue := fs.Int("queue", 0, "job queue depth (0 = default 64)")
-	fs.Int("sim-j", 0, "ignored: the simulator runs every window inline")
+	fs.Int("sim-j", 0, "ignored: the simulator has one event loop")
 	nodes := fs.Int("nodes", 0, "default simulated machine size (0 = default 4)")
 	maxFuel := fs.Int64("max-fuel", 0, "per-job instruction cap (0 = default 500M, negative = unlimited)")
 	jobDeadline := fs.Duration("job-deadline", 0, "per-job host wall-clock bound (0 = default 60s)")

@@ -74,7 +74,7 @@ const (
 // tracedMixBytes and tracedMixAllocs are the measured heap bytes and
 // allocations of one round of tracedMixRun (BenchmarkTracedMix): the five
 // quick Olden programs on 4 nodes, traced into one recorder that is reset and
-// reused, as earthd does. Every shard records straight into that recorder.
+// reused, as earthd does. The simulator records straight into that recorder.
 // When each shard recorded into a fresh private one that Run then merged, a
 // round took 25.5 MB, 35 times as much; the sampler's deletion took the round
 // from 734,312 bytes and 29,616 allocations to 669,113 and 29,505, and one

@@ -65,7 +65,7 @@ type RunConfig struct {
 	// Trace, when non-nil, receives this run's simulator events (see
 	// internal/trace): every EU, SU and network span, message and fault.
 	// Tracing is purely observational: a traced run produces a bit-identical
-	// Result to an untraced one. Every shard records straight into the
+	// Result to an untraced one. The simulator records straight into the
 	// recorder as the run goes, so a run that fails part-way leaves what it
 	// recorded up to the failure.
 	Trace *trace.Recorder

@@ -451,8 +451,7 @@ func (m *shard) transmit(tx *txn, t int64) {
 
 // scheduleRetry arms (or re-arms) a transaction's retransmit timer.
 func (m *shard) scheduleRetry(tx *txn, at int64) {
-	m.seq++
-	m.events.push(event{time: at, seq: m.seq, kind: evRetry, node: tx.proto.src.id, tx: tx})
+	m.mach.push(event{time: at, kind: evRetry, node: tx.proto.src.id, tx: tx})
 }
 
 // retryFire handles a retransmit-timer expiry: if the transaction is still

@@ -2,6 +2,7 @@ package earthsim
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -76,6 +77,56 @@ func TestFuelExhausted(t *testing.T) {
 	}
 }
 
+// TestFuelIsMachineWide: fuel bounds the sum of every node's instructions.
+// Every node spins: each loop trip calls a function on the next node and
+// waits for its result, so all four keep executing. Each node checks the
+// machine-wide total every limitCheckInterval instructions it executes, so
+// the run stops past Fuel by at most one interval per node.
+func TestFuelIsMachineWide(t *testing.T) {
+	const nodes = 4
+	one := &threaded.FnCode{Name: "one", NSlots: 1, Code: []threaded.Instr{imm(0, 1), {Op: threaded.OpRet, A: 0}}}
+	// loop calls one()@ON(slot 0) into slot 1, waits on it and repeats.
+	loop := func(at int) []threaded.Instr {
+		return []threaded.Instr{
+			{Op: threaded.OpCallAt, A: 1, B: 1, C: 0, Fn: one},
+			{Op: threaded.OpMove, A: 2, B: 1},
+			{Op: threaded.OpJmp, C: at},
+		}
+	}
+	spin := &threaded.FnCode{Name: "spin", NSlots: 3, Params: []int{0}, Code: loop(0)}
+	main := &threaded.FnCode{Name: "main", NSlots: 3}
+	for id := 1; id < nodes; id++ {
+		main.Code = append(main.Code, imm(0, int64(id)), imm(1, int64((id+1)%nodes)),
+			threaded.Instr{Op: threaded.OpCallAt, A: -1, B: 1, C: 0, Args: []int{1}, Fn: spin})
+	}
+	main.Code = append(main.Code, imm(0, 1))
+	main.Code = append(main.Code, loop(len(main.Code))...)
+	cfg := DefaultConfig(nodes)
+	cfg.Fuel = 100_000
+	m := New(prog(main, spin, one), cfg)
+	_, err := m.Run()
+	if !errors.Is(err, ErrFuelExhausted) {
+		t.Fatalf("want ErrFuelExhausted, got %v", err)
+	}
+	var reported, fuel int64
+	if _, scanErr := fmt.Sscanf(err.Error(), "earthsim: fuel exhausted: %d EU instructions executed (fuel %d)", &reported, &fuel); scanErr != nil {
+		t.Fatalf("no instruction total in %q: %v", err, scanErr)
+	}
+	var total int64
+	for _, s := range m.sh {
+		if s.counts.Instructions == 0 {
+			t.Errorf("node %d never ran", s.id)
+		}
+		total += s.counts.Instructions
+	}
+	if reported != total || fuel != cfg.Fuel {
+		t.Errorf("reported %d instructions (fuel %d); the nodes executed %d (fuel %d)", reported, fuel, total, cfg.Fuel)
+	}
+	if total <= cfg.Fuel || total > cfg.Fuel+nodes*limitCheckInterval {
+		t.Errorf("stopped at %d instructions, want in (%d, %d]", total, cfg.Fuel, cfg.Fuel+nodes*limitCheckInterval)
+	}
+}
+
 func TestWallDeadline(t *testing.T) {
 	m := New(loopProg(), DefaultConfig(1))
 	m.SetDeadline(time.Nanosecond)
@@ -90,15 +141,16 @@ func TestWallDeadline(t *testing.T) {
 // pre-fault path (no transactions, no sequence numbers, no timers).
 func TestFaultFreeScheduleUnchanged(t *testing.T) {
 	prog := loopProg()
-	m := New(prog, DefaultConfig(2)).sh[0]
+	mach := New(prog, DefaultConfig(2))
+	m := mach.sh[0]
 	g := m.getMsg()
 	g.class, g.f, g.src, g.dst = 0, nil, m.nodes[0], m.nodes[1]
 	m.sendMsg(g, 0, 100)
 	if g.seq != 0 || g.lseq != 0 {
 		t.Errorf("fault-free sendMsg assigned sequence numbers: seq=%d lseq=%d", g.seq, g.lseq)
 	}
-	if len(m.events) != 1 {
-		t.Errorf("fault-free sendMsg scheduled %d events, want 1 (no retry timer)", len(m.events))
+	if len(mach.events) != 1 {
+		t.Errorf("fault-free sendMsg scheduled %d events, want 1 (no retry timer)", len(mach.events))
 	}
 	if m.txns != nil || m.seen != nil {
 		t.Error("fault-free machine allocated protocol state")

@@ -28,9 +28,15 @@ var (
 	ErrCanceled = errors.New("run canceled")
 )
 
-// limitCheckInterval is how many EU instructions pass between fuel/deadline
-// checks; it bounds the per-instruction cost of limiting to one compare.
-const limitCheckInterval = 16384
+// limitCheckInterval is how many EU instructions a node executes between
+// fuel/deadline checks; it bounds the per-instruction cost of limiting to
+// one compare. pollEvents is how many events pass between the event loop's
+// own wall-clock and context polls, which catch runs whose events execute
+// few instructions.
+const (
+	limitCheckInterval = 16384
+	pollEvents         = 4096
+)
 
 // SetDeadline bounds the run's host wall-clock time (0 disables). Call
 // before Run. Returns m for chaining.
@@ -41,12 +47,12 @@ func (m *Machine) SetDeadline(d time.Duration) *Machine {
 
 // SetContext attaches a cancellation context to the run (nil detaches, the
 // default). The simulator polls it on the same cadence as the wall-clock
-// deadline — every limitCheckInterval EU instructions and every 4096 events
-// per shard, plus every pollRounds coordinator rounds — and stops with an
-// error wrapping ErrCanceled. Unlike Fuel/SetDeadline this limit is external
-// to simulated time: a client disconnect or a DELETE /jobs/{id} aborts a run
-// that is making perfectly good simulated-time progress. Call before Run.
-// Returns m for chaining.
+// deadline — every limitCheckInterval EU instructions a node executes and
+// every pollEvents events — and stops with an error wrapping ErrCanceled.
+// Unlike Fuel/SetDeadline this limit is external to simulated time: a
+// client disconnect or a DELETE /jobs/{id} aborts a run that is making
+// perfectly good simulated-time progress. Call before Run. Returns m for
+// chaining.
 func (m *Machine) SetContext(ctx context.Context) *Machine {
 	m.ctx = ctx
 	return m
@@ -59,39 +65,45 @@ func (m *shard) trapw(sentinel error, format string, args ...any) {
 	}
 }
 
-// limitCheck runs every limitCheckInterval instructions (from execFiber's
-// hot loop) and traps on an exhausted instruction budget or an expired
-// wall-clock deadline.
+// limitCheck runs every limitCheckInterval instructions a node executes
+// (from execFiber's hot loop) and traps on an exhausted instruction budget,
+// an expired wall-clock deadline or a cancelled context. Fuel is one
+// machine-wide total: the sum of every node's instruction count.
 func (m *shard) limitCheck() {
 	m.nextLimitCheck += limitCheckInterval
-	// othersInstr is the rest of the machine's instruction count as of the
-	// last barrier, so the shared fuel budget is enforced machine-wide with
-	// at most one barrier of slack.
-	if m.othersInstr+m.counts.Instructions > m.fuel {
-		m.trapw(ErrFuelExhausted, "%d EU instructions executed (fuel %d) — raise Config.Fuel / -fuel if the program is genuinely long-running%s",
-			m.othersInstr+m.counts.Instructions, m.fuel, m.blockedReport())
-		return
+	mc := m.mach
+	if fuel := m.cfg.Fuel; fuel > 0 {
+		var total int64
+		for _, s := range mc.sh {
+			total += s.counts.Instructions
+		}
+		if total > fuel {
+			m.trapw(ErrFuelExhausted, "%d EU instructions executed (fuel %d) — raise Config.Fuel / -fuel if the program is genuinely long-running%s",
+				total, fuel, m.blockedReport())
+			return
+		}
 	}
-	if m.wallLimit > 0 && time.Now().After(m.wallDeadline) {
-		m.trapw(ErrDeadline, "host wall clock exceeded %s (t=%dns, %d instructions)",
-			m.wallLimit, m.lastTime, m.counts.Instructions)
-		return
+	if err := mc.pollHost(); err != nil && m.trap == nil {
+		m.trap = err
 	}
-	m.ctxCheck()
 }
 
-// ctxCheck traps if the run's context has been cancelled. Free when no
-// context is attached (the common case): one nil compare.
-func (m *shard) ctxCheck() {
-	if m.ctx == nil {
-		return
+// pollHost reports an expired wall-clock deadline or a cancelled context.
+// Free when neither is set (the common case): two compares.
+func (m *Machine) pollHost() error {
+	if m.wallLimit > 0 && time.Now().After(m.deadline) {
+		return fmt.Errorf("earthsim: %w: host wall clock exceeded %s (t=%dns, %d events)",
+			ErrDeadline, m.wallLimit, m.now, m.nEvents)
 	}
-	select {
-	case <-m.ctx.Done():
-		m.trapw(ErrCanceled, "%v (t=%dns, %d instructions)",
-			m.ctx.Err(), m.lastTime, m.counts.Instructions)
-	default:
+	if m.ctx != nil {
+		select {
+		case <-m.ctx.Done():
+			return fmt.Errorf("earthsim: %w: %v (t=%dns, %d events)",
+				ErrCanceled, m.ctx.Err(), m.now, m.nEvents)
+		default:
+		}
 	}
+	return nil
 }
 
 // park records a fiber on the machine's blocked-fiber list the first time

@@ -16,7 +16,6 @@ package earthsim
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -67,17 +66,19 @@ type Config struct {
 	// allocation before it exhausts the host (0 = default 16M words,
 	// i.e. 128 MiB per node).
 	MaxNodeWords int64
-	// Fuel bounds total EU instructions across all fibers (0 = unlimited);
-	// exceeding it returns an error wrapping ErrFuelExhausted. Granularity
-	// is limitCheckInterval instructions.
+	// Fuel bounds total EU instructions across all nodes (0 = unlimited);
+	// exceeding it returns an error wrapping ErrFuelExhausted. Each node
+	// checks the machine-wide total every limitCheckInterval instructions
+	// it executes, so a run stops within Nodes·limitCheckInterval
+	// instructions past Fuel.
 	Fuel int64
 
 	// Faults, when non-nil, switches the machine to the lossy transport +
 	// reliable-messaging protocol (see fault.go). Nil costs nothing.
 	Faults *FaultConfig
 
-	// SimWorkers is ignored: every window runs inline on the caller's
-	// goroutine (see parallel.go).
+	// SimWorkers is ignored: the machine has one event loop, which runs
+	// on the caller's goroutine.
 	//
 	// Deprecated: kept only so existing callers still compile.
 	SimWorkers int
@@ -198,10 +199,11 @@ type event struct {
 }
 
 // eventQ is an inlined 4-ary min-heap of events ordered by (time, seq).
-// The seq tiebreak makes the order a total one — equal-time events pop in
-// schedule order — so heap arity and sift details cannot change simulation
-// outcomes. Compared to container/heap this avoids the per-event box
-// allocation and interface dispatch on the hot path.
+// seq is the machine-wide schedule counter, so the order is a total one:
+// simultaneous events are served in the order they were scheduled, on any
+// node, and heap arity and sift details cannot change simulation outcomes.
+// Compared to container/heap this avoids the per-event box allocation and
+// interface dispatch on the hot path.
 type eventQ []event
 
 func (q eventQ) less(i, j int) bool {
@@ -507,26 +509,14 @@ type outItem struct {
 	text string
 }
 
-// mail is a cross-shard message delivery: an evNetArrive that a shard's
-// event loop produced for a node another shard owns. Mail is buffered in
-// the sender's outbox during a window and delivered by the coordinator at
-// the next barrier, in (sender shard id, send order) — a total order that
-// does not depend on how many worker goroutines executed the window.
-type mail struct {
-	to   *shard
-	at   int64
-	node int
-	g    *msg
-}
-
 // shard owns the mutable per-run state of one simulated node (shard i owns
-// node i): a local event heap, the node's EU/SU/fiber state, its side of the
-// reliable-messaging protocol, and its slice of the telemetry state. The
-// trace recorder and the profile are the machine's, shared by every shard.
-// The coordinator runs the shards in conservative-lookahead windows (see
-// parallel.go).
+// node i and dispatches every event scheduled for it): the node's
+// EU/SU/fiber state, its id spaces, its side of the reliable-messaging
+// protocol, and its counters. The event queue, the trace recorder and the
+// profile are the machine's, shared by every shard.
 type shard struct {
-	id int
+	id   int
+	mach *Machine // the event queue and the run's limits
 
 	// Read-only after New: shared program/topology. nodes is the full node
 	// table — a shard only mutates the state of the node it owns, but message
@@ -534,10 +524,7 @@ type shard struct {
 	cfg   Config
 	prog  *threaded.Program
 	nodes []*node
-	peers []*shard // every shard, indexed by node id
 
-	events        eventQ
-	seq           int64
 	nextFiber     int64
 	counts        Counts
 	output        []outItem
@@ -546,9 +533,6 @@ type shard struct {
 	mainRet       int64
 	mainTime      int64
 	trap          error
-	nEvents       int64
-	maxEvents     int64 // per-shard backstop mirror of the global event budget
-	liveFibers    int64
 	maxFiberInstr int64
 	msgFree       *msg            // freelist of message records (see getMsg/putMsg)
 	fiberFree     *fiber          // freelist of fiber records (see getFiber/recycleFiber)
@@ -556,30 +540,8 @@ type shard struct {
 	prof          *profile.Data   // non-nil when prog.Profiled
 	tr            *trace.Recorder // nil: tracing disabled (the common case)
 
-	outbox []mail // cross-shard mail sent this window
-
-	// Coordinator bookkeeping (see Run). head caches events[0].time while
-	// the shard sits in the coordinator's head-indexed heap at position hpos
-	// (-1 when absent); barInstr / barEvents / barLive snapshot the running
-	// totals a window started from, so the coordinator can fold post-window
-	// deltas into its incremental machine-wide sums; mailStamp dedupes the
-	// round's mail receivers.
-	head      int64
-	hpos      int
-	barInstr  int64
-	barEvents int64
-	barLive   int64
-	mailStamp int64
-
-	// Run limits (see limits.go).
-	fuel           int64 // total EU instruction budget (shared across shards)
-	othersInstr    int64 // other shards' instruction counts as of the last barrier
-	nextLimitCheck int64 // next Instructions value at which to run limitCheck
-	wallLimit      time.Duration
-	wallDeadline   time.Time
-	ctx            context.Context // nil: cancellation disabled (see SetContext)
-	lastTime       int64           // last dispatched event time (for limit messages)
-	parkedHead     *fiber          // intrusive list of fibers that have blocked
+	nextLimitCheck int64  // next Instructions value at which to run limitCheck (limits.go)
+	parkedHead     *fiber // intrusive list of fibers that have blocked
 
 	// Fault injection + reliable messaging (see fault.go); all nil/zero
 	// when cfg.Faults is nil.
@@ -597,17 +559,26 @@ type shard struct {
 	fstats     *FaultStats
 }
 
-// Machine is a loaded simulator instance: the shared topology plus one
-// event-loop shard per node.
+// Machine is a loaded simulator instance: the shared topology, one shard
+// of per-node state per node, and the one event queue they all schedule
+// into (see Run).
 type Machine struct {
-	cfg       Config
-	prog      *threaded.Program
-	nodes     []*node
-	sh        []*shard
-	lookahead int64 // conservative lookahead L (see parallel.go)
+	cfg   Config
+	prog  *threaded.Program
+	nodes []*node
+	sh    []*shard
+	prof  *profile.Data // every shard's profile (nil unless prog.Profiled)
+
+	events  eventQ
+	seq     int64 // events scheduled so far: the tiebreak of equal times
+	now     int64 // time of the event being dispatched
+	nEvents int64 // events dispatched so far
+	live    int64 // fibers created and not yet finished
+
+	// Host-side run limits (see limits.go).
 	wallLimit time.Duration
+	deadline  time.Time
 	ctx       context.Context // nil: cancellation disabled
-	prof      *profile.Data   // every shard's profile (nil unless prog.Profiled)
 }
 
 // New loads a threaded program onto a fresh machine.
@@ -637,13 +608,7 @@ func New(prog *threaded.Program, cfg Config) *Machine {
 	for _, iv := range prog.GlobalInit {
 		m.nodes[0].mem[iv[0]] = iv[1]
 	}
-	// The wire latency is the lookahead: nothing a shard sends can arrive
-	// sooner. A one-node machine has no peer to hear from, so its single
-	// shard's window is unbounded.
-	m.lookahead = cfg.NetLatency
-	if cfg.Nodes == 1 {
-		m.lookahead = math.MaxInt64
-	}
+	m.events = make(eventQ, 0, 64)
 	m.sh = make([]*shard, cfg.Nodes)
 	for i := range m.sh {
 		m.sh[i] = m.newShard(i)
@@ -651,25 +616,18 @@ func New(prog *threaded.Program, cfg Config) *Machine {
 	return m
 }
 
-// newShard builds one event-loop shard.
+// newShard builds one node's shard.
 func (m *Machine) newShard(id int) *shard {
 	cfg := m.cfg
-	// A shard holds one node's events (a handful at a time); sized any
-	// larger, a 1024-node machine pays megabytes of empty queue per run.
-	s := &shard{id: id, cfg: cfg, prog: m.prog, nodes: m.nodes, peers: m.sh, prof: m.prof,
-		maxFiberInstr: cfg.MaxFiberInstr,
-		events:        make(eventQ, 0, 8), scratch: make([]int64, 0, 16)}
+	s := &shard{id: id, mach: m, cfg: cfg, prog: m.prog, nodes: m.nodes, prof: m.prof,
+		maxFiberInstr: cfg.MaxFiberInstr, scratch: make([]int64, 0, 16)}
 	if s.maxFiberInstr == 0 {
 		s.maxFiberInstr = 2_000_000_000
 	}
-	s.fuel = cfg.Fuel
-	if s.fuel <= 0 {
-		s.fuel = math.MaxInt64
-	}
 	s.nextLimitCheck = limitCheckInterval
-	// Keep per-shard streams disjoint: (time, seq) ties and output ordering
-	// are resolved per shard, so each shard gets its own deterministic id
-	// space for fibers, output and txn sequences.
+	// Keep per-node streams disjoint: each shard has its own deterministic
+	// id space for fibers, output and txn sequences, so no id depends on
+	// how the nodes' events interleave.
 	s.outSeq = int64(id) << 40
 	if cfg.Faults != nil {
 		s.flt = cfg.Faults
@@ -693,8 +651,8 @@ func (m *Machine) newShard(id int) *shard {
 // detaches). Tracing is purely observational: the recorder sees message
 // lifecycles and busy intervals but never alters costs or scheduling, so a
 // traced run's Result is bit-identical to an untraced one. Every shard
-// records straight into r as the run goes, so message ids are in global issue
-// order and a run that traps part-way leaves what it recorded. Returns m for
+// records straight into r as the run goes, so message ids are in issue order
+// and a run that traps part-way leaves what it recorded. Returns m for
 // chaining.
 func (m *Machine) SetTrace(r *trace.Recorder) *Machine {
 	r.SetNodes(len(m.nodes))
@@ -709,9 +667,16 @@ func (m *Machine) SetTrace(r *trace.Recorder) *Machine {
 // Deprecated: kept only so existing callers still compile.
 func (m *Machine) SetMetrics(*metrics.Sampler) *Machine { return m }
 
+// schedule queues an event for node nodeID at time t.
 func (m *shard) schedule(t int64, kind eventKind, nodeID int, g *msg) {
+	m.mach.push(event{time: t, kind: kind, node: nodeID, g: g})
+}
+
+// push queues ev, stamping it with the next schedule number.
+func (m *Machine) push(ev event) {
 	m.seq++
-	m.events.push(event{time: t, seq: m.seq, kind: kind, node: nodeID, g: g})
+	ev.seq = m.seq
+	m.events.push(ev)
 }
 
 // dispatch executes one popped event.
@@ -736,8 +701,7 @@ func (m *shard) trapf(format string, args ...any) {
 
 // renderOutput merges the shards' print records into the final program
 // output: time first, then the sequence tag (which embeds the shard id in
-// the high bits, so equal-time prints from different nodes order by owning
-// shard).
+// the high bits, so equal-time prints from different nodes order by node).
 func renderOutput(items []outItem) string {
 	sort.Slice(items, func(i, j int) bool {
 		if items[i].time != items[j].time {
@@ -808,7 +772,7 @@ func (m *shard) newFiber(nodeID int, code *threaded.FnCode, args []int64, route 
 	f.waitSlot, f.route = -1, route
 	m.nextFiber++
 	f.id = m.fiberID(m.nextFiber)
-	m.liveFibers++
+	m.mach.live++
 	for i, a := range args {
 		if i < len(code.Params) {
 			n.mem[base+int64(code.Params[i])] = a
@@ -824,7 +788,7 @@ func (m *shard) newSharedFiber(nodeID int, code *threaded.FnCode, base int64, ro
 	f.waitSlot, f.route = -1, route
 	m.nextFiber++
 	f.id = m.fiberID(m.nextFiber)
-	m.liveFibers++
+	m.mach.live++
 	return f
 }
 

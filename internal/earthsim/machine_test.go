@@ -9,11 +9,24 @@ import (
 	"repro/internal/trace"
 )
 
-// drain processes every pending event regardless of main's state.
-func drain(m *shard) {
-	for len(m.events) > 0 {
-		m.dispatch(m.events.pop())
+// emptyProg is a main that returns at once.
+func emptyProg() *threaded.Program {
+	prog := &threaded.Program{
+		Funcs: map[string]*threaded.FnCode{"main": {Name: "main", NSlots: 1,
+			Code: []threaded.Instr{{Op: threaded.OpRet, A: -1}}}},
 	}
+	prog.Main = prog.Funcs["main"]
+	return prog
+}
+
+// popAll empties the machine's event queue, returning the events in the
+// order the event loop would dispatch them.
+func popAll(m *Machine) []event {
+	var evs []event
+	for len(m.events) > 0 {
+		evs = append(evs, m.events.pop())
+	}
+	return evs
 }
 
 // TestAddrPacking checks the global-address scheme round-trips.
@@ -38,12 +51,8 @@ func TestAddrPacking(t *testing.T) {
 // TestSUTaskSerialization: the SU is a serial resource — overlapping tasks
 // queue behind each other.
 func TestSUTaskSerialization(t *testing.T) {
-	prog := &threaded.Program{
-		Funcs: map[string]*threaded.FnCode{"main": {Name: "main", NSlots: 1,
-			Code: []threaded.Instr{{Op: threaded.OpRet, A: -1}}}},
-	}
-	prog.Main = prog.Funcs["main"]
-	m := New(prog, DefaultConfig(1)).sh[0]
+	mach := New(emptyProg(), DefaultConfig(1))
+	m := mach.sh[0]
 	n := m.nodes[0]
 	for i := 0; i < 3; i++ {
 		g := m.getMsg()
@@ -51,8 +60,8 @@ func TestSUTaskSerialization(t *testing.T) {
 		m.suSched(n, 0, 100, g)
 	}
 	var done []int64
-	for len(m.events) > 0 {
-		done = append(done, m.events.pop().time)
+	for _, ev := range popAll(mach) {
+		done = append(done, ev.time)
 	}
 	if len(done) != 3 || done[0] != 100 || done[1] != 200 || done[2] != 300 {
 		t.Errorf("SU tasks must serialize: got %v", done)
@@ -62,12 +71,7 @@ func TestSUTaskSerialization(t *testing.T) {
 // TestNetFIFO: messages between one (src, dst) pair arrive in send order
 // even when a later message is smaller/faster.
 func TestNetFIFO(t *testing.T) {
-	prog := &threaded.Program{
-		Funcs: map[string]*threaded.FnCode{"main": {Name: "main", NSlots: 1,
-			Code: []threaded.Instr{{Op: threaded.OpRet, A: -1}}}},
-	}
-	prog.Main = prog.Funcs["main"]
-	mach := New(prog, DefaultConfig(2))
+	mach := New(emptyProg(), DefaultConfig(2))
 	m := mach.sh[0]
 	src, dst := m.nodes[0], m.nodes[1]
 	// A large (slow) message sent first, then a zero-payload one.
@@ -76,21 +80,45 @@ func TestNetFIFO(t *testing.T) {
 	g2.class, g2.stage = trace.ClassGet, 2
 	m.netSched(src, dst, 0, 100, g1)
 	m.netSched(src, dst, 1, 0, g2)
-	// Node 1 belongs to shard 1, so both hops wait in shard 0's outbox as
-	// mail, in send order and with strictly increasing arrival times.
-	if len(m.events) != 0 {
-		t.Errorf("cross-shard hops scheduled locally: %d events", len(m.events))
+	// Both hops are arrivals at node 1 in the machine's one queue, in send
+	// order and with strictly increasing arrival times.
+	evs := popAll(mach)
+	if len(evs) != 2 || evs[0].g != g1 || evs[1].g != g2 {
+		t.Fatalf("per-link FIFO violated: %+v", evs)
 	}
-	if len(m.outbox) != 2 || m.outbox[0].g != g1 || m.outbox[1].g != g2 {
-		t.Fatalf("per-link FIFO violated: outbox %v", m.outbox)
-	}
-	for _, o := range m.outbox {
-		if o.to != mach.sh[1] || o.node != 1 {
-			t.Errorf("mail addressed to shard %d node %d, want shard 1 node 1", o.to.id, o.node)
+	for _, ev := range evs {
+		if ev.kind != evNetArrive || ev.node != 1 {
+			t.Errorf("hop scheduled as kind %d for node %d, want an arrival at node 1", ev.kind, ev.node)
 		}
 	}
-	if m.outbox[0].at >= m.outbox[1].at {
-		t.Errorf("later send arrives first: %d then %d", m.outbox[0].at, m.outbox[1].at)
+	if evs[0].time >= evs[1].time {
+		t.Errorf("later send arrives first: %d then %d", evs[0].time, evs[1].time)
+	}
+}
+
+// TestSimultaneousArrivalsInScheduleOrder pins the machine's tie rule: two
+// messages from different senders that reach one node in the same
+// nanosecond are served in the order their arrivals were scheduled —
+// whichever sender went first, and whatever the senders' node ids.
+func TestSimultaneousArrivalsInScheduleOrder(t *testing.T) {
+	for _, senders := range [][2]int{{1, 2}, {2, 1}} {
+		mach := New(emptyProg(), DefaultConfig(3))
+		dst := mach.nodes[0]
+		var sent [2]*msg
+		for i, id := range senders {
+			s := mach.sh[id]
+			g := s.getMsg()
+			g.class, g.stage = trace.ClassGet, 2
+			s.netSched(s.nodes[id], dst, 0, 0, g)
+			sent[i] = g
+		}
+		evs := popAll(mach)
+		if len(evs) != 2 || evs[0].time != evs[1].time {
+			t.Fatalf("senders %v: want two arrivals at one time, got %+v", senders, evs)
+		}
+		if evs[0].g != sent[0] || evs[1].g != sent[1] {
+			t.Errorf("senders %v: arrivals served out of schedule order", senders)
+		}
 	}
 }
 

@@ -140,28 +140,13 @@ func (m *shard) netSched(src, dst *node, t int64, words int, g *msg) {
 	}
 	src.netLast[dst.id] = arrive
 	m.tr.NetSpan(src.id, dst.id, msgLabels[g.class][g.stage-1], g.mid, words, t, arrive)
-	m.deliver(arrive, dst, g)
+	m.schedule(arrive, evNetArrive, dst.id, g)
 	if dup != nil {
 		arrive++
 		src.netLast[dst.id] = arrive
 		m.tr.NetSpan(src.id, dst.id, msgLabels[dup.class][dup.stage-1], dup.mid, words, t, arrive)
-		m.deliver(arrive, dst, dup)
+		m.schedule(arrive, evNetArrive, dst.id, dup)
 	}
-}
-
-// deliver hands a network arrival to the destination node's owning shard:
-// scheduled locally when this shard owns it, buffered in the outbox for the
-// next barrier otherwise. Arrival times always carry at least NetLatency of
-// wire time beyond the sender's current event, which is exactly the
-// conservative lookahead bound the coordinator runs windows under — mail is
-// never delivered into a receiver's past.
-func (m *shard) deliver(at int64, dst *node, g *msg) {
-	to := m.peers[dst.id]
-	if to == m {
-		m.schedule(at, evNetArrive, dst.id, g)
-		return
-	}
-	m.outbox = append(m.outbox, mail{to: to, at: at, node: dst.id, g: g})
 }
 
 // netWords is the wire payload of the request (fwd) or reply (back) leg.
@@ -655,7 +640,7 @@ func (m *shard) issueShared(f *fiber, t int64, addr int64, op int, val int64,
 // reports to its waiter.
 func (m *shard) finishFiber(f *fiber, t int64, val int64) {
 	f.done = true
-	m.liveFibers--
+	m.mach.live--
 	n := f.node
 	switch f.route.kind {
 	case 0: // main

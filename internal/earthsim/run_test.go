@@ -1,10 +1,10 @@
 package earthsim_test
 
-// The golden matrix: the event loop must still compute what
-// testdata/engine_golden.json froze before the second, sequential loop was
-// deleted — not just the program-visible result, but the recording (its
-// Chrome trace export, summary and canonical form), with the fault layer both
-// off and on.
+// The golden matrix: the event loop must compute what
+// testdata/engine_golden.json froze — not just the program-visible result,
+// but the time, the event count and the recording (its Chrome trace export,
+// summary and canonical form), with the fault layer both off and on. The
+// file's captured_from says when each value was frozen and why it moved.
 
 import (
 	"bytes"
@@ -92,11 +92,11 @@ func golden(t *testing.T, program string, nodes int, faults string) goldenCell {
 	return goldenCell{}
 }
 
-// checkVisible holds r to what the frozen sequential loop computed.
+// checkVisible holds r to the cell's program-visible result.
 func (g goldenCell) checkVisible(t *testing.T, r surface) {
 	t.Helper()
 	if v := r.res.Visible(); v != g.Visible {
-		t.Errorf("Visible diverges from the frozen sequential loop:\n--- got ---\n%s\n--- golden ---\n%s", v, g.Visible)
+		t.Errorf("Visible diverges from the golden cell:\n--- got ---\n%s\n--- golden ---\n%s", v, g.Visible)
 	}
 }
 
@@ -119,8 +119,8 @@ func (g goldenCell) check(t *testing.T, r surface) {
 	}
 }
 
-// TestShardedEquivalenceMatrix sweeps {Olden benchmark} x {faults off/on} on
-// 4 nodes, and the five Olden programs fault-free on 3 and 16 nodes: each
+// TestShardedEquivalenceMatrix sweeps {Olden benchmark} x {faults off/on}
+// on 4 nodes, and the five Olden programs fault-free on 3 and 16 nodes: each
 // run must match its golden cell.
 func TestShardedEquivalenceMatrix(t *testing.T) {
 	type cell struct {
@@ -142,9 +142,9 @@ func TestShardedEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestSharded256Nodes: a quick benchmark on a 256-node machine still matches
-// the golden cell.
-func TestSharded256Nodes(t *testing.T) {
+// TestPower256Nodes: a quick benchmark on a 256-node machine matches its
+// golden cell.
+func TestPower256Nodes(t *testing.T) {
 	bm := olden.ByName("power")
 	golden(t, bm.Name, 256, "").check(t, matrixRun(t, bm, 256, "", ""))
 }
@@ -165,12 +165,12 @@ func TestHalo128Nodes(t *testing.T) {
 	}
 }
 
-// TestDegenerateWindows covers the two configurations that used to switch
-// engines silently. A one-node machine is a single shard with an unbounded
-// window; NetLatency=0 floors every window at "the events at T1". Both must
-// compute what the sequential loop computed (zero latency moves no
-// program-visible quantity, so its reference is the plain 4-node cell).
-func TestDegenerateWindows(t *testing.T) {
+// TestOneNodeAndZeroLatency covers the two edge configurations of the
+// machine: one node, where nothing crosses the network, and NetLatency=0,
+// where a message arrives in the nanosecond it is sent. Both must compute the
+// golden program-visible result (zero latency moves no program-visible
+// quantity, so its reference is the plain 4-node cell).
+func TestOneNodeAndZeroLatency(t *testing.T) {
 	for _, bm := range append(olden.All(), olden.Halo()) {
 		for _, tc := range []struct {
 			name        string

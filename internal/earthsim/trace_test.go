@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
-	"time"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/earthsim"
 	"repro/internal/olden"
@@ -200,60 +198,5 @@ func TestTrappedRunLeavesRecording(t *testing.T) {
 	canonicalTrace(t, buf.String()) // fails on a reference to an unrecorded message
 	if s := rec.Summarize(); s.Horizon == 0 || s.Horizon > full.Horizon() {
 		t.Errorf("trapped run's horizon %d, want within (0, %d]", s.Horizon, full.Horizon())
-	}
-}
-
-// TestCompileStatsPopulated: a compile that misses the cache carries its
-// per-phase timings on its CompileResult, and the optimized unit holds the
-// placement and selection counts; a plain (unoptimized) unit has none of
-// the latter, and a hit on the same pipeline carries no phase timings.
-func TestCompileStatsPopulated(t *testing.T) {
-	name, src := oldenQuick()
-	p := core.NewPipeline(core.Options{Optimize: true, Cache: cache.New(0, "")})
-	req := core.CompileRequest{Name: name, Source: src}
-	res, err := p.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Phases) == 0 {
-		t.Fatal("compile recorded no phase timings")
-	}
-	seen := map[string]bool{}
-	var total time.Duration
-	for _, ph := range res.Phases {
-		seen[ph.Name] = true
-		total += ph.End.Sub(ph.Start)
-	}
-	if total <= 0 {
-		t.Errorf("phase timings sum to %v: %+v", total, res.Phases)
-	}
-	for _, want := range []string{"parse", "sema", "commsel"} {
-		if !seen[want] {
-			t.Errorf("phase %q missing from %+v", want, res.Phases)
-		}
-	}
-	u := res.Unit
-	if u.Placement == nil || u.Report == nil {
-		t.Fatal("optimized unit carries no placement or selection report")
-	}
-	sel := u.Report.Totals()
-	if u.Placement.CandidateReads == 0 || sel.PipelinedReads+sel.BlockedReads == 0 {
-		t.Errorf("selection counters empty: %d read candidates, %+v", u.Placement.CandidateReads, sel)
-	}
-
-	hit, err := p.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit.Hit || hit.Phases != nil {
-		t.Errorf("second Do: hit=%t with %d phases; want a hit with none", hit.Hit, len(hit.Phases))
-	}
-
-	plain, err := core.NewPipeline(core.Options{}).Compile(name, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Placement != nil || plain.Report != nil {
-		t.Error("unoptimized unit carries placement or selection counts")
 	}
 }

@@ -6,8 +6,8 @@ package olden
 // neighbors' values (strictly nearest-neighbor remote reads — the classic
 // halo exchange) and double-buffers its update, so total traffic grows
 // linearly with the node count while each message crosses exactly one link.
-// That makes it the stress case for the event loop's conservative
-// lookahead: every shard talks every window, but only to its neighbors.
+// That makes it the stress case for the event loop itself: many nodes, few
+// instructions per event, every node talking only to its neighbors.
 //
 // Halo is deliberately not in All(): it measures the simulator, not the
 // paper's communication optimizations, so it stays out of the Olden

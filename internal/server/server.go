@@ -62,7 +62,8 @@ type Config struct {
 	MaxFuel int64
 	// JobDeadline bounds host wall-clock time per job run (default 60s).
 	JobDeadline time.Duration
-	// SimWorkers is ignored: the simulator runs every window inline.
+	// SimWorkers is ignored: the simulator has one event loop, which runs
+	// on the job's shard worker.
 	//
 	// Deprecated: kept only so existing callers still compile.
 	SimWorkers int
