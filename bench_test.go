@@ -336,8 +336,8 @@ func BenchmarkHaloJob(b *testing.B) {
 // BenchmarkSimNodes is the event-loop scalability sweep: the halo ring
 // exchange (one cell per node, nearest-neighbor traffic only) at rising
 // machine sizes, reporting wall time per run plus events/sec (events is
-// deterministic and pinned by TestCounters; events_sec is the throughput
-// metric).
+// deterministic and pinned by TestCounters, as are allocs/op; events_sec is
+// the throughput metric).
 func BenchmarkSimNodes(b *testing.B) {
 	bm := olden.Halo()
 	src := bm.Source(bm.DefaultParams)

@@ -32,43 +32,50 @@ var oldenCounters = []struct {
 	// Measured allocations per BenchmarkOldenQuick run. Each fell by 45–79
 	// (power from 182) when the telemetry sampler was deleted, by 0–4 more
 	// when each node kept one pending EU wake-up (a shorter event queue grows
-	// fewer times), and by 35–4,002 (from 136, 918, 674, 2,299 and 4,206)
-	// when blocking on a fill started to reuse the node's emptied waiter
-	// lists.
+	// fewer times), by 35–4,002 (from 136, 918, 674, 2,299 and 4,206) when
+	// blocking on a fill started to reuse the node's emptied waiter lists,
+	// and by 8–67 (from 101, 241, 243, 904 and 204, measured 90, 217, 224,
+	// 874 and 177) when the per-node shard record, with its own freelists,
+	// scratch buffer and fault maps, was folded into the one Machine.
 	allocs int64
 }{
 	// When optimized builds began clustering blocked structs' hot fields,
 	// health's instructions and events moved from 60,092 and 5,675,
 	// perimeter's events from 10,231 and voronoi's instructions and events
 	// from 103,257 and 34,261; every operation count held.
-	{"power", 257219, 309, 6464, 2672, 2672, 101},
-	{"tsp", 28947, 6157, 3298, 1534, 1439, 241},
-	{"health", 60116, 5699, 14929, 7017, 7017, 243},
-	{"perimeter", 339749, 10192, 6493, 5897, 5897, 904},
-	{"voronoi", 102332, 33336, 15990, 8758, 8500, 204},
+	{"power", 257219, 309, 6464, 2672, 2672, 75},
+	{"tsp", 28947, 6157, 3298, 1534, 1439, 194},
+	{"health", 60116, 5699, 14929, 7017, 7017, 216},
+	{"perimeter", 339749, 10192, 6493, 5897, 5897, 837},
+	{"voronoi", 102332, 33336, 15990, 8758, 8500, 163},
 }
 
-// haloEvents is BenchmarkSimNodes' deterministic metric: events of the halo
-// ring exchange per machine size.
+// haloEvents is BenchmarkSimNodes' row per machine size: the events of the
+// halo ring exchange (deterministic) and the measured allocations per run,
+// which pin how a run's allocations grow with the node count — about seven
+// per node, the node record and its tables. They were 95, 939, 3,632 and
+// 14,393 while each node also had a shard record of its own.
 var haloEvents = []struct {
-	nodes  int
-	events int64
+	nodes          int
+	events, allocs int64
 }{
-	{4, 1527},
-	{64, 28887},
-	{256, 116439},
-	{1024, 466647},
+	{4, 1527, 79},
+	{64, 28887, 505},
+	{256, 116439, 1853},
+	{1024, 466647, 7237},
 }
 
 // haloJobBytes and haloJobAllocs are the measured heap bytes and allocations
 // of one 128-node halo run set up as an earthd job (jobRun) — benchmark/'s
 // halo_sharded job and BenchmarkHaloJob. They fell from 674,347 and 10,130
 // when the always-on telemetry sampler was deleted (its series' EU, SU and
-// link quantities are all in a trace recording), and from 537,360 and 10,107
-// when blocking on a fill started to reuse the node's emptied waiter lists.
+// link quantities are all in a trace recording), from 537,360 and 10,107
+// when blocking on a fill started to reuse the node's emptied waiter lists,
+// and from 480,264 and 2,221 (measured 386,723 and 1,835) when the per-node
+// shard record was folded into the one Machine.
 const (
-	haloJobBytes  = 480_264
-	haloJobAllocs = 2_221
+	haloJobBytes  = 237_328
+	haloJobAllocs = 955
 )
 
 // tracedMixBytes and tracedMixAllocs are the measured heap bytes and
@@ -81,10 +88,12 @@ const (
 // pending EU wake-up per node to 29,495 allocations, reused waiter lists to
 // 603,270 bytes and 22,955 allocations, and a ring per node for the
 // recorder's SU queue bookkeeping (SUSpan), which had re-sliced and appended
-// to a slice per node, to 214,532 bytes and 1,676 allocations.
+// to a slice per node, to 214,532 bytes and 1,676 allocations, and folding
+// the per-node shard record into the one Machine to 177,800 bytes and 1,485
+// allocations (measured 197,296 and 1,581 before).
 const (
-	tracedMixBytes  = 214_532
-	tracedMixAllocs = 1_676
+	tracedMixBytes  = 177_800
+	tracedMixAllocs = 1_485
 )
 
 // simulator is BenchmarkSimulator's row: power with every observer off, so
@@ -93,7 +102,7 @@ const (
 var simulator = struct {
 	instructions int64
 	allocs       int64 // measured per run
-}{257219, 101}
+}{257219, 75}
 
 // Measured allocations per op of BenchmarkCompile, BenchmarkCompileTiny,
 // BenchmarkColdJob and BenchmarkCompileWarm, and the heap bytes of the cold
@@ -211,11 +220,14 @@ func TestCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range haloEvents {
-		res, err := p.Run(u, core.RunConfig{Nodes: want.nodes})
+		what := "halo/nodes=" + strconv.Itoa(want.nodes)
+		rc := core.RunConfig{Nodes: want.nodes}
+		res, err := p.Run(u, rc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkCount(t, "halo/nodes="+strconv.Itoa(want.nodes), "events", res.Events, want.events)
+		checkCount(t, what, "events", res.Events, want.events)
+		checkAllocs(t, "SimNodes/"+what, ceiling(want.allocs), func() { p.Run(u, rc) })
 	}
 
 	run := simulatorRun(t, core.Options{Optimize: true})

@@ -336,7 +336,7 @@ func TestBlockedReportCountsFills(t *testing.T) {
 // the presence counter at zero — it must not wrap, or the next read issued
 // into the word would look complete while still in flight.
 func TestDuplicateFillNeverBelowZero(t *testing.T) {
-	m := New(loopProg(), DefaultConfig(1)).sh[0]
+	m := New(loopProg(), DefaultConfig(1))
 	f := m.newFiber(0, m.prog.Main, nil, replyRoute{})
 	n, abs := f.node, f.base
 	f.addPending(abs)

@@ -11,7 +11,7 @@ import (
 // runEU handles the node's one pending EU wake-up (see node.euWake): when
 // the EU is free and a fiber is ready, run it until it suspends or
 // completes, then wake again if another fiber is ready.
-func (m *shard) runEU(n *node, t int64) {
+func (m *Machine) runEU(n *node, t int64) {
 	if t < n.euFree {
 		m.schedule(n.euFree, evEURun, n.id, nil)
 		return
@@ -39,7 +39,7 @@ func (m *shard) runEU(n *node, t int64) {
 
 // execFiber interprets instructions until the fiber suspends, completes, or
 // traps. *t advances with each instruction's cost.
-func (m *shard) execFiber(f *fiber, t *int64) {
+func (m *Machine) execFiber(f *fiber, t *int64) {
 	n := f.node
 	cfg := &m.cfg
 	// From here f.blocked() means "blocked by this invocation": a fiber woken
@@ -632,8 +632,8 @@ func (m *shard) execFiber(f *fiber, t *int64) {
 			case threaded.PrintStr:
 				text = in.Str
 			}
-			m.outSeq++
-			m.output = append(m.output, outItem{time: *t, seq: m.outSeq, text: text})
+			n.outSeq++
+			m.output = append(m.output, outItem{time: *t, seq: n.outSeq, text: text})
 
 		case threaded.OpOwnerOf:
 			p := rd(in.B)
@@ -681,7 +681,7 @@ func localOp(op threaded.Op) bool {
 // a null or remote pointer or beyond the node's memory, or the instruction
 // that would reach the next limit check or the fiber's runaway limit.
 // Instructions, f.ninstr and EU time are charged once for the whole run.
-func (m *shard) execLocal(f *fiber, t *int64) {
+func (m *Machine) execLocal(f *fiber, t *int64) {
 	n := f.node
 	code, mem, pending, base := f.code.Code, n.mem, n.pending, f.base
 	// A word at or past maxWords may already be in the slice (ensure grows
@@ -805,7 +805,7 @@ run:
 // An instruction reads all its operands before testing blocked, so it can
 // come to wait on several words at once. (Kept within the inlining budget:
 // this is the interpreter's hottest path.)
-func (m *shard) operand(f *fiber, n *node, abs int64) int64 {
+func (m *Machine) operand(f *fiber, n *node, abs int64) int64 {
 	if n.pending[abs] > 0 {
 		m.block(f, abs)
 	}
@@ -813,7 +813,7 @@ func (m *shard) operand(f *fiber, n *node, abs int64) int64 {
 }
 
 // localWord reads mem[p+off] which must reside on the executing node.
-func (m *shard) localWord(f *fiber, p int64, off int) (int64, bool) {
+func (m *Machine) localWord(f *fiber, p int64, off int) (int64, bool) {
 	if p == 0 {
 		m.trapf("%s: local access through null pointer", f.code.Name)
 		return 0, false
@@ -832,7 +832,7 @@ func (m *shard) localWord(f *fiber, p int64, off int) (int64, bool) {
 	return f.node.mem[o], true
 }
 
-func (m *shard) localWordStore(f *fiber, p int64, off int, v int64) bool {
+func (m *Machine) localWordStore(f *fiber, p int64, off int, v int64) bool {
 	if p == 0 {
 		m.trapf("%s: local store through null pointer", f.code.Name)
 		return false
@@ -853,7 +853,7 @@ func (m *shard) localWordStore(f *fiber, p int64, off int, v int64) bool {
 }
 
 // execCallAt handles OpCallAt; returns false when the fiber suspended.
-func (m *shard) execCallAt(f *fiber, t *int64, in *threaded.Instr) bool {
+func (m *Machine) execCallAt(f *fiber, t *int64, in *threaded.Instr) bool {
 	n := f.node
 	rd := func(slot int) int64 { return m.operand(f, n, f.base+int64(slot)) }
 	target := n.id
@@ -927,7 +927,7 @@ func (m *shard) execCallAt(f *fiber, t *int64, in *threaded.Instr) bool {
 
 // execShared handles the atomic shared-variable operations; returns false
 // when the fiber suspended.
-func (m *shard) execShared(f *fiber, t *int64, in *threaded.Instr) bool {
+func (m *Machine) execShared(f *fiber, t *int64, in *threaded.Instr) bool {
 	n := f.node
 	rd := func(slot int) int64 { return m.operand(f, n, f.base+int64(slot)) }
 	addr := rd(in.B)

@@ -13,10 +13,11 @@ import (
 // Attaching a FaultConfig to Config.Faults switches the machine's transport
 // from the idealized perfectly-reliable interconnect to a lossy one: each
 // wire hop may be dropped, duplicated, or delayed, and each SU service may
-// be preceded by a stall window, all decided by a machine-owned splitmix64
-// PRNG seeded from the config. Because the PRNG is consulted in event-loop
-// order — which the (time, seq) total order makes deterministic — identical
-// seed + spec give bit-identical Results (including Time and FaultStats).
+// be preceded by a stall window, all decided by per-node splitmix64 PRNG
+// streams seeded from the config. Because the streams are consulted in
+// event-loop order — which the (time, seq) total order makes deterministic —
+// identical seed + spec give bit-identical Results (including Time and
+// FaultStats).
 //
 // To keep runs *correct* under loss, every split-phase message becomes a
 // sequence-numbered transaction:
@@ -279,7 +280,7 @@ func (s *FaultStats) String() string {
 // txn is one reliable-messaging transaction: the sender-side state of a
 // split-phase message from first transmission to acknowledged completion.
 type txn struct {
-	seq     uint64 // transaction sequence number (key of shard.txns)
+	seq     uint64 // transaction sequence number (key of Machine.txns)
 	proto   *msg   // prototype record, owned by the txn while live
 	svc     int64  // issuing SU cost, reapplied on every retransmission
 	link    uint32 // directed link key (window accounting, RTT estimator)
@@ -311,11 +312,13 @@ type linkPos struct {
 
 // ------------------------------------------------------------------- PRNG ---
 
-// rnd is the machine's splitmix64 PRNG, consulted only in event-loop order
-// so draws are deterministic for a given seed.
-func (m *shard) rnd() uint64 {
-	m.rngState += 0x9E3779B97F4A7C15
-	z := m.rngState
+// rnd draws from the node's splitmix64 PRNG. Each fault draw is taken by
+// the node that acts — the SU's node for a stall, the sending node for a
+// drop, delay or duplicate — and in event-loop order, so draws are
+// deterministic for a given seed.
+func (n *node) rnd() uint64 {
+	n.rngState += 0x9E3779B97F4A7C15
+	z := n.rngState
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
@@ -323,21 +326,21 @@ func (m *shard) rnd() uint64 {
 
 // chance draws a uniform [0,1) variate and compares it to p. Callers must
 // guard with p > 0 so disabled distributions consume no draws.
-func (m *shard) chance(p float64) bool {
-	return float64(m.rnd()>>11)/(1<<53) < p
+func (n *node) chance(p float64) bool {
+	return float64(n.rnd()>>11)/(1<<53) < p
 }
 
-// rndN draws a uniform integer in [0, n). The slight modulo bias is
+// rndN draws a uniform integer in [0, k). The slight modulo bias is
 // irrelevant for fault modeling.
-func (m *shard) rndN(n int64) int64 {
-	return int64(m.rnd() % uint64(n))
+func (n *node) rndN(k int64) int64 {
+	return int64(n.rnd() % uint64(k))
 }
 
 // ------------------------------------------------------- reliable protocol ---
 
 // cloneMsg copies a prototype into a fresh freelist record for one
 // transmission attempt.
-func (m *shard) cloneMsg(g *msg) *msg {
+func (m *Machine) cloneMsg(g *msg) *msg {
 	c := m.getMsg()
 	args, vals := c.args, c.vals
 	*c = *g
@@ -380,7 +383,7 @@ func (e *rttEst) observe(sample int64) {
 // configured Timeout. The floor keeps a quiet link's aggressively small
 // estimate from firing on routine SU-stall jitter; the ceiling matches the
 // backoff cap.
-func (m *shard) rto(key uint32) int64 {
+func (m *Machine) rto(key uint32) int64 {
 	base := m.flt.timeout()
 	e := m.rtt[key]
 	if e == nil || e.srtt == 0 {
@@ -393,7 +396,7 @@ func (m *shard) rto(key uint32) int64 {
 // rttObserve records a completion's RTT against its link, per Karn's rule:
 // only transactions that completed without any retransmission give an
 // unambiguous sample.
-func (m *shard) rttObserve(key uint32, sample int64) {
+func (m *Machine) rttObserve(key uint32, sample int64) {
 	e := m.rtt[key]
 	if e == nil {
 		e = &rttEst{}
@@ -407,14 +410,14 @@ func (m *shard) rttObserve(key uint32, sample int64) {
 // with one, it opens a transaction, assigns the link-order sequence number,
 // and either transmits immediately or queues behind the link's selective-
 // repeat window.
-func (m *shard) sendMsg(g *msg, t, svc int64) {
+func (m *Machine) sendMsg(g *msg, t, svc int64) {
 	g.stage = 1
 	if m.flt == nil {
 		m.suSched(g.src, t, svc, g)
 		return
 	}
-	m.nextTxn++
-	g.seq = m.txnSeq(m.nextTxn)
+	g.src.nextTxn++
+	g.seq = g.src.txnSeq(g.src.nextTxn)
 	key := linkKey(g.src, g.dst)
 	g.lseq = m.linkNext[key]
 	m.linkNext[key]++
@@ -428,17 +431,17 @@ func (m *shard) sendMsg(g *msg, t, svc int64) {
 	m.transmit(tx, t)
 }
 
-// txnSeq tags a transaction ordinal with the owning shard, keeping sequence
+// txnSeq tags a transaction ordinal with the sending node, keeping sequence
 // numbers unique machine-wide (the receiver's exactly-once cache is keyed by
 // them).
-func (m *shard) txnSeq(ordinal uint64) uint64 {
-	return uint64(m.id+1)<<40 | ordinal
+func (n *node) txnSeq(ordinal uint64) uint64 {
+	return uint64(n.id+1)<<40 | ordinal
 }
 
 // transmit performs a transaction's first transmission: claim the window
 // slot, queue the flight on the issuing SU, and arm the retransmit timer at
 // the link's current RTO.
-func (m *shard) transmit(tx *txn, t int64) {
+func (m *Machine) transmit(tx *txn, t int64) {
 	m.winOpen[tx.link]++
 	tx.attempt = 1
 	tx.start = t
@@ -450,14 +453,14 @@ func (m *shard) transmit(tx *txn, t int64) {
 }
 
 // scheduleRetry arms (or re-arms) a transaction's retransmit timer.
-func (m *shard) scheduleRetry(tx *txn, at int64) {
-	m.mach.push(event{time: at, kind: evRetry, node: tx.proto.src.id, tx: tx})
+func (m *Machine) scheduleRetry(tx *txn, at int64) {
+	m.push(event{time: at, kind: evRetry, node: tx.proto.src.id, tx: tx})
 }
 
 // retryFire handles a retransmit-timer expiry: if the transaction is still
 // open, clone and resend the prototype with a doubled (capped) timeout; a
 // transaction out of retry budget traps the run.
-func (m *shard) retryFire(tx *txn, t int64) {
+func (m *Machine) retryFire(tx *txn, t int64) {
 	if tx.done {
 		return
 	}
@@ -486,7 +489,7 @@ func (m *shard) retryFire(tx *txn, t int64) {
 // prototype to the freelist so late timer fires or duplicate reply copies
 // become no-ops. doneAttempt is the transmission attempt stamped on the
 // copy that completed the round trip.
-func (m *shard) finishTxn(tx *txn, t int64, doneAttempt int) {
+func (m *Machine) finishTxn(tx *txn, t int64, doneAttempt int) {
 	tx.done = true
 	delete(m.txns, tx.seq)
 	m.putMsg(tx.proto)

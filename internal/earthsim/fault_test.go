@@ -79,9 +79,9 @@ func TestFuelExhausted(t *testing.T) {
 
 // TestFuelIsMachineWide: fuel bounds the sum of every node's instructions.
 // Every node spins: each loop trip calls a function on the next node and
-// waits for its result, so all four keep executing. Each node checks the
-// machine-wide total every limitCheckInterval instructions it executes, so
-// the run stops past Fuel by at most one interval per node.
+// waits for its result, so all four keep executing. The machine checks its
+// total every limitCheckInterval instructions, whichever node executes
+// them, so the run stops past Fuel by at most one interval.
 func TestFuelIsMachineWide(t *testing.T) {
 	const nodes = 4
 	one := &threaded.FnCode{Name: "one", NSlots: 1, Code: []threaded.Instr{imm(0, 1), {Op: threaded.OpRet, A: 0}}}
@@ -112,18 +112,17 @@ func TestFuelIsMachineWide(t *testing.T) {
 	if _, scanErr := fmt.Sscanf(err.Error(), "earthsim: fuel exhausted: %d EU instructions executed (fuel %d)", &reported, &fuel); scanErr != nil {
 		t.Fatalf("no instruction total in %q: %v", err, scanErr)
 	}
-	var total int64
-	for _, s := range m.sh {
-		if s.counts.Instructions == 0 {
-			t.Errorf("node %d never ran", s.id)
+	for _, n := range m.nodes {
+		if n.nextFiber == 0 {
+			t.Errorf("node %d never ran a fiber", n.id)
 		}
-		total += s.counts.Instructions
 	}
+	total := m.counts.Instructions
 	if reported != total || fuel != cfg.Fuel {
-		t.Errorf("reported %d instructions (fuel %d); the nodes executed %d (fuel %d)", reported, fuel, total, cfg.Fuel)
+		t.Errorf("reported %d instructions (fuel %d); the machine executed %d (fuel %d)", reported, fuel, total, cfg.Fuel)
 	}
-	if total <= cfg.Fuel || total > cfg.Fuel+nodes*limitCheckInterval {
-		t.Errorf("stopped at %d instructions, want in (%d, %d]", total, cfg.Fuel, cfg.Fuel+nodes*limitCheckInterval)
+	if total <= cfg.Fuel || total > cfg.Fuel+limitCheckInterval {
+		t.Errorf("stopped at %d instructions, want in (%d, %d]", total, cfg.Fuel, cfg.Fuel+limitCheckInterval)
 	}
 }
 
@@ -140,17 +139,15 @@ func TestWallDeadline(t *testing.T) {
 // at the event level: with Config.Faults nil, sendMsg must be exactly the
 // pre-fault path (no transactions, no sequence numbers, no timers).
 func TestFaultFreeScheduleUnchanged(t *testing.T) {
-	prog := loopProg()
-	mach := New(prog, DefaultConfig(2))
-	m := mach.sh[0]
+	m := New(loopProg(), DefaultConfig(2))
 	g := m.getMsg()
 	g.class, g.f, g.src, g.dst = 0, nil, m.nodes[0], m.nodes[1]
 	m.sendMsg(g, 0, 100)
 	if g.seq != 0 || g.lseq != 0 {
 		t.Errorf("fault-free sendMsg assigned sequence numbers: seq=%d lseq=%d", g.seq, g.lseq)
 	}
-	if len(mach.events) != 1 {
-		t.Errorf("fault-free sendMsg scheduled %d events, want 1 (no retry timer)", len(mach.events))
+	if len(m.events) != 1 {
+		t.Errorf("fault-free sendMsg scheduled %d events, want 1 (no retry timer)", len(m.events))
 	}
 	if m.txns != nil || m.seen != nil {
 		t.Error("fault-free machine allocated protocol state")
@@ -162,7 +159,7 @@ func TestFaultFreeScheduleUnchanged(t *testing.T) {
 func TestRetryBackoffCap(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.Faults = &FaultConfig{Drop: 0.9999, MaxRetries: 6, Seed: 1}
-	m := New(loopProg(), cfg).sh[0]
+	m := New(loopProg(), cfg)
 	g := m.getMsg()
 	g.class, g.src, g.dst = 0, m.nodes[0], m.nodes[1]
 	m.sendMsg(g, 0, 100)

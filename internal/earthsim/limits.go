@@ -28,11 +28,11 @@ var (
 	ErrCanceled = errors.New("run canceled")
 )
 
-// limitCheckInterval is how many EU instructions a node executes between
-// fuel/deadline checks; it bounds the per-instruction cost of limiting to
-// one compare. pollEvents is how many events pass between the event loop's
-// own wall-clock and context polls, which catch runs whose events execute
-// few instructions.
+// limitCheckInterval is how many EU instructions the machine executes
+// between fuel/deadline checks; it bounds the per-instruction cost of
+// limiting to one compare. pollEvents is how many events pass between the
+// event loop's own wall-clock and context polls, which catch runs whose
+// events execute few instructions.
 const (
 	limitCheckInterval = 16384
 	pollEvents         = 4096
@@ -47,8 +47,8 @@ func (m *Machine) SetDeadline(d time.Duration) *Machine {
 
 // SetContext attaches a cancellation context to the run (nil detaches, the
 // default). The simulator polls it on the same cadence as the wall-clock
-// deadline — every limitCheckInterval EU instructions a node executes and
-// every pollEvents events — and stops with an error wrapping ErrCanceled.
+// deadline — every limitCheckInterval EU instructions the machine executes
+// and every pollEvents events — and stops with an error wrapping ErrCanceled.
 // Unlike Fuel/SetDeadline this limit is external to simulated time: a
 // client disconnect or a DELETE /jobs/{id} aborts a run that is making
 // perfectly good simulated-time progress. Call before Run. Returns m for
@@ -59,31 +59,25 @@ func (m *Machine) SetContext(ctx context.Context) *Machine {
 }
 
 // trapw stops the simulation with an error wrapping a sentinel.
-func (m *shard) trapw(sentinel error, format string, args ...any) {
+func (m *Machine) trapw(sentinel error, format string, args ...any) {
 	if m.trap == nil {
 		m.trap = fmt.Errorf("earthsim: %w: %s", sentinel, fmt.Sprintf(format, args...))
 	}
 }
 
-// limitCheck runs every limitCheckInterval instructions a node executes
-// (from execFiber's hot loop) and traps on an exhausted instruction budget,
-// an expired wall-clock deadline or a cancelled context. Fuel is one
-// machine-wide total: the sum of every node's instruction count.
-func (m *shard) limitCheck() {
+// limitCheck runs every limitCheckInterval instructions the machine
+// executes (from execFiber's hot loop) and traps on an exhausted instruction
+// budget, an expired wall-clock deadline or a cancelled context. Fuel is one
+// machine-wide total, so a run stops within limitCheckInterval instructions
+// past it.
+func (m *Machine) limitCheck() {
 	m.nextLimitCheck += limitCheckInterval
-	mc := m.mach
-	if fuel := m.cfg.Fuel; fuel > 0 {
-		var total int64
-		for _, s := range mc.sh {
-			total += s.counts.Instructions
-		}
-		if total > fuel {
-			m.trapw(ErrFuelExhausted, "%d EU instructions executed (fuel %d) — raise Config.Fuel / -fuel if the program is genuinely long-running%s",
-				total, fuel, m.blockedReport())
-			return
-		}
+	if fuel := m.cfg.Fuel; fuel > 0 && m.counts.Instructions > fuel {
+		m.trapw(ErrFuelExhausted, "%d EU instructions executed (fuel %d) — raise Config.Fuel / -fuel if the program is genuinely long-running%s",
+			m.counts.Instructions, fuel, m.blockedReport())
+		return
 	}
-	if err := mc.pollHost(); err != nil && m.trap == nil {
+	if err := m.pollHost(); err != nil && m.trap == nil {
 		m.trap = err
 	}
 }
@@ -110,7 +104,7 @@ func (m *Machine) pollHost() error {
 // it blocks. The list is an intrusive singly-linked stack with lazy
 // deletion — fibers are never removed, only skipped at report time — so
 // parking stays allocation-free on the simulator hot path.
-func (m *shard) park(f *fiber) {
+func (m *Machine) park(f *fiber) {
 	if f.parkListed {
 		return
 	}
@@ -119,10 +113,13 @@ func (m *shard) park(f *fiber) {
 	m.parkedHead = f
 }
 
-// blockedReport describes every currently-blocked fiber — which slot, fence
-// or join it waits on, and how many fills/acks it still expects — so
-// deadlocks and fault-induced stalls are debuggable from the error alone.
-func (m *shard) blockedReport() string {
+// blockedReport describes the currently-blocked fibers of every node — which
+// slot, fence or join each waits on, and how many fills/acks it still
+// expects — so deadlocks and fault-induced stalls are debuggable from the
+// error alone. It is one list in park-list order: newest first by when the
+// fiber record first blocked (a recycled record keeps its place), whatever
+// the node. At most maxListed fibers are named; a last line counts the rest.
+func (m *Machine) blockedReport() string {
 	const maxListed = 16
 	var b strings.Builder
 	count, omitted := 0, 0

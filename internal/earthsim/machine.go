@@ -67,9 +67,9 @@ type Config struct {
 	// i.e. 128 MiB per node).
 	MaxNodeWords int64
 	// Fuel bounds total EU instructions across all nodes (0 = unlimited);
-	// exceeding it returns an error wrapping ErrFuelExhausted. Each node
-	// checks the machine-wide total every limitCheckInterval instructions
-	// it executes, so a run stops within Nodes·limitCheckInterval
+	// exceeding it returns an error wrapping ErrFuelExhausted. The machine
+	// checks its total every limitCheckInterval instructions, whichever
+	// node executes them, so a run stops within limitCheckInterval
 	// instructions past Fuel.
 	Fuel int64
 
@@ -297,6 +297,15 @@ type node struct {
 	// lists wakeWaiters gave back, which block reuses.
 	waiters  map[int64][]*fiber
 	waitFree [][]*fiber
+	// The node's id spaces and fault stream, each advanced only by the node
+	// that acts, so no id or draw depends on how the nodes' events
+	// interleave: fibers it creates (fiberID), its prints (tagged with the
+	// id in bits 40+), the transactions it sends (txnSeq) and its PRNG
+	// (fault.go).
+	nextFiber int64
+	outSeq    int64
+	nextTxn   uint64
+	rngState  uint64
 }
 
 // hasWaiter flags a pending counter whose word some fiber is blocked on, so
@@ -481,7 +490,7 @@ type fiber struct {
 	parkListed bool
 	parkNext   *fiber
 
-	// freeNext links the record into its shard's fiber freelist between
+	// freeNext links the record into the machine's fiber freelist between
 	// lives (see getFiber/recycleFiber).
 	freeNext *fiber
 }
@@ -509,45 +518,46 @@ type outItem struct {
 	text string
 }
 
-// shard owns the mutable per-run state of one simulated node (shard i owns
-// node i and dispatches every event scheduled for it): the node's
-// EU/SU/fiber state, its id spaces, its side of the reliable-messaging
-// protocol, and its counters. The event queue, the trace recorder and the
-// profile are the machine's, shared by every shard.
-type shard struct {
-	id   int
-	mach *Machine // the event queue and the run's limits
-
-	// Read-only after New: shared program/topology. nodes is the full node
-	// table — a shard only mutates the state of the node it owns, but message
-	// servicing needs the table to resolve destination ids.
+// Machine is a loaded simulator instance: the nodes, the one event queue
+// they all schedule into (see Run), and the run's machine-wide state.
+// Besides its EU and SU, a node keeps only its id spaces and fault stream;
+// everything else a run accumulates — counts, output, freelists, the
+// blocked-fiber list, the reliable-messaging maps — lives here once.
+type Machine struct {
 	cfg   Config
 	prog  *threaded.Program
 	nodes []*node
+	prof  *profile.Data   // non-nil when prog.Profiled
+	tr    *trace.Recorder // nil: tracing disabled (the common case)
 
-	nextFiber     int64
+	events  eventQ
+	seq     int64 // events scheduled so far: the tiebreak of equal times
+	now     int64 // time of the event being dispatched
+	nEvents int64 // events dispatched so far
+	live    int64 // fibers created and not yet finished
+
 	counts        Counts
 	output        []outItem
-	outSeq        int64
 	mainDone      bool
 	mainRet       int64
 	mainTime      int64
 	trap          error
 	maxFiberInstr int64
-	msgFree       *msg            // freelist of message records (see getMsg/putMsg)
-	fiberFree     *fiber          // freelist of fiber records (see getFiber/recycleFiber)
-	scratch       []int64         // EU scratch for call arguments / block payloads
-	prof          *profile.Data   // non-nil when prog.Profiled
-	tr            *trace.Recorder // nil: tracing disabled (the common case)
+	msgFree       *msg    // freelist of message records (see getMsg/putMsg)
+	fiberFree     *fiber  // freelist of fiber records (see getFiber/recycleFiber)
+	parkedHead    *fiber  // intrusive list of fibers that have blocked (see park)
+	scratch       []int64 // EU scratch for call arguments / block payloads
 
-	nextLimitCheck int64  // next Instructions value at which to run limitCheck (limits.go)
-	parkedHead     *fiber // intrusive list of fibers that have blocked
+	// Host-side run limits (see limits.go).
+	nextLimitCheck int64 // next Instructions value at which to run limitCheck
+	wallLimit      time.Duration
+	deadline       time.Time
+	ctx            context.Context // nil: cancellation disabled
 
-	// Fault injection + reliable messaging (see fault.go); all nil/zero
-	// when cfg.Faults is nil.
+	// Fault injection + reliable messaging (see fault.go); all nil when
+	// cfg.Faults is nil. Every key is unique machine-wide: a transaction
+	// seq carries its sender (txnSeq), a link key both ends (linkKey).
 	flt        *FaultConfig
-	rngState   uint64
-	nextTxn    uint64
 	txns       map[uint64]*txn     // open transactions by sequence number
 	seen       map[uint64]svcCache // receiver-side serviced sequence numbers
 	linkNext   map[uint32]uint64   // sender-side next request lseq per directed link
@@ -559,47 +569,35 @@ type shard struct {
 	fstats     *FaultStats
 }
 
-// Machine is a loaded simulator instance: the shared topology, one shard
-// of per-node state per node, and the one event queue they all schedule
-// into (see Run).
-type Machine struct {
-	cfg   Config
-	prog  *threaded.Program
-	nodes []*node
-	sh    []*shard
-	prof  *profile.Data // every shard's profile (nil unless prog.Profiled)
-
-	events  eventQ
-	seq     int64 // events scheduled so far: the tiebreak of equal times
-	now     int64 // time of the event being dispatched
-	nEvents int64 // events dispatched so far
-	live    int64 // fibers created and not yet finished
-
-	// Host-side run limits (see limits.go).
-	wallLimit time.Duration
-	deadline  time.Time
-	ctx       context.Context // nil: cancellation disabled
-}
-
 // New loads a threaded program onto a fresh machine.
 func New(prog *threaded.Program, cfg Config) *Machine {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
 	}
-	m := &Machine{cfg: cfg, prog: prog}
+	m := &Machine{cfg: cfg, prog: prog, maxFiberInstr: cfg.MaxFiberInstr,
+		nextLimitCheck: limitCheckInterval, scratch: make([]int64, 0, 16)}
+	if m.maxFiberInstr == 0 {
+		m.maxFiberInstr = 2_000_000_000
+	}
 	if prog.Profiled {
 		m.prof = profile.New()
 	}
+	maxWords := cfg.MaxNodeWords
+	if maxWords == 0 {
+		maxWords = 16 << 20
+	}
 	for i := 0; i < cfg.Nodes; i++ {
-		maxWords := cfg.MaxNodeWords
-		if maxWords == 0 {
-			maxWords = 16 << 20
-		}
 		a := arenaPool.Get().(*arena)
 		n := &node{id: i, maxWords: maxWords, mem: a.mem, pending: a.pending, freeSmall: a.freeSmall, arena: a,
 			netLast: make([]int64, cfg.Nodes),
 			ready:   make([]*fiber, 0, 16),
-			waiters: make(map[int64][]*fiber)}
+			waiters: make(map[int64][]*fiber),
+			outSeq:  int64(i) << 40}
+		if cfg.Faults != nil {
+			// Mix the seed so Seed 0 still yields a well-distributed stream;
+			// each node draws from its own (golden-ratio offset per id).
+			n.rngState = (cfg.Faults.Seed + uint64(i)*0x9E3779B97F4A7C15) ^ 0x6C62272E07BB0142
+		}
 		m.nodes = append(m.nodes, n)
 	}
 	// Global segment at the bottom of node 0, with constant initializers
@@ -609,56 +607,31 @@ func New(prog *threaded.Program, cfg Config) *Machine {
 		m.nodes[0].mem[iv[0]] = iv[1]
 	}
 	m.events = make(eventQ, 0, 64)
-	m.sh = make([]*shard, cfg.Nodes)
-	for i := range m.sh {
-		m.sh[i] = m.newShard(i)
+	if cfg.Faults != nil {
+		m.flt = cfg.Faults
+		m.txns = make(map[uint64]*txn)
+		m.seen = make(map[uint64]svcCache)
+		m.linkNext = make(map[uint32]uint64)
+		m.linkExpect = make(map[uint32]uint64)
+		m.linkHold = make(map[linkPos]*msg)
+		m.rtt = make(map[uint32]*rttEst)
+		m.winOpen = make(map[uint32]int)
+		m.winQ = make(map[uint32][]*txn)
+		m.fstats = &FaultStats{}
 	}
 	return m
-}
-
-// newShard builds one node's shard.
-func (m *Machine) newShard(id int) *shard {
-	cfg := m.cfg
-	s := &shard{id: id, mach: m, cfg: cfg, prog: m.prog, nodes: m.nodes, prof: m.prof,
-		maxFiberInstr: cfg.MaxFiberInstr, scratch: make([]int64, 0, 16)}
-	if s.maxFiberInstr == 0 {
-		s.maxFiberInstr = 2_000_000_000
-	}
-	s.nextLimitCheck = limitCheckInterval
-	// Keep per-node streams disjoint: each shard has its own deterministic
-	// id space for fibers, output and txn sequences, so no id depends on
-	// how the nodes' events interleave.
-	s.outSeq = int64(id) << 40
-	if cfg.Faults != nil {
-		s.flt = cfg.Faults
-		// Mix the seed so Seed 0 still yields a well-distributed stream;
-		// each shard draws from its own (golden-ratio offset per id).
-		s.rngState = (cfg.Faults.Seed + uint64(id)*0x9E3779B97F4A7C15) ^ 0x6C62272E07BB0142
-		s.txns = make(map[uint64]*txn)
-		s.seen = make(map[uint64]svcCache)
-		s.linkNext = make(map[uint32]uint64)
-		s.linkExpect = make(map[uint32]uint64)
-		s.linkHold = make(map[linkPos]*msg)
-		s.rtt = make(map[uint32]*rttEst)
-		s.winOpen = make(map[uint32]int)
-		s.winQ = make(map[uint32][]*txn)
-		s.fstats = &FaultStats{}
-	}
-	return s
 }
 
 // SetTrace attaches an event recorder to the machine (call before Run; nil
 // detaches). Tracing is purely observational: the recorder sees message
 // lifecycles and busy intervals but never alters costs or scheduling, so a
-// traced run's Result is bit-identical to an untraced one. Every shard
+// traced run's Result is bit-identical to an untraced one. The machine
 // records straight into r as the run goes, so message ids are in issue order
 // and a run that traps part-way leaves what it recorded. Returns m for
 // chaining.
 func (m *Machine) SetTrace(r *trace.Recorder) *Machine {
 	r.SetNodes(len(m.nodes))
-	for _, s := range m.sh {
-		s.tr = r
-	}
+	m.tr = r
 	return m
 }
 
@@ -668,8 +641,8 @@ func (m *Machine) SetTrace(r *trace.Recorder) *Machine {
 func (m *Machine) SetMetrics(*metrics.Sampler) *Machine { return m }
 
 // schedule queues an event for node nodeID at time t.
-func (m *shard) schedule(t int64, kind eventKind, nodeID int, g *msg) {
-	m.mach.push(event{time: t, kind: kind, node: nodeID, g: g})
+func (m *Machine) schedule(t int64, kind eventKind, nodeID int, g *msg) {
+	m.push(event{time: t, kind: kind, node: nodeID, g: g})
 }
 
 // push queues ev, stamping it with the next schedule number.
@@ -680,7 +653,7 @@ func (m *Machine) push(ev event) {
 }
 
 // dispatch executes one popped event.
-func (m *shard) dispatch(ev event) {
+func (m *Machine) dispatch(ev event) {
 	if ev.g != nil {
 		m.msgAdvance(ev.g, ev.time)
 		return
@@ -693,15 +666,16 @@ func (m *shard) dispatch(ev event) {
 }
 
 // trapf stops the simulation with an error.
-func (m *shard) trapf(format string, args ...any) {
+func (m *Machine) trapf(format string, args ...any) {
 	if m.trap == nil {
 		m.trap = fmt.Errorf("earthsim: %s", fmt.Sprintf(format, args...))
 	}
 }
 
-// renderOutput merges the shards' print records into the final program
-// output: time first, then the sequence tag (which embeds the shard id in
-// the high bits, so equal-time prints from different nodes order by node).
+// renderOutput merges the machine's print records into the final program
+// output: time first, then the sequence tag (which embeds the printing
+// node's id in the high bits, so equal-time prints from different nodes
+// order by node).
 func renderOutput(items []outItem) string {
 	sort.Slice(items, func(i, j int) bool {
 		if items[i].time != items[j].time {
@@ -716,16 +690,16 @@ func renderOutput(items []outItem) string {
 	return b.String()
 }
 
-// fiberID tags a fiber ordinal with the owning shard so ids stay unique
+// fiberID tags a fiber ordinal with the creating node so ids stay unique
 // machine-wide.
-func (m *shard) fiberID(ordinal int64) int64 {
-	return int64(m.id)<<32 | ordinal
+func (n *node) fiberID(ordinal int64) int64 {
+	return int64(n.id)<<32 | ordinal
 }
 
-// getFiber takes a fiber record from the shard freelist (or allocates one)
+// getFiber takes a fiber record from the freelist (or allocates one)
 // and resets the state a previous life may have left behind. The park-list
 // linkage is deliberately preserved — see fiber.parkListed.
-func (m *shard) getFiber() *fiber {
+func (m *Machine) getFiber() *fiber {
 	f := m.fiberFree
 	if f == nil {
 		return &fiber{}
@@ -749,7 +723,7 @@ func (m *shard) getFiber() *fiber {
 // in-flight ack still references the record), no waiters (a done fiber is
 // never blocked), and no children still due to report completion into its
 // frame.
-func (m *shard) recycleFiber(f *fiber) {
+func (m *Machine) recycleFiber(f *fiber) {
 	if f.children != 0 || f.outstanding != 0 || len(f.pending) != 0 {
 		return
 	}
@@ -759,7 +733,7 @@ func (m *shard) recycleFiber(f *fiber) {
 
 // newFiber creates a fiber with a fresh frame and copies args into the
 // parameter slots.
-func (m *shard) newFiber(nodeID int, code *threaded.FnCode, args []int64, route replyRoute) *fiber {
+func (m *Machine) newFiber(nodeID int, code *threaded.FnCode, args []int64, route replyRoute) *fiber {
 	n := m.nodes[nodeID]
 	base := n.allocFrame(code.NSlots)
 	if base < 0 {
@@ -767,12 +741,7 @@ func (m *shard) newFiber(nodeID int, code *threaded.FnCode, args []int64, route 
 			nodeID, code.NSlots, code.Name)
 		base = 0
 	}
-	f := m.getFiber()
-	f.node, f.code, f.base, f.size = n, code, base, code.NSlots
-	f.waitSlot, f.route = -1, route
-	m.nextFiber++
-	f.id = m.fiberID(m.nextFiber)
-	m.mach.live++
+	f := m.newSharedFiber(nodeID, code, base, route)
 	for i, a := range args {
 		if i < len(code.Params) {
 			n.mem[base+int64(code.Params[i])] = a
@@ -781,21 +750,23 @@ func (m *shard) newFiber(nodeID int, code *threaded.FnCode, args []int64, route 
 	return f
 }
 
-// newSharedFiber creates a fiber sharing an existing frame (parallel arm).
-func (m *shard) newSharedFiber(nodeID int, code *threaded.FnCode, base int64, route replyRoute) *fiber {
+// newSharedFiber creates a fiber on an existing frame (a parallel arm shares
+// its parent's); node nodeID numbers it.
+func (m *Machine) newSharedFiber(nodeID int, code *threaded.FnCode, base int64, route replyRoute) *fiber {
+	n := m.nodes[nodeID]
 	f := m.getFiber()
-	f.node, f.code, f.base, f.size = m.nodes[nodeID], code, base, code.NSlots
+	f.node, f.code, f.base, f.size = n, code, base, code.NSlots
 	f.waitSlot, f.route = -1, route
-	m.nextFiber++
-	f.id = m.fiberID(m.nextFiber)
-	m.mach.live++
+	n.nextFiber++
+	f.id = n.fiberID(n.nextFiber)
+	m.live++
 	return f
 }
 
 // enqueueReady makes f ready on n, waking the EU at t unless a wake-up is
 // already pending: that one fires once the EU is free, and the EU takes
 // ready fibers in queue order.
-func (m *shard) enqueueReady(n *node, f *fiber, t int64) {
+func (m *Machine) enqueueReady(n *node, f *fiber, t int64) {
 	n.ready = append(n.ready, f)
 	if !n.euWake {
 		n.euWake = true

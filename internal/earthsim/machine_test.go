@@ -51,8 +51,7 @@ func TestAddrPacking(t *testing.T) {
 // TestSUTaskSerialization: the SU is a serial resource — overlapping tasks
 // queue behind each other.
 func TestSUTaskSerialization(t *testing.T) {
-	mach := New(emptyProg(), DefaultConfig(1))
-	m := mach.sh[0]
+	m := New(emptyProg(), DefaultConfig(1))
 	n := m.nodes[0]
 	for i := 0; i < 3; i++ {
 		g := m.getMsg()
@@ -60,7 +59,7 @@ func TestSUTaskSerialization(t *testing.T) {
 		m.suSched(n, 0, 100, g)
 	}
 	var done []int64
-	for _, ev := range popAll(mach) {
+	for _, ev := range popAll(m) {
 		done = append(done, ev.time)
 	}
 	if len(done) != 3 || done[0] != 100 || done[1] != 200 || done[2] != 300 {
@@ -71,8 +70,7 @@ func TestSUTaskSerialization(t *testing.T) {
 // TestNetFIFO: messages between one (src, dst) pair arrive in send order
 // even when a later message is smaller/faster.
 func TestNetFIFO(t *testing.T) {
-	mach := New(emptyProg(), DefaultConfig(2))
-	m := mach.sh[0]
+	m := New(emptyProg(), DefaultConfig(2))
 	src, dst := m.nodes[0], m.nodes[1]
 	// A large (slow) message sent first, then a zero-payload one.
 	g1, g2 := m.getMsg(), m.getMsg()
@@ -82,7 +80,7 @@ func TestNetFIFO(t *testing.T) {
 	m.netSched(src, dst, 1, 0, g2)
 	// Both hops are arrivals at node 1 in the machine's one queue, in send
 	// order and with strictly increasing arrival times.
-	evs := popAll(mach)
+	evs := popAll(m)
 	if len(evs) != 2 || evs[0].g != g1 || evs[1].g != g2 {
 		t.Fatalf("per-link FIFO violated: %+v", evs)
 	}
@@ -106,10 +104,9 @@ func TestSimultaneousArrivalsInScheduleOrder(t *testing.T) {
 		dst := mach.nodes[0]
 		var sent [2]*msg
 		for i, id := range senders {
-			s := mach.sh[id]
-			g := s.getMsg()
+			g := mach.getMsg()
 			g.class, g.stage = trace.ClassGet, 2
-			s.netSched(s.nodes[id], dst, 0, 0, g)
+			mach.netSched(mach.nodes[id], dst, 0, 0, g)
 			sent[i] = g
 		}
 		evs := popAll(mach)
@@ -181,6 +178,48 @@ func TestDeadlockDetection(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("deadlock report missing %q: %v", want, err)
 		}
+	}
+}
+
+// TestDeadlockReportsEveryNode: a deadlock that leaves fibers blocked on two
+// nodes names fibers of both in one report, capped at 16 lines however many
+// nodes are stuck. main calls stuck on node 1, and each of the two spawns 12
+// arms that block on frame slot 1, marked eternally pending on both nodes:
+// 26 blocked fibers in all.
+func TestDeadlockReportsEveryNode(t *testing.T) {
+	const arms = 12
+	wait := &threaded.FnCode{Name: "wait", NSlots: 3, IsArm: true, Code: []threaded.Instr{
+		{Op: threaded.OpMove, A: 2, B: 1},
+		{Op: threaded.OpRet, A: -1},
+	}}
+	spawnAndJoin := func(code ...threaded.Instr) []threaded.Instr {
+		for i := 0; i < arms; i++ {
+			code = append(code, threaded.Instr{Op: threaded.OpSpawnArm, Fn: wait})
+		}
+		return append(code, threaded.Instr{Op: threaded.OpJoin}, threaded.Instr{Op: threaded.OpRet, A: -1})
+	}
+	stuck := &threaded.FnCode{Name: "stuck", NSlots: 3, Code: spawnAndJoin()}
+	main := &threaded.FnCode{Name: "main", NSlots: 3, Code: spawnAndJoin(
+		imm(0, 1),
+		threaded.Instr{Op: threaded.OpCallAt, A: -1, B: 1, C: 0, Fn: stuck},
+	)}
+	m := New(prog(main, wait, stuck), DefaultConfig(2))
+	// main's frame lands at node 0's heap top, stuck's at node 1's (zero).
+	m.nodes[0].pending[m.nodes[0].heapTop+1] = 1
+	m.nodes[1].ensure(0, 3)
+	m.nodes[1].pending[1] = 1
+	_, err := m.Run()
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("want ErrDeadlock, got %v", err)
+	}
+	msg := err.Error()
+	for _, want := range []string{"node 0) blocked", "node 1) blocked", "\n  ... and 10 more blocked fiber(s)"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("deadlock report missing %q: %v", want, err)
+		}
+	}
+	if n := strings.Count(msg, "\n  fiber "); n != 16 {
+		t.Errorf("deadlock report lists %d fibers, want 16: %v", n, err)
 	}
 }
 

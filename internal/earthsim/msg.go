@@ -65,7 +65,7 @@ var msgLabels = [trace.ClassShared + 1][5]string{
 
 // getMsg takes a message record off the freelist (or allocates one),
 // retaining the args/vals buffer capacity of its previous life.
-func (m *shard) getMsg() *msg {
+func (m *Machine) getMsg() *msg {
 	g := m.msgFree
 	if g == nil {
 		return &msg{}
@@ -78,7 +78,7 @@ func (m *shard) getMsg() *msg {
 // putMsg clears a completed message and returns it to the freelist. Only
 // terminal lifecycle steps may call this — the record must not be reachable
 // from any scheduled event.
-func (m *shard) putMsg(g *msg) {
+func (m *Machine) putMsg(g *msg) {
 	args, vals := g.args[:0], g.vals[:0]
 	*g = msg{args: args, vals: vals, free: m.msgFree}
 	m.msgFree = g
@@ -88,8 +88,8 @@ func (m *shard) putMsg(g *msg) {
 // resource, so the hop completes at max(suFree, t) + svc. The caller sets
 // g.stage to the hop being scheduled first. Trace spans never influence the
 // schedule. In fault mode the SU may first stall, pushing its free time.
-func (m *shard) suSched(n *node, t, svc int64, g *msg) {
-	if m.flt != nil && m.flt.Stall > 0 && m.chance(m.flt.Stall) {
+func (m *Machine) suSched(n *node, t, svc int64, g *msg) {
+	if m.flt != nil && m.flt.Stall > 0 && n.chance(m.flt.Stall) {
 		m.fstats.Stalls++
 		m.tr.Fault(trace.FaultStall, g.class, g.mid, n.id, 0, t)
 		n.suFree = max(n.suFree, t) + m.flt.stallNs()
@@ -111,24 +111,24 @@ func (m *shard) suSched(n *node, t, svc int64, g *msg) {
 // disable a distribution). A dropped hop vanishes without advancing the
 // link's FIFO clock; a duplicated hop delivers a cloned copy one ns behind
 // the original on the same link.
-func (m *shard) netSched(src, dst *node, t int64, words int, g *msg) {
+func (m *Machine) netSched(src, dst *node, t int64, words int, g *msg) {
 	lat := m.cfg.NetLatency + m.cfg.NetPerWord*int64(words)
 	var dup *msg
 	if m.flt != nil {
 		f := m.flt
-		if f.Drop > 0 && m.chance(f.Drop) {
+		if f.Drop > 0 && src.chance(f.Drop) {
 			m.fstats.Drops++
 			m.tr.Fault(trace.FaultDrop, g.class, g.mid, src.id, 0, t)
 			m.putMsg(g)
 			return
 		}
 		if f.Delay > 0 {
-			if extra := m.rndN(f.Delay + 1); extra > 0 {
+			if extra := src.rndN(f.Delay + 1); extra > 0 {
 				m.fstats.Delayed++
 				lat += extra * m.cfg.NetLatency
 			}
 		}
-		if f.Dup > 0 && m.chance(f.Dup) {
+		if f.Dup > 0 && src.chance(f.Dup) {
 			m.fstats.Dups++
 			m.tr.Fault(trace.FaultDup, g.class, g.mid, src.id, 0, t)
 			dup = m.cloneMsg(g)
@@ -189,7 +189,7 @@ func (g *msg) netWords(back bool) int {
 }
 
 // svcRemote is the serviced node's SU cost (stage 3).
-func (m *shard) svcRemote(g *msg) int64 {
+func (m *Machine) svcRemote(g *msg) int64 {
 	switch g.class {
 	case trace.ClassPut:
 		return m.cfg.SUWriteSvc
@@ -202,7 +202,7 @@ func (m *shard) svcRemote(g *msg) int64 {
 }
 
 // svcReply is the issuing node's SU cost for the reply/ack (stage 5).
-func (m *shard) svcReply(g *msg) int64 {
+func (m *Machine) svcReply(g *msg) int64 {
 	switch g.class {
 	case trace.ClassPut, trace.ClassBlkPut, trace.ClassShared:
 		return m.cfg.SUAck
@@ -215,7 +215,7 @@ func (m *shard) svcReply(g *msg) int64 {
 }
 
 // msgAdvance runs the lifecycle step the popped event scheduled.
-func (m *shard) msgAdvance(g *msg, t int64) {
+func (m *Machine) msgAdvance(g *msg, t int64) {
 	switch g.stage {
 	case 1: // request left the issuing SU; forward over the wire
 		g.stage = 2
@@ -239,7 +239,7 @@ func (m *shard) msgAdvance(g *msg, t int64) {
 // duplicate request copies skip the effect, replaying the cached reply
 // instead (exactly-once semantics for non-idempotent effects like
 // allocation, shared-add and fiber spawn).
-func (m *shard) msgService(g *msg, t int64) {
+func (m *Machine) msgService(g *msg, t int64) {
 	dstID := g.dst.id
 	if m.flt != nil {
 		if c, dup := m.seen[g.seq]; dup {
@@ -345,7 +345,7 @@ func (m *shard) msgService(g *msg, t int64) {
 // msgComplete delivers the reply into the issuing fiber (stage 5). In fault
 // mode this is the sender-side end of the transaction: the first reply copy
 // completes it (delivering exactly once) and later copies are discarded.
-func (m *shard) msgComplete(g *msg, t int64) {
+func (m *Machine) msgComplete(g *msg, t int64) {
 	if m.flt != nil {
 		tx := m.txns[g.seq]
 		if tx == nil || tx.done {
@@ -377,7 +377,7 @@ func (m *shard) msgComplete(g *msg, t int64) {
 }
 
 // memWord accesses a word of any node's memory (SU-side).
-func (m *shard) memWord(nid int, off int64) int64 {
+func (m *Machine) memWord(nid int, off int64) int64 {
 	n := m.nodes[nid]
 	if !n.ensure(off, 1) {
 		m.trapf("node %d access beyond its memory budget", nid)
@@ -386,7 +386,7 @@ func (m *shard) memWord(nid int, off int64) int64 {
 	return n.mem[off]
 }
 
-func (m *shard) memStore(nid int, off int64, v int64) {
+func (m *Machine) memStore(nid int, off int64, v int64) {
 	n := m.nodes[nid]
 	if !n.ensure(off, 1) {
 		m.trapf("node %d store beyond its memory budget", nid)
@@ -396,7 +396,7 @@ func (m *shard) memStore(nid int, off int64, v int64) {
 }
 
 // readBlock copies size words out of a node's memory into a reused buffer.
-func (m *shard) readBlock(n *node, off int64, size int, into []int64) []int64 {
+func (m *Machine) readBlock(n *node, off int64, size int, into []int64) []int64 {
 	if !n.ensure(off, size) {
 		m.trapf("node %d block read beyond its memory budget", n.id)
 		for i := 0; i < size; i++ {
@@ -407,7 +407,7 @@ func (m *shard) readBlock(n *node, off int64, size int, into []int64) []int64 {
 	return append(into, n.mem[off:off+int64(size)]...)
 }
 
-func (m *shard) writeBlock(n *node, off int64, vals []int64) {
+func (m *Machine) writeBlock(n *node, off int64, vals []int64) {
 	if !n.ensure(off, len(vals)) {
 		m.trapf("node %d block write beyond its memory budget", n.id)
 		return
@@ -417,7 +417,7 @@ func (m *shard) writeBlock(n *node, off int64, vals []int64) {
 
 // block parks a fiber on a pending memory word; it resumes when the word's
 // fill arrives.
-func (m *shard) block(f *fiber, abs int64) {
+func (m *Machine) block(f *fiber, abs int64) {
 	f.waitSlot = abs
 	m.park(f)
 	n := f.node
@@ -435,7 +435,7 @@ func (m *shard) block(f *fiber, abs int64) {
 
 // fill delivers a value into a pending frame slot and, once no fills
 // remain outstanding for the word, wakes every fiber blocked on it.
-func (m *shard) fill(f *fiber, abs int64, v int64, t int64) {
+func (m *Machine) fill(f *fiber, abs int64, v int64, t int64) {
 	n := f.node
 	n.mem[abs] = v
 	if i, ok := slices.BinarySearch(f.pending, abs); ok {
@@ -454,7 +454,7 @@ func (m *shard) fill(f *fiber, abs int64, v int64, t int64) {
 	}
 }
 
-func (m *shard) fillBlock(f *fiber, abs int64, vals []int64, t int64) {
+func (m *Machine) fillBlock(f *fiber, abs int64, vals []int64, t int64) {
 	for i, v := range vals {
 		m.fill(f, abs+int64(i), v, t)
 	}
@@ -462,7 +462,7 @@ func (m *shard) fillBlock(f *fiber, abs int64, vals []int64, t int64) {
 
 // wakeWaiters resumes fibers blocked on a just-filled word, in the order they
 // blocked, and gives the emptied list back to node.waitFree.
-func (m *shard) wakeWaiters(n *node, abs int64, t int64) {
+func (m *Machine) wakeWaiters(n *node, abs int64, t int64) {
 	ws := n.waiters[abs]
 	delete(n.waiters, abs)
 	for _, f := range ws {
@@ -477,7 +477,7 @@ func (m *shard) wakeWaiters(n *node, abs int64, t int64) {
 }
 
 // ack resolves one outstanding write/void-RPC and wakes a fenced fiber.
-func (m *shard) ack(f *fiber, t int64) {
+func (m *Machine) ack(f *fiber, t int64) {
 	f.outstanding--
 	if f.waitFence && f.outstanding == 0 {
 		f.waitFence = false
@@ -490,7 +490,7 @@ func (m *shard) ack(f *fiber, t int64) {
 // issueGet starts a split-phase scalar read of mem[addr] into frame slot
 // abs of fiber f. site is the issuing instruction's SIMPLE site key (trace
 // attribution only).
-func (m *shard) issueGet(f *fiber, t int64, addr, abs int64, site string) {
+func (m *Machine) issueGet(f *fiber, t int64, addr, abs int64, site string) {
 	src := f.node
 	dstID := threaded.AddrNode(addr)
 	if dstID < 0 || dstID >= len(m.nodes) {
@@ -516,7 +516,7 @@ func (m *shard) issueGet(f *fiber, t int64, addr, abs int64, site string) {
 }
 
 // issuePut starts a split-phase scalar write.
-func (m *shard) issuePut(f *fiber, t int64, addr, val int64, site string) {
+func (m *Machine) issuePut(f *fiber, t int64, addr, val int64, site string) {
 	src := f.node
 	dstID := threaded.AddrNode(addr)
 	if dstID < 0 || dstID >= len(m.nodes) {
@@ -539,7 +539,7 @@ func (m *shard) issuePut(f *fiber, t int64, addr, val int64, site string) {
 }
 
 // issueBlkGet starts a split-phase block read of size words.
-func (m *shard) issueBlkGet(f *fiber, t int64, addr, abs int64, size int, site string) {
+func (m *Machine) issueBlkGet(f *fiber, t int64, addr, abs int64, size int, site string) {
 	src := f.node
 	dstID := threaded.AddrNode(addr)
 	if dstID < 0 || dstID >= len(m.nodes) {
@@ -567,7 +567,7 @@ func (m *shard) issueBlkGet(f *fiber, t int64, addr, abs int64, size int, site s
 
 // issueBlkPut starts a split-phase block write. vals may be a scratch
 // buffer: its contents are consumed (copied) before issueBlkPut returns.
-func (m *shard) issueBlkPut(f *fiber, t int64, addr int64, vals []int64, site string) {
+func (m *Machine) issueBlkPut(f *fiber, t int64, addr int64, vals []int64, site string) {
 	src := f.node
 	dstID := threaded.AddrNode(addr)
 	if dstID < 0 || dstID >= len(m.nodes) {
@@ -593,7 +593,7 @@ func (m *shard) issueBlkPut(f *fiber, t int64, addr int64, vals []int64, site st
 
 // issueAlloc performs a remote allocation, delivering the address into a
 // pending slot.
-func (m *shard) issueAlloc(f *fiber, t int64, nodeID, size int, abs int64, site string) {
+func (m *Machine) issueAlloc(f *fiber, t int64, nodeID, size int, abs int64, site string) {
 	src := f.node
 	f.addPending(abs)
 	g := m.getMsg()
@@ -608,7 +608,7 @@ func (m *shard) issueAlloc(f *fiber, t int64, nodeID, size int, abs int64, site 
 // fiber has been placed on the remote node's ready queue; the reply to the
 // requester is a separate ClassReply message (see finishFiber). args may be
 // a scratch buffer: its contents are copied before issueInvoke returns.
-func (m *shard) issueInvoke(f *fiber, t int64, nodeID int, fn *threaded.FnCode,
+func (m *Machine) issueInvoke(f *fiber, t int64, nodeID int, fn *threaded.FnCode,
 	args []int64, retAbs int64, site string) {
 	src := f.node
 	g := m.getMsg()
@@ -621,7 +621,7 @@ func (m *shard) issueInvoke(f *fiber, t int64, nodeID int, fn *threaded.FnCode,
 
 // issueShared performs a remote atomic shared-variable operation.
 // op: 0 read, 1 write, 2 add.
-func (m *shard) issueShared(f *fiber, t int64, addr int64, op int, val int64,
+func (m *Machine) issueShared(f *fiber, t int64, addr int64, op int, val int64,
 	replyAbs int64, flt bool, site string) {
 	src := f.node
 	dstID := threaded.AddrNode(addr)
@@ -638,9 +638,9 @@ func (m *shard) issueShared(f *fiber, t int64, addr int64, op int, val int64,
 
 // finishFiber completes a fiber: frees its frame (unless shared) and
 // reports to its waiter.
-func (m *shard) finishFiber(f *fiber, t int64, val int64) {
+func (m *Machine) finishFiber(f *fiber, t int64, val int64) {
 	f.done = true
-	m.mach.live--
+	m.live--
 	n := f.node
 	switch f.route.kind {
 	case 0: // main

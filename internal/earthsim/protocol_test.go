@@ -1,9 +1,9 @@
 package earthsim
 
-// White-box tests for the shard internals: selective-repeat window
-// accounting, the EWMA RTO estimator and its clamps, spurious-retransmit
-// scoring (with Karn's rule), the shard-tagged id encodings, and fiber
-// record recycling.
+// White-box tests for the reliable-messaging protocol and the machine's
+// bookkeeping: selective-repeat window accounting, the EWMA RTO estimator
+// and its clamps, spurious-retransmit scoring (with Karn's rule), the
+// node-tagged id encodings, and fiber record recycling.
 
 import (
 	"testing"
@@ -11,7 +11,7 @@ import (
 
 // sendOne builds a minimal class-0 message from node 0 to node 1 and hands
 // it to sendMsg at time t.
-func sendOne(m *shard, t int64) *msg {
+func sendOne(m *Machine, t int64) *msg {
 	g := m.getMsg()
 	g.class, g.src, g.dst = 0, m.nodes[0], m.nodes[1]
 	m.sendMsg(g, t, 100)
@@ -24,7 +24,7 @@ func sendOne(m *shard, t int64) *msg {
 func TestWindowCapsInFlight(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.Faults = &FaultConfig{Window: 2, Seed: 1}
-	m := New(loopProg(), cfg).sh[0]
+	m := New(loopProg(), cfg)
 	var gs []*msg
 	for i := 0; i < 5; i++ {
 		gs = append(gs, sendOne(m, int64(i)))
@@ -77,7 +77,7 @@ func TestWindowAccessor(t *testing.T) {
 func TestRTOClamps(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.Faults = &FaultConfig{Timeout: 10_000, Seed: 1}
-	m := New(loopProg(), cfg).sh[0]
+	m := New(loopProg(), cfg)
 	key := uint32(7)
 	if got := m.rto(key); got != 10_000 {
 		t.Errorf("no-sample rto = %d, want the fixed timeout 10000", got)
@@ -125,7 +125,7 @@ func TestRttEstimatorConverges(t *testing.T) {
 func TestSpuriousAccountingAndKarn(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.Faults = &FaultConfig{Timeout: 10_000, Seed: 1}
-	m := New(loopProg(), cfg).sh[0]
+	m := New(loopProg(), cfg)
 
 	g1 := sendOne(m, 0)
 	tx1 := m.txns[g1.seq]
@@ -150,25 +150,22 @@ func TestSpuriousAccountingAndKarn(t *testing.T) {
 	}
 }
 
-// TestShardIDEncodings pins the id spaces: transaction sequences tag the
-// owning shard in bits 40+, fiber ids in bits 32+.
-func TestShardIDEncodings(t *testing.T) {
+// TestNodeIDEncodings pins the id spaces: transaction sequences tag the
+// sending node in bits 40+, fiber ids the creating node in bits 32+.
+func TestNodeIDEncodings(t *testing.T) {
 	m := New(loopProg(), DefaultConfig(2))
-	if len(m.sh) != 2 {
-		t.Fatalf("2 nodes: %d shards, want one per node", len(m.sh))
+	n0, n1 := m.nodes[0], m.nodes[1]
+	if got := n1.txnSeq(5); got != 2<<40|5 {
+		t.Errorf("node1 txnSeq(5) = %#x, want %#x", got, uint64(2<<40|5))
 	}
-	s0, s1 := m.sh[0], m.sh[1]
-	if got := s1.txnSeq(5); got != 2<<40|5 {
-		t.Errorf("shard1 txnSeq(5) = %#x, want %#x", got, uint64(2<<40|5))
+	if got := n0.txnSeq(5); got != 1<<40|5 {
+		t.Errorf("node0 txnSeq(5) = %#x, want %#x", got, uint64(1<<40|5))
 	}
-	if got := s0.txnSeq(5); got != 1<<40|5 {
-		t.Errorf("shard0 txnSeq(5) = %#x, want %#x", got, uint64(1<<40|5))
+	if got := n1.fiberID(5); got != 1<<32|5 {
+		t.Errorf("node1 fiberID(5) = %#x, want %#x", got, int64(1<<32|5))
 	}
-	if got := s1.fiberID(5); got != 1<<32|5 {
-		t.Errorf("shard1 fiberID(5) = %#x, want %#x", got, int64(1<<32|5))
-	}
-	if got := s0.fiberID(5); got != 5 {
-		t.Errorf("shard0 fiberID(5) = %#x, want 5", got)
+	if got := n0.fiberID(5); got != 5 {
+		t.Errorf("node0 fiberID(5) = %#x, want 5", got)
 	}
 }
 
@@ -176,7 +173,7 @@ func TestShardIDEncodings(t *testing.T) {
 // in-flight acks, or pending fills must not be recycled; a quiescent one is,
 // and comes back reset.
 func TestFiberRecycleGuards(t *testing.T) {
-	m := New(loopProg(), DefaultConfig(1)).sh[0]
+	m := New(loopProg(), DefaultConfig(1))
 	f := m.newFiber(0, m.prog.Main, nil, replyRoute{})
 
 	f.children = 1

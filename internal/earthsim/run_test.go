@@ -119,10 +119,10 @@ func (g goldenCell) check(t *testing.T, r surface) {
 	}
 }
 
-// TestShardedEquivalenceMatrix sweeps {Olden benchmark} x {faults off/on}
+// TestEngineGoldenMatrix sweeps {Olden benchmark} x {faults off/on}
 // on 4 nodes, and the five Olden programs fault-free on 3 and 16 nodes: each
 // run must match its golden cell.
-func TestShardedEquivalenceMatrix(t *testing.T) {
+func TestEngineGoldenMatrix(t *testing.T) {
 	type cell struct {
 		name   string
 		nodes  int

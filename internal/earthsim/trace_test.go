@@ -165,7 +165,7 @@ func TestTraceSummaryDeterministic(t *testing.T) {
 }
 
 // TestTrappedRunLeavesRecording: a run that exhausts its event budget
-// half-way fails, but the recorder keeps what the shards recorded up to the
+// half-way fails, but the recorder keeps what the machine recorded up to the
 // trap — fewer messages than the whole run, every span and fault naming a
 // recorded message — and it exports and summarizes like any other recording.
 func TestTrappedRunLeavesRecording(t *testing.T) {

@@ -99,10 +99,9 @@ type Span struct {
 	Words int
 }
 
-// Recorder accumulates one run's events. Every shard of the simulator records
-// straight into the caller's Recorder as the run goes, so message ids follow
-// global issue order and a run that stops early leaves everything up to the
-// stop. A small internal mutex guards every method: recordings are read
+// Recorder accumulates one run's events. The simulator records straight
+// into the caller's Recorder as the run goes, so message ids follow global
+// issue order and a run that stops early leaves everything up to the stop. A small internal mutex guards every method: recordings are read
 // (Summarize, WriteChrome, Msgs, …) from goroutines other than the one that
 // ran the simulation. A nil *Recorder is a valid, disabled sink: every method
 // is nil-safe.
