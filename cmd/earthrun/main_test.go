@@ -64,7 +64,7 @@ func TestRun(t *testing.T) {
 		wantStderr string   // substring
 	}{
 		{"plain", []string{"-nodes", "2", src}, 0, []string{"2610.000000\n"}, ""},
-		{"runtime trap", []string{src}, 1, nil, "earthrun: earthsim: main@8: alloc_on node 1 out of range"},
+		{"runtime trap", []string{src}, 1, nil, "earthrun: earthsim: main@5: alloc_on node 1 out of range"},
 		{"stats", []string{"-O", "-nodes", "2", "-stats", src}, 0,
 			[]string{"2610.000000\n", "time: ", " on 2 node(s)\n", "comm: reads="}, ""},
 		{"compare", []string{"-compare", "-nodes", "2", src}, 0,

@@ -36,33 +36,40 @@ var oldenCounters = []struct {
 	// blocking on a fill started to reuse the node's emptied waiter lists,
 	// and by 8–67 (from 101, 241, 243, 904 and 204, measured 90, 217, 224,
 	// 874 and 177) when the per-node shard record, with its own freelists,
-	// scratch buffer and fault maps, was folded into the one Machine.
+	// scratch buffer and fault maps, was folded into the one Machine, and
+	// tsp's, perimeter's and voronoi's by 30, 18 and 1 when constants became
+	// immediate operands (health measures 217 since, within its ceiling).
 	allocs int64
 }{
 	// When optimized builds began clustering blocked structs' hot fields,
 	// health's instructions and events moved from 60,092 and 5,675,
 	// perimeter's events from 10,231 and voronoi's instructions and events
-	// from 103,257 and 34,261; every operation count held.
-	{"power", 257219, 309, 6464, 2672, 2672, 75},
-	{"tsp", 28947, 6157, 3298, 1534, 1439, 194},
-	{"health", 60116, 5699, 14929, 7017, 7017, 216},
-	{"perimeter", 339749, 10192, 6493, 5897, 5897, 837},
-	{"voronoi", 102332, 33336, 15990, 8758, 8500, 163},
+	// from 103,257 and 34,261; every operation count held. When constants
+	// became immediate operands (bini, and imm straight into the assigned
+	// variable), instructions fell from 257,219, 28,947, 60,116, 339,749 and
+	// 102,332, and power's, perimeter's and voronoi's events moved from 309,
+	// 10,192 and 33,336; every operation count held.
+	{"power", 195570, 311, 6464, 2672, 2672, 75},
+	{"tsp", 23110, 6157, 3298, 1534, 1439, 164},
+	{"health", 50153, 5699, 14929, 7017, 7017, 216},
+	{"perimeter", 231812, 10284, 6493, 5897, 5897, 819},
+	{"voronoi", 86166, 33335, 15990, 8758, 8500, 162},
 }
 
 // haloEvents is BenchmarkSimNodes' row per machine size: the events of the
 // halo ring exchange (deterministic) and the measured allocations per run,
 // which pin how a run's allocations grow with the node count — about seven
 // per node, the node record and its tables. They were 95, 939, 3,632 and
-// 14,393 while each node also had a shard record of its own.
+// 14,393 while each node also had a shard record of its own. The events
+// were one fewer at each size before constants became immediate operands.
 var haloEvents = []struct {
 	nodes          int
 	events, allocs int64
 }{
-	{4, 1527, 79},
-	{64, 28887, 505},
-	{256, 116439, 1853},
-	{1024, 466647, 7237},
+	{4, 1528, 79},
+	{64, 28888, 505},
+	{256, 116440, 1853},
+	{1024, 466648, 7237},
 }
 
 // haloJobBytes and haloJobAllocs are the measured heap bytes and allocations
@@ -90,19 +97,21 @@ const (
 // recorder's SU queue bookkeeping (SUSpan), which had re-sliced and appended
 // to a slice per node, to 214,532 bytes and 1,676 allocations, and folding
 // the per-node shard record into the one Machine to 177,800 bytes and 1,485
-// allocations (measured 197,296 and 1,581 before).
+// allocations (measured 197,296 and 1,581 before), and constants as
+// immediate operands to 175,835 bytes and 1,438 allocations.
 const (
-	tracedMixBytes  = 177_800
-	tracedMixAllocs = 1_485
+	tracedMixBytes  = 175_835
+	tracedMixAllocs = 1_438
 )
 
 // simulator is BenchmarkSimulator's row: power with every observer off, so
 // its guest schedule is power's above. The zero-cost pins in
-// zero_cost_test.go hold the fault and telemetry layers to it.
+// zero_cost_test.go hold the fault and telemetry layers to it (257,219
+// instructions before constants became immediate operands).
 var simulator = struct {
 	instructions int64
 	allocs       int64 // measured per run
-}{257219, 75}
+}{195570, 75}
 
 // Measured allocations per op of BenchmarkCompile, BenchmarkCompileTiny,
 // BenchmarkColdJob and BenchmarkCompileWarm, and the heap bytes of the cold

@@ -112,9 +112,9 @@ func Example_figure3() {
 	// commsel: reads 2 pipelined + 0 blocked (4 loads redirected, 2 redundant eliminated); writes 2 pipelined + 0 blocked (2 stores redirected)
 	//
 	// program output (both versions): "500.000000\n"
-	// simple:       1.689 ms   reads=400 writes=2 blkmov=0 blkwords=0 (local rt: 0/0/0) shared=0 rpc=0 spawn=0 alloc=1 instr=2117
-	// optimized:    0.883 ms   reads=200 writes=2 blkmov=0 blkwords=0 (local rt: 0/0/0) shared=0 rpc=0 spawn=0 alloc=1 instr=2119
-	// improvement: 47.73%
+	// simple:       1.684 ms   reads=400 writes=2 blkmov=0 blkwords=0 (local rt: 0/0/0) shared=0 rpc=0 spawn=0 alloc=1 instr=1914
+	// optimized:    0.878 ms   reads=200 writes=2 blkmov=0 blkwords=0 (local rt: 0/0/0) shared=0 rpc=0 spawn=0 alloc=1 instr=1914
+	// improvement: 47.87%
 }
 
 // listSearchSrc is the paper's worked list-search example of Figures 7 and
@@ -284,7 +284,7 @@ func Example_figure7() {
 	//
 	// commsel: reads 4 pipelined + 1 blocked (9 loads redirected, 2 redundant eliminated); writes 3 pipelined + 0 blocked (3 stores redirected)
 	// output: "-4.000000\n"
-	// simple:       1.296 ms   reads=146 writes=144 blkmov=0 blkwords=0 (local rt: 178/48/0) shared=0 rpc=0 spawn=0 alloc=65 instr=2610
-	// optimized:    1.036 ms   reads=2 writes=144 blkmov=48 blkwords=192 (local rt: 2/48/16) shared=0 rpc=0 spawn=0 alloc=65 instr=2774
-	// improvement: 20.10%
+	// simple:       1.295 ms   reads=146 writes=144 blkmov=0 blkwords=0 (local rt: 178/48/0) shared=0 rpc=0 spawn=0 alloc=65 instr=2285
+	// optimized:    1.033 ms   reads=2 writes=144 blkmov=48 blkwords=192 (local rt: 2/48/16) shared=0 rpc=0 spawn=0 alloc=65 instr=2449
+	// improvement: 20.30%
 }

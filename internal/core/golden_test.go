@@ -26,59 +26,59 @@ import (
 // code — a faster analysis, a leaner data structure — holds every cell; a
 // change that moves a placement or selection decision moves some.
 var compiledCodeGolden = map[string]string{
-	"power/default/O":                    "860bf8bd22234423db211f080447f6d70c48733379fbb809da4c1a43612521cb",
-	"power/default/O,NoInline":           "66981595ff73df312499a85b29738c51016d4062fe647d1ddea67a148f0edefd",
-	"power/default/O,DeclaredLayout":     "17d587e10be6bbb31bbe5d921b6f8ba35979152cdb8a3d3303c7930a983fef07",
-	"power/quick/O":                      "a959efef893dfd8a2ea0ccc258dbfae939aff0aa858d568eb3fee175b8d42602",
-	"power/quick/O,NoInline":             "13865afe86527e1cb6b684b700c9c3179ae629471e356dcd137d637a7bba744a",
-	"power/quick/O,DeclaredLayout":       "e6f73a4997cb79710b7d610bc32af4d10f331dec641499c8af258091cc05473c",
-	"tsp/default/O":                      "9222e920b440cb9fec9bb0a021eb194eb3899984307af3cec4336420ee2d9f94",
-	"tsp/default/O,NoInline":             "11c5f57aab43bed8c5ae10746eaaa5319c97bb36e290a84b408589127b2901d0",
-	"tsp/default/O,DeclaredLayout":       "cf1df5e96c03a91aef0ded7e7c0886bd2702777ea9ecada347e2bb13b7ae500d",
-	"tsp/quick/O":                        "42a71473d0eb8b31054d4bc52ade18905a620b43d7d7330fd09d5298b996ad41",
-	"tsp/quick/O,NoInline":               "912405db0ace76e13c1312dca3a0ce50378caded0728620183f1fde7764bdd50",
-	"tsp/quick/O,DeclaredLayout":         "e0168469f669f0eec4b6204c6391435dc172d3c8ec903b8188634b867ccf508f",
-	"health/default/O":                   "203013c5f6ad752b6a62586eabc5c1b00506e5c1dc85e6397937d804fe18c55c",
-	"health/default/O,NoInline":          "90a712d2c888f2efa0023d22a6a791a5a68226516a175d2f743ec02d1a151d1c",
-	"health/default/O,DeclaredLayout":    "5f5d7280c057b1438537988d4745a72b3eceec77bac3ca19f831c0d2b518ca89",
-	"health/quick/O":                     "8495155ed7148fe368a7972ac3fdaa3cfbad6adc1ccac54c366cd5eb642a1895",
-	"health/quick/O,NoInline":            "7e4c1713d34ad8169e4247be81cadacebe184b6a7a0c0125ba5ff41a86c1f25b",
-	"health/quick/O,DeclaredLayout":      "9f30ae64361c9caf4a9c64e245a1d55d7db67cc4d9a5dd6bab7b37b310901c0b",
-	"perimeter/default/O":                "ec2132d7c30ce095af6aed0f621cbf5286919a9dd2780de6d935f78f0acd18ab",
-	"perimeter/default/O,NoInline":       "a7e0eee9de4763183a6b181b395a4b7b3ad8ee2b196a47e947361abce01cb45a",
-	"perimeter/default/O,DeclaredLayout": "6a08334aca3eba3138d651a5002ad5caff3b3bff631b4050f83bfecf7a822cad",
-	"perimeter/quick/O":                  "5eb9e697c2e96840c82f5cfe54f2a22f0c254f948629e2f91471cc72fb8f410b",
-	"perimeter/quick/O,NoInline":         "7366468c6484cbd26f2b4b70610989e1f65096189db9fb0dde98d633bba73ba3",
-	"perimeter/quick/O,DeclaredLayout":   "1bf2af32a3dae546686917dc5555315486299c3070c85b4d64d3793058148e5e",
-	"voronoi/default/O":                  "fb66908a2e180f622873e084edbb63021bc4b9c530bbe68e45d3646837346bdb",
-	"voronoi/default/O,NoInline":         "9932274d030ca1a010e73bc9b813f72bd0f9b65f753a8f8d53e475a094c42778",
-	"voronoi/default/O,DeclaredLayout":   "55df389c7cf1029fdcb535b78e2f3b9704d1cd2b88f06810f49880b01f5206b6",
-	"voronoi/quick/O":                    "dddebb9075f82008b16601d6171a85305cbc0e8e7d48a5434a660d75b8e29c8d",
-	"voronoi/quick/O,NoInline":           "6821d8908e8f341a3b9ad8a9c19714440f725bae43aa290b79c9a42084475cf5",
-	"voronoi/quick/O,DeclaredLayout":     "c153e60f9bd4843a91f142695c3880b757c067c269bb4e926b5401f16cc8ea3c",
-	"halo/default/O":                     "6af3509076fba6e322a74e59dabc01cab2ca631b532bcc4869221ece16324a37",
-	"halo/default/O,NoInline":            "6af3509076fba6e322a74e59dabc01cab2ca631b532bcc4869221ece16324a37",
-	"halo/default/O,DeclaredLayout":      "6af3509076fba6e322a74e59dabc01cab2ca631b532bcc4869221ece16324a37",
-	"count.ec/O":                         "b51c7c51f0cb794f961b6058e5c7e2c1073f0fb3f06d39d499ee40f74711bbd3",
-	"count.ec/O,NoInline":                "a8f812abb5ea27c51675f1aa4460c680e3c836d39609d9ccbb2a8931a60edc0b",
-	"count.ec/O,DeclaredLayout":          "b51c7c51f0cb794f961b6058e5c7e2c1073f0fb3f06d39d499ee40f74711bbd3",
-	"distance.ec/O":                      "97254c5796d70c410b9af184069e44cf9922f93c950a28bef7733a6b50f52ed3",
-	"distance.ec/O,NoInline":             "ad66dd3ce7d7a3df4849cc73e90c9dfe656faace2643fbfc48d6902635be0faa",
-	"distance.ec/O,DeclaredLayout":       "97254c5796d70c410b9af184069e44cf9922f93c950a28bef7733a6b50f52ed3",
-	"listsearch.ec/O":                    "314af9aab9a654eaa911df71efd76cde6a14bf0bd0e837f64271ab0b48dad745",
-	"listsearch.ec/O,NoInline":           "a36eba005f9fbecd12d7e5f5e955831b5b153725187ba4a034a4a5507a65d622",
-	"listsearch.ec/O,DeclaredLayout":     "314af9aab9a654eaa911df71efd76cde6a14bf0bd0e837f64271ab0b48dad745",
-	"scale_point.ec/O":                   "d46503bc2a93cd588d787e31a139f59b3826ff0cc7ba6773fea8ccd42d99993c",
-	"scale_point.ec/O,NoInline":          "99f0ad8daf677baf42d395138e65fd24976ae10354e982b2ea6585f520ad9e48",
-	"scale_point.ec/O,DeclaredLayout":    "d46503bc2a93cd588d787e31a139f59b3826ff0cc7ba6773fea8ccd42d99993c",
+	"power/default/O":                    "2f94891e2ed17cc9ed008fb8269c994d7a86538023359aeb8353e1e619e3b40b",
+	"power/default/O,NoInline":           "5e0c3e05bf9e85beb785cc5fd594e57421031ff8164a82651f8b3b9479af9b18",
+	"power/default/O,DeclaredLayout":     "5410a4895c75e74cf54989151227ce3a1bccfbf5fff2a6200befb6f2d4cb833e",
+	"power/quick/O":                      "087fccd892f42800d7a634c7e8383c964cf434e575ce9286a1a899fd7fe02209",
+	"power/quick/O,NoInline":             "641609b927036d2c0e99973851c53a09e1883bb91bc0f3ead0a27731577beb6d",
+	"power/quick/O,DeclaredLayout":       "62789553c8165e3453604c20bbab1cdeaaafa23ccbacbfd386d38853229b2de9",
+	"tsp/default/O":                      "7ac77df2d2f73ed544b2691b28186e9629470ce4072985c8037860f89714f6b5",
+	"tsp/default/O,NoInline":             "50b07689b133823b9b5051e0e1282bcd561b7ac8633e0602ac99bed093327ebe",
+	"tsp/default/O,DeclaredLayout":       "be678ae15448fe0002ae7a5cc0ef5fa11ad18e701da97284b1dd12979d349e20",
+	"tsp/quick/O":                        "d1ee5fa2778a6672a7e90415a37183dde6f3f883291973f96a23e670d1e7eb61",
+	"tsp/quick/O,NoInline":               "4f7a3cd87c8531a713ff19cd5a2292e31a0ca58914c9f9ea68ed36e1cef25ea4",
+	"tsp/quick/O,DeclaredLayout":         "58cbc67ae1b00fe2ebf701ed15eb7d0dd305bd34d2c68f0cf1a2a15f404c6e5e",
+	"health/default/O":                   "35eb4f4180f6332f01f4682e3ec27155a4586aff0f774d09be2734b2d3dc1006",
+	"health/default/O,NoInline":          "5b486d1cbb439886b7f423ca070526eabe9372966e9571b4330c275266fa7dc6",
+	"health/default/O,DeclaredLayout":    "396d30fd79a5582f37f528344f0fc1031b7d7738c66f2e45b8f9e857632a2fe6",
+	"health/quick/O":                     "1a04f34a253026d70e35b1e7d7b4069d465bb8a973071fe2bb0577b44ad5dfdc",
+	"health/quick/O,NoInline":            "fc140d9c0f36850ee23118a09158459ee89dd21b5872b4d12580ec32f69cc80d",
+	"health/quick/O,DeclaredLayout":      "9dbe70e39c7eaeea95070868a83f903126993d8916770ecd431ee23dcd1099ee",
+	"perimeter/default/O":                "113110e599cfd2d81eb26ad28bf822eb4035361b935be8409af5bf4dd2cdfd84",
+	"perimeter/default/O,NoInline":       "d8f855040ce3b4a06bb33349f6e9fa57db9827601eb595ec7f447f1c2b7244a2",
+	"perimeter/default/O,DeclaredLayout": "996b8d9522d7c25189c4e7e9b85abd1c7a460de9abcbc6f403993fb65e8b83cf",
+	"perimeter/quick/O":                  "8c8d488b16b87e6747fdbefb5ae026c4b8b88bd8b864af960fb48c5565aa966d",
+	"perimeter/quick/O,NoInline":         "cf8287648ad16996658521e6f051a319b7a674927d53285ccc2f5b05c3fef6c1",
+	"perimeter/quick/O,DeclaredLayout":   "dd6dbc860cfebfda5dba7d4ca429a0feeea416d483ba1c47f23ed3189cf1927a",
+	"voronoi/default/O":                  "32c18b784d8b6b92d90061ae5cf876dd449d225dac8e2387f98eaa88565b1351",
+	"voronoi/default/O,NoInline":         "c377a0e36a29d2ad3fb460bec5c69ca025dc7e97046f586744c30d92fe2007aa",
+	"voronoi/default/O,DeclaredLayout":   "65f95cb50f12218551b6dca202649b029722740e028fbce3ed257c3c5a022bb7",
+	"voronoi/quick/O":                    "b76268eab8ffcaf6b8ed402b3cf2a83750aff194e070992dd06fc9687014845a",
+	"voronoi/quick/O,NoInline":           "a47e40950d87a72df44ac0003c70336f1d06cc10ce57797107536d76639fb495",
+	"voronoi/quick/O,DeclaredLayout":     "02404f5bc35759167b90a94d8f6589fe8f9ebe52394764a97f31c7dcf8ab1100",
+	"halo/default/O":                     "ec806be148e420a4e87741c42fd3ab241b41144dfceaab8aae7bf453f77e03fb",
+	"halo/default/O,NoInline":            "ec806be148e420a4e87741c42fd3ab241b41144dfceaab8aae7bf453f77e03fb",
+	"halo/default/O,DeclaredLayout":      "ec806be148e420a4e87741c42fd3ab241b41144dfceaab8aae7bf453f77e03fb",
+	"count.ec/O":                         "b1a816d28c18b6e711776a26257c96157ec56867ee48cc77f7aec1040d0484c4",
+	"count.ec/O,NoInline":                "10513d33d973103448407a10e3febb79867c602072663bea7fff2344a28a71af",
+	"count.ec/O,DeclaredLayout":          "b1a816d28c18b6e711776a26257c96157ec56867ee48cc77f7aec1040d0484c4",
+	"distance.ec/O":                      "aba6692023724e029c80392b73d4e1ba5b3e38387253ae49a6b361afc47b94c3",
+	"distance.ec/O,NoInline":             "51d1d78c4c71859dcbbe5855184cdee7f2ae6927fbcdc2e229532beaf812b30b",
+	"distance.ec/O,DeclaredLayout":       "aba6692023724e029c80392b73d4e1ba5b3e38387253ae49a6b361afc47b94c3",
+	"listsearch.ec/O":                    "de1f3d7c9076982e0d17fa267e66a5b96a77582337ce752359db6bf628192def",
+	"listsearch.ec/O,NoInline":           "8567e70da4d1c07508ea05d86d6395c77878e949bbc0a7fbf21b4ec3912bb170",
+	"listsearch.ec/O,DeclaredLayout":     "de1f3d7c9076982e0d17fa267e66a5b96a77582337ce752359db6bf628192def",
+	"scale_point.ec/O":                   "d8f9661b833e3442d9cfeff5cb5144b31819789c228d0972bf9289d51e5e2c8d",
+	"scale_point.ec/O,NoInline":          "88423131d049f757869e5aaae7db045b8b54fe665b3cb1c41aeefb336d0bba8a",
+	"scale_point.ec/O,DeclaredLayout":    "d8f9661b833e3442d9cfeff5cb5144b31819789c228d0972bf9289d51e5e2c8d",
 
 	// Profile-guided builds (Pipeline.ProfileCycle on 4 nodes), where the
 	// measured factors scale tuple frequencies non-uniformly.
-	"power/quick/O,PGO":     "a959efef893dfd8a2ea0ccc258dbfae939aff0aa858d568eb3fee175b8d42602",
-	"tsp/quick/O,PGO":       "55dc7bb54b83a5c6d12a70d941e41ab155d98ab158bc7726d84e3e076127d4fa",
-	"health/quick/O,PGO":    "8495155ed7148fe368a7972ac3fdaa3cfbad6adc1ccac54c366cd5eb642a1895",
-	"perimeter/quick/O,PGO": "5eb9e697c2e96840c82f5cfe54f2a22f0c254f948629e2f91471cc72fb8f410b",
-	"voronoi/quick/O,PGO":   "3d5e0eb97d826a224938defeaa579d0eb204a50bbd6aa25cf8d9362454d43b9b",
+	"power/quick/O,PGO":     "087fccd892f42800d7a634c7e8383c964cf434e575ce9286a1a899fd7fe02209",
+	"tsp/quick/O,PGO":       "d165821ede452df645bf8c1b519720a887e439aceae3f886ec134bc27ba1a362",
+	"health/quick/O,PGO":    "1a04f34a253026d70e35b1e7d7b4069d465bb8a973071fe2bb0577b44ad5dfdc",
+	"perimeter/quick/O,PGO": "8c8d488b16b87e6747fdbefb5ae026c4b8b88bd8b864af960fb48c5565aa966d",
+	"voronoi/quick/O,PGO":   "66bd7ff014e8aff6a272a55711d0dc81e9fd11df8a91db12300e387659821ef1",
 }
 
 // placementSetsGolden pins, for every compiledCodeGolden cell, the sha256 of
@@ -281,6 +281,7 @@ var epochPins = []struct {
 }{
 	{1, "59a60746d21e08f3fcfdd18a13a0a71221aa395ba60b5d345da5057883fd985d"},
 	{2, "ff2c2d69bb741d98067dfca0b4b2c4eeb4a88bc69060de55d7f2118c86ea2106"},
+	{3, "b1b8cc30907e0a4dd4b1111adfa783dd3fd92e2b7d8165067d97049a3d900ed9"},
 }
 
 // goldenTablesHash hashes both golden tables, keys in sorted order.

@@ -77,8 +77,9 @@ type Phase struct {
 // cell) bumps it, so that a cache directory an older compiler filled misses
 // instead of serving that compiler's code; TestCompilerEpoch pins it to the
 // golden tables. Epoch 2 clustered blocked structs' hot fields in every
-// optimized build.
-const compilerEpoch = 2
+// optimized build; epoch 3 made constants immediate operands of the threaded
+// code.
+const compilerEpoch = 3
 
 // fingerprint renders the compiler epoch, the compile-relevant options and
 // the bound profile into the cache namespace key. The ignored Workers and

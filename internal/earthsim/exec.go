@@ -76,8 +76,8 @@ func (m *Machine) execFiber(f *fiber, t *int64) {
 		// (sync-slot semantics): otherwise the late reply would clobber the
 		// newer value. Check the common destination operands up front.
 		switch in.Op {
-		case threaded.OpMove, threaded.OpLoadImm, threaded.OpBin, threaded.OpUn,
-			threaded.OpConvIF, threaded.OpConvFI, threaded.OpLocalLoad,
+		case threaded.OpMove, threaded.OpLoadImm, threaded.OpBin, threaded.OpBinImm,
+			threaded.OpUn, threaded.OpConvIF, threaded.OpConvFI, threaded.OpLocalLoad,
 			threaded.OpLocalLoadIdx, threaded.OpAddrLocal, threaded.OpFieldAddr,
 			threaded.OpMemLoad, threaded.OpBuiltin, threaded.OpOwnerOf,
 			threaded.OpMyNode, threaded.OpNumNodes, threaded.OpGet,
@@ -139,6 +139,21 @@ func (m *Machine) execFiber(f *fiber, t *int64) {
 			y := rd(in.C)
 			if f.blocked() {
 				return
+			}
+			v, err := binOp(in.BOp, x, y, in.Flt)
+			if err != nil {
+				m.trapf("%s@%d: %v", f.code.Name, f.pc, err)
+				return
+			}
+			wr(in.A, v)
+
+		case threaded.OpBinImm:
+			x, y := rd(in.B), in.Imm
+			if f.blocked() {
+				return
+			}
+			if in.D == 1 {
+				x, y = y, x
 			}
 			v, err := binOp(in.BOp, x, y, in.Flt)
 			if err != nil {
@@ -664,7 +679,7 @@ func (m *Machine) execFiber(f *fiber, t *int64) {
 // loads and stores of the executing node's own memory.
 func localOp(op threaded.Op) bool {
 	switch op {
-	case threaded.OpLoadImm, threaded.OpMove, threaded.OpBin,
+	case threaded.OpLoadImm, threaded.OpMove, threaded.OpBin, threaded.OpBinImm,
 		threaded.OpJmp, threaded.OpJmpIf, threaded.OpJmpIfNot, threaded.OpJmpEq,
 		threaded.OpLocalLoad, threaded.OpLocalStore, threaded.OpFieldAddr,
 		threaded.OpMemLoad, threaded.OpMemStore:
@@ -712,6 +727,20 @@ run:
 				break run
 			}
 			v, err := binOp(in.BOp, mem[b], mem[c], in.Flt)
+			if err != nil {
+				break run
+			}
+			mem[a] = v
+		case threaded.OpBinImm:
+			a, b := base+int64(in.A), base+int64(in.B)
+			if pending[a]|pending[b] > 0 {
+				break run
+			}
+			x, y := mem[b], in.Imm
+			if in.D == 1 {
+				x, y = y, x
+			}
+			v, err := binOp(in.BOp, x, y, in.Flt)
 			if err != nil {
 				break run
 			}

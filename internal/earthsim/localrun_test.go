@@ -1,6 +1,7 @@
 package earthsim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/earthc"
@@ -137,5 +138,109 @@ func TestLocalRunExits(t *testing.T) {
 				t.Errorf("%s: site r: %d accesses, %d remote, recorded %v; want 1, 0, true", tc.name, n, remote, ok)
 			}
 		}
+	}
+}
+
+// binImm is frame[a] = frame[b] op v, or v op frame[b] when left.
+func binImm(op earthc.BinOp, a, b int, v int64, left bool) threaded.Instr {
+	in := threaded.Instr{Op: threaded.OpBinImm, BOp: op, A: a, B: b, Imm: v}
+	if left {
+		in.D = 1
+	}
+	return in
+}
+
+// runStepped runs p with the machine's next limit check placed so that
+// execLocal stops before instruction at of main's straight-line code and the
+// general step runs it.
+func runStepped(p *threaded.Program, cfg Config, at int) (*Result, error) {
+	m := New(p, cfg)
+	m.nextLimitCheck = int64(at) + 1
+	return m.Run()
+}
+
+// TestBinImmPaths runs bini through both interpreter paths — execLocal, and
+// the general step (reached at a limit check, or when the operand has a
+// fill in flight) — and requires the same value, time and instruction count
+// from each, the value bin computes from two slots, and the same positioned
+// trap for an immediate zero divisor.
+func TestBinImmPaths(t *testing.T) {
+	f := func(v float64) int64 { return int64(math.Float64bits(v)) }
+	for _, tc := range []struct {
+		name string
+		op   earthc.BinOp
+		x, c int64 // frame operand, immediate
+		left bool  // c op x
+		flt  bool
+		want int64
+		err  string
+	}{
+		{name: "x - 5", op: earthc.Sub, x: 17, c: 5, want: 12},
+		{name: "x << 3", op: earthc.Shl, x: 5, c: 3, want: 40},
+		{name: "x < 0", op: earthc.Lt, x: -4, c: 0, want: 1},
+		{name: "10 - x", op: earthc.Sub, x: 3, c: 10, left: true, want: 7},
+		{name: "7 / x", op: earthc.Div, x: 2, c: 7, left: true, want: 3},
+		{name: "1.0 / x", op: earthc.Div, x: f(4), c: f(1), left: true, flt: true, want: f(0.25)},
+		{name: "x * 2.5", op: earthc.Mul, x: f(2), c: f(2.5), flt: true, want: f(5)},
+		{name: "x % 0", op: earthc.Rem, x: 9, c: 0, err: "earthsim: main@1: integer modulo by zero"},
+		{name: "x / 0", op: earthc.Div, x: 9, c: 0, err: "earthsim: main@1: integer division by zero"},
+	} {
+		in := binImm(tc.op, 1, 0, tc.c, tc.left)
+		in.Flt = tc.flt
+		p := prog(&threaded.FnCode{Name: "main", NSlots: 2, Code: []threaded.Instr{
+			imm(0, tc.x), in, {Op: threaded.OpRet, A: 1},
+		}})
+		// The same operation with the constant in a slot.
+		ref := bin(tc.op, 1, 0, 2)
+		if tc.left {
+			ref.B, ref.C = 2, 0
+		}
+		ref.Flt = tc.flt
+		refProg := prog(&threaded.FnCode{Name: "main", NSlots: 3, Code: []threaded.Instr{
+			imm(0, tc.x), imm(2, tc.c), ref, {Op: threaded.OpRet, A: 1},
+		}})
+		local, errLocal := New(p, DefaultConfig(1)).Run()
+		stepped, errStepped := runStepped(p, DefaultConfig(1), 1)
+		if tc.err != "" {
+			for _, err := range []error{errLocal, errStepped} {
+				if err == nil || err.Error() != tc.err {
+					t.Errorf("%s: got error %v, want %s", tc.name, err, tc.err)
+				}
+			}
+			continue
+		}
+		if errLocal != nil || errStepped != nil {
+			t.Errorf("%s: %v / %v", tc.name, errLocal, errStepped)
+			continue
+		}
+		want, err := New(refProg, DefaultConfig(1)).Run()
+		if err != nil {
+			t.Fatalf("%s: reference: %v", tc.name, err)
+		}
+		if local.MainRet != tc.want || want.MainRet != tc.want {
+			t.Errorf("%s: bini gives %#x and bin %#x, want %#x", tc.name, local.MainRet, want.MainRet, tc.want)
+		}
+		if stepped.MainRet != local.MainRet || stepped.Time != local.Time ||
+			stepped.Counts.Instructions != local.Counts.Instructions {
+			t.Errorf("%s: general step gives ret %#x, time %d, %d instructions; execLocal %#x, %d, %d", tc.name,
+				stepped.MainRet, stepped.Time, stepped.Counts.Instructions,
+				local.MainRet, local.Time, local.Counts.Instructions)
+		}
+		if local.Time+DefaultConfig(1).InstrCost != want.Time {
+			t.Errorf("%s: bini takes %d ns, bin with its imm %d; want one instruction less", tc.name, local.Time, want.Time)
+		}
+	}
+
+	// 10 - x with x in flight from node 1 (which holds 0 there): bini
+	// blocks on its operand as bin does and runs when the fill lands.
+	inFlight := prog(&threaded.FnCode{Name: "main", NSlots: 3, Code: []threaded.Instr{
+		imm(0, threaded.PackAddr(1, 3)),
+		{Op: threaded.OpGet, A: 2, B: 0},
+		binImm(earthc.Sub, 1, 2, 10, true),
+		{Op: threaded.OpRet, A: 1},
+	}})
+	res, err := New(inFlight, DefaultConfig(2)).Run()
+	if err != nil || res.MainRet != 10 || res.Counts.Instructions != 5 {
+		t.Errorf("operand in flight: ret %v, err %v; want 10 after 5 instructions (bini twice)", res, err)
 	}
 }

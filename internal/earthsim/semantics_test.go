@@ -243,7 +243,7 @@ int main() {
 }
 `
 	// The message is the client's: it names the site and nothing of the frame.
-	const want = "earthsim: main@2: @OWNER_OF(NULL)"
+	const want = "earthsim: main@1: @OWNER_OF(NULL)"
 	if err := runErr(t, src, 2); err == nil || err.Error() != want {
 		t.Errorf("got error %v, want %s", err, want)
 	}

@@ -181,9 +181,9 @@ int main() {
 		k            int64
 		time, instrs int64
 	}{
-		{16, 68_044, 468},
-		{64, 268_876, 1_812},
-		{256, 1_072_204, 7_188},
+		{16, 64_870, 382},
+		{64, 256_630, 1_486},
+		{256, 1_023_670, 5_902},
 	} {
 		res := run(t, strings.ReplaceAll(src, "K", strconv.FormatInt(c.k, 10)), 1, false)
 		if want := c.k * (c.k + 1) / 2; res.MainRet != want {

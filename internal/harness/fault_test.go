@@ -109,11 +109,11 @@ func TestFaultVisibleEquivalence(t *testing.T) {
 // and machine size, so the two goldens cannot drift apart unnoticed.
 func TestFaultSweepQuick(t *testing.T) {
 	baseNs := map[string]int64{
-		"power":     2810629,
-		"tsp":       3831626,
-		"health":    3169679,
-		"perimeter": 6340450,
-		"voronoi":   15804387,
+		"power":     2312022,
+		"tsp":       3805561,
+		"health":    3086082,
+		"perimeter": 5095690,
+		"voronoi":   15608719,
 	}
 	res, err := MeasureFaultSweep(faultTestNodes, nil, 1, olden.QuickParams)
 	if err != nil {

@@ -25,6 +25,7 @@ const (
 	OpMove    // frame[A] = frame[B]
 	OpLoadImm // frame[A] = Imm (raw bits)
 	OpBin     // frame[A] = frame[B] <BOp> frame[C]; Flt selects float semantics
+	OpBinImm  // frame[A] = frame[B] <BOp> Imm (raw bits); D == 1: Imm <BOp> frame[B]
 	OpUn      // frame[A] = <UOp> frame[B]
 	OpConvIF  // frame[A] = double(int frame[B])
 	OpConvFI  // frame[A] = int(double frame[B]) (truncation)
@@ -82,7 +83,7 @@ const (
 )
 
 var opNames = map[Op]string{
-	OpNop: "nop", OpMove: "move", OpLoadImm: "imm", OpBin: "bin", OpUn: "un",
+	OpNop: "nop", OpMove: "move", OpLoadImm: "imm", OpBin: "bin", OpBinImm: "bini", OpUn: "un",
 	OpConvIF: "convif", OpConvFI: "convfi",
 	OpJmp: "jmp", OpJmpIf: "jif", OpJmpIfNot: "jifn", OpJmpEq: "jeq",
 	OpLocalLoad: "lload", OpLocalStore: "lstore",
@@ -103,6 +104,16 @@ func (o Op) String() string {
 		return s
 	}
 	return fmt.Sprintf("op%d", int(o))
+}
+
+// carriesImm reports whether Imm is an operand of op, so that a zero Imm is
+// still printed.
+func (o Op) carriesImm() bool {
+	switch o {
+	case OpLoadImm, OpBinImm, OpJmpEq, OpLocalLoadIdx, OpLocalStoreIdx:
+		return true
+	}
+	return false
 }
 
 // Builtin codes for OpBuiltin.
@@ -143,7 +154,7 @@ func (in Instr) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-8s", in.Op)
 	fmt.Fprintf(&b, " A=%d B=%d C=%d D=%d", in.A, in.B, in.C, in.D)
-	if in.Imm != 0 {
+	if in.Imm != 0 || in.Op.carriesImm() {
 		fmt.Fprintf(&b, " imm=%d", in.Imm)
 	}
 	if in.Fn != nil {

@@ -222,27 +222,49 @@ func (g *gen) isGlobal(v *simple.Var) bool {
 
 // atom materializes an atom into a frame slot of fc.
 func (g *gen) atom(fc *FnCode, a simple.Atom) int {
-	switch x := a.(type) {
-	case simple.VarAtom:
+	if bits, ok := constBits(a); ok {
+		s := g.scratch()
+		g.emit(fc, Instr{Op: OpLoadImm, A: s, Imm: bits})
+		return s
+	}
+	if x, ok := a.(simple.VarAtom); ok {
 		if g.isGlobal(x.V) {
 			return g.globalRead(fc, x.V)
 		}
 		return g.slot(x.V)
-	case simple.IntAtom:
-		s := g.scratch()
-		g.emit(fc, Instr{Op: OpLoadImm, A: s, Imm: x.Val})
-		return s
-	case simple.FloatAtom:
-		s := g.scratch()
-		g.emit(fc, Instr{Op: OpLoadImm, A: s, Imm: int64(math.Float64bits(x.Val))})
-		return s
-	case simple.NullAtom:
-		s := g.scratch()
-		g.emit(fc, Instr{Op: OpLoadImm, A: s, Imm: 0})
-		return s
 	}
 	g.errorf("unknown atom %T", a)
 	return 0
+}
+
+// constBits returns the raw word of a constant atom (a double as its bits,
+// null as 0); ok is false for a variable.
+func constBits(a simple.Atom) (bits int64, ok bool) {
+	switch x := a.(type) {
+	case simple.IntAtom:
+		return x.Val, true
+	case simple.FloatAtom:
+		return int64(math.Float64bits(x.Val)), true
+	case simple.NullAtom:
+		return 0, true
+	}
+	return 0, false
+}
+
+// bin materializes the operands of x op y and returns the instruction that
+// computes it, its destination A left for the caller. A constant operand
+// rides in the instruction, as the i860's integer instructions take
+// immediates: bini with Imm, and D == 1 when the constant is the left
+// operand. When both are constants the left one is loaded.
+func (g *gen) bin(fc *FnCode, op earthc.BinOp, x, y simple.Atom) Instr {
+	flt := atomIsDouble(x) || atomIsDouble(y)
+	if bits, ok := constBits(y); ok {
+		return Instr{Op: OpBinImm, B: g.atom(fc, x), Imm: bits, BOp: op, Flt: flt}
+	}
+	if bits, ok := constBits(x); ok {
+		return Instr{Op: OpBinImm, B: g.atom(fc, y), Imm: bits, D: 1, BOp: op, Flt: flt}
+	}
+	return Instr{Op: OpBin, B: g.atom(fc, x), C: g.atom(fc, y), BOp: op, Flt: flt}
 }
 
 // globalAddr emits code producing the global segment address of v.

@@ -78,15 +78,13 @@ func (g *gen) stmt(fc *FnCode, st simple.Stmt) {
 
 // cond evaluates a condition into a 0/1 slot.
 func (g *gen) cond(fc *FnCode, c simple.Cond) int {
-	x := g.atom(fc, c.X)
 	if c.Op == simple.TruthTest {
-		return x
+		return g.atom(fc, c.X)
 	}
-	y := g.atom(fc, c.Y)
-	dst := g.scratch()
-	g.emit(fc, Instr{Op: OpBin, A: dst, B: x, C: y, BOp: c.Op,
-		Flt: atomIsDouble(c.X) || atomIsDouble(c.Y)})
-	return dst
+	in := g.bin(fc, c.Op, c.X, c.Y)
+	in.A = g.scratch()
+	g.emit(fc, in)
+	return in.A
 }
 
 func (g *gen) switchStmt(fc *FnCode, c *simple.Switch) {
@@ -380,6 +378,10 @@ func (g *gen) rvalueInto(fc *FnCode, rv simple.Rvalue, slot int, dstVar *simple.
 	}
 	switch x := rv.(type) {
 	case simple.AtomRV:
+		if bits, ok := constBits(x.A); ok && slot >= 0 {
+			g.emit(fc, Instr{Op: OpLoadImm, A: slot, Imm: bits})
+			return slot
+		}
 		src := g.atom(fc, x.A)
 		if slot < 0 {
 			return src
@@ -394,12 +396,10 @@ func (g *gen) rvalueInto(fc *FnCode, rv simple.Rvalue, slot int, dstVar *simple.
 			Flt: atomIsDouble(x.X) || isDoubleVar2(dstVar)})
 		return d
 	case simple.BinaryRV:
-		bx := g.atom(fc, x.X)
-		by := g.atom(fc, x.Y)
-		d := dst()
-		g.emit(fc, Instr{Op: OpBin, A: d, B: bx, C: by, BOp: x.Op,
-			Flt: atomIsDouble(x.X) || atomIsDouble(x.Y)})
-		return d
+		in := g.bin(fc, x.Op, x.X, x.Y)
+		in.A = dst()
+		g.emit(fc, in)
+		return in.A
 	case simple.LoadRV:
 		d := dst()
 		p := g.slot(x.P)

@@ -1,9 +1,11 @@
 package threaded_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/olden"
 	"repro/internal/threaded"
 )
 
@@ -221,10 +223,87 @@ int main() { return answer; }
 	}
 }
 
+// TestConstantsAreImmediate: in every Olden program, plain and optimized,
+// parallel and sequential, a constant never costs an imm whose slot only the
+// next instruction reads as a bin or move operand — such a constant rides in
+// the instruction (bini) or loads straight into the assigned variable.
+// Readers are over-approximated by every mention of the slot in the
+// function's family (its fiber bodies share its frame), so a slot any other
+// instruction might read is never reported.
+func TestConstantsAreImmediate(t *testing.T) {
+	for _, b := range append(olden.All(), olden.Halo()) {
+		for _, optimize := range []bool{false, true} {
+			u, err := core.NewPipeline(core.Options{Optimize: optimize}).Compile(b.Name+".ec", b.Source(b.DefaultParams))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seq := range []bool{false, true} {
+				if seq && optimize {
+					continue
+				}
+				tp, err := u.Threaded(threaded.Options{Sequential: seq})
+				if err != nil {
+					t.Fatal(err)
+				}
+				mentions := map[string]map[int]int{} // family root -> slot -> mentions
+				for name, fc := range tp.Funcs {
+					root, _, _ := strings.Cut(name, "$")
+					if mentions[root] == nil {
+						mentions[root] = map[int]int{}
+					}
+					for _, in := range fc.Code {
+						for _, s := range append([]int{in.A, in.B, in.C, in.D}, in.Args...) {
+							mentions[root][s]++
+						}
+					}
+				}
+				for name, fc := range tp.Funcs {
+					root, _, _ := strings.Cut(name, "$")
+					for i, in := range fc.Code[:len(fc.Code)-1] {
+						next := fc.Code[i+1]
+						if in.Op != threaded.OpLoadImm || mentions[root][in.A] != 2 ||
+							!(next.Op == threaded.OpMove && next.B == in.A ||
+								next.Op == threaded.OpBin && (next.B == in.A || next.C == in.A)) {
+							continue
+						}
+						t.Errorf("%s (optimize %v, sequential %v): %s@%d: the constant of %q only feeds %q",
+							b.Name, optimize, seq, name, i, in, next)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDisasmReadable: an opcode whose Imm is an operand prints it even when
+// it is 0, so a comparison against 0 or a case 0 is visible.
 func TestDisasmReadable(t *testing.T) {
-	tp := gen(t, `int main() { return 1 + 2; }`, false)
+	tp := gen(t, `
+int main() {
+	int k;
+	int r;
+	k = 3;
+	r = 0;
+	switch (k) {
+	case 0: r = 1;
+	default: r = 2;
+	}
+	if (k > 0) { r = r + 1; }
+	return r;
+}
+`, false)
 	d := tp.Main.Disasm()
-	if len(d) == 0 {
-		t.Error("empty disassembly")
+	for _, want := range []string{"jeq", "bini", "imm="} {
+		if !strings.Contains(d, want) {
+			t.Errorf("disassembly lacks %q:\n%s", want, d)
+		}
+	}
+	for _, in := range tp.Main.Code {
+		switch in.Op {
+		case threaded.OpJmpEq, threaded.OpBinImm, threaded.OpLoadImm:
+			if in.Imm == 0 && !strings.Contains(in.String(), " imm=0") {
+				t.Errorf("%v carries Imm 0 but prints %q", in.Op, in)
+			}
+		}
 	}
 }

@@ -13,6 +13,15 @@ fi
 go vet ./...
 go build ./...
 go test ./...
+# The reproduction's numbers must be a pure function of the source: build
+# paperbench once, run every artifact twice at quick scale (about a second)
+# and require byte-identical output.
+pb=$(mktemp -d)
+trap 'rm -rf "$pb"' EXIT
+go build -o "$pb/paperbench" ./cmd/paperbench
+"$pb/paperbench" -all -scale quick >"$pb/1.txt"
+"$pb/paperbench" -all -scale quick >"$pb/2.txt"
+cmp "$pb/1.txt" "$pb/2.txt"
 # Run every root benchmark once (about a second): a benchmark that only
 # compiles can still b.Fatal at run time, and nothing else would notice.
 go test -run '^$' -bench . -benchtime 1x .
