@@ -48,7 +48,7 @@ func (m *Machine) execFiber(f *fiber, t *int64) {
 	rd := func(slot int) int64 { return m.operand(f, n, f.base+int64(slot)) }
 	wr := func(slot int, v int64) { n.mem[f.base+int64(slot)] = v }
 	for m.trap == nil {
-		if uint(f.pc) < uint(len(f.code.Code)) && localOp(f.code.Code[f.pc].Op) {
+		if !generalStepOnly && uint(f.pc) < uint(len(f.code.Code)) && localOp(f.code.Code[f.pc].Op) {
 			m.execLocal(f, t)
 		}
 		// The general step: one instruction, with every check.
@@ -674,6 +674,12 @@ func (m *Machine) execFiber(f *fiber, t *int64) {
 		f.pc++
 	}
 }
+
+// generalStepOnly sends every instruction through execFiber's general step
+// and never into execLocal. Only tests set it: the golden cells must come out
+// the same either way, which checks the fast path against the general step on
+// every opcode the matrix executes.
+var generalStepOnly bool
 
 // localOp reports whether execLocal runs op: the frame-local opcodes, and
 // loads and stores of the executing node's own memory.

@@ -122,7 +122,9 @@ func (g goldenCell) check(t *testing.T, r surface) {
 // TestEngineGoldenMatrix sweeps {Olden benchmark} x {faults off/on}
 // on 4 nodes, and the five Olden programs fault-free on 3 and 16 nodes: each
 // run must match its golden cell.
-func TestEngineGoldenMatrix(t *testing.T) {
+func TestEngineGoldenMatrix(t *testing.T) { engineGoldenMatrix(t) }
+
+func engineGoldenMatrix(t *testing.T) {
 	type cell struct {
 		name   string
 		nodes  int
@@ -144,14 +146,18 @@ func TestEngineGoldenMatrix(t *testing.T) {
 
 // TestPower256Nodes: a quick benchmark on a 256-node machine matches its
 // golden cell.
-func TestPower256Nodes(t *testing.T) {
+func TestPower256Nodes(t *testing.T) { power256Nodes(t) }
+
+func power256Nodes(t *testing.T) {
 	bm := olden.ByName("power")
 	golden(t, bm.Name, 256, "").check(t, matrixRun(t, bm, 256, "", ""))
 }
 
 // TestHalo128Nodes: the halo ring on 128 nodes, the size earthd's halo jobs
 // run at, matches its golden cells with faults off and on.
-func TestHalo128Nodes(t *testing.T) {
+func TestHalo128Nodes(t *testing.T) { halo128Nodes(t) }
+
+func halo128Nodes(t *testing.T) {
 	bm := olden.Halo()
 	for _, faultSpec := range []string{"", matrixFaults} {
 		name := "plain"
@@ -163,6 +169,17 @@ func TestHalo128Nodes(t *testing.T) {
 			golden(t, bm.Name, 128, faultSpec).check(t, matrixRun(t, bm, 128, faultSpec, ""))
 		})
 	}
+}
+
+// TestGoldenGeneralStepOnly runs the three golden tests above once more with
+// the frame-local fast path (execLocal) off, against the same cells: every
+// instruction the matrix executes then goes through the general step, so the
+// two interpreter paths must agree on each one, down to the trace hashes.
+func TestGoldenGeneralStepOnly(t *testing.T) {
+	defer earthsim.GeneralStepOnly()()
+	t.Run("EngineGoldenMatrix", engineGoldenMatrix)
+	t.Run("Power256Nodes", power256Nodes)
+	t.Run("Halo128Nodes", halo128Nodes)
 }
 
 // TestOneNodeAndZeroLatency covers the two edge configurations of the
