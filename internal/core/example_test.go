@@ -285,6 +285,6 @@ func Example_figure7() {
 	// commsel: reads 4 pipelined + 1 blocked (9 loads redirected, 2 redundant eliminated); writes 3 pipelined + 0 blocked (3 stores redirected)
 	// output: "-4.000000\n"
 	// simple:       1.295 ms   reads=146 writes=144 blkmov=0 blkwords=0 (local rt: 178/48/0) shared=0 rpc=0 spawn=0 alloc=65 instr=2285
-	// optimized:    1.033 ms   reads=2 writes=144 blkmov=48 blkwords=192 (local rt: 2/48/16) shared=0 rpc=0 spawn=0 alloc=65 instr=2449
+	// optimized:    1.032 ms   reads=2 writes=144 blkmov=48 blkwords=192 (local rt: 2/48/16) shared=0 rpc=0 spawn=0 alloc=65 instr=2447
 	// improvement: 20.30%
 }

@@ -26,59 +26,59 @@ import (
 // code — a faster analysis, a leaner data structure — holds every cell; a
 // change that moves a placement or selection decision moves some.
 var compiledCodeGolden = map[string]string{
-	"power/default/O":                    "2f94891e2ed17cc9ed008fb8269c994d7a86538023359aeb8353e1e619e3b40b",
-	"power/default/O,NoInline":           "5e0c3e05bf9e85beb785cc5fd594e57421031ff8164a82651f8b3b9479af9b18",
-	"power/default/O,DeclaredLayout":     "5410a4895c75e74cf54989151227ce3a1bccfbf5fff2a6200befb6f2d4cb833e",
-	"power/quick/O":                      "087fccd892f42800d7a634c7e8383c964cf434e575ce9286a1a899fd7fe02209",
-	"power/quick/O,NoInline":             "641609b927036d2c0e99973851c53a09e1883bb91bc0f3ead0a27731577beb6d",
-	"power/quick/O,DeclaredLayout":       "62789553c8165e3453604c20bbab1cdeaaafa23ccbacbfd386d38853229b2de9",
-	"tsp/default/O":                      "7ac77df2d2f73ed544b2691b28186e9629470ce4072985c8037860f89714f6b5",
-	"tsp/default/O,NoInline":             "50b07689b133823b9b5051e0e1282bcd561b7ac8633e0602ac99bed093327ebe",
-	"tsp/default/O,DeclaredLayout":       "be678ae15448fe0002ae7a5cc0ef5fa11ad18e701da97284b1dd12979d349e20",
-	"tsp/quick/O":                        "d1ee5fa2778a6672a7e90415a37183dde6f3f883291973f96a23e670d1e7eb61",
-	"tsp/quick/O,NoInline":               "4f7a3cd87c8531a713ff19cd5a2292e31a0ca58914c9f9ea68ed36e1cef25ea4",
-	"tsp/quick/O,DeclaredLayout":         "58cbc67ae1b00fe2ebf701ed15eb7d0dd305bd34d2c68f0cf1a2a15f404c6e5e",
-	"health/default/O":                   "35eb4f4180f6332f01f4682e3ec27155a4586aff0f774d09be2734b2d3dc1006",
-	"health/default/O,NoInline":          "5b486d1cbb439886b7f423ca070526eabe9372966e9571b4330c275266fa7dc6",
-	"health/default/O,DeclaredLayout":    "396d30fd79a5582f37f528344f0fc1031b7d7738c66f2e45b8f9e857632a2fe6",
-	"health/quick/O":                     "1a04f34a253026d70e35b1e7d7b4069d465bb8a973071fe2bb0577b44ad5dfdc",
-	"health/quick/O,NoInline":            "fc140d9c0f36850ee23118a09158459ee89dd21b5872b4d12580ec32f69cc80d",
-	"health/quick/O,DeclaredLayout":      "9dbe70e39c7eaeea95070868a83f903126993d8916770ecd431ee23dcd1099ee",
-	"perimeter/default/O":                "113110e599cfd2d81eb26ad28bf822eb4035361b935be8409af5bf4dd2cdfd84",
-	"perimeter/default/O,NoInline":       "d8f855040ce3b4a06bb33349f6e9fa57db9827601eb595ec7f447f1c2b7244a2",
-	"perimeter/default/O,DeclaredLayout": "996b8d9522d7c25189c4e7e9b85abd1c7a460de9abcbc6f403993fb65e8b83cf",
-	"perimeter/quick/O":                  "8c8d488b16b87e6747fdbefb5ae026c4b8b88bd8b864af960fb48c5565aa966d",
-	"perimeter/quick/O,NoInline":         "cf8287648ad16996658521e6f051a319b7a674927d53285ccc2f5b05c3fef6c1",
-	"perimeter/quick/O,DeclaredLayout":   "dd6dbc860cfebfda5dba7d4ca429a0feeea416d483ba1c47f23ed3189cf1927a",
-	"voronoi/default/O":                  "32c18b784d8b6b92d90061ae5cf876dd449d225dac8e2387f98eaa88565b1351",
-	"voronoi/default/O,NoInline":         "c377a0e36a29d2ad3fb460bec5c69ca025dc7e97046f586744c30d92fe2007aa",
-	"voronoi/default/O,DeclaredLayout":   "65f95cb50f12218551b6dca202649b029722740e028fbce3ed257c3c5a022bb7",
-	"voronoi/quick/O":                    "b76268eab8ffcaf6b8ed402b3cf2a83750aff194e070992dd06fc9687014845a",
-	"voronoi/quick/O,NoInline":           "a47e40950d87a72df44ac0003c70336f1d06cc10ce57797107536d76639fb495",
-	"voronoi/quick/O,DeclaredLayout":     "02404f5bc35759167b90a94d8f6589fe8f9ebe52394764a97f31c7dcf8ab1100",
-	"halo/default/O":                     "ec806be148e420a4e87741c42fd3ab241b41144dfceaab8aae7bf453f77e03fb",
-	"halo/default/O,NoInline":            "ec806be148e420a4e87741c42fd3ab241b41144dfceaab8aae7bf453f77e03fb",
-	"halo/default/O,DeclaredLayout":      "ec806be148e420a4e87741c42fd3ab241b41144dfceaab8aae7bf453f77e03fb",
-	"count.ec/O":                         "b1a816d28c18b6e711776a26257c96157ec56867ee48cc77f7aec1040d0484c4",
-	"count.ec/O,NoInline":                "10513d33d973103448407a10e3febb79867c602072663bea7fff2344a28a71af",
-	"count.ec/O,DeclaredLayout":          "b1a816d28c18b6e711776a26257c96157ec56867ee48cc77f7aec1040d0484c4",
+	"power/default/O":                    "7254f8cc575672ef38ccfc4e06da5bee165cc6c8b8ef731295f294dafcaf7575",
+	"power/default/O,NoInline":           "30c64d521660dd181b0f14125dfa210aa729b952501c662e466f23ee7245f6d1",
+	"power/default/O,DeclaredLayout":     "089803aa5285d2f4d61f2906464f68ed785d7e32dbb33ffeea3da91e98230fa6",
+	"power/quick/O":                      "0d66300a7aada3f9a2a7f2fbc09165d12847f5a2318d98f7fbc6e05a3cd8947f",
+	"power/quick/O,NoInline":             "342ce56ae276b4dff883b8a3520a3f6d51f95b38d57fe816fa8ede63cd9d24c3",
+	"power/quick/O,DeclaredLayout":       "fd48a202b5d838981b944e2da7d233c53180177eb48442632763eff92ef2507c",
+	"tsp/default/O":                      "1e620ed7a6a79fcffe5a8b9e8e2e605a699c6a5af1c9582feecfc0b96f5bc613",
+	"tsp/default/O,NoInline":             "197f52b709488ea418386d5580891675093e87054a0bb9880b81e3e45d09f0ae",
+	"tsp/default/O,DeclaredLayout":       "4ff1ff545369da7514bd95fad466f768ef03e619ddaae0b2fb5208bc5f0ee446",
+	"tsp/quick/O":                        "3412bbdc038aa398634db7c43cca3f57b457d113a66cb59cfcb22916527f9e6b",
+	"tsp/quick/O,NoInline":               "d3da14577fcebaff81a46efe5b6fb0a51c2e4769ef761b150594c384c895ce1e",
+	"tsp/quick/O,DeclaredLayout":         "a1aa311bf8bc8cf5feb392b32164d22180107942eedd5a84ddfd4bf2a4402fc0",
+	"health/default/O":                   "c2ee13babc89e6f5058cb673b892e9dae6cf8f63b33ed5e630a71a4377bd8d0b",
+	"health/default/O,NoInline":          "bf0b807b39bb16f830acf4b77e12d1f0592ad862709ed6336035d0e3713f6fcb",
+	"health/default/O,DeclaredLayout":    "8a2a0ef3f761eeb1a2740fdd0fbc805b6fbf43cfff898df4313f3c5f5aa1ec82",
+	"health/quick/O":                     "e2277712ed1732f5549a03ac3c2ee16d839a2384d9c57b2d15663ff3dc0f1473",
+	"health/quick/O,NoInline":            "76caa65c584b58c2fbbd1c1d61d7cb62feaa30c766fb259688db916d80dbda2f",
+	"health/quick/O,DeclaredLayout":      "c17e381567fb7c57895c8d6c224776c4ae827bdc55fe111950685fd66244fbb9",
+	"perimeter/default/O":                "544540959bb0cb21dc7eea374f6a193e7ceb25dffffc09cbdbe7ed726e657266",
+	"perimeter/default/O,NoInline":       "a4dbede3855dde005d1c56866e9ec893cbc1724602696894cd499a1cb8d13112",
+	"perimeter/default/O,DeclaredLayout": "d3ab3033cb567b13c0fc1b626cf5c122043e811d3d47e1709addf2c33910ca89",
+	"perimeter/quick/O":                  "aa3841bde432e2bccc936835d4d5039379b350a4598868bfe67fef6b87e437f7",
+	"perimeter/quick/O,NoInline":         "359d910475330eaeb6b090e1dd03ea13c456fcae2559489ba0df597174c305a2",
+	"perimeter/quick/O,DeclaredLayout":   "5f0f1dc504b80666e1d1db2f7c076b90a5cfc27a94c1d3766ff39ee4da09cdaa",
+	"voronoi/default/O":                  "65ba206e331b173a628141e7f70d0e43516a92636ee7133cf7f596bad3f7065b",
+	"voronoi/default/O,NoInline":         "9b2b241f2cc15630e96bdbdcdbbe998e3e4ec7395e7b8e639a3f6190fc532d9b",
+	"voronoi/default/O,DeclaredLayout":   "54cd0c29470e16344bebc86fd2e9cc7ba3e7509a9fd21990f239fd801b0ac978",
+	"voronoi/quick/O":                    "4e99d7b38cd80cabe48f411fc848e98e37ac6fa23362d8ae3cd5e07407813949",
+	"voronoi/quick/O,NoInline":           "ea7497026b2fcc0e1856434f9d8de0e5cbfbf027f243b6db45296542bdd34b8a",
+	"voronoi/quick/O,DeclaredLayout":     "f88455c4c40847bad9dcfabdd4439591b0503e4f450a9af2dc909fa2ea096a43",
+	"halo/default/O":                     "2f839f5451b5b6a6c5c8dc8e4ce49cb978e21b9fc996fea349af8c0534c26bb2",
+	"halo/default/O,NoInline":            "2f839f5451b5b6a6c5c8dc8e4ce49cb978e21b9fc996fea349af8c0534c26bb2",
+	"halo/default/O,DeclaredLayout":      "2f839f5451b5b6a6c5c8dc8e4ce49cb978e21b9fc996fea349af8c0534c26bb2",
+	"count.ec/O":                         "b44004f5b0469d2a277a3138c0c103c44a92be536ce513ba5829c076d73faff0",
+	"count.ec/O,NoInline":                "07c34c118a51838dca7a1a96afc735ce612d77e6b3417e5bb826347273aca109",
+	"count.ec/O,DeclaredLayout":          "b44004f5b0469d2a277a3138c0c103c44a92be536ce513ba5829c076d73faff0",
 	"distance.ec/O":                      "aba6692023724e029c80392b73d4e1ba5b3e38387253ae49a6b361afc47b94c3",
 	"distance.ec/O,NoInline":             "51d1d78c4c71859dcbbe5855184cdee7f2ae6927fbcdc2e229532beaf812b30b",
 	"distance.ec/O,DeclaredLayout":       "aba6692023724e029c80392b73d4e1ba5b3e38387253ae49a6b361afc47b94c3",
-	"listsearch.ec/O":                    "de1f3d7c9076982e0d17fa267e66a5b96a77582337ce752359db6bf628192def",
-	"listsearch.ec/O,NoInline":           "8567e70da4d1c07508ea05d86d6395c77878e949bbc0a7fbf21b4ec3912bb170",
-	"listsearch.ec/O,DeclaredLayout":     "de1f3d7c9076982e0d17fa267e66a5b96a77582337ce752359db6bf628192def",
-	"scale_point.ec/O":                   "d8f9661b833e3442d9cfeff5cb5144b31819789c228d0972bf9289d51e5e2c8d",
-	"scale_point.ec/O,NoInline":          "88423131d049f757869e5aaae7db045b8b54fe665b3cb1c41aeefb336d0bba8a",
-	"scale_point.ec/O,DeclaredLayout":    "d8f9661b833e3442d9cfeff5cb5144b31819789c228d0972bf9289d51e5e2c8d",
+	"listsearch.ec/O":                    "1a5379a940ce4071cd8e655844e79f99aef8677cf84310c5f7d0a7eda3927b5d",
+	"listsearch.ec/O,NoInline":           "3735b774a3f2aef3bab8f8657a5368f55787d5edebc6b2ff72bd31654ce5baaf",
+	"listsearch.ec/O,DeclaredLayout":     "1a5379a940ce4071cd8e655844e79f99aef8677cf84310c5f7d0a7eda3927b5d",
+	"scale_point.ec/O":                   "d43e68dfabdae10fe76e9ba99b8923cb22e981088904d7877d4705a010143a84",
+	"scale_point.ec/O,NoInline":          "c651c55fb6a3fabc27842dd4cbf1d56ed68d5f4d8a22729041fda2ffad49073b",
+	"scale_point.ec/O,DeclaredLayout":    "d43e68dfabdae10fe76e9ba99b8923cb22e981088904d7877d4705a010143a84",
 
 	// Profile-guided builds (Pipeline.ProfileCycle on 4 nodes), where the
 	// measured factors scale tuple frequencies non-uniformly.
-	"power/quick/O,PGO":     "087fccd892f42800d7a634c7e8383c964cf434e575ce9286a1a899fd7fe02209",
-	"tsp/quick/O,PGO":       "d165821ede452df645bf8c1b519720a887e439aceae3f886ec134bc27ba1a362",
-	"health/quick/O,PGO":    "1a04f34a253026d70e35b1e7d7b4069d465bb8a973071fe2bb0577b44ad5dfdc",
-	"perimeter/quick/O,PGO": "8c8d488b16b87e6747fdbefb5ae026c4b8b88bd8b864af960fb48c5565aa966d",
-	"voronoi/quick/O,PGO":   "66bd7ff014e8aff6a272a55711d0dc81e9fd11df8a91db12300e387659821ef1",
+	"power/quick/O,PGO":     "0d66300a7aada3f9a2a7f2fbc09165d12847f5a2318d98f7fbc6e05a3cd8947f",
+	"tsp/quick/O,PGO":       "0ec647d51159cc07bcf6922575a724eb46c73cc0ba336fb685b4100a3a89ba71",
+	"health/quick/O,PGO":    "e2277712ed1732f5549a03ac3c2ee16d839a2384d9c57b2d15663ff3dc0f1473",
+	"perimeter/quick/O,PGO": "aa3841bde432e2bccc936835d4d5039379b350a4598868bfe67fef6b87e437f7",
+	"voronoi/quick/O,PGO":   "f407e7459b20d2bd1d2d625e9a4d742826599f213153db4d3bf5bed875b3a463",
 }
 
 // placementSetsGolden pins, for every compiledCodeGolden cell, the sha256 of
@@ -282,6 +282,7 @@ var epochPins = []struct {
 	{1, "59a60746d21e08f3fcfdd18a13a0a71221aa395ba60b5d345da5057883fd985d"},
 	{2, "ff2c2d69bb741d98067dfca0b4b2c4eeb4a88bc69060de55d7f2118c86ea2106"},
 	{3, "b1b8cc30907e0a4dd4b1111adfa783dd3fd92e2b7d8165067d97049a3d900ed9"},
+	{4, "659a0737d9c2be31dec2c14e9f528157217ba93c970318446c529a1de53d0f57"},
 }
 
 // goldenTablesHash hashes both golden tables, keys in sorted order.

@@ -78,8 +78,9 @@ type Phase struct {
 // instead of serving that compiler's code; TestCompilerEpoch pins it to the
 // golden tables. Epoch 2 clustered blocked structs' hot fields in every
 // optimized build; epoch 3 made constants immediate operands of the threaded
-// code.
-const compilerEpoch = 3
+// code; epoch 4 let a comm temp share the frame slot of the variable its one
+// copy assigns, so the get fills that variable and the copy emits nothing.
+const compilerEpoch = 4
 
 // fingerprint renders the compiler epoch, the compile-relevant options and
 // the bound profile into the cache namespace key. The ignored Workers and

@@ -110,10 +110,10 @@ func TestFaultVisibleEquivalence(t *testing.T) {
 func TestFaultSweepQuick(t *testing.T) {
 	baseNs := map[string]int64{
 		"power":     2312022,
-		"tsp":       3805561,
-		"health":    3086082,
-		"perimeter": 5095690,
-		"voronoi":   15608719,
+		"tsp":       3671968,
+		"health":    3080965,
+		"perimeter": 5120670,
+		"voronoi":   15562423,
 	}
 	res, err := MeasureFaultSweep(faultTestNodes, nil, 1, olden.QuickParams)
 	if err != nil {

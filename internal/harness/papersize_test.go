@@ -21,8 +21,8 @@ func TestPaperSizeCells(t *testing.T) {
 		params      olden.Params
 		simple, opt int64
 	}{
-		{"health", olden.Params{Size: 4, Iters: 600}, 401_698_091, 372_562_441},
-		{"perimeter", olden.Params{Size: 11}, 250_834_825, 251_041_765},
+		{"health", olden.Params{Size: 4, Iters: 600}, 401_698_091, 368_591_070},
+		{"perimeter", olden.Params{Size: 11}, 250_834_825, 240_775_745},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s, o, err := RunPair(olden.ByName(c.name), c.params, 16)

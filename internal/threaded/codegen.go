@@ -117,7 +117,9 @@ type gen struct {
 	// function's frame layout, so their NSlots are unified to the final
 	// frame size at the end of fun().
 	family []*FnCode
-	err    error
+	// co picks the comm temps that share another variable's slot.
+	co  coalescer
+	err error
 }
 
 func max(a, b int) int {
@@ -159,14 +161,26 @@ func (g *gen) fun(f *simple.Func) error {
 	g.fc = g.out.Funcs[f.Name]
 	g.open(g.fc)
 	g.slots = slices.Grow(g.slots[:0], f.NumVars())[:f.NumVars()]
+	clear(g.slots)
 	n := 0
 	for _, p := range f.Params {
 		g.slots[p.ID] = n
 		g.fc.Params = append(g.fc.Params, n)
 		n += max(1, p.Size)
 	}
+	// A coalesced comm temp has no slot of its own (see coalesce.go).
+	g.co.pairs = g.co.pairs[:0]
+	if !noCoalesce {
+		g.co.run(f)
+	}
+	for _, p := range g.co.pairs {
+		g.slots[p[0].ID] = -1
+	}
 	var sharedLocals []*simple.Var
 	for _, l := range f.Locals {
+		if g.slots[l.ID] < 0 {
+			continue
+		}
 		g.slots[l.ID] = n
 		if l.Shared {
 			// Shared locals live in node heap storage so that fibers
@@ -179,6 +193,9 @@ func (g *gen) fun(f *simple.Func) error {
 		}
 	}
 	g.fc.NSlots = n
+	for _, p := range g.co.pairs {
+		g.slots[p[0].ID] = g.slots[p[1].ID]
+	}
 	for _, l := range sharedLocals {
 		g.emit(g.fc, Instr{Op: OpAlloc, A: g.slots[l.ID], B: -1, C: max(1, l.Size)})
 	}
