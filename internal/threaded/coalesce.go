@@ -33,30 +33,35 @@ var noCoalesce bool
 // commVar is what coalescing records for one of a function's variables,
 // indexed by Var.ID.
 type commVar struct {
-	// fill is a comm temp's get and fillSeq/fillIdx its place; copy is
-	// its one "x = c" reader. bad marks a comm temp mentioned any other
-	// way, and an address-taken local.
-	fill, copy *simple.Basic
-	fillSeq    *simple.Seq
-	fillIdx    int
-	bad        bool
+	// fillSeq and fillIdx place a comm temp's get; copied records its
+	// "x = c" reader. bad marks a comm temp filled or copied twice or
+	// mentioned any other way, and an address-taken local.
+	fillSeq *simple.Seq
+	fillIdx int32
 	// region is the deepest parallel region (see coalescer.parent) that
-	// mentions the variable; forked is set once two regions that do not
-	// nest both mention it.
-	region int32
-	forked bool
-	seen   bool
+	// mentions the variable, 0 until one does; forked is set once two
+	// regions that do not nest both mention it.
+	region              int32
+	copied, bad, forked bool
 }
 
 // coalescer holds coalescing's scratch state, reused across functions.
 type coalescer struct {
-	fn   *simple.Func
 	vars []commVar
 	// parent holds each parallel region's enclosing region: region 0 is
 	// the function body outside every arm and forall body.
 	parent []int32
+	// copies lists every "x = c" with c a comm temp, in source order.
+	copies []commCopyAt
 	// pairs lists the merged (comm temp, variable) pairs in copy order.
 	pairs [][2]*simple.Var
+}
+
+// commCopyAt is the copy "x = c", the idx'th statement of seq.
+type commCopyAt struct {
+	seq  *simple.Seq
+	idx  int
+	x, c *simple.Var
 }
 
 // run finds the comm temps of f that take another variable's slot and
@@ -73,7 +78,6 @@ func (c *coalescer) run(f *simple.Func) {
 	if !hasComm {
 		return
 	}
-	c.fn = f
 	n := f.NumVars()
 	if cap(c.vars) < n {
 		c.vars = make([]commVar, n)
@@ -82,13 +86,19 @@ func (c *coalescer) run(f *simple.Func) {
 		clear(c.vars)
 	}
 	c.parent = append(c.parent[:0], -1)
+	c.copies = c.copies[:0]
 	c.scan(f.Body, 0)
-	c.decide(f.Body)
+	for _, cp := range c.copies {
+		if c.mergeable(cp) {
+			c.pairs = append(c.pairs, [2]*simple.Var{cp.c, cp.x})
+		}
+	}
 }
 
-// local returns v's record when v is one of the function's own variables.
+// local returns v's record when v is one of the function's own variables
+// (a function body mentions no other function's).
 func (c *coalescer) local(v *simple.Var) *commVar {
-	if v == nil || v.Kind == simple.VarGlobal || c.fn.VarByID(v.ID) != v {
+	if v == nil || v.Kind == simple.VarGlobal {
 		return nil
 	}
 	return &c.vars[v.ID]
@@ -101,15 +111,14 @@ func (c *coalescer) within(r, a int32) bool {
 	return r == a
 }
 
-// mention notes that region r mentions v.
+// mention notes that region r mentions v. Region 0 encloses every other,
+// so a mention there changes nothing.
 func (c *coalescer) mention(v *simple.Var, r int32) {
 	cv := c.local(v)
-	if cv == nil {
+	if r == 0 || cv == nil {
 		return
 	}
 	switch {
-	case !cv.seen:
-		cv.seen, cv.region = true, r
 	case c.within(r, cv.region):
 		cv.region = r
 	case !c.within(cv.region, r):
@@ -173,10 +182,8 @@ func (c *coalescer) cond(k simple.Cond, r int32) {
 func (c *coalescer) basic(b *simple.Basic, s *simple.Seq, idx int, r int32) {
 	if b.Kind == simple.KGetF {
 		if cv := c.local(b.Dst); cv != nil && b.Dst.Kind == simple.VarComm {
-			if cv.fill != nil {
-				cv.bad = true
-			}
-			cv.fill, cv.fillSeq, cv.fillIdx = b, s, idx
+			cv.bad = cv.bad || cv.fillSeq != nil
+			cv.fillSeq, cv.fillIdx = s, int32(idx)
 			c.mention(b.Dst, r)
 			c.other(b.P, false, r)
 			return
@@ -184,10 +191,9 @@ func (c *coalescer) basic(b *simple.Basic, s *simple.Seq, idx int, r int32) {
 	}
 	if x, v, ok := commCopy(b); ok {
 		if cv := c.local(v); cv != nil {
-			if cv.copy != nil {
-				cv.bad = true
-			}
-			cv.copy = b
+			cv.bad = cv.bad || cv.copied
+			cv.copied = true
+			c.copies = append(c.copies, commCopyAt{s, idx, x, v})
 			c.mention(v, r)
 			c.other(x, false, r)
 			return
@@ -199,8 +205,10 @@ func (c *coalescer) basic(b *simple.Basic, s *simple.Seq, idx int, r int32) {
 // other notes a mention of v in region r that is neither a comm temp's get
 // nor its copy: it disqualifies a comm temp, and an address-taken local.
 func (c *coalescer) other(v *simple.Var, addr bool, r int32) {
-	if cv := c.local(v); cv != nil && (addr || v.Kind == simple.VarComm) {
-		cv.bad = true
+	if addr || v.Kind == simple.VarComm {
+		if cv := c.local(v); cv != nil {
+			cv.bad = true
+		}
 	}
 	c.mention(v, r)
 }
@@ -222,24 +230,12 @@ func commCopy(b *simple.Basic) (x, c *simple.Var, ok bool) {
 	return lhs.V, c, true
 }
 
-// decide walks s again and checks each comm temp's copy where it finds it.
-func (c *coalescer) decide(s *simple.Seq) {
-	for i, st := range s.Stmts {
-		if b, ok := st.(*simple.Basic); ok {
-			if x, cm, ok := commCopy(b); ok && c.mergeable(s, i, x, cm) {
-				c.pairs = append(c.pairs, [2]*simple.Var{cm, x})
-			}
-			continue
-		}
-		simple.EachSubseq(st, c.decide)
-	}
-}
-
-// mergeable applies the rule to the copy "x = cm", the idx'th statement of
-// s. The get is in s too, so cm's region is the copy's.
-func (c *coalescer) mergeable(s *simple.Seq, idx int, x, cm *simple.Var) bool {
-	rec, xr := c.local(cm), c.local(x)
-	if rec == nil || xr == nil || rec.bad || rec.fill == nil || rec.fillSeq != s || rec.fillIdx > idx {
+// mergeable applies the rule to one copy. The get must be in the copy's
+// sequence, so the comm temp's region is the copy's.
+func (c *coalescer) mergeable(cp commCopyAt) bool {
+	x, s, idx := cp.x, cp.seq, cp.idx
+	rec, xr := &c.vars[cp.c.ID], c.local(x)
+	if xr == nil || rec.bad || rec.fillSeq != s || int(rec.fillIdx) > idx {
 		return false
 	}
 	if x.Kind != simple.VarLocal && x.Kind != simple.VarTemp || x.Shared || x.Size > 1 ||
