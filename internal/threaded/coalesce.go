@@ -68,12 +68,14 @@ type commCopyAt struct {
 // leaves them in c.pairs.
 func (c *coalescer) run(f *simple.Func) {
 	c.pairs = c.pairs[:0]
+	// Selection appends its temps after every other local.
 	hasComm := false
-	for _, l := range f.Locals {
-		if l.Kind == simple.VarComm {
-			hasComm = true
+	for i := len(f.Locals) - 1; i >= 0 && !hasComm; i-- {
+		k := f.Locals[i].Kind
+		if k != simple.VarComm && k != simple.VarBComm {
 			break
 		}
+		hasComm = k == simple.VarComm
 	}
 	if !hasComm {
 		return
