@@ -348,10 +348,12 @@ func (inl *inliner) expand(c *Call, dst Expr) []Stmt {
 		if !bound && !isParam(callee, name) {
 			return name
 		}
-		if _, ok := rename[name]; !ok {
-			rename[name] = inl.fresh("loc")
+		n, ok := rename[name]
+		if !ok {
+			n = inl.fresh("loc")
+			rename[name] = n
 		}
-		return rename[name]
+		return n
 	}}
 	body := cl.stmt(callee.Body).(*Block)
 	done := inl.fresh("done")
