@@ -163,16 +163,10 @@ var raceEnabled bool
 // about 70 KB to a round now and then. The collector is off from before the
 // warm-up until it has counted: a cycle empties the simulator's arena pool,
 // and refilling it would be charged to whichever run the cycle happened to
-// hit. There are two warm-up calls: the pool hands a machine's node arenas
-// back in a rotated order, so when two nodes of one program outgrow the
-// arenas' size (quick perimeter's nodes 0 and 1 on 4 nodes, since frame
-// sizes changed with comm-temp coalescing), the second grows its arena one
-// call after the first, and a single warm-up left that one-time growth
-// (about 197 KB) inside the measured runs about two times in three.
+// hit.
 func bytesPerRun(runs int, f func()) int64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	f()
 	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -130,44 +130,46 @@ func (c *pollCtx) Done() <-chan struct{} {
 
 func (c *pollCtx) Err() error { return context.Canceled }
 
-// poolClean takes arenas out of the pool, checks the pool's invariants on
-// each — within the size cap, zero through the capacity of both arrays, free
-// lists empty — puts them back, and reports whether any had backing memory
-// (i.e. came from an earlier run).
+// poolClean takes arena sets out of the pool, checks the pool's invariants
+// on each arena — within the size cap, zero through the capacity of both
+// arrays, free lists empty — puts them back, and reports whether any had
+// backing memory (i.e. came from an earlier run).
 func poolClean(t *testing.T) (reused bool) {
 	t.Helper()
-	var held []*arena
+	var held []*arenaSet
 	for i := 0; i < 64; i++ {
-		a := arenaPool.Get().(*arena)
-		held = append(held, a)
-		if cap(a.mem) == 0 {
+		set := arenaPool.Get().(*arenaSet)
+		held = append(held, set)
+		if len(set.a) == 0 {
 			break // the pool ran dry and made a new one
 		}
-		reused = true
-		if len(a.mem) != 0 || len(a.pending) != 0 {
-			t.Errorf("pooled arena has length %d/%d, want 0", len(a.mem), len(a.pending))
-		}
-		if cap(a.mem) > arenaMaxWords {
-			t.Errorf("pooled arena of %d words, cap is %d", cap(a.mem), arenaMaxWords)
-		}
-		for size, l := range a.freeSmall {
-			if len(l) != 0 {
-				t.Errorf("pooled arena: %d free frames of size %d", len(l), size)
+		for _, a := range set.a {
+			reused = reused || cap(a.mem) > 0
+			if len(a.mem) != 0 || len(a.pending) != 0 {
+				t.Errorf("pooled arena has length %d/%d, want 0", len(a.mem), len(a.pending))
 			}
-		}
-		for j, w := range a.mem[:cap(a.mem)] {
-			if w != 0 {
-				t.Fatalf("pooled arena: mem[%d] = %d, want 0", j, w)
+			if cap(a.mem) > arenaMaxWords {
+				t.Errorf("pooled arena of %d words, cap is %d", cap(a.mem), arenaMaxWords)
 			}
-		}
-		for j, c := range a.pending[:cap(a.pending)] {
-			if c != 0 {
-				t.Fatalf("pooled arena: pending[%d] = %d, want 0", j, c)
+			for size, l := range a.freeSmall {
+				if len(l) != 0 {
+					t.Errorf("pooled arena: %d free frames of size %d", len(l), size)
+				}
+			}
+			for j, w := range a.mem[:cap(a.mem)] {
+				if w != 0 {
+					t.Fatalf("pooled arena: mem[%d] = %d, want 0", j, w)
+				}
+			}
+			for j, c := range a.pending[:cap(a.pending)] {
+				if c != 0 {
+					t.Fatalf("pooled arena: pending[%d] = %d, want 0", j, c)
+				}
 			}
 		}
 	}
-	for _, a := range held {
-		arenaPool.Put(a)
+	for _, set := range held {
+		arenaPool.Put(set)
 	}
 	return reused
 }

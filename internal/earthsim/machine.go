@@ -270,7 +270,7 @@ type node struct {
 	// counts the split-phase fills outstanding for mem[i] (node-level, so
 	// fibers sharing a frame observe each other's fills), with hasWaiter set
 	// while some fiber is blocked on the word. The two grow together (ensure)
-	// over backing arrays taken from arenaPool.
+	// over backing arrays from the machine's arena set.
 	mem     []int64
 	pending []int32
 	arena   *arena // the pool record they (and freeSmall) came from
@@ -326,15 +326,24 @@ type arena struct {
 	freeSmall [][]int64 // the frame free-list table, every list emptied
 }
 
-var arenaPool = sync.Pool{New: func() any { return new(arena) }}
+// arenaSet is one machine's node arenas between runs, node i's at a[i]. A
+// machine takes a whole set from arenaPool and gives it back whole, so every
+// node gets back the arena its own index grew to, and a node that needs a
+// large arena never inherits a small one another node left and regrows it.
+// A set from a smaller machine is extended with fresh arenas; one from a
+// larger machine keeps its extra arenas, untouched, for the next.
+type arenaSet struct{ a []*arena }
+
+var arenaPool = sync.Pool{New: func() any { return new(arenaSet) }}
 
 // arenaMaxWords caps the arenas the pool retains (8 MiB of memory plus 4 MiB
 // of presence counters): a job that grew a node toward MaxNodeWords must not
 // pin that much for the life of the process.
 const arenaMaxWords = 1 << 20
 
-// releaseArenas clears the nodes' memory and returns it to arenaPool; every
-// exit of Run calls it, after the last read of node state.
+// releaseArenas clears the nodes' memory and returns the machine's arena set
+// to arenaPool; every exit of Run calls it, after the last read of node
+// state. A node grown past arenaMaxWords leaves an empty arena in the set.
 func (m *Machine) releaseArenas() {
 	for _, n := range m.nodes {
 		if cap(n.mem) <= arenaMaxWords {
@@ -344,10 +353,13 @@ func (m *Machine) releaseArenas() {
 				n.freeSmall[i] = n.freeSmall[i][:0]
 			}
 			*n.arena = arena{n.mem[:0], n.pending[:0], n.freeSmall}
-			arenaPool.Put(n.arena)
+		} else {
+			*n.arena = arena{}
 		}
 		n.mem, n.pending, n.freeSmall, n.arena = nil, nil, nil, nil
 	}
+	arenaPool.Put(m.arenas)
+	m.arenas = nil
 }
 
 // ensure grows the node's memory to cover [off, off+size); it reports
@@ -527,8 +539,11 @@ type Machine struct {
 	cfg   Config
 	prog  *threaded.Program
 	nodes []*node
-	prof  *profile.Data   // non-nil when prog.Profiled
-	tr    *trace.Recorder // nil: tracing disabled (the common case)
+	// arenas holds the nodes' arenas from New until Run's exit hands them
+	// back to arenaPool.
+	arenas *arenaSet
+	prof   *profile.Data   // non-nil when prog.Profiled
+	tr     *trace.Recorder // nil: tracing disabled (the common case)
 
 	events  eventQ
 	seq     int64 // events scheduled so far: the tiebreak of equal times
@@ -586,8 +601,12 @@ func New(prog *threaded.Program, cfg Config) *Machine {
 	if maxWords == 0 {
 		maxWords = 16 << 20
 	}
+	m.arenas = arenaPool.Get().(*arenaSet)
+	for len(m.arenas.a) < cfg.Nodes {
+		m.arenas.a = append(m.arenas.a, new(arena))
+	}
 	for i := 0; i < cfg.Nodes; i++ {
-		a := arenaPool.Get().(*arena)
+		a := m.arenas.a[i]
 		n := &node{id: i, maxWords: maxWords, mem: a.mem, pending: a.pending, freeSmall: a.freeSmall, arena: a,
 			netLast: make([]int64, cfg.Nodes),
 			ready:   make([]*fiber, 0, 16),
