@@ -3,78 +3,54 @@ package earthc
 // Deep cloning of AST subtrees, used by the function inliner.
 
 // CloneStmt deep-copies a statement.
-func CloneStmt(s Stmt) Stmt { return (&cloner{}).stmt(s) }
-
-// CloneExpr deep-copies an expression.
-func CloneExpr(e Expr) Expr { return (&cloner{}).expr(e) }
-
-// cloner deep-copies a subtree in source order (a composite literal
-// evaluates its fields left to right). With rename set it renames as it
-// copies: each declaration takes rename(name, true), and each identifier
-// rename(name, bound), bound being whether a declaration copied before it
-// binds it. Names are scoped as walkIdents scopes them: a declaration binds
-// from itself, its initializer included, to the end of the enclosing block,
-// parallel sequence, switch case or for statement.
-type cloner struct {
-	rename func(name string, bound bool) string
-	scope  []*VarDecl // declarations in scope, innermost last
-}
-
-// list copies a statement list that opens a scope.
-func (c *cloner) list(ss []Stmt) []Stmt {
-	defer c.close(len(c.scope))
-	var out []Stmt
-	for _, s := range ss {
-		out = append(out, c.stmt(s))
-	}
-	return out
-}
-
-func (c *cloner) stmt(s Stmt) Stmt {
+func CloneStmt(s Stmt) Stmt {
 	switch st := s.(type) {
 	case nil:
 		return nil
 	case *DeclStmt:
 		d := st.Decl
-		c.scope = append(c.scope, d)
-		name := d.Name
-		if c.rename != nil {
-			name = c.rename(name, true)
-		}
-		nd := &VarDecl{Name: name, Type: d.Type,
-			Shared: d.Shared, Init: c.expr(d.Init), Pos: d.Pos}
+		nd := &VarDecl{Name: d.Name, Type: d.Type,
+			Shared: d.Shared, Init: CloneExpr(d.Init), Pos: d.Pos}
 		return &DeclStmt{Decl: nd}
 	case *ExprStmt:
-		return &ExprStmt{X: c.expr(st.X), Pos: st.Pos}
+		return &ExprStmt{X: CloneExpr(st.X), Pos: st.Pos}
 	case *Block:
-		return &Block{Stmts: c.list(st.Stmts), Pos: st.Pos}
+		nb := &Block{Pos: st.Pos}
+		for _, c := range st.Stmts {
+			nb.Stmts = append(nb.Stmts, CloneStmt(c))
+		}
+		return nb
 	case *ParSeq:
-		return &ParSeq{Stmts: c.list(st.Stmts), Pos: st.Pos}
+		np := &ParSeq{Pos: st.Pos}
+		for _, c := range st.Stmts {
+			np.Stmts = append(np.Stmts, CloneStmt(c))
+		}
+		return np
 	case *IfStmt:
-		return &IfStmt{Cond: c.expr(st.Cond),
-			Then: c.stmt(st.Then), Else: c.stmt(st.Else), Pos: st.Pos}
+		return &IfStmt{Cond: CloneExpr(st.Cond),
+			Then: CloneStmt(st.Then), Else: CloneStmt(st.Else), Pos: st.Pos}
 	case *WhileStmt:
-		return &WhileStmt{Cond: c.expr(st.Cond),
-			Body: c.stmt(st.Body), Pos: st.Pos}
+		return &WhileStmt{Cond: CloneExpr(st.Cond),
+			Body: CloneStmt(st.Body), Pos: st.Pos}
 	case *DoStmt:
-		return &DoStmt{Body: c.stmt(st.Body),
-			Cond: c.expr(st.Cond), Pos: st.Pos}
+		return &DoStmt{Body: CloneStmt(st.Body),
+			Cond: CloneExpr(st.Cond), Pos: st.Pos}
 	case *ForStmt:
-		defer c.close(len(c.scope)) // the init's declarations
-		return &ForStmt{Init: c.stmt(st.Init), Cond: c.expr(st.Cond),
-			Post: c.expr(st.Post), Body: c.stmt(st.Body), Pos: st.Pos}
+		return &ForStmt{Init: CloneStmt(st.Init), Cond: CloneExpr(st.Cond),
+			Post: CloneExpr(st.Post), Body: CloneStmt(st.Body), Pos: st.Pos}
 	case *ForallStmt:
-		defer c.close(len(c.scope))
-		return &ForallStmt{Init: c.stmt(st.Init), Cond: c.expr(st.Cond),
-			Post: c.expr(st.Post), Body: c.stmt(st.Body), Pos: st.Pos}
+		return &ForallStmt{Init: CloneStmt(st.Init), Cond: CloneExpr(st.Cond),
+			Post: CloneExpr(st.Post), Body: CloneStmt(st.Body), Pos: st.Pos}
 	case *SwitchStmt:
-		ns := &SwitchStmt{Tag: c.expr(st.Tag), Pos: st.Pos}
+		ns := &SwitchStmt{Tag: CloneExpr(st.Tag), Pos: st.Pos}
 		for _, cc := range st.Cases {
 			ncc := &CaseClause{Pos: cc.Pos}
 			for _, v := range cc.Vals {
-				ncc.Vals = append(ncc.Vals, c.expr(v))
+				ncc.Vals = append(ncc.Vals, CloneExpr(v))
 			}
-			ncc.Body = c.list(cc.Body)
+			for _, c := range cc.Body {
+				ncc.Body = append(ncc.Body, CloneStmt(c))
+			}
 			ns.Cases = append(ns.Cases, ncc)
 		}
 		return ns
@@ -83,19 +59,17 @@ func (c *cloner) stmt(s Stmt) Stmt {
 	case *ContinueStmt:
 		return &ContinueStmt{Pos: st.Pos}
 	case *ReturnStmt:
-		return &ReturnStmt{X: c.expr(st.X), Pos: st.Pos}
+		return &ReturnStmt{X: CloneExpr(st.X), Pos: st.Pos}
 	case *GotoStmt:
 		return &GotoStmt{Label: st.Label, Pos: st.Pos}
 	case *LabeledStmt:
-		return &LabeledStmt{Label: st.Label, Stmt: c.stmt(st.Stmt), Pos: st.Pos}
+		return &LabeledStmt{Label: st.Label, Stmt: CloneStmt(st.Stmt), Pos: st.Pos}
 	}
 	return s
 }
 
-// close ends the scopes opened since the scope held mark declarations.
-func (c *cloner) close(mark int) { c.scope = c.scope[:mark] }
-
-func (c *cloner) expr(e Expr) Expr {
+// CloneExpr deep-copies an expression.
+func CloneExpr(e Expr) Expr {
 	switch x := e.(type) {
 	case nil:
 		return nil
@@ -115,47 +89,33 @@ func (c *cloner) expr(e Expr) Expr {
 		v := *x
 		return &v
 	case *Ident:
-		name := x.Name
-		if c.rename != nil {
-			name = c.rename(name, c.bound(name))
-		}
-		return &Ident{Name: name, Pos: x.Pos}
+		return &Ident{Name: x.Name, Pos: x.Pos}
 	case *Unary:
-		return &Unary{Op: x.Op, X: c.expr(x.X), Pos: x.Pos}
+		return &Unary{Op: x.Op, X: CloneExpr(x.X), Pos: x.Pos}
 	case *Binary:
-		return &Binary{Op: x.Op, X: c.expr(x.X), Y: c.expr(x.Y), Pos: x.Pos}
+		return &Binary{Op: x.Op, X: CloneExpr(x.X), Y: CloneExpr(x.Y), Pos: x.Pos}
 	case *Assign:
-		return &Assign{Op: x.Op, Lhs: c.expr(x.Lhs), Rhs: c.expr(x.Rhs), Pos: x.Pos}
+		return &Assign{Op: x.Op, Lhs: CloneExpr(x.Lhs), Rhs: CloneExpr(x.Rhs), Pos: x.Pos}
 	case *IncDec:
-		return &IncDec{X: c.expr(x.X), Decr: x.Decr, Prefix: x.Prefix, Pos: x.Pos}
+		return &IncDec{X: CloneExpr(x.X), Decr: x.Decr, Prefix: x.Prefix, Pos: x.Pos}
 	case *Call:
 		nc := &Call{Fun: x.Fun, Pos: x.Pos}
 		for _, a := range x.Args {
-			nc.Args = append(nc.Args, c.expr(a))
+			nc.Args = append(nc.Args, CloneExpr(a))
 		}
 		if x.Place != nil {
-			nc.Place = &Placement{Kind: x.Place.Kind, Arg: c.expr(x.Place.Arg)}
+			nc.Place = &Placement{Kind: x.Place.Kind, Arg: CloneExpr(x.Place.Arg)}
 		}
 		return nc
 	case *Member:
-		return &Member{X: c.expr(x.X), Name: x.Name, Arrow: x.Arrow, Pos: x.Pos}
+		return &Member{X: CloneExpr(x.X), Name: x.Name, Arrow: x.Arrow, Pos: x.Pos}
 	case *Index:
-		return &Index{X: c.expr(x.X), I: c.expr(x.I), Pos: x.Pos}
+		return &Index{X: CloneExpr(x.X), I: CloneExpr(x.I), Pos: x.Pos}
 	case *SizeofExpr:
 		return &SizeofExpr{T: x.T, Pos: x.Pos}
 	case *CondExpr:
-		return &CondExpr{C: c.expr(x.C), T: c.expr(x.T),
-			F: c.expr(x.F), Pos: x.Pos}
+		return &CondExpr{C: CloneExpr(x.C), T: CloneExpr(x.T),
+			F: CloneExpr(x.F), Pos: x.Pos}
 	}
 	return e
-}
-
-// bound reports whether a declaration in scope binds name.
-func (c *cloner) bound(name string) bool {
-	for i := len(c.scope) - 1; i >= 0; i-- {
-		if c.scope[i].Name == name {
-			return true
-		}
-	}
-	return false
 }

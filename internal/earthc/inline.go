@@ -340,23 +340,23 @@ func (inl *inliner) expand(c *Call, dst Expr) []Stmt {
 			Name: rename[p.Name], Type: p.Type, Init: c.Args[i],
 		}})
 	}
-	// One copy of the callee renames as it goes. A declaration's new name
-	// (fresh the first time its name is declared) replaces its name where
-	// it binds; a parameter's, where no declaration of the callee does. Any
-	// other name is the callee's global.
-	cl := cloner{rename: func(name string, bound bool) string {
-		if !bound && !isParam(callee, name) {
-			return name
+	collectDecls(callee.Body, func(d *VarDecl) {
+		if _, dup := rename[d.Name]; !dup {
+			rename[d.Name] = inl.fresh("loc")
 		}
-		n, ok := rename[name]
-		if !ok {
-			n = inl.fresh("loc")
-			rename[name] = n
-		}
-		return n
-	}}
-	body := cl.stmt(callee.Body).(*Block)
+	})
 	done := inl.fresh("done")
+
+	// A declaration's new name replaces its name where it binds; a
+	// parameter's, where no declaration of the callee does. Any other name
+	// is the callee's global.
+	body := CloneStmt(callee.Body).(*Block)
+	walkIdents(body, func(id *Ident, d *VarDecl) {
+		if d != nil || isParam(callee, id.Name) {
+			id.Name = renamed(id.Name, rename)
+		}
+	})
+	collectDecls(body, func(d *VarDecl) { d.Name = renamed(d.Name, rename) })
 	replaceReturns(body, dst, done)
 	// A single trailing return needs no jump: strip "goto done" when it is
 	// the last statement (the common single-exit case then produces no
@@ -367,6 +367,13 @@ func (inl *inliner) expand(c *Call, dst Expr) []Stmt {
 		blk.Stmts = append(blk.Stmts, &LabeledStmt{Label: done, Stmt: &Block{}})
 	}
 	return []Stmt{blk}
+}
+
+func renamed(name string, rename map[string]string) string {
+	if n, ok := rename[name]; ok {
+		return n
+	}
+	return name
 }
 
 // replaceReturns rewrites each return in the inlined body as an assignment
@@ -443,6 +450,16 @@ func hasGotos(s Stmt) bool {
 			return true
 		}
 		return false
+	})
+}
+
+// collectDecls visits every variable declaration in a subtree.
+func collectDecls(s Stmt, fn func(*VarDecl)) {
+	inspect(s, func(s Stmt) bool {
+		if d, ok := s.(*DeclStmt); ok {
+			fn(d.Decl)
+		}
+		return true
 	})
 }
 

@@ -5,7 +5,7 @@ package earthc
 // knows the tree's shape; inspect and walkExprs walk a subtree on top of it,
 // and walkIdents resolves names within one.
 // Passes with real per-kind logic (the inliner's rewriter, the loop cases of
-// DesugarLoops, the cloner and Print) keep their own switches.
+// DesugarLoops, CloneStmt and Print) keep their own switches.
 
 // childStmts calls fn with a pointer to each statement slot directly nested
 // in s, in source order: the members of a block or parallel sequence, the
