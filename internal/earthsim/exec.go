@@ -947,11 +947,20 @@ func (m *Machine) execCallAt(f *fiber, t *int64, in *threaded.Instr) bool {
 		f.size = callee.NSlots
 		return true
 	}
-	*t += m.cfg.EUIssue
-	m.counts.RPCs++
 	retSlot := int64(-1)
 	if in.A >= 0 {
+		// The result is a second fill of the slot: it must wait for one
+		// already in flight, or the two replies could land in either order
+		// (a local call's return waits the same way).
 		retSlot = f.base + int64(in.A)
+		if n.pending[retSlot] > 0 {
+			m.block(f, retSlot)
+			return false
+		}
+	}
+	*t += m.cfg.EUIssue
+	m.counts.RPCs++
+	if retSlot >= 0 {
 		f.addPending(retSlot)
 	} else {
 		f.outstanding++

@@ -1,6 +1,10 @@
 package threaded
 
-import "repro/internal/simple"
+import (
+	"slices"
+
+	"repro/internal/simple"
+)
 
 // Comm-temp coalescing. Communication selection turns a remote read
 // "x = p->f" into a split-phase get into a fresh temp plus a copy,
@@ -10,9 +14,12 @@ import "repro/internal/simple"
 // generator. When c's only reader is that one copy, c takes x's frame slot:
 // the get then fills x directly and the copy emits nothing (rvalueInto skips
 // a move onto its own slot). The slot's presence bit makes the first read of
-// x wait for the fill, so the merge is exact provided nothing reads or writes
-// x while the fill is in flight, and x's old value is dead wherever the fill
-// happens. The rule, checked on the SIMPLE tree:
+// x wait for the fill, and every later write of x waits for it too (the
+// simulator checks each instruction's destination, and a remote call's
+// result is a fill that waits for the one in flight), so the merge is exact
+// provided nothing mentions x between the get and the copy, and x's old
+// value is dead wherever the fill happens. The rule, checked on the SIMPLE
+// tree:
 //
 //   - c is written once, by a get, and read once, by "x = c";
 //   - x is a scalar local of the function: not a parameter, not shared,
@@ -25,10 +32,6 @@ import "repro/internal/simple"
 //     test), including by the get itself;
 //   - x is mentioned in no {^ ^} arm or forall body other than the one
 //     holding the get and the copy (or one enclosing it).
-
-// noCoalesce turns coalescing off; only tests set it, to compare the code
-// with and without.
-var noCoalesce bool
 
 // commVar is what coalescing records for one of a function's variables,
 // indexed by Var.ID.
@@ -68,16 +71,7 @@ type commCopyAt struct {
 // leaves them in c.pairs.
 func (c *coalescer) run(f *simple.Func) {
 	c.pairs = c.pairs[:0]
-	// Selection appends its temps after every other local.
-	hasComm := false
-	for i := len(f.Locals) - 1; i >= 0 && !hasComm; i-- {
-		k := f.Locals[i].Kind
-		if k != simple.VarComm && k != simple.VarBComm {
-			break
-		}
-		hasComm = k == simple.VarComm
-	}
-	if !hasComm {
+	if !slices.ContainsFunc(f.Locals, func(v *simple.Var) bool { return v.Kind == simple.VarComm }) {
 		return
 	}
 	n := f.NumVars()

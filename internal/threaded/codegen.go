@@ -169,10 +169,7 @@ func (g *gen) fun(f *simple.Func) error {
 		n += max(1, p.Size)
 	}
 	// A coalesced comm temp has no slot of its own (see coalesce.go).
-	g.co.pairs = g.co.pairs[:0]
-	if !noCoalesce {
-		g.co.run(f)
-	}
+	g.co.run(f)
 	for _, p := range g.co.pairs {
 		g.slots[p[0].ID] = -1
 	}

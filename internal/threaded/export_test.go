@@ -13,10 +13,3 @@ func Coalesced(f *simple.Func) map[string]string {
 	}
 	return out
 }
-
-// NoCoalesce turns coalescing off until the returned function turns it
-// back on.
-func NoCoalesce() (restore func()) {
-	noCoalesce = true
-	return func() { noCoalesce = false }
-}
