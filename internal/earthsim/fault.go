@@ -13,11 +13,10 @@ import (
 // Attaching a FaultConfig to Config.Faults switches the machine's transport
 // from the idealized perfectly-reliable interconnect to a lossy one: each
 // wire hop may be dropped, duplicated, or delayed, and each SU service may
-// be preceded by a stall window, all decided by per-node splitmix64 PRNG
-// streams seeded from the config. Because the streams are consulted in
-// event-loop order — which the (time, seq) total order makes deterministic —
+// be preceded by a stall window. Each decision is a hash of the seed and
+// the hop's identity (draw, below), not a position in a random stream, so
 // identical seed + spec give bit-identical Results (including Time and
-// FaultStats).
+// FaultStats), and a change that only moves compute keeps every hop's fate.
 //
 // To keep runs *correct* under loss, every split-phase message becomes a
 // sequence-numbered transaction:
@@ -52,13 +51,13 @@ import (
 // count acks).
 //
 // With Config.Faults == nil none of this machinery runs: no sequence
-// numbers, no transactions, no timers, no PRNG draws — the schedule()
+// numbers, no transactions, no timers, no fault draws — the schedule()
 // sequence is hop-for-hop identical to the fault-free simulator, which the
 // zero-cost-when-disabled test locks in.
 
 // FaultConfig describes the injected fault distributions and the reliable-
 // messaging retry policy. It is read-only during runs: a single FaultConfig
-// may be shared by concurrent Machines (each owns its PRNG state).
+// may be shared by concurrent Machines.
 type FaultConfig struct {
 	Drop  float64 // per wire-hop drop probability, in [0,1)
 	Dup   float64 // per wire-hop duplication probability, in [0,1)
@@ -310,31 +309,60 @@ type linkPos struct {
 	lseq uint64
 }
 
-// ------------------------------------------------------------------- PRNG ---
+// ------------------------------------------------------------ fault draws ---
 
-// rnd draws from the node's splitmix64 PRNG. Each fault draw is taken by
-// the node that acts — the SU's node for a stall, the sending node for a
-// drop, delay or duplicate — and in event-loop order, so draws are
-// deterministic for a given seed.
-func (n *node) rnd() uint64 {
-	n.rngState += 0x9E3779B97F4A7C15
-	z := n.rngState
+// Draw kinds. Each fault decision hashes its own kind into its key, so
+// switching one distribution on or off never moves another's decisions.
+const (
+	drawDrop uint64 = iota + 1
+	drawDelay
+	drawDup
+	drawStall
+)
+
+// mix64 is splitmix64's step: add the golden gamma, then finalize.
+func mix64(z uint64) uint64 {
+	z += 0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
 }
 
-// chance draws a uniform [0,1) variate and compares it to p. Callers must
-// guard with p > 0 so disabled distributions consume no draws.
-func (n *node) chance(p float64) bool {
-	return float64(n.rnd()>>11)/(1<<53) < p
+// draw is the fault decision of one kind for one hop of one message copy:
+// a pure function of (seed, transaction seq, attempt, hop stage, copy
+// label, acting node, kind) — the SU's node for a stall, the sender for a
+// drop, delay or duplicate. No draw depends on how many draws came before
+// it, so a change that only moves compute or the order of events leaves
+// every hop's fate where it was (a counter-based generator: Salmon et al.,
+// "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011).
+func (m *Machine) draw(g *msg, actor *node, kind uint64) uint64 {
+	h := mix64(m.flt.Seed ^ 0x6C62272E07BB0142)
+	h = mix64(h ^ g.seq)
+	h = mix64(h ^ uint64(g.attempt)<<32 ^ uint64(g.stage)<<24 ^ uint64(g.copy)<<8 ^ kind)
+	return mix64(h ^ uint64(actor.id))
 }
 
-// rndN draws a uniform integer in [0, k). The slight modulo bias is
-// irrelevant for fault modeling.
-func (n *node) rndN(k int64) int64 {
-	return int64(n.rnd() % uint64(k))
+// chance compares a draw's uniform [0,1) variate with p. A disabled
+// distribution skips the hash; no other draw depends on it.
+func (m *Machine) chance(g *msg, actor *node, kind uint64, p float64) bool {
+	if p <= 0 {
+		return false
+	}
+	return float64(m.draw(g, actor, kind)>>11)/(1<<53) < p
 }
+
+// hopKey names one wire hop of one message copy independently of timing:
+// the transaction, its transmission attempt, the hop's stage and the copy's
+// duplication label.
+type hopKey struct {
+	seq     uint64
+	attempt int
+	stage   int
+	copy    uint8
+}
+
+// dropLog, when set (by a test), is told every hop's drop decision.
+var dropLog func(k hopKey, dropped bool)
 
 // ------------------------------------------------------- reliable protocol ---
 

@@ -297,15 +297,13 @@ type node struct {
 	// lists wakeWaiters gave back, which block reuses.
 	waiters  map[int64][]*fiber
 	waitFree [][]*fiber
-	// The node's id spaces and fault stream, each advanced only by the node
-	// that acts, so no id or draw depends on how the nodes' events
-	// interleave: fibers it creates (fiberID), its prints (tagged with the
-	// id in bits 40+), the transactions it sends (txnSeq) and its PRNG
-	// (fault.go).
+	// The node's id spaces, each advanced only by the node that acts, so no
+	// id depends on how the nodes' events interleave: fibers it creates
+	// (fiberID), its prints (tagged with the id in bits 40+) and the
+	// transactions it sends (txnSeq, which keys the fault draws; fault.go).
 	nextFiber int64
 	outSeq    int64
 	nextTxn   uint64
-	rngState  uint64
 }
 
 // hasWaiter flags a pending counter whose word some fiber is blocked on, so
@@ -612,11 +610,6 @@ func New(prog *threaded.Program, cfg Config) *Machine {
 			ready:   make([]*fiber, 0, 16),
 			waiters: make(map[int64][]*fiber),
 			outSeq:  int64(i) << 40}
-		if cfg.Faults != nil {
-			// Mix the seed so Seed 0 still yields a well-distributed stream;
-			// each node draws from its own (golden-ratio offset per id).
-			n.rngState = (cfg.Faults.Seed + uint64(i)*0x9E3779B97F4A7C15) ^ 0x6C62272E07BB0142
-		}
 		m.nodes = append(m.nodes, n)
 	}
 	// Global segment at the bottom of node 0, with constant initializers

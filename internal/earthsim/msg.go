@@ -43,6 +43,7 @@ type msg struct {
 	seq     uint64           // reliable-messaging transaction number (fault mode)
 	lseq    uint64           // per-(src,dst)-link request order (fault mode)
 	attempt int              // transmission attempt this copy belongs to (fault mode)
+	copy    uint8            // duplication label: bit s set where an ancestor hop at stage s duplicated (fault mode)
 	fn      *threaded.FnCode // RPC callee
 	args    []int64          // RPC arguments (capacity retained across reuse)
 	vals    []int64          // block payload (capacity retained across reuse)
@@ -89,7 +90,7 @@ func (m *Machine) putMsg(g *msg) {
 // g.stage to the hop being scheduled first. Trace spans never influence the
 // schedule. In fault mode the SU may first stall, pushing its free time.
 func (m *Machine) suSched(n *node, t, svc int64, g *msg) {
-	if m.flt != nil && m.flt.Stall > 0 && n.chance(m.flt.Stall) {
+	if m.flt != nil && m.chance(g, n, drawStall, m.flt.Stall) {
 		m.fstats.Stalls++
 		m.tr.Fault(trace.FaultStall, g.class, g.mid, n.id, 0, t)
 		n.suFree = max(n.suFree, t) + m.flt.stallNs()
@@ -105,33 +106,37 @@ func (m *Machine) suSched(n *node, t, svc int64, g *msg) {
 // per-message latency plus per-word transfer time, FIFO per (src, dst)
 // pair. The traced span covers send to arrival (wire time plus queuing).
 //
-// In fault mode the hop runs the injection gauntlet in a fixed draw order
-// (drop, then delay, then duplicate — each consulted only when its
-// probability is nonzero, keeping the PRNG stream stable across specs that
-// disable a distribution). A dropped hop vanishes without advancing the
-// link's FIFO clock; a duplicated hop delivers a cloned copy one ns behind
-// the original on the same link.
+// In fault mode the hop runs the injection gauntlet: drop, delay and
+// duplicate, each decided by its own keyed draw. A dropped hop vanishes
+// without advancing the link's FIFO clock; a duplicated hop delivers a
+// cloned copy one ns behind the original on the same link, labelled with
+// this hop's stage so its later hops draw apart from the original's.
 func (m *Machine) netSched(src, dst *node, t int64, words int, g *msg) {
 	lat := m.cfg.NetLatency + m.cfg.NetPerWord*int64(words)
 	var dup *msg
 	if m.flt != nil {
 		f := m.flt
-		if f.Drop > 0 && src.chance(f.Drop) {
+		drop := m.chance(g, src, drawDrop, f.Drop)
+		if dropLog != nil {
+			dropLog(hopKey{g.seq, g.attempt, g.stage, g.copy}, drop)
+		}
+		if drop {
 			m.fstats.Drops++
 			m.tr.Fault(trace.FaultDrop, g.class, g.mid, src.id, 0, t)
 			m.putMsg(g)
 			return
 		}
 		if f.Delay > 0 {
-			if extra := src.rndN(f.Delay + 1); extra > 0 {
+			if extra := int64(m.draw(g, src, drawDelay) % uint64(f.Delay+1)); extra > 0 {
 				m.fstats.Delayed++
 				lat += extra * m.cfg.NetLatency
 			}
 		}
-		if f.Dup > 0 && src.chance(f.Dup) {
+		if m.chance(g, src, drawDup, f.Dup) {
 			m.fstats.Dups++
 			m.tr.Fault(trace.FaultDup, g.class, g.mid, src.id, 0, t)
 			dup = m.cloneMsg(g)
+			dup.copy |= 1 << g.stage
 		}
 	}
 	arrive := t + lat

@@ -9,6 +9,7 @@ package earthsim_test
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"os"
 	"testing"
 
@@ -203,6 +204,50 @@ func TestOneNodeAndZeroLatency(t *testing.T) {
 				golden(t, bm.Name, tc.goldenNodes, "").checkVisible(t, matrixRun(t, bm, tc.nodes, "", tc.cost))
 			})
 		}
+	}
+}
+
+// TestFaultDrawsFollowTheMessage: a fault draw is keyed to the hop, not to
+// how many draws its node took before, so under a compute-only perturbation
+// (InstrCost ±1) every first transmission is dropped on the same hops, and
+// every hop both runs send meets the same fate. Retransmissions are left
+// out of the first comparison only because whether a timer fires before the
+// reply lands follows timing. Perimeter is left out: its transaction
+// numbers follow each node's send order, which fiber interleaving changes;
+// it needs a key of (issuing fiber, that fiber's issue index).
+func TestFaultDrawsFollowTheMessage(t *testing.T) {
+	for _, bm := range []*olden.Benchmark{olden.ByName("power"), olden.ByName("health"), olden.ByName("voronoi"), olden.Halo()} {
+		t.Run(bm.Name, func(t *testing.T) {
+			runs := map[string]map[earthsim.HopKey]bool{}
+			for _, cost := range []string{"", "InstrCost=24", "InstrCost=26"} {
+				stop := earthsim.RecordDrops()
+				matrixRun(t, bm, 4, matrixFaults, cost)
+				runs[cost] = stop()
+			}
+			firstDrops := func(hops map[earthsim.HopKey]bool) map[earthsim.HopKey]bool {
+				d := map[earthsim.HopKey]bool{}
+				for k, dropped := range hops {
+					if dropped && k.Attempt() == 1 {
+						d[k] = true
+					}
+				}
+				return d
+			}
+			base := runs[""]
+			if len(firstDrops(base)) == 0 {
+				t.Fatal("no first transmission dropped: the property is vacuous")
+			}
+			for _, cost := range []string{"InstrCost=24", "InstrCost=26"} {
+				if a, b := firstDrops(base), firstDrops(runs[cost]); !maps.Equal(a, b) {
+					t.Errorf("%s dropped %d first-transmission hops, the base cost %d: the sets differ", cost, len(b), len(a))
+				}
+				for k, dropped := range runs[cost] {
+					if was, ok := base[k]; ok && was != dropped {
+						t.Errorf("%s: hop %+v dropped=%v, at the base cost dropped=%v", cost, k, dropped, was)
+					}
+				}
+			}
+		})
 	}
 }
 
