@@ -699,7 +699,8 @@ func localOp(op threaded.Op) bool {
 // could block, trap or need a check, and execFiber's general step then runs
 // that instruction: another opcode, a pc out of range, a word with a fill in
 // flight, a binOp error, faddr of null, a profiled mload/mstore, one through
-// a null or remote pointer or beyond the node's memory, or the instruction
+// a null or remote pointer, beyond the node's memory or to a word with a fill
+// in flight, or the instruction
 // that would reach the next limit check or the fiber's runaway limit.
 // Instructions, f.ninstr and EU time are charged once for the whole run.
 func (m *Machine) execLocal(f *fiber, t *int64) {
@@ -806,7 +807,7 @@ run:
 			}
 			p := mem[b]
 			o := threaded.AddrOff(p) + int64(in.C)
-			if threaded.AddrNode(p) != n.id || uint64(o) >= memLimit { // null is node -1
+			if threaded.AddrNode(p) != n.id || uint64(o) >= memLimit || pending[o] > 0 { // null is node -1
 				break run
 			}
 			mem[a] = mem[o]
@@ -818,7 +819,7 @@ run:
 			}
 			p := mem[b]
 			o := threaded.AddrOff(p) + int64(in.C)
-			if threaded.AddrNode(p) != n.id || uint64(o) >= memLimit {
+			if threaded.AddrNode(p) != n.id || uint64(o) >= memLimit || pending[o] > 0 {
 				break run
 			}
 			mem[o] = mem[a]
@@ -847,7 +848,10 @@ func (m *Machine) operand(f *fiber, n *node, abs int64) int64 {
 	return n.mem[abs]
 }
 
-// localWord reads mem[p+off] which must reside on the executing node.
+// localWord reads mem[p+off] which must reside on the executing node. A word
+// with a fill in flight (a frame slot whose address was taken) blocks the
+// fiber, as an operand does, and the instruction re-executes after the wake;
+// localWordStore waits the same way.
 func (m *Machine) localWord(f *fiber, p int64, off int) (int64, bool) {
 	if p == 0 {
 		m.trapf("%s: local access through null pointer", f.code.Name)
@@ -862,6 +866,10 @@ func (m *Machine) localWord(f *fiber, p int64, off int) (int64, bool) {
 	o := threaded.AddrOff(p) + int64(off)
 	if !f.node.ensure(o, 1) {
 		m.trapf("%s: local access beyond the node's memory budget", f.code.Name)
+		return 0, false
+	}
+	if f.node.pending[o] > 0 { // a frame word reached through its address
+		m.block(f, o)
 		return 0, false
 	}
 	return f.node.mem[o], true
@@ -881,6 +889,10 @@ func (m *Machine) localWordStore(f *fiber, p int64, off int, v int64) bool {
 	o := threaded.AddrOff(p) + int64(off)
 	if !f.node.ensure(o, 1) {
 		m.trapf("%s: local store beyond the node's memory budget", f.code.Name)
+		return false
+	}
+	if f.node.pending[o] > 0 { // the late fill would clobber the store
+		m.block(f, o)
 		return false
 	}
 	f.node.mem[o] = v

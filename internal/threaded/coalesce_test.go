@@ -70,6 +70,12 @@ func TestCoalescingRule(t *testing.T) {
 	y = x + z;
 	bump(&x);
 	return x + y;`},
+		{"address taken, then read through it", false, `
+	z = k * 3;
+	x = p->a;
+	bump(&x);
+	y = x + z;
+	return y;`},
 		{"hoisted above a loop", false, `
 	y = 0;
 	z = 0;
