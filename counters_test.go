@@ -53,12 +53,16 @@ var oldenCounters = []struct {
 	// fills the variable; the copy emits no move), tsp's, health's,
 	// perimeter's and voronoi's instructions fell from 23,110, 50,153,
 	// 231,812 and 86,166 and their events moved from 6,157, 5,699, 10,284
-	// and 33,335; every operation count held.
+	// and 33,335; every operation count held. When a read through a pointer
+	// copy began to be forwarded from the copied pointer's buffer words
+	// (wrap's best->y and best->x), voronoi's instructions, events,
+	// optimized and PGO operations fell from 82,460, 33,331, 8,758 and
+	// 8,500; every other row held.
 	{"power", 195570, 311, 6464, 2672, 2672, 75},
 	{"tsp", 22694, 6117, 3298, 1534, 1439, 164},
 	{"health", 49632, 5676, 14929, 7017, 7017, 216},
 	{"perimeter", 226636, 10285, 6493, 5897, 5897, 819},
-	{"voronoi", 82460, 33331, 15990, 8758, 8500, 162},
+	{"voronoi", 80028, 21755, 15990, 5268, 5010, 162},
 }
 
 // haloEvents is BenchmarkSimNodes' row per machine size: the events of the

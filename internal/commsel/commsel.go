@@ -158,6 +158,9 @@ func Transform(prog *simple.Program, pl *placement.Result, rw *rwsets.Result,
 		}
 		s.readsSeq(fn.Body)
 		s.applyReadRewrites()
+		if !opt.NoReadMotion {
+			s.forwardReads()
+		}
 		s.clean = make([]bool, len(s.fills))
 		esc := s.writesSeq(fn.Body)
 		s.materialize(mapVals(esc), fn.Body, len(fn.Body.Stmts))

@@ -50,12 +50,12 @@ var compiledCodeGolden = map[string]string{
 	"perimeter/quick/O":                  "aa3841bde432e2bccc936835d4d5039379b350a4598868bfe67fef6b87e437f7",
 	"perimeter/quick/O,NoInline":         "359d910475330eaeb6b090e1dd03ea13c456fcae2559489ba0df597174c305a2",
 	"perimeter/quick/O,DeclaredLayout":   "5f0f1dc504b80666e1d1db2f7c076b90a5cfc27a94c1d3766ff39ee4da09cdaa",
-	"voronoi/default/O":                  "65ba206e331b173a628141e7f70d0e43516a92636ee7133cf7f596bad3f7065b",
+	"voronoi/default/O":                  "df76d256f176dc52248bd495e9554ddeebb4d18f13d199c2e57042e206649f00",
 	"voronoi/default/O,NoInline":         "9b2b241f2cc15630e96bdbdcdbbe998e3e4ec7395e7b8e639a3f6190fc532d9b",
-	"voronoi/default/O,DeclaredLayout":   "54cd0c29470e16344bebc86fd2e9cc7ba3e7509a9fd21990f239fd801b0ac978",
-	"voronoi/quick/O":                    "4e99d7b38cd80cabe48f411fc848e98e37ac6fa23362d8ae3cd5e07407813949",
+	"voronoi/default/O,DeclaredLayout":   "6f75eaf78afd90e825a20ee5f404b00acb96b7b1db27e906ee0edc56e8a5ca5a",
+	"voronoi/quick/O":                    "f3c7eea9bbfce491da9d08291c13a32631959b3c213e30bea4b67d26bfcd04a0",
 	"voronoi/quick/O,NoInline":           "ea7497026b2fcc0e1856434f9d8de0e5cbfbf027f243b6db45296542bdd34b8a",
-	"voronoi/quick/O,DeclaredLayout":     "f88455c4c40847bad9dcfabdd4439591b0503e4f450a9af2dc909fa2ea096a43",
+	"voronoi/quick/O,DeclaredLayout":     "156c3dc259b062cadab957e82522b02736381119e4b44d6ae8fba01f83d71f10",
 	"halo/default/O":                     "2f839f5451b5b6a6c5c8dc8e4ce49cb978e21b9fc996fea349af8c0534c26bb2",
 	"halo/default/O,NoInline":            "2f839f5451b5b6a6c5c8dc8e4ce49cb978e21b9fc996fea349af8c0534c26bb2",
 	"halo/default/O,DeclaredLayout":      "2f839f5451b5b6a6c5c8dc8e4ce49cb978e21b9fc996fea349af8c0534c26bb2",
@@ -65,9 +65,9 @@ var compiledCodeGolden = map[string]string{
 	"distance.ec/O":                      "aba6692023724e029c80392b73d4e1ba5b3e38387253ae49a6b361afc47b94c3",
 	"distance.ec/O,NoInline":             "51d1d78c4c71859dcbbe5855184cdee7f2ae6927fbcdc2e229532beaf812b30b",
 	"distance.ec/O,DeclaredLayout":       "aba6692023724e029c80392b73d4e1ba5b3e38387253ae49a6b361afc47b94c3",
-	"listsearch.ec/O":                    "1a5379a940ce4071cd8e655844e79f99aef8677cf84310c5f7d0a7eda3927b5d",
-	"listsearch.ec/O,NoInline":           "3735b774a3f2aef3bab8f8657a5368f55787d5edebc6b2ff72bd31654ce5baaf",
-	"listsearch.ec/O,DeclaredLayout":     "1a5379a940ce4071cd8e655844e79f99aef8677cf84310c5f7d0a7eda3927b5d",
+	"listsearch.ec/O":                    "e617d4b86fb5321f8201d371f257ea6d01ff0853d163e06c83b55a87b3ebc6d1",
+	"listsearch.ec/O,NoInline":           "aa3ea860f2b0fb42d112405eec1900f1cce05e367975fdaadc408e15a4546d81",
+	"listsearch.ec/O,DeclaredLayout":     "e617d4b86fb5321f8201d371f257ea6d01ff0853d163e06c83b55a87b3ebc6d1",
 	"scale_point.ec/O":                   "d43e68dfabdae10fe76e9ba99b8923cb22e981088904d7877d4705a010143a84",
 	"scale_point.ec/O,NoInline":          "c651c55fb6a3fabc27842dd4cbf1d56ed68d5f4d8a22729041fda2ffad49073b",
 	"scale_point.ec/O,DeclaredLayout":    "d43e68dfabdae10fe76e9ba99b8923cb22e981088904d7877d4705a010143a84",
@@ -78,7 +78,7 @@ var compiledCodeGolden = map[string]string{
 	"tsp/quick/O,PGO":       "0ec647d51159cc07bcf6922575a724eb46c73cc0ba336fb685b4100a3a89ba71",
 	"health/quick/O,PGO":    "e2277712ed1732f5549a03ac3c2ee16d839a2384d9c57b2d15663ff3dc0f1473",
 	"perimeter/quick/O,PGO": "aa3841bde432e2bccc936835d4d5039379b350a4598868bfe67fef6b87e437f7",
-	"voronoi/quick/O,PGO":   "f407e7459b20d2bd1d2d625e9a4d742826599f213153db4d3bf5bed875b3a463",
+	"voronoi/quick/O,PGO":   "b56cc6fc9eb50054a938f2768255de1d4a106cb2013c234097ccea9911ebcfdf",
 }
 
 // placementSetsGolden pins, for every compiledCodeGolden cell, the sha256 of
@@ -110,12 +110,12 @@ var placementSetsGolden = map[string]string{
 	"perimeter/quick/O":                  "c02b3bd909d5d02708b45f17795ed8abdf0bc77bf15747e68bf1391f3db349de",
 	"perimeter/quick/O,NoInline":         "236d4d467c18727bf7b94afdd91e623532e998482c4bd8c4238a5586880387f2",
 	"perimeter/quick/O,DeclaredLayout":   "3ccdc543f731ca947f299c8e0c3578dac781a1840e8cf52179ba16f83b7cd98e",
-	"voronoi/default/O":                  "92aa7f3165bc74bb3a98b0bd1dc638ece06b55b9819daa1240e18c125f46ae4b",
+	"voronoi/default/O":                  "9dfcb8401f1bab6491a982b2513cc93d08c4787f374e789c5b3036d7ecea065e",
 	"voronoi/default/O,NoInline":         "38ea79dc3955678794da867f25a50cfaec74e61a5f5d463e5849ff8b95b227bd",
-	"voronoi/default/O,DeclaredLayout":   "d6ddf0bbed612c6f9472821af28003521bf9fc6ffff1ab906c5b541fd550b572",
-	"voronoi/quick/O":                    "92aa7f3165bc74bb3a98b0bd1dc638ece06b55b9819daa1240e18c125f46ae4b",
+	"voronoi/default/O,DeclaredLayout":   "cf77c0f71cbb43b72311c5836236e889824b52b91b39953d05816a589ae36066",
+	"voronoi/quick/O":                    "9dfcb8401f1bab6491a982b2513cc93d08c4787f374e789c5b3036d7ecea065e",
 	"voronoi/quick/O,NoInline":           "38ea79dc3955678794da867f25a50cfaec74e61a5f5d463e5849ff8b95b227bd",
-	"voronoi/quick/O,DeclaredLayout":     "d6ddf0bbed612c6f9472821af28003521bf9fc6ffff1ab906c5b541fd550b572",
+	"voronoi/quick/O,DeclaredLayout":     "cf77c0f71cbb43b72311c5836236e889824b52b91b39953d05816a589ae36066",
 	"halo/default/O":                     "900d50258b822b9e189300f33f7d53b87ae8d3ba42cf22e1eacf49af79c03c7b",
 	"halo/default/O,NoInline":            "900d50258b822b9e189300f33f7d53b87ae8d3ba42cf22e1eacf49af79c03c7b",
 	"halo/default/O,DeclaredLayout":      "900d50258b822b9e189300f33f7d53b87ae8d3ba42cf22e1eacf49af79c03c7b",
@@ -125,9 +125,9 @@ var placementSetsGolden = map[string]string{
 	"distance.ec/O":                      "6f9738ff2a60a6c777e83a6fae7372bc39a055f65248d32c884a1af809ade91c",
 	"distance.ec/O,NoInline":             "53fbc8884b1eb7e6c63e6c90be14d674dfe49f0670b38f3826fce6dab4161749",
 	"distance.ec/O,DeclaredLayout":       "6f9738ff2a60a6c777e83a6fae7372bc39a055f65248d32c884a1af809ade91c",
-	"listsearch.ec/O":                    "2c1b9133eddebe2c68916ed2a29c3a325b999886b9d45288728934a0615f0d73",
-	"listsearch.ec/O,NoInline":           "fec8df5312c751bd53ea2f4b457feb34213529703fe7516868918997f30e5269",
-	"listsearch.ec/O,DeclaredLayout":     "2c1b9133eddebe2c68916ed2a29c3a325b999886b9d45288728934a0615f0d73",
+	"listsearch.ec/O":                    "3cfee3146958364affe61f5ba65a2b836fef2d8729429e2275b94c3730e62a95",
+	"listsearch.ec/O,NoInline":           "6464df68ad9d15045c97fd0617e9bf62a0e6c8afb3d4a6113ba537837518a03e",
+	"listsearch.ec/O,DeclaredLayout":     "3cfee3146958364affe61f5ba65a2b836fef2d8729429e2275b94c3730e62a95",
 	"scale_point.ec/O":                   "877b3c329ccfd48fe9811f5c62154951ca7c82be3f29655b2aa1863bea61578f",
 	"scale_point.ec/O,NoInline":          "82173d3c5849dda8e7266d01918057674c85baf492d6bc803768e8537836abfd",
 	"scale_point.ec/O,DeclaredLayout":    "877b3c329ccfd48fe9811f5c62154951ca7c82be3f29655b2aa1863bea61578f",
@@ -135,7 +135,7 @@ var placementSetsGolden = map[string]string{
 	"tsp/quick/O,PGO":                    "d05754e86c21c4a363649050ac4585fd4f9c31422848425c1adf78bd84dfe217",
 	"health/quick/O,PGO":                 "35b7ec21c9496b128bbba97e0fcf6f855f12d5db5ad74e69e9eb2342fe095cea",
 	"perimeter/quick/O,PGO":              "694db5af2f118b826529f35737547adaf6782284ede64002946c2f15b34590ef",
-	"voronoi/quick/O,PGO":                "5d139fd25c19028d518ffa54965c8fa9ae19e5ab99ebe30fee06ab9876ab5fd9",
+	"voronoi/quick/O,PGO":                "4ac38076d7897b9817c37278ba801882aaecee36ea47cffe1c0ee416fa81d54b",
 }
 
 // compiledCodeHash is the hash compiledCodeGolden pins for one compiled unit.
@@ -283,6 +283,7 @@ var epochPins = []struct {
 	{2, "ff2c2d69bb741d98067dfca0b4b2c4eeb4a88bc69060de55d7f2118c86ea2106"},
 	{3, "b1b8cc30907e0a4dd4b1111adfa783dd3fd92e2b7d8165067d97049a3d900ed9"},
 	{4, "659a0737d9c2be31dec2c14e9f528157217ba93c970318446c529a1de53d0f57"},
+	{5, "f796c8d8c8654873791f7a72d7a8aa493a11e205768e488a72c28f671fa489cd"},
 }
 
 // goldenTablesHash hashes both golden tables, keys in sorted order.

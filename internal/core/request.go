@@ -79,8 +79,10 @@ type Phase struct {
 // golden tables. Epoch 2 clustered blocked structs' hot fields in every
 // optimized build; epoch 3 made constants immediate operands of the threaded
 // code; epoch 4 let a comm temp share the frame slot of the variable its one
-// copy assigns, so the get fills that variable and the copy emits nothing.
-const compilerEpoch = 4
+// copy assigns, so the get fills that variable and the copy emits nothing;
+// epoch 5 forwards a read through a pointer copy from the fields the copied
+// pointer's buffer already holds (commsel's forwardReads).
+const compilerEpoch = 5
 
 // fingerprint renders the compiler epoch, the compile-relevant options and
 // the bound profile into the cache namespace key. The ignored Workers and

@@ -113,7 +113,7 @@ func TestFaultSweepQuick(t *testing.T) {
 		"tsp":       3671968,
 		"health":    3080965,
 		"perimeter": 5120670,
-		"voronoi":   15562423,
+		"voronoi":   13708110,
 	}
 	res, err := MeasureFaultSweep(faultTestNodes, nil, 1, olden.QuickParams)
 	if err != nil {

@@ -76,3 +76,101 @@ func HasReturn(s Stmt) bool {
 	})
 	return found
 }
+
+// Mentions reports whether any statement of the subtree s mentions v.
+func Mentions(s Stmt, v *Var) bool {
+	found := false
+	switch x := s.(type) {
+	case *Basic:
+		EachVar(x, func(u *Var, _ bool) { found = found || u == v })
+		return found
+	case *If:
+		found = condMentions(x.Cond, v)
+	case *While:
+		found = condMentions(x.Cond, v)
+	case *Do:
+		found = condMentions(x.Cond, v)
+	case *Forall:
+		found = condMentions(x.Cond, v)
+	case *Switch:
+		found = AtomVar(x.Tag) == v
+	}
+	EachSubseq(s, func(sub *Seq) {
+		for _, st := range sub.Stmts {
+			found = found || Mentions(st, v)
+		}
+	})
+	return found
+}
+
+func condMentions(k Cond, v *Var) bool {
+	return AtomVar(k.X) == v || k.Op != TruthTest && AtomVar(k.Y) == v
+}
+
+// EachVar calls fn for every variable a basic statement mentions; addr is
+// set where the statement takes the variable's address (&v, or a shared
+// intrinsic's by-reference argument).
+func EachVar(b *Basic, fn func(v *Var, addr bool)) {
+	atom := func(a Atom) {
+		if v := AtomVar(a); v != nil {
+			fn(v, false)
+		}
+	}
+	vr := func(v *Var) {
+		if v != nil {
+			fn(v, false)
+		}
+	}
+	switch b.Kind {
+	case KAssign:
+		switch x := b.Rhs.(type) {
+		case AtomRV:
+			atom(x.A)
+		case UnaryRV:
+			atom(x.X)
+		case BinaryRV:
+			atom(x.X)
+			atom(x.Y)
+		case LoadRV:
+			vr(x.P)
+		case LocalLoadRV:
+			vr(x.Base)
+			atom(x.Idx)
+		case AddrRV:
+			fn(x.X, true)
+		case FieldAddrRV:
+			vr(x.P)
+		}
+		switch x := b.Lhs.(type) {
+		case VarLV:
+			vr(x.V)
+		case StoreLV:
+			vr(x.P)
+		case LocalStoreLV:
+			vr(x.Base)
+			atom(x.Idx)
+		}
+	case KCall, KBuiltin:
+		for _, a := range b.Args {
+			atom(a)
+		}
+		if b.Place != nil {
+			atom(b.Place.Arg)
+		}
+		for _, v := range b.ArgVars {
+			fn(v, true)
+		}
+		vr(b.Dst)
+	case KAlloc:
+		atom(b.Node)
+		vr(b.Dst)
+	case KReturn:
+		atom(b.Val)
+	default: // block copies, gets, puts and block moves
+		vr(b.P)
+		vr(b.P2)
+		vr(b.Local)
+		vr(b.Dst)
+		atom(b.Val)
+	}
+}

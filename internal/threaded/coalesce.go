@@ -195,7 +195,7 @@ func (c *coalescer) basic(b *simple.Basic, s *simple.Seq, idx int, r int32) {
 			return
 		}
 	}
-	eachVar(b, func(v *simple.Var, addr bool) { c.other(v, addr, r) })
+	simple.EachVar(b, func(v *simple.Var, addr bool) { c.other(v, addr, r) })
 }
 
 // other notes a mention of v in region r that is neither a comm temp's get
@@ -240,107 +240,9 @@ func (c *coalescer) mergeable(cp commCopyAt) bool {
 	}
 	// Interference: nothing from the get up to the copy mentions x.
 	for _, st := range s.Stmts[rec.fillIdx:idx] {
-		if mentions(st, x) {
+		if simple.Mentions(st, x) {
 			return false
 		}
 	}
 	return true
-}
-
-// mentions reports whether any statement of the subtree s mentions v.
-func mentions(s simple.Stmt, v *simple.Var) bool {
-	found := false
-	switch x := s.(type) {
-	case *simple.Basic:
-		eachVar(x, func(u *simple.Var, _ bool) { found = found || u == v })
-		return found
-	case *simple.If:
-		found = condMentions(x.Cond, v)
-	case *simple.While:
-		found = condMentions(x.Cond, v)
-	case *simple.Do:
-		found = condMentions(x.Cond, v)
-	case *simple.Forall:
-		found = condMentions(x.Cond, v)
-	case *simple.Switch:
-		found = simple.AtomVar(x.Tag) == v
-	}
-	simple.EachSubseq(s, func(sub *simple.Seq) {
-		for _, st := range sub.Stmts {
-			found = found || mentions(st, v)
-		}
-	})
-	return found
-}
-
-func condMentions(k simple.Cond, v *simple.Var) bool {
-	return simple.AtomVar(k.X) == v || k.Op != simple.TruthTest && simple.AtomVar(k.Y) == v
-}
-
-// eachVar calls fn for every variable a basic statement mentions; addr is
-// set where the statement takes the variable's address (&v, or a shared
-// intrinsic's by-reference argument).
-func eachVar(b *simple.Basic, fn func(v *simple.Var, addr bool)) {
-	atom := func(a simple.Atom) {
-		if v := simple.AtomVar(a); v != nil {
-			fn(v, false)
-		}
-	}
-	vr := func(v *simple.Var) {
-		if v != nil {
-			fn(v, false)
-		}
-	}
-	switch b.Kind {
-	case simple.KAssign:
-		switch x := b.Rhs.(type) {
-		case simple.AtomRV:
-			atom(x.A)
-		case simple.UnaryRV:
-			atom(x.X)
-		case simple.BinaryRV:
-			atom(x.X)
-			atom(x.Y)
-		case simple.LoadRV:
-			vr(x.P)
-		case simple.LocalLoadRV:
-			vr(x.Base)
-			atom(x.Idx)
-		case simple.AddrRV:
-			fn(x.X, true)
-		case simple.FieldAddrRV:
-			vr(x.P)
-		}
-		switch x := b.Lhs.(type) {
-		case simple.VarLV:
-			vr(x.V)
-		case simple.StoreLV:
-			vr(x.P)
-		case simple.LocalStoreLV:
-			vr(x.Base)
-			atom(x.Idx)
-		}
-	case simple.KCall, simple.KBuiltin:
-		for _, a := range b.Args {
-			atom(a)
-		}
-		if b.Place != nil {
-			atom(b.Place.Arg)
-		}
-		for _, v := range b.ArgVars {
-			fn(v, true)
-		}
-		vr(b.Dst)
-	case simple.KAlloc:
-		atom(b.Node)
-		vr(b.Dst)
-	case simple.KReturn:
-		atom(b.Val)
-	default: // block copies, gets, puts and block moves
-		vr(b.P)
-		vr(b.P2)
-		vr(b.Local)
-		vr(b.Dst)
-		atom(b.Val)
-	}
 }

@@ -192,13 +192,15 @@ func TestCoalescingRule(t *testing.T) {
 // TestCoalescingCensus pins, for each Olden program and halo at default size
 // under -O, how many copies "x = commN" selection leaves and how many of
 // them still cost a move after coalescing.
+// voronoi had 35 copies before wrap's best->y and best->x were forwarded
+// from a pointer copy (commsel's forwardReads): both were merged.
 func TestCoalescingCensus(t *testing.T) {
 	census := map[string]struct{ copies, kept int }{
 		"power":     {3, 1},
 		"tsp":       {39, 20},
 		"health":    {17, 8},
 		"perimeter": {16, 0},
-		"voronoi":   {35, 18},
+		"voronoi":   {33, 18},
 		"halo":      {7, 4},
 	}
 	for _, b := range append(olden.All(), olden.Halo()) {
