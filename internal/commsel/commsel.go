@@ -148,6 +148,7 @@ func Transform(prog *simple.Program, pl *placement.Result, rw *rwsets.Result,
 	loc *locality.Result, opt Options) *Report {
 	opt = opt.withDefaults()
 	rep := &Report{Funcs: make([]*FuncReport, 0, len(prog.Funcs))}
+	fw := newForwarder()
 	prog.EachFunc(func(fn *simple.Func) {
 		s := &sel{
 			prog: prog, pl: pl, rw: rw, loc: loc, opt: opt, fn: fn,
@@ -159,7 +160,7 @@ func Transform(prog *simple.Program, pl *placement.Result, rw *rwsets.Result,
 		s.readsSeq(fn.Body)
 		s.applyReadRewrites()
 		if !opt.NoReadMotion {
-			s.forwardReads()
+			fw.forwardReads(s)
 		}
 		s.clean = make([]bool, len(s.fills))
 		esc := s.writesSeq(fn.Body)

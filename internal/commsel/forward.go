@@ -2,7 +2,6 @@ package commsel
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 
@@ -44,24 +43,52 @@ type fkey struct {
 	off int
 }
 
-// fact is the local word that holds a remote word; orNull when that holds
-// only where the pointer is not NULL.
-type fact struct {
+// nullOff is the offset of an entry that records its pointer as NULL.
+const nullOff = -1
+
+// fentry is one fact of a path: word w holds (k.p, k.off), only where k.p
+// is not NULL when orNull; or, when k.off is nullOff, k.p is NULL.
+type fentry struct {
+	k      fkey
 	w      shadow
 	orNull bool
 }
 
-// fstate is the walk's state on one path: the facts, and the pointers known
-// NULL; dead when no execution takes the path (a pointer known NULL tested
-// non-null).
+// fstate is the walk's state on one path, a short list of facts; dead when
+// no execution takes the path (a pointer known NULL tested non-null).
 type fstate struct {
-	facts map[fkey]fact
-	null  map[*simple.Var]bool
-	dead  bool
+	e    []fentry
+	dead bool
 }
 
-func (st *fstate) clone() *fstate {
-	return &fstate{facts: maps.Clone(st.facts), null: maps.Clone(st.null), dead: st.dead}
+func (st *fstate) find(k fkey) int {
+	for i := range st.e {
+		if st.e[i].k == k {
+			return i
+		}
+	}
+	return -1
+}
+
+func (st *fstate) isNull(p *simple.Var) bool { return st.find(fkey{p, nullOff}) >= 0 }
+
+func (st *fstate) set(e fentry) {
+	if i := st.find(e.k); i >= 0 {
+		st.e[i] = e
+	} else {
+		st.e = append(st.e, e)
+	}
+}
+
+// filter keeps the entries keep accepts; keep may update them.
+func (st *fstate) filter(keep func(*fentry) bool) {
+	out := st.e[:0]
+	for i := range st.e {
+		if e := st.e[i]; keep(&e) {
+			out = append(out, e)
+		}
+	}
+	st.e = out
 }
 
 // meet keeps in st what holds on both st's path and o's: a fact on one path
@@ -71,37 +98,46 @@ func (st *fstate) meet(o *fstate) {
 		return
 	}
 	if st.dead {
-		*st = *o.clone()
+		st.e, st.dead = append(st.e[:0], o.e...), false
 		return
 	}
-	for k, a := range st.facts {
-		b, ok := o.facts[k]
+	n := len(st.e)
+	for _, b := range o.e {
+		if b.k.off != nullOff && st.find(b.k) < 0 && st.isNull(b.k.p) {
+			b.orNull = true
+			st.e = append(st.e, b)
+		}
+	}
+	i := 0
+	st.filter(func(a *fentry) bool {
+		if i++; i > n {
+			return true
+		}
+		j := o.find(a.k)
 		switch {
-		case ok && b.w == a.w:
-			a.orNull = a.orNull || b.orNull
-		case !ok && o.null[k.p]:
+		case a.k.off == nullOff:
+			return j >= 0
+		case j >= 0 && o.e[j].w == a.w:
+			a.orNull = a.orNull || o.e[j].orNull
+		case j < 0 && o.isNull(a.k.p):
 			a.orNull = true
 		default:
-			delete(st.facts, k)
-			continue
+			return false
 		}
-		st.facts[k] = a
-	}
-	for k, b := range o.facts {
-		if _, ok := st.facts[k]; !ok && st.null[k.p] {
-			b.orNull = true
-			st.facts[k] = b
-		}
-	}
-	for v := range st.null {
-		if !o.null[v] {
-			delete(st.null, v)
-		}
-	}
+		return true
+	})
 }
 
 func (st *fstate) equal(o *fstate) bool {
-	return st.dead == o.dead && maps.Equal(st.facts, o.facts) && maps.Equal(st.null, o.null)
+	if st.dead != o.dead || len(st.e) != len(o.e) {
+		return false
+	}
+	for _, a := range st.e {
+		if j := o.find(a.k); j < 0 || o.e[j] != a {
+			return false
+		}
+	}
+	return true
 }
 
 // refine applies the knowledge that cond evaluated to taken.
@@ -111,10 +147,10 @@ func (st *fstate) refine(c simple.Cond, taken bool) {
 		return
 	}
 	if (c.Op == earthc.Eq) == taken {
-		st.null[q] = true
+		st.set(fentry{k: fkey{q, nullOff}})
 		return
 	}
-	if st.null[q] {
+	if st.isNull(q) {
 		st.dead = true
 		return
 	}
@@ -123,16 +159,15 @@ func (st *fstate) refine(c simple.Cond, taken bool) {
 
 // nonNull records that q is not NULL.
 func (st *fstate) nonNull(q *simple.Var) {
-	delete(st.null, q)
-	for k, f := range st.facts {
-		if k.p == q && f.orNull {
-			f.orNull = false
-			st.facts[k] = f
+	st.filter(func(e *fentry) bool {
+		if e.k.p == q {
+			e.orNull = false
 		}
-	}
+		return e.k != fkey{q, nullOff}
+	})
 }
 
-// forwarder is one function's forwarding walk.
+// forwarder is the forwarding walk, run over one function at a time.
 type forwarder struct {
 	s *sel
 	// loads lists, per comm temp a forwardable get fills, the loads that
@@ -149,8 +184,42 @@ type forwarder struct {
 	sites map[*simple.Basic][]copySite
 	// gets maps each get the last visit found forwardable to its copy var.
 	gets map[*simple.Basic]*simple.Var
+	// offs lists the offsets the candidate gets read: only those are
+	// copied.
+	offs []int
 	// noGen counts the {^ ^} arms and forall bodies around the walk.
 	noGen int
+	// free holds released states' buffers for clone to reuse.
+	free [][]fentry
+	// fetched, got and pairs are copiesFetchedPointer's scratch.
+	fetched, got []*simple.Var
+	pairs        [][2]*simple.Var
+}
+
+func newForwarder() *forwarder {
+	return &forwarder{
+		loads:  make(map[*simple.Var][]*simple.Basic),
+		copies: make(map[fkey]*simple.Var),
+		isCopy: make(map[*simple.Var]fkey),
+		sites:  make(map[*simple.Basic][]copySite),
+		gets:   make(map[*simple.Basic]*simple.Var),
+	}
+}
+
+// clone copies st into a buffer a released state left, if any.
+func (f *forwarder) clone(st *fstate) *fstate {
+	var buf []fentry
+	if n := len(f.free); n > 0 {
+		buf, f.free = f.free[n-1], f.free[:n-1]
+	}
+	return &fstate{e: append(buf, st.e...), dead: st.dead}
+}
+
+// release hands back the buffers of states the walk no longer uses.
+func (f *forwarder) release(sts ...*fstate) {
+	for _, st := range sts {
+		f.free = append(f.free, st.e[:0])
+	}
 }
 
 // copySite is one copy "v = src" after an assignment.
@@ -160,41 +229,99 @@ type copySite struct {
 	src shadow
 }
 
-// forwardReads runs the walk over the function and rewrites what it found.
-func (s *sel) forwardReads() {
-	f := &forwarder{s: s,
-		loads:  make(map[*simple.Var][]*simple.Basic),
-		copies: make(map[fkey]*simple.Var),
-		isCopy: make(map[*simple.Var]fkey),
-		sites:  make(map[*simple.Basic][]copySite),
-		gets:   make(map[*simple.Basic]*simple.Var),
+// forwardReads runs the walk over s's function and rewrites what it found.
+// The forwarder's tables and buffers are reused from function to function.
+func (f *forwarder) forwardReads(s *sel) {
+	f.s = s
+	clear(f.loads)
+	clear(f.copies)
+	clear(f.isCopy)
+	clear(f.sites)
+	clear(f.gets)
+	f.offs = f.offs[:0]
+	if !f.copiesFetchedPointer() {
+		return
 	}
-	crossed := make(map[*simple.Var]bool)
-	for _, sh := range s.storeShadow {
-		crossed[sh.v] = true
-	}
-	bad := make(map[*simple.Var]bool)
 	for label, sh := range s.readShadow {
-		if sh.blk || crossed[sh.v] {
+		if sh.blk || f.loads[sh.v] == nil && f.crossed(sh.v) {
 			continue
 		}
 		b := s.fn.Basics[label]
 		if rv, ok := b.Rhs.(simple.AtomRV); ok && b.Kind == simple.KAssign && simple.AtomVar(rv.A) == sh.v {
 			f.loads[sh.v] = append(f.loads[sh.v], b)
 		} else {
-			bad[sh.v] = true
+			f.loads[sh.v] = append(f.loads[sh.v], nil)
 		}
 	}
-	for v := range bad {
-		delete(f.loads, v)
+	for v, lds := range f.loads {
+		if slices.Contains(lds, nil) {
+			delete(f.loads, v)
+		}
 	}
 	if len(f.loads) == 0 {
 		return
 	}
-	f.seq(s.fn.Body, &fstate{facts: map[fkey]fact{}, null: map[*simple.Var]bool{}})
+	simple.WalkBasics(s.fn.Body, func(b *simple.Basic) {
+		if b.Kind == simple.KGetF && f.loads[b.Dst] != nil && !slices.Contains(f.offs, b.Off) {
+			f.offs = append(f.offs, b.Off)
+		}
+	})
+	f.seq(s.fn.Body, &fstate{})
 	if len(f.gets) > 0 {
 		f.apply()
 	}
+}
+
+// crossed reports whether a store the read was hoisted across must update
+// the comm temp v.
+func (f *forwarder) crossed(v *simple.Var) bool {
+	for _, sh := range f.s.storeShadow {
+		if sh.v == v {
+			return true
+		}
+	}
+	return false
+}
+
+// copiesFetchedPointer reports whether the function has a pointer copy the
+// walk could use: "q = p" where q is a get's pointer and p a get's or a
+// fill's pointer, or itself assigned from one. Most functions have none, and
+// the walk is skipped.
+func (f *forwarder) copiesFetchedPointer() bool {
+	f.fetched, f.got, f.pairs = f.fetched[:0], f.got[:0], f.pairs[:0]
+	simple.WalkBasics(f.s.fn.Body, func(b *simple.Basic) {
+		switch b.Kind {
+		case simple.KGetF:
+			f.got = append(f.got, b.P)
+			f.fetched = append(f.fetched, b.P)
+		case simple.KBlkRead:
+			f.fetched = append(f.fetched, b.P)
+		case simple.KAssign:
+			lv, ok := b.Lhs.(simple.VarLV)
+			rv, ok2 := b.Rhs.(simple.AtomRV)
+			if p := simple.AtomVar(rv.A); ok && ok2 && p != nil && p != lv.V && lv.V.IsPtr() {
+				f.pairs = append(f.pairs, [2]*simple.Var{lv.V, p})
+			}
+		}
+	})
+	if len(f.got) == 0 {
+		return false
+	}
+	for grew := true; grew; {
+		grew = false
+		for _, c := range f.pairs {
+			if slices.Contains(f.fetched, c[1]) && !slices.Contains(f.fetched, c[0]) {
+				f.fetched = append(f.fetched, c[0])
+				grew = true
+			}
+		}
+	}
+	for _, c := range f.pairs {
+		if slices.Contains(f.fetched, c[1]) && slices.Contains(f.got, c[0]) {
+			return true
+		}
+	}
+	return false
 }
 
 func (f *forwarder) seq(seq *simple.Seq, st *fstate) {
@@ -211,63 +338,67 @@ func (f *forwarder) stmt(x simple.Stmt, st *fstate) {
 	case *simple.Seq:
 		f.seq(c, st)
 	case *simple.If:
-		t := st.clone()
+		t := f.clone(st)
 		t.refine(c.Cond, true)
 		f.seq(c.Then, t)
 		st.refine(c.Cond, false)
 		f.seq(c.Else, st)
 		st.meet(t)
+		f.release(t)
 	case *simple.Switch:
-		pre := st.clone()
-		var out *fstate
+		pre := f.clone(st)
+		out := &fstate{dead: true}
 		exhaustive := false
 		for _, cc := range c.Cases {
 			exhaustive = exhaustive || cc.Vals == nil
-			cs := pre.clone()
+			cs := f.clone(pre)
 			f.seq(cc.Body, cs)
-			if out == nil {
-				out = cs
-			} else {
-				out.meet(cs)
-			}
-		}
-		if out == nil {
-			return
+			out.meet(cs)
+			f.release(cs)
 		}
 		if !exhaustive {
 			out.meet(pre)
 		}
+		f.release(pre, st)
 		*st = *out
 	case *simple.While:
-		pre, in := st.clone(), st.clone()
+		pre, in := f.clone(st), f.clone(st)
 		for {
-			cur := in.clone()
+			cur := f.clone(in)
 			f.seq(c.Eval, cur)
-			body := cur.clone()
+			body := f.clone(cur)
 			body.refine(c.Cond, true)
 			f.seq(c.Body, body)
 			body.meet(pre)
-			if body.equal(in) {
+			done := body.equal(in)
+			f.release(in)
+			if done {
 				cur.refine(c.Cond, false)
+				f.release(pre, body, st)
 				*st = *cur
 				return
 			}
+			f.release(cur)
 			in = body
 		}
 	case *simple.Do:
-		pre, in := st.clone(), st.clone()
+		pre, in := f.clone(st), f.clone(st)
 		for {
-			cur := in.clone()
+			cur := f.clone(in)
 			f.seq(c.Body, cur)
 			f.seq(c.Eval, cur)
-			back := cur.clone()
+			back := f.clone(cur)
 			back.refine(c.Cond, true)
 			back.meet(pre)
-			if back.equal(in) {
+			done := back.equal(in)
+			f.release(in)
+			if done {
 				cur.refine(c.Cond, false)
+				f.release(pre, back, st)
 				*st = *cur
 				return
 			}
+			f.release(cur)
 			in = back
 		}
 	case *simple.Forall, *simple.Par:
@@ -275,7 +406,11 @@ func (f *forwarder) stmt(x simple.Stmt, st *fstate) {
 		// nothing in the construct kills is known, and nothing is made.
 		simple.WalkBasics(x, func(b *simple.Basic) { f.kill(b, st) })
 		f.noGen++
-		simple.EachSubseq(x, func(sub *simple.Seq) { f.seq(sub, st.clone()) })
+		simple.EachSubseq(x, func(sub *simple.Seq) {
+			arm := f.clone(st)
+			f.seq(sub, arm)
+			f.release(arm)
+		})
 		f.noGen--
 	}
 }
@@ -285,19 +420,15 @@ func (f *forwarder) stmt(x simple.Stmt, st *fstate) {
 // new facts added.
 func (f *forwarder) basic(b *simple.Basic, st *fstate) {
 	if b.Kind == simple.KGetF && f.loads[b.Dst] != nil {
-		if ft, ok := st.facts[fkey{b.P, b.Off}]; ok && !st.dead && !ft.orNull && f.copyOf(ft.w.v) {
-			f.gets[b] = ft.w.v
+		if i := st.find(fkey{b.P, b.Off}); i >= 0 && !st.dead && !st.e[i].orNull && f.copyOf(st.e[i].w.v) {
+			f.gets[b] = st.e[i].w.v
 		} else {
 			delete(f.gets, b)
 		}
 	}
 	delete(f.sites, b)
-	type gen struct {
-		k      fkey
-		w      shadow
-		orNull bool
-	}
-	var gens []gen
+	var gbuf [8]fentry
+	gens := gbuf[:0]
 	var nullAfter, nonNull *simple.Var
 	if f.noGen == 0 {
 		switch b.Kind {
@@ -316,18 +447,20 @@ func (f *forwarder) basic(b *simple.Basic, st *fstate) {
 			if p == nil || p == q {
 				break
 			}
-			if st.null[p] {
-				nullAfter = q
-			}
 			var sites []copySite
-			for k, ft := range st.facts {
-				if t := f.wordType(ft.w); k.p == p && t != nil {
-					cs := copySite{v: f.copyVar(fkey{q, k.off}, t), off: k.off, src: ft.w}
+			for _, e := range st.e {
+				if e.k.p != p {
+					continue
+				}
+				if e.k.off == nullOff {
+					nullAfter = q
+				} else if t := f.wordType(e.w); t != nil && slices.Contains(f.offs, e.k.off) {
+					cs := copySite{v: f.copyVar(fkey{q, e.k.off}, t), off: e.k.off, src: e.w}
 					sites = append(sites, cs)
-					gens = append(gens, gen{fkey{q, k.off}, shadow{v: cs.v}, ft.orNull})
+					gens = append(gens, fentry{fkey{q, e.k.off}, shadow{v: cs.v}, e.orNull})
 				}
 			}
-			sort.Slice(sites, func(i, j int) bool { return sites[i].off < sites[j].off })
+			slices.SortFunc(sites, func(a, b copySite) int { return a.off - b.off })
 			if len(sites) > 0 {
 				f.sites[b] = sites
 			}
@@ -335,8 +468,8 @@ func (f *forwarder) basic(b *simple.Basic, st *fstate) {
 			// A word that already holds (p, off) keeps the fact: a forwarded
 			// get is deleted, and its comm temp holds nothing.
 			k := fkey{b.P, b.Off}
-			if ft, ok := st.facts[k]; !ok || ft.w.v == b.Dst {
-				gens = append(gens, gen{k, shadow{v: b.Dst, field: b.Field}, false})
+			if i := st.find(k); i < 0 || st.e[i].w.v == b.Dst {
+				gens = append(gens, fentry{k, shadow{v: b.Dst, field: b.Field}, false})
 			}
 			nonNull = b.P
 		case simple.KBlkRead:
@@ -346,8 +479,8 @@ func (f *forwarder) basic(b *simple.Basic, st *fstate) {
 					if l.FieldSizes[name] != 1 || k.off < b.Off || k.off >= b.Off+b.Size {
 						continue
 					}
-					if ft, ok := st.facts[k]; !ok || ft.w.v == b.Local {
-						gens = append(gens, gen{k, shadow{v: b.Local, off: k.off, field: name, blk: true}, false})
+					if i := st.find(k); i < 0 || st.e[i].w.v == b.Local {
+						gens = append(gens, fentry{k, shadow{v: b.Local, off: k.off, field: name, blk: true}, false})
 					}
 				}
 			}
@@ -356,10 +489,10 @@ func (f *forwarder) basic(b *simple.Basic, st *fstate) {
 	}
 	f.kill(b, st)
 	for _, g := range gens {
-		st.facts[g.k] = fact{w: g.w, orNull: g.orNull}
+		st.set(g)
 	}
 	if nullAfter != nil {
-		st.null[nullAfter] = true
+		st.set(fentry{k: fkey{nullAfter, nullOff}})
 	}
 	if nonNull != nil {
 		st.nonNull(nonNull)
@@ -369,17 +502,13 @@ func (f *forwarder) basic(b *simple.Basic, st *fstate) {
 // kill removes from st every fact b may falsify.
 func (f *forwarder) kill(b *simple.Basic, st *fstate) {
 	rw := f.s.rw
-	for k, ft := range st.facts {
-		if rw.VarWritten(k.p, b) || writesLocal(b, ft.w.v) || directStore(b, k) ||
-			rw.AccessedViaAlias(k.p, k.off, b, true) {
-			delete(st.facts, k)
+	st.filter(func(e *fentry) bool {
+		if e.k.off == nullOff {
+			return !rw.VarWritten(e.k.p, b)
 		}
-	}
-	for v := range st.null {
-		if rw.VarWritten(v, b) {
-			delete(st.null, v)
-		}
-	}
+		return !rw.VarWritten(e.k.p, b) && !writesLocal(b, e.w.v) && !directStore(b, e.k) &&
+			!rw.AccessedViaAlias(e.k.p, e.k.off, b, true)
+	})
 }
 
 // directStore reports whether b stores to k's word through k's pointer.
@@ -537,13 +666,13 @@ func rewriteSeqs(seq *simple.Seq, fn func(*simple.Seq)) {
 	fn(seq)
 }
 
-// substitute folds the load "t = fwdN" into the one use of the temporary t
+// substitute folds the load "t = fwdN" into the one use of the local t
 // when that use is an operand of a later assignment, or the condition of a
 // later if, in the same sequence and nothing between them mentions fwdN; it
 // reports whether the load can go.
 func (f *forwarder) substitute(ld *simple.Basic) bool {
 	lv, ok := ld.Lhs.(simple.VarLV)
-	if !ok || lv.V.Kind != simple.VarTemp || lv.V.Shared || lv.V.Size > 1 {
+	if !ok || lv.V.Kind != simple.VarTemp && lv.V.Kind != simple.VarLocal || lv.V.Shared || lv.V.Size > 1 {
 		return false
 	}
 	t, v := lv.V, simple.AtomVar(ld.Rhs.(simple.AtomRV).A)
@@ -555,7 +684,7 @@ func (f *forwarder) substitute(ld *simple.Basic) bool {
 			if x == simple.Stmt(ld) {
 				seq, idx = sq, i
 			}
-			if b, ok := x.(*simple.Basic); ok && simple.Mentions(b, t) || ownCondMentions(x, t) {
+			if simple.OwnMentions(x, t) {
 				n++
 			}
 		}
@@ -594,7 +723,7 @@ func (f *forwarder) substitute(ld *simple.Basic) bool {
 			f.s.rw.Register(use)
 			return true
 		case *simple.If:
-			if ownCondMentions(use, t) {
+			if simple.OwnMentions(use, t) {
 				use.Cond.X, use.Cond.Y = sub(use.Cond.X), sub(use.Cond.Y)
 				return true
 			}
@@ -604,25 +733,4 @@ func (f *forwarder) substitute(ld *simple.Basic) bool {
 		}
 	}
 	return false
-}
-
-// ownCondMentions reports whether a compound statement's own condition or
-// tag (not its children) mentions v.
-func ownCondMentions(x simple.Stmt, v *simple.Var) bool {
-	var c simple.Cond
-	switch x := x.(type) {
-	case *simple.If:
-		c = x.Cond
-	case *simple.While:
-		c = x.Cond
-	case *simple.Do:
-		c = x.Cond
-	case *simple.Forall:
-		c = x.Cond
-	case *simple.Switch:
-		return simple.AtomVar(x.Tag) == v
-	default:
-		return false
-	}
-	return simple.AtomVar(c.X) == v || c.Op != simple.TruthTest && simple.AtomVar(c.Y) == v
 }

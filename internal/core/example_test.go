@@ -248,7 +248,6 @@ func Example_figure7() {
 	//   S9   cx = comm3;                    {(close->x, 1, {S9}), (close->y, 1, {S12}), (t->x, 1, {S10}), (t->y, 1, {S13})}
 	//   S10  tx = comm1;                    {(close->y, 1, {S12}), (t->x, 1, {S10}), (t->y, 1, {S13})}
 	//   S11  diffx = cx - tx;               {(close->y, 1, {S12}), (t->y, 1, {S13})}
-	//   S12  cy = fwd1;                     {(close->y, 1, {S12}), (t->y, 1, {S13})}
 	//   S13  ty = comm2;                    {(t->y, 1, {S13})}
 	//
 	// === Transformed code (cf. Figure 8(b)) ===
@@ -275,9 +274,8 @@ func Example_figure7() {
 	//     S9: cx = comm3;
 	//     S10: tx = comm1;
 	//     S11: diffx = cx - tx;
-	//     S12: cy = fwd1;
 	//     S13: ty = comm2;
-	//     S14: diffy = cy - ty;
+	//     S14: diffy = fwd1 - ty;
 	//     S16: temp13 = diffx + diffy;
 	//     S15: return(temp13);
 	// }
@@ -285,6 +283,6 @@ func Example_figure7() {
 	// commsel: reads 3 pipelined + 1 blocked (9 loads redirected, 3 redundant eliminated); writes 3 pipelined + 0 blocked (3 stores redirected)
 	// output: "-4.000000\n"
 	// simple:       1.295 ms   reads=146 writes=144 blkmov=0 blkwords=0 (local rt: 178/48/0) shared=0 rpc=0 spawn=0 alloc=65 instr=2285
-	// optimized:    1.032 ms   reads=1 writes=144 blkmov=48 blkwords=192 (local rt: 2/48/16) shared=0 rpc=0 spawn=0 alloc=65 instr=2462
+	// optimized:    1.032 ms   reads=1 writes=144 blkmov=48 blkwords=192 (local rt: 2/48/16) shared=0 rpc=0 spawn=0 alloc=65 instr=2461
 	// improvement: 20.34%
 }

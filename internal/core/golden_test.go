@@ -65,9 +65,9 @@ var compiledCodeGolden = map[string]string{
 	"distance.ec/O":                      "aba6692023724e029c80392b73d4e1ba5b3e38387253ae49a6b361afc47b94c3",
 	"distance.ec/O,NoInline":             "51d1d78c4c71859dcbbe5855184cdee7f2ae6927fbcdc2e229532beaf812b30b",
 	"distance.ec/O,DeclaredLayout":       "aba6692023724e029c80392b73d4e1ba5b3e38387253ae49a6b361afc47b94c3",
-	"listsearch.ec/O":                    "e617d4b86fb5321f8201d371f257ea6d01ff0853d163e06c83b55a87b3ebc6d1",
-	"listsearch.ec/O,NoInline":           "aa3ea860f2b0fb42d112405eec1900f1cce05e367975fdaadc408e15a4546d81",
-	"listsearch.ec/O,DeclaredLayout":     "e617d4b86fb5321f8201d371f257ea6d01ff0853d163e06c83b55a87b3ebc6d1",
+	"listsearch.ec/O":                    "cdfe08f2303c5e3f700b70dbebe40c3f06e45de922a4f701d3747828997fcc9d",
+	"listsearch.ec/O,NoInline":           "a7f5856d057c832ce71181c2290469d4ec5a3bcf82303d48ebdf046bb67ee785",
+	"listsearch.ec/O,DeclaredLayout":     "cdfe08f2303c5e3f700b70dbebe40c3f06e45de922a4f701d3747828997fcc9d",
 	"scale_point.ec/O":                   "d43e68dfabdae10fe76e9ba99b8923cb22e981088904d7877d4705a010143a84",
 	"scale_point.ec/O,NoInline":          "c651c55fb6a3fabc27842dd4cbf1d56ed68d5f4d8a22729041fda2ffad49073b",
 	"scale_point.ec/O,DeclaredLayout":    "d43e68dfabdae10fe76e9ba99b8923cb22e981088904d7877d4705a010143a84",
@@ -125,9 +125,9 @@ var placementSetsGolden = map[string]string{
 	"distance.ec/O":                      "6f9738ff2a60a6c777e83a6fae7372bc39a055f65248d32c884a1af809ade91c",
 	"distance.ec/O,NoInline":             "53fbc8884b1eb7e6c63e6c90be14d674dfe49f0670b38f3826fce6dab4161749",
 	"distance.ec/O,DeclaredLayout":       "6f9738ff2a60a6c777e83a6fae7372bc39a055f65248d32c884a1af809ade91c",
-	"listsearch.ec/O":                    "3cfee3146958364affe61f5ba65a2b836fef2d8729429e2275b94c3730e62a95",
-	"listsearch.ec/O,NoInline":           "6464df68ad9d15045c97fd0617e9bf62a0e6c8afb3d4a6113ba537837518a03e",
-	"listsearch.ec/O,DeclaredLayout":     "3cfee3146958364affe61f5ba65a2b836fef2d8729429e2275b94c3730e62a95",
+	"listsearch.ec/O":                    "e12fa3a7aca143ad9987ef9d38132299331639b4accf4b2f4147e4cc864cc09c",
+	"listsearch.ec/O,NoInline":           "ae72166d5b2f80e4e0bc915ae629e4c0a8982412d9f8fc8ad46979c3ac8ed5ca",
+	"listsearch.ec/O,DeclaredLayout":     "e12fa3a7aca143ad9987ef9d38132299331639b4accf4b2f4147e4cc864cc09c",
 	"scale_point.ec/O":                   "877b3c329ccfd48fe9811f5c62154951ca7c82be3f29655b2aa1863bea61578f",
 	"scale_point.ec/O,NoInline":          "82173d3c5849dda8e7266d01918057674c85baf492d6bc803768e8537836abfd",
 	"scale_point.ec/O,DeclaredLayout":    "877b3c329ccfd48fe9811f5c62154951ca7c82be3f29655b2aa1863bea61578f",
@@ -283,7 +283,7 @@ var epochPins = []struct {
 	{2, "ff2c2d69bb741d98067dfca0b4b2c4eeb4a88bc69060de55d7f2118c86ea2106"},
 	{3, "b1b8cc30907e0a4dd4b1111adfa783dd3fd92e2b7d8165067d97049a3d900ed9"},
 	{4, "659a0737d9c2be31dec2c14e9f528157217ba93c970318446c529a1de53d0f57"},
-	{5, "f796c8d8c8654873791f7a72d7a8aa493a11e205768e488a72c28f671fa489cd"},
+	{5, "2dab99555c7c95efb522ecd61bcfb7d6bd863f34e20528c242bb8da53460a77b"},
 }
 
 // goldenTablesHash hashes both golden tables, keys in sorted order.

@@ -79,22 +79,7 @@ func HasReturn(s Stmt) bool {
 
 // Mentions reports whether any statement of the subtree s mentions v.
 func Mentions(s Stmt, v *Var) bool {
-	found := false
-	switch x := s.(type) {
-	case *Basic:
-		EachVar(x, func(u *Var, _ bool) { found = found || u == v })
-		return found
-	case *If:
-		found = condMentions(x.Cond, v)
-	case *While:
-		found = condMentions(x.Cond, v)
-	case *Do:
-		found = condMentions(x.Cond, v)
-	case *Forall:
-		found = condMentions(x.Cond, v)
-	case *Switch:
-		found = AtomVar(x.Tag) == v
-	}
+	found := OwnMentions(s, v)
 	EachSubseq(s, func(sub *Seq) {
 		for _, st := range sub.Stmts {
 			found = found || Mentions(st, v)
@@ -103,8 +88,30 @@ func Mentions(s Stmt, v *Var) bool {
 	return found
 }
 
-func condMentions(k Cond, v *Var) bool {
-	return AtomVar(k.X) == v || k.Op != TruthTest && AtomVar(k.Y) == v
+// OwnMentions reports whether s itself, not a statement nested in it,
+// mentions v: a basic statement's variables, or a compound statement's
+// condition or switch tag.
+func OwnMentions(s Stmt, v *Var) bool {
+	var c Cond
+	switch x := s.(type) {
+	case *Basic:
+		found := false
+		EachVar(x, func(u *Var, _ bool) { found = found || u == v })
+		return found
+	case *If:
+		c = x.Cond
+	case *While:
+		c = x.Cond
+	case *Do:
+		c = x.Cond
+	case *Forall:
+		c = x.Cond
+	case *Switch:
+		return AtomVar(x.Tag) == v
+	default:
+		return false
+	}
+	return AtomVar(c.X) == v || c.Op != TruthTest && AtomVar(c.Y) == v
 }
 
 // EachVar calls fn for every variable a basic statement mentions; addr is
