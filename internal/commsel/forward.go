@@ -20,7 +20,8 @@ import (
 //     one-word field of the buffer hold (p, field);
 //   - at "q = p", each fact (p, off) -> w yields (q, off) -> fwdN, where
 //     fwdN is one scalar per (q, off) filled by a copy "fwdN = w" placed
-//     right after the assignment (only where some forwarded read uses it);
+//     right after the assignment (made only for offsets a candidate get
+//     reads, and kept only where some forwarded read uses it);
 //   - a fact dies when its pointer is rebound, when its word is refilled or
 //     written, and when (pointer, off) is written, directly or, per rwsets
 //     and callee summaries, through an alias;
@@ -33,9 +34,9 @@ import (
 //
 // A get "commN = q->f" whose fact (q, f) -> fwdN holds on every path, with
 // q non-null, is deleted, and the loads selection redirected to commN read
-// fwdN instead; a temporary whose only use follows in the same sequence
-// takes fwdN in that use, so no move is added. A comm temp that a crossed
-// store must update is never forwarded.
+// fwdN instead; a temporary or local whose only use follows in the same
+// sequence takes fwdN in that use, so no move is added. A comm temp that a
+// crossed store must update is never forwarded.
 
 // fkey names a remote word: the pointer and the word offset.
 type fkey struct {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/simple"
 )
 
 // progGen generates random but well-formed EARTH-C programs that exercise
@@ -17,6 +19,9 @@ type progGen struct {
 	r     *rand.Rand
 	buf   strings.Builder
 	depth int
+	// copies adds a pointer copy q: "q = p", reads and writes through q
+	// under a q != NULL test, and "q = NULL" (generateCopyProgram).
+	copies bool
 }
 
 func (g *progGen) pick(options ...string) string {
@@ -69,7 +74,11 @@ func (g *progGen) stmts(n int, ptr, anchor string, ints []string, nested int) {
 	for i := 0; i < n; i++ {
 		names := append([]string{}, ints...)
 		names = append(names, ptr+"->"+field(), anchor+"->"+field())
-		switch g.r.Intn(9) {
+		k := g.r.Intn(9)
+		if g.copies {
+			k = g.r.Intn(13)
+		}
+		switch k {
 		case 0, 1:
 			g.line("%s = %s;", ints[g.r.Intn(len(ints))], g.intExpr(2, names))
 		case 2:
@@ -116,16 +125,32 @@ func (g *progGen) stmts(n int, ptr, anchor string, ints []string, nested int) {
 			g.line("%s = tmp.a + tmp.b;", ints[g.r.Intn(len(ints))])
 		case 7:
 			g.line("%s->c = %s->a + %s->b;", ptr, ptr, ptr)
-		default:
+		case 8:
 			g.line("%s = helper(%s, %s);", ints[g.r.Intn(len(ints))],
 				g.intExpr(1, names), g.intExpr(1, names))
+		case 9:
+			g.line("q = %s;", g.pick(ptr, anchor))
+		case 10:
+			g.line("if (q != NULL) { %s = q->%s + %s; }", ints[g.r.Intn(len(ints))], field(), g.intExpr(1, names))
+		case 11:
+			g.line("if (%s) { q = NULL; }", g.cond(names))
+		default:
+			g.line("if (q != NULL) { q->%s = %s; }", field(), g.intExpr(1, names))
 		}
 	}
 }
 
-// generate builds a complete program from a seed.
+// generateProgram builds a complete program from a seed.
 func generateProgram(seed int64) string {
-	g := &progGen{r: rand.New(rand.NewSource(seed))}
+	return (&progGen{r: rand.New(rand.NewSource(seed))}).program()
+}
+
+// generateCopyProgram is generateProgram with the pointer copy q in work.
+func generateCopyProgram(seed int64) string {
+	return (&progGen{r: rand.New(rand.NewSource(seed)), copies: true}).program()
+}
+
+func (g *progGen) program() string {
 	g.line(`struct N {`)
 	g.line(`	int a;`)
 	g.line(`	int b;`)
@@ -145,6 +170,10 @@ func generateProgram(seed int64) string {
 	g.line(`N *p;`)
 	g.line(`N tmp;`)
 	g.line(`int i0; int i1; int i2;`)
+	if g.copies {
+		g.line(`N *q;`)
+		g.line(`q = NULL;`)
+	}
 	g.line(`i0 = 3; i1 = 5; i2 = 7;`)
 	ints := []string{"i0", "i1", "i2"}
 	// Straight-line prologue against the anchor.
@@ -242,38 +271,78 @@ func TestOptimizerSemanticsFuzz(t *testing.T) {
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			src := generateProgram(seed)
-			var ref string
-			first := true
-			check := func(label string, optimize bool, nodes int, sequential bool) {
-				opts := Options{Optimize: optimize}
-				if label == "optimized/declared" {
-					opts.DeclaredLayout = true
-				}
-				u, err := compile("fuzz.ec", src, opts)
-				if err != nil {
-					t.Fatalf("%s: compile: %v\n--- source:\n%s", label, err, src)
-				}
-				res, err := runUnit(u, RunConfig{Nodes: nodes, Sequential: sequential})
-				if err != nil {
-					t.Fatalf("%s: run: %v\n--- source:\n%s", label, err, src)
-				}
-				if first {
-					ref = res.Output
-					first = false
-					return
-				}
-				if res.Output != ref {
-					t.Errorf("%s: output %q != reference %q\n--- source:\n%s",
-						label, res.Output, ref, src)
-				}
-			}
-			check("sequential", false, 1, true)
-			check("simple/1", false, 1, false)
-			check("simple/3", false, 3, false)
-			check("optimized/1", true, 1, false)
-			check("optimized/3", true, 3, false)
-			check("optimized/declared", true, 3, false)
+			buildsAgree(t, generateProgram(seed))
 		})
 	}
+}
+
+// TestForwardingFuzz is TestOptimizerSemanticsFuzz over programs with a
+// pointer copy q of the list cursor or the anchor, read and written under
+// q != NULL tests and reset to NULL at random, so reads through q are
+// forwarded from copies of the cursor's fields wherever commsel proves
+// them held, and refused where a write through the cursor, through q or
+// through a call may have changed the field, or q may be NULL. The rule
+// must fire on some seeds for the test to mean anything.
+func TestForwardingFuzz(t *testing.T) {
+	seeds, fired := 60, 0
+	if testing.Short() {
+		seeds = 12
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			if buildsAgree(t, generateCopyProgram(seed)) {
+				fired++
+			}
+		})
+	}
+	if fired == 0 {
+		t.Errorf("no read was forwarded on any of %d seeds", seeds)
+	}
+}
+
+// buildsAgree runs src as the sequential baseline and the simple and
+// optimized builds on 1 and 3 nodes, and fails t unless every run prints the
+// same. It reports whether the optimized build forwarded a read.
+func buildsAgree(t *testing.T, src string) (forwarded bool) {
+	t.Helper()
+	var ref string
+	first := true
+	check := func(label string, optimize bool, nodes int, sequential bool) {
+		opts := Options{Optimize: optimize}
+		if label == "optimized/declared" {
+			opts.DeclaredLayout = true
+		}
+		u, err := compile("fuzz.ec", src, opts)
+		if err != nil {
+			t.Fatalf("%s: compile: %v\n--- source:\n%s", label, err, src)
+		}
+		if optimize {
+			simple.WalkBasics(u.Simple.FuncByName("work").Body, func(b *simple.Basic) {
+				simple.EachVar(b, func(v *simple.Var, _ bool) {
+					forwarded = forwarded || strings.HasPrefix(v.Name, "fwd")
+				})
+			})
+		}
+		res, err := runUnit(u, RunConfig{Nodes: nodes, Sequential: sequential})
+		if err != nil {
+			t.Fatalf("%s: run: %v\n--- source:\n%s", label, err, src)
+		}
+		if first {
+			ref = res.Output
+			first = false
+			return
+		}
+		if res.Output != ref {
+			t.Errorf("%s: output %q != reference %q\n--- source:\n%s",
+				label, res.Output, ref, src)
+		}
+	}
+	check("sequential", false, 1, true)
+	check("simple/1", false, 1, false)
+	check("simple/3", false, 3, false)
+	check("optimized/1", true, 1, false)
+	check("optimized/3", true, 3, false)
+	check("optimized/declared", true, 3, false)
+	return forwarded
 }

@@ -700,8 +700,8 @@ func localOp(op threaded.Op) bool {
 // that instruction: another opcode, a pc out of range, a word with a fill in
 // flight, a binOp error, faddr of null, a profiled mload/mstore, one through
 // a null or remote pointer, beyond the node's memory or to a word with a fill
-// in flight, or the instruction
-// that would reach the next limit check or the fiber's runaway limit.
+// in flight, or the instruction that would reach the next limit check or the
+// fiber's runaway limit.
 // Instructions, f.ninstr and EU time are charged once for the whole run.
 func (m *Machine) execLocal(f *fiber, t *int64) {
 	n := f.node
