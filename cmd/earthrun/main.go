@@ -24,7 +24,7 @@
 //	-faults spec      inject deterministic transport faults and run the
 //	                  reliable-messaging protocol, e.g.
 //	                  "drop=0.01,dup=0.005,delay=3" (see -faults keys below)
-//	-fault-seed N     PRNG seed for fault injection (default 1); the same
+//	-fault-seed N     seed of the fault draws (default 1); the same
 //	                  seed and spec reproduce the run exactly
 //	-fuel N           abort after N simulated EU instructions instead of
 //	                  hanging on a runaway program (0 = unlimited)
@@ -67,7 +67,7 @@ func run(args []string, out, stderr io.Writer) int {
 	traceSum := fs.Bool("trace-summary", false, "print a text summary of recorded events")
 	costSpec := fs.String("cost", "", "cost-model overrides, e.g. \"NetLatency=2500,SUService=800\"")
 	faultSpec := fs.String("faults", "", "fault-injection spec, e.g. \"drop=0.01,dup=0.005,delay=3\"")
-	faultSeed := fs.Uint64("fault-seed", 1, "PRNG seed for fault injection")
+	faultSeed := fs.Uint64("fault-seed", 1, "seed of the fault draws")
 	fuel := fs.Int64("fuel", 0, "abort after N simulated EU instructions (0 = unlimited)")
 	deadline := fs.Duration("deadline", 0, "abort after this much host wall-clock time (0 = none)")
 	if err := fs.Parse(args); err != nil {

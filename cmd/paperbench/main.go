@@ -20,7 +20,7 @@
 //	-procs list    comma-separated processor counts for table3
 //	               (default 1,2,4,8,16)
 //	-scale s       problem scale: quick | default (default "default")
-//	-fault-seed N  PRNG seed for the fault sweep (default 1)
+//	-fault-seed N  seed of the fault sweep's draws (default 1)
 //	-json          emit one machine-readable JSON object instead of text
 //
 // The exit status is 0 on success, 1 if a measurement fails (or the fault
@@ -66,7 +66,7 @@ func run(args []string, out, stderr io.Writer) int {
 	nodes := fs.Int("nodes", 4, "machine size for fig10, the ablation and the fault sweep")
 	procsFlag := fs.String("procs", "1,2,4,8,16", "processor counts for table3")
 	scale := fs.String("scale", "default", "problem scale: quick|default")
-	faultSeed := fs.Uint64("fault-seed", 1, "PRNG seed for the fault sweep")
+	faultSeed := fs.Uint64("fault-seed", 1, "seed of the fault sweep's draws")
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON")
 	if err := fs.Parse(args); err != nil {
 		return 2

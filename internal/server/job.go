@@ -61,7 +61,7 @@ type JobRequest struct {
 	// Faults injects deterministic transport faults, e.g.
 	// "drop=0.01,dup=0.005,delay=3" (earthsim.ParseFaultSpec syntax).
 	Faults string `json:"faults,omitempty"`
-	// FaultSeed seeds the fault PRNG (default 1) — same seed + spec
+	// FaultSeed seeds the fault draws (default 1) — same seed + spec
 	// reproduces the run exactly.
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
 	// Fuel bounds simulated EU instructions (0 = the server's default cap).

@@ -6,7 +6,7 @@ package trace
 // duplicating a hop, the SU stalling, the sender retransmitting after a
 // timeout, and the receiver suppressing a duplicate. Like all trace events
 // these are observational — the fault decisions themselves are driven by
-// the simulator's own seeded PRNG, never by the recorder.
+// the simulator's own seeded draws, never by the recorder.
 
 // FaultKind enumerates fault-injection and reliable-messaging events.
 type FaultKind int
