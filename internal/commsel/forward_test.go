@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/commsel"
 	"repro/internal/core"
 	"repro/internal/earthsim"
 	"repro/internal/olden"
@@ -51,7 +52,7 @@ func forwarded(fn *simple.Func) int {
 
 // TestForwardingRule compiles one function per case with -O (no inlining)
 // and checks whether a read through a pointer copy is forwarded from the
-// copy's fields. Each case then runs on 1 and 2 nodes, and on 2 nodes over
+// copy's fields, and that it never is without read motion. Each case then runs on 1 and 2 nodes, and on 2 nodes over
 // a lossy link for seeds 1-16, and must print what the simple build prints
 // (a trap must trap in both builds).
 func TestForwardingRule(t *testing.T) {
@@ -135,6 +136,12 @@ func TestForwardingRule(t *testing.T) {
 			if got := forwarded(f) > 0; got != c.fire {
 				t.Errorf("forwarded: %v, want %v:\n%s", got, c.fire,
 					simple.FuncString(f, simple.PrintOptions{Labels: true}))
+			}
+			if c.fire {
+				// Forwarding is off where redundancy elimination is.
+				if n := forwarded(optimized(t, src, commsel.Options{NoReadMotion: true}).Simple.FuncByName("f")); n > 0 {
+					t.Errorf("NoReadMotion build forwarded (%d mentions of a copy)", n)
+				}
 			}
 			plain := core.NewPipeline(core.Options{NoInline: true})
 			su, err := plain.Compile("t.ec", src)
