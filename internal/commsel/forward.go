@@ -185,16 +185,16 @@ type forwarder struct {
 	sites map[*simple.Basic][]copySite
 	// gets maps each get the last visit found forwardable to its copy var.
 	gets map[*simple.Basic]*simple.Var
-	// offs lists the offsets the candidate gets read: only those are
-	// copied.
-	offs []int
+	// offs and ptrs are the offsets and pointers the walk keeps facts
+	// about (relevant); fetched and pairs are relevant's scratch.
+	offs    []int
+	ptrs    []*simple.Var
+	fetched []*simple.Var
+	pairs   [][2]*simple.Var
 	// noGen counts the {^ ^} arms and forall bodies around the walk.
 	noGen int
 	// free holds released states' buffers for clone to reuse.
 	free [][]fentry
-	// fetched, got and pairs are copiesFetchedPointer's scratch.
-	fetched, got []*simple.Var
-	pairs        [][2]*simple.Var
 }
 
 func newForwarder() *forwarder {
@@ -239,10 +239,7 @@ func (f *forwarder) forwardReads(s *sel) {
 	clear(f.isCopy)
 	clear(f.sites)
 	clear(f.gets)
-	f.offs = f.offs[:0]
-	if !f.copiesFetchedPointer() {
-		return
-	}
+	f.offs, f.ptrs, f.pairs = f.offs[:0], f.ptrs[:0], f.pairs[:0]
 	for label, sh := range s.readShadow {
 		if sh.blk || f.loads[sh.v] == nil && f.crossed(sh.v) {
 			continue
@@ -259,44 +256,32 @@ func (f *forwarder) forwardReads(s *sel) {
 			delete(f.loads, v)
 		}
 	}
-	if len(f.loads) == 0 {
+	if len(f.loads) == 0 || !f.relevant() {
 		return
 	}
-	simple.WalkBasics(s.fn.Body, func(b *simple.Basic) {
-		if b.Kind == simple.KGetF && f.loads[b.Dst] != nil && !slices.Contains(f.offs, b.Off) {
-			f.offs = append(f.offs, b.Off)
-		}
-	})
 	f.seq(s.fn.Body, &fstate{})
 	if len(f.gets) > 0 {
 		f.apply()
 	}
 }
 
-// crossed reports whether a store the read was hoisted across must update
-// the comm temp v.
-func (f *forwarder) crossed(v *simple.Var) bool {
-	for _, sh := range f.s.storeShadow {
-		if sh.v == v {
-			return true
-		}
-	}
-	return false
-}
-
-// copiesFetchedPointer reports whether the function has a pointer copy the
-// walk could use: "q = p" where q is a get's pointer and p a get's or a
-// fill's pointer, or itself assigned from one. Most functions have none, and
-// the walk is skipped.
-func (f *forwarder) copiesFetchedPointer() bool {
-	f.fetched, f.got, f.pairs = f.fetched[:0], f.got[:0], f.pairs[:0]
+// relevant fills offs with the offsets the candidate gets read, and ptrs
+// with their pointers and every pointer copied into one of those, directly
+// or through other copies: the walk keeps facts only about these. It
+// reports whether a pointer some get or fill reads through is copied into
+// one of them; most functions have none, and the walk is skipped.
+func (f *forwarder) relevant() bool {
+	f.fetched = f.fetched[:0]
 	simple.WalkBasics(f.s.fn.Body, func(b *simple.Basic) {
 		switch b.Kind {
 		case simple.KGetF:
-			f.got = append(f.got, b.P)
-			f.fetched = append(f.fetched, b.P)
+			f.fetched = appendNew(f.fetched, b.P)
+			if f.loads[b.Dst] != nil {
+				f.ptrs = appendNew(f.ptrs, b.P)
+				f.offs = appendNew(f.offs, b.Off)
+			}
 		case simple.KBlkRead:
-			f.fetched = append(f.fetched, b.P)
+			f.fetched = appendNew(f.fetched, b.P)
 		case simple.KAssign:
 			lv, ok := b.Lhs.(simple.VarLV)
 			rv, ok2 := b.Rhs.(simple.AtomRV)
@@ -305,12 +290,14 @@ func (f *forwarder) copiesFetchedPointer() bool {
 			}
 		}
 	})
-	if len(f.got) == 0 {
-		return false
-	}
+	// Close ptrs backwards and fetched forwards over the copies.
 	for grew := true; grew; {
 		grew = false
 		for _, c := range f.pairs {
+			if slices.Contains(f.ptrs, c[0]) && !slices.Contains(f.ptrs, c[1]) {
+				f.ptrs = append(f.ptrs, c[1])
+				grew = true
+			}
 			if slices.Contains(f.fetched, c[1]) && !slices.Contains(f.fetched, c[0]) {
 				f.fetched = append(f.fetched, c[0])
 				grew = true
@@ -318,7 +305,26 @@ func (f *forwarder) copiesFetchedPointer() bool {
 		}
 	}
 	for _, c := range f.pairs {
-		if slices.Contains(f.fetched, c[1]) && slices.Contains(f.got, c[0]) {
+		if slices.Contains(f.ptrs, c[0]) && slices.Contains(f.fetched, c[1]) {
+			return true
+		}
+	}
+	return false
+}
+
+// appendNew appends x to s unless s holds it.
+func appendNew[T comparable](s []T, x T) []T {
+	if slices.Contains(s, x) {
+		return s
+	}
+	return append(s, x)
+}
+
+// crossed reports whether a store the read was hoisted across must update
+// the comm temp v.
+func (f *forwarder) crossed(v *simple.Var) bool {
+	for _, sh := range f.s.storeShadow {
+		if sh.v == v {
 			return true
 		}
 	}
@@ -440,6 +446,9 @@ func (f *forwarder) basic(b *simple.Basic, st *fstate) {
 				break
 			}
 			q := lv.V
+			if !slices.Contains(f.ptrs, q) {
+				break
+			}
 			if _, isNull := rv.A.(simple.NullAtom); isNull {
 				nullAfter = q
 				break
@@ -455,7 +464,7 @@ func (f *forwarder) basic(b *simple.Basic, st *fstate) {
 				}
 				if e.k.off == nullOff {
 					nullAfter = q
-				} else if t := f.wordType(e.w); t != nil && slices.Contains(f.offs, e.k.off) {
+				} else if t := f.wordType(e.w); t != nil {
 					cs := copySite{v: f.copyVar(fkey{q, e.k.off}, t), off: e.k.off, src: e.w}
 					sites = append(sites, cs)
 					gens = append(gens, fentry{fkey{q, e.k.off}, shadow{v: cs.v}, e.orNull})
@@ -469,6 +478,9 @@ func (f *forwarder) basic(b *simple.Basic, st *fstate) {
 			// A word that already holds (p, off) keeps the fact: a forwarded
 			// get is deleted, and its comm temp holds nothing.
 			k := fkey{b.P, b.Off}
+			if !f.tracked(k) {
+				break
+			}
 			if i := st.find(k); i < 0 || st.e[i].w.v == b.Dst {
 				gens = append(gens, fentry{k, shadow{v: b.Dst, field: b.Field}, false})
 			}
@@ -477,7 +489,7 @@ func (f *forwarder) basic(b *simple.Basic, st *fstate) {
 			if l := f.s.pointeeLayout(b.P); l != nil {
 				for _, name := range l.Fields {
 					k := fkey{b.P, l.Offsets[name]}
-					if l.FieldSizes[name] != 1 || k.off < b.Off || k.off >= b.Off+b.Size {
+					if l.FieldSizes[name] != 1 || k.off < b.Off || k.off >= b.Off+b.Size || !f.tracked(k) {
 						continue
 					}
 					if i := st.find(k); i < 0 || st.e[i].w.v == b.Local {
@@ -500,8 +512,30 @@ func (f *forwarder) basic(b *simple.Basic, st *fstate) {
 	}
 }
 
+// tracked reports whether the walk keeps facts about k.
+func (f *forwarder) tracked(k fkey) bool {
+	return slices.Contains(f.ptrs, k.p) && slices.Contains(f.offs, k.off)
+}
+
 // kill removes from st every fact b may falsify.
 func (f *forwarder) kill(b *simple.Basic, st *fstate) {
+	// An assignment to a variable, a get and a block fill write one frame
+	// variable and no memory; a return writes nothing.
+	var v *simple.Var
+	switch lv, ok := b.Lhs.(simple.VarLV); {
+	case ok && b.Kind == simple.KAssign:
+		v = lv.V
+	case b.Kind == simple.KGetF:
+		v = b.Dst
+	case b.Kind == simple.KBlkRead:
+		v = b.Local
+	case b.Kind == simple.KReturn:
+		return
+	}
+	if v != nil {
+		st.filter(func(e *fentry) bool { return e.k.p != v && e.w.v != v })
+		return
+	}
 	rw := f.s.rw
 	st.filter(func(e *fentry) bool {
 		if e.k.off == nullOff {
