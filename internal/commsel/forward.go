@@ -552,19 +552,11 @@ func directStore(b *simple.Basic, k fkey) bool {
 	return ok && b.Kind == simple.KAssign && stv.P == k.p && stv.Off == k.off
 }
 
-// writesLocal reports whether b writes any word of the frame variable v.
+// writesLocal reports whether b, a statement kill's fast path leaves to
+// the full test, writes any word of the frame variable v.
 func writesLocal(b *simple.Basic, v *simple.Var) bool {
-	switch b.Kind {
-	case simple.KAssign:
-		switch lv := b.Lhs.(type) {
-		case simple.VarLV:
-			return lv.V == v
-		case simple.LocalStoreLV:
-			return lv.Base == v
-		}
-		return false
-	case simple.KBlkRead:
-		return b.Local == v
+	if lv, ok := b.Lhs.(simple.LocalStoreLV); ok && b.Kind == simple.KAssign {
+		return lv.Base == v
 	}
 	return b.Dst == v
 }
