@@ -38,7 +38,10 @@ var oldenCounters = []struct {
 	// 874 and 177) when the per-node shard record, with its own freelists,
 	// scratch buffer and fault maps, was folded into the one Machine, and
 	// tsp's, perimeter's and voronoi's by 30, 18 and 1 when constants became
-	// immediate operands (health measures 217 since, within its ceiling).
+	// immediate operands (health measures 217 since, within its ceiling),
+	// and tsp's, perimeter's and voronoi's by 72, 391 and 60 (from 164, 819
+	// and 162, measured 166, 818 and 160) when each leaf subtree began to
+	// be built and solved on its one owner: fewer messages, fewer events.
 	allocs int64
 }{
 	// When optimized builds began clustering blocked structs' hot fields,
@@ -57,12 +60,17 @@ var oldenCounters = []struct {
 	// copy began to be forwarded from the copied pointer's buffer words
 	// (wrap's best->y and best->x), voronoi's instructions, events,
 	// optimized and PGO operations fell from 82,460, 33,331, 8,758 and
-	// 8,500; every other row held.
+	// 8,500; every other row held. When tsp, voronoi and perimeter began
+	// to derive their decomposition depth from num_nodes() (levels()), so
+	// each leaf subtree is built and solved on its one owner, their
+	// instructions fell from 22,694, 80,028 and 226,636 and their events
+	// from 6,117, 21,755 and 10,285; the operation counts held (a runtime
+	// call that became local is still a call).
 	{"power", 195570, 311, 6464, 2672, 2672, 75},
-	{"tsp", 22694, 6117, 3298, 1534, 1439, 164},
+	{"tsp", 22327, 1814, 3298, 1534, 1439, 92},
 	{"health", 49632, 5676, 14929, 7017, 7017, 216},
-	{"perimeter", 226636, 10285, 6493, 5897, 5897, 819},
-	{"voronoi", 80028, 21755, 15990, 5268, 5010, 162},
+	{"perimeter", 225134, 1610, 6493, 5897, 5897, 428},
+	{"voronoi", 78178, 6109, 15990, 5268, 5010, 102},
 }
 
 // haloEvents is BenchmarkSimNodes' row per machine size: the events of the
@@ -107,10 +115,13 @@ const (
 // to a slice per node, to 214,532 bytes and 1,676 allocations, and folding
 // the per-node shard record into the one Machine to 177,800 bytes and 1,485
 // allocations (measured 197,296 and 1,581 before), and constants as
-// immediate operands to 175,835 bytes and 1,438 allocations.
+// immediate operands to 175,835 bytes and 1,438 allocations, and tsp,
+// voronoi and perimeter building and solving each leaf subtree on its one
+// owner (a quarter as many events to record) to 133,561 bytes and 914
+// allocations.
 const (
-	tracedMixBytes  = 175_835
-	tracedMixAllocs = 1_438
+	tracedMixBytes  = 133_561
+	tracedMixAllocs = 914
 )
 
 // simulator is BenchmarkSimulator's row: power with every observer off, so

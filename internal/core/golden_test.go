@@ -32,30 +32,30 @@ var compiledCodeGolden = map[string]string{
 	"power/quick/O":                      "0d66300a7aada3f9a2a7f2fbc09165d12847f5a2318d98f7fbc6e05a3cd8947f",
 	"power/quick/O,NoInline":             "342ce56ae276b4dff883b8a3520a3f6d51f95b38d57fe816fa8ede63cd9d24c3",
 	"power/quick/O,DeclaredLayout":       "fd48a202b5d838981b944e2da7d233c53180177eb48442632763eff92ef2507c",
-	"tsp/default/O":                      "1e620ed7a6a79fcffe5a8b9e8e2e605a699c6a5af1c9582feecfc0b96f5bc613",
-	"tsp/default/O,NoInline":             "197f52b709488ea418386d5580891675093e87054a0bb9880b81e3e45d09f0ae",
-	"tsp/default/O,DeclaredLayout":       "4ff1ff545369da7514bd95fad466f768ef03e619ddaae0b2fb5208bc5f0ee446",
-	"tsp/quick/O":                        "3412bbdc038aa398634db7c43cca3f57b457d113a66cb59cfcb22916527f9e6b",
-	"tsp/quick/O,NoInline":               "d3da14577fcebaff81a46efe5b6fb0a51c2e4769ef761b150594c384c895ce1e",
-	"tsp/quick/O,DeclaredLayout":         "a1aa311bf8bc8cf5feb392b32164d22180107942eedd5a84ddfd4bf2a4402fc0",
+	"tsp/default/O":                      "7275ada1ec44daccd02012949ed7ed4636716953ffa8e1e10ae4a9c1f137e20c",
+	"tsp/default/O,NoInline":             "ce81950a09ed9d409482565248245ab3358c260a36429b041f7b1bb85ed743ab",
+	"tsp/default/O,DeclaredLayout":       "d54bc02f6662c2f99a2763cf482c2a76992a400bce4b2648d0f049dbd0c36803",
+	"tsp/quick/O":                        "c2fd03e548a4368b7e6c7b61239154e6d58acbafb424abf9cb2a602fd7ea4900",
+	"tsp/quick/O,NoInline":               "ab6728a1fcd54b889280403ee228ddd96e1f1a2517b869a3d533d9d7c1ffea2a",
+	"tsp/quick/O,DeclaredLayout":         "f6cd89c10b144809f69056c5ec497885f1b91f7371d429cb2d7d38fe951ecbf5",
 	"health/default/O":                   "c2ee13babc89e6f5058cb673b892e9dae6cf8f63b33ed5e630a71a4377bd8d0b",
 	"health/default/O,NoInline":          "bf0b807b39bb16f830acf4b77e12d1f0592ad862709ed6336035d0e3713f6fcb",
 	"health/default/O,DeclaredLayout":    "8a2a0ef3f761eeb1a2740fdd0fbc805b6fbf43cfff898df4313f3c5f5aa1ec82",
 	"health/quick/O":                     "e2277712ed1732f5549a03ac3c2ee16d839a2384d9c57b2d15663ff3dc0f1473",
 	"health/quick/O,NoInline":            "76caa65c584b58c2fbbd1c1d61d7cb62feaa30c766fb259688db916d80dbda2f",
 	"health/quick/O,DeclaredLayout":      "c17e381567fb7c57895c8d6c224776c4ae827bdc55fe111950685fd66244fbb9",
-	"perimeter/default/O":                "544540959bb0cb21dc7eea374f6a193e7ceb25dffffc09cbdbe7ed726e657266",
-	"perimeter/default/O,NoInline":       "a4dbede3855dde005d1c56866e9ec893cbc1724602696894cd499a1cb8d13112",
-	"perimeter/default/O,DeclaredLayout": "d3ab3033cb567b13c0fc1b626cf5c122043e811d3d47e1709addf2c33910ca89",
-	"perimeter/quick/O":                  "aa3841bde432e2bccc936835d4d5039379b350a4598868bfe67fef6b87e437f7",
-	"perimeter/quick/O,NoInline":         "359d910475330eaeb6b090e1dd03ea13c456fcae2559489ba0df597174c305a2",
-	"perimeter/quick/O,DeclaredLayout":   "5f0f1dc504b80666e1d1db2f7c076b90a5cfc27a94c1d3766ff39ee4da09cdaa",
-	"voronoi/default/O":                  "df76d256f176dc52248bd495e9554ddeebb4d18f13d199c2e57042e206649f00",
-	"voronoi/default/O,NoInline":         "9b2b241f2cc15630e96bdbdcdbbe998e3e4ec7395e7b8e639a3f6190fc532d9b",
-	"voronoi/default/O,DeclaredLayout":   "6f75eaf78afd90e825a20ee5f404b00acb96b7b1db27e906ee0edc56e8a5ca5a",
-	"voronoi/quick/O":                    "f3c7eea9bbfce491da9d08291c13a32631959b3c213e30bea4b67d26bfcd04a0",
-	"voronoi/quick/O,NoInline":           "ea7497026b2fcc0e1856434f9d8de0e5cbfbf027f243b6db45296542bdd34b8a",
-	"voronoi/quick/O,DeclaredLayout":     "156c3dc259b062cadab957e82522b02736381119e4b44d6ae8fba01f83d71f10",
+	"perimeter/default/O":                "3f4e965b906496d5aa7041f5e4699a2e11c273848260dcbc70fa782698934604",
+	"perimeter/default/O,NoInline":       "b85376218b67f035675e92837fe4f279c41960927ef4a12ca2cf0566920a4310",
+	"perimeter/default/O,DeclaredLayout": "075265eb66134b7a08dd54d73997f7ec765877aab24d6acc630470365498f254",
+	"perimeter/quick/O":                  "ac64d09265f03e7ca1dd422d55238cc2e31584199d6c988aed8e678f0203bbbb",
+	"perimeter/quick/O,NoInline":         "c853c03e2f3ce25200daa2d61b6c3b39a67ab809061e901cd59edca211bd1fcf",
+	"perimeter/quick/O,DeclaredLayout":   "257afdc2b0c56d1896768e500d9402472180f5e90de81bb600e5784d4f9e085c",
+	"voronoi/default/O":                  "d00f2f70aef9e0db31e883f87cdda9502cfefb2d941c03f7f815f35a719c39f2",
+	"voronoi/default/O,NoInline":         "a041846632e863063f2d5c4392e90d26586efa76f11a8beec71956c2bd889d63",
+	"voronoi/default/O,DeclaredLayout":   "fdeea30fbb2799d3d9ab317620e0642351deb9e0a35e1e3f98a8777756cf521d",
+	"voronoi/quick/O":                    "17daa9aff3f02aca95d92516703d18f83274d5e728568e98e87669043f73f024",
+	"voronoi/quick/O,NoInline":           "4eafca0614eeccc10896d6e3aa77fe5ea36287b42fcc2d18d3db6f7f1667484c",
+	"voronoi/quick/O,DeclaredLayout":     "4ac1a49f773d00bfb7616a50f8c3881b3743e39d3dd79f9eacbb59a1eabd2e9b",
 	"halo/default/O":                     "2f839f5451b5b6a6c5c8dc8e4ce49cb978e21b9fc996fea349af8c0534c26bb2",
 	"halo/default/O,NoInline":            "2f839f5451b5b6a6c5c8dc8e4ce49cb978e21b9fc996fea349af8c0534c26bb2",
 	"halo/default/O,DeclaredLayout":      "2f839f5451b5b6a6c5c8dc8e4ce49cb978e21b9fc996fea349af8c0534c26bb2",
@@ -75,10 +75,10 @@ var compiledCodeGolden = map[string]string{
 	// Profile-guided builds (Pipeline.ProfileCycle on 4 nodes), where the
 	// measured factors scale tuple frequencies non-uniformly.
 	"power/quick/O,PGO":     "0d66300a7aada3f9a2a7f2fbc09165d12847f5a2318d98f7fbc6e05a3cd8947f",
-	"tsp/quick/O,PGO":       "0ec647d51159cc07bcf6922575a724eb46c73cc0ba336fb685b4100a3a89ba71",
+	"tsp/quick/O,PGO":       "503f0f63644c28b883b9b26a04d2318d546d75b995f6a018b928986bda631b41",
 	"health/quick/O,PGO":    "e2277712ed1732f5549a03ac3c2ee16d839a2384d9c57b2d15663ff3dc0f1473",
-	"perimeter/quick/O,PGO": "aa3841bde432e2bccc936835d4d5039379b350a4598868bfe67fef6b87e437f7",
-	"voronoi/quick/O,PGO":   "b56cc6fc9eb50054a938f2768255de1d4a106cb2013c234097ccea9911ebcfdf",
+	"perimeter/quick/O,PGO": "ac64d09265f03e7ca1dd422d55238cc2e31584199d6c988aed8e678f0203bbbb",
+	"voronoi/quick/O,PGO":   "18a4cebc931a52acb4c2d52d9698d6ace0a3422b70eae3d5377cbee6b0bf71f3",
 }
 
 // placementSetsGolden pins, for every compiledCodeGolden cell, the sha256 of
@@ -92,30 +92,30 @@ var placementSetsGolden = map[string]string{
 	"power/quick/O":                      "8a8a126c63415fe2475245f2c7b32464317879433a2032207153a441625ce7c9",
 	"power/quick/O,NoInline":             "248ee2cebcd033b5aadc3a57c0031f3fd6a6bfb7e093245063969d462365a369",
 	"power/quick/O,DeclaredLayout":       "ba549aa41a5b0f29feaf59a21aca44b662f47bccd0f0324d652fc247b6cd810a",
-	"tsp/default/O":                      "f3df7d5a7b1c80d9d0e9e96856338500e76809594e227735c3680e9ae1fe7f85",
-	"tsp/default/O,NoInline":             "1539b9022a0a9a0b8cc78d757934ff3fb96d77fa9ed75b74d8907b436b7193a7",
-	"tsp/default/O,DeclaredLayout":       "6416560bc0f3b8cd5d822499594169c0ebd1f3627168cb41a12a2ad1bec3401d",
-	"tsp/quick/O":                        "f3df7d5a7b1c80d9d0e9e96856338500e76809594e227735c3680e9ae1fe7f85",
-	"tsp/quick/O,NoInline":               "1539b9022a0a9a0b8cc78d757934ff3fb96d77fa9ed75b74d8907b436b7193a7",
-	"tsp/quick/O,DeclaredLayout":         "6416560bc0f3b8cd5d822499594169c0ebd1f3627168cb41a12a2ad1bec3401d",
+	"tsp/default/O":                      "97dc7109f360a50fc4e1f9e138527d0ef3f55bd23823474385e955837860f978",
+	"tsp/default/O,NoInline":             "ff59746e346b833cd32aa3d594f1cc510a490ff918982a07626bb14aecc8f8de",
+	"tsp/default/O,DeclaredLayout":       "01d95347054bb569fdd15993bf5f53384ccb985fc84a9f70fb011ab97e99fa34",
+	"tsp/quick/O":                        "97dc7109f360a50fc4e1f9e138527d0ef3f55bd23823474385e955837860f978",
+	"tsp/quick/O,NoInline":               "ff59746e346b833cd32aa3d594f1cc510a490ff918982a07626bb14aecc8f8de",
+	"tsp/quick/O,DeclaredLayout":         "01d95347054bb569fdd15993bf5f53384ccb985fc84a9f70fb011ab97e99fa34",
 	"health/default/O":                   "58bb0782af068ffbaa0aa0b681d3d92dd6b78fd7719ecaf26e79076427362c14",
 	"health/default/O,NoInline":          "61c4de0ca3d7541d51ea50db1c4df5e44e285b0e1c29ff6db8f6c2bdc571727d",
 	"health/default/O,DeclaredLayout":    "76bd4d33739cd22081d2499901c96eca6d0811b5d6eae467ccc80f77fa02cf82",
 	"health/quick/O":                     "58bb0782af068ffbaa0aa0b681d3d92dd6b78fd7719ecaf26e79076427362c14",
 	"health/quick/O,NoInline":            "61c4de0ca3d7541d51ea50db1c4df5e44e285b0e1c29ff6db8f6c2bdc571727d",
 	"health/quick/O,DeclaredLayout":      "76bd4d33739cd22081d2499901c96eca6d0811b5d6eae467ccc80f77fa02cf82",
-	"perimeter/default/O":                "c02b3bd909d5d02708b45f17795ed8abdf0bc77bf15747e68bf1391f3db349de",
-	"perimeter/default/O,NoInline":       "236d4d467c18727bf7b94afdd91e623532e998482c4bd8c4238a5586880387f2",
-	"perimeter/default/O,DeclaredLayout": "3ccdc543f731ca947f299c8e0c3578dac781a1840e8cf52179ba16f83b7cd98e",
-	"perimeter/quick/O":                  "c02b3bd909d5d02708b45f17795ed8abdf0bc77bf15747e68bf1391f3db349de",
-	"perimeter/quick/O,NoInline":         "236d4d467c18727bf7b94afdd91e623532e998482c4bd8c4238a5586880387f2",
-	"perimeter/quick/O,DeclaredLayout":   "3ccdc543f731ca947f299c8e0c3578dac781a1840e8cf52179ba16f83b7cd98e",
-	"voronoi/default/O":                  "9dfcb8401f1bab6491a982b2513cc93d08c4787f374e789c5b3036d7ecea065e",
-	"voronoi/default/O,NoInline":         "38ea79dc3955678794da867f25a50cfaec74e61a5f5d463e5849ff8b95b227bd",
-	"voronoi/default/O,DeclaredLayout":   "cf77c0f71cbb43b72311c5836236e889824b52b91b39953d05816a589ae36066",
-	"voronoi/quick/O":                    "9dfcb8401f1bab6491a982b2513cc93d08c4787f374e789c5b3036d7ecea065e",
-	"voronoi/quick/O,NoInline":           "38ea79dc3955678794da867f25a50cfaec74e61a5f5d463e5849ff8b95b227bd",
-	"voronoi/quick/O,DeclaredLayout":     "cf77c0f71cbb43b72311c5836236e889824b52b91b39953d05816a589ae36066",
+	"perimeter/default/O":                "23502c325e906b588725d34851cab6bfa737a05999ab3e7c7941117e341c5eb6",
+	"perimeter/default/O,NoInline":       "80998c6bbab3ed05b0c33185b2c4b43abf52d956fe5900206b00b997fe2dc031",
+	"perimeter/default/O,DeclaredLayout": "36c085bc18826fa5380eab97efb7ac99197b28dc8f94fbef57540e38644d2250",
+	"perimeter/quick/O":                  "23502c325e906b588725d34851cab6bfa737a05999ab3e7c7941117e341c5eb6",
+	"perimeter/quick/O,NoInline":         "80998c6bbab3ed05b0c33185b2c4b43abf52d956fe5900206b00b997fe2dc031",
+	"perimeter/quick/O,DeclaredLayout":   "36c085bc18826fa5380eab97efb7ac99197b28dc8f94fbef57540e38644d2250",
+	"voronoi/default/O":                  "10f956d8dbb0f5bec06fd8c455de47b58f2ea197695d5c2ef37133562566ca05",
+	"voronoi/default/O,NoInline":         "73bd2c566408523181e034df3982b245bb81422d0dc4e9792f95a26f9ac3c603",
+	"voronoi/default/O,DeclaredLayout":   "fee1677eb2a240ae96e1aa21f5d052f3c6589b110c854c5503ea4d797c68dc32",
+	"voronoi/quick/O":                    "10f956d8dbb0f5bec06fd8c455de47b58f2ea197695d5c2ef37133562566ca05",
+	"voronoi/quick/O,NoInline":           "73bd2c566408523181e034df3982b245bb81422d0dc4e9792f95a26f9ac3c603",
+	"voronoi/quick/O,DeclaredLayout":     "fee1677eb2a240ae96e1aa21f5d052f3c6589b110c854c5503ea4d797c68dc32",
 	"halo/default/O":                     "900d50258b822b9e189300f33f7d53b87ae8d3ba42cf22e1eacf49af79c03c7b",
 	"halo/default/O,NoInline":            "900d50258b822b9e189300f33f7d53b87ae8d3ba42cf22e1eacf49af79c03c7b",
 	"halo/default/O,DeclaredLayout":      "900d50258b822b9e189300f33f7d53b87ae8d3ba42cf22e1eacf49af79c03c7b",
@@ -132,10 +132,10 @@ var placementSetsGolden = map[string]string{
 	"scale_point.ec/O,NoInline":          "82173d3c5849dda8e7266d01918057674c85baf492d6bc803768e8537836abfd",
 	"scale_point.ec/O,DeclaredLayout":    "877b3c329ccfd48fe9811f5c62154951ca7c82be3f29655b2aa1863bea61578f",
 	"power/quick/O,PGO":                  "8a8a126c63415fe2475245f2c7b32464317879433a2032207153a441625ce7c9",
-	"tsp/quick/O,PGO":                    "d05754e86c21c4a363649050ac4585fd4f9c31422848425c1adf78bd84dfe217",
+	"tsp/quick/O,PGO":                    "fdc7cabdac999ecb21542c27532d69e595f1c3f45fcba0928056446ba97ceeb1",
 	"health/quick/O,PGO":                 "35b7ec21c9496b128bbba97e0fcf6f855f12d5db5ad74e69e9eb2342fe095cea",
-	"perimeter/quick/O,PGO":              "694db5af2f118b826529f35737547adaf6782284ede64002946c2f15b34590ef",
-	"voronoi/quick/O,PGO":                "4ac38076d7897b9817c37278ba801882aaecee36ea47cffe1c0ee416fa81d54b",
+	"perimeter/quick/O,PGO":              "e197c259d85fa1d628a2d7871fee5f727d4877dd330ca9ca06f66bcf4a78224f",
+	"voronoi/quick/O,PGO":                "056dde5a62e05b5e76a5106608cb98495b0017c7b8dd2749d42fb88771600e93",
 }
 
 // compiledCodeHash is the hash compiledCodeGolden pins for one compiled unit.
@@ -284,6 +284,7 @@ var epochPins = []struct {
 	{3, "b1b8cc30907e0a4dd4b1111adfa783dd3fd92e2b7d8165067d97049a3d900ed9"},
 	{4, "659a0737d9c2be31dec2c14e9f528157217ba93c970318446c529a1de53d0f57"},
 	{5, "2dab99555c7c95efb522ecd61bcfb7d6bd863f34e20528c242bb8da53460a77b"},
+	{6, "4097da93a3ddb3943ce329a37836bc0f7f274d915424433b706c3467136eec22"},
 }
 
 // goldenTablesHash hashes both golden tables, keys in sorted order.
@@ -332,22 +333,22 @@ var semaGolden = map[string]string{
 	"power/quick/O,DeclaredLayout":     "1b02352461192ffc0d380f0a1834aafd5c71083a503a074430166206b0b296c2",
 	"power/tiny/O":                     "1b02352461192ffc0d380f0a1834aafd5c71083a503a074430166206b0b296c2",
 	"power/tiny/O,DeclaredLayout":      "1b02352461192ffc0d380f0a1834aafd5c71083a503a074430166206b0b296c2",
-	"tsp/quick/O":                      "f766703b3896406277c70c4f04c9b76efc0719602e77728e3925c9f41020a7ea",
-	"tsp/quick/O,DeclaredLayout":       "f766703b3896406277c70c4f04c9b76efc0719602e77728e3925c9f41020a7ea",
-	"tsp/tiny/O":                       "f766703b3896406277c70c4f04c9b76efc0719602e77728e3925c9f41020a7ea",
-	"tsp/tiny/O,DeclaredLayout":        "f766703b3896406277c70c4f04c9b76efc0719602e77728e3925c9f41020a7ea",
+	"tsp/quick/O":                      "365b89854dbb4f13201a7ee12ec3b8569d654c3c0461720a22dbdfbebf9d9dd0",
+	"tsp/quick/O,DeclaredLayout":       "365b89854dbb4f13201a7ee12ec3b8569d654c3c0461720a22dbdfbebf9d9dd0",
+	"tsp/tiny/O":                       "365b89854dbb4f13201a7ee12ec3b8569d654c3c0461720a22dbdfbebf9d9dd0",
+	"tsp/tiny/O,DeclaredLayout":        "365b89854dbb4f13201a7ee12ec3b8569d654c3c0461720a22dbdfbebf9d9dd0",
 	"health/quick/O":                   "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
 	"health/quick/O,DeclaredLayout":    "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
 	"health/tiny/O":                    "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
 	"health/tiny/O,DeclaredLayout":     "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
-	"perimeter/quick/O":                "4fa1cd0f389f944f5620a3d86f5e90adb234bde684f0c6e841390ab70ac0c5f2",
-	"perimeter/quick/O,DeclaredLayout": "4fa1cd0f389f944f5620a3d86f5e90adb234bde684f0c6e841390ab70ac0c5f2",
-	"perimeter/tiny/O":                 "4fa1cd0f389f944f5620a3d86f5e90adb234bde684f0c6e841390ab70ac0c5f2",
-	"perimeter/tiny/O,DeclaredLayout":  "4fa1cd0f389f944f5620a3d86f5e90adb234bde684f0c6e841390ab70ac0c5f2",
-	"voronoi/quick/O":                  "38470b74899948180e0b2ed639b10364d3eca893663c7e959b5ae99bee5594e5",
-	"voronoi/quick/O,DeclaredLayout":   "38470b74899948180e0b2ed639b10364d3eca893663c7e959b5ae99bee5594e5",
-	"voronoi/tiny/O":                   "38470b74899948180e0b2ed639b10364d3eca893663c7e959b5ae99bee5594e5",
-	"voronoi/tiny/O,DeclaredLayout":    "38470b74899948180e0b2ed639b10364d3eca893663c7e959b5ae99bee5594e5",
+	"perimeter/quick/O":                "6ffa2fd1e8b2097b3089ae96a603ba6c44b9586ef8a00327cea736125651e395",
+	"perimeter/quick/O,DeclaredLayout": "6ffa2fd1e8b2097b3089ae96a603ba6c44b9586ef8a00327cea736125651e395",
+	"perimeter/tiny/O":                 "6ffa2fd1e8b2097b3089ae96a603ba6c44b9586ef8a00327cea736125651e395",
+	"perimeter/tiny/O,DeclaredLayout":  "6ffa2fd1e8b2097b3089ae96a603ba6c44b9586ef8a00327cea736125651e395",
+	"voronoi/quick/O":                  "780a9bb87b824130d0291addbb39d5d7b9d1b7b7c8f0ddf14bbcbdaf15100bf0",
+	"voronoi/quick/O,DeclaredLayout":   "780a9bb87b824130d0291addbb39d5d7b9d1b7b7c8f0ddf14bbcbdaf15100bf0",
+	"voronoi/tiny/O":                   "780a9bb87b824130d0291addbb39d5d7b9d1b7b7c8f0ddf14bbcbdaf15100bf0",
+	"voronoi/tiny/O,DeclaredLayout":    "780a9bb87b824130d0291addbb39d5d7b9d1b7b7c8f0ddf14bbcbdaf15100bf0",
 }
 
 // semaTinyParams are compile_cold's sizes (benchmark/workloads.go).
@@ -537,30 +538,30 @@ var restructureGolden = map[string]string{
 	"power/quick/NoInline":       "6a5ae9fa62cece882db18425874efead2ed9b2ca0058418b58a140d5018ed004",
 	"power/tiny/inline":          "8f08724d4416400737ebc71025537632ad4271d881e21b9a1cad16370d27b915",
 	"power/tiny/NoInline":        "4eab4cb90afea730ef941ace790abafbf9bbae3567399d6f104f31668b5868a9",
-	"tsp/default/inline":         "f587727bc8c76d2045f136941277c5894a6b960f156678eae582bd043bd9d9f0",
-	"tsp/default/NoInline":       "d781ad3b4d62c755be2c7787a4bf8113f848fe41e887bbd996fe181d822af9dd",
-	"tsp/quick/inline":           "51f2a521a1255930c9a5be92be1b599984c1bad1d64b76a9aeb40e363015e720",
-	"tsp/quick/NoInline":         "721bb472c6e6c36c95f48e6fbff2d61e5b0053f2cc36dac0d02d974532493d6e",
-	"tsp/tiny/inline":            "e427f04ddbcaba5e8b495f2cce9a56491ec5d05ab0aafad1f7393b31ad983341",
-	"tsp/tiny/NoInline":          "8ac13a001f70cfa0b74754cd9edb083d1f59a5beefc260fd26c4888b1cddbe3d",
+	"tsp/default/inline":         "740b68e041e3528f0e05d12b03b697cfd82364e2b824b592cba06531ae128943",
+	"tsp/default/NoInline":       "b6c83436a586f42c19e10a5730b04e261554a6690bd5ea9fb28da6b18f42adc8",
+	"tsp/quick/inline":           "57cfaac168a188c1c65d5ef4ceba46d6237f33d9a19a4ee29707abdddf22b64e",
+	"tsp/quick/NoInline":         "3c694ad7bed813bb009fd22e1e707762810dd931c9b839cc4e28b03deb775eed",
+	"tsp/tiny/inline":            "00825a17cf7c61dc850915749c3ced368bf3863cad637210331103d8861b2ea7",
+	"tsp/tiny/NoInline":          "b28130eb5d80154ec80e2fa69d615623b20080037e0ddd6d14f69e69b465feb9",
 	"health/default/inline":      "42ea595ec7622f2948d38fec2efa7822d9fbae9f24d4f1deee1a2953b7dd787e",
 	"health/default/NoInline":    "8a4f08476542c8b550e3429231dc41531e33c35c719c8dbd6318597f9094fe08",
 	"health/quick/inline":        "1a5a84b58050d0df75350660b2a0d9a61ee0d15d2f870aeb1c80f0bf038fbee4",
 	"health/quick/NoInline":      "fd138dd3f75227cd95a1478773a0311416ca276c304ab483c64c85bce6d9bfcf",
 	"health/tiny/inline":         "091c3b94bb624d59f3109132c5be3110d3b5e61b3be252a874c339fc1cd3801d",
 	"health/tiny/NoInline":       "2ecd12d769380075ec88f4bc8d720ccfb0c19c22803e69e111e4861ed7465037",
-	"perimeter/default/inline":   "1f7431fd2c498a29f1624ccb1cac3d4145f86c760a669c212eda4d58ae3ad8b4",
-	"perimeter/default/NoInline": "ae07f5a44b13cad01e7a14e6aad52b71235179ea790f93d0b531e8ea6e2097b1",
-	"perimeter/quick/inline":     "3d9e29054d43c55146a58be3cc2ee71c180856ebd1ecd16c2b6204830a156538",
-	"perimeter/quick/NoInline":   "ce479486d3c467e2025bd2132e0745b02515142ec63d124e367e3d8f5f926c29",
-	"perimeter/tiny/inline":      "901d4e1007ac1fa90f887f52619871798a776ea943132eee38649fbde3695c39",
-	"perimeter/tiny/NoInline":    "e23562dc06b71090355e0eab1e7f6f26e46ea3ab879b799911a1dd5a113e8121",
-	"voronoi/default/inline":     "d2b56f247185270dc9db9f2582ce06e431d1a91d558477751a42aa8fad3fb8c0",
-	"voronoi/default/NoInline":   "102fb81b26c2df7e605e909f5e51b698ef435092bde6ba3f2155c4f96d8cbc1d",
-	"voronoi/quick/inline":       "73d755a0c002569f75b646a5701e347b6297c97e179377aefa518833f25ab4a0",
-	"voronoi/quick/NoInline":     "b024e5c54c684ad9542b3c3920f98091a83e61c8311d1b5edf71a693a31beb80",
-	"voronoi/tiny/inline":        "40486b86a9b03ba55fd66974a2f9039deee61ffd6e690a142ac5a5aebd8721b8",
-	"voronoi/tiny/NoInline":      "b8e47e0e1143064216e6380a5f942b50db5b41b2001693a3d0bb391507c4afa1",
+	"perimeter/default/inline":   "5391bbc7e466cac1fa34949b0b84a030525384ac3b0f92c9ebfe7f46d048e5c7",
+	"perimeter/default/NoInline": "856b569d1eba0f79821ef6876c447303b2554bdfaa717654312177f9c9ab71aa",
+	"perimeter/quick/inline":     "0c6a7b01190426d369d4958b67fb3a937cccb990eaecd58891d4c146699601f0",
+	"perimeter/quick/NoInline":   "c080e8f59f03d50f3f4de124e0707ae8f7684778d0669c549d9afe269ad9be2a",
+	"perimeter/tiny/inline":      "1811f2137238377e2aa5e9231f8c6dd6a4e45c68e26578a8c10402190d8a22be",
+	"perimeter/tiny/NoInline":    "acc30ac3a3580310cd003195cc5d8370eea986591ad5728b1d41e0883bfc742b",
+	"voronoi/default/inline":     "f3964a296bfb3e5a1486daa6320ff26f83828f4767ed6af18b8916cda2d8e9d4",
+	"voronoi/default/NoInline":   "bcecd0c7179d9cfd8862b72fd75be7fd4f213036eee6a5e430fc5ca00d5f5e62",
+	"voronoi/quick/inline":       "0d6cd902743506668b62e24e912c2ed65da9d0cff9c69e38aaf66248fb77bc06",
+	"voronoi/quick/NoInline":     "3076ca95f94fe16b1e465a5f7635f9c7a186c94bff6a5771c7e35acc5d55fd65",
+	"voronoi/tiny/inline":        "b576dba96ac3af5faeb1cdc6bb2c2ed8a1c70b6b4bf1742259297aefbdbb85ef",
+	"voronoi/tiny/NoInline":      "e83771f4c8eecd09ce961ac7f6058ed55cb11ec0c3d8237eaa1b022f1f540299",
 	"halo/default/inline":        "8270e1610193c469a76df072f8f23ec1908e8bcd57caa2095c9806b96ee1eac9",
 	"halo/default/NoInline":      "8270e1610193c469a76df072f8f23ec1908e8bcd57caa2095c9806b96ee1eac9",
 	"halo/quick/inline":          "8270e1610193c469a76df072f8f23ec1908e8bcd57caa2095c9806b96ee1eac9",

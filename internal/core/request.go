@@ -81,8 +81,11 @@ type Phase struct {
 // code; epoch 4 let a comm temp share the frame slot of the variable its one
 // copy assigns, so the get fills that variable and the copy emits nothing;
 // epoch 5 forwards a read through a pointer copy from the fields the copied
-// pointer's buffer already holds (commsel's forwardReads).
-const compilerEpoch = 5
+// pointer's buffer already holds (commsel's forwardReads). Epoch 6 changed
+// no compiler code: tsp, voronoi and perimeter began to derive their
+// decomposition depth from num_nodes(), which re-pinned their golden cells,
+// and every re-pin takes a new epoch so that the rule stays one rule.
+const compilerEpoch = 6
 
 // fingerprint renders the compiler epoch, the compile-relevant options and
 // the bound profile into the cache namespace key. The ignored Workers and

@@ -110,10 +110,10 @@ func TestFaultVisibleEquivalence(t *testing.T) {
 func TestFaultSweepQuick(t *testing.T) {
 	baseNs := map[string]int64{
 		"power":     2312022,
-		"tsp":       3671968,
+		"tsp":       2735545,
 		"health":    3080965,
-		"perimeter": 5120670,
-		"voronoi":   13708110,
+		"perimeter": 3811870,
+		"voronoi":   8715911,
 	}
 	res, err := MeasureFaultSweep(faultTestNodes, nil, 1, olden.QuickParams)
 	if err != nil {

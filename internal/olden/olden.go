@@ -83,6 +83,26 @@ int nextrand(int seed) {
 }
 `
 
+// levels is the decomposition-depth helper of the tree benchmarks (tsp,
+// voronoi, perimeter): the smallest L with fanout^L >= num_nodes(), so a
+// tree whose top L levels are placed on distinct nodes reaches every node
+// and each subtree below that depth has one owner.
+const levels = `
+int levels(int fanout) {
+	int l;
+	int span;
+	int n;
+	n = num_nodes();
+	l = 0;
+	span = 1;
+	while (span < n) {
+		span = span * fanout;
+		l = l + 1;
+	}
+	return l;
+}
+`
+
 // expand substitutes @SIZE@ and @ITERS@ parameter markers in a benchmark
 // template (EARTH-C uses % heavily, so printf-style formatting is avoided).
 func expand(template string, p Params) string {

@@ -24,7 +24,7 @@ func perimeterSource(p Params) string {
 	return expand(perimeterTemplate, p)
 }
 
-const perimeterTemplate = `
+const perimeterTemplate = levels + `
 // Colors and child types are small integers:
 //   color: 0 white, 1 black, 2 grey
 //   childtype: 0 nw, 1 ne, 2 sw, 3 se
@@ -283,20 +283,29 @@ int main() {
 	int s;
 	int total;
 	int h;
+	int lvl;
+	int par;
 	s = 1;
 	int i;
 	for (i = 0; i < DEPTH(); i++) s = s * 2;
 	h = s / 2;
-	// Top quadrants are distributed round-robin; subtrees stay node-local.
+	// Owner of element: the top quadrant k lives on node k mod P, and a
+	// quad owned by node n placed below it gives its child k to node
+	// 4n+k mod P for lvl = levels(4) - 1 more levels. Every quad deeper
+	// than that has its parent's owner, so the subtrees stay node-local.
+	lvl = levels(4) - 1;
+	if (lvl < 0) lvl = 0;
+	par = levels(4);
+	if (par < 3) par = 3;
 	root = alloc(Quad);
 	root->color = 2;
 	root->childtype = 0;
 	root->parent = NULL;
-	root->nw = build(0, 0, h, s, root, 0, 0 % num_nodes(), 2)@ON(0 % num_nodes());
-	root->ne = build(h, 0, h, s, root, 1, 1 % num_nodes(), 2)@ON(1 % num_nodes());
-	root->sw = build(0, h, h, s, root, 2, 2 % num_nodes(), 2)@ON(2 % num_nodes());
-	root->se = build(h, h, h, s, root, 3, 3 % num_nodes(), 2)@ON(3 % num_nodes());
-	total = perimeter_par(root, s, 3);
+	root->nw = build(0, 0, h, s, root, 0, 0 % num_nodes(), lvl)@ON(0 % num_nodes());
+	root->ne = build(h, 0, h, s, root, 1, 1 % num_nodes(), lvl)@ON(1 % num_nodes());
+	root->sw = build(0, h, h, s, root, 2, 2 % num_nodes(), lvl)@ON(2 % num_nodes());
+	root->se = build(h, h, h, s, root, 3, 3 % num_nodes(), lvl)@ON(3 % num_nodes());
+	total = perimeter_par(root, s, par);
 	print_int(total);
 	return total;
 }

@@ -23,7 +23,7 @@ func tspSource(p Params) string {
 	return expand(tspTemplate, p)
 }
 
-const tspTemplate = lcg + `
+const tspTemplate = lcg + levels + `
 struct City {
 	double x;
 	double y;
@@ -36,8 +36,11 @@ struct City {
 int NCITIES() { return @SIZE@; }
 
 // build constructs a balanced binary tree of n cities with deterministic
-// pseudo-random coordinates. The top lvl levels spread subtrees round-robin
-// across nodes; deeper levels stay on their subtree's node.
+// pseudo-random coordinates. The top lvl levels place the children of a
+// city owned by node k on nodes 2k and 2k+1 (mod P); deeper levels stay on
+// their subtree's node. main passes lvl = levels(2), so the tree reaches
+// every node, and a city below that depth has the owner of its level-lvl
+// ancestor.
 City *build(int n, int seed, int node, int lvl) {
 	City *c;
 	int s;
@@ -141,8 +144,9 @@ City *tsp(City *t) {
 	return tour;
 }
 
-// tsp_par parallelizes the top of the divide and conquer, solving each
-// subtree on its owner node.
+// tsp_par parallelizes the top lvl levels of the divide and conquer,
+// solving each subtree on its owner node. With the same lvl as build, each
+// leaf subtree is solved by the node that owns all of its cities.
 City *tsp_par(City *t, int lvl) {
 	City *l;
 	City *r;
@@ -187,8 +191,8 @@ int main() {
 	City *root;
 	City *tour;
 	double len;
-	root = build(NCITIES(), 42, 0, 3);
-	tour = tsp_par(root, 2);
+	root = build(NCITIES(), 42, 0, levels(2));
+	tour = tsp_par(root, levels(2));
 	len = tour_length(tour);
 	print_double(len);
 	return trunc(len);

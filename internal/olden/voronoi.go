@@ -27,7 +27,7 @@ func voronoiSource(p Params) string {
 	return expand(voronoiTemplate, p)
 }
 
-const voronoiTemplate = lcg + `
+const voronoiTemplate = lcg + levels + `
 struct Point {
 	double x;
 	double y;
@@ -40,6 +40,12 @@ struct Point {
 
 int NPOINTS() { return @SIZE@; }
 
+// build constructs a balanced binary tree of n points. The top lvl levels
+// place the children of a point owned by node k on nodes 2k and 2k+1
+// (mod P); deeper levels stay on their subtree's node. main passes
+// lvl = levels(2), so a point's owner is the owner of its level-lvl
+// ancestor, and hull_par at the same depth computes each leaf sub-hull on
+// the node that owns all of its points.
 Point *build(int n, int seed, int node, int lvl) {
 	Point *p;
 	int s;
@@ -219,8 +225,8 @@ int main() {
 	Point *p;
 	double len;
 	int count;
-	root = build(NPOINTS(), 1234, 0, 3);
-	h = hull_par(root, 2);
+	root = build(NPOINTS(), 1234, 0, levels(2));
+	h = hull_par(root, levels(2));
 	len = 0.0;
 	count = 0;
 	p = h;
