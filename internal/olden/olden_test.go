@@ -50,10 +50,17 @@ func small(b *Benchmark) Params {
 	return p
 }
 
-// TestBenchmarksRun runs every benchmark on 1 and 4 nodes, simple and
-// optimized, and demands identical program output across all four runs —
-// the communication optimization must be semantics-preserving, and the
-// machine size must not affect results.
+// runNodes are the machine sizes TestBenchmarksRun covers: powers of two up
+// to 16 and one that is not.
+var runNodes = []int{1, 2, 3, 4, 8, 16}
+
+// TestBenchmarksRun runs every benchmark on each of runNodes, simple and
+// optimized, and demands one program output across all runs — the
+// communication optimization must be semantics-preserving, and the machine
+// size must not affect results. tsp and voronoi derive their decomposition
+// depth from the machine size (levels(2)), so their spawn count must be 0 on
+// one node and grow strictly with each doubling up to 16 nodes: a fixed
+// depth would spawn the same number of fibers at every size.
 func TestBenchmarksRun(t *testing.T) {
 	for _, b := range All() {
 		b := b
@@ -61,17 +68,19 @@ func TestBenchmarksRun(t *testing.T) {
 			src := b.Source(small(b))
 			var ref string
 			first := true
-			for _, nodes := range []int{1, 4} {
-				for _, optimize := range []bool{false, true} {
-					p := core.NewPipeline(core.Options{Optimize: optimize})
-					u, err := p.Compile(b.Name+".ec", src)
-					if err != nil {
-						t.Fatalf("%s nodes=%d optimize=%v: %v", b.Name, nodes, optimize, err)
-					}
+			for _, optimize := range []bool{false, true} {
+				p := core.NewPipeline(core.Options{Optimize: optimize})
+				u, err := p.Compile(b.Name+".ec", src)
+				if err != nil {
+					t.Fatalf("%s optimize=%v: %v", b.Name, optimize, err)
+				}
+				spawns := map[int]int64{}
+				for _, nodes := range runNodes {
 					res, err := p.Run(u, core.RunConfig{Nodes: nodes})
 					if err != nil {
 						t.Fatalf("%s nodes=%d optimize=%v: %v", b.Name, nodes, optimize, err)
 					}
+					spawns[nodes] = res.Counts.Spawns
 					if first {
 						ref = res.Output
 						first = false
@@ -79,6 +88,18 @@ func TestBenchmarksRun(t *testing.T) {
 					} else if res.Output != ref {
 						t.Errorf("%s nodes=%d optimize=%v: output %q != reference %q",
 							b.Name, nodes, optimize, res.Output, ref)
+					}
+				}
+				if b.Name != "tsp" && b.Name != "voronoi" {
+					continue
+				}
+				if spawns[1] != 0 {
+					t.Errorf("%s optimize=%v: %d spawns on 1 node, want 0", b.Name, optimize, spawns[1])
+				}
+				for prev, nodes := 1, 2; nodes <= 16; prev, nodes = nodes, 2*nodes {
+					if spawns[nodes] <= spawns[prev] {
+						t.Errorf("%s optimize=%v: %d spawns on %d nodes, not more than %d on %d",
+							b.Name, optimize, spawns[nodes], nodes, spawns[prev], prev)
 					}
 				}
 			}
