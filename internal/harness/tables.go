@@ -130,6 +130,11 @@ type Fig10Row struct {
 	OptReads     int64
 	OptWrites    int64
 	OptBlk       int64
+	// Of each build's read-data, write-data and blkmov operations, those
+	// whose target was another node; the rest hit the issuing node
+	// (pseudo-remote).
+	SimpleRemote int64
+	OptRemote    int64
 	// Remaining message classes, beyond the figure's three data columns
 	// (these are unchanged by the optimization in principle; the table
 	// prints both sides so regressions show).
@@ -198,8 +203,32 @@ func (r *Fig10Result) String() string {
 			norm(row.OptReads), norm(row.OptWrites), norm(row.OptBlk),
 			row.Normalized())
 	}
+	b.WriteString(r.remoteSplit())
 	b.WriteString(r.classBreakdown())
 	b.WriteString(r.selectionTable())
+	return b.String()
+}
+
+// remoteSplit renders the figure's data operations split by where their
+// target was: another node (remote) or the issuing node (pseudo-remote, a
+// runtime call that stays local).
+func (r *Fig10Result) remoteSplit() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "\nRemote / pseudo-remote split (absolute data ops, simple / optimized):\n")
+	fmt.Fprintf(&b, "%-10s %10s %10s %8s | %10s %10s %8s\n",
+		"Benchmark", "s.remote", "s.pseudo", "s.rem%", "o.remote", "o.pseudo", "o.rem%")
+	share := func(part, total int64) float64 {
+		if total == 0 {
+			return 0
+		}
+		return 100 * float64(part) / float64(total)
+	}
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "%-10s %10d %10d %7.1f%% | %10d %10d %7.1f%%\n",
+			row.Benchmark,
+			row.SimpleRemote, row.TotalSimple-row.SimpleRemote, share(row.SimpleRemote, row.TotalSimple),
+			row.OptRemote, row.OptTotal()-row.OptRemote, share(row.OptRemote, row.OptTotal()))
+	}
 	return b.String()
 }
 
@@ -346,6 +375,8 @@ func MeasureFig10Single(bm *olden.Benchmark, params olden.Params, nodes int) (*F
 	}
 	row := &Fig10Row{
 		Benchmark:       bm.Name,
+		SimpleRemote:    simple.Counts.TotalRemote(),
+		OptRemote:       opt.Counts.TotalRemote(),
 		SimpleShared:    simple.Counts.SharedOps,
 		SimpleRPC:       simple.Counts.RPCs,
 		SimpleAlloc:     simple.Counts.Allocs,
