@@ -84,7 +84,7 @@ type Phase struct {
 // pointer's buffer already holds (commsel's forwardReads). Epoch 6 changed
 // no compiler code: tsp, voronoi and perimeter began to derive their
 // decomposition depth from num_nodes(), which re-pinned their golden cells,
-// and every re-pin takes a new epoch so that the rule stays one rule.
+// and TestCompilerEpoch gives every re-pin a new epoch.
 const compilerEpoch = 6
 
 // fingerprint renders the compiler epoch, the compile-relevant options and

@@ -12,8 +12,8 @@ import (
 // sits furthest below the paper's). A change that moves either build's time
 // edits these literals in the same step. Perimeter's pair was 250,834,825
 // and 240,775,745 ns before each top quadrant's subtree was built on one
-// owner (levels(4)): fewer remote reads leave less for selection to remove. Each pair takes seconds, so -short
-// skips the test.
+// owner (levels(4)): fewer remote reads leave less for selection to
+// remove. Each pair takes seconds, so -short skips the test.
 func TestPaperSizeCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-size runs take seconds")
