@@ -6,10 +6,11 @@ import (
 	"repro/internal/olden"
 )
 
-// TestPaperSizeCells pins two of Table III's rows at the paper's own problem
-// sizes on 16 nodes, simple and optimized, to the nanosecond: health at 4
-// levels and 600 iterations, and perimeter at depth 11 (the row whose gain
-// sits furthest below the paper's). A change that moves either build's time
+// TestPaperSizeCells pins three of Table III's rows at the paper's own
+// problem sizes on 16 nodes, simple and optimized, to the nanosecond: health
+// at 4 levels and 600 iterations, perimeter at depth 11 (the row whose gain
+// sits furthest below the paper's), and tsp at 32,768 cities (the row that
+// does not speed up from 4 to 16 nodes). A change that moves a build's time
 // edits these literals in the same step. Perimeter's pair was 250,834,825
 // and 240,775,745 ns before each top quadrant's subtree was built on one
 // owner (levels(4)): fewer remote reads leave less for selection to
@@ -25,6 +26,7 @@ func TestPaperSizeCells(t *testing.T) {
 	}{
 		{"health", olden.Params{Size: 4, Iters: 600}, 401_698_091, 368_591_070},
 		{"perimeter", olden.Params{Size: 11}, 228_088_620, 226_808_170},
+		{"tsp", olden.Params{Size: 32768}, 3_179_173_380, 1_625_320_405},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s, o, err := RunPair(olden.ByName(c.name), c.params, 16)
