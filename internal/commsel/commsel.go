@@ -23,6 +23,7 @@ package commsel
 import (
 	"fmt"
 
+	"repro/internal/earthc"
 	"repro/internal/locality"
 	"repro/internal/par"
 	"repro/internal/placement"
@@ -76,6 +77,7 @@ type FuncReport struct {
 	ReadsRewritten  int // remote loads redirected to a shadow
 	WritesRewritten int // remote stores redirected to a shadow
 	ReadsEliminated int // redundant loads beyond the first per shadow fill
+	CarriedReads    int // loop-head fields refilled at a latch (see placement.Carry)
 }
 
 // Report aggregates transformation statistics.
@@ -95,16 +97,22 @@ func (r *Report) Totals() FuncReport {
 		t.ReadsRewritten += f.ReadsRewritten
 		t.WritesRewritten += f.WritesRewritten
 		t.ReadsEliminated += f.ReadsEliminated
+		t.CarriedReads += f.CarriedReads
 	}
 	return t
 }
 
-// String renders the report.
+// String renders the report. The carried count shows only where a carry
+// fired.
 func (r *Report) String() string {
 	t := r.Totals()
+	carried := ""
+	if t.CarriedReads > 0 {
+		carried = fmt.Sprintf(", %d carried", t.CarriedReads)
+	}
 	return fmt.Sprintf(
-		"commsel: reads %d pipelined + %d blocked (%d loads redirected, %d redundant eliminated); writes %d pipelined + %d blocked (%d stores redirected)",
-		t.PipelinedReads, t.BlockedReads, t.ReadsRewritten, t.ReadsEliminated,
+		"commsel: reads %d pipelined + %d blocked (%d loads redirected, %d redundant eliminated%s); writes %d pipelined + %d blocked (%d stores redirected)",
+		t.PipelinedReads, t.BlockedReads, t.ReadsRewritten, t.ReadsEliminated, carried,
 		t.PipelinedWrites, t.BlockedWrites, t.WritesRewritten)
 }
 
@@ -157,6 +165,7 @@ func Transform(prog *simple.Program, pl *placement.Result, rw *rwsets.Result,
 			readShadow:  make(map[int]shadow),
 			storeShadow: make(map[int]shadow),
 		}
+		s.planCarries()
 		s.readsSeq(fn.Body)
 		s.applyReadRewrites()
 		if !opt.NoReadMotion {
@@ -203,13 +212,21 @@ type sel struct {
 	// write-back inside one blocks.
 	inPar int
 
+	// The function's loop-carried reads (see carry.go): its carries, the
+	// head loads held back until selection enters their loop (made only
+	// when a carry does not fire), and the comm temps the latch copies read
+	// or write, which forwarding leaves alone.
+	carries []*carryState
+	held    map[int]bool
+	pinned  []*simple.Var
+
 	ncomm  int
 	nbcomm int
 }
 
-func (s *sel) newComm(t *simple.Var) *simple.Var {
+func (s *sel) newComm(t earthc.Type) *simple.Var {
 	s.ncomm++
-	v := &simple.Var{Name: fmt.Sprintf("comm%d", s.ncomm), Type: t.Type,
+	v := &simple.Var{Name: fmt.Sprintf("comm%d", s.ncomm), Type: t,
 		Kind: simple.VarComm, Size: 1}
 	return s.fn.AddLocal(v)
 }

@@ -241,7 +241,7 @@ func (f *forwarder) forwardReads(s *sel) {
 	clear(f.gets)
 	f.offs, f.ptrs, f.pairs = f.offs[:0], f.ptrs[:0], f.pairs[:0]
 	for label, sh := range s.readShadow {
-		if sh.blk || f.loads[sh.v] == nil && f.crossed(sh.v) {
+		if sh.blk || slices.Contains(s.pinned, sh.v) || f.loads[sh.v] == nil && f.crossed(sh.v) {
 			continue
 		}
 		b := s.fn.Basics[label]

@@ -1,6 +1,7 @@
 package commsel
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/earthc"
@@ -71,11 +72,15 @@ func (s *sel) descendReads(st simple.Stmt, seq *simple.Seq, i int) {
 			s.readsSeq(cc.Body)
 		}
 	case *simple.While:
+		s.enterLoop(c)
 		s.readsSeq(c.Eval)
 		s.readsSeq(c.Body)
+		s.exitLoop(c, c.Body)
 	case *simple.Do:
+		s.enterLoop(c)
 		s.readsSeq(c.Body)
 		s.readsSeq(c.Eval)
+		s.exitLoop(c, c.Body)
 	case *simple.Forall:
 		s.readsSeq(c.Eval)
 		s.readsSeq(c.Body)
@@ -103,7 +108,7 @@ func (s *sel) selectReadsAt(set placement.Set, st simple.Stmt) []simple.Stmt {
 	for _, t := range set.Tuples() {
 		var labels []int
 		for _, l := range t.Labels() {
-			if !s.handledR[t.Loc][l] {
+			if !s.handledR[t.Loc][l] && !s.held[l] {
 				labels = append(labels, l)
 			}
 		}
@@ -135,6 +140,27 @@ func (s *sel) selectReadsAt(set placement.Set, st simple.Stmt) []simple.Stmt {
 			ptrs = append(ptrs, t.P)
 		}
 		byPtr[t.P] = append(byPtr[t.P], cand{t: t, labels: labels})
+	}
+	// An armed carry filled here adds its fields to q's group; a field q's
+	// own reads already fetch, or would fetch only in a block, is promoted.
+	if q, cts := s.carriedAt(st); len(cts) > 0 {
+	carried:
+		for _, ct := range cts {
+			for _, c := range byPtr[q] {
+				if c.t.Off == ct.Off {
+					continue carried
+				}
+			}
+			if i := slices.IndexFunc(extraByPtr[q], func(c cand) bool { return c.t.Off == ct.Off }); i >= 0 {
+				byPtr[q] = append(byPtr[q], extraByPtr[q][i])
+				extraByPtr[q] = slices.Delete(extraByPtr[q], i, i+1)
+				continue
+			}
+			if byPtr[q] == nil {
+				ptrs = append(ptrs, q)
+			}
+			byPtr[q] = append(byPtr[q], cand{t: ct})
+		}
 	}
 	sort.Slice(ptrs, func(i, j int) bool { return ptrs[i].Name < ptrs[j].Name })
 
@@ -198,16 +224,23 @@ func (s *sel) selectReadsAt(set placement.Set, st simple.Stmt) []simple.Stmt {
 			for _, c := range group {
 				sh := shadow{v: bcomm, off: c.t.Off, field: c.t.Field, blk: true}
 				s.commit(c.t, c.labels, sh)
+				s.filled(st, p, c.t.Off, sh)
 			}
 		} else {
 			for _, c := range group {
 				// The shadow's type is the loaded field's type, taken from
-				// any destination of the covered loads.
-				dst := s.loadDst(c.labels)
-				if dst == nil {
+				// any destination of the covered loads, or from the struct
+				// for a carried field, which has none.
+				var typ earthc.Type
+				if dst := s.loadDst(c.labels); dst != nil {
+					typ = dst.Type
+				} else if len(c.labels) == 0 && layout != nil {
+					typ = layout.FieldTypes[c.t.Field]
+				}
+				if typ == nil {
 					continue
 				}
-				comm := s.newComm(dst)
+				comm := s.newComm(typ)
 				get := s.fn.NewBasic(simple.KGetF)
 				get.Dst = comm
 				get.P = p
@@ -218,6 +251,7 @@ func (s *sel) selectReadsAt(set placement.Set, st simple.Stmt) []simple.Stmt {
 				s.fr.PipelinedReads++
 				sh := shadow{v: comm, field: c.t.Field}
 				s.commit(c.t, c.labels, sh)
+				s.filled(st, p, c.t.Off, sh)
 			}
 		}
 	}
@@ -302,122 +336,13 @@ func (s *sel) commit(t *placement.Tuple, labels []int, sh shadow) {
 func (s *sel) derefSafe(p *simple.Var) bool {
 	for level := len(s.stack) - 1; level >= 0; level-- {
 		f := s.stack[level]
-		switch s.scanSeq(f.seq, f.idx, p) {
-		case scanFound:
+		switch placement.DerefScan(s.rw, f.seq.Stmts[f.idx:], p) {
+		case placement.ScanFound:
 			return true
-		case scanKilled:
+		case placement.ScanKilled:
 			return false
 		}
 		// Fell off this sequence: continue after the enclosing construct.
-	}
-	return false
-}
-
-type scanResult int
-
-const (
-	scanFall   scanResult = iota // no deref yet, p unchanged: keep scanning
-	scanFound                    // dereferenced on all paths
-	scanKilled                   // p may change (or the path ends) first
-)
-
-func (s *sel) scanSeq(seq *simple.Seq, from int, p *simple.Var) scanResult {
-	for i := from; i < len(seq.Stmts); i++ {
-		switch r := s.scanStmt(seq.Stmts[i], p); r {
-		case scanFound, scanKilled:
-			return r
-		}
-	}
-	return scanFall
-}
-
-func (s *sel) scanStmt(st simple.Stmt, p *simple.Var) scanResult {
-	switch c := st.(type) {
-	case *simple.Basic:
-		if basicDerefs(c, p) {
-			return scanFound
-		}
-		if c.Kind == simple.KReturn {
-			return scanKilled
-		}
-		if s.rw.VarWritten(p, c) {
-			return scanKilled
-		}
-		return scanFall
-	case *simple.Seq:
-		return s.scanSeq(c, 0, p)
-	case *simple.If:
-		t := s.scanSeq(c.Then, 0, p)
-		e := s.scanSeq(c.Else, 0, p)
-		if t == scanKilled || e == scanKilled {
-			return scanKilled
-		}
-		if t == scanFound && e == scanFound {
-			return scanFound
-		}
-		return scanFall
-	case *simple.Switch:
-		all := scanFound
-		hasDefault := false
-		for _, cc := range c.Cases {
-			if cc.Vals == nil {
-				hasDefault = true
-			}
-			switch s.scanSeq(cc.Body, 0, p) {
-			case scanKilled:
-				return scanKilled
-			case scanFall:
-				all = scanFall
-			}
-		}
-		if !hasDefault {
-			all = scanFall
-		}
-		return all
-	case *simple.While, *simple.Forall:
-		// The body may execute zero times; only the kill side matters.
-		if s.rw.VarWritten(p, st) {
-			return scanKilled
-		}
-		return scanFall
-	case *simple.Do:
-		// Executes at least once.
-		r := s.scanSeq(c.Body, 0, p)
-		if r != scanFall {
-			return r
-		}
-		if s.rw.VarWritten(p, st) {
-			return scanKilled
-		}
-		return scanFall
-	case *simple.Par:
-		for _, arm := range c.Arms {
-			switch s.scanSeq(arm, 0, p) {
-			case scanFound:
-				return scanFound
-			case scanKilled:
-				return scanKilled
-			}
-		}
-		return scanFall
-	}
-	return scanFall
-}
-
-// basicDerefs reports whether the basic statement dereferences p.
-func basicDerefs(b *simple.Basic, p *simple.Var) bool {
-	switch b.Kind {
-	case simple.KAssign:
-		if ld, ok := b.Rhs.(simple.LoadRV); ok && ld.P == p {
-			return true
-		}
-		if stv, ok := b.Lhs.(simple.StoreLV); ok && stv.P == p {
-			return true
-		}
-	case simple.KBlkCopy:
-		return b.P == p || b.P2 == p
-	case simple.KGetF, simple.KPutF, simple.KBlkRead, simple.KBlkWrite:
-		return b.P == p
 	}
 	return false
 }

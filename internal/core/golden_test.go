@@ -32,12 +32,12 @@ var compiledCodeGolden = map[string]string{
 	"power/quick/O":                      "0d66300a7aada3f9a2a7f2fbc09165d12847f5a2318d98f7fbc6e05a3cd8947f",
 	"power/quick/O,NoInline":             "342ce56ae276b4dff883b8a3520a3f6d51f95b38d57fe816fa8ede63cd9d24c3",
 	"power/quick/O,DeclaredLayout":       "fd48a202b5d838981b944e2da7d233c53180177eb48442632763eff92ef2507c",
-	"tsp/default/O":                      "7275ada1ec44daccd02012949ed7ed4636716953ffa8e1e10ae4a9c1f137e20c",
+	"tsp/default/O":                      "c6c866f862908f27f54e2cf1bdcb871653869f74dc6c80ba32feee40615c3c14",
 	"tsp/default/O,NoInline":             "ce81950a09ed9d409482565248245ab3358c260a36429b041f7b1bb85ed743ab",
-	"tsp/default/O,DeclaredLayout":       "d54bc02f6662c2f99a2763cf482c2a76992a400bce4b2648d0f049dbd0c36803",
-	"tsp/quick/O":                        "c2fd03e548a4368b7e6c7b61239154e6d58acbafb424abf9cb2a602fd7ea4900",
+	"tsp/default/O,DeclaredLayout":       "c767adc80818b0528c3e9e5c711fe8d8bdc0a29609a9d2f69da784c18576281e",
+	"tsp/quick/O":                        "d6645f2065d20a92b4aa5d9016198389dcb18c3a64cf7a7b2376c7276e800714",
 	"tsp/quick/O,NoInline":               "ab6728a1fcd54b889280403ee228ddd96e1f1a2517b869a3d533d9d7c1ffea2a",
-	"tsp/quick/O,DeclaredLayout":         "f6cd89c10b144809f69056c5ec497885f1b91f7371d429cb2d7d38fe951ecbf5",
+	"tsp/quick/O,DeclaredLayout":         "6d8d78d2084ab27acecf8498f3fa1ef2d3a8b5945b1a3f73b6187e59fda35a80",
 	"health/default/O":                   "c2ee13babc89e6f5058cb673b892e9dae6cf8f63b33ed5e630a71a4377bd8d0b",
 	"health/default/O,NoInline":          "bf0b807b39bb16f830acf4b77e12d1f0592ad862709ed6336035d0e3713f6fcb",
 	"health/default/O,DeclaredLayout":    "8a2a0ef3f761eeb1a2740fdd0fbc805b6fbf43cfff898df4313f3c5f5aa1ec82",
@@ -50,12 +50,12 @@ var compiledCodeGolden = map[string]string{
 	"perimeter/quick/O":                  "ac64d09265f03e7ca1dd422d55238cc2e31584199d6c988aed8e678f0203bbbb",
 	"perimeter/quick/O,NoInline":         "c853c03e2f3ce25200daa2d61b6c3b39a67ab809061e901cd59edca211bd1fcf",
 	"perimeter/quick/O,DeclaredLayout":   "257afdc2b0c56d1896768e500d9402472180f5e90de81bb600e5784d4f9e085c",
-	"voronoi/default/O":                  "d00f2f70aef9e0db31e883f87cdda9502cfefb2d941c03f7f815f35a719c39f2",
+	"voronoi/default/O":                  "ab28cb05fd3e699b8f9c365ce3c9fa82df889d70b31c65a79760bf8991107c06",
 	"voronoi/default/O,NoInline":         "a041846632e863063f2d5c4392e90d26586efa76f11a8beec71956c2bd889d63",
-	"voronoi/default/O,DeclaredLayout":   "fdeea30fbb2799d3d9ab317620e0642351deb9e0a35e1e3f98a8777756cf521d",
-	"voronoi/quick/O":                    "17daa9aff3f02aca95d92516703d18f83274d5e728568e98e87669043f73f024",
+	"voronoi/default/O,DeclaredLayout":   "a3a8de12dbd045b45ee9cd4ba519b2087259b5669a61906e411a6f513f6a73a3",
+	"voronoi/quick/O":                    "5c1ccc26fd6161699cc2e5cb016dc7276f6fafdb243a35e6366c3e184e8dab0e",
 	"voronoi/quick/O,NoInline":           "4eafca0614eeccc10896d6e3aa77fe5ea36287b42fcc2d18d3db6f7f1667484c",
-	"voronoi/quick/O,DeclaredLayout":     "4ac1a49f773d00bfb7616a50f8c3881b3743e39d3dd79f9eacbb59a1eabd2e9b",
+	"voronoi/quick/O,DeclaredLayout":     "9b4379d934723ac61f0fbf27cd6ab0ceff367c2c4a421925dc58c1606185bc47",
 	"halo/default/O":                     "2f839f5451b5b6a6c5c8dc8e4ce49cb978e21b9fc996fea349af8c0534c26bb2",
 	"halo/default/O,NoInline":            "2f839f5451b5b6a6c5c8dc8e4ce49cb978e21b9fc996fea349af8c0534c26bb2",
 	"halo/default/O,DeclaredLayout":      "2f839f5451b5b6a6c5c8dc8e4ce49cb978e21b9fc996fea349af8c0534c26bb2",
@@ -75,10 +75,10 @@ var compiledCodeGolden = map[string]string{
 	// Profile-guided builds (Pipeline.ProfileCycle on 4 nodes), where the
 	// measured factors scale tuple frequencies non-uniformly.
 	"power/quick/O,PGO":     "0d66300a7aada3f9a2a7f2fbc09165d12847f5a2318d98f7fbc6e05a3cd8947f",
-	"tsp/quick/O,PGO":       "503f0f63644c28b883b9b26a04d2318d546d75b995f6a018b928986bda631b41",
+	"tsp/quick/O,PGO":       "8ce40c8da1b3ee4134c5b64a770614691d2f2438c64995343ea27d8fae468f7f",
 	"health/quick/O,PGO":    "e2277712ed1732f5549a03ac3c2ee16d839a2384d9c57b2d15663ff3dc0f1473",
 	"perimeter/quick/O,PGO": "ac64d09265f03e7ca1dd422d55238cc2e31584199d6c988aed8e678f0203bbbb",
-	"voronoi/quick/O,PGO":   "18a4cebc931a52acb4c2d52d9698d6ace0a3422b70eae3d5377cbee6b0bf71f3",
+	"voronoi/quick/O,PGO":   "f62bb9fa586f59125e245d2abd012048712f544ce232ed8d597605451d4a6084",
 }
 
 // placementSetsGolden pins, for every compiledCodeGolden cell, the sha256 of
@@ -92,12 +92,12 @@ var placementSetsGolden = map[string]string{
 	"power/quick/O":                      "8a8a126c63415fe2475245f2c7b32464317879433a2032207153a441625ce7c9",
 	"power/quick/O,NoInline":             "248ee2cebcd033b5aadc3a57c0031f3fd6a6bfb7e093245063969d462365a369",
 	"power/quick/O,DeclaredLayout":       "ba549aa41a5b0f29feaf59a21aca44b662f47bccd0f0324d652fc247b6cd810a",
-	"tsp/default/O":                      "97dc7109f360a50fc4e1f9e138527d0ef3f55bd23823474385e955837860f978",
+	"tsp/default/O":                      "079913715180f54c3535372f072fee5cfba3e52f1a45bd5c41aca54cc3eaa9ac",
 	"tsp/default/O,NoInline":             "ff59746e346b833cd32aa3d594f1cc510a490ff918982a07626bb14aecc8f8de",
-	"tsp/default/O,DeclaredLayout":       "01d95347054bb569fdd15993bf5f53384ccb985fc84a9f70fb011ab97e99fa34",
-	"tsp/quick/O":                        "97dc7109f360a50fc4e1f9e138527d0ef3f55bd23823474385e955837860f978",
+	"tsp/default/O,DeclaredLayout":       "2efe3ff5f7fc8ec9aa1fc46d448db62bebbf6dff679b80c5afefaf8a0f7f9c76",
+	"tsp/quick/O":                        "079913715180f54c3535372f072fee5cfba3e52f1a45bd5c41aca54cc3eaa9ac",
 	"tsp/quick/O,NoInline":               "ff59746e346b833cd32aa3d594f1cc510a490ff918982a07626bb14aecc8f8de",
-	"tsp/quick/O,DeclaredLayout":         "01d95347054bb569fdd15993bf5f53384ccb985fc84a9f70fb011ab97e99fa34",
+	"tsp/quick/O,DeclaredLayout":         "2efe3ff5f7fc8ec9aa1fc46d448db62bebbf6dff679b80c5afefaf8a0f7f9c76",
 	"health/default/O":                   "58bb0782af068ffbaa0aa0b681d3d92dd6b78fd7719ecaf26e79076427362c14",
 	"health/default/O,NoInline":          "61c4de0ca3d7541d51ea50db1c4df5e44e285b0e1c29ff6db8f6c2bdc571727d",
 	"health/default/O,DeclaredLayout":    "76bd4d33739cd22081d2499901c96eca6d0811b5d6eae467ccc80f77fa02cf82",
@@ -110,12 +110,12 @@ var placementSetsGolden = map[string]string{
 	"perimeter/quick/O":                  "23502c325e906b588725d34851cab6bfa737a05999ab3e7c7941117e341c5eb6",
 	"perimeter/quick/O,NoInline":         "80998c6bbab3ed05b0c33185b2c4b43abf52d956fe5900206b00b997fe2dc031",
 	"perimeter/quick/O,DeclaredLayout":   "36c085bc18826fa5380eab97efb7ac99197b28dc8f94fbef57540e38644d2250",
-	"voronoi/default/O":                  "10f956d8dbb0f5bec06fd8c455de47b58f2ea197695d5c2ef37133562566ca05",
+	"voronoi/default/O":                  "9efdfb2cc71e09dad13f3c66813fc68172fa8be0c9cc10fd75cde66620e2abc4",
 	"voronoi/default/O,NoInline":         "73bd2c566408523181e034df3982b245bb81422d0dc4e9792f95a26f9ac3c603",
-	"voronoi/default/O,DeclaredLayout":   "fee1677eb2a240ae96e1aa21f5d052f3c6589b110c854c5503ea4d797c68dc32",
-	"voronoi/quick/O":                    "10f956d8dbb0f5bec06fd8c455de47b58f2ea197695d5c2ef37133562566ca05",
+	"voronoi/default/O,DeclaredLayout":   "ed661d743371234d552d0c2c61ca7b7215edda3fb466f70fae178b0ef0245575",
+	"voronoi/quick/O":                    "9efdfb2cc71e09dad13f3c66813fc68172fa8be0c9cc10fd75cde66620e2abc4",
 	"voronoi/quick/O,NoInline":           "73bd2c566408523181e034df3982b245bb81422d0dc4e9792f95a26f9ac3c603",
-	"voronoi/quick/O,DeclaredLayout":     "fee1677eb2a240ae96e1aa21f5d052f3c6589b110c854c5503ea4d797c68dc32",
+	"voronoi/quick/O,DeclaredLayout":     "ed661d743371234d552d0c2c61ca7b7215edda3fb466f70fae178b0ef0245575",
 	"halo/default/O":                     "900d50258b822b9e189300f33f7d53b87ae8d3ba42cf22e1eacf49af79c03c7b",
 	"halo/default/O,NoInline":            "900d50258b822b9e189300f33f7d53b87ae8d3ba42cf22e1eacf49af79c03c7b",
 	"halo/default/O,DeclaredLayout":      "900d50258b822b9e189300f33f7d53b87ae8d3ba42cf22e1eacf49af79c03c7b",
@@ -132,10 +132,10 @@ var placementSetsGolden = map[string]string{
 	"scale_point.ec/O,NoInline":          "82173d3c5849dda8e7266d01918057674c85baf492d6bc803768e8537836abfd",
 	"scale_point.ec/O,DeclaredLayout":    "877b3c329ccfd48fe9811f5c62154951ca7c82be3f29655b2aa1863bea61578f",
 	"power/quick/O,PGO":                  "8a8a126c63415fe2475245f2c7b32464317879433a2032207153a441625ce7c9",
-	"tsp/quick/O,PGO":                    "fdc7cabdac999ecb21542c27532d69e595f1c3f45fcba0928056446ba97ceeb1",
+	"tsp/quick/O,PGO":                    "c6569da1c5c0a3e4578cedd97510df028d8a58b5f96f21ce95d81a1c141205c3",
 	"health/quick/O,PGO":                 "35b7ec21c9496b128bbba97e0fcf6f855f12d5db5ad74e69e9eb2342fe095cea",
 	"perimeter/quick/O,PGO":              "e197c259d85fa1d628a2d7871fee5f727d4877dd330ca9ca06f66bcf4a78224f",
-	"voronoi/quick/O,PGO":                "056dde5a62e05b5e76a5106608cb98495b0017c7b8dd2749d42fb88771600e93",
+	"voronoi/quick/O,PGO":                "f1063e0402d9d5aacbf8aec9ef421c72d550b9c1dd8547d00f8c3b32c8b90fb2",
 }
 
 // compiledCodeHash is the hash compiledCodeGolden pins for one compiled unit.
@@ -285,6 +285,7 @@ var epochPins = []struct {
 	{4, "659a0737d9c2be31dec2c14e9f528157217ba93c970318446c529a1de53d0f57"},
 	{5, "2dab99555c7c95efb522ecd61bcfb7d6bd863f34e20528c242bb8da53460a77b"},
 	{6, "4097da93a3ddb3943ce329a37836bc0f7f274d915424433b706c3467136eec22"},
+	{7, "901ce1d67ea8046c9b7cb963719c739237e02f5b9452ecbf4d937ed3f9eb0e78"},
 }
 
 // goldenTablesHash hashes both golden tables, keys in sorted order.

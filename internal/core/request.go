@@ -84,8 +84,11 @@ type Phase struct {
 // pointer's buffer already holds (commsel's forwardReads). Epoch 6 changed
 // no compiler code: tsp, voronoi and perimeter began to derive their
 // decomposition depth from num_nodes(), which re-pinned their golden cells,
-// and TestCompilerEpoch gives every re-pin a new epoch.
-const compilerEpoch = 6
+// and TestCompilerEpoch gives every re-pin a new epoch. Epoch 7 carries a
+// loop-top read around the back edge where the latch rebinds its pointer to
+// one the iteration already fetched (placement.Carry): tsp's tour_length
+// walk and voronoi's final walk fetch each element once.
+const compilerEpoch = 7
 
 // fingerprint renders the compiler epoch, the compile-relevant options and
 // the bound profile into the cache namespace key. The ignored Workers and

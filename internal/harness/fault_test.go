@@ -110,10 +110,10 @@ func TestFaultVisibleEquivalence(t *testing.T) {
 func TestFaultSweepQuick(t *testing.T) {
 	baseNs := map[string]int64{
 		"power":     2312022,
-		"tsp":       2735545,
+		"tsp":       2358361,
 		"health":    3080965,
 		"perimeter": 3811870,
-		"voronoi":   8715911,
+		"voronoi":   8635822,
 	}
 	res, err := MeasureFaultSweep(faultTestNodes, nil, 1, olden.QuickParams)
 	if err != nil {

@@ -52,6 +52,10 @@ type Result struct {
 	// ×10/÷2/÷k guesses. Selection reads it to weigh frequencies when
 	// blocking.
 	Profiled bool
+	// Carries lists, per function, the loops whose head reads are carried
+	// around the back edge (see Carry), one Carry per loop and pointer; a
+	// function without one has no entry.
+	Carries map[*simple.Func][]*Carry
 }
 
 // PlacedTuples sums the tuples of every statement's RemoteReads and
@@ -102,6 +106,10 @@ type analysis struct {
 	// locs interns location ids for the whole Result: an id is assigned the
 	// first time the analysis meets a remote access to (pointer, offset).
 	locs map[Key]int
+
+	// conc counts the forall bodies and {^ ^} arms around the walk; no
+	// read is carried around a loop inside one.
+	conc int
 
 	// daMemo caches, per compound statement, the labels of direct
 	// loads/stores in its subtree by location id: the propagation loops
@@ -352,11 +360,11 @@ func (a *analysis) readsStmt(s simple.Stmt) Set {
 		return out
 	case *simple.While:
 		// One iteration is eval;body: the set at the top of an iteration.
-		return a.hoistLoop(s, a.readsSeqInto(st.Eval, a.readsSeq(st.Body)))
+		return a.hoistLoop(s, a.readsSeqInto(st.Eval, a.readsSeq(st.Body)), st.Body, st.Eval)
 	case *simple.Do:
 		// One iteration is body;eval. Do-loops use the same conservative
 		// rule as top-tested ones.
-		return a.hoistLoop(s, a.readsSeqInto(st.Body, a.readsSeq(st.Eval)))
+		return a.hoistLoop(s, a.readsSeqInto(st.Body, a.readsSeq(st.Eval)), st.Body, st.Eval)
 	case *simple.Forall:
 		return a.readsForall(st)
 	case *simple.Par:
@@ -364,9 +372,11 @@ func (a *analysis) readsStmt(s simple.Stmt) Set {
 		// variables; a tuple moves above the Par if no *sibling* arm kills
 		// it (its own arm's kills were already applied inside readsSeq).
 		armSets := make([]Set, len(st.Arms))
+		a.conc++
 		for i, arm := range st.Arms {
 			armSets[i] = a.readsSeq(arm)
 		}
+		a.conc--
 		return a.parSurvivors(st, armSets, a.killsRead)
 	}
 	return Set{}
@@ -401,16 +411,26 @@ func (a *analysis) parSurvivors(st *simple.Par, armSets []Set, kills func(*Tuple
 // hoisted tuple's fill sits above the loop while any direct stores to the
 // same location execute every iteration — a loop-carried crossing — so
 // those store labels are recorded in CrossedW (iteration k's read must
-// observe iteration k-1's store through the shared local copy).
-func (a *analysis) hoistLoop(loop simple.Stmt, top Set) Set {
+// observe iteration k-1's store through the shared local copy). For a
+// while or do loop (body non-nil), a killed tuple the loop carries (see
+// Carry) also exits, unscaled: it is read once, for the first iteration.
+func (a *analysis) hoistLoop(loop simple.Stmt, top Set, body, eval *simple.Seq) Set {
 	if top.Len() == 0 {
 		return top
+	}
+	var carried []*Tuple
+	if body != nil && a.conc == 0 {
+		carried = a.carries(loop, body, eval, top)
 	}
 	factor := a.loopFactor(loop)
 	out := make([]*Tuple, 0, top.Len())
 	recs := make([]Tuple, 0, top.Len())
 	for _, t := range top.ts {
 		if a.killsRead(t, loop) {
+			if len(carried) > 0 && carried[0] == t {
+				carried = carried[1:]
+				out = append(out, t)
+			}
 			continue
 		}
 		recs = append(recs, *t)
@@ -430,7 +450,9 @@ func (a *analysis) hoistLoop(loop simple.Stmt, top Set) Set {
 // copied into every iteration frame). Step tuples float across the spawned
 // body only if the body cannot kill them.
 func (a *analysis) readsForall(st *simple.Forall) Set {
+	a.conc++
 	bodyTop := a.readsSeq(st.Body)
+	a.conc--
 	stepTop := a.readsSeq(st.Step)
 
 	// Step tuples cross the concurrent body: body kills apply.
@@ -441,7 +463,7 @@ func (a *analysis) readsForall(st *simple.Forall) Set {
 		}
 	}
 	evalTop := a.readsSeqInto(st.Eval, Set{ts: crossed})
-	return a.hoistLoop(st, union(evalTop, bodyTop))
+	return a.hoistLoop(st, union(evalTop, bodyTop), nil, nil)
 }
 
 // ------------------------------------------------------- writes (downward) ---
