@@ -129,6 +129,37 @@ func TestLoopCarriedRule(t *testing.T) {
 		p = q;
 	} while (p != r);
 	return x;`},
+		// The entry get of p->a would be forwarded from r->a's copy at
+		// p = r; a comm temp the latch copies write is not forwarded.
+		{"head forwarded from a copy", 2, "1", `
+	x = r->a;
+	p = r;
+	do {
+		q = p->next;
+		x = x * 3 + p->a - q->b;
+		p = q;
+	} while (p != r);
+	return x;`},
+		{"stored through q", 1, "1", `
+	x = 0;
+	do {
+		q = p->next;
+		x = x * 3 + p->a - q->b;
+		q->a = x;
+		p = q;
+	} while (p != r);
+	return x;`},
+		// p->next is written through an alias between q = p->next and the
+		// latch, so q may not be what p becomes.
+		{"next written through an alias", 0, "1", `
+	x = 0;
+	do {
+		q = p->next;
+		x = x * 3 + p->a - q->b;
+		r->next = q;
+		p = p->next;
+	} while (p != r);
+	return x;`},
 		{"next rewritten between", 0, "1", `
 	x = 0;
 	do {

@@ -28,10 +28,10 @@ import (
 //     latch dereferences q before q can change, so q is not NULL and a
 //     wider fill of q touches no new object;
 //   - per field f: nothing in the loop may write p->f through an alias
-//     (rwsets and callee summaries), and nothing stores to p->f or q->f
-//     directly. Since p takes q's value, a write that may reach q->f
-//     through an alias may reach p->f too, so the renamed tuple (q, f)
-//     survives from q's fill to the latch.
+//     (rwsets and callee summaries) or store to it directly. Since p takes
+//     q's value, a store through q, or any write that may reach q->f, is
+//     such an alias write, so the renamed tuple (q, f) survives from q's
+//     fill to the latch.
 //
 // Whether the fill and the entry placement then pay off is selection's
 // decision: a rule placement admits may still not fire there.
@@ -92,12 +92,14 @@ func (a *analysis) carries(loop simple.Stmt, body, eval *simple.Seq, top Set) []
 func (a *analysis) carry(loop simple.Stmt, body, eval *simple.Seq, latch int, top Set) *Carry {
 	lb := body.Stmts[latch].(*simple.Basic)
 	p := lb.Lhs.(simple.VarLV).V
-	if p.Shared || p.Kind == simple.VarGlobal || a.rw.VarWritten(p, eval) {
+	if p.Shared || p.Kind == simple.VarGlobal {
 		return nil
 	}
-	for i, s := range body.Stmts {
-		if i != latch && a.rw.VarWritten(p, s) {
-			return nil
+	for _, seq := range [2]*simple.Seq{body, eval} {
+		for _, s := range seq.Stmts {
+			if s != simple.Stmt(lb) && a.rw.VarWritten(p, s) {
+				return nil
+			}
 		}
 	}
 	// def is the top-level statement that assigns q last before the latch.
@@ -152,8 +154,7 @@ func (a *analysis) carry(loop simple.Stmt, body, eval *simple.Seq, latch int, to
 	}
 	c := &Carry{Loop: loop, Latch: lb, P: p, Q: q, Fill: body.Stmts[def+1]}
 	for _, t := range top.ts {
-		if t.P == p && !a.rw.AccessedViaAlias(p, t.Off, loop, true) &&
-			!storesTo(loop, p, t.Off) && !storesTo(loop, q, t.Off) {
+		if t.P == p && !a.rw.AccessedViaAlias(p, t.Off, loop, true) && !storesTo(loop, p, t.Off) {
 			c.Heads = append(c.Heads, t)
 		}
 	}
