@@ -62,9 +62,6 @@ func (s *sel) planCarries() {
 // carryFires reports whether q's group at the fill has a candidate besides
 // the carried fields.
 func (s *sel) carryFires(c *placement.Carry) bool {
-	if s.opt.NoReadMotion {
-		return false
-	}
 	return slices.ContainsFunc(s.pl.Reads[c.Fill].Tuples(), func(t *placement.Tuple) bool {
 		return t.P == c.Q && t.Freq >= 1
 	})

@@ -130,13 +130,29 @@ func TestLoopCarriedRule(t *testing.T) {
 	} while (p != r);
 	return x;`},
 		// The entry get of p->a would be forwarded from r->a's copy at
-		// p = r; a comm temp the latch copies write is not forwarded.
+		// p = r, and the head loads would read that copy, which the latch
+		// does not refill: a comm temp the latch copies write is not
+		// forwarded.
 		{"head forwarded from a copy", 2, "1", `
 	x = r->a;
 	p = r;
 	do {
 		q = p->next;
 		x = x * 3 + p->a - q->b;
+		p = p->next;
+	} while (p != r);
+	return x;`},
+		// q is read only in a loop that may run zero times.
+		{"q read in an inner loop", 0, "0", `
+	x = 0;
+	do {
+		q = p->next;
+		i = 0;
+		while (i < k) {
+			x = x + q->a;
+			i = i + 1;
+		}
+		x = x * 3 + p->a;
 		p = q;
 	} while (p != r);
 	return x;`},
