@@ -19,7 +19,7 @@
 //	               sweep (default 4)
 //	-procs list    comma-separated processor counts for table3
 //	               (default 1,2,4,8,16)
-//	-scale s       problem scale: quick | default (default "default")
+//	-scale s       problem scale: quick | default | paper (default "default")
 //	-fault-seed N  seed of the fault sweep's draws (default 1)
 //	-json          emit one machine-readable JSON object instead of text
 //
@@ -65,7 +65,7 @@ func run(args []string, out, stderr io.Writer) int {
 	all := fs.Bool("all", false, "everything")
 	nodes := fs.Int("nodes", 4, "machine size for fig10, the ablation and the fault sweep")
 	procsFlag := fs.String("procs", "1,2,4,8,16", "processor counts for table3")
-	scale := fs.String("scale", "default", "problem scale: quick|default")
+	scale := fs.String("scale", "default", "problem scale: quick|default|paper")
 	faultSeed := fs.Uint64("fault-seed", 1, "seed of the fault sweep's draws")
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON")
 	if err := fs.Parse(args); err != nil {
@@ -85,6 +85,8 @@ func run(args []string, out, stderr io.Writer) int {
 		params = harness.DefaultParams
 	case "quick":
 		params = olden.QuickParams
+	case "paper":
+		params = olden.PaperParams
 	default:
 		return fail(fmt.Errorf("unknown -scale %q", *scale))
 	}

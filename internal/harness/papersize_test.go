@@ -24,15 +24,15 @@ func TestPaperSizeCells(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name        string
-		params      olden.Params
 		simple, opt int64
 	}{
-		{"health", olden.Params{Size: 4, Iters: 600}, 401_698_091, 368_591_070},
-		{"perimeter", olden.Params{Size: 11}, 228_088_620, 226_808_170},
-		{"tsp", olden.Params{Size: 32768}, 3_179_173_380, 1_383_534_775},
+		{"health", 401_698_091, 368_591_070},
+		{"perimeter", 228_088_620, 226_808_170},
+		{"tsp", 3_179_173_380, 1_383_534_775},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			s, o, err := RunPair(olden.ByName(c.name), c.params, 16)
+			bm := olden.ByName(c.name)
+			s, o, err := RunPair(bm, olden.PaperParams(bm), 16)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -270,12 +270,16 @@ func (r *Fig10Result) selectionTable() string {
 
 // Table3Entry is one (benchmark, processor-count) measurement.
 type Table3Entry struct {
-	Procs       int
-	SimpleNs    int64
-	OptNs       int64
-	SimpleSpeed float64 // vs sequential
-	OptSpeed    float64
-	Improvement float64 // percent
+	Procs    int
+	SimpleNs int64
+	OptNs    int64
+	// Each build's data operations whose target was another node (as in
+	// Figure 10's remote split).
+	SimpleRemote int64
+	OptRemote    int64
+	SimpleSpeed  float64 // vs sequential
+	OptSpeed     float64
+	Improvement  float64 // percent
 }
 
 // Table3Row is one benchmark's scaling results.
@@ -323,9 +327,11 @@ func MeasureTable3(procs []int, paramsFor func(*olden.Benchmark) olden.Params) (
 				return nil, err
 			}
 			e := Table3Entry{
-				Procs:    p,
-				SimpleNs: simple.Time,
-				OptNs:    opt.Time,
+				Procs:        p,
+				SimpleNs:     simple.Time,
+				OptNs:        opt.Time,
+				SimpleRemote: simple.Counts.TotalRemote(),
+				OptRemote:    opt.Counts.TotalRemote(),
 			}
 			e.SimpleSpeed = float64(seq.Time) / float64(simple.Time)
 			e.OptSpeed = float64(seq.Time) / float64(opt.Time)
@@ -341,9 +347,9 @@ func MeasureTable3(procs []int, paramsFor func(*olden.Benchmark) olden.Params) (
 func (r *Table3Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table III: Performance Improvement Results (simulated EARTH-MANNA)\n")
-	fmt.Fprintf(&b, "%-10s %6s %12s %12s %12s %8s %8s %8s\n",
+	fmt.Fprintf(&b, "%-10s %6s %12s %12s %12s %10s %10s %8s %8s %8s\n",
 		"Benchmark", "procs", "seq (ms)", "simple (ms)", "opt (ms)",
-		"s.speed", "o.speed", "impr%")
+		"s.remote", "o.remote", "s.speed", "o.speed", "impr%")
 	for _, row := range r.Rows {
 		for i, e := range row.Entries {
 			name, seq := "", ""
@@ -351,13 +357,14 @@ func (r *Table3Result) String() string {
 				name = row.Benchmark
 				seq = fmt.Sprintf("%.2f", float64(row.SequentialNs)/1e6)
 			}
-			fmt.Fprintf(&b, "%-10s %6d %12s %12.2f %12.2f %8.2f %8.2f %7.2f%%\n",
+			fmt.Fprintf(&b, "%-10s %6d %12s %12.2f %12.2f %10d %10d %8.2f %8.2f %7.2f%%\n",
 				name, e.Procs, seq,
 				float64(e.SimpleNs)/1e6, float64(e.OptNs)/1e6,
+				e.SimpleRemote, e.OptRemote,
 				e.SimpleSpeed, e.OptSpeed, e.Improvement)
 		}
 		last := row.Entries[len(row.Entries)-1]
-		fmt.Fprintf(&b, "%-10s %34s improvement at %d procs: %.2f%% (paper: %.2f%%)\n",
+		fmt.Fprintf(&b, "%-10s %56s improvement at %d procs: %.2f%% (paper: %.2f%%)\n",
 			"", "", last.Procs, last.Improvement, row.PaperImpr16)
 	}
 	return b.String()

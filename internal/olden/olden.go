@@ -64,6 +64,26 @@ func QuickParams(b *Benchmark) Params {
 	return p
 }
 
+// PaperParams returns the paper's problem sizes (each Benchmark's
+// PaperSize) as parameters: power's 10,000 leaves are 200 laterals of 50,
+// run for 4 iterations; tsp's 32K cities and voronoi's 32K points are
+// 32,768; health is 4 levels and 600 iterations; perimeter is tree depth
+// 11.
+func PaperParams(b *Benchmark) Params {
+	p := b.DefaultParams
+	switch b.Name {
+	case "power":
+		p.Size, p.Iters = 200, 4
+	case "tsp", "voronoi":
+		p.Size = 32768
+	case "health":
+		p.Size, p.Iters = 4, 600
+	case "perimeter":
+		p.Size = 11
+	}
+	return p
+}
+
 // ByName finds a benchmark.
 func ByName(name string) *Benchmark {
 	for _, b := range All() {
