@@ -22,6 +22,9 @@ type progGen struct {
 	// copies adds a pointer copy q: "q = p", reads and writes through q
 	// under a q != NULL test, and "q = NULL" (generateCopyProgram).
 	copies bool
+	// carries ends the list at the anchor t and adds walks that read and
+	// write through q = p->next before the latch (generateCarryProgram).
+	carries bool
 }
 
 func (g *progGen) pick(options ...string) string {
@@ -150,6 +153,36 @@ func generateCopyProgram(seed int64) string {
 	return (&progGen{r: rand.New(rand.NewSource(seed)), copies: true}).program()
 }
 
+// generateCarryProgram is generateProgram with walks over the list, which
+// ends at the anchor t, that read through q = p->next: "do { q = p->next;
+// ...; p = q; } while (p != t)" or its "p = p->next" and while forms.
+func generateCarryProgram(seed int64) string {
+	return (&progGen{r: rand.New(rand.NewSource(seed)), carries: true}).program()
+}
+
+// carryWalk emits one walk from head to the anchor t whose body reads and
+// writes through q = p->next and through p before its latch.
+func (g *progGen) carryWalk(ints []string) {
+	g.line(`p = head;`)
+	do := g.r.Intn(2) == 0
+	if do {
+		g.line(`do {`)
+	} else {
+		g.line(`while (p != t) {`)
+	}
+	g.depth++
+	g.line(`q = p->next;`)
+	g.stmts(1+g.r.Intn(3), "q", "p", ints, 1)
+	g.stmts(g.r.Intn(2), "p", "t", ints, 1)
+	g.line(g.pick(`p = q;`, `p = p->next;`))
+	g.depth--
+	if do {
+		g.line(`} while (p != t);`)
+	} else {
+		g.line(`}`)
+	}
+}
+
 func (g *progGen) program() string {
 	g.line(`struct N {`)
 	g.line(`	int a;`)
@@ -170,7 +203,7 @@ func (g *progGen) program() string {
 	g.line(`N *p;`)
 	g.line(`N tmp;`)
 	g.line(`int i0; int i1; int i2;`)
-	if g.copies {
+	if g.copies || g.carries {
 		g.line(`N *q;`)
 		g.line(`q = NULL;`)
 	}
@@ -178,6 +211,11 @@ func (g *progGen) program() string {
 	ints := []string{"i0", "i1", "i2"}
 	// Straight-line prologue against the anchor.
 	g.stmts(2+g.r.Intn(3), "t", "t", ints, 1)
+	if g.carries {
+		for w := 0; w < 1+g.r.Intn(2); w++ {
+			g.carryWalk(ints)
+		}
+	}
 	// One or two list walks.
 	walks := 1 + g.r.Intn(2)
 	for w := 0; w < walks; w++ {
@@ -205,6 +243,11 @@ func (g *progGen) program() string {
 	g.line(`int sum;`)
 	g.line(`shared int acc;`)
 	g.line(`head = NULL;`)
+	if g.carries {
+		g.line(`t = alloc_on(N, num_nodes() - 1);`)
+		g.line(`t->a = 11; t->b = 13; t->c = 17; t->d = 19; t->e = 23; t->next = NULL;`)
+		g.line(`head = t;`)
+	}
 	n := 5 + g.r.Intn(8)
 	g.line(`for (i = 0; i < %d; i++) {`, n)
 	g.depth++
@@ -218,8 +261,10 @@ func (g *progGen) program() string {
 	g.line(`head = p;`)
 	g.depth--
 	g.line(`}`)
-	g.line(`t = alloc_on(N, num_nodes() - 1);`)
-	g.line(`t->a = 11; t->b = 13; t->c = 17; t->d = 19; t->e = 23; t->next = NULL;`)
+	if !g.carries {
+		g.line(`t = alloc_on(N, num_nodes() - 1);`)
+		g.line(`t->a = 11; t->b = 13; t->c = 17; t->d = 19; t->e = 23; t->next = NULL;`)
+	}
 	g.line(`r = work(head, t);`)
 	g.line(`sum = r;`)
 	// Optionally exercise the parallel constructs: a forall reduction over
@@ -299,6 +344,39 @@ func TestForwardingFuzz(t *testing.T) {
 	if fired == 0 {
 		t.Errorf("no read was forwarded on any of %d seeds", seeds)
 	}
+}
+
+// TestLoopCarriedFuzz is TestOptimizerSemanticsFuzz over programs whose
+// list ends at the anchor t, with walks that read and write through
+// q = p->next (and through p and t) before the latch p = q or p = p->next,
+// so loop-top reads are carried around the back edge wherever placement
+// and selection admit it, and refused where a write may reach a carried
+// field, q is read on some paths only, or a while loop's entry is not
+// deref-safe. The rule must fire on some seeds for the test to mean
+// anything.
+func TestLoopCarriedFuzz(t *testing.T) {
+	seeds, fired := 60, 0
+	if testing.Short() {
+		seeds = 12
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			src := generateCarryProgram(seed)
+			buildsAgree(t, src)
+			u, err := compile("fuzz.ec", src, Options{Optimize: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if u.Report.Totals().CarriedReads > 0 {
+				fired++
+			}
+		})
+	}
+	if fired == 0 {
+		t.Errorf("no read was carried on any of %d seeds", seeds)
+	}
+	t.Logf("the rule fired on %d of %d seeds", fired, seeds)
 }
 
 // buildsAgree runs src as the sequential baseline and the simple and
