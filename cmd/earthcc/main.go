@@ -11,7 +11,8 @@
 //	-dump=ast          print the (inlined, restructured) AST
 //	-dump=threaded     print threaded-code disassembly
 //	-dump=placement    print per-statement RemoteReads/RemoteWrites sets
-//	-func name         restrict -dump=simple/placement output to one function
+//	-func name         restrict -dump=simple/placement/threaded output to one
+//	                   function (threaded: with its $forall/$arm bodies)
 //	-labels            include Si statement labels in SIMPLE output
 //	-no-inline         disable Phase I function inlining
 //	-threshold N       blocking threshold in words (default 3)
@@ -51,7 +52,7 @@ func run(args []string, out, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	optimize := fs.Bool("O", false, "enable communication optimization")
 	dump := fs.String("dump", "simple", "what to print: simple|ast|threaded|placement")
-	fnFilter := fs.String("func", "", "restrict simple/placement dumps to one function")
+	fnFilter := fs.String("func", "", "restrict simple/placement/threaded dumps to one function (threaded: with its $forall/$arm bodies)")
 	labels := fs.Bool("labels", false, "show Si statement labels")
 	noInline := fs.Bool("no-inline", false, "disable function inlining")
 	threshold := fs.Int("threshold", 3, "blocking threshold in words")
@@ -158,7 +159,7 @@ func run(args []string, out, stderr io.Writer) int {
 			}
 		}
 	case "threaded":
-		disasm, err := u.Disasm()
+		disasm, err := u.DisasmFunc(*fnFilter)
 		if err != nil {
 			return fail(err)
 		}
@@ -173,6 +174,11 @@ func run(args []string, out, stderr io.Writer) int {
 			}
 			fmt.Fprintf(out, "=== %s ===\n", f.Name)
 			simple.WalkStmts(f.Body, func(s simple.Stmt) {
+				if fa, ok := s.(*simple.Forall); ok {
+					if hs := u.Placement.ForallHeads[fa]; hs.Len() > 0 {
+						fmt.Fprintf(out, "  RemoteReads(head of forall C%d) = %s\n", fa.Site, hs)
+					}
+				}
 				if b, ok := s.(*simple.Basic); ok {
 					if rs := u.Placement.Reads[s]; rs.Len() > 0 {
 						fmt.Fprintf(out, "  RemoteReads(S%d)  = %s\n", b.Label, rs)

@@ -138,3 +138,45 @@ func TestStatsOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestThreadedDumpFunc: -func limits -dump=threaded to the function and the
+// forall and arm bodies generated from it.
+func TestThreadedDumpFunc(t *testing.T) {
+	src := writeSrc(t, "bodies.ec", `struct Node { int v; struct Node *next; };
+int f(Node *head) {
+	shared int s;
+	Node *p;
+	int a;
+	int b;
+	writeto(&s, 0);
+	forall (p = head; p != NULL; p = p->next) { addto(&s, p->v); }
+	{^ a = 1; b = 2; ^}
+	return valueof(&s) + a + b;
+}
+int main() {
+	Node *head;
+	head = alloc(Node);
+	head->v = 3;
+	head->next = NULL;
+	return f(head);
+}
+`)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-no-inline", "-dump=threaded", "-func", "f", src}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	var names []string
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if line != "" && line[0] != ' ' {
+			names = append(names, strings.Fields(line)[0])
+		}
+	}
+	if len(names) != 4 || names[0] != "f" {
+		t.Fatalf("dumped %v, want f, its forall body and its two arms", names)
+	}
+	for _, n := range names[1:] {
+		if !strings.HasPrefix(n, "f$forall") && !strings.HasPrefix(n, "f$arm") {
+			t.Errorf("dumped %s, not a body of f", n)
+		}
+	}
+}

@@ -83,6 +83,7 @@ func (s *sel) descendReads(st simple.Stmt, seq *simple.Seq, i int) {
 		s.exitLoop(c, c.Body)
 	case *simple.Forall:
 		s.readsSeq(c.Eval)
+		s.readsHead(c)
 		s.readsSeq(c.Body)
 		s.readsSeq(c.Step)
 	case *simple.Par:
@@ -91,6 +92,20 @@ func (s *sel) descendReads(st simple.Stmt, seq *simple.Seq, i int) {
 		}
 	}
 	s.stack = s.stack[:len(s.stack)-1]
+}
+
+// readsHead selects, into the forall's Head, the step reads no body can
+// kill: the get then leaves before the iteration is spawned, and the step
+// copies its value. The step runs after every Head on every path, so its
+// dereferences are what license the early one.
+func (s *sel) readsHead(c *simple.Forall) {
+	set := s.pl.ForallHeads[c]
+	if set.Len() == 0 {
+		return
+	}
+	s.stack = append(s.stack, frame{c.Step, 0}, frame{c.Head, 0})
+	c.Head.Stmts = append(c.Head.Stmts, s.selectReadsAt(set, c.Head)...)
+	s.stack = s.stack[:len(s.stack)-2]
 }
 
 // selectReadsAt implements the per-point candidate selection: take the

@@ -269,11 +269,20 @@ func (g *progGen) program() string {
 	g.line(`sum = r;`)
 	// Optionally exercise the parallel constructs: a forall reduction over
 	// the list into a shared counter, and a parallel pair of placed calls.
+	// The forall body reads locals set before the loop (its spawn copies
+	// them), writes a list field the final walk reads, and on some seeds
+	// writes the step's field p->next, whose get must then stay after the
+	// spawn.
 	if g.r.Intn(2) == 0 {
 		g.line(`writeto(&acc, 0);`)
+		g.line(`i = %d;`, 1+g.r.Intn(20))
 		g.line(`forall (p = head; p != NULL; p = p->next) {`)
 		g.depth++
-		g.line(`addto(&acc, p->a %% 97 + p->b %% 89);`)
+		g.line(`addto(&acc, p->a %% 97 + p->b %% 89 + r %% 13 + i);`)
+		g.line(`p->%s = p->%s + i;`, g.pick("c", "e"), g.pick("a", "d"))
+		if g.r.Intn(3) == 0 {
+			g.line(`p->next = p->next;`)
+		}
 		g.depth--
 		g.line(`}`)
 		g.line(`sum = sum + valueof(&acc);`)
@@ -319,6 +328,18 @@ func TestOptimizerSemanticsFuzz(t *testing.T) {
 			buildsAgree(t, generateProgram(seed))
 		})
 	}
+}
+
+// FuzzOptimizerSemantics is TestOptimizerSemanticsFuzz as a native fuzz
+// target: the fuzzed value seeds progGen, so every input is a well-formed
+// program, and every build must print what the sequential baseline prints.
+func FuzzOptimizerSemantics(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		buildsAgree(t, generateProgram(seed))
+	})
 }
 
 // TestForwardingFuzz is TestOptimizerSemanticsFuzz over programs with a

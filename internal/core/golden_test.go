@@ -26,12 +26,12 @@ import (
 // code — a faster analysis, a leaner data structure — holds every cell; a
 // change that moves a placement or selection decision moves some.
 var compiledCodeGolden = map[string]string{
-	"power/default/O":                    "7254f8cc575672ef38ccfc4e06da5bee165cc6c8b8ef731295f294dafcaf7575",
-	"power/default/O,NoInline":           "30c64d521660dd181b0f14125dfa210aa729b952501c662e466f23ee7245f6d1",
-	"power/default/O,DeclaredLayout":     "089803aa5285d2f4d61f2906464f68ed785d7e32dbb33ffeea3da91e98230fa6",
-	"power/quick/O":                      "0d66300a7aada3f9a2a7f2fbc09165d12847f5a2318d98f7fbc6e05a3cd8947f",
-	"power/quick/O,NoInline":             "342ce56ae276b4dff883b8a3520a3f6d51f95b38d57fe816fa8ede63cd9d24c3",
-	"power/quick/O,DeclaredLayout":       "fd48a202b5d838981b944e2da7d233c53180177eb48442632763eff92ef2507c",
+	"power/default/O":                    "1409e7cb84b2b6c4e3e224801f8144c52c2ac8b1d4ba69306305a67b6d271603",
+	"power/default/O,NoInline":           "f055cfd4baeb6f8a2aafffe9478f2799ec7aef0150f4d41d7ca36fad5943dc24",
+	"power/default/O,DeclaredLayout":     "8198e13b62c222813138d02b5c5056bb21ffe07ab7253e8c5bf7ba096ada0e47",
+	"power/quick/O":                      "a916b51a1d3c03793e2a25fb2efdd66f380c97e81e70c0da0664f33152e164f7",
+	"power/quick/O,NoInline":             "d83e550488eb5c63b9d70a679e30c14a1b3653c19b8710ca9b6a264b670d4887",
+	"power/quick/O,DeclaredLayout":       "a34b8e18b08821ba5a63a75ca6f8c1c0a4a2e755f6c0f78ef67ec13c69f110dd",
 	"tsp/default/O":                      "c6c866f862908f27f54e2cf1bdcb871653869f74dc6c80ba32feee40615c3c14",
 	"tsp/default/O,NoInline":             "ce81950a09ed9d409482565248245ab3358c260a36429b041f7b1bb85ed743ab",
 	"tsp/default/O,DeclaredLayout":       "c767adc80818b0528c3e9e5c711fe8d8bdc0a29609a9d2f69da784c18576281e",
@@ -56,12 +56,12 @@ var compiledCodeGolden = map[string]string{
 	"voronoi/quick/O":                    "5c1ccc26fd6161699cc2e5cb016dc7276f6fafdb243a35e6366c3e184e8dab0e",
 	"voronoi/quick/O,NoInline":           "4eafca0614eeccc10896d6e3aa77fe5ea36287b42fcc2d18d3db6f7f1667484c",
 	"voronoi/quick/O,DeclaredLayout":     "9b4379d934723ac61f0fbf27cd6ab0ceff367c2c4a421925dc58c1606185bc47",
-	"halo/default/O":                     "2f839f5451b5b6a6c5c8dc8e4ce49cb978e21b9fc996fea349af8c0534c26bb2",
-	"halo/default/O,NoInline":            "2f839f5451b5b6a6c5c8dc8e4ce49cb978e21b9fc996fea349af8c0534c26bb2",
-	"halo/default/O,DeclaredLayout":      "2f839f5451b5b6a6c5c8dc8e4ce49cb978e21b9fc996fea349af8c0534c26bb2",
-	"count.ec/O":                         "b44004f5b0469d2a277a3138c0c103c44a92be536ce513ba5829c076d73faff0",
-	"count.ec/O,NoInline":                "07c34c118a51838dca7a1a96afc735ce612d77e6b3417e5bb826347273aca109",
-	"count.ec/O,DeclaredLayout":          "b44004f5b0469d2a277a3138c0c103c44a92be536ce513ba5829c076d73faff0",
+	"halo/default/O":                     "458519640d11ee3ae55a8ce923eeadb3a8cec147ffc6c0f9d09901d203a5b7fa",
+	"halo/default/O,NoInline":            "458519640d11ee3ae55a8ce923eeadb3a8cec147ffc6c0f9d09901d203a5b7fa",
+	"halo/default/O,DeclaredLayout":      "458519640d11ee3ae55a8ce923eeadb3a8cec147ffc6c0f9d09901d203a5b7fa",
+	"count.ec/O":                         "96cb3a77741cdb798e9fbf10a4ed79e2c7264c7c858e5cff8f0fab93fbb3595e",
+	"count.ec/O,NoInline":                "434c7345576e3ab97a57845eea8ff91497a804c90db1f87cba91324cff3151db",
+	"count.ec/O,DeclaredLayout":          "96cb3a77741cdb798e9fbf10a4ed79e2c7264c7c858e5cff8f0fab93fbb3595e",
 	"distance.ec/O":                      "aba6692023724e029c80392b73d4e1ba5b3e38387253ae49a6b361afc47b94c3",
 	"distance.ec/O,NoInline":             "51d1d78c4c71859dcbbe5855184cdee7f2ae6927fbcdc2e229532beaf812b30b",
 	"distance.ec/O,DeclaredLayout":       "aba6692023724e029c80392b73d4e1ba5b3e38387253ae49a6b361afc47b94c3",
@@ -74,7 +74,7 @@ var compiledCodeGolden = map[string]string{
 
 	// Profile-guided builds (Pipeline.ProfileCycle on 4 nodes), where the
 	// measured factors scale tuple frequencies non-uniformly.
-	"power/quick/O,PGO":     "0d66300a7aada3f9a2a7f2fbc09165d12847f5a2318d98f7fbc6e05a3cd8947f",
+	"power/quick/O,PGO":     "a916b51a1d3c03793e2a25fb2efdd66f380c97e81e70c0da0664f33152e164f7",
 	"tsp/quick/O,PGO":       "8ce40c8da1b3ee4134c5b64a770614691d2f2438c64995343ea27d8fae468f7f",
 	"health/quick/O,PGO":    "e2277712ed1732f5549a03ac3c2ee16d839a2384d9c57b2d15663ff3dc0f1473",
 	"perimeter/quick/O,PGO": "ac64d09265f03e7ca1dd422d55238cc2e31584199d6c988aed8e678f0203bbbb",
@@ -86,12 +86,12 @@ var compiledCodeGolden = map[string]string{
 // placementSetsHash). A change that must emit the same code from the same
 // analysis holds these too, down to the last bit of every frequency.
 var placementSetsGolden = map[string]string{
-	"power/default/O":                    "8a8a126c63415fe2475245f2c7b32464317879433a2032207153a441625ce7c9",
-	"power/default/O,NoInline":           "248ee2cebcd033b5aadc3a57c0031f3fd6a6bfb7e093245063969d462365a369",
-	"power/default/O,DeclaredLayout":     "ba549aa41a5b0f29feaf59a21aca44b662f47bccd0f0324d652fc247b6cd810a",
-	"power/quick/O":                      "8a8a126c63415fe2475245f2c7b32464317879433a2032207153a441625ce7c9",
-	"power/quick/O,NoInline":             "248ee2cebcd033b5aadc3a57c0031f3fd6a6bfb7e093245063969d462365a369",
-	"power/quick/O,DeclaredLayout":       "ba549aa41a5b0f29feaf59a21aca44b662f47bccd0f0324d652fc247b6cd810a",
+	"power/default/O":                    "4a6499a8fc0bec99023b01b87e6a5e1f4b1228b4a4bb5817643da9c66753f91d",
+	"power/default/O,NoInline":           "a3be4e35e124db2243789af9f98ffba4cdb21b87a9b04c17af2fe1d6b96503ff",
+	"power/default/O,DeclaredLayout":     "4014f45561430c19987581435f4e917602c93ec8745925785d222301d120e162",
+	"power/quick/O":                      "4a6499a8fc0bec99023b01b87e6a5e1f4b1228b4a4bb5817643da9c66753f91d",
+	"power/quick/O,NoInline":             "a3be4e35e124db2243789af9f98ffba4cdb21b87a9b04c17af2fe1d6b96503ff",
+	"power/quick/O,DeclaredLayout":       "4014f45561430c19987581435f4e917602c93ec8745925785d222301d120e162",
 	"tsp/default/O":                      "079913715180f54c3535372f072fee5cfba3e52f1a45bd5c41aca54cc3eaa9ac",
 	"tsp/default/O,NoInline":             "ff59746e346b833cd32aa3d594f1cc510a490ff918982a07626bb14aecc8f8de",
 	"tsp/default/O,DeclaredLayout":       "2efe3ff5f7fc8ec9aa1fc46d448db62bebbf6dff679b80c5afefaf8a0f7f9c76",
@@ -116,12 +116,12 @@ var placementSetsGolden = map[string]string{
 	"voronoi/quick/O":                    "9efdfb2cc71e09dad13f3c66813fc68172fa8be0c9cc10fd75cde66620e2abc4",
 	"voronoi/quick/O,NoInline":           "73bd2c566408523181e034df3982b245bb81422d0dc4e9792f95a26f9ac3c603",
 	"voronoi/quick/O,DeclaredLayout":     "ed661d743371234d552d0c2c61ca7b7215edda3fb466f70fae178b0ef0245575",
-	"halo/default/O":                     "900d50258b822b9e189300f33f7d53b87ae8d3ba42cf22e1eacf49af79c03c7b",
-	"halo/default/O,NoInline":            "900d50258b822b9e189300f33f7d53b87ae8d3ba42cf22e1eacf49af79c03c7b",
-	"halo/default/O,DeclaredLayout":      "900d50258b822b9e189300f33f7d53b87ae8d3ba42cf22e1eacf49af79c03c7b",
-	"count.ec/O":                         "bebc223fb4591f9a9782cf6cc90b99c379ffe29b7f8368acc490d3a42c65fde5",
-	"count.ec/O,NoInline":                "9956ea3cb42a43f760465e5509ecb6b520f4fbce0cac70de79edc3a04c1840d0",
-	"count.ec/O,DeclaredLayout":          "bebc223fb4591f9a9782cf6cc90b99c379ffe29b7f8368acc490d3a42c65fde5",
+	"halo/default/O":                     "f9ed658e6ff8f7cd14726675d5bdf9c9fbc8e30d9a27389592e44adda9206276",
+	"halo/default/O,NoInline":            "f9ed658e6ff8f7cd14726675d5bdf9c9fbc8e30d9a27389592e44adda9206276",
+	"halo/default/O,DeclaredLayout":      "f9ed658e6ff8f7cd14726675d5bdf9c9fbc8e30d9a27389592e44adda9206276",
+	"count.ec/O":                         "ab4564b0275d04ed8958e5e732589b726c0812b7cae967efdfae5338f5758b5e",
+	"count.ec/O,NoInline":                "ccacf0036fc896929ca7d1c1f871462f7b1a3378f93057954543fcd7feae5e32",
+	"count.ec/O,DeclaredLayout":          "ab4564b0275d04ed8958e5e732589b726c0812b7cae967efdfae5338f5758b5e",
 	"distance.ec/O":                      "6f9738ff2a60a6c777e83a6fae7372bc39a055f65248d32c884a1af809ade91c",
 	"distance.ec/O,NoInline":             "53fbc8884b1eb7e6c63e6c90be14d674dfe49f0670b38f3826fce6dab4161749",
 	"distance.ec/O,DeclaredLayout":       "6f9738ff2a60a6c777e83a6fae7372bc39a055f65248d32c884a1af809ade91c",
@@ -131,7 +131,7 @@ var placementSetsGolden = map[string]string{
 	"scale_point.ec/O":                   "877b3c329ccfd48fe9811f5c62154951ca7c82be3f29655b2aa1863bea61578f",
 	"scale_point.ec/O,NoInline":          "82173d3c5849dda8e7266d01918057674c85baf492d6bc803768e8537836abfd",
 	"scale_point.ec/O,DeclaredLayout":    "877b3c329ccfd48fe9811f5c62154951ca7c82be3f29655b2aa1863bea61578f",
-	"power/quick/O,PGO":                  "8a8a126c63415fe2475245f2c7b32464317879433a2032207153a441625ce7c9",
+	"power/quick/O,PGO":                  "4a6499a8fc0bec99023b01b87e6a5e1f4b1228b4a4bb5817643da9c66753f91d",
 	"tsp/quick/O,PGO":                    "c6569da1c5c0a3e4578cedd97510df028d8a58b5f96f21ce95d81a1c141205c3",
 	"health/quick/O,PGO":                 "35b7ec21c9496b128bbba97e0fcf6f855f12d5db5ad74e69e9eb2342fe095cea",
 	"perimeter/quick/O,PGO":              "e197c259d85fa1d628a2d7871fee5f727d4877dd330ca9ca06f66bcf4a78224f",
@@ -154,8 +154,9 @@ func compiledCodeHash(t *testing.T, u *Unit) string {
 }
 
 // placementSetsHash hashes every statement's RemoteReads and RemoteWrites
-// set in walk order: each tuple's pointer name, offset, full-precision
-// frequency, Dlist, CrossedW and CrossedR, tuples sorted by (name, offset).
+// set, and each forall's ForallHeads set, in walk order: each tuple's
+// pointer name, offset, full-precision frequency, Dlist, CrossedW and
+// CrossedR, tuples sorted by (name, offset).
 func placementSetsHash(u *Unit) string {
 	h := sha256.New()
 	labels := func(ls []int) string {
@@ -190,6 +191,11 @@ func placementSetsHash(u *Unit) string {
 			}
 			if ws, ok := u.Placement.Writes[s]; ok && ws.Len() > 0 {
 				writeSet("W", i, ws.Tuples())
+			}
+			if fa, ok := s.(*simple.Forall); ok {
+				if hs := u.Placement.ForallHeads[fa]; hs.Len() > 0 {
+					writeSet("H", i, hs.Tuples())
+				}
 			}
 			i++
 		})
@@ -286,6 +292,7 @@ var epochPins = []struct {
 	{5, "2dab99555c7c95efb522ecd61bcfb7d6bd863f34e20528c242bb8da53460a77b"},
 	{6, "4097da93a3ddb3943ce329a37836bc0f7f274d915424433b706c3467136eec22"},
 	{7, "901ce1d67ea8046c9b7cb963719c739237e02f5b9452ecbf4d937ed3f9eb0e78"},
+	{8, "5523fc39a9e98bedbf8aee806e04316c8c449237ff429e91eab230f15644f22d"},
 }
 
 // goldenTablesHash hashes both golden tables, keys in sorted order.

@@ -87,8 +87,10 @@ type Phase struct {
 // and TestCompilerEpoch gives every re-pin a new epoch. Epoch 7 carries a
 // loop-top read around the back edge where the latch rebinds its pointer to
 // one the iteration already fetched (placement.Carry): tsp's tour_length
-// walk and voronoi's final walk fetch each element once.
-const compilerEpoch = 7
+// walk and voronoi's final walk fetch each element once. Epoch 8 spawns a
+// forall iteration with only its live-ins and issues the step's reads no
+// body can kill before the spawn (the forall's Head).
+const compilerEpoch = 8
 
 // fingerprint renders the compiler epoch, the compile-relevant options and
 // the bound profile into the cache namespace key. The ignored Workers and
@@ -198,14 +200,21 @@ func (p *Pipeline) Do(req CompileRequest) (*CompileResult, error) {
 // function, sorted by name. This is the byte format the cache's
 // correctness contract is stated over, and what `earthcc -dump=threaded`
 // prints.
-func (u *Unit) Disasm() (string, error) {
+func (u *Unit) Disasm() (string, error) { return u.DisasmFunc("") }
+
+// DisasmFunc renders the threaded code of function fn and of the forall
+// iteration and parallel arm bodies generated from it (named fn$...), in
+// name order; every function when fn is "".
+func (u *Unit) DisasmFunc(fn string) (string, error) {
 	tp, err := u.Threaded(threaded.Options{})
 	if err != nil {
 		return "", err
 	}
 	names := make([]string, 0, len(tp.Funcs))
 	for n := range tp.Funcs {
-		names = append(names, n)
+		if fn == "" || n == fn || strings.HasPrefix(n, fn+"$") {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	var b strings.Builder

@@ -21,6 +21,15 @@ func (m *Machine) runEU(n *node, t int64) {
 		return
 	}
 	f := n.popReady()
+	for f.done {
+		// A second wake-up of a fiber the first one ran to completion.
+		m.recycleFiber(f)
+		if n.readyLen() == 0 {
+			n.euWake = false
+			return
+		}
+		f = n.popReady()
+	}
 	t += m.cfg.CtxSwitch
 	if m.tr != nil {
 		start, name, fid := t, f.code.Name, f.id
@@ -535,18 +544,22 @@ func (m *Machine) execFiber(f *fiber, t *int64) {
 			m.enqueueReady(n, child, *t)
 
 		case threaded.OpSpawnIter:
-			// The iteration captures the frame by value; outstanding fills
-			// must land first so the copy is coherent.
-			if len(f.pending) > 0 {
-				m.block(f, f.pending[0]) // the lowest offset: deterministic
-				return
+			// The iteration is invoked with its live-ins (Args, ascending):
+			// a fill in flight to one must land first, lowest first, so
+			// the copy is coherent; fills to other words stay in flight.
+			for _, s := range in.Args {
+				if abs := f.base + int64(s); n.pending[abs] > 0 {
+					m.block(f, abs)
+					return
+				}
 			}
-			*t += cfg.SpawnCost + cfg.FrameCopyPerWord*int64(f.size)
+			*t += cfg.SpawnCost + cfg.FrameCopyPerWord*int64(len(in.Args))
 			m.counts.Spawns++
 			f.children++
 			child := m.newFiber(n.id, in.Fn, nil, replyRoute{kind: 1, parent: f})
-			copy(child.node.mem[child.base:child.base+int64(f.size)],
-				n.mem[f.base:f.base+int64(f.size)])
+			for _, s := range in.Args {
+				child.node.mem[child.base+int64(s)] = n.mem[f.base+int64(s)]
+			}
 			m.enqueueReady(n, child, *t)
 
 		case threaded.OpJoin:

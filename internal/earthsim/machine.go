@@ -390,6 +390,7 @@ func (n *node) readyLen() int { return len(n.ready) - n.readyAt }
 
 func (n *node) popReady() *fiber {
 	f := n.ready[n.readyAt]
+	f.queued--
 	n.ready[n.readyAt] = nil
 	n.readyAt++
 	if n.readyAt == len(n.ready) {
@@ -492,6 +493,11 @@ type fiber struct {
 	route  replyRoute
 	done   bool
 	ninstr int64
+	// queued counts the fiber's entries in its node's ready queue: a fiber
+	// blocked on two words of one instruction is woken by each fill, and
+	// the first wake-up may run it to completion before the second entry
+	// is taken (see runEU).
+	queued int
 
 	// parkListed/parkNext thread the fiber onto the machine's intrusive
 	// blocked-fiber list the first time it blocks (see park). The linkage
@@ -731,12 +737,12 @@ func (m *Machine) getFiber() *fiber {
 
 // recycleFiber returns a finished fiber's record to the freelist. Only safe
 // when nothing can reach the fiber again: it must be done, off the ready
-// queue (it just ran), with no outstanding fills or unacked writes (an
-// in-flight ack still references the record), no waiters (a done fiber is
-// never blocked), and no children still due to report completion into its
-// frame.
+// queue, with no outstanding fills or unacked writes (an in-flight ack
+// still references the record), no waiters (a done fiber is never blocked),
+// and no children still due to report completion into its frame. A done
+// fiber still queued is recycled when runEU takes its last entry.
 func (m *Machine) recycleFiber(f *fiber) {
-	if f.children != 0 || f.outstanding != 0 || len(f.pending) != 0 {
+	if f.children != 0 || f.outstanding != 0 || len(f.pending) != 0 || f.queued != 0 {
 		return
 	}
 	f.freeNext = m.fiberFree
@@ -779,6 +785,7 @@ func (m *Machine) newSharedFiber(nodeID int, code *threaded.FnCode, base int64, 
 // already pending: that one fires once the EU is free, and the EU takes
 // ready fibers in queue order.
 func (m *Machine) enqueueReady(n *node, f *fiber, t int64) {
+	f.queued++
 	n.ready = append(n.ready, f)
 	if !n.euWake {
 		n.euWake = true

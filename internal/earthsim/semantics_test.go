@@ -46,6 +46,44 @@ int main() {
 	}
 }
 
+// TestWokenTwiceAfterFinishing: an inner iteration whose one instruction
+// reads two fills in flight (p->a * q->b) is woken by each; when both land
+// while its EU is busy, the first wake-up runs it to completion, and the
+// second must not run the finished fiber again (which once returned its
+// record to the freelist twice, so two later fibers shared it).
+func TestWokenTwiceAfterFinishing(t *testing.T) {
+	const src = `
+struct P { int a; int b; struct P *next; };
+int main() {
+	shared int acc;
+	P *list; P *n; P *p; P *q; int i;
+	list = NULL;
+	for (i = 0; i < 4; i++) {
+		n = alloc_on(P, i % num_nodes());
+		n->a = 10 * i + 7;
+		n->b = 5 - i;
+		n->next = list;
+		list = n;
+	}
+	writeto(&acc, 0);
+	forall (p = list; p != NULL; p = p->next) {
+		forall (q = list; q != NULL; q = q->next) {
+			addto(&acc, p->a * q->b);
+		}
+	}
+	return valueof(&acc);
+}
+`
+	// (7 + 17 + 27 + 37) * (5 + 4 + 3 + 2)
+	for _, nodes := range []int{1, 2, 4} {
+		for _, opt := range []bool{false, true} {
+			if res := run(t, src, nodes, opt); res.MainRet != 88*14 {
+				t.Errorf("nodes=%d optimized=%v: main returned %d, want %d", nodes, opt, res.MainRet, 88*14)
+			}
+		}
+	}
+}
+
 // TestSharedDoubleAdd: atomic adds on a shared double accumulate exactly.
 func TestSharedDoubleAdd(t *testing.T) {
 	res := run(t, `

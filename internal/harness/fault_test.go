@@ -109,7 +109,7 @@ func TestFaultVisibleEquivalence(t *testing.T) {
 // and machine size, so the two goldens cannot drift apart unnoticed.
 func TestFaultSweepQuick(t *testing.T) {
 	baseNs := map[string]int64{
-		"power":     2312022,
+		"power":     2300228,
 		"tsp":       2358361,
 		"health":    3080965,
 		"perimeter": 3811870,

@@ -263,7 +263,7 @@ func (lw *lowerer) stmt(seq *simple.Seq, s earthc.Stmt) {
 		} else {
 			cond = simple.Cond{Op: simple.TruthTest, X: simple.IntAtom{Val: 1}}
 		}
-		node := &simple.Forall{Eval: eval, Cond: cond, Body: &simple.Seq{}, Step: &simple.Seq{}}
+		node := &simple.Forall{Eval: eval, Cond: cond, Head: &simple.Seq{}, Body: &simple.Seq{}, Step: &simple.Seq{}}
 		lw.stmt(node.Body, st.Body)
 		if st.Post != nil {
 			lw.exprStmt(node.Step, st.Post)

@@ -43,6 +43,10 @@ type Result struct {
 	// Writes maps each statement S to RemoteWrites(S): tuples placeable
 	// just after S. A statement with an empty set has no entry.
 	Writes map[simple.Stmt]Set
+	// ForallHeads maps each forall to the tuples of its step that no body
+	// can kill: placeable in the forall's Head, after the loop test and
+	// before the iteration is spawned. A forall with none has no entry.
+	ForallHeads map[*simple.Forall]Set
 	// CandidateReads / CandidateWrites count the basic statements that
 	// generate a tuple (each walk visits every basic statement once): the
 	// remote loads and stores entering placement.
@@ -81,9 +85,10 @@ func AnalyzeProfiledP(prog *simple.Program, rw *rwsets.Result, loc *locality.Res
 // static heuristics apply unchanged.
 func AnalyzeProfiled(prog *simple.Program, rw *rwsets.Result, loc *locality.Result, fp FreqProvider) *Result {
 	res := &Result{
-		Reads:    make(map[simple.Stmt]Set),
-		Writes:   make(map[simple.Stmt]Set),
-		Profiled: fp != nil,
+		Reads:       make(map[simple.Stmt]Set),
+		Writes:      make(map[simple.Stmt]Set),
+		ForallHeads: make(map[*simple.Forall]Set),
+		Profiled:    fp != nil,
 	}
 	locs := make(map[Key]int)
 	prog.EachFunc(func(f *simple.Func) {
@@ -448,19 +453,25 @@ func (a *analysis) hoistLoop(loop simple.Stmt, top Set, body, eval *simple.Seq) 
 // so the body is analyzed in isolation. Body tuples may still hoist out of
 // the whole construct (the fill then happens once, before any spawn, and is
 // copied into every iteration frame). Step tuples float across the spawned
-// body only if the body cannot kill them.
+// body only if the body cannot kill them: those form the forall's
+// ForallHeads set.
 func (a *analysis) readsForall(st *simple.Forall) Set {
 	a.conc++
 	bodyTop := a.readsSeq(st.Body)
 	a.conc--
 	stepTop := a.readsSeq(st.Step)
 
-	// Step tuples cross the concurrent body: body kills apply.
+	// Step tuples cross the concurrent body: body kills apply, and so
+	// does a store through the tuple's own pointer, which updates no
+	// shadow of the spawner's (the body's frame is its own).
 	var crossed []*Tuple
 	for _, t := range stepTop.ts {
-		if !a.killsRead(t, st.Body) {
+		if !a.killsRead(t, st.Body) && len(a.directAccessLabels(st.Body, t, true)) == 0 {
 			crossed = append(crossed, t)
 		}
+	}
+	if len(crossed) > 0 {
+		a.res.ForallHeads[st] = Set{ts: crossed}
 	}
 	evalTop := a.readsSeqInto(st.Eval, Set{ts: crossed})
 	return a.hoistLoop(st, union(evalTop, bodyTop), nil, nil)

@@ -366,11 +366,15 @@ type Do struct {
 }
 
 // Forall is a parallel loop: Body instances may run concurrently; the
-// induction (Eval/Cond/Step) runs sequentially on the spawning node, and the
-// construct joins all iterations before completing.
+// induction (Eval/Cond/Head/Step) runs sequentially on the spawning node, and
+// the construct joins all iterations before completing. Head runs after a
+// successful test and before the iteration is spawned: communication
+// selection puts there the step reads no body can kill, so their round
+// trips cover the spawn. Lowering leaves it empty.
 type Forall struct {
 	Eval *Seq
 	Cond Cond
+	Head *Seq
 	Body *Seq
 	Step *Seq
 	Site int // stable profiling site ID

@@ -114,7 +114,14 @@ func (p *printer) stmt(b *strings.Builder, s Stmt, depth int) {
 		fmt.Fprintf(b, "} while (%s);\n", st.Cond)
 	case *Forall:
 		p.indent(b, depth)
-		fmt.Fprintf(b, "forall (%s) {\n", st.Cond)
+		if len(st.Head.Stmts) > 0 {
+			fmt.Fprintf(b, "forall (%s) head {\n", st.Cond)
+			p.seq(b, st.Head, depth+1)
+			p.indent(b, depth)
+			b.WriteString("} body {\n")
+		} else {
+			fmt.Fprintf(b, "forall (%s) {\n", st.Cond)
+		}
 		p.seq(b, st.Body, depth+1)
 		if len(st.Step.Stmts) > 0 {
 			p.indent(b, depth)

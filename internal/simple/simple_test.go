@@ -61,8 +61,8 @@ func TestCondString(t *testing.T) {
 }
 
 func TestEachSubseqCoverage(t *testing.T) {
-	mk := func() (*Seq, *Seq, *Seq) { return &Seq{}, &Seq{}, &Seq{} }
-	a, b, c := mk()
+	mk := func() (*Seq, *Seq, *Seq, *Seq) { return &Seq{}, &Seq{}, &Seq{}, &Seq{} }
+	a, b, c, d := mk()
 	cases := []struct {
 		s    Stmt
 		want int
@@ -71,7 +71,7 @@ func TestEachSubseqCoverage(t *testing.T) {
 		{&If{Then: a, Else: b}, 2},
 		{&While{Eval: a, Body: b}, 2},
 		{&Do{Body: a, Eval: b}, 2},
-		{&Forall{Eval: a, Body: b, Step: c}, 3},
+		{&Forall{Eval: a, Head: d, Body: b, Step: c}, 4},
 		{&Par{Arms: []*Seq{a, b}}, 2},
 		{&Switch{Cases: []*SwitchCase{{Body: a}, {Body: b}, {Body: c}}}, 3},
 		{&Basic{}, 0},

@@ -21,6 +21,7 @@ func EachSubseq(s Stmt, fn func(*Seq)) {
 		fn(st.Eval)
 	case *Forall:
 		fn(st.Eval)
+		fn(st.Head)
 		fn(st.Body)
 		fn(st.Step)
 	case *Par:

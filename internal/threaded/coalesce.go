@@ -138,6 +138,7 @@ func (c *coalescer) scan(s *simple.Seq, r int32) {
 		case *simple.Forall:
 			c.cond(x.Cond, r)
 			c.scan(x.Eval, r)
+			c.scan(x.Head, r)
 			c.scan(x.Body, c.region(r))
 			c.scan(x.Step, r)
 		case *simple.Par:

@@ -55,7 +55,7 @@ const (
 	OpCallAt // like OpCall but runs at a remote node (split-phase RPC):
 	//            B = placement kind (0 owner-of, 1 on, 2 home), C = place reg
 	OpSpawnArm  // spawn Fn as a fiber sharing this frame (parallel sequence arm)
-	OpSpawnIter // spawn Fn as a fiber with a copy of this frame (forall body)
+	OpSpawnIter // spawn Fn as a fiber whose frame starts with copies of slots Args (forall body)
 	OpJoin      // wait until all spawned children have completed
 	OpRet       // return frame[A] (A == -1: void); fences, notifies waiter
 	// Shared-variable atomic operations (serviced by the owner's SU).

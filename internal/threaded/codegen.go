@@ -118,8 +118,10 @@ type gen struct {
 	// frame size at the end of fun().
 	family []*FnCode
 	// co picks the comm temps that share another variable's slot.
-	co  coalescer
-	err error
+	co coalescer
+	// live computes the function's forall live-ins on first use.
+	live *liveness
+	err  error
 }
 
 func max(a, b int) int {
@@ -196,7 +198,7 @@ func (g *gen) fun(f *simple.Func) error {
 	for _, l := range sharedLocals {
 		g.emit(g.fc, Instr{Op: OpAlloc, A: g.slots[l.ID], B: -1, C: max(1, l.Size)})
 	}
-	g.family = nil
+	g.family, g.live = nil, nil
 	g.seq(g.fc, f.Body)
 	// Implicit return at end.
 	g.emit(g.fc, Instr{Op: OpRet, A: -1})

@@ -131,9 +131,10 @@ func (g *gen) switchStmt(fc *FnCode, c *simple.Switch) {
 	}
 }
 
-// forall compiles a parallel loop: iterations are spawned as fibers with a
-// copy of the frame and joined at the end. In sequential mode the loop is
-// serialized.
+// forall compiles a parallel loop: each iteration is spawned as a fiber
+// whose frame starts with the body's live-ins (see livein.go), after the
+// Head has issued the step's early reads, and all are joined at the end. In
+// sequential mode the loop is serialized.
 func (g *gen) forall(fc *FnCode, c *simple.Forall) {
 	if g.opt.Sequential {
 		g.probe(fc, ProbeLoopEnter, c.Site, 0)
@@ -142,6 +143,7 @@ func (g *gen) forall(fc *FnCode, c *simple.Forall) {
 		cond := g.cond(fc, c.Cond)
 		jEnd := g.emit(fc, Instr{Op: OpJmpIfNot, A: cond})
 		g.probe(fc, ProbeLoopTrip, c.Site, 0)
+		g.seq(fc, c.Head)
 		g.seq(fc, c.Body)
 		g.seq(fc, c.Step)
 		g.emit(fc, Instr{Op: OpJmp, C: top})
@@ -158,12 +160,12 @@ func (g *gen) forall(fc *FnCode, c *simple.Forall) {
 	saved := g.fc
 	g.fc = body
 	g.open(body)
-	body.NSlots = saved.NSlots // shares the frame layout (copied at spawn)
+	body.NSlots = saved.NSlots // shares the frame layout (live-ins copied at spawn)
 	g.seq(body, c.Body)
 	g.emit(body, Instr{Op: OpRet, A: -1})
 	g.close(body)
 	// Body codegen may have allocated scratch past the parent's count; the
-	// parent frame must be at least that large so the copy covers it.
+	// family's frames are unified to the largest.
 	if body.NSlots > saved.NSlots {
 		saved.NSlots = body.NSlots
 	}
@@ -175,7 +177,8 @@ func (g *gen) forall(fc *FnCode, c *simple.Forall) {
 	cond := g.cond(fc, c.Cond)
 	jEnd := g.emit(fc, Instr{Op: OpJmpIfNot, A: cond})
 	g.probe(fc, ProbeLoopTrip, c.Site, 0)
-	g.emit(fc, Instr{Op: OpSpawnIter, Fn: body})
+	g.seq(fc, c.Head)
+	g.emit(fc, Instr{Op: OpSpawnIter, Fn: body, Args: g.liveInSlots(c.Body)})
 	g.seq(fc, c.Step)
 	g.emit(fc, Instr{Op: OpJmp, C: top})
 	fc.Code[jEnd].C = len(fc.Code)

@@ -48,3 +48,7 @@ go test -race ./...
 # testdata/ (including the malformed-input corpus). Catches panics the
 # hand-written corpus misses; a real finding lands in testdata/fuzz/.
 go test -fuzz=FuzzParse -fuzztime=10s -run '^$' ./internal/earthc
+# And ten seconds of optimizer fuzzing: each input seeds the random program
+# generator of TestOptimizerSemanticsFuzz, and the optimized builds must
+# print what the sequential and simple builds print.
+go test -fuzz=FuzzOptimizerSemantics -fuzztime=10s -run '^$' ./internal/core
