@@ -44,8 +44,9 @@ type Result struct {
 	// just after S. A statement with an empty set has no entry.
 	Writes map[simple.Stmt]Set
 	// ForallHeads maps each forall to the tuples of its step that no body
-	// can kill: placeable in the forall's Head, after the loop test and
-	// before the iteration is spawned. A forall with none has no entry.
+	// can kill or store to: placeable in the forall's Head, after the loop
+	// test and before the iteration is spawned. A forall with none has no
+	// entry.
 	ForallHeads map[*simple.Forall]Set
 	// CandidateReads / CandidateWrites count the basic statements that
 	// generate a tuple (each walk visits every basic statement once): the
