@@ -75,12 +75,18 @@ var oldenCounters = []struct {
 	// optimized and PGO operations fell from 6,109, 5,268 and 5,010. When
 	// a forall iteration began to be spawned with only its live-ins and
 	// the step's get of lat->next to leave before the spawn, power's
-	// events fell from 311; every operation count held.
+	// events fell from 311; every operation count held. When independent
+	// placed builds began to run as the arms of a {^ ^} sequence, tsp's,
+	// perimeter's and voronoi's instructions rose from 22,618, 225,134 and
+	// 78,247 (the arms' spawns and joins), health's fell from 49,632 (its
+	// spread levels compute their owners once, not per loop trip), and
+	// the events of all four rose from 1,250, 5,676, 1,610 and 5,999 (a
+	// fiber per arm); every operation count held.
 	{"power", 195570, 309, 6464, 2672, 2672, 75},
-	{"tsp", 22618, 1250, 3298, 1407, 1312, 92},
-	{"health", 49632, 5676, 14929, 7017, 7017, 216},
-	{"perimeter", 225134, 1610, 6493, 5897, 5897, 428},
-	{"voronoi", 78247, 5999, 15990, 5243, 4985, 102},
+	{"tsp", 22636, 1259, 3298, 1407, 1312, 92},
+	{"health", 49217, 5706, 14929, 7017, 7017, 216},
+	{"perimeter", 225144, 1615, 6493, 5897, 5897, 428},
+	{"voronoi", 78265, 6008, 15990, 5243, 4985, 102},
 }
 
 // haloEvents is BenchmarkSimNodes' row per machine size: the events of the

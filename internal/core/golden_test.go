@@ -32,30 +32,30 @@ var compiledCodeGolden = map[string]string{
 	"power/quick/O":                      "a916b51a1d3c03793e2a25fb2efdd66f380c97e81e70c0da0664f33152e164f7",
 	"power/quick/O,NoInline":             "d83e550488eb5c63b9d70a679e30c14a1b3653c19b8710ca9b6a264b670d4887",
 	"power/quick/O,DeclaredLayout":       "a34b8e18b08821ba5a63a75ca6f8c1c0a4a2e755f6c0f78ef67ec13c69f110dd",
-	"tsp/default/O":                      "c6c866f862908f27f54e2cf1bdcb871653869f74dc6c80ba32feee40615c3c14",
-	"tsp/default/O,NoInline":             "ce81950a09ed9d409482565248245ab3358c260a36429b041f7b1bb85ed743ab",
-	"tsp/default/O,DeclaredLayout":       "c767adc80818b0528c3e9e5c711fe8d8bdc0a29609a9d2f69da784c18576281e",
-	"tsp/quick/O":                        "d6645f2065d20a92b4aa5d9016198389dcb18c3a64cf7a7b2376c7276e800714",
-	"tsp/quick/O,NoInline":               "ab6728a1fcd54b889280403ee228ddd96e1f1a2517b869a3d533d9d7c1ffea2a",
-	"tsp/quick/O,DeclaredLayout":         "6d8d78d2084ab27acecf8498f3fa1ef2d3a8b5945b1a3f73b6187e59fda35a80",
-	"health/default/O":                   "c2ee13babc89e6f5058cb673b892e9dae6cf8f63b33ed5e630a71a4377bd8d0b",
-	"health/default/O,NoInline":          "bf0b807b39bb16f830acf4b77e12d1f0592ad862709ed6336035d0e3713f6fcb",
-	"health/default/O,DeclaredLayout":    "8a2a0ef3f761eeb1a2740fdd0fbc805b6fbf43cfff898df4313f3c5f5aa1ec82",
-	"health/quick/O":                     "e2277712ed1732f5549a03ac3c2ee16d839a2384d9c57b2d15663ff3dc0f1473",
-	"health/quick/O,NoInline":            "76caa65c584b58c2fbbd1c1d61d7cb62feaa30c766fb259688db916d80dbda2f",
-	"health/quick/O,DeclaredLayout":      "c17e381567fb7c57895c8d6c224776c4ae827bdc55fe111950685fd66244fbb9",
-	"perimeter/default/O":                "3f4e965b906496d5aa7041f5e4699a2e11c273848260dcbc70fa782698934604",
-	"perimeter/default/O,NoInline":       "b85376218b67f035675e92837fe4f279c41960927ef4a12ca2cf0566920a4310",
-	"perimeter/default/O,DeclaredLayout": "075265eb66134b7a08dd54d73997f7ec765877aab24d6acc630470365498f254",
-	"perimeter/quick/O":                  "ac64d09265f03e7ca1dd422d55238cc2e31584199d6c988aed8e678f0203bbbb",
-	"perimeter/quick/O,NoInline":         "c853c03e2f3ce25200daa2d61b6c3b39a67ab809061e901cd59edca211bd1fcf",
-	"perimeter/quick/O,DeclaredLayout":   "257afdc2b0c56d1896768e500d9402472180f5e90de81bb600e5784d4f9e085c",
-	"voronoi/default/O":                  "ab28cb05fd3e699b8f9c365ce3c9fa82df889d70b31c65a79760bf8991107c06",
-	"voronoi/default/O,NoInline":         "a041846632e863063f2d5c4392e90d26586efa76f11a8beec71956c2bd889d63",
-	"voronoi/default/O,DeclaredLayout":   "a3a8de12dbd045b45ee9cd4ba519b2087259b5669a61906e411a6f513f6a73a3",
-	"voronoi/quick/O":                    "5c1ccc26fd6161699cc2e5cb016dc7276f6fafdb243a35e6366c3e184e8dab0e",
-	"voronoi/quick/O,NoInline":           "4eafca0614eeccc10896d6e3aa77fe5ea36287b42fcc2d18d3db6f7f1667484c",
-	"voronoi/quick/O,DeclaredLayout":     "9b4379d934723ac61f0fbf27cd6ab0ceff367c2c4a421925dc58c1606185bc47",
+	"tsp/default/O":                      "549e51bcd8cecad80f67e8c121237b031e4a2cc8b6d3f05a0268df1f258839d0",
+	"tsp/default/O,NoInline":             "f1de66e5989725888004a9f859e56cced8b9911e44d0198b307e4b525230fcd1",
+	"tsp/default/O,DeclaredLayout":       "7fa62d3bea44a658c56b9a1848e95ead3e56176d53d9af5ff39e619287598089",
+	"tsp/quick/O":                        "5cdc48e3e65cf4fb0efe2c16095f874c963efef0418e475ef89f9be313c7587f",
+	"tsp/quick/O,NoInline":               "c4b3534dad25bd589eef8cf70aa701f7da124fcaea9531e26b462c51bbe7372f",
+	"tsp/quick/O,DeclaredLayout":         "8dca2411bfccbc9a79b5075e11ded6a6a3b300bc446a0c4dbb5591c5430c0f0b",
+	"health/default/O":                   "1f95d9d064a38791fad5d8d309726c011d453512e330e92e96b0b9e21f58acd9",
+	"health/default/O,NoInline":          "2cfe222727659cb60698316376036312bc76fceacfa56affe80faea57ffc545d",
+	"health/default/O,DeclaredLayout":    "f760fe46730de58ff8c252d448855d36cb4b6fde3546c41bec98215ab13f35b9",
+	"health/quick/O":                     "c2d7e21b32cee460ee5acc5063789a8e86a1569347a5082a8200f90c83b77150",
+	"health/quick/O,NoInline":            "1afdad5aac0d7f3a9a88d80917172d6e868e4b693118c3819cbca0275218ede7",
+	"health/quick/O,DeclaredLayout":      "c66baf8d23b1cd6b20ff643b49fd54ea7d455d2d611c423a458702e98056d841",
+	"perimeter/default/O":                "b77425e8eb663c8644d120e490405a8c2dff13d4289e536883a3d20ab0ec32b3",
+	"perimeter/default/O,NoInline":       "fc42f77fb844df225a1e111bd2905937fd23bc6a8085318a5fb0b3dbbcd99505",
+	"perimeter/default/O,DeclaredLayout": "7eac0765ba3caf19ad5b0d2341f95aaac9de12265a3c94982ab6f0c12edf3677",
+	"perimeter/quick/O":                  "f55cfb9efc9123a649d4d93147193507f25a69f83949704979d5450fcd13d018",
+	"perimeter/quick/O,NoInline":         "49341291c22b07358d57b5d3f4ec68aa238f728b6581b75c7c67c8fb53b123f2",
+	"perimeter/quick/O,DeclaredLayout":   "3e1132c6138d9ecb91da2656759388753f7759814f827e7d9e418d85183450f3",
+	"voronoi/default/O":                  "2b926ba3207f8ad3b09f963a5019088bbfd919bb1e282aa4b5547d460df99357",
+	"voronoi/default/O,NoInline":         "8055cde1ff484de18487b566bc16d1041b46ed7cd080a8a24428716e74700004",
+	"voronoi/default/O,DeclaredLayout":   "b189381784caa454238f9b0253278495e4bbca59b17513c3e82bfe63a0fc42a8",
+	"voronoi/quick/O":                    "49dd06ef971033ebaba3cde030a9a642b92baa87c6bbd54eac2f02831c437c40",
+	"voronoi/quick/O,NoInline":           "7efbbb130eaa7d3031cc32820e3d12c2f75e7226c3bf2630d31f082d794855dd",
+	"voronoi/quick/O,DeclaredLayout":     "cad44117c5f4bfb8d9d15c2ed2354918b6f0a1928e0214b52c60e08ba47c5d1c",
 	"halo/default/O":                     "458519640d11ee3ae55a8ce923eeadb3a8cec147ffc6c0f9d09901d203a5b7fa",
 	"halo/default/O,NoInline":            "458519640d11ee3ae55a8ce923eeadb3a8cec147ffc6c0f9d09901d203a5b7fa",
 	"halo/default/O,DeclaredLayout":      "458519640d11ee3ae55a8ce923eeadb3a8cec147ffc6c0f9d09901d203a5b7fa",
@@ -75,10 +75,10 @@ var compiledCodeGolden = map[string]string{
 	// Profile-guided builds (Pipeline.ProfileCycle on 4 nodes), where the
 	// measured factors scale tuple frequencies non-uniformly.
 	"power/quick/O,PGO":     "a916b51a1d3c03793e2a25fb2efdd66f380c97e81e70c0da0664f33152e164f7",
-	"tsp/quick/O,PGO":       "8ce40c8da1b3ee4134c5b64a770614691d2f2438c64995343ea27d8fae468f7f",
-	"health/quick/O,PGO":    "e2277712ed1732f5549a03ac3c2ee16d839a2384d9c57b2d15663ff3dc0f1473",
-	"perimeter/quick/O,PGO": "ac64d09265f03e7ca1dd422d55238cc2e31584199d6c988aed8e678f0203bbbb",
-	"voronoi/quick/O,PGO":   "f62bb9fa586f59125e245d2abd012048712f544ce232ed8d597605451d4a6084",
+	"tsp/quick/O,PGO":       "4dc2da4df57fa73acded4b1f956e91cf0b225a40afc55e0c583131377fcce2e6",
+	"health/quick/O,PGO":    "c2d7e21b32cee460ee5acc5063789a8e86a1569347a5082a8200f90c83b77150",
+	"perimeter/quick/O,PGO": "f55cfb9efc9123a649d4d93147193507f25a69f83949704979d5450fcd13d018",
+	"voronoi/quick/O,PGO":   "28fbc3b37e9b8c97220aa743c73bda6711322970419c16bf3e6585022986c674",
 }
 
 // placementSetsGolden pins, for every compiledCodeGolden cell, the sha256 of
@@ -98,12 +98,12 @@ var placementSetsGolden = map[string]string{
 	"tsp/quick/O":                        "079913715180f54c3535372f072fee5cfba3e52f1a45bd5c41aca54cc3eaa9ac",
 	"tsp/quick/O,NoInline":               "ff59746e346b833cd32aa3d594f1cc510a490ff918982a07626bb14aecc8f8de",
 	"tsp/quick/O,DeclaredLayout":         "2efe3ff5f7fc8ec9aa1fc46d448db62bebbf6dff679b80c5afefaf8a0f7f9c76",
-	"health/default/O":                   "58bb0782af068ffbaa0aa0b681d3d92dd6b78fd7719ecaf26e79076427362c14",
+	"health/default/O":                   "9ce5f3cc191f6e110a971822903ec5c6502dcb23b2a451bff87cda8493b3f5bf",
 	"health/default/O,NoInline":          "61c4de0ca3d7541d51ea50db1c4df5e44e285b0e1c29ff6db8f6c2bdc571727d",
-	"health/default/O,DeclaredLayout":    "76bd4d33739cd22081d2499901c96eca6d0811b5d6eae467ccc80f77fa02cf82",
-	"health/quick/O":                     "58bb0782af068ffbaa0aa0b681d3d92dd6b78fd7719ecaf26e79076427362c14",
+	"health/default/O,DeclaredLayout":    "58b65f56bd7a2f754e6972761e0900697504af173fa3846f486cce5282b5310f",
+	"health/quick/O":                     "9ce5f3cc191f6e110a971822903ec5c6502dcb23b2a451bff87cda8493b3f5bf",
 	"health/quick/O,NoInline":            "61c4de0ca3d7541d51ea50db1c4df5e44e285b0e1c29ff6db8f6c2bdc571727d",
-	"health/quick/O,DeclaredLayout":      "76bd4d33739cd22081d2499901c96eca6d0811b5d6eae467ccc80f77fa02cf82",
+	"health/quick/O,DeclaredLayout":      "58b65f56bd7a2f754e6972761e0900697504af173fa3846f486cce5282b5310f",
 	"perimeter/default/O":                "23502c325e906b588725d34851cab6bfa737a05999ab3e7c7941117e341c5eb6",
 	"perimeter/default/O,NoInline":       "80998c6bbab3ed05b0c33185b2c4b43abf52d956fe5900206b00b997fe2dc031",
 	"perimeter/default/O,DeclaredLayout": "36c085bc18826fa5380eab97efb7ac99197b28dc8f94fbef57540e38644d2250",
@@ -133,7 +133,7 @@ var placementSetsGolden = map[string]string{
 	"scale_point.ec/O,DeclaredLayout":    "877b3c329ccfd48fe9811f5c62154951ca7c82be3f29655b2aa1863bea61578f",
 	"power/quick/O,PGO":                  "4a6499a8fc0bec99023b01b87e6a5e1f4b1228b4a4bb5817643da9c66753f91d",
 	"tsp/quick/O,PGO":                    "c6569da1c5c0a3e4578cedd97510df028d8a58b5f96f21ce95d81a1c141205c3",
-	"health/quick/O,PGO":                 "35b7ec21c9496b128bbba97e0fcf6f855f12d5db5ad74e69e9eb2342fe095cea",
+	"health/quick/O,PGO":                 "b518f56eaf6b988d1bafdc0a3f9ad9f69b6a3d65d501311426c528a774670939",
 	"perimeter/quick/O,PGO":              "e197c259d85fa1d628a2d7871fee5f727d4877dd330ca9ca06f66bcf4a78224f",
 	"voronoi/quick/O,PGO":                "f1063e0402d9d5aacbf8aec9ef421c72d550b9c1dd8547d00f8c3b32c8b90fb2",
 }
@@ -293,6 +293,7 @@ var epochPins = []struct {
 	{6, "4097da93a3ddb3943ce329a37836bc0f7f274d915424433b706c3467136eec22"},
 	{7, "901ce1d67ea8046c9b7cb963719c739237e02f5b9452ecbf4d937ed3f9eb0e78"},
 	{8, "5523fc39a9e98bedbf8aee806e04316c8c449237ff429e91eab230f15644f22d"},
+	{9, "13d166df82fcddda76b86a7b72a49ae1c1e3f0259a1c8bb8aace0dff7d5c55fb"},
 }
 
 // goldenTablesHash hashes both golden tables, keys in sorted order.
@@ -341,22 +342,22 @@ var semaGolden = map[string]string{
 	"power/quick/O,DeclaredLayout":     "1b02352461192ffc0d380f0a1834aafd5c71083a503a074430166206b0b296c2",
 	"power/tiny/O":                     "1b02352461192ffc0d380f0a1834aafd5c71083a503a074430166206b0b296c2",
 	"power/tiny/O,DeclaredLayout":      "1b02352461192ffc0d380f0a1834aafd5c71083a503a074430166206b0b296c2",
-	"tsp/quick/O":                      "365b89854dbb4f13201a7ee12ec3b8569d654c3c0461720a22dbdfbebf9d9dd0",
-	"tsp/quick/O,DeclaredLayout":       "365b89854dbb4f13201a7ee12ec3b8569d654c3c0461720a22dbdfbebf9d9dd0",
-	"tsp/tiny/O":                       "365b89854dbb4f13201a7ee12ec3b8569d654c3c0461720a22dbdfbebf9d9dd0",
-	"tsp/tiny/O,DeclaredLayout":        "365b89854dbb4f13201a7ee12ec3b8569d654c3c0461720a22dbdfbebf9d9dd0",
-	"health/quick/O":                   "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
-	"health/quick/O,DeclaredLayout":    "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
-	"health/tiny/O":                    "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
-	"health/tiny/O,DeclaredLayout":     "8e9b4705e623ba3fa481be78a87af60d28e67a502cd73926a4bc6b6a863fac81",
-	"perimeter/quick/O":                "6ffa2fd1e8b2097b3089ae96a603ba6c44b9586ef8a00327cea736125651e395",
-	"perimeter/quick/O,DeclaredLayout": "6ffa2fd1e8b2097b3089ae96a603ba6c44b9586ef8a00327cea736125651e395",
-	"perimeter/tiny/O":                 "6ffa2fd1e8b2097b3089ae96a603ba6c44b9586ef8a00327cea736125651e395",
-	"perimeter/tiny/O,DeclaredLayout":  "6ffa2fd1e8b2097b3089ae96a603ba6c44b9586ef8a00327cea736125651e395",
-	"voronoi/quick/O":                  "780a9bb87b824130d0291addbb39d5d7b9d1b7b7c8f0ddf14bbcbdaf15100bf0",
-	"voronoi/quick/O,DeclaredLayout":   "780a9bb87b824130d0291addbb39d5d7b9d1b7b7c8f0ddf14bbcbdaf15100bf0",
-	"voronoi/tiny/O":                   "780a9bb87b824130d0291addbb39d5d7b9d1b7b7c8f0ddf14bbcbdaf15100bf0",
-	"voronoi/tiny/O,DeclaredLayout":    "780a9bb87b824130d0291addbb39d5d7b9d1b7b7c8f0ddf14bbcbdaf15100bf0",
+	"tsp/quick/O":                      "27f08d59551417557d729a90f858c3369232ee433d7b7536bebf8d10c8f98423",
+	"tsp/quick/O,DeclaredLayout":       "27f08d59551417557d729a90f858c3369232ee433d7b7536bebf8d10c8f98423",
+	"tsp/tiny/O":                       "27f08d59551417557d729a90f858c3369232ee433d7b7536bebf8d10c8f98423",
+	"tsp/tiny/O,DeclaredLayout":        "27f08d59551417557d729a90f858c3369232ee433d7b7536bebf8d10c8f98423",
+	"health/quick/O":                   "05d0c91eef34b52092a704db401c5bacf03fe542d3dfa7db4f12236a9fb8ed18",
+	"health/quick/O,DeclaredLayout":    "05d0c91eef34b52092a704db401c5bacf03fe542d3dfa7db4f12236a9fb8ed18",
+	"health/tiny/O":                    "05d0c91eef34b52092a704db401c5bacf03fe542d3dfa7db4f12236a9fb8ed18",
+	"health/tiny/O,DeclaredLayout":     "05d0c91eef34b52092a704db401c5bacf03fe542d3dfa7db4f12236a9fb8ed18",
+	"perimeter/quick/O":                "881f8148b9e7146fcef171d7160ec71e4bed8427ab3b5146949ccd12680e852e",
+	"perimeter/quick/O,DeclaredLayout": "881f8148b9e7146fcef171d7160ec71e4bed8427ab3b5146949ccd12680e852e",
+	"perimeter/tiny/O":                 "881f8148b9e7146fcef171d7160ec71e4bed8427ab3b5146949ccd12680e852e",
+	"perimeter/tiny/O,DeclaredLayout":  "881f8148b9e7146fcef171d7160ec71e4bed8427ab3b5146949ccd12680e852e",
+	"voronoi/quick/O":                  "6dc97d500e613a9e3f0aa8f25ed94343f6d28317fa224348ee0cbf932a977cdb",
+	"voronoi/quick/O,DeclaredLayout":   "6dc97d500e613a9e3f0aa8f25ed94343f6d28317fa224348ee0cbf932a977cdb",
+	"voronoi/tiny/O":                   "6dc97d500e613a9e3f0aa8f25ed94343f6d28317fa224348ee0cbf932a977cdb",
+	"voronoi/tiny/O,DeclaredLayout":    "6dc97d500e613a9e3f0aa8f25ed94343f6d28317fa224348ee0cbf932a977cdb",
 }
 
 // semaTinyParams are compile_cold's sizes (benchmark/workloads.go).
@@ -546,30 +547,30 @@ var restructureGolden = map[string]string{
 	"power/quick/NoInline":       "6a5ae9fa62cece882db18425874efead2ed9b2ca0058418b58a140d5018ed004",
 	"power/tiny/inline":          "8f08724d4416400737ebc71025537632ad4271d881e21b9a1cad16370d27b915",
 	"power/tiny/NoInline":        "4eab4cb90afea730ef941ace790abafbf9bbae3567399d6f104f31668b5868a9",
-	"tsp/default/inline":         "740b68e041e3528f0e05d12b03b697cfd82364e2b824b592cba06531ae128943",
-	"tsp/default/NoInline":       "b6c83436a586f42c19e10a5730b04e261554a6690bd5ea9fb28da6b18f42adc8",
-	"tsp/quick/inline":           "57cfaac168a188c1c65d5ef4ceba46d6237f33d9a19a4ee29707abdddf22b64e",
-	"tsp/quick/NoInline":         "3c694ad7bed813bb009fd22e1e707762810dd931c9b839cc4e28b03deb775eed",
-	"tsp/tiny/inline":            "00825a17cf7c61dc850915749c3ced368bf3863cad637210331103d8861b2ea7",
-	"tsp/tiny/NoInline":          "b28130eb5d80154ec80e2fa69d615623b20080037e0ddd6d14f69e69b465feb9",
-	"health/default/inline":      "42ea595ec7622f2948d38fec2efa7822d9fbae9f24d4f1deee1a2953b7dd787e",
-	"health/default/NoInline":    "8a4f08476542c8b550e3429231dc41531e33c35c719c8dbd6318597f9094fe08",
-	"health/quick/inline":        "1a5a84b58050d0df75350660b2a0d9a61ee0d15d2f870aeb1c80f0bf038fbee4",
-	"health/quick/NoInline":      "fd138dd3f75227cd95a1478773a0311416ca276c304ab483c64c85bce6d9bfcf",
-	"health/tiny/inline":         "091c3b94bb624d59f3109132c5be3110d3b5e61b3be252a874c339fc1cd3801d",
-	"health/tiny/NoInline":       "2ecd12d769380075ec88f4bc8d720ccfb0c19c22803e69e111e4861ed7465037",
-	"perimeter/default/inline":   "5391bbc7e466cac1fa34949b0b84a030525384ac3b0f92c9ebfe7f46d048e5c7",
-	"perimeter/default/NoInline": "856b569d1eba0f79821ef6876c447303b2554bdfaa717654312177f9c9ab71aa",
-	"perimeter/quick/inline":     "0c6a7b01190426d369d4958b67fb3a937cccb990eaecd58891d4c146699601f0",
-	"perimeter/quick/NoInline":   "c080e8f59f03d50f3f4de124e0707ae8f7684778d0669c549d9afe269ad9be2a",
-	"perimeter/tiny/inline":      "1811f2137238377e2aa5e9231f8c6dd6a4e45c68e26578a8c10402190d8a22be",
-	"perimeter/tiny/NoInline":    "acc30ac3a3580310cd003195cc5d8370eea986591ad5728b1d41e0883bfc742b",
-	"voronoi/default/inline":     "f3964a296bfb3e5a1486daa6320ff26f83828f4767ed6af18b8916cda2d8e9d4",
-	"voronoi/default/NoInline":   "bcecd0c7179d9cfd8862b72fd75be7fd4f213036eee6a5e430fc5ca00d5f5e62",
-	"voronoi/quick/inline":       "0d6cd902743506668b62e24e912c2ed65da9d0cff9c69e38aaf66248fb77bc06",
-	"voronoi/quick/NoInline":     "3076ca95f94fe16b1e465a5f7635f9c7a186c94bff6a5771c7e35acc5d55fd65",
-	"voronoi/tiny/inline":        "b576dba96ac3af5faeb1cdc6bb2c2ed8a1c70b6b4bf1742259297aefbdbb85ef",
-	"voronoi/tiny/NoInline":      "e83771f4c8eecd09ce961ac7f6058ed55cb11ec0c3d8237eaa1b022f1f540299",
+	"tsp/default/inline":         "2d96d8b61b70fae5eb80e8e7ae71a8a3a1852a5d0084361ff3809301cd14c5fd",
+	"tsp/default/NoInline":       "1bafb9f5da91cd5795e44250d1ac22f0ca4feec4f2991714719df36193328a24",
+	"tsp/quick/inline":           "e167f4436c3344c88d167939334f1a257b00e20250dc24bb4fa13b8059b21845",
+	"tsp/quick/NoInline":         "88f0a9d712999d0067b9c184597a3577eed16abe1dffda7e1ae217847c62502b",
+	"tsp/tiny/inline":            "258394aa290d7d775a88b204bd5f70762a11904efc8e7bd3d3b73c021e170807",
+	"tsp/tiny/NoInline":          "b3f4e47956783e33c6bbe89fd6c7408c5404d04ee38633f12a27db89c85f5fd0",
+	"health/default/inline":      "a66b701fe89b72d76eae69bf273a755b150a9572d75e3ae9eeb7eaa4aa6aacb3",
+	"health/default/NoInline":    "56ca6e5a3ae0124c20b50c99f2fb5e031f17a04f0162e4964d98cc951743f417",
+	"health/quick/inline":        "66d34936dba6964b2c8957b6c464666922450bf03daeea10cb4c4a5dddd63e11",
+	"health/quick/NoInline":      "eaebbc2872263a8ca97806ae444194da38a801b2aef6a75d8da62769a7fa829e",
+	"health/tiny/inline":         "c3efdf049293d318b4c5bbf2a8a97622dc59bc01301d67a669e2c9b922b420bf",
+	"health/tiny/NoInline":       "01ec01d5e5d0d8d4c5ec2122626a6327388497945d9a688e67c606bbc151ccbb",
+	"perimeter/default/inline":   "c1e80a0595f8604a216bc8ac4b0cd85feec6b3c9ca69ea7cd006edde2bed0989",
+	"perimeter/default/NoInline": "68f2d7cc235990b6ef7ece892e25a31ca5de119d9c0f28b5ed0d6204a35ce4a5",
+	"perimeter/quick/inline":     "01eaaee6d78588e9c08a1eda3ad548406f802663fefdcba4bc94c661d813ed53",
+	"perimeter/quick/NoInline":   "06cee20515069c245d97df31df74a8ba24d957b67cb97563351decee09b01873",
+	"perimeter/tiny/inline":      "3497de7b40f3e29238f199a95ade8c5d91e23635f6df6ccb9226aff96aea5d23",
+	"perimeter/tiny/NoInline":    "75530e2cdbd53d79a48b1a7a65041702bc3a9fcf26878f59324282c6402deece",
+	"voronoi/default/inline":     "3c2439da88b11197f4a2aab00c5008a332f6ffcc42f6f3112af95e8169e10091",
+	"voronoi/default/NoInline":   "530cf5639432da83297fdc75e02a3967f94e0e3aa5e6f23eccc53046f1c0994d",
+	"voronoi/quick/inline":       "9ef22f89cc8a2095d316fdab6badfb83d827a8e95e1765a61e544a899932adcb",
+	"voronoi/quick/NoInline":     "5b396563157edeee6bca2a10db68013491ed48078f08e81968298cc037f2a117",
+	"voronoi/tiny/inline":        "c8e8971884972eb74d5046f792b44a260be37752ffaaa7836b103918c9572f6e",
+	"voronoi/tiny/NoInline":      "e71ee1881cd7ff82ca506184c70b9f2e0cca186d5d624d1fb4d7dc26354207f8",
 	"halo/default/inline":        "8270e1610193c469a76df072f8f23ec1908e8bcd57caa2095c9806b96ee1eac9",
 	"halo/default/NoInline":      "8270e1610193c469a76df072f8f23ec1908e8bcd57caa2095c9806b96ee1eac9",
 	"halo/quick/inline":          "8270e1610193c469a76df072f8f23ec1908e8bcd57caa2095c9806b96ee1eac9",

@@ -89,8 +89,11 @@ type Phase struct {
 // one the iteration already fetched (placement.Carry): tsp's tour_length
 // walk and voronoi's final walk fetch each element once. Epoch 8 spawns a
 // forall iteration with only its live-ins and issues the step's reads no
-// body can kill before the spawn (the forall's Head).
-const compilerEpoch = 8
+// body can kill before the spawn (the forall's Head). Epoch 9 changed no
+// parallel build's compiler code either: tsp, voronoi, perimeter and
+// health build their placed subtrees as the arms of a {^ ^} sequence; the
+// sequential build gives a forall body's writes slots of its own.
+const compilerEpoch = 9
 
 // fingerprint renders the compiler epoch, the compile-relevant options and
 // the bound profile into the cache namespace key. The ignored Workers and

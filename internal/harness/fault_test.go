@@ -110,10 +110,10 @@ func TestFaultVisibleEquivalence(t *testing.T) {
 func TestFaultSweepQuick(t *testing.T) {
 	baseNs := map[string]int64{
 		"power":     2300228,
-		"tsp":       2358361,
-		"health":    3080965,
-		"perimeter": 3811870,
-		"voronoi":   8635822,
+		"tsp":       2274061,
+		"health":    2931190,
+		"perimeter": 2917315,
+		"voronoi":   8514722,
 	}
 	res, err := MeasureFaultSweep(faultTestNodes, nil, 1, olden.QuickParams)
 	if err != nil {

@@ -61,8 +61,15 @@ int ITERS() { return @ITERS@; }
 Village *build(int level, int node, int seed, Village *parent) {
 	Village *v;
 	int i;
-	int cnode;
 	int s;
+	int s0;
+	int s1;
+	int s2;
+	int s3;
+	int n0;
+	int n1;
+	int n2;
+	int n3;
 	v = alloc(Village);
 	v->parent = parent;
 	v->level = level;
@@ -80,23 +87,38 @@ Village *build(int level, int node, int seed, Village *parent) {
 	v->child3 = NULL;
 	if (level == 0) return v;
 	s = v->seed;
-	for (i = 0; i < 4; i++) {
-		cnode = node;
-		if (level == LEVELS() - 1) cnode = i % num_nodes();
-		if (level == LEVELS() - 2) cnode = (4 * node + i + 1) % num_nodes();
-		s = nextrand(s);
-		if (cnode != node) {
-			// Spread subtrees are built on their owner nodes.
-			if (i == 0) v->child0 = build(level - 1, cnode, s, v)@ON(cnode);
-			if (i == 1) v->child1 = build(level - 1, cnode, s, v)@ON(cnode);
-			if (i == 2) v->child2 = build(level - 1, cnode, s, v)@ON(cnode);
-			if (i == 3) v->child3 = build(level - 1, cnode, s, v)@ON(cnode);
+	if (level >= LEVELS() - 2) {
+		// The two spread levels build their four subtrees on their owner
+		// nodes, all at once: no build reads another's result.
+		s0 = nextrand(s);
+		s1 = nextrand(s0);
+		s2 = nextrand(s1);
+		s3 = nextrand(s2);
+		if (level == LEVELS() - 1) {
+			n0 = 0 % num_nodes();
+			n1 = 1 % num_nodes();
+			n2 = 2 % num_nodes();
+			n3 = 3 % num_nodes();
 		} else {
-			if (i == 0) v->child0 = build(level - 1, cnode, s, v);
-			if (i == 1) v->child1 = build(level - 1, cnode, s, v);
-			if (i == 2) v->child2 = build(level - 1, cnode, s, v);
-			if (i == 3) v->child3 = build(level - 1, cnode, s, v);
+			n0 = (4 * node + 1) % num_nodes();
+			n1 = (4 * node + 2) % num_nodes();
+			n2 = (4 * node + 3) % num_nodes();
+			n3 = (4 * node + 4) % num_nodes();
 		}
+		{^
+			v->child0 = build(level - 1, n0, s0, v)@ON(n0);
+			v->child1 = build(level - 1, n1, s1, v)@ON(n1);
+			v->child2 = build(level - 1, n2, s2, v)@ON(n2);
+			v->child3 = build(level - 1, n3, s3, v)@ON(n3);
+		^}
+		return v;
+	}
+	for (i = 0; i < 4; i++) {
+		s = nextrand(s);
+		if (i == 0) v->child0 = build(level - 1, node, s, v);
+		if (i == 1) v->child1 = build(level - 1, node, s, v);
+		if (i == 2) v->child2 = build(level - 1, node, s, v);
+		if (i == 3) v->child3 = build(level - 1, node, s, v);
 	}
 	return v;
 }

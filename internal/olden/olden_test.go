@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/earthsim"
+	"repro/internal/trace"
 )
 
 // TestBenchmarksCompile checks every benchmark parses, checks, lowers, and
@@ -57,10 +58,7 @@ var runNodes = []int{1, 2, 3, 4, 8, 16}
 // TestBenchmarksRun runs every benchmark on each of runNodes, simple and
 // optimized, and demands one program output across all runs — the
 // communication optimization must be semantics-preserving, and the machine
-// size must not affect results. tsp and voronoi derive their decomposition
-// depth from the machine size (levels(2)), so their spawn count must be 0 on
-// one node and grow strictly with each doubling up to 16 nodes: a fixed
-// depth would spawn the same number of fibers at every size.
+// size must not affect results — and the spawn counts spawnPins holds.
 func TestBenchmarksRun(t *testing.T) {
 	for _, b := range All() {
 		b := b
@@ -74,13 +72,15 @@ func TestBenchmarksRun(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s optimize=%v: %v", b.Name, optimize, err)
 				}
-				spawns := map[int]int64{}
-				for _, nodes := range runNodes {
+				for i, nodes := range runNodes {
 					res, err := p.Run(u, core.RunConfig{Nodes: nodes})
 					if err != nil {
 						t.Fatalf("%s nodes=%d optimize=%v: %v", b.Name, nodes, optimize, err)
 					}
-					spawns[nodes] = res.Counts.Spawns
+					if pins, ok := spawnPins[b.Name]; ok && res.Counts.Spawns != pins[i] {
+						t.Errorf("%s nodes=%d optimize=%v: %d spawns, pinned %d",
+							b.Name, nodes, optimize, res.Counts.Spawns, pins[i])
+					}
 					if first {
 						ref = res.Output
 						first = false
@@ -90,20 +90,58 @@ func TestBenchmarksRun(t *testing.T) {
 							b.Name, nodes, optimize, res.Output, ref)
 					}
 				}
-				if b.Name != "tsp" && b.Name != "voronoi" {
-					continue
-				}
-				if spawns[1] != 0 {
-					t.Errorf("%s optimize=%v: %d spawns on 1 node, want 0", b.Name, optimize, spawns[1])
-				}
-				for prev, nodes := 1, 2; nodes <= 16; prev, nodes = nodes, 2*nodes {
-					if spawns[nodes] <= spawns[prev] {
-						t.Errorf("%s optimize=%v: %d spawns on %d nodes, not more than %d on %d",
-							b.Name, optimize, spawns[nodes], nodes, spawns[prev], prev)
-					}
-				}
 			}
 		})
+	}
+}
+
+// spawnPins are the spawns of each tree-building program at its small size
+// on each of runNodes, simple and optimized alike. tsp and voronoi derive
+// their decomposition depth from the machine size (levels(2)), so they
+// spawn nothing on one node and more with each doubling up to 16 nodes: a
+// fixed depth would spawn the same number of fibers at every size. Every
+// placed build runs as the arm of a {^ ^} sequence, one spawn each:
+// perimeter's four top quadrants, and from 8 nodes on the 16 children they
+// place (68 spawns are perimeter_par's), and health's 4 + 16 builds on its
+// two spread levels at every size (400 are sim's).
+var spawnPins = map[string][]int64{
+	"tsp":       {0, 4, 12, 12, 28, 60},
+	"voronoi":   {0, 4, 12, 12, 28, 60},
+	"perimeter": {72, 72, 72, 72, 88, 88},
+	"health":    {420, 420, 420, 420, 420, 420},
+}
+
+// TestBuildsOverlap records each tree-building program on 4 nodes at quick
+// size, with the recorder earthrun -trace uses, and demands that build runs
+// on two different nodes' EUs at the same simulated time: the owners build
+// their subtrees at once, not one after another.
+func TestBuildsOverlap(t *testing.T) {
+	for _, name := range []string{"tsp", "health", "perimeter", "voronoi"} {
+		b := ByName(name)
+		p := core.NewPipeline(core.Options{Optimize: true})
+		u, err := p.Compile(b.Name+".ec", b.Source(QuickParams(b)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.NewRecorder(4)
+		if _, err := p.Run(u, core.RunConfig{Nodes: 4, Trace: rec}); err != nil {
+			t.Fatal(err)
+		}
+		var builds []trace.Span
+		for _, s := range rec.Spans() {
+			if s.Unit == trace.UnitEU && s.Name == "build" {
+				builds = append(builds, s)
+			}
+		}
+		overlap := false
+		for i, a := range builds {
+			for _, c := range builds[i+1:] {
+				overlap = overlap || a.Node != c.Node && a.Start < c.End && c.Start < a.End
+			}
+		}
+		if !overlap {
+			t.Errorf("%s: no two of its %d build spans on different nodes overlap", name, len(builds))
+		}
 	}
 }
 

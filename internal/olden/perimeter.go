@@ -126,10 +126,14 @@ Quad *build(int x, int y, int s, int size, Quad *parent, int ct, int node, int l
 		c2 = (4 * node + 1) % num_nodes();
 		c3 = (4 * node + 2) % num_nodes();
 		c4 = (4 * node + 3) % num_nodes();
-		q->nw = build(x, y, h, size, q, 0, c1, lvl - 1)@ON(c1);
-		q->ne = build(x + h, y, h, size, q, 1, c2, lvl - 1)@ON(c2);
-		q->sw = build(x, y + h, h, size, q, 2, c3, lvl - 1)@ON(c3);
-		q->se = build(x + h, y + h, h, size, q, 3, c4, lvl - 1)@ON(c4);
+		// The four placed builds are independent: their owners build
+		// them at the same time.
+		{^
+			q->nw = build(x, y, h, size, q, 0, c1, lvl - 1)@ON(c1);
+			q->ne = build(x + h, y, h, size, q, 1, c2, lvl - 1)@ON(c2);
+			q->sw = build(x, y + h, h, size, q, 2, c3, lvl - 1)@ON(c3);
+			q->se = build(x + h, y + h, h, size, q, 3, c4, lvl - 1)@ON(c4);
+		^}
 		return q;
 	}
 	q->nw = build(x, y, h, size, q, 0, node, 0);
@@ -301,10 +305,12 @@ int main() {
 	root->color = 2;
 	root->childtype = 0;
 	root->parent = NULL;
-	root->nw = build(0, 0, h, s, root, 0, 0 % num_nodes(), lvl)@ON(0 % num_nodes());
-	root->ne = build(h, 0, h, s, root, 1, 1 % num_nodes(), lvl)@ON(1 % num_nodes());
-	root->sw = build(0, h, h, s, root, 2, 2 % num_nodes(), lvl)@ON(2 % num_nodes());
-	root->se = build(h, h, h, s, root, 3, 3 % num_nodes(), lvl)@ON(3 % num_nodes());
+	{^
+		root->nw = build(0, 0, h, s, root, 0, 0 % num_nodes(), lvl)@ON(0 % num_nodes());
+		root->ne = build(h, 0, h, s, root, 1, 1 % num_nodes(), lvl)@ON(1 % num_nodes());
+		root->sw = build(0, h, h, s, root, 2, 2 % num_nodes(), lvl)@ON(2 % num_nodes());
+		root->se = build(h, h, h, s, root, 3, 3 % num_nodes(), lvl)@ON(3 % num_nodes());
+	^}
 	total = perimeter_par(root, s, par);
 	print_int(total);
 	return total;

@@ -48,6 +48,7 @@ City *build(int n, int seed, int node, int lvl) {
 	int nr;
 	int child1;
 	int child2;
+	int sl;
 	if (n == 0) return NULL;
 	c = alloc(City);
 	s = nextrand(seed);
@@ -59,12 +60,16 @@ City *build(int n, int seed, int node, int lvl) {
 	nl = (n - 1) / 2;
 	nr = n - 1 - nl;
 	if (lvl > 0) {
-		// Subtrees are built on their owner nodes via placed calls.
+		// Subtrees are built on their owner nodes via placed calls, both
+		// at once: neither build reads the other's result.
 		child1 = (2 * node) % num_nodes();
 		child2 = (2 * node + 1) % num_nodes();
-		c->left = build(nl, s + 17, child1, lvl - 1)@ON(child1);
+		sl = s + 17;
 		s = nextrand(s + 5);
-		c->right = build(nr, s, child2, lvl - 1)@ON(child2);
+		{^
+			c->left = build(nl, sl, child1, lvl - 1)@ON(child1);
+			c->right = build(nr, s, child2, lvl - 1)@ON(child2);
+		^}
 		return c;
 	}
 	c->left = build(nl, s + 17, node, 0);

@@ -52,6 +52,7 @@ Point *build(int n, int seed, int node, int lvl) {
 	int nl;
 	int child1;
 	int child2;
+	int sl;
 	if (n == 0) return NULL;
 	p = alloc(Point);
 	s = nextrand(seed);
@@ -63,12 +64,16 @@ Point *build(int n, int seed, int node, int lvl) {
 	p->link = NULL;
 	nl = (n - 1) / 2;
 	if (lvl > 0) {
-		// Subtrees are built on their owner nodes via placed calls.
+		// Subtrees are built on their owner nodes via placed calls, both
+		// at once: neither build reads the other's result.
 		child1 = (2 * node) % num_nodes();
 		child2 = (2 * node + 1) % num_nodes();
-		p->left = build(nl, s + 29, child1, lvl - 1)@ON(child1);
+		sl = s + 29;
 		s = nextrand(s + 13);
-		p->right = build(n - 1 - nl, s, child2, lvl - 1)@ON(child2);
+		{^
+			p->left = build(nl, sl, child1, lvl - 1)@ON(child1);
+			p->right = build(n - 1 - nl, s, child2, lvl - 1)@ON(child2);
+		^}
 		return p;
 	}
 	p->left = build(nl, s + 29, node, 0);

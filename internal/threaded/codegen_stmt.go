@@ -2,6 +2,7 @@ package threaded
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/earthc"
 	"repro/internal/sema"
@@ -134,20 +135,10 @@ func (g *gen) switchStmt(fc *FnCode, c *simple.Switch) {
 // forall compiles a parallel loop: each iteration is spawned as a fiber
 // whose frame starts with the body's live-ins (see livein.go), after the
 // Head has issued the step's early reads, and all are joined at the end. In
-// sequential mode the loop is serialized.
+// sequential mode the loop is serialized (serialForall).
 func (g *gen) forall(fc *FnCode, c *simple.Forall) {
 	if g.opt.Sequential {
-		g.probe(fc, ProbeLoopEnter, c.Site, 0)
-		top := len(fc.Code)
-		g.seq(fc, c.Eval)
-		cond := g.cond(fc, c.Cond)
-		jEnd := g.emit(fc, Instr{Op: OpJmpIfNot, A: cond})
-		g.probe(fc, ProbeLoopTrip, c.Site, 0)
-		g.seq(fc, c.Head)
-		g.seq(fc, c.Body)
-		g.seq(fc, c.Step)
-		g.emit(fc, Instr{Op: OpJmp, C: top})
-		fc.Code[jEnd].C = len(fc.Code)
+		g.serialForall(fc, c)
 		return
 	}
 	if simple.HasReturn(c.Body) {
@@ -183,6 +174,57 @@ func (g *gen) forall(fc *FnCode, c *simple.Forall) {
 	g.emit(fc, Instr{Op: OpJmp, C: top})
 	fc.Code[jEnd].C = len(fc.Code)
 	g.emit(fc, Instr{Op: OpJoin})
+}
+
+// serialForall compiles a forall as a loop in the spawner's frame. The body
+// gets a slot of its own for each variable it writes (bodyWrites), as a
+// spawned iteration's frame gives it, so no write leaks past its iteration;
+// each iteration loads that slot from the spawner's only where the body may
+// read the variable before writing it (a live-in). A coalesced comm temp
+// moves with the variable whose slot it shares.
+func (g *gen) serialForall(fc *FnCode, c *simple.Forall) {
+	if g.live == nil {
+		g.live = newLiveness(g.fn)
+	}
+	writes, in := g.live.bodyWrites(c.Body), g.live.bodyIn(c.Body)
+	outer := slices.Clone(g.slots)
+	own := map[int]int{} // spawner slot -> the body's
+	for id, s := range outer {
+		if _, ok := own[s]; writes.has(id) && !ok {
+			own[s] = g.fc.NSlots
+			g.fc.NSlots += max(1, g.fn.VarByID(id).Size)
+		}
+	}
+
+	g.probe(fc, ProbeLoopEnter, c.Site, 0)
+	top := len(fc.Code)
+	g.seq(fc, c.Eval)
+	cond := g.cond(fc, c.Cond)
+	jEnd := g.emit(fc, Instr{Op: OpJmpIfNot, A: cond})
+	g.probe(fc, ProbeLoopTrip, c.Site, 0)
+	g.seq(fc, c.Head)
+	loaded := map[int]bool{}
+	for id, s := range outer {
+		b, ok := own[s]
+		if !ok {
+			continue
+		}
+		g.slots[id] = b
+		if !in.has(id) || loaded[s] {
+			continue
+		}
+		loaded[s] = true
+		if n := g.fn.VarByID(id).Size; n > 1 {
+			g.emit(fc, Instr{Op: OpMemCopyLocal, A: b, B: s, D: n})
+		} else {
+			g.emit(fc, Instr{Op: OpMove, A: b, B: s})
+		}
+	}
+	g.seq(fc, c.Body)
+	copy(g.slots, outer)
+	g.seq(fc, c.Step)
+	g.emit(fc, Instr{Op: OpJmp, C: top})
+	fc.Code[jEnd].C = len(fc.Code)
 }
 
 // par compiles a parallel statement sequence: arms run as fibers sharing the

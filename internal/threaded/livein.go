@@ -223,21 +223,49 @@ func (l *liveness) basic(b *simple.Basic, live varSet) varSet {
 	return live
 }
 
-// wholeDef returns the scalar variable b overwrites entirely, or nil.
+// wholeDef returns the scalar variable b overwrites entirely, or nil: a
+// one-word variable it defines (a write of a one-word struct's only field
+// writes all of it).
 func wholeDef(b *simple.Basic) *simple.Var {
-	var d *simple.Var
+	if d := def(b); d != nil && !d.Shared && d.Size <= 1 {
+		return d
+	}
+	return nil
+}
+
+// bodyWrites returns the frame variables a forall body may write, wholly or
+// in part: every variable some basic statement of the body defines, and
+// every address-taken variable it mentions, since it may write that one
+// through a pointer. A shared local is none of them: its slot holds the
+// address of the one shared cell.
+func (l *liveness) bodyWrites(body *simple.Seq) varSet {
+	w := l.empty()
+	simple.WalkBasics(body, func(b *simple.Basic) {
+		simple.EachVar(b, func(v *simple.Var, _ bool) {
+			if l.own(v) && !v.Shared && (v == def(b) || l.addr.has(v.ID)) {
+				w.add(v)
+			}
+		})
+	})
+	return w
+}
+
+// def returns the frame variable b writes, wholly or in part, or nil.
+func def(b *simple.Basic) *simple.Var {
 	switch b.Kind {
 	case simple.KAssign:
-		if lv, ok := b.Lhs.(simple.VarLV); ok {
-			d = lv.V
+		switch lv := b.Lhs.(type) {
+		case simple.VarLV:
+			return lv.V
+		case simple.LocalStoreLV:
+			return lv.Base
 		}
-	case simple.KCall, simple.KBuiltin, simple.KAlloc, simple.KGetF:
-		d = b.Dst
+	case simple.KCall, simple.KBuiltin, simple.KAlloc, simple.KGetF, simple.KBlkCopy:
+		return b.Dst
+	case simple.KBlkRead:
+		return b.Local
 	}
-	if d == nil || d.Shared || d.Size > 1 {
-		return nil
-	}
-	return d
+	return nil
 }
 
 // liveInSlots returns the frame slots of a forall body's live-ins,

@@ -85,31 +85,29 @@ func spawnIndex(code []threaded.Instr, s threaded.Instr) int {
 // (fill) whether a get still in flight at the spawn fills a copied word.
 // Each case then runs on 1, 2 and 4 nodes, and on 2 nodes over a lossy link
 // for seeds 1-16, and must print what the simple build prints, and on one
-// node what the sequential build prints (unless the case reads a local the
-// body wrote, which the serialized loop does not keep private).
+// node what the sequential build prints.
 func TestForallSpawnRule(t *testing.T) {
 	for _, c := range []struct {
-		name     string
-		words    []int // copied words of each spawn, depth first
-		early    bool  // the step's get precedes every spawn
-		fill     bool
-		parallel bool // output differs from the serialized loop by design
-		body     string
+		name  string
+		words []int // copied words of each spawn, depth first
+		early bool  // the step's get precedes every spawn
+		fill  bool
+		body  string
 	}{
-		{"local set before the loop", []int{2}, true, false, false, `
+		{"local set before the loop", []int{2}, true, false, `
 	x = k * 5;
 	forall (p = head; p != NULL; p = p->next) {
 		p->b = p->a + x;
 	}
 	return 0;`},
-		{"shared local", []int{2}, true, false, false, `
+		{"shared local", []int{2}, true, false, `
 	writeto(&acc, k);
 	forall (p = head; p != NULL; p = p->next) {
 		addto(&acc, p->a);
 	}
 	return valueof(&acc);`},
 		// x is read only through the pointer rd receives.
-		{"address-taken local", []int{2}, true, false, false, `
+		{"address-taken local", []int{2}, true, false, `
 	x = k + 2;
 	forall (p = head; p != NULL; p = p->next) {
 		p->b = rd(&x) * p->a;
@@ -117,7 +115,7 @@ func TestForallSpawnRule(t *testing.T) {
 	return 0;`},
 		// The body's x is its own: y is copied, x is not, and the
 		// parent's x is k after the loop.
-		{"writes a parent local", []int{2}, true, false, true, `
+		{"writes a parent local", []int{2}, true, false, `
 	x = k;
 	y = 2;
 	forall (p = head; p != NULL; p = p->next) {
@@ -125,13 +123,32 @@ func TestForallSpawnRule(t *testing.T) {
 		p->b = x + 1;
 	}
 	return x;`},
-		{"writes the step's field", []int{1}, false, false, false, `
+		// The same in the serialized loop, where the body runs in the
+		// spawner's frame: its x is still its own.
+		{"writes a parent local and the field it read", []int{2}, true, false, `
+	x = k;
+	y = 2;
+	forall (p = head; p != NULL; p = p->next) {
+		x = p->a * y;
+		p->a = x;
+	}
+	return x;`},
+		// x is a live-in the body also writes: every iteration starts
+		// from the spawner's x, in the serialized loop too.
+		{"reads then writes a parent local", []int{2}, true, false, `
+	x = k;
+	forall (p = head; p != NULL; p = p->next) {
+		p->b = x;
+		x = p->a;
+	}
+	return x;`},
+		{"writes the step's field", []int{1}, false, false, `
 	forall (p = head; p != NULL; p = p->next) {
 		p->next = p->next;
 		p->a = p->a + 1;
 	}
 	return 0;`},
-		{"a call writes the step's field", []int{1}, false, false, false, `
+		{"a call writes the step's field", []int{1}, false, false, `
 	forall (p = head; p != NULL; p = p->next) {
 		relink(p);
 		bump(p);
@@ -139,7 +156,7 @@ func TestForallSpawnRule(t *testing.T) {
 	return 0;`},
 		// The outer body reads head, p and acc's cell; the inner one p, q
 		// and the cell.
-		{"nested forall", []int{3, 3}, true, false, false, `
+		{"nested forall", []int{3, 3}, true, false, `
 	writeto(&acc, 0);
 	forall (p = head; p != NULL; p = p->next) {
 		forall (q = head; q != NULL; q = q->next) {
@@ -147,7 +164,7 @@ func TestForallSpawnRule(t *testing.T) {
 		}
 	}
 	return valueof(&acc);`},
-		{"forall in a parallel arm", []int{2}, true, false, false, `
+		{"forall in a parallel arm", []int{2}, true, false, `
 	x = k;
 	{^
 		forall (p = head; p != NULL; p = p->next) {
@@ -159,7 +176,7 @@ func TestForallSpawnRule(t *testing.T) {
 		// head->b is read once, above the loop, into a comm temp the
 		// body reads: its get is still in flight at the first spawn,
 		// which must wait for it.
-		{"fill in flight to a live-in", []int{2}, true, true, false, `
+		{"fill in flight to a live-in", []int{2}, true, true, `
 	forall (p = head; p != NULL; p = p->next) {
 		p->a = p->a + head->b;
 	}
@@ -210,11 +227,9 @@ func TestForallSpawnRule(t *testing.T) {
 				}
 				return res.Output
 			}
-			if !c.parallel {
-				seq := run(plain, su, core.RunConfig{Nodes: 1, Sequential: true})
-				if got := run(opt, u, core.RunConfig{Nodes: 1}); got != seq {
-					t.Errorf("1 node: optimized build printed %q, sequential build %q", got, seq)
-				}
+			seq := run(plain, su, core.RunConfig{Nodes: 1, Sequential: true})
+			if got := run(opt, u, core.RunConfig{Nodes: 1}); got != seq {
+				t.Errorf("1 node: optimized build printed %q, sequential build %q", got, seq)
 			}
 			for _, nodes := range []int{1, 2, 4} {
 				want := run(plain, su, core.RunConfig{Nodes: nodes})
